@@ -55,6 +55,9 @@ __all__ = [
 # degree cutoff multiplier for heavy right-class vertices
 DEGREE_PRUNE_FACTOR = 1 << 10
 
+# (value, prime) cells tested per broadcast chunk in _valuation_columns
+_BROADCAST_CELLS = 1 << 20
+
 
 class PipelineError(Exception):
     """A pipeline stage rejected its input; ``stage`` names the stage."""
@@ -131,17 +134,14 @@ def _as_sorted_vectors(B, n: int) -> list[TernaryVector]:
     return sorted(out)
 
 
-def build_pairing_graph(B, targets, n: int) -> PairingGraph:
-    """One edge per target: the lex-smallest (b1, b2) in B*B summing to it."""
-    vecs = _as_sorted_vectors(B, n)
-    if not vecs:
-        raise ValueError("empty vertex set")
+def _scan_pairs(vecs: list[TernaryVector], tlist: list[TernaryVector], n: int) -> list:
+    """Per target, walk B in lex order until t - b lands in B.
+
+    Works for any target; the cost is O(|B| * n) per target.
+    """
     vset = {v.coords for v in vecs}
     bmat = as_matrix(vecs, n).astype(np.int16)
     k = len(vecs)
-    tlist = sorted(
-        t if isinstance(t, TernaryVector) else TernaryVector.from_coords(t) for t in set(targets)
-    )
     edges = []
     chunk = 256
     for t in tlist:
@@ -160,6 +160,76 @@ def build_pairing_graph(B, targets, n: int) -> PairingGraph:
         if hit is None:
             raise ValueError(f"target {tuple(t.coords)} is not a sum of two basis vectors")
         edges.append((hit[0], hit[1], t))
+    return edges
+
+
+def _sparse(v: TernaryVector) -> tuple:
+    """Sorted (index, value) pairs of the nonzero coordinates."""
+    return tuple((i, v.coords[i]) for i in v.support())
+
+
+def _join_weight_one_pairs(vecs: list[TernaryVector], tlist: list[TernaryVector]) -> list:
+    """The pairs of _scan_pairs for targets c * e_p, found by a hash join.
+
+    b1 + b2 = c * e_p forces p into supp b1 or supp b2, and b2 = -b1
+    away from p.  So index every (b, p in supp b) once under p and the
+    sparse rest of b, then from each b1 and p in supp b1 look up the
+    negated rest (partners nonzero at p) and the full vector -b1 with
+    coordinate p zeroed (partners zero at p).  B is sorted, so the
+    lex-least b1 of a target is the least index over its pairs.  Work
+    grows with sum |supp b|^2 over B, not with |B| * n.
+    """
+    sparse = [_sparse(v) for v in vecs]
+    whole = {s: k for k, s in enumerate(sparse)}
+    by_rest: dict = defaultdict(list)  # (p, supp b without p) -> [(b_p, index of b)]
+    for k, s in enumerate(sparse):
+        for j, (p, c) in enumerate(s):
+            by_rest[(p, s[:j] + s[j + 1 :])].append((c, k))
+    best: dict = {}  # (p, c) -> (index of b1, index of b2)
+
+    def offer(key, k1, k2):
+        pair = (k1, k2) if k1 <= k2 else (k2, k1)
+        if key not in best or pair[0] < best[key][0]:
+            best[key] = pair
+
+    for k1, s in enumerate(sparse):
+        for j, (p, c1) in enumerate(s):
+            neg_rest = tuple((i, 3 - c) for i, c in s[:j] + s[j + 1 :])
+            for c2, k2 in by_rest.get((p, neg_rest), ()):
+                if (c1 + c2) % 3:
+                    offer((p, (c1 + c2) % 3), k1, k2)
+            k2 = whole.get(neg_rest)
+            if k2 is not None:
+                offer((p, c1), k1, k2)
+    edges = []
+    for t in tlist:
+        ((p, c),) = _sparse(t)
+        pair = best.get((p, c))
+        if pair is None:
+            raise ValueError(f"target {tuple(t.coords)} is not a sum of two basis vectors")
+        edges.append((vecs[pair[0]], vecs[pair[1]], t))
+    return edges
+
+
+def build_pairing_graph(B, targets, n: int) -> PairingGraph:
+    """One edge per target: the lex-smallest (b1, b2) in B*B summing to it.
+
+    Weight-one targets (the pipeline's single-prime marks) go through a
+    hash join on sparse supports; any other target set is scanned.
+    """
+    vecs = _as_sorted_vectors(B, n)
+    if not vecs:
+        raise ValueError("empty vertex set")
+    tlist = sorted(
+        t if isinstance(t, TernaryVector) else TernaryVector.from_coords(t) for t in set(targets)
+    )
+    for t in tlist:
+        if t.n != n:
+            raise ValueError(f"target of dimension {t.n}, expected {n}")
+    if all(t.weight() == 1 for t in tlist):
+        edges = _join_weight_one_pairs(vecs, tlist)
+    else:
+        edges = _scan_pairs(vecs, tlist, n)
     verts = tuple(vecs)
     return PairingGraph(mode="vector", left=verts, right=verts, edges=tuple(edges))
 
@@ -393,7 +463,7 @@ def component_analysis(m1_edges: Sequence, split: tuple[int, int]) -> ComponentA
         if (v1 + v2) != t:
             raise ValueError(f"edge endpoints do not sum to the target {tuple(t.coords)}")
         head = t.coords[:n1]
-        if sum(1 for c in head if c) != 1 or any(t.coords[i] for i in p2_range):
+        if n1 - head.count(0) != 1 or any(t.coords[n1:]):
             raise ValueError(
                 f"target {tuple(t.coords)} is not supported on one first-block coordinate"
             )
@@ -546,18 +616,28 @@ class PipelineResult:
 
 
 def _valuation_columns(values: Sequence[int], primes: Sequence[int]) -> np.ndarray:
-    """Matrix of v_p(value) mod 3; vectorized per prime."""
+    """Matrix of v_p(value) mod 3.
+
+    One chunked broadcast finds the (value, prime) pairs with p | value;
+    exact valuations are then divided out on those pairs only.
+    """
     arr = np.array(values, dtype=np.int64)
-    out = np.zeros((len(values), len(primes)), dtype=np.uint8)
-    for j, p in enumerate(primes):
-        x = arr.copy()
-        v = np.zeros(len(values), dtype=np.int64)
-        mask = x % p == 0
+    parr = np.array(primes, dtype=np.int64)
+    out = np.zeros((len(arr), len(parr)), dtype=np.uint8)
+    if out.size == 0:
+        return out
+    step = max(1, _BROADCAST_CELLS // len(parr))
+    for lo in range(0, len(arr), step):
+        rows, cols = np.nonzero(arr[lo : lo + step, None] % parr == 0)
+        rows += lo
+        x, p = arr[rows], parr[cols]
+        v = np.zeros(len(rows), dtype=np.int64)
+        mask = np.ones(len(rows), dtype=bool)
         while mask.any():
             v[mask] += 1
-            x[mask] //= p
+            x[mask] //= p[mask]
             mask &= x % p == 0
-        out[:, j] = (v % 3).astype(np.uint8)
+        out[rows, cols] = (v % 3).astype(np.uint8)
     return out
 
 
@@ -593,9 +673,10 @@ def end_to_end_lower_bound(
     n1, n2 = len(p1), len(p2)
     n = n1 + n2
 
-    rho_basis = _valuation_columns(basis, primes)
     shift = (2 * _valuation_columns([g], primes)[0]) % 3  # halving is doubling mod 3
-    bprime_mat = (rho_basis + 3 - shift) % 3
+    bprime_mat = _valuation_columns(basis, primes)
+    bprime_mat += 3 - shift  # in place: at large M the matrix is |B| * n bytes
+    bprime_mat %= 3
     bprime = sorted({TernaryVector(bprime_mat[i].tobytes()) for i in range(len(basis))})
 
     m1_idx = sorted(marks.single_prime_marks.indices)
@@ -604,7 +685,7 @@ def end_to_end_lower_bound(
     for row_idx, m in enumerate(m1_idx):
         t = TernaryVector(term_vecs[row_idx].tobytes())
         head = t.coords[:n1]
-        if sum(1 for c in head if c) != 1 or any(t.coords[n1:]):
+        if n1 - head.count(0) != 1 or any(t.coords[n1:]):
             raise PipelineError(
                 "targets", f"mark {m} does not give a single first-block coordinate"
             )

@@ -10,7 +10,9 @@ byte-identical reports at any --jobs value.
 
 Exit codes: 0 all checks hold (and searches proved optimality), 1 a
 checked inequality failed or a search exhausted its budget, 2 bad
-arguments.
+arguments or input a pipeline stage rejected (one line on stderr,
+``error: [stage] message`` for a stage), 3 a broken invariant, which
+is a bug rather than bad input.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import numpy as np
 from . import __version__
 from .certificates import (
     InequalityReport,
+    PipelineError,
     end_to_end_lower_bound,
     sphere_cover_report,
 )
@@ -40,6 +43,7 @@ from .productsets import (
     verify_cover,
 )
 from .reduction import (
+    InvariantViolationError,
     ReducedPair,
     factorial_divisibility_check,
     random_divisibility_instance,
@@ -504,13 +508,20 @@ def _cmd_sphere_certificate(config: RunConfig) -> tuple[list, list, int]:
 def _cmd_pipeline_bound(config: RunConfig) -> tuple[list, list, int]:
     p = config.parameters
     M = p["m"]
-    u = p.get("u") or 0
-    g = p.get("g") or 1
+    u = p.get("u", 0)
+    g = p.get("g", 1)
+    if M < 1:
+        raise ValueError(f"--m must be at least 1, got {M}")
+    if u < 0:
+        raise ValueError(f"--u must be nonnegative, got {u}")
+    if g < 1:
+        raise ValueError(f"--g must be at least 1, got {g}")
     if p.get("basis_file"):
         with open(p["basis_file"], "r", encoding="utf-8") as fh:
             basis = [int(line) for line in fh if line.strip()]
     else:
-        basis = construct_interval_basis(M).basis
+        # the progression g*(u+m), m in [1..M], lies inside [1..g*(u+M)]
+        basis = construct_interval_basis(g * (u + M)).basis
     res = end_to_end_lower_bound(M, basis, u=u, g=g)
     checks = list(res.chain) + list(res.sphere_reports)
     row = {
@@ -686,12 +697,12 @@ def main(argv=None) -> int:
     try:
         config = _config_from_args(args)
         return run(config)
-    except ValueError as exc:
+    except (ValueError, OSError, PipelineError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except InvariantViolationError as exc:
+        print(f"error: invariant violated: {exc}", file=sys.stderr)
+        return 3
 
 
 def main_entry() -> None:

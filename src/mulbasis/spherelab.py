@@ -61,6 +61,18 @@ SMALL_SET_DIVISOR = 1 << 10
 # residues of x + y and x - y + 3 for single coordinates in {0, 1, 2}
 _MOD3 = np.array([0, 1, 2, 0, 1], dtype=np.uint8)
 
+# byte tables for TernaryVector: the coordinate alphabet, negation mod 3,
+# and the residue of a coordinate sum in [0, 4]
+_DIGITS = b"\x00\x01\x02"
+_NEGATE = bytes.maketrans(b"\x01\x02", b"\x02\x01")
+_FOLD_SUM = bytes.maketrans(b"\x03\x04", b"\x00\x01")
+
+
+def _add_coords(a: bytes, b: bytes) -> bytes:
+    # bytes in {0, 1, 2} sum to at most 4, so the big-integer sum never carries
+    total = int.from_bytes(a, "big") + int.from_bytes(b, "big")
+    return total.to_bytes(len(a), "big").translate(_FOLD_SUM)
+
 
 class DifferenceCase(Enum):
     ZERO = "zero"
@@ -77,7 +89,7 @@ class TernaryVector:
     coords: bytes
 
     def __post_init__(self):
-        if any(c > 2 for c in self.coords):
+        if self.coords.translate(None, _DIGITS):
             raise ValueError("coordinates must lie in {0, 1, 2}")
 
     @property
@@ -105,24 +117,26 @@ class TernaryVector:
 
     def __add__(self, other: "TernaryVector") -> "TernaryVector":
         self._check(other)
-        return TernaryVector(bytes((a + b) % 3 for a, b in zip(self.coords, other.coords)))
+        return TernaryVector(_add_coords(self.coords, other.coords))
 
     def __sub__(self, other: "TernaryVector") -> "TernaryVector":
         self._check(other)
-        return TernaryVector(bytes((a - b) % 3 for a, b in zip(self.coords, other.coords)))
+        return TernaryVector(_add_coords(self.coords, other.coords.translate(_NEGATE)))
 
     def __neg__(self) -> "TernaryVector":
-        return TernaryVector(bytes((-a) % 3 for a in self.coords))
+        return TernaryVector(self.coords.translate(_NEGATE))
 
     def scale(self, c: int) -> "TernaryVector":
         c %= 3
-        return TernaryVector(bytes((c * a) % 3 for a in self.coords))
+        if c == 0:
+            return TernaryVector.zero(self.n)
+        return self if c == 1 else -self
 
     def weight(self) -> int:
         return len(self.coords) - self.coords.count(0)
 
     def support(self) -> tuple[int, ...]:
-        return tuple(i for i, c in enumerate(self.coords) if c)
+        return tuple(np.flatnonzero(np.frombuffer(self.coords, dtype=np.uint8)).tolist())
 
     def is_zero_one(self) -> bool:
         return 2 not in self.coords

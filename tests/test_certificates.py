@@ -2,13 +2,17 @@ import json
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mulbasis.certificates import (
     InequalityReport,
     PairingGraph,
     PipelineError,
+    _as_sorted_vectors,
+    _join_weight_one_pairs,
+    _scan_pairs,
+    _valuation_columns,
     build_integer_pairing_graph,
     build_pairing_graph,
     case2_routing_ok,
@@ -21,6 +25,7 @@ from mulbasis.certificates import (
 from mulbasis.productsets import construct_interval_basis
 from mulbasis.reduction import InvariantViolationError
 from mulbasis.spherelab import TernaryVector, as_matrix, enumerate_sphere
+from oracles import primes_segmented, valuation_loop
 
 V = TernaryVector.from_coords
 
@@ -114,6 +119,61 @@ def test_graph_rejections():
         build_pairing_graph([V((0, 0, 1))], [V((1, 1, 1))], 3)
     with pytest.raises(ValueError, match="dimension"):
         build_pairing_graph([V((0, 1))], [V((1, 1, 1))], 3)
+
+
+def unit(n: int, p: int, c: int) -> TernaryVector:
+    return V(tuple(c if i == p else 0 for i in range(n)))
+
+
+@st.composite
+def weight_one_instances(draw):
+    """Sparse bases over F_3^n with weight-one targets, most of them covered."""
+    n = draw(st.integers(1, 6))
+    sparse_vec = st.dictionaries(st.integers(0, n - 1), st.integers(1, 2), max_size=3).map(
+        lambda d: V(tuple(d.get(i, 0) for i in range(n)))
+    )
+    target = st.builds(unit, st.just(n), st.integers(0, n - 1), st.integers(1, 2))
+    basis = draw(st.lists(sparse_vec, min_size=1, max_size=10))
+    for i, t in draw(st.lists(st.tuples(st.integers(0, len(basis) - 1), target), max_size=4)):
+        basis.append(t - basis[i])
+    targets = draw(st.lists(target, max_size=2 * n))
+    return n, basis, targets
+
+
+def _pairs_or_error(find):
+    try:
+        return find()
+    except ValueError as exc:
+        return str(exc)
+
+
+@given(weight_one_instances())
+@settings(max_examples=300, deadline=None)
+@example((2, [unit(2, 0, 2)], [unit(2, 0, 1)]))  # self-pair: b + b = e_0
+@example((2, [unit(2, 0, 1)], [unit(2, 0, 2)]))  # self-pair reaching value 2
+@example((2, [V((1, 1)), V((2, 2)), unit(2, 1, 1)], [unit(2, 0, 1)]))  # b + (-b) = 0 only
+@example((3, [V((0, 1, 2)), V((1, 2, 1))], [unit(3, 0, 1), unit(3, 2, 2)]))  # uncovered
+def test_join_matches_scan_on_weight_one_targets(instance):
+    n, basis, targets = instance
+    vecs = _as_sorted_vectors(basis, n)
+    tlist = sorted(set(targets))
+    joined = _pairs_or_error(lambda: _join_weight_one_pairs(vecs, tlist))
+    assert joined == _pairs_or_error(lambda: _scan_pairs(vecs, tlist, n))
+
+
+def test_weight_one_targets_pair_through_the_join():
+    e0, e1 = unit(3, 0, 1), unit(3, 1, 1)
+    basis = [V((2, 0, 0)), V((0, 1, 2)), V((0, 0, 1)), V((0, 2, 2))]
+    g = build_pairing_graph(basis, [e1, -e1, e0], 3)
+    assert g.edges == (
+        (V((0, 0, 1)), V((0, 1, 2)), e1),  # partner zero at p, lex-least b1 is (0, 0, 1)
+        (V((0, 0, 1)), V((0, 2, 2)), -e1),
+        (V((2, 0, 0)), V((2, 0, 0)), e0),  # self-pair
+    )
+    with pytest.raises(ValueError, match=r"target \(0, 0, 2\) is not a sum"):
+        build_pairing_graph([V((0, 1, 1)), V((0, 2, 2))], [unit(3, 2, 2)], 3)
+    with pytest.raises(ValueError, match="target of dimension 2, expected 3"):
+        build_pairing_graph(basis, [unit(2, 0, 1)], 3)
 
 
 def test_empty_target_list_gives_empty_graph():
@@ -296,6 +356,17 @@ def test_two_components_counted_separately():
 
 
 # ---------------------------------------------------------- end-to-end bound
+
+
+@given(
+    st.lists(st.integers(1, 10**12), min_size=1, max_size=40),
+    st.lists(st.sampled_from(primes_segmented(200)), unique=True, max_size=16),
+)
+@settings(max_examples=100, deadline=None)
+@example([2**40, 3**25 * 7, 97**5 * 1_000_003, 1], [97, 2, 3, 7])  # high powers, large cofactor
+def test_valuation_columns_match_valuation_loop(values, primes):
+    want = [[valuation_loop(p, x) % 3 for p in primes] for x in values]
+    assert _valuation_columns(values, primes).tolist() == want
 
 
 def test_pipeline_narrow_small_prime_block():

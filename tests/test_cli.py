@@ -1,10 +1,14 @@
 import io
 import json
+from pathlib import Path
 
 import pytest
 
+from mulbasis import cli
 from mulbasis.cli import RunConfig, main, rng_stream, run
-from mulbasis.reduction import random_injected_pair
+from mulbasis.reduction import InvariantViolationError, random_injected_pair
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 # one cheap invocation per subcommand, reused by the format tests
 SMOKE_ARGS = {
@@ -193,6 +197,70 @@ def test_missing_json_file_exits_2(capsys):
     code = main(["reduce", "--json-file", "/nonexistent/pair.json"])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_pipeline_stage_rejection_exits_2_with_one_line(tmp_path, capsys):
+    empty = tmp_path / "basis.txt"
+    empty.write_text("")
+    code = main(["pipeline-bound", "--m", "10", "--basis-file", str(empty)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: [input] empty basis\n"
+    assert captured.out == ""
+
+
+def test_pipeline_out_of_range_u_rejected_by_marks_stage(capsys):
+    code = main(["pipeline-bound", "--m", "30", "--u", "40"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: [marks] u must lie in [0, 30], got 40\n"
+
+
+def test_invariant_violation_exits_3(monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise InvariantViolationError("final bound 9 exceeds the actual basis size 8")
+
+    monkeypatch.setattr(cli, "end_to_end_lower_bound", broken)
+    code = main(["pipeline-bound", "--m", "10"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err == "error: invariant violated: final bound 9 exceeds the actual basis size 8\n"
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (["--m", "10", "--g", "0"], "--g must be at least 1, got 0"),
+        (["--m", "10", "--u", "-1"], "--u must be nonnegative, got -1"),
+        (["--m", "0"], "--m must be at least 1, got 0"),
+    ],
+    ids=["g0", "u-1", "m0"],
+)
+def test_pipeline_rejects_out_of_range_arguments(args, message, capsys):
+    code = main(["pipeline-bound", *args])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("m,u,g", [(20, 0, 2), (100, 17, 3)])
+def test_pipeline_default_basis_covers_the_progression(m, u, g, capsys):
+    payload = run_json(["pipeline-bound", "--m", str(m), "--u", str(u), "--g", str(g)], capsys)
+    row = payload["results"][0]
+    assert (row["M"], row["u"], row["g"]) == (m, u, g)
+    assert row["all_hold"] is True
+
+
+# ---------------------------------------------------------- golden payloads
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("m", [100, 1000, 10000])
+def test_pipeline_bound_matches_golden_payload(m, fmt, capsys):
+    code = main(["pipeline-bound", "--m", str(m), "--format", fmt])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out == (GOLDEN / f"pipeline-bound_m{m}.{fmt}").read_text(encoding="utf-8")
 
 
 # ---------------------------------------------------------- seeded commands

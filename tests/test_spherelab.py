@@ -47,8 +47,9 @@ def test_vector_construction_and_accessors():
 
 
 def test_vector_rejects_out_of_field_coordinates():
-    with pytest.raises(ValueError):
-        TernaryVector(bytes([3, 0]))
+    for raw in (bytes([3, 0]), bytes([0, 1, 255]), bytes([2, 2, 1, 7])):
+        with pytest.raises(ValueError, match="coordinates must lie in"):
+            TernaryVector(raw)
 
 
 def test_vector_projection():
@@ -62,6 +63,7 @@ def test_vector_addition_matches_tuple_arithmetic(a, b):
     n = min(len(a), len(b))
     x, y = V(a[:n]), V(b[:n])
     assert (x + y).coords == bytes((p + q) % 3 for p, q in zip(a, b))
+    assert (x - y).coords == bytes((p - q) % 3 for p, q in zip(a, b))
     assert (x - y) + y == x
 
 
@@ -70,6 +72,9 @@ def test_vector_negation_and_doubling_agree(a):
     v = V(a)
     assert v + (-v) == TernaryVector.zero(len(a))
     assert v.scale(2) == -v
+    assert v.scale(4) == v.scale(1) == v
+    assert v.scale(3) == TernaryVector.zero(len(a))
+    assert v.support() == tuple(i for i, c in enumerate(a) if c)
 
 
 @given(coords_strategy, coords_strategy)
