@@ -58,6 +58,9 @@ DEGREE_PRUNE_FACTOR = 1 << 10
 # (value, prime) cells tested per broadcast chunk in _valuation_columns
 _BROADCAST_CELLS = 1 << 20
 
+# _valuation_columns divides in int64
+_INT64_MAX = (1 << 63) - 1
+
 
 class PipelineError(Exception):
     """A pipeline stage rejected its input; ``stage`` names the stage."""
@@ -658,6 +661,11 @@ def end_to_end_lower_bound(
     basis = sorted(set(int(b) for b in B))
     if not basis:
         raise PipelineError("input", "empty basis")
+    top = max(basis[-1], g * (u + M))
+    if top > _INT64_MAX:
+        raise PipelineError(
+            "input", f"value {top} exceeds 2^63 - 1, the int64 range of the valuation embedding"
+        )
     if table is None:
         table = sieve(max(M, 4))
     elements = [g * (u + m) for m in range(1, M + 1)]

@@ -205,6 +205,14 @@ def _exit_code(checks: list[InequalityReport], proven: bool = True) -> int:
     return 0
 
 
+def _count(p: dict, key: str) -> int:
+    """A count parameter (default 1); 0 or less is rejected, never rounded up."""
+    value = p.get(key, 1)
+    if value < 1:
+        raise ValueError(f"--{key} must be at least 1, got {value}")
+    return value
+
+
 def _vector_str(v) -> str:
     return "".join(str(c) for c in v.coords)
 
@@ -288,7 +296,7 @@ def _cmd_reduce(config: RunConfig) -> tuple[list, list, int]:
             rec = json.load(fh)
         pairs = [ReducedPair.from_record(rec)]
     else:
-        count = p.get("random") or 1
+        count = _count(p, "random")
         pairs = [random_injected_pair(rng_stream(config.seed, i)) for i in range(count)]
 
     def work(_, pair):
@@ -318,10 +326,9 @@ def _cmd_reduce(config: RunConfig) -> tuple[list, list, int]:
 
 def _cmd_factorial_check(config: RunConfig) -> tuple[list, list, int]:
     p = config.parameters
-    if p.get("random"):
-        instances = [
-            random_divisibility_instance(rng_stream(config.seed, i)) for i in range(p["random"])
-        ]
+    if p.get("random") is not None:
+        count = _count(p, "random")
+        instances = [random_divisibility_instance(rng_stream(config.seed, i)) for i in range(count)]
     else:
         instances = [(p["u"], p["v"], p["m"])]
     top = max(u + M * v for u, v, M in instances)
@@ -414,7 +421,7 @@ def _cmd_sphere_construct(config: RunConfig) -> tuple[list, list, int]:
 def _cmd_sphere_overlap(config: RunConfig) -> tuple[list, list, int]:
     p = config.parameters
     n, x_size, y_size = p["n"], p["x_size"], p["y_size"]
-    trials = p.get("trials") or 1
+    trials = _count(p, "trials")
     if SMALL_SET_DIVISOR * x_size > n:
         raise ValueError(
             f"x-size {x_size} cannot satisfy |X| <= n/{SMALL_SET_DIVISOR} at n={n}"
@@ -450,7 +457,7 @@ def _cmd_sphere_overlap(config: RunConfig) -> tuple[list, list, int]:
 def _cmd_sphere_overlap_general(config: RunConfig) -> tuple[list, list, int]:
     p = config.parameters
     n, a_size, b_size = p["n"], p["a_size"], p["b_size"]
-    trials = p.get("trials") or 1
+    trials = _count(p, "trials")
     if SMALL_SET_DIVISOR * a_size > n:
         raise ValueError(
             f"a-size {a_size} cannot satisfy |A| <= n/{SMALL_SET_DIVISOR} at n={n}"
@@ -566,11 +573,7 @@ def run(config: RunConfig, out=None) -> int:
     if config.command not in _DISPATCH:
         raise ValueError(f"unknown command {config.command!r}")
     results, checks, code = _DISPATCH[config.command](config)
-    text = _render(config, results, checks)
-    (out or sys.stdout).write(text)
-    if config.parameters.get("out"):
-        with open(config.parameters["out"], "w", encoding="utf-8") as fh:
-            fh.write(text)
+    (out or sys.stdout).write(_render(config, results, checks))
     return code
 
 
@@ -674,7 +677,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    skip = {"command", "seed", "jobs", "format"}
+    skip = {"command", "seed", "jobs", "format", "out"}
     params = {k: v for k, v in vars(args).items() if k not in skip and v is not None}
     if "elements" in params:
         params["elements"] = [int(x) for x in str(params["elements"]).split(",") if x.strip()]
@@ -696,7 +699,14 @@ def main(argv=None) -> int:
             parser.error("factorial-check needs either --u/--v/--m or --random")
     try:
         config = _config_from_args(args)
-        return run(config)
+        buf = io.StringIO()
+        code = run(config, out=buf)
+        text = buf.getvalue()
+        sys.stdout.write(text)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        return code
     except (ValueError, OSError, PipelineError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -10,6 +10,11 @@ three kinds of question about S_3:
   The union S_1 | S_2 always works (size n(n+1)/2); tiny dimensions
   admit an exact search with coordinate-permutation symmetry reduction.
 * overlap: how much of S_2 can a structured sumset X + Y capture?
+  The kernel rests on one fact: x + y = e_i + e_j exactly when
+  y_l = -x_l at every coordinate l outside {i, j} and y_l = 1 - x_l at
+  i and j.  So y mismatches -x in exactly two coordinates, a hit is
+  named by its support pair (i, j), and a row that mismatches -x more
+  than twice on a short leading block of columns is no hit.
 
 Scalar vectors are immutable byte strings (one coordinate per byte);
 bulk checks at n ~ 2048 run on numpy matrices instead.
@@ -58,8 +63,17 @@ OVERLAP_MIN_N = 2048
 # "Small" sets in the overlap checks: at most n / 2**10 elements.
 SMALL_SET_DIVISOR = 1 << 10
 
-# residues of x + y and x - y + 3 for single coordinates in {0, 1, 2}
-_MOD3 = np.array([0, 1, 2, 0, 1], dtype=np.uint8)
+# coordinate tables for the overlap kernels: -x and 1 - x mod 3
+_NEG3 = np.array([0, 2, 1], dtype=np.uint8)
+_ONE_MINUS = np.array([1, 0, 2], dtype=np.uint8)
+
+# x + y can lie in S_2 only if y = -x on all but two of the first _LEAD
+# columns; a random row fails that on about 2/3 of them, so the lead block
+# rejects nearly every row before a full-width compare
+_LEAD = 16
+
+# rows per full-width compare in _two_sphere_hits, to bound temporaries
+_HIT_CHUNK = 2048
 
 # byte tables for TernaryVector: the coordinate alphabet, negation mod 3,
 # and the residue of a coordinate sum in [0, 4]
@@ -505,34 +519,86 @@ def sphere_min_basis(
     )
 
 
-def _dedupe_rows(mat: np.ndarray) -> np.ndarray:
-    """Distinct rows, first occurrence first; hashing beats a lexsort here."""
-    if mat.shape[0] <= 1:
-        return mat
-    n = mat.shape[1]
-    buf = mat.tobytes()
-    seen: set[bytes] = set()
-    keep = []
-    for i in range(mat.shape[0]):
-        row = buf[i * n : (i + 1) * n]
-        if row not in seen:
+def _row_fingerprints(mat: np.ndarray) -> np.ndarray:
+    """A 64-bit hash per row: its 8-byte words dotted with random odd weights.
+
+    A byte high in its word meets its weight shifted left, so rows that
+    differ only there collide more often than 2^-64; callers compare bytes.
+    """
+    m, n = mat.shape
+    words = n // 8
+    gen = np.random.Generator(np.random.Philox(key=[0x5EED, n]))
+    weights = gen.integers(0, 1 << 63, size=words + n % 8, dtype=np.uint64) * np.uint64(2) + np.uint64(1)
+    fp = mat[:, : 8 * words].view(np.uint64) @ weights[:words] if words else np.zeros(m, dtype=np.uint64)
+    if n % 8:
+        fp += mat[:, 8 * words :].astype(np.uint64) @ weights[words:]
+    return fp
+
+
+def _first_occurrences(mat: np.ndarray) -> np.ndarray:
+    """Mask of the rows that repeat no earlier row.
+
+    Rows are grouped by fingerprint; a row whose group head (its earliest
+    row) has equal bytes is a repeat.  Groups holding distinct rows with
+    one fingerprint are settled by bytes.
+    """
+    m = mat.shape[0]
+    keep = np.ones(m, dtype=bool)
+    if m <= 1:
+        return keep
+    fp = _row_fingerprints(mat)
+    order = np.argsort(fp, kind="stable")
+    sorted_fp = fp[order]
+    head = np.empty(m, dtype=bool)
+    head[0] = True
+    np.not_equal(sorted_fp[1:], sorted_fp[:-1], out=head[1:])
+    if head.all():
+        return keep
+    first = order[np.maximum.accumulate(np.where(head, np.arange(m), 0))]
+    later = order[~head]
+    same = (mat[later] == mat[first[~head]]).all(axis=1)
+    keep[later[same]] = False
+    if not same.all():
+        seen: set[bytes] = set()
+        for i in np.flatnonzero(np.isin(fp, sorted_fp[~head][~same])):
+            row = mat[i].tobytes()
+            keep[i] = row not in seen
             seen.add(row)
-            keep.append(i)
-    return mat if len(keep) == mat.shape[0] else mat[keep]
+    return keep
+
+
+def _dedupe_rows(mat: np.ndarray) -> np.ndarray:
+    """Distinct rows, first occurrence first."""
+    keep = _first_occurrences(mat)
+    return mat if keep.all() else mat[keep]
+
+
+def _distinct_count(mat: np.ndarray) -> int:
+    # repeated rows add no sums, so the large side is counted, not copied
+    return int(np.count_nonzero(_first_occurrences(mat)))
 
 
 def _two_sphere_hits(xmat: np.ndarray, ymat: np.ndarray, n: int) -> int:
-    """|(X + Y) & S_2|: distinct sums that are 0-1 of weight 2."""
-    seen: set[bytes] = set()
+    """|(X + Y) & S_2|: distinct sums that are 0-1 of weight 2.
+
+    Each hit x + y = e_i + e_j is keyed by its support pair (i, j): the
+    two coordinates where y mismatches -x, both with y = 1 - x there.
+    """
+    lead = min(_LEAD, n)
+    ylead = np.ascontiguousarray(ymat[:, :lead])
+    keys = []
     for x in xmat:
-        s = _MOD3[ymat + x]  # entries of x + y are at most 4
-        good = ~(s == 2).any(axis=1) & ((s == 1).sum(axis=1) == 2)
-        if good.any():
-            rows = s[good]
-            buf = rows.tobytes()
-            for j in range(rows.shape[0]):
-                seen.add(buf[j * n : (j + 1) * n])
-    return len(seen)
+        neg, one_minus = _NEG3[x], _ONE_MINUS[x]
+        near = np.flatnonzero(np.count_nonzero(ylead != neg[:lead], axis=1) <= 2)
+        for lo in range(0, len(near), _HIT_CHUNK):
+            block = ymat[near[lo : lo + _HIT_CHUNK]]
+            flat = np.flatnonzero(block != neg)
+            row, col = np.divmod(flat, n)
+            pair = np.bincount(row, minlength=len(block))[row] == 2
+            ones = (block.ravel()[flat] == one_minus[col])[pair].reshape(-1, 2).all(axis=1)
+            cols = col[pair].reshape(-1, 2)[ones]
+            keys.append(cols[:, 0] * n + cols[:, 1])
+    return len(np.unique(np.concatenate(keys))) if keys else 0
 
 
 @dataclass(frozen=True)
@@ -556,13 +622,14 @@ class OverlapCheck:
 
 def check_sphere_overlap(X, Y, n: int) -> OverlapCheck:
     xmat = _dedupe_rows(as_matrix(X, n))
-    ymat = _dedupe_rows(as_matrix(Y, n))
-    lhs = _two_sphere_hits(xmat, ymat, n) if len(xmat) and len(ymat) else 0
-    hyp = (SMALL_SET_DIVISOR * len(xmat) <= n) and (100 * len(ymat) <= n * n)
+    ymat = as_matrix(Y, n)
+    y_size = _distinct_count(ymat)
+    lhs = _two_sphere_hits(xmat, ymat, n) if len(xmat) and y_size else 0
+    hyp = (SMALL_SET_DIVISOR * len(xmat) <= n) and (100 * y_size <= n * n)
     return OverlapCheck(
         n=n,
         x_size=len(xmat),
-        y_size=len(ymat),
+        y_size=y_size,
         lhs=lhs,
         bound=n * n / 50.0,
         hypotheses_ok=hyp,
@@ -590,19 +657,20 @@ class OverlapRefinedCheck:
 
 def check_sphere_overlap_general(A, B, n: int) -> OverlapRefinedCheck:
     amat = _dedupe_rows(as_matrix(A, n))
-    bmat = _dedupe_rows(as_matrix(B, n))
+    bmat = as_matrix(B, n)
     if SMALL_SET_DIVISOR * len(amat) > n:
         raise ValueError(
             f"|A| = {len(amat)} exceeds n/{SMALL_SET_DIVISOR} = {n / SMALL_SET_DIVISOR}"
         )
-    lhs = _two_sphere_hits(amat, bmat, n) if len(amat) and len(bmat) else 0
+    b = _distinct_count(bmat)
+    lhs = _two_sphere_hits(amat, bmat, n) if len(amat) and b else 0
     a = len(amat)
-    pair_bound = math.comb(n, 2) - math.comb(n - a, 2) + len(bmat)
-    linear_bound = n * a + len(bmat)
+    pair_bound = math.comb(n, 2) - math.comb(n - a, 2) + b
+    linear_bound = n * a + b
     return OverlapRefinedCheck(
         n=n,
         a_size=a,
-        b_size=len(bmat),
+        b_size=b,
         lhs=lhs,
         pair_bound=pair_bound,
         linear_bound=linear_bound,
@@ -621,28 +689,30 @@ def _random_near_sphere(rng: np.random.Generator, count: int, n: int, shifts: np
     while resample.any():
         cols[resample, 1] = rng.integers(0, n, size=int(resample.sum()))
         resample = cols[:, 0] == cols[:, 1]
-    s = np.zeros((count, n), dtype=np.int16)
-    s[np.arange(count), cols[:, 0]] = 1
-    s[np.arange(count), cols[:, 1]] = 1
-    x = shifts[np.arange(count) % len(shifts)].astype(np.int16)
-    return ((s - x) % 3).astype(np.uint8)
+    which = np.arange(count) % len(shifts)
+    rows = _NEG3[shifts][which]
+    rows[np.arange(count)[:, None], cols] = _ONE_MINUS[shifts[which[:, None], cols]]
+    return rows
+
+
+def _mixed_rows(rng: np.random.Generator, size: int, n: int, shifts: np.ndarray) -> np.ndarray:
+    """``size - size // 2`` uniform rows, then ``size // 2`` near-sphere rows if ``shifts`` is nonempty."""
+    uniform = size - size // 2
+    near = size // 2 if len(shifts) else 0
+    rows = np.empty((uniform + near, n), dtype=np.uint8)
+    rows[:uniform] = rng.integers(0, 3, size=(uniform, n), dtype=np.uint8)
+    if near:
+        rows[uniform:] = _random_near_sphere(rng, near, n, shifts)
+    return rows
 
 
 def overlap_trial(n: int, x_size: int, y_size: int, rng: np.random.Generator) -> OverlapCheck:
     """One seeded fixed-fraction check: random X, mixed random/near-sphere Y."""
     xmat = rng.integers(0, 3, size=(x_size, n), dtype=np.uint8)
-    half = y_size // 2
-    yrand = rng.integers(0, 3, size=(y_size - half, n), dtype=np.uint8)
-    ynear = _random_near_sphere(rng, half, n, xmat) if half and x_size else yrand[:0]
-    ymat = np.concatenate([yrand, ynear]) if len(ynear) else yrand
-    return check_sphere_overlap(xmat, ymat, n)
+    return check_sphere_overlap(xmat, _mixed_rows(rng, y_size, n, xmat), n)
 
 
 def overlap_refined_trial(n: int, a_size: int, b_size: int, rng: np.random.Generator) -> OverlapRefinedCheck:
     """One seeded pair-count check: random A, mixed random/near-sphere B."""
     amat = rng.integers(0, 3, size=(a_size, n), dtype=np.uint8)
-    half = b_size // 2
-    brand = rng.integers(0, 3, size=(b_size - half, n), dtype=np.uint8)
-    bnear = _random_near_sphere(rng, half, n, amat) if half and a_size else brand[:0]
-    bmat = np.concatenate([brand, bnear]) if len(bnear) else brand
-    return check_sphere_overlap_general(amat, bmat, n)
+    return check_sphere_overlap_general(amat, _mixed_rows(rng, b_size, n, amat), n)

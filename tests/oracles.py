@@ -4,7 +4,8 @@ Everything here is deliberately written against different algorithms
 than the package: segmented sieving instead of a flat sieve, exhaustive
 subset search instead of branch and bound, dict-based row reduction
 instead of column elimination, plain tuple arithmetic instead of numpy.
-Slow and obviously correct beats fast.
+The overlap kernels keep their first numpy form: full-width sums and
+whole-row byte hashing.  Slow and obviously correct beats fast.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
+
+import numpy as np
 
 
 # ------------------------------------------------------------ primes
@@ -265,3 +268,53 @@ def sphere_min_brute(n: int) -> tuple:
             if got is not None:
                 return k, tuple(vectors[i] for i in got)
     raise RuntimeError("unreachable: construction bounds the minimum")
+
+
+# ------------------------------------------------------ overlap kernels
+
+# residues of x + y for single coordinates in {0, 1, 2}
+_MOD3 = np.array([0, 1, 2, 0, 1], dtype=np.uint8)
+
+
+def dedupe_rows_bytes(mat):
+    """Distinct rows, first occurrence first, by hashing each row's bytes."""
+    if mat.shape[0] <= 1:
+        return mat
+    n = mat.shape[1]
+    buf = mat.tobytes()
+    seen = set()
+    keep = []
+    for i in range(mat.shape[0]):
+        row = buf[i * n : (i + 1) * n]
+        if row not in seen:
+            seen.add(row)
+            keep.append(i)
+    return mat if len(keep) == mat.shape[0] else mat[keep]
+
+
+def two_sphere_hits_full(xmat, ymat, n: int) -> int:
+    """|(X + Y) & S_2| from every full sum row x + y mod 3."""
+    seen = set()
+    for x in xmat:
+        s = _MOD3[ymat + x]  # entries of x + y are at most 4
+        good = ~(s == 2).any(axis=1) & ((s == 1).sum(axis=1) == 2)
+        if good.any():
+            rows = s[good]
+            buf = rows.tobytes()
+            for j in range(rows.shape[0]):
+                seen.add(buf[j * n : (j + 1) * n])
+    return len(seen)
+
+
+def random_near_sphere_int16(rng, count: int, n: int, shifts):
+    """Rows s - x mod 3 in int16: s random in S_2, x cycling over ``shifts``."""
+    cols = rng.integers(0, n, size=(count, 2))
+    resample = cols[:, 0] == cols[:, 1]
+    while resample.any():
+        cols[resample, 1] = rng.integers(0, n, size=int(resample.sum()))
+        resample = cols[:, 0] == cols[:, 1]
+    s = np.zeros((count, n), dtype=np.int16)
+    s[np.arange(count), cols[:, 0]] = 1
+    s[np.arange(count), cols[:, 1]] = 1
+    x = shifts[np.arange(count) % len(shifts)].astype(np.int16)
+    return ((s - x) % 3).astype(np.uint8)

@@ -1,6 +1,8 @@
 import io
+import json
 import math
 import time
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +28,9 @@ from mulbasis.spherelab import (
 from oracles import min_basis_exhaustive, sphere_min_brute
 
 SEED = 20260814
+
+# lhs of every criterion-3 trial, recorded before the overlap kernels were rewritten
+CRITERION_3_LHS = Path(__file__).resolve().parent / "golden" / "overlap_criterion3_lhs.json"
 
 
 def test_criterion_1_census_formulas_exact():
@@ -65,6 +70,7 @@ def test_criterion_2_sphere_basis_sandwich():
 
 
 def test_criterion_3_overlap_trial_suites():
+    expected = json.loads(CRITERION_3_LHS.read_text())
     t0 = time.monotonic()
     n = 2048
     for i in range(100):
@@ -72,13 +78,15 @@ def test_criterion_3_overlap_trial_suites():
         assert res.hypotheses_ok and res.n_large_enough
         assert 50 * res.lhs <= n * n  # zero failures allowed
         assert res.holds
+        assert res.lhs == expected["overlap_trial"][i]
     for j, (m, a_size) in enumerate([(1100, 1), (2500, 2)]):
         for i in range(100):
             res = overlap_refined_trial(m, a_size, 50, rng_stream(SEED + 30 + j, i))
             assert res.holds
             assert res.lhs <= res.pair_bound  # tight bound
             assert res.pair_bound <= res.linear_bound == m * res.a_size + res.b_size
-    assert time.monotonic() - t0 < 300.0
+            assert res.lhs == expected["overlap_refined_trial"][j][i]
+    assert time.monotonic() - t0 < 150.0
 
 
 def test_criterion_4_exact_interval_minima():

@@ -120,11 +120,14 @@ def test_text_format_reports_checks(capsys):
 
 
 def test_out_file_duplicates_stdout(tmp_path, capsys):
+    assert main(["min-basis", "--interval", "6"]) == 0
+    plain = capsys.readouterr().out
     target = tmp_path / "report.json"
     code = main(["min-basis", "--interval", "6", "--out", str(target)])
     out = capsys.readouterr().out
     assert code == 0
     assert target.read_text() == out
+    assert out == plain  # the output path stays out of the payload
 
 
 def test_primes_window(capsys):
@@ -240,6 +243,38 @@ def test_pipeline_rejects_out_of_range_arguments(args, message, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
+def test_pipeline_rejects_basis_beyond_int64(tmp_path, capsys):
+    basis = tmp_path / "basis.txt"
+    basis.write_text("".join(f"{i}\n" for i in range(1, 11)) + "99999999999999999999\n")
+    code = main(["pipeline-bound", "--m", "10", "--basis-file", str(basis)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == (
+        "error: [input] value 99999999999999999999 exceeds 2^63 - 1, "
+        "the int64 range of the valuation embedding\n"
+    )
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["reduce", "--random"], "--random"),
+        (["factorial-check", "--random"], "--random"),
+        (["sphere-overlap", *SMOKE_ARGS["sphere-overlap"], "--trials"], "--trials"),
+        (["sphere-overlap-general", *SMOKE_ARGS["sphere-overlap-general"], "--trials"], "--trials"),
+    ],
+    ids=["reduce", "factorial-check", "sphere-overlap", "sphere-overlap-general"],
+)
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_counts_below_one_rejected(argv, flag, count, capsys):
+    code = main([*argv, count])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"error: {flag} must be at least 1, got {count}\n"
     assert captured.out == ""
 
 

@@ -1,11 +1,13 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mulbasis import spherelab
 from mulbasis.spherelab import (
     OVERLAP_MIN_N,
     SMALL_SET_DIVISOR,
@@ -24,7 +26,16 @@ from mulbasis.spherelab import (
     sphere_cover_verify,
     sphere_min_basis,
 )
-from oracles import case_of, census_brute, count_diff_brute, sphere_min_brute, sphere_tuples
+from oracles import (
+    case_of,
+    census_brute,
+    count_diff_brute,
+    dedupe_rows_bytes,
+    random_near_sphere_int16,
+    sphere_min_brute,
+    sphere_tuples,
+    two_sphere_hits_full,
+)
 
 V = TernaryVector.from_coords
 
@@ -397,6 +408,113 @@ def test_overlap_trial_determinism():
     r1 = overlap_trial(2048, 2, 100, np.random.Generator(np.random.Philox(key=[3, 5])))
     r2 = overlap_trial(2048, 2, 100, np.random.Generator(np.random.Philox(key=[3, 5])))
     assert r1 == r2
+
+
+def _philox(*key):
+    return np.random.Generator(np.random.Philox(key=list(key)))
+
+
+def _near(x, cols, sums):
+    """-x, moved at each of ``cols`` so that x + y is the matching entry of ``sums``."""
+    x = np.asarray(x, dtype=np.int64)
+    y = -x % 3
+    for c, s in zip(cols, sums):
+        y[c] = (s - x[c]) % 3
+    return y.astype(np.uint8)
+
+
+@st.composite
+def overlap_rows(draw):
+    """(n, X, Y) with duplicate rows and many rows one or two moves from -x."""
+    n = draw(st.integers(min_value=1, max_value=40))  # across the 16-column lead block
+    row = st.lists(st.integers(min_value=0, max_value=2), min_size=n, max_size=n)
+    xs = draw(st.lists(row, min_size=1, max_size=4))
+    xs += draw(st.lists(st.sampled_from(xs), max_size=2))
+    ys = draw(st.lists(row, max_size=4))
+    for _ in range(draw(st.integers(min_value=0, max_value=12))):
+        x = np.array(draw(st.sampled_from(xs)))
+        span = draw(st.sampled_from([min(n, spherelab._LEAD), n]))  # lead block only, or anywhere
+        cols = draw(st.lists(st.integers(min_value=0, max_value=span - 1), max_size=min(4, span), unique=True))
+        sums = draw(st.lists(st.integers(min_value=1, max_value=2), min_size=len(cols), max_size=len(cols)))
+        ys.append(_near(x, cols, sums).tolist())
+    if ys:
+        ys += draw(st.lists(st.sampled_from(ys), max_size=3))
+    return n, np.array(xs, dtype=np.uint8).reshape(-1, n), np.array(ys, dtype=np.uint8).reshape(-1, n)
+
+
+@given(overlap_rows())
+@settings(max_examples=300, deadline=None)
+def test_overlap_kernels_match_reference(case):
+    n, xmat, ymat = case
+    xref, yref = dedupe_rows_bytes(xmat), dedupe_rows_bytes(ymat)
+    assert np.array_equal(spherelab._dedupe_rows(xmat), xref)
+    assert np.array_equal(spherelab._dedupe_rows(ymat), yref)
+    expected = two_sphere_hits_full(xref, yref, n)
+    assert spherelab._two_sphere_hits(xref, yref, n) == expected
+    assert spherelab._two_sphere_hits(xmat, ymat, n) == expected  # duplicates add no sums
+    with mock.patch.object(spherelab, "_HIT_CHUNK", 2):
+        assert spherelab._two_sphere_hits(xref, yref, n) == expected
+    res = check_sphere_overlap(xmat, ymat, n)
+    assert (res.x_size, res.y_size, res.lhs) == (len(xref), len(yref), expected)
+
+
+@given(overlap_rows())
+@settings(max_examples=100, deadline=None)
+def test_dedupe_settles_fingerprint_collisions_by_bytes(case):
+    _, _, ymat = case
+    parity = lambda mat: (mat.sum(axis=1) % 2).astype(np.uint64)  # distinct rows share it
+    with mock.patch.object(spherelab, "_row_fingerprints", parity):
+        assert np.array_equal(spherelab._dedupe_rows(ymat), dedupe_rows_bytes(ymat))
+        assert spherelab._distinct_count(ymat) == len(dedupe_rows_bytes(ymat))
+
+
+def test_two_sphere_hits_counts_a_sum_from_two_x_once():
+    n = 20
+    x1 = (np.arange(n) % 3).astype(np.uint8)
+    x2 = (x1 + 1) % 3
+    y = np.array(
+        [
+            _near(x1, (0, 5), (1, 1)),  # e_0 + e_5 ...
+            _near(x2, (0, 5), (1, 1)),  # ... again, from the other x
+            _near(x2, (3, 17), (1, 1)),  # one lead and one tail column
+            _near(x1, (1, 4), (1, 2)),  # two lead mismatches, one sum of 2
+            _near(x1, (2, 6, 18), (1, 1, 1)),  # two lead mismatches, one in the tail
+        ]
+    )
+    x = np.array([x1, x2])
+    assert two_sphere_hits_full(x, y, n) == 2
+    assert spherelab._two_sphere_hits(x, y, n) == 2
+
+
+@given(
+    st.integers(min_value=2, max_value=40),
+    st.integers(min_value=0, max_value=30),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=0, max_value=2**32),
+)
+@settings(max_examples=100, deadline=None)
+def test_random_near_sphere_matches_reference(n, count, k, seed):
+    shifts = _philox(seed, 0).integers(0, 3, size=(k, n), dtype=np.uint8)
+    new_rng, ref_rng = _philox(seed, 1), _philox(seed, 1)
+    got = spherelab._random_near_sphere(new_rng, count, n, shifts)
+    assert got.dtype == np.uint8
+    assert np.array_equal(got, random_near_sphere_int16(ref_rng, count, n, shifts))
+    assert new_rng.integers(1 << 62) == ref_rng.integers(1 << 62)  # both consumed the same draws
+
+
+@pytest.mark.parametrize("x_size,y_size", [(2, 3001), (1, 2), (0, 40)])
+def test_overlap_trial_matches_reference_pipeline(x_size, y_size):
+    n = 2048
+    rng = _philox(23, x_size)
+    xmat = rng.integers(0, 3, size=(x_size, n), dtype=np.uint8)
+    half = y_size // 2
+    yrand = rng.integers(0, 3, size=(y_size - half, n), dtype=np.uint8)
+    if half and x_size:
+        yrand = np.concatenate([yrand, random_near_sphere_int16(rng, half, n, xmat)])
+    xref, yref = dedupe_rows_bytes(xmat), dedupe_rows_bytes(yrand)
+    lhs = two_sphere_hits_full(xref, yref, n) if x_size else 0
+    res = overlap_trial(n, x_size, y_size, _philox(23, x_size))
+    assert (res.x_size, res.y_size, res.lhs) == (len(xref), len(yref), lhs)
 
 
 @given(st.integers(min_value=1, max_value=20), st.integers(min_value=0, max_value=40))
