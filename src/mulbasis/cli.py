@@ -10,7 +10,8 @@ byte-identical reports at any --jobs value.
 
 Exit codes: 0 all checks hold (and searches proved optimality), 1 a
 checked inequality failed or a search exhausted its budget, 2 bad
-arguments or input a pipeline stage rejected (one line on stderr,
+arguments, a table past its size budget, or input a pipeline stage
+rejected (one line on stderr,
 ``error: [stage] message`` for a stage), 3 a broken invariant, which
 is a bug rather than bad input.
 """
@@ -35,7 +36,7 @@ from .certificates import (
     end_to_end_lower_bound,
     sphere_cover_report,
 )
-from .numtheory import sieve
+from .numtheory import ResourceLimitError, sieve
 from .productsets import (
     construct_interval_basis,
     exact_min_basis,
@@ -205,11 +206,14 @@ def _exit_code(checks: list[InequalityReport], proven: bool = True) -> int:
     return 0
 
 
-def _count(p: dict, key: str) -> int:
-    """A count parameter (default 1); 0 or less is rejected, never rounded up."""
-    value = p.get(key, 1)
+def _count(p: dict, key: str, default: int = 1) -> int:
+    """A count parameter; 0 or less is rejected, never rounded up or defaulted."""
+    value = p.get(key)
+    if value is None:
+        return default
     if value < 1:
-        raise ValueError(f"--{key} must be at least 1, got {value}")
+        flag = key.replace("_", "-")
+        raise ValueError(f"--{flag} must be at least 1, got {value}")
     return value
 
 
@@ -223,8 +227,8 @@ def _vector_str(v) -> str:
 def _cmd_primes(config: RunConfig) -> tuple[list, list, int]:
     p = config.parameters
     limit = p["limit"]
-    lo = p.get("lo") or 2
-    hi = p.get("hi") or limit
+    lo = 2 if p.get("lo") is None else p["lo"]
+    hi = limit if p.get("hi") is None else p["hi"]
     table = sieve(limit)
     primes = [int(x) for x in table.primes_in(lo, hi)]
     row = {"limit": limit, "lo": lo, "hi": hi, "count": len(primes), "primes": primes}
@@ -239,8 +243,7 @@ def _cmd_min_basis(config: RunConfig) -> tuple[list, list, int]:
     else:
         elements = sorted(set(p["elements"]))
         M = None
-    budget = p.get("budget_nodes") or 2_000_000
-    sol = exact_min_basis(elements, budget=budget)
+    sol = exact_min_basis(elements, budget=_count(p, "budget_nodes", 2_000_000))
     row = {
         "M": M,
         "size": sol.size,
@@ -271,7 +274,7 @@ def _cmd_interval_basis(config: RunConfig) -> tuple[list, list, int]:
 def _cmd_mbp_search(config: RunConfig) -> tuple[list, list, int]:
     p = config.parameters
     M, a_max, d_max = p["m"], p["a_max"], p["d_max"]
-    budget = p.get("budget_nodes") or 2_000_000
+    budget = _count(p, "budget_nodes", 2_000_000)
     grid = [(a, d) for a in range(0, a_max + 1) for d in range(1, d_max + 1)]
 
     def work(_, ad):
@@ -394,8 +397,7 @@ def _cmd_sphere_cases(config: RunConfig) -> tuple[list, list, int]:
 
 def _cmd_sphere_min_basis(config: RunConfig) -> tuple[list, list, int]:
     p = config.parameters
-    budget = p.get("budget_nodes") or 5_000_000
-    sol = sphere_min_basis(p["n"], budget=budget)
+    sol = sphere_min_basis(p["n"], budget=_count(p, "budget_nodes", 5_000_000))
     row = {
         "n": p["n"],
         "size": sol.size,
@@ -707,7 +709,7 @@ def main(argv=None) -> int:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
         return code
-    except (ValueError, OSError, PipelineError) as exc:
+    except (ValueError, OSError, PipelineError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InvariantViolationError as exc:

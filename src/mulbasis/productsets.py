@@ -263,6 +263,20 @@ def exact_min_basis(
     smallest basis of that size.  ``pool`` defaults to all divisors of
     targets, which loses no minimum basis (every element of one divides
     some target).
+
+    The lexicographic pass decides pool elements in ascending order: at
+    depth i each of the first i is either chosen or excluded.  A factor
+    pair is alive while neither member is excluded, and every target
+    keeps a count of its alive pairs, lowered when a member is excluded
+    and restored on backtrack.  ``dead`` counts targets with no alive
+    pair, and a node is feasible exactly when it is zero.  A covered
+    target has a pair inside the chosen set, and chosen elements are
+    never excluded, so only an uncovered target can become dead.  Each
+    element is mapped once to its (target, partner) incidences, a pair
+    (x, x) once; choosing x covers the targets whose partner is x or
+    already chosen.  The pass prunes exactly where a recount from scratch
+    at every node would, so its nodes, their order and ``nodes_explored``
+    do not depend on this bookkeeping.
     """
     targets = sorted(set(A))
     if not targets:
@@ -333,38 +347,67 @@ def exact_min_basis(
 
     if proven:
         # lexicographically smallest basis of the proved optimum size
+        index = {x: k for k, x in enumerate(pool_sorted)}
+        incidences: list[list[tuple[int, int]]] = [[] for _ in pool_sorted]
+        alive: list[int] = []
+        for t, a in enumerate(targets):
+            alive.append(len(pairs[a]))
+            for b, c in pairs[a]:
+                ib, ic = index[b], index[c]
+                incidences[ib].append((t, ic))
+                if ic != ib:
+                    incidences[ic].append((t, ib))
+        n_pool = len(pool_sorted)
+        is_chosen = [False] * n_pool
+        is_covered = [False] * len(targets)
+        chosen: list[int] = []
+        uncovered = len(targets)
+        dead = 0
         found: tuple[int, ...] | None = None
 
-        def dfs_lex(i: int, chosen: list[int], unc: list[int]) -> None:
-            nonlocal nodes, exhausted, found
-            if exhausted or found is not None:
-                return
+        def dfs_lex(i: int) -> None:
+            nonlocal nodes, exhausted, found, uncovered, dead
             nodes += 1
             if nodes > budget:
                 exhausted = True
                 return
-            if not unc:
+            if not uncovered:
                 found = tuple(chosen)
                 return
             r = best_size - len(chosen)
-            if r <= 0 or _min_additions(len(chosen), len(unc)) > r or i >= len(pool_sorted):
+            if r <= 0 or _min_additions(len(chosen), uncovered) > r or i >= n_pool or dead:
                 return
-            lo = pool_sorted[i]
-            cset = set(chosen)
-            for a in unc:
-                if not any(
-                    (b in cset or b >= lo) and (c in cset or c >= lo) for b, c in pairs[a]
-                ):
-                    return
-            x = pool_sorted[i]
-            chosen.append(x)
-            cset.add(x)
-            dfs_lex(i + 1, chosen, [a for a in unc if not covered(a, cset)])
+            inc_i = incidences[i]
+            newly = []
+            for t, c in inc_i:
+                if not is_covered[t] and (c == i or is_chosen[c]):
+                    is_covered[t] = True
+                    newly.append(t)
+            chosen.append(pool_sorted[i])
+            is_chosen[i] = True
+            uncovered -= len(newly)
+            dfs_lex(i + 1)
+            uncovered += len(newly)
+            is_chosen[i] = False
             chosen.pop()
+            for t in newly:
+                is_covered[t] = False
             if found is None and not exhausted:
-                dfs_lex(i + 1, chosen, unc)
+                # pool[i] is excluded: its pairs die unless the partner died first
+                killed = []
+                for t, c in inc_i:
+                    if c >= i or is_chosen[c]:
+                        alive[t] -= 1
+                        if not alive[t]:
+                            dead += 1
+                        killed.append(t)
+                dfs_lex(i + 1)
+                for t in killed:
+                    if not alive[t]:
+                        dead -= 1
+                    alive[t] += 1
 
-        dfs_lex(0, [], list(targets))
+        dfs_lex(0)
         if found is not None:
             best = found
 

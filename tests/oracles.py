@@ -5,7 +5,9 @@ than the package: segmented sieving instead of a flat sieve, exhaustive
 subset search instead of branch and bound, dict-based row reduction
 instead of column elimination, plain tuple arithmetic instead of numpy.
 The overlap kernels keep their first numpy form: full-width sums and
-whole-row byte hashing.  Slow and obviously correct beats fast.
+whole-row byte hashing, and the exact search keeps its first
+lexicographic pass, which recomputes its state at every node.  Slow and
+obviously correct beats fast.
 """
 
 from __future__ import annotations
@@ -144,6 +146,132 @@ def mbp_exhaustive(M: int, a_max: int, d_max: int) -> int:
             if best is None or size < best:
                 best = size
     return best
+
+
+def _min_additions(s: int, r: int) -> int:
+    t = 0
+    cap = 0
+    while cap < r:
+        t += 1
+        cap += s + t
+    return t
+
+
+def exact_min_basis_reference(A, pool=None, budget: int = 2_000_000):
+    """``productsets.exact_min_basis`` as first written.
+
+    The package must return the same basis, witness, optimality flag and
+    node count.  Here the second (lexicographic) pass rebuilds the chosen
+    set, the feasibility test and the uncovered list at every node.
+    """
+    from mulbasis.productsets import BasisSolution, verify_cover
+
+    targets = sorted(set(A))
+    if not targets:
+        raise ValueError("exact_min_basis needs a nonempty target set")
+    if targets[0] < 1:
+        raise ValueError("targets must be positive")
+    if pool is None:
+        pool_set = set()
+        for a in targets:
+            pool_set |= _divisors(a)
+    else:
+        pool_set = set(int(b) for b in pool)
+        if pool_set and min(pool_set) < 1:
+            raise ValueError("pool elements must be positive")
+    pool_sorted = sorted(pool_set)
+
+    pairs = {}
+    for a in targets:
+        opts = [
+            (d, a // d)
+            for d in range(1, math.isqrt(a) + 1)
+            if a % d == 0 and d in pool_set and a // d in pool_set
+        ]
+        if not opts:
+            raise ValueError(f"target {a} has no factor pair inside the pool")
+        pairs[a] = opts
+
+    def covered(a, basis):
+        return any(b in basis and c in basis for b, c in pairs[a])
+
+    inc = set()
+    for a in targets:
+        inc.update(pairs[a][0])
+    best = tuple(sorted(inc))
+    best_size = len(best)
+
+    nodes = 0
+    exhausted = False
+
+    def dfs(basis):
+        nonlocal best, best_size, nodes, exhausted
+        if exhausted:
+            return
+        nodes += 1
+        if nodes > budget:
+            exhausted = True
+            return
+        unc = [a for a in targets if not covered(a, basis)]
+        if not unc:
+            if len(basis) < best_size:
+                best_size = len(basis)
+                best = tuple(sorted(basis))
+            return
+        if len(basis) + _min_additions(len(basis), len(unc)) >= best_size:
+            return
+        branch = min(unc, key=lambda a: (len(pairs[a]), a))
+        for b, c in pairs[branch]:
+            new = {b, c} - basis
+            basis |= new
+            dfs(basis)
+            basis -= new
+            if exhausted:
+                return
+
+    dfs(set())
+    proven = not exhausted
+
+    if proven:
+        found = None
+
+        def dfs_lex(i, chosen, unc):
+            nonlocal nodes, exhausted, found
+            if exhausted or found is not None:
+                return
+            nodes += 1
+            if nodes > budget:
+                exhausted = True
+                return
+            if not unc:
+                found = tuple(chosen)
+                return
+            r = best_size - len(chosen)
+            if r <= 0 or _min_additions(len(chosen), len(unc)) > r or i >= len(pool_sorted):
+                return
+            lo = pool_sorted[i]
+            cset = set(chosen)
+            for a in unc:
+                if not any(
+                    (b in cset or b >= lo) and (c in cset or c >= lo) for b, c in pairs[a]
+                ):
+                    return
+            x = pool_sorted[i]
+            chosen.append(x)
+            cset.add(x)
+            dfs_lex(i + 1, chosen, [a for a in unc if not covered(a, cset)])
+            chosen.pop()
+            if found is None and not exhausted:
+                dfs_lex(i + 1, chosen, unc)
+
+        dfs_lex(0, [], list(targets))
+        if found is not None:
+            best = found
+
+    check = verify_cover(targets, best)
+    if not check.covered:
+        raise AssertionError(f"search produced a non-cover, uncovered {check.first_uncovered}")
+    return BasisSolution(basis=best, witness=check.witness, optimal=proven, nodes_explored=nodes)
 
 
 # ------------------------------------------------------ linear algebra

@@ -278,6 +278,49 @@ def test_counts_below_one_rejected(argv, flag, count, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["min-basis", "--interval", "8"],
+        ["mbp-search", *SMOKE_ARGS["mbp-search"]],
+        ["sphere-min-basis", *SMOKE_ARGS["sphere-min-basis"]],
+    ],
+    ids=["min-basis", "mbp-search", "sphere-min-basis"],
+)
+@pytest.mark.parametrize("budget", ["0", "-1"])
+def test_node_budget_below_one_rejected(argv, budget, capsys):
+    code = main([*argv, "--budget-nodes", budget])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"error: --budget-nodes must be at least 1, got {budget}\n"
+    assert captured.out == ""
+
+
+def test_primes_hi_zero_is_an_empty_window(capsys):
+    payload = run_json(["primes", "--limit", "30", "--hi", "0"], capsys)
+    row = payload["results"][0]
+    assert (row["lo"], row["hi"], row["count"], row["primes"]) == (2, 0, 0, [])
+
+
+def test_primes_lo_zero_is_kept(capsys):
+    payload = run_json(["primes", "--limit", "10", "--lo", "0"], capsys)
+    row = payload["results"][0]
+    assert (row["lo"], row["primes"]) == (0, [2, 3, 5, 7])
+
+
+def test_sieve_past_its_budget_exits_2_with_one_line(monkeypatch, capsys):
+    monkeypatch.delenv("MULBASIS_SIEVE_LIMIT", raising=False)
+    # the limit is checked before any allocation
+    code = main(["primes", "--limit", "200000000"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == (
+        "error: sieve limit 200000000 exceeds budget 100000000 "
+        "(set MULBASIS_SIEVE_LIMIT to raise it)\n"
+    )
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("m,u,g", [(20, 0, 2), (100, 17, 3)])
 def test_pipeline_default_basis_covers_the_progression(m, u, g, capsys):
     payload = run_json(["pipeline-bound", "--m", str(m), "--u", str(u), "--g", str(g)], capsys)
@@ -296,6 +339,25 @@ def test_pipeline_bound_matches_golden_payload(m, fmt, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out == (GOLDEN / f"pipeline-bound_m{m}.{fmt}").read_text(encoding="utf-8")
+
+
+# recorded before the lexicographic pass of exact_min_basis went incremental;
+# min-basis payloads carry the node count of both search passes
+EXACT_SEARCH_GOLDEN = {
+    "min-basis_interval20": ["min-basis", "--interval", "20"],
+    "min-basis_interval20_budget100": ["min-basis", "--interval", "20", "--budget-nodes", "100"],
+    "min-basis_elements": ["min-basis", "--elements", "6,10,15,21,35,36,49,77"],
+    "mbp-search_m5_a6_d6": ["mbp-search", "--m", "5", "--a-max", "6", "--d-max", "6"],
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("name", sorted(EXACT_SEARCH_GOLDEN))
+def test_exact_search_matches_golden_payload(name, fmt, capsys):
+    code = main([*EXACT_SEARCH_GOLDEN[name], "--format", fmt])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out == (GOLDEN / f"{name}.{fmt}").read_text(encoding="utf-8")
 
 
 # ---------------------------------------------------------- seeded commands

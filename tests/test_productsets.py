@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from mulbasis.productsets import (
     witness_covers,
 )
 from oracles import (
+    exact_min_basis_reference,
     mbp_exhaustive,
     min_basis_exhaustive,
     product_set_brute,
@@ -207,6 +209,66 @@ def test_exact_min_basis_lexicographic_tie_break():
 def test_exact_min_basis_custom_pool():
     sol = exact_min_basis({4, 16}, pool=[2, 4])
     assert set(sol.basis) == {2, 4}
+
+
+# ------------------------------------ lexicographic pass vs the reference
+
+
+def _search_outcome(sol):
+    return sol.basis, sol.witness, sol.optimal, sol.nodes_explored
+
+
+def _assert_matches_reference(targets, **kwargs):
+    try:
+        expected = exact_min_basis_reference(targets, **kwargs)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            exact_min_basis(targets, **kwargs)
+        return
+    assert _search_outcome(exact_min_basis(targets, **kwargs)) == _search_outcome(expected)
+
+
+# the reference's lexicographic pass has a heavy tail: single sets of ten
+# targets below 100 take it over 10 s, sets of eight below 60 under 0.3 s
+@given(st.sets(st.integers(min_value=1, max_value=60), min_size=1, max_size=8))
+@settings(max_examples=100, deadline=None)
+def test_exact_min_basis_matches_reference_on_random_sets(targets):
+    _assert_matches_reference(targets)
+
+
+def test_exact_min_basis_matches_reference_on_intervals():
+    for M in range(1, 25):
+        _assert_matches_reference(range(1, M + 1))
+
+
+@st.composite
+def targets_and_pool(draw):
+    """Targets with their divisors as pool, less a few, plus non-divisors."""
+    targets = draw(st.sets(st.integers(min_value=1, max_value=60), min_size=1, max_size=7))
+    divisors = sorted({d for a in targets for d in range(1, a + 1) if a % d == 0})
+    dropped = draw(st.sets(st.sampled_from(divisors), max_size=2))
+    extra = draw(st.sets(st.integers(min_value=1, max_value=120), max_size=6))
+    return targets, (set(divisors) - dropped) | extra
+
+
+@given(targets_and_pool())
+@settings(max_examples=100, deadline=None)
+def test_exact_min_basis_matches_reference_on_custom_pools(case):
+    # dropping a divisor may leave a target without a pair (both raise);
+    # non-divisors have no incidences, and the pass must step over them
+    targets, pool = case
+    _assert_matches_reference(targets, pool=pool)
+
+
+@pytest.mark.parametrize(
+    "targets",
+    [range(1, 21), (6, 10, 15, 21, 35, 36), (12, 18, 20, 24, 30, 36)],
+    ids=["interval20", "semiprimes-and-36", "smooth"],
+)
+def test_exact_min_basis_matches_reference_at_every_budget(targets):
+    total = exact_min_basis_reference(targets).nodes_explored
+    for budget in range(1, total + 2):
+        _assert_matches_reference(targets, budget=budget)
 
 
 # ------------------------------------------------- interval construction
