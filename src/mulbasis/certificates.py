@@ -31,6 +31,7 @@ from .spherelab import (
     as_matrix,
     classify_difference,
     enumerate_sphere,
+    lex_least_pairs,
 )
 
 __all__ = [
@@ -137,42 +138,13 @@ def _as_sorted_vectors(B, n: int) -> list[TernaryVector]:
     return sorted(out)
 
 
-def _scan_pairs(vecs: list[TernaryVector], tlist: list[TernaryVector], n: int) -> list:
-    """Per target, walk B in lex order until t - b lands in B.
-
-    Works for any target; the cost is O(|B| * n) per target.
-    """
-    vset = {v.coords for v in vecs}
-    bmat = as_matrix(vecs, n).astype(np.int16)
-    k = len(vecs)
-    edges = []
-    chunk = 256
-    for t in tlist:
-        trow = np.frombuffer(t.coords, dtype=np.uint8).astype(np.int16)
-        hit = None
-        for lo in range(0, k, chunk):
-            diff = ((trow - bmat[lo : lo + chunk]) % 3).astype(np.uint8)
-            buf = diff.tobytes()
-            for i in range(diff.shape[0]):
-                partner = buf[i * n : (i + 1) * n]
-                if partner in vset:
-                    hit = (vecs[lo + i], TernaryVector(partner))
-                    break
-            if hit is not None:
-                break
-        if hit is None:
-            raise ValueError(f"target {tuple(t.coords)} is not a sum of two basis vectors")
-        edges.append((hit[0], hit[1], t))
-    return edges
-
-
 def _sparse(v: TernaryVector) -> tuple:
     """Sorted (index, value) pairs of the nonzero coordinates."""
     return tuple((i, v.coords[i]) for i in v.support())
 
 
 def _join_weight_one_pairs(vecs: list[TernaryVector], tlist: list[TernaryVector]) -> list:
-    """The pairs of _scan_pairs for targets c * e_p, found by a hash join.
+    """The pairs of ``lex_least_pairs`` for targets c * e_p, by a hash join.
 
     b1 + b2 = c * e_p forces p into supp b1 or supp b2, and b2 = -b1
     away from p.  So index every (b, p in supp b) once under p and the
@@ -204,14 +176,12 @@ def _join_weight_one_pairs(vecs: list[TernaryVector], tlist: list[TernaryVector]
             k2 = whole.get(neg_rest)
             if k2 is not None:
                 offer((p, c1), k1, k2)
-    edges = []
+    out = []
     for t in tlist:
         ((p, c),) = _sparse(t)
         pair = best.get((p, c))
-        if pair is None:
-            raise ValueError(f"target {tuple(t.coords)} is not a sum of two basis vectors")
-        edges.append((vecs[pair[0]], vecs[pair[1]], t))
-    return edges
+        out.append(None if pair is None else (vecs[pair[0]], vecs[pair[1]]))
+    return out
 
 
 def build_pairing_graph(B, targets, n: int) -> PairingGraph:
@@ -230,9 +200,14 @@ def build_pairing_graph(B, targets, n: int) -> PairingGraph:
         if t.n != n:
             raise ValueError(f"target of dimension {t.n}, expected {n}")
     if all(t.weight() == 1 for t in tlist):
-        edges = _join_weight_one_pairs(vecs, tlist)
+        pairs = _join_weight_one_pairs(vecs, tlist)
     else:
-        edges = _scan_pairs(vecs, tlist, n)
+        pairs = lex_least_pairs(vecs, tlist, n)
+    edges = []
+    for t, hit in zip(tlist, pairs):
+        if hit is None:
+            raise ValueError(f"target {tuple(t.coords)} is not a sum of two basis vectors")
+        edges.append((*hit, t))
     verts = tuple(vecs)
     return PairingGraph(mode="vector", left=verts, right=verts, edges=tuple(edges))
 

@@ -206,15 +206,18 @@ def _exit_code(checks: list[InequalityReport], proven: bool = True) -> int:
     return 0
 
 
+def _at_least(p: dict, key: str, least: int = 1) -> int:
+    """A required integer parameter; below ``least`` is rejected, naming the flag."""
+    value = p[key]
+    if value < least:
+        flag = key.replace("_", "-")
+        raise ValueError(f"--{flag} must be at least {least}, got {value}")
+    return value
+
+
 def _count(p: dict, key: str, default: int = 1) -> int:
     """A count parameter; 0 or less is rejected, never rounded up or defaulted."""
-    value = p.get(key)
-    if value is None:
-        return default
-    if value < 1:
-        flag = key.replace("_", "-")
-        raise ValueError(f"--{flag} must be at least 1, got {value}")
-    return value
+    return default if p.get(key) is None else _at_least(p, key)
 
 
 def _vector_str(v) -> str:
@@ -273,7 +276,7 @@ def _cmd_interval_basis(config: RunConfig) -> tuple[list, list, int]:
 
 def _cmd_mbp_search(config: RunConfig) -> tuple[list, list, int]:
     p = config.parameters
-    M, a_max, d_max = p["m"], p["a_max"], p["d_max"]
+    M, a_max, d_max = _at_least(p, "m"), _at_least(p, "a_max", 0), _at_least(p, "d_max")
     budget = _count(p, "budget_nodes", 2_000_000)
     grid = [(a, d) for a in range(0, a_max + 1) for d in range(1, d_max + 1)]
 
@@ -358,7 +361,7 @@ def _cmd_factorial_check(config: RunConfig) -> tuple[list, list, int]:
 
 def _cmd_sphere_enumerate(config: RunConfig) -> tuple[list, list, int]:
     p = config.parameters
-    n, k = p["n"], p.get("k") or 3
+    n, k = p["n"], p.get("k", 3)
     rows = [
         {"n": n, "k": k, "index": i, "vector": _vector_str(v)}
         for i, v in enumerate(enumerate_sphere(n, k))
@@ -516,15 +519,11 @@ def _cmd_sphere_certificate(config: RunConfig) -> tuple[list, list, int]:
 
 def _cmd_pipeline_bound(config: RunConfig) -> tuple[list, list, int]:
     p = config.parameters
-    M = p["m"]
+    M = _at_least(p, "m")
     u = p.get("u", 0)
-    g = p.get("g", 1)
-    if M < 1:
-        raise ValueError(f"--m must be at least 1, got {M}")
     if u < 0:
         raise ValueError(f"--u must be nonnegative, got {u}")
-    if g < 1:
-        raise ValueError(f"--g must be at least 1, got {g}")
+    g = _count(p, "g")
     if p.get("basis_file"):
         with open(p["basis_file"], "r", encoding="utf-8") as fh:
             basis = [int(line) for line in fh if line.strip()]

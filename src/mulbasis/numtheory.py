@@ -31,6 +31,7 @@ __all__ = [
     "sieve",
     "is_prime",
     "valuation",
+    "divisors",
     "factorize",
     "rho_vector",
     "shift_into_interval",
@@ -177,6 +178,24 @@ def valuation(p: int, x: int) -> int:
         x //= p
         e += 1
     return e
+
+
+def divisors(x: int) -> list[int]:
+    """The divisors of x >= 1, ascending.
+
+    Trial division up to sqrt(x) lists the small divisors in order; their
+    cofactors follow in reverse, so no sort is needed.  For x > 1 the
+    least prime factor is ``divisors(x)[1]``.
+    """
+    if x < 1:
+        raise ValueError(f"divisors needs x >= 1, got {x}")
+    small, large = [], []
+    for d in range(1, math.isqrt(x) + 1):
+        if x % d == 0:
+            small.append(d)
+            if d * d != x:
+                large.append(x // d)
+    return small + large[::-1]
 
 
 @dataclass(frozen=True)

@@ -13,12 +13,13 @@ lexicographically smallest factor pair (b, b'), ordered b <= b'.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .numtheory import PrimeTable, sieve
+from .numtheory import PrimeTable, divisors, sieve
 
 __all__ = [
     "APSpec",
@@ -199,22 +200,17 @@ def witness_covers(A: Iterable[int], B: Iterable[int], witness: Mapping[int, tup
     return True
 
 
-def _divisors(a: int) -> set[int]:
-    out = set()
-    for d in range(1, math.isqrt(a) + 1):
-        if a % d == 0:
-            out.add(d)
-            out.add(a // d)
-    return out
-
-
 @dataclass(frozen=True)
 class BasisSolution:
     """A basis with its cover witness.
 
     ``optimal`` means the search proved no strictly smaller basis exists
     (ties broken toward the lexicographically smallest basis).  A search
-    that ran out of node budget returns its incumbent with optimal False.
+    that ran out of node budget before proving the size returns its
+    incumbent with optimal False.  One that ran out inside the
+    lexicographic pass keeps optimal True, since the size is proved, but
+    returns the first pass's incumbent, which need not be the
+    lexicographically smallest basis of that size.
     """
 
     basis: tuple[int, ...]
@@ -286,7 +282,7 @@ def exact_min_basis(
     if pool is None:
         pool_set: set[int] = set()
         for a in targets:
-            pool_set |= _divisors(a)
+            pool_set.update(divisors(a))
     else:
         pool_set = set(int(b) for b in pool)
         if pool_set and min(pool_set) < 1:
@@ -450,7 +446,8 @@ def construct_interval_basis(M: int, table: PrimeTable | None = None) -> BasisSo
             c = a // p
             witness[a] = (c, p) if c <= p else (p, c)
         else:
-            d = max(x for x in _divisors(a) if x <= t23)
+            divs = divisors(a)
+            d = divs[bisect_right(divs, t23) - 1]
             c = a // d
             if c > t23:  # pragma: no cover - smooth split bound
                 raise AssertionError(f"smooth split failed for {a}: {d} * {c}")

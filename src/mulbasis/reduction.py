@@ -26,6 +26,7 @@ import numpy as np
 from .numtheory import (
     PrimeTable,
     big_product,
+    divisors,
     factorize,
     is_prime,
     rank_mod_q,
@@ -131,17 +132,6 @@ class MarkingSet:
         return cls(indices=frozenset(prime_of), prime_of=prime_of)
 
 
-def _least_prime_factor(x: int) -> int:
-    if x % 2 == 0:
-        return 2
-    d = 3
-    while d * d <= x:
-        if x % d == 0:
-            return d
-        d += 2
-    return x
-
-
 def reduce_pair(pair: ReducedPair) -> ReducedPair:
     """Strip primes over-dividing the step until gcd(v, g) = 1.
 
@@ -164,7 +154,7 @@ def reduce_pair(pair: ReducedPair) -> ReducedPair:
         common = math.gcd(ap.v, ap.g)
         if common == 1:
             break
-        p = _least_prime_factor(common)
+        p = divisors(common)[1]
         a, d = ap.offset, ap.step
         f = valuation(p, a)
         e = valuation(p, d)
@@ -358,18 +348,6 @@ def build_marking_sets(M: int, u: int, table: PrimeTable) -> MarkingSets:
     )
 
 
-def _divisor_list(x: int) -> list[int]:
-    divs = []
-    d = 1
-    while d * d <= x:
-        if x % d == 0:
-            divs.append(d)
-            if d != x // d:
-                divs.append(x // d)
-        d += 1
-    return sorted(divs)
-
-
 _INJECT_PRIMES = (2, 3, 5, 7, 11)
 
 
@@ -398,7 +376,7 @@ def random_injected_pair(rng: np.random.Generator) -> ReducedPair:
     basis: set[int] = set()
     for m in range(1, M + 1):
         c = a0 + m * d0 * extra
-        divs = _divisor_list(c)
+        divs = divisors(c)
         s = divs[int(rng.integers(0, len(divs)))]
         left, right = s, c // s
         for p in primes:

@@ -44,6 +44,7 @@ __all__ = [
     "classify_difference",
     "count_difference_solutions",
     "difference_census",
+    "lex_least_pairs",
     "sphere_cover_verify",
     "sphere_basis_construct",
     "sphere_min_basis",
@@ -338,6 +339,34 @@ def _pack_pow(n: int) -> np.ndarray:
     return 3 ** np.arange(n - 1, -1, -1, dtype=np.int64)
 
 
+def lex_least_pairs(vecs: Sequence[TernaryVector], targets: Iterable[TernaryVector], n: int):
+    """Yield, per target t in the order given, the pair (b1, t - b1) with
+    b1 the lex-least element of ``vecs`` whose partner is in ``vecs`` too,
+    or None when no pair sums to t.
+
+    ``vecs`` must be lex-sorted.  Each target subtracts the basis rows in
+    chunks of 256 and looks the differences up by their bytes, stopping at
+    the first hit; the cost is O(|B| * n) per target at worst.
+    """
+    vset = {v.coords for v in vecs}
+    bmat = as_matrix(vecs, n).astype(np.int16)
+    chunk = 256
+    for t in targets:
+        trow = np.frombuffer(t.coords, dtype=np.uint8).astype(np.int16)
+        hit = None
+        for lo in range(0, len(vecs), chunk):
+            diff = ((trow - bmat[lo : lo + chunk]) % 3).astype(np.uint8)
+            buf = diff.tobytes()
+            for i in range(diff.shape[0]):
+                partner = buf[i * n : (i + 1) * n]
+                if partner in vset:
+                    hit = (vecs[lo + i], TernaryVector(partner))
+                    break
+            if hit is not None:
+                break
+        yield hit
+
+
 def sphere_cover_verify(B: Iterable[TernaryVector], n: int, k: int = 3) -> SphereCoverCheck:
     """Check S_k(n) subset of B + B.
 
@@ -347,40 +376,13 @@ def sphere_cover_verify(B: Iterable[TernaryVector], n: int, k: int = 3) -> Spher
     """
     basis = sorted(set(B))
     targets = enumerate_sphere(n, k)
-    if not targets:
-        return SphereCoverCheck(True, {})
-    if not basis:
-        return SphereCoverCheck(False, {}, first_uncovered=targets[0])
     if any(v.n != n for v in basis):
         raise ValueError("basis vector dimension mismatch")
     witness: dict[TernaryVector, tuple[TernaryVector, TernaryVector]] = {}
-    if n <= 32:
-        pw = _pack_pow(n)
-        bmat = as_matrix(basis, n).astype(np.int16)
-        packed = (bmat.astype(np.int64) @ pw)  # ascending: basis is lex-sorted
-        for t in targets:
-            trow = np.frombuffer(t.coords, dtype=np.uint8).astype(np.int16)
-            diff = (trow - bmat) % 3
-            dp = diff.astype(np.int64) @ pw
-            pos = np.searchsorted(packed, dp)
-            ok = (pos < len(packed)) & (packed[np.minimum(pos, len(packed) - 1)] == dp)
-            hits = np.flatnonzero(ok)
-            if hits.size == 0:
-                return SphereCoverCheck(False, witness, first_uncovered=t)
-            i = int(hits[0])
-            witness[t] = (basis[i], TernaryVector(diff[i].astype(np.uint8).tobytes()))
-    else:
-        bset = {v.coords for v in basis}
-        for t in targets:
-            hit = None
-            for b in basis:
-                d = bytes((x - y) % 3 for x, y in zip(t.coords, b.coords))
-                if d in bset:
-                    hit = (b, TernaryVector(d))
-                    break
-            if hit is None:
-                return SphereCoverCheck(False, witness, first_uncovered=t)
-            witness[t] = hit
+    for t, hit in zip(targets, lex_least_pairs(basis, targets, n)):
+        if hit is None:
+            return SphereCoverCheck(False, witness, first_uncovered=t)
+        witness[t] = hit
     return SphereCoverCheck(True, witness)
 
 

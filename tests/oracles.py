@@ -5,8 +5,9 @@ than the package: segmented sieving instead of a flat sieve, exhaustive
 subset search instead of branch and bound, dict-based row reduction
 instead of column elimination, plain tuple arithmetic instead of numpy.
 The overlap kernels keep their first numpy form: full-width sums and
-whole-row byte hashing, and the exact search keeps its first
-lexicographic pass, which recomputes its state at every node.  Slow and
+whole-row byte hashing, the exact search keeps its first
+lexicographic pass, which recomputes its state at every node, and the
+sphere cover check subtracts one coordinate at a time.  Slow and
 obviously correct beats fast.
 """
 
@@ -396,6 +397,40 @@ def sphere_min_brute(n: int) -> tuple:
             if got is not None:
                 return k, tuple(vectors[i] for i in got)
     raise RuntimeError("unreachable: construction bounds the minimum")
+
+
+# ------------------------------------------------------ sphere covers
+
+
+def sphere_cover_verify_bytes(B, n: int, k: int = 3):
+    """``sphere_cover_verify`` by per-coordinate byte arithmetic.
+
+    Per target in support order, walk the sorted basis and test whether
+    t - b, built one coordinate at a time, is a basis row.
+    """
+    from mulbasis.spherelab import SphereCoverCheck, TernaryVector, enumerate_sphere
+
+    basis = sorted(set(B))
+    targets = enumerate_sphere(n, k)
+    if not targets:
+        return SphereCoverCheck(True, {})
+    if not basis:
+        return SphereCoverCheck(False, {}, first_uncovered=targets[0])
+    if any(v.n != n for v in basis):
+        raise ValueError("basis vector dimension mismatch")
+    bset = {v.coords for v in basis}
+    witness = {}
+    for t in targets:
+        hit = None
+        for b in basis:
+            d = bytes((x - y) % 3 for x, y in zip(t.coords, b.coords))
+            if d in bset:
+                hit = (b, TernaryVector(d))
+                break
+        if hit is None:
+            return SphereCoverCheck(False, witness, first_uncovered=t)
+        witness[t] = hit
+    return SphereCoverCheck(True, witness)
 
 
 # ------------------------------------------------------ overlap kernels

@@ -11,7 +11,6 @@ from mulbasis.certificates import (
     PipelineError,
     _as_sorted_vectors,
     _join_weight_one_pairs,
-    _scan_pairs,
     _valuation_columns,
     build_integer_pairing_graph,
     build_pairing_graph,
@@ -24,7 +23,14 @@ from mulbasis.certificates import (
 )
 from mulbasis.productsets import construct_interval_basis
 from mulbasis.reduction import InvariantViolationError
-from mulbasis.spherelab import TernaryVector, as_matrix, enumerate_sphere
+from mulbasis.spherelab import (
+    TernaryVector,
+    as_matrix,
+    enumerate_sphere,
+    lex_least_pairs,
+    sphere_basis_construct,
+    sphere_cover_verify,
+)
 from oracles import primes_segmented, valuation_loop
 
 V = TernaryVector.from_coords
@@ -140,13 +146,6 @@ def weight_one_instances(draw):
     return n, basis, targets
 
 
-def _pairs_or_error(find):
-    try:
-        return find()
-    except ValueError as exc:
-        return str(exc)
-
-
 @given(weight_one_instances())
 @settings(max_examples=300, deadline=None)
 @example((2, [unit(2, 0, 2)], [unit(2, 0, 1)]))  # self-pair: b + b = e_0
@@ -157,8 +156,26 @@ def test_join_matches_scan_on_weight_one_targets(instance):
     n, basis, targets = instance
     vecs = _as_sorted_vectors(basis, n)
     tlist = sorted(set(targets))
-    joined = _pairs_or_error(lambda: _join_weight_one_pairs(vecs, tlist))
-    assert joined == _pairs_or_error(lambda: _scan_pairs(vecs, tlist, n))
+    assert _join_weight_one_pairs(vecs, tlist) == list(lex_least_pairs(vecs, tlist, n))
+
+
+@pytest.mark.parametrize(
+    "basis,n",
+    [
+        (sphere_basis_construct(5).basis, 5),
+        (sphere_basis_construct(9).basis, 9),
+        ({V((2, 2, 2))}, 3),
+        ({V((0, 0, 1, 2)), V((0, 0, 2, 1)), V((0, 2, 2, 2)), V((1, 1, 2, 2))}, 4),  # a minimum
+        # e_5 + (1, 1, 1, 0, 0, 2) undercuts the split e_2 + e_01 of (1, 1, 1, 0, 0, 0)
+        (sphere_basis_construct(6).basis | {V((1, 1, 1, 0, 0, 2))}, 6),
+    ],
+    ids=["construct5", "construct9", "min3", "min4", "construct6_extras"],
+)
+def test_pairing_graph_agrees_with_cover_witness(basis, n):
+    check = sphere_cover_verify(basis, n)
+    assert check.covered
+    edges = build_pairing_graph(basis, enumerate_sphere(n, 3), n).edges
+    assert {t: (b1, b2) for b1, b2, t in edges} == check.witness
 
 
 def test_weight_one_targets_pair_through_the_join():

@@ -1,3 +1,4 @@
+import functools
 import io
 import json
 from pathlib import Path
@@ -140,6 +141,11 @@ def test_primes_window(capsys):
 def test_sphere_enumerate_lists_support_order(capsys):
     payload = run_json(["sphere-enumerate", "--n", "4"], capsys)
     assert [r["vector"] for r in payload["results"]] == ["1110", "1101", "1011", "0111"]
+
+
+def test_sphere_enumerate_k_zero_lists_the_zero_vector(capsys):
+    payload = run_json(["sphere-enumerate", "--n", "4", "--k", "0"], capsys)
+    assert payload["results"] == [{"n": 4, "k": 0, "index": 0, "vector": "0000"}]
 
 
 def test_min_basis_elements_parsing(capsys):
@@ -296,6 +302,19 @@ def test_node_budget_below_one_rejected(argv, budget, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "flag,value,least",
+    [("--m", "0", 1), ("--a-max", "-1", 0), ("--d-max", "0", 1)],
+)
+def test_mbp_search_rejects_out_of_range_grid(flag, value, least, capsys):
+    argv = {"--m": "3", "--a-max": "2", "--d-max": "2", flag: value}
+    code = main(["mbp-search", *(x for kv in argv.items() for x in kv)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"error: {flag} must be at least {least}, got {value}\n"
+    assert captured.out == ""
+
+
 def test_primes_hi_zero_is_an_empty_window(capsys):
     payload = run_json(["primes", "--limit", "30", "--hi", "0"], capsys)
     row = payload["results"][0]
@@ -358,6 +377,26 @@ def test_exact_search_matches_golden_payload(name, fmt, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out == (GOLDEN / f"{name}.{fmt}").read_text(encoding="utf-8")
+
+
+# recorded before sphere_cover_verify and the pairing graph shared one pair
+# scan; n = 33 is past the 32 coordinates of its packed base-3 branch
+SPHERE_GOLDEN = {
+    "sphere-certificate_n16": ["sphere-certificate", "--n", "16"],
+    "sphere-construct_n33": ["sphere-construct", "--n", "33"],
+    "sphere-min-basis_n4": ["sphere-min-basis", "--n", "4"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPHERE_GOLDEN))
+def test_sphere_commands_match_golden_payload(name, monkeypatch, capsys):
+    # both formats render one exact search, which takes seconds at n = 4
+    monkeypatch.setattr(cli, "sphere_min_basis", functools.cache(cli.sphere_min_basis))
+    for fmt in ("json", "csv"):
+        code = main([*SPHERE_GOLDEN[name], "--format", fmt])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert out == (GOLDEN / f"{name}.{fmt}").read_text(encoding="utf-8")
 
 
 # ---------------------------------------------------------- seeded commands

@@ -11,6 +11,7 @@ from mulbasis.numtheory import (
     ResourceLimitError,
     ValuationVector,
     big_product,
+    divisors,
     factorize,
     is_prime,
     rank_mod_q,
@@ -123,6 +124,21 @@ def test_valuation_rejects_composite_base():
 def test_valuation_rejects_nonpositive_argument():
     with pytest.raises(ValueError):
         valuation(2, 0)
+
+
+@given(st.integers(min_value=1, max_value=10**7))
+def test_divisors_ascending_with_least_prime_factor_second(x):
+    divs = divisors(x)
+    small = {d for d in range(1, math.isqrt(x) + 1) if x % d == 0}
+    assert divs == sorted(small | {x // d for d in small})
+    if x > 1:  # the least prime factor: the least divisor above 1, or x itself
+        assert divs[1] == min(small - {1}, default=x)
+
+
+def test_divisors_rejects_nonpositive_argument():
+    assert divisors(1) == [1]
+    with pytest.raises(ValueError, match="divisors needs x >= 1, got 0"):
+        divisors(0)
 
 
 @given(st.integers(min_value=1, max_value=50_000))

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mulbasis import spherelab
@@ -20,6 +20,7 @@ from mulbasis.spherelab import (
     count_difference_solutions,
     difference_census,
     enumerate_sphere,
+    lex_least_pairs,
     overlap_refined_trial,
     overlap_trial,
     sphere_basis_construct,
@@ -32,6 +33,7 @@ from oracles import (
     count_diff_brute,
     dedupe_rows_bytes,
     random_near_sphere_int16,
+    sphere_cover_verify_bytes,
     sphere_min_brute,
     sphere_tuples,
     two_sphere_hits_full,
@@ -251,11 +253,78 @@ def test_cover_verify_reports_first_gap_in_order():
         assert check.witness[first][0] + check.witness[first][1] == first
 
 
-def test_cover_verify_wide_dimension_path():
-    # n > 32 falls back from packed integers to byte sets
+def test_cover_verify_construction_at_n33():
+    # past 32 coordinates; the lex-least split of {i, j, k}, i < j < k, is
+    # e_k + e_ij, since e_k has the latest leading coordinate of the six parts
     sol = sphere_basis_construct(33)
     check = sphere_cover_verify(sol.basis, 33)
     assert check.covered
+    for target, pair in check.witness.items():
+        i, j, k = target.support()
+        assert pair == (TernaryVector.from_support(33, (k,)), TernaryVector.from_support(33, (i, j)))
+
+
+def _cover_fields(check):
+    return check.covered, check.witness, check.first_uncovered
+
+
+@st.composite
+def perturbed_covers(draw):
+    """S_1 | S_2 covers with random deletions and random extra vectors.
+
+    Deleting the three singletons of a target uncovers it (its three
+    splits each lose a part); extras paired with t - extra open lex-smaller
+    splits of t.
+    """
+    # past 32 coordinates the byte reference walks ~1.5M (target, b) pairs
+    # per cover, so those widths are drawn rarely
+    n = draw(st.sampled_from([*range(3, 13)] * 3 + [33, 34]))
+    basis = set(sphere_basis_construct(n).basis)
+    support = st.lists(st.integers(0, n - 1), min_size=3, max_size=3, unique=True)
+    for gap in draw(st.lists(support, max_size=2)):
+        basis -= {TernaryVector.from_support(n, (i,)) for i in gap}
+    ordered = sorted(basis)
+    for i in draw(st.sets(st.integers(0, len(ordered) - 1), max_size=4)):
+        basis.discard(ordered[i])
+    sparse = st.dictionaries(st.integers(0, n - 1), st.integers(1, 2), max_size=3)
+    for coords, target in draw(st.lists(st.tuples(sparse, st.one_of(st.none(), support)), max_size=4)):
+        extra = V([coords.get(i, 0) for i in range(n)])
+        basis.add(extra)
+        if target is not None:
+            basis.add(TernaryVector.from_support(n, target) - extra)
+    return n, basis
+
+
+@given(perturbed_covers())
+@settings(max_examples=40, deadline=None)
+@example((3, {V([1, 0, 0]), V([0, 1, 1]), V([2, 2, 2])}))
+def test_cover_verify_matches_byte_reference(instance):
+    n, basis = instance
+    assert _cover_fields(sphere_cover_verify(basis, n)) == _cover_fields(
+        sphere_cover_verify_bytes(basis, n)
+    )
+
+
+def test_cover_verify_matches_byte_reference_on_a_late_gap():
+    n = 33
+    last = enumerate_sphere(n, 3)[-1]
+    basis = set(sphere_basis_construct(n).basis) - {
+        TernaryVector.from_support(n, (i,)) for i in last.support()
+    }
+    check = sphere_cover_verify(basis, n)
+    assert check.first_uncovered == last
+    assert _cover_fields(check) == _cover_fields(sphere_cover_verify_bytes(basis, n))
+
+
+def test_lex_least_pairs_yields_none_per_uncovered_target():
+    basis = sorted({V([1, 0, 0]), V([0, 1, 1]), V([2, 2, 2])})
+    targets = [V([1, 1, 1]), V([0, 0, 1]), V([2, 2, 2])]
+    assert list(lex_least_pairs(basis, targets, 3)) == [
+        (V([0, 1, 1]), V([1, 0, 0])),
+        None,
+        None,
+    ]
+    assert list(lex_least_pairs([], targets, 3)) == [None, None, None]
 
 
 # ------------------------------------------------------- construction
