@@ -24,7 +24,7 @@ import io
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor, as_completed
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -143,19 +143,27 @@ def rng_stream(seed: int, stream: int) -> np.random.Generator:
 
 
 def _indexed_map(fn, items, jobs: int) -> list:
-    """Apply fn(index, item); results ordered by index whatever the pool does."""
+    """Apply fn(index, item); results ordered by index whatever the pool does.
+
+    Under a pool each worker runs one contiguous slice of the items, so a
+    batch costs one task per worker rather than one per item.
+    """
     items = list(items)
     if jobs <= 1 or len(items) <= 1:
         return [fn(i, x) for i, x in enumerate(items)]
-    out = [None] * len(items)
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = {pool.submit(fn, i, x): i for i, x in enumerate(items)}
-        for fut in as_completed(futures):
-            out[futures[fut]] = fut.result()
-    return out
+    width = min(jobs, len(items))
+    cuts = [len(items) * k // width for k in range(width + 1)]
+
+    def run_slice(lo: int, hi: int) -> list:
+        return [fn(i, items[i]) for i in range(lo, hi)]
+
+    with ThreadPoolExecutor(max_workers=width) as pool:
+        return [r for part in pool.map(run_slice, cuts[:-1], cuts[1:]) for r in part]
 
 
 def _fmt(value) -> str:
+    if value is None:
+        return ""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):

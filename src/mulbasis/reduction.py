@@ -27,7 +27,6 @@ from .numtheory import (
     PrimeTable,
     big_product,
     divisors,
-    factorize,
     is_prime,
     rank_mod_q,
     rho_vector,
@@ -258,6 +257,12 @@ def factorial_divisibility_check(u: int, v: int, M: int, table: PrimeTable) -> F
     valuation maximizer per prime p < M (smallest index on ties; primes
     dividing no term contribute nothing).  Divisibility is computed on
     exact integers, never assumed.
+
+    Each term is walked once down the smallest-prime-factor table, in
+    increasing m.  The walk yields every (p, e) of the term, last of all
+    its largest prime, which decides the marking.  A prime p < M takes m
+    as its maximizer only when e beats the best exponent seen so far, so
+    a tie keeps the smaller index.
     """
     if M < 1:
         raise ValueError("M must be positive")
@@ -268,34 +273,31 @@ def factorial_divisibility_check(u: int, v: int, M: int, table: PrimeTable) -> F
     top = u + M * v
     if table.limit < top:
         raise ValueError(f"prime table limit {table.limit} below largest term {top}")
-    terms = {m: u + m * v for m in range(1, M + 1)}
-    marked = frozenset(
-        m for m, t in terms.items() if factorize(t, table).largest_prime() >= M
-    )
+    spf = table.spf[: top + 1].tolist()
+    marked = set()
     exceptional: dict[int, int] = {}
-    for p in (int(x) for x in table.primes_in(2, M - 1)) if M > 2 else ():
-        if v % p == 0:
-            continue  # p never divides u + m*v when gcd(u, v) = 1
-        start = (-u * pow(v, -1, p)) % p
-        if start == 0:
-            start = p
-        best_m, best_val = 0, 0
-        for m in range(start, M + 1, p):
-            val = valuation(p, terms[m])
-            if val > best_val:
-                best_m, best_val = m, val
-        if best_val >= 1:
-            exceptional[p] = best_m
-    skip = set(marked) | set(exceptional.values())
+    best: dict[int, int] = {}
+    for m in range(1, M + 1):
+        t = u + m * v  # at least 2, so the walk visits one prime or more
+        while t > 1:
+            p, e = spf[t], 0
+            while t % p == 0:
+                t //= p
+                e += 1
+            if p < M and e > best.get(p, 0):
+                best[p], exceptional[p] = e, m
+        if p >= M:
+            marked.add(m)
+    skip = marked | set(exceptional.values())
     surviving = tuple(m for m in range(1, M + 1) if m not in skip)
-    product = math.prod(terms[m] for m in surviving)
+    product = math.prod(u + m * v for m in surviving)
     divides = math.factorial(M - 1) % product == 0
     return FactorialCheck(
         u=u,
         v=v,
         M=M,
-        marked_large=marked,
-        exceptional=exceptional,
+        marked_large=frozenset(marked),
+        exceptional=dict(sorted(exceptional.items())),
         surviving=surviving,
         divides=divides,
     )

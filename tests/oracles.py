@@ -6,9 +6,10 @@ subset search instead of branch and bound, dict-based row reduction
 instead of column elimination, plain tuple arithmetic instead of numpy.
 The overlap kernels keep their first numpy form: full-width sums and
 whole-row byte hashing, the exact search keeps its first
-lexicographic pass, which recomputes its state at every node, and the
-sphere cover check subtracts one coordinate at a time.  Slow and
-obviously correct beats fast.
+lexicographic pass, which recomputes its state at every node, the
+sphere cover check subtracts one coordinate at a time, and the factorial
+check walks the multiples of each prime on its own.  Slow and obviously
+correct beats fast.
 """
 
 from __future__ import annotations
@@ -273,6 +274,62 @@ def exact_min_basis_reference(A, pool=None, budget: int = 2_000_000):
     if not check.covered:
         raise AssertionError(f"search produced a non-cover, uncovered {check.first_uncovered}")
     return BasisSolution(basis=best, witness=check.witness, optimal=proven, nodes_explored=nodes)
+
+
+# ------------------------------------------------------ divisibility
+
+
+def factorial_divisibility_check_reference(u: int, v: int, M: int, table):
+    """``reduction.factorial_divisibility_check`` as first written.
+
+    The package must return an equal ``FactorialCheck`` and raise the
+    same ``ValueError``s.  Here every term is factorized on its own for
+    its largest prime, and each prime p < M re-walks its multiples with
+    ``valuation`` to find its maximizer.
+    """
+    from mulbasis.numtheory import factorize, valuation
+    from mulbasis.reduction import FactorialCheck
+
+    if M < 1:
+        raise ValueError("M must be positive")
+    if u < 1 or v < 1:
+        raise ValueError("u and v must be positive")
+    if math.gcd(u, v) != 1:
+        raise ValueError(f"gcd(u, v) = {math.gcd(u, v)}, expected 1")
+    top = u + M * v
+    if table.limit < top:
+        raise ValueError(f"prime table limit {table.limit} below largest term {top}")
+    terms = {m: u + m * v for m in range(1, M + 1)}
+    marked = frozenset(
+        m for m, t in terms.items() if factorize(t, table).largest_prime() >= M
+    )
+    exceptional: dict[int, int] = {}
+    for p in (int(x) for x in table.primes_in(2, M - 1)) if M > 2 else ():
+        if v % p == 0:
+            continue  # p never divides u + m*v when gcd(u, v) = 1
+        start = (-u * pow(v, -1, p)) % p
+        if start == 0:
+            start = p
+        best_m, best_val = 0, 0
+        for m in range(start, M + 1, p):
+            val = valuation(p, terms[m])
+            if val > best_val:
+                best_m, best_val = m, val
+        if best_val >= 1:
+            exceptional[p] = best_m
+    skip = set(marked) | set(exceptional.values())
+    surviving = tuple(m for m in range(1, M + 1) if m not in skip)
+    product = math.prod(terms[m] for m in surviving)
+    divides = math.factorial(M - 1) % product == 0
+    return FactorialCheck(
+        u=u,
+        v=v,
+        M=M,
+        marked_large=marked,
+        exceptional=exceptional,
+        surviving=surviving,
+        divides=divides,
+    )
 
 
 # ------------------------------------------------------ linear algebra

@@ -1,6 +1,8 @@
 import functools
 import io
 import json
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -399,6 +401,24 @@ def test_sphere_commands_match_golden_payload(name, monkeypatch, capsys):
         assert out == (GOLDEN / f"{name}.{fmt}").read_text(encoding="utf-8")
 
 
+# recorded before factorial_divisibility_check walked each term once and
+# before _indexed_map handed each worker one slice
+BATCH_GOLDEN = {
+    "factorial-check_random200": ["factorial-check", "--random", "200", "--seed", "0"],
+    "reduce_random200": ["reduce", "--random", "200", "--seed", "0"],
+}
+
+
+@pytest.mark.parametrize("jobs", [1, 3])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("name", sorted(BATCH_GOLDEN))
+def test_batch_commands_match_golden_payload(name, fmt, jobs, capsys):
+    code = main([*BATCH_GOLDEN[name], "--jobs", str(jobs), "--format", fmt])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out == (GOLDEN / f"{name}.{fmt}").read_text(encoding="utf-8")
+
+
 # ---------------------------------------------------------- seeded commands
 
 
@@ -472,6 +492,54 @@ def test_jobs_flag_does_not_enter_payload(capsys):
     first = capsys.readouterr().out
     main(argv + ["--jobs", "3"])
     assert capsys.readouterr().out == first
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 3, 4, 5])
+def test_indexed_map_returns_results_in_index_order(jobs):
+    for count in range(8):
+        items = [f"x{i}" for i in range(count)]
+
+        def fn(i, x):
+            time.sleep(0.001 * (count - i))  # later items finish first
+            return i, x
+
+        assert cli._indexed_map(fn, iter(items), jobs) == list(enumerate(items))
+
+
+@pytest.mark.parametrize("jobs", [1, 3])
+def test_indexed_map_passes_worker_errors_to_the_caller(jobs):
+    def fn(i, x):
+        if i == 4:
+            raise ValueError(f"bad item {x}")
+        return x
+
+    with pytest.raises(ValueError, match="bad item 4"):
+        cli._indexed_map(fn, range(7), jobs)
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 3, 5])
+def test_indexed_map_uses_at_most_jobs_threads(jobs):
+    callers = set()
+    lock = threading.Lock()
+
+    def fn(i, x):
+        with lock:
+            callers.add(threading.get_ident())
+        time.sleep(0.002)
+        return x
+
+    assert cli._indexed_map(fn, range(12), jobs) == list(range(12))
+    assert 1 <= len(callers) <= jobs
+
+
+def test_csv_and_text_render_none_as_an_empty_cell(capsys):
+    argv = ["min-basis", "--elements", "6,10,15"]
+    main(argv + ["--format", "csv"])
+    row = capsys.readouterr().out.splitlines()[1]
+    assert row.startswith(",")  # M is null for an explicit element set
+    main(argv + ["--format", "text"])
+    assert "M= " in capsys.readouterr().out
+    assert run_json(argv, capsys)["results"][0]["M"] is None
 
 
 def test_run_config_validation():

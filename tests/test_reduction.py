@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mulbasis.numtheory import sieve, valuation
 from mulbasis.productsets import APSpec, construct_interval_basis, verify_cover
@@ -17,7 +19,10 @@ from mulbasis.reduction import (
     reduce_pair,
 )
 
+from oracles import factorial_divisibility_check_reference
+
 TABLE = sieve(20_000)
+SMALL_TABLE = sieve(500)
 
 
 def rng(stream: int) -> np.random.Generator:
@@ -224,6 +229,55 @@ def test_factorial_check_random_instances():
         # the skipped sets are disjoint partitions of [1..M]
         skip = set(res.marked_large) | set(res.exceptional.values())
         assert set(res.surviving) == set(range(1, M + 1)) - skip
+
+
+def _divisibility_outcome(check, u, v, M, table):
+    try:
+        return check(u, v, M, table)
+    except ValueError as exc:
+        return ValueError, str(exc)
+
+
+def assert_matches_reference(u, v, M, table):
+    got = _divisibility_outcome(factorial_divisibility_check, u, v, M, table)
+    want = _divisibility_outcome(factorial_divisibility_check_reference, u, v, M, table)
+    assert got == want, (u, v, M, table.limit)
+
+
+@st.composite
+def divisibility_instances(draw):
+    u = draw(st.integers(1, 60))
+    v = draw(st.integers(1, 30).filter(lambda v: math.gcd(u, v) == 1))
+    return u, v, draw(st.integers(1, 250))
+
+
+@given(divisibility_instances(), st.sampled_from([TABLE, SMALL_TABLE]))
+@settings(max_examples=300, deadline=None)
+def test_factorial_check_matches_reference(instance, table):
+    assert_matches_reference(*instance, table)
+
+
+@pytest.mark.parametrize(
+    "u,v,M",
+    [
+        (1, 1, 1),  # M = 1: no prime below M, the lone term is marked
+        (7, 3, 1),
+        (1, 1, 2),  # M = 2: still no prime below M
+        (3, 2, 2),
+        (5, 6, 40),  # v divisible by 2 and 3: neither divides any term
+        (1, 12, 100),
+        (2, 1, 10),  # 5 peaks at 5 and 10 (m = 3, 8): the smaller index wins
+        (1, 1, 5),  # the term 5 equals M and is prime: marked, not exceptional
+        (1, 1, 6),  # the term 7 is a prime above M
+        (0, 1, 6),  # each rejected input raises the same ValueError
+        (1, 0, 6),
+        (2, 4, 6),
+        (1, 1, 0),
+        (1, 1, 600),
+    ],
+)
+def test_factorial_check_hand_cases_match_reference(u, v, M):
+    assert_matches_reference(u, v, M, SMALL_TABLE)
 
 
 # ------------------------------------------------------- marking sets
