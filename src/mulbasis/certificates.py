@@ -69,6 +69,12 @@ class PipelineError(Exception):
     def __init__(self, stage: str, message: str):
         super().__init__(f"[{stage}] {message}")
         self.stage = stage
+        self.message = message
+
+    def __reduce__(self):
+        # rebuilt from the constructor's arguments, so it crosses a pickle
+        # round trip (a worker process raising it) with type and fields intact
+        return type(self), (self.stage, self.message)
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -142,23 +143,76 @@ def rng_stream(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[seed & _MASK64, stream & _MASK64]))
 
 
-def _indexed_map(fn, items, jobs: int) -> list:
-    """Apply fn(index, item); results ordered by index whatever the pool does.
+def _pool_width(jobs: int, count: int) -> int:
+    """Workers for ``count`` items: at most ``jobs``, and at most one per core."""
+    return min(jobs, count, os.cpu_count() or 1)
 
-    Under a pool each worker runs one contiguous slice of the items, so a
-    batch costs one task per worker rather than one per item.
+
+def _interleave(parts, count: int, width: int) -> list:
+    """Undo the round-robin dealing: part k holds items k, k + width, ..."""
+    out = [None] * count
+    for k, part in enumerate(parts):
+        out[k::width] = part
+    return out
+
+
+def _indexed_map(fn, items, jobs: int) -> list:
+    """Apply fn(index, item) on a thread pool; results ordered by index.
+
+    For work that releases the interpreter lock (numpy kernels). Items
+    are dealt round-robin: worker k of w runs items k, k + w, k + 2w, ...,
+    so a batch costs one task per worker and runs of costly neighbours
+    are spread over the workers.
     """
     items = list(items)
-    if jobs <= 1 or len(items) <= 1:
+    width = _pool_width(jobs, len(items))
+    if width <= 1:
         return [fn(i, x) for i, x in enumerate(items)]
-    width = min(jobs, len(items))
-    cuts = [len(items) * k // width for k in range(width + 1)]
 
-    def run_slice(lo: int, hi: int) -> list:
-        return [fn(i, items[i]) for i in range(lo, hi)]
+    def run_slice(k: int) -> list:
+        return [fn(i, items[i]) for i in range(k, len(items), width)]
 
     with ThreadPoolExecutor(max_workers=width) as pool:
-        return [r for part in pool.map(run_slice, cuts[:-1], cuts[1:]) for r in part]
+        return _interleave(pool.map(run_slice, range(width)), len(items), width)
+
+
+_SHARED: tuple = ()  # (fn, items) of the _process_map that forked this worker
+
+
+def _share(fn, items) -> None:
+    global _SHARED
+    _SHARED = (fn, items)
+
+
+def _run_shared_slice(k: int, width: int) -> list:
+    fn, items = _SHARED
+    return [fn(i, items[i]) for i in range(k, len(items), width)]
+
+
+def _process_map(fn, items, jobs: int) -> list:
+    """Apply fn(index, item) on forked worker processes; results ordered by index.
+
+    For pure-Python work that holds the interpreter lock. fn and items
+    reach the workers by fork, not by pickling, so closures and tables
+    cross for free: only (k, width) goes out, and only fn's results, which
+    must pickle, come back. Dealing and width are as in _indexed_map.
+    Where the fork start method is missing, the items run serially here.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    items = list(items)
+    width = _pool_width(jobs, len(items))
+    if width <= 1 or "fork" not in multiprocessing.get_all_start_methods():
+        return [fn(i, x) for i, x in enumerate(items)]
+    with ProcessPoolExecutor(
+        max_workers=width,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_share,
+        initargs=(fn, items),
+    ) as pool:
+        parts = pool.map(_run_shared_slice, range(width), [width] * width)
+        return _interleave(parts, len(items), width)
 
 
 def _fmt(value) -> str:
@@ -294,7 +348,7 @@ def _cmd_mbp_search(config: RunConfig) -> tuple[list, list, int]:
         sol = exact_min_basis(elements, budget=budget)
         return {"a": a, "d": d, "size": sol.size, "optimal": sol.optimal}
 
-    rows = _indexed_map(work, grid, config.jobs)
+    rows = _process_map(work, grid, config.jobs)
     best = min(rows, key=lambda r: (r["size"], r["a"], r["d"]))
     for r in rows:
         r["is_best"] = r is best
@@ -304,16 +358,15 @@ def _cmd_mbp_search(config: RunConfig) -> tuple[list, list, int]:
 
 def _cmd_reduce(config: RunConfig) -> tuple[list, list, int]:
     p = config.parameters
-    pairs: list[ReducedPair] = []
+    given = None
     if p.get("json_file"):
         with open(p["json_file"], "r", encoding="utf-8") as fh:
-            rec = json.load(fh)
-        pairs = [ReducedPair.from_record(rec)]
-    else:
-        count = _count(p, "random")
-        pairs = [random_injected_pair(rng_stream(config.seed, i)) for i in range(count)]
+            given = ReducedPair.from_record(json.load(fh))
+    count = 1 if given is not None else _count(p, "random")
 
-    def work(_, pair):
+    def work(i, _):
+        # a random instance is drawn by index inside the worker that reduces it
+        pair = given if given is not None else random_injected_pair(rng_stream(config.seed, i))
         before = math.prod(pair.basis)
         out = reduce_pair(pair)
         after = math.prod(out.basis)
@@ -330,7 +383,7 @@ def _cmd_reduce(config: RunConfig) -> tuple[list, list, int]:
             "product_decreased": after <= before,
         }
 
-    rows = _indexed_map(work, pairs, config.jobs)
+    rows = _process_map(work, range(count), config.jobs)
     ok = all(r["covered"] and r["product_decreased"] for r in rows)
     checks = [
         InequalityReport.of("reduce_all_covered", sum(1 for r in rows if not r["covered"]), 0),
@@ -361,7 +414,7 @@ def _cmd_factorial_check(config: RunConfig) -> tuple[list, list, int]:
             "divides": res.divides,
         }
 
-    rows = _indexed_map(work, instances, config.jobs)
+    rows = _process_map(work, instances, config.jobs)
     failed = sum(1 for r in rows if not r["divides"])
     checks = [InequalityReport.of("factorial_divisibility_failures", failed, 0)]
     return rows, checks, _exit_code(checks)

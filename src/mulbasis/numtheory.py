@@ -66,6 +66,11 @@ class IncompleteTableError(ValueError):
             f"prime factor <= table limit {limit}"
         )
 
+    def __reduce__(self):
+        # rebuilt from the constructor's arguments, so it crosses a pickle
+        # round trip (a worker process raising it) with every field intact
+        return type(self), (self.value, self.cofactor, self.limit)
+
 
 def _sieve_cap() -> int:
     raw = os.environ.get(_ENV_LIMIT)

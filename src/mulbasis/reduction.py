@@ -17,6 +17,7 @@ feed the end-to-end pipeline.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from itertools import combinations
@@ -353,6 +354,12 @@ def build_marking_sets(M: int, u: int, table: PrimeTable) -> MarkingSets:
 _INJECT_PRIMES = (2, 3, 5, 7, 11)
 
 
+@functools.cache
+def _coprime_pool(primes: tuple[int, ...]) -> tuple[int, ...]:
+    """The x in 1..60 divisible by none of ``primes``, ascending."""
+    return tuple(x for x in range(1, 61) if all(x % p for p in primes))
+
+
 def random_injected_pair(rng: np.random.Generator) -> ReducedPair:
     """Seeded unreduced instance with a known-good cover.
 
@@ -366,7 +373,7 @@ def random_injected_pair(rng: np.random.Generator) -> ReducedPair:
     count = int(rng.integers(1, 3))
     picks = rng.choice(len(_INJECT_PRIMES), size=count, replace=False)
     primes = [_INJECT_PRIMES[int(i)] for i in picks]
-    pool = [x for x in range(1, 61) if all(x % p for p in primes)]
+    pool = _coprime_pool(tuple(sorted(primes)))
     a0 = int(pool[int(rng.integers(0, len(pool)))])
     d0 = int(pool[int(rng.integers(0, len(pool)))])
     f_of = {p: int(rng.integers(1, 3)) for p in primes}

@@ -1,4 +1,5 @@
 import json
+import pickle
 from itertools import product
 
 import pytest
@@ -451,3 +452,11 @@ def test_pipeline_record_is_json_serializable():
     assert rec["bound"] == res.bound
     assert len(rec["chain"]) == len(res.chain)
     assert rec["sphere_ran"] is False
+
+
+def test_pipeline_error_survives_a_pickle_round_trip():
+    # a worker process raising it reaches the caller through pickle
+    err = pickle.loads(pickle.dumps(PipelineError("input", "bad value 7")))
+    assert type(err) is PipelineError
+    assert str(err) == "[input] bad value 7"
+    assert (err.stage, err.message) == ("input", "bad value 7")

@@ -1,6 +1,8 @@
 import functools
 import io
 import json
+import multiprocessing
+import os
 import threading
 import time
 from pathlib import Path
@@ -9,6 +11,7 @@ import pytest
 
 from mulbasis import cli
 from mulbasis.cli import RunConfig, main, rng_stream, run
+from mulbasis.certificates import PipelineError
 from mulbasis.reduction import InvariantViolationError, random_injected_pair
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -372,10 +375,15 @@ EXACT_SEARCH_GOLDEN = {
 }
 
 
+# mbp-search runs its grid on a process pool under --jobs
+EXACT_SEARCH_CASES = [pytest.param(name, 1, id=name) for name in sorted(EXACT_SEARCH_GOLDEN)]
+EXACT_SEARCH_CASES.append(pytest.param("mbp-search_m5_a6_d6", 3, id="mbp-search_m5_a6_d6-jobs3"))
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv"])
-@pytest.mark.parametrize("name", sorted(EXACT_SEARCH_GOLDEN))
-def test_exact_search_matches_golden_payload(name, fmt, capsys):
-    code = main([*EXACT_SEARCH_GOLDEN[name], "--format", fmt])
+@pytest.mark.parametrize("name,jobs", EXACT_SEARCH_CASES)
+def test_exact_search_matches_golden_payload(name, jobs, fmt, capsys):
+    code = main([*EXACT_SEARCH_GOLDEN[name], "--jobs", str(jobs), "--format", fmt])
     out = capsys.readouterr().out
     assert code == 0
     assert out == (GOLDEN / f"{name}.{fmt}").read_text(encoding="utf-8")
@@ -530,6 +538,80 @@ def test_indexed_map_uses_at_most_jobs_threads(jobs):
 
     assert cli._indexed_map(fn, range(12), jobs) == list(range(12))
     assert 1 <= len(callers) <= jobs
+
+
+def test_indexed_map_caps_threads_at_the_core_count(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    callers = set()
+    lock = threading.Lock()
+
+    def fn(i, x):
+        with lock:
+            callers.add(threading.get_ident())
+        time.sleep(0.002)
+        return x
+
+    assert cli._indexed_map(fn, range(12), 64) == list(range(12))
+    assert 1 <= len(callers) <= 2
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 3, 4, 5])
+def test_process_map_returns_results_in_index_order(jobs):
+    for count in range(8):
+        items = [f"x{i}" for i in range(count)]
+
+        def fn(i, x):
+            time.sleep(0.002 * (count - i))  # later items finish first
+            return i, x
+
+        assert cli._process_map(fn, iter(items), jobs) == list(enumerate(items))
+
+
+def _raise_item_four(i, x):
+    if i == 4:
+        raise x
+    return i
+
+
+@pytest.mark.parametrize("jobs", [1, 3])
+@pytest.mark.parametrize(
+    "error",
+    [
+        ValueError("bad item"),
+        InvariantViolationError("bad item"),
+        PipelineError("input", "bad item"),
+    ],
+    ids=["value", "invariant", "pipeline"],
+)
+def test_process_map_passes_worker_errors_to_the_caller(error, jobs):
+    # a worker's exception crosses back by pickle; the items cross by fork
+    with pytest.raises(type(error)) as exc:
+        cli._process_map(_raise_item_four, [error] * 7, jobs)
+    assert type(exc.value) is type(error)
+    assert str(exc.value) == str(error)
+
+
+def _pid(i, x):
+    time.sleep(0.01)
+    return os.getpid()
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 3])
+def test_process_map_uses_at_most_jobs_processes(jobs):
+    pids = set(cli._process_map(_pid, range(6), jobs))
+    assert 1 <= len(pids) <= jobs
+    assert (os.getpid() in pids) == (jobs == 1)
+
+
+def test_process_map_caps_processes_at_the_core_count(monkeypatch):
+    # 12 items bound the processes even if the cap were missing
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert 1 <= len(set(cli._process_map(_pid, range(12), 64))) <= 2
+
+
+def test_process_map_runs_serially_without_fork(monkeypatch):
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    assert set(cli._process_map(_pid, range(4), 2)) == {os.getpid()}
 
 
 def test_csv_and_text_render_none_as_an_empty_cell(capsys):

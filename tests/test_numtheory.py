@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -195,6 +196,14 @@ def test_factorize_incomplete_table_names_cofactor():
         factorize(7 * big, small)
     assert exc.value.cofactor == big
     assert exc.value.value == 7 * big
+
+
+def test_incomplete_table_error_survives_a_pickle_round_trip():
+    err = IncompleteTableError(7 * 10_007, 10_007, 50)
+    back = pickle.loads(pickle.dumps(err))
+    assert type(back) is IncompleteTableError
+    assert str(back) == str(err)
+    assert (back.value, back.cofactor, back.limit) == (7 * 10_007, 10_007, 50)
 
 
 @given(st.integers(min_value=1, max_value=99_999))
