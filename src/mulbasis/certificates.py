@@ -6,10 +6,10 @@ covered target; reports then evaluate both sides of each inequality in
 the degree-counting argument (common-neighbour identity, per-case
 contribution bounds, pruning losses, edge retention, Cauchy-Schwarz).
 The end-to-end pipeline embeds an integer basis into F_3 valuation
-vectors, pairs off the single-prime marks, analyzes the resulting
-components, runs the sphere reports on the small-prime block, and
-assembles a numeric lower bound on |B| that is asserted sound on every
-run.  A failed report localizes a hypothesis violation or a bug; it is
+vectors, held as sparse rows, pairs off the single-prime marks,
+analyzes the resulting components, runs the sphere reports on the
+small-prime block, and assembles a numeric lower bound on |B| that is
+asserted sound on every run.  A failed report localizes a hypothesis violation or a bug; it is
 never silently absorbed.
 """
 
@@ -56,10 +56,7 @@ __all__ = [
 # degree cutoff multiplier for heavy right-class vertices
 DEGREE_PRUNE_FACTOR = 1 << 10
 
-# (value, prime) cells tested per broadcast chunk in _valuation_columns
-_BROADCAST_CELLS = 1 << 20
-
-# _valuation_columns divides in int64
+# the pipeline takes integer inputs below 2^63 only
 _INT64_MAX = (1 << 63) - 1
 
 
@@ -144,26 +141,60 @@ def _as_sorted_vectors(B, n: int) -> list[TernaryVector]:
     return sorted(out)
 
 
+# A sparse row is a vector over F_3 held as the tuple of its nonzero
+# (column, residue) pairs, ascending by column.
+
+
 def _sparse(v: TernaryVector) -> tuple:
-    """Sorted (index, value) pairs of the nonzero coordinates."""
+    """The sparse row of ``v``."""
     return tuple((i, v.coords[i]) for i in v.support())
 
 
-def _join_weight_one_pairs(vecs: list[TernaryVector], tlist: list[TernaryVector]) -> list:
+def _dense(row: tuple, n: int) -> TernaryVector:
+    """The n-coordinate vector of a sparse row."""
+    buf = bytearray(n)
+    for i, c in row:
+        buf[i] = c
+    return TernaryVector(bytes(buf))
+
+
+def _dense_order(row: tuple) -> tuple:
+    """Sort key that puts sparse rows in the byte order of their dense vectors.
+
+    At the first column where two rows differ, a row with no entry there
+    is zero there, and its next entry, if any, sits at a later column: a
+    smaller -column.  A row that ends first is a prefix of the other key.
+    """
+    return tuple((-i, c) for i, c in row)
+
+
+def _sparse_add(a: tuple, b: tuple) -> tuple:
+    out = dict(a)
+    for i, c in b:
+        s = (out.get(i, 0) + c) % 3
+        if s:
+            out[i] = s
+        else:
+            del out[i]
+    return tuple(sorted(out.items()))
+
+
+def _join_weight_one_pairs(rows: list[tuple], tlist: list[tuple]) -> list:
     """The pairs of ``lex_least_pairs`` for targets c * e_p, by a hash join.
 
-    b1 + b2 = c * e_p forces p into supp b1 or supp b2, and b2 = -b1
-    away from p.  So index every (b, p in supp b) once under p and the
-    sparse rest of b, then from each b1 and p in supp b1 look up the
-    negated rest (partners nonzero at p) and the full vector -b1 with
-    coordinate p zeroed (partners zero at p).  B is sorted, so the
-    lex-least b1 of a target is the least index over its pairs.  Work
-    grows with sum |supp b|^2 over B, not with |B| * n.
+    ``rows`` are sparse rows in dense order and ``tlist`` the sparse rows
+    ((p, c),) of the targets.  b1 + b2 = c * e_p forces p into supp b1 or
+    supp b2, and b2 = -b1 away from p.  So index every (b, p in supp b)
+    once under p and the rest of b, then from each b1 and p in supp b1
+    look up the negated rest (partners nonzero at p) and the whole row
+    -b1 with coordinate p zeroed (partners zero at p).  The lex-least b1
+    of a target is the least index over its pairs.  Gives per target the
+    index pair (k1, k2), k1 <= k2, or None.  Work grows with
+    sum |supp b|^2 over B, not with |B| * n.
     """
-    sparse = [_sparse(v) for v in vecs]
-    whole = {s: k for k, s in enumerate(sparse)}
+    whole = {s: k for k, s in enumerate(rows)}
     by_rest: dict = defaultdict(list)  # (p, supp b without p) -> [(b_p, index of b)]
-    for k, s in enumerate(sparse):
+    for k, s in enumerate(rows):
         for j, (p, c) in enumerate(s):
             by_rest[(p, s[:j] + s[j + 1 :])].append((c, k))
     best: dict = {}  # (p, c) -> (index of b1, index of b2)
@@ -173,7 +204,7 @@ def _join_weight_one_pairs(vecs: list[TernaryVector], tlist: list[TernaryVector]
         if key not in best or pair[0] < best[key][0]:
             best[key] = pair
 
-    for k1, s in enumerate(sparse):
+    for k1, s in enumerate(rows):
         for j, (p, c1) in enumerate(s):
             neg_rest = tuple((i, 3 - c) for i, c in s[:j] + s[j + 1 :])
             for c2, k2 in by_rest.get((p, neg_rest), ()):
@@ -182,19 +213,14 @@ def _join_weight_one_pairs(vecs: list[TernaryVector], tlist: list[TernaryVector]
             k2 = whole.get(neg_rest)
             if k2 is not None:
                 offer((p, c1), k1, k2)
-    out = []
-    for t in tlist:
-        ((p, c),) = _sparse(t)
-        pair = best.get((p, c))
-        out.append(None if pair is None else (vecs[pair[0]], vecs[pair[1]]))
-    return out
+    return [best.get(t[0]) for t in tlist]
 
 
 def build_pairing_graph(B, targets, n: int) -> PairingGraph:
     """One edge per target: the lex-smallest (b1, b2) in B*B summing to it.
 
     Weight-one targets (the pipeline's single-prime marks) go through a
-    hash join on sparse supports; any other target set is scanned.
+    hash join on sparse rows; any other target set is scanned.
     """
     vecs = _as_sorted_vectors(B, n)
     if not vecs:
@@ -206,16 +232,21 @@ def build_pairing_graph(B, targets, n: int) -> PairingGraph:
         if t.n != n:
             raise ValueError(f"target of dimension {t.n}, expected {n}")
     if all(t.weight() == 1 for t in tlist):
-        pairs = _join_weight_one_pairs(vecs, tlist)
+        joined = _join_weight_one_pairs([_sparse(v) for v in vecs], [_sparse(t) for t in tlist])
+        pairs = [None if k is None else (vecs[k[0]], vecs[k[1]]) for k in joined]
     else:
         pairs = lex_least_pairs(vecs, tlist, n)
     edges = []
     for t, hit in zip(tlist, pairs):
         if hit is None:
-            raise ValueError(f"target {tuple(t.coords)} is not a sum of two basis vectors")
+            raise ValueError(_not_a_sum(t))
         edges.append((*hit, t))
     verts = tuple(vecs)
     return PairingGraph(mode="vector", left=verts, right=verts, edges=tuple(edges))
+
+
+def _not_a_sum(t: TernaryVector) -> str:
+    return f"target {tuple(t.coords)} is not a sum of two basis vectors"
 
 
 def build_integer_pairing_graph(B: Iterable[int], targets: Iterable[int]) -> PairingGraph:
@@ -438,26 +469,55 @@ def component_analysis(m1_edges: Sequence, split: tuple[int, int]) -> ComponentA
     """
     n1, n2 = split
     n = n1 + n2
-    p2_range = range(n1, n)
-    edges = []
     for e in m1_edges:
-        v1, v2, t = e
-        if v1.n != n or v2.n != n or t.n != n:
+        if any(v.n != n for v in e):
             raise ValueError("edge vector dimension does not match the split")
-        if (v1 + v2) != t:
-            raise ValueError(f"edge endpoints do not sum to the target {tuple(t.coords)}")
-        head = t.coords[:n1]
-        if n1 - head.count(0) != 1 or any(t.coords[n1:]):
+    verts = sorted({v for e in m1_edges for v in (e[0], e[1])})
+    index = {v: k for k, v in enumerate(verts)}
+    rows = [_sparse(v) for v in verts]
+    edges = [(index[v1], index[v2], _sparse(t)) for v1, v2, t in m1_edges]
+    return _analyze_components(rows, _projections(rows, split), edges, split)
+
+
+def _projections(rows: list[tuple], split: tuple[int, int]) -> list[TernaryVector]:
+    """The small-prime block of each sparse row, one vector per distinct block."""
+    n1, n2 = split
+    seen: dict = {}
+    out = []
+    for row in rows:
+        tail = tuple((i - n1, c) for i, c in row if i >= n1)
+        vec = seen.get(tail)
+        if vec is None:
+            vec = seen[tail] = _dense(tail, n2)
+        out.append(vec)
+    return out
+
+
+def _analyze_components(
+    rows: list[tuple], proj: list[TernaryVector], edges: list, split: tuple[int, int]
+) -> ComponentAnalysis:
+    """``component_analysis`` on vertex ids: ``edges`` are (id, id, target row).
+
+    ``rows[k]`` is the sparse row of vertex k and ``proj[k]`` its
+    second-block projection.  Ids must follow the dense order of the rows,
+    which fixes the order of the components.
+    """
+    n1, n2 = split
+    for k1, k2, t in edges:
+        if _sparse_add(rows[k1], rows[k2]) != t:
             raise ValueError(
-                f"target {tuple(t.coords)} is not supported on one first-block coordinate"
+                f"edge endpoints do not sum to the target {tuple(_dense(t, n1 + n2).coords)}"
             )
-        edges.append((v1, v2, t))
-    verts = sorted({v for e in edges for v in (e[0], e[1])})
-    index = {v: i for i, v in enumerate(verts)}
-    parent = list(range(len(verts)))
-    parity = [0] * len(verts)  # parity of the path to the current parent
-    cycle_closed = [False] * len(verts)
-    odd_cycle = [False] * len(verts)
+        if len(t) != 1 or t[0][0] >= n1:
+            raise ValueError(
+                f"target {tuple(_dense(t, n1 + n2).coords)} is not supported on one "
+                "first-block coordinate"
+            )
+    verts = sorted({k for e in edges for k in (e[0], e[1])})
+    parent = list(range(len(rows)))
+    parity = [0] * len(rows)  # parity of the path to the current parent
+    cycle_closed = [False] * len(rows)
+    odd_cycle = [False] * len(rows)
 
     def find_with_parity(x: int) -> tuple[int, int]:
         root = x
@@ -474,8 +534,7 @@ def component_analysis(m1_edges: Sequence, split: tuple[int, int]) -> ComponentA
         return root, p
 
     edge_count_at: Counter = Counter()
-    for v1, v2, _ in edges:
-        a, b = index[v1], index[v2]
+    for a, b, _ in edges:
         ra, pa = find_with_parity(a)
         rb, pb = find_with_parity(b)
         if ra == rb:
@@ -499,19 +558,19 @@ def component_analysis(m1_edges: Sequence, split: tuple[int, int]) -> ComponentA
             odd_cycle[ra] = odd_cycle[ra] or odd_cycle[rb]
             edge_count_at[ra] += edge_count_at.pop(rb, 0) + 1
     groups: dict = defaultdict(list)
-    for v in verts:
-        r, _ = find_with_parity(index[v])
-        groups[r].append(v)
+    for k in verts:
+        r, _ = find_with_parity(k)
+        groups[r].append(k)
     summaries = []
     tree_count = 0
     total_edges = 0
     zero_tail = TernaryVector.zero(n2)
-    for ident, root in enumerate(sorted(groups, key=lambda r: verts[r])):
+    for ident, root in enumerate(sorted(groups)):
         members = groups[root]
         ec = edge_count_at[root]
         vc = len(members)
         total_edges += ec
-        projections = frozenset(v.project(p2_range) for v in members)
+        projections = frozenset(proj[k] for k in members)
         if len(projections) > 2:
             raise InvariantViolationError(
                 f"component carries {len(projections)} distinct second-block projections"
@@ -537,7 +596,7 @@ def component_analysis(m1_edges: Sequence, split: tuple[int, int]) -> ComponentA
                 p2_projections=projections,
             )
         )
-    all_projections = {v.project(p2_range) for v in verts}
+    all_projections = {proj[k] for k in verts}
     reports = (
         InequalityReport.of("projection_tree_bound", len(all_projections), 2 * tree_count + 1),
         InequalityReport.of("component_edge_bound", total_edges + tree_count, len(verts)),
@@ -599,30 +658,46 @@ class PipelineResult:
         }
 
 
-def _valuation_columns(values: Sequence[int], primes: Sequence[int]) -> np.ndarray:
-    """Matrix of v_p(value) mod 3.
+def _valuation_rows(values: Sequence[int], table: PrimeTable, column: dict) -> list[tuple]:
+    """Sparse rows of v_p(x) mod 3, over the primes p that ``column`` maps to a column.
 
-    One chunked broadcast finds the (value, prime) pairs with p | value;
-    exact valuations are then divided out on those pairs only.
+    A value within the table walks down its smallest-prime-factor chain.
+    A larger one is first trial-divided by the table's primes while
+    p^2 <= rest, until the rest is back within the table (and walked) or
+    is 1, one prime or a product of primes past the table, none of them
+    a column.
     """
-    arr = np.array(values, dtype=np.int64)
-    parr = np.array(primes, dtype=np.int64)
-    out = np.zeros((len(arr), len(parr)), dtype=np.uint8)
-    if out.size == 0:
-        return out
-    step = max(1, _BROADCAST_CELLS // len(parr))
-    for lo in range(0, len(arr), step):
-        rows, cols = np.nonzero(arr[lo : lo + step, None] % parr == 0)
-        rows += lo
-        x, p = arr[rows], parr[cols]
-        v = np.zeros(len(rows), dtype=np.int64)
-        mask = np.ones(len(rows), dtype=bool)
-        while mask.any():
-            v[mask] += 1
-            x[mask] //= p[mask]
-            mask &= x % p == 0
-        out[rows, cols] = (v % 3).astype(np.uint8)
-    return out
+    limit = table.limit
+    spf = table.spf[: min(max(values, default=1), limit) + 1].tolist()
+    trial = None  # the table's primes, read only when a value exceeds it
+    rows = []
+    for x in values:
+        row = []
+        if x > limit:
+            if trial is None:
+                trial = table.primes.tolist()
+            for p in trial:
+                if p * p > x or x <= limit:
+                    break
+                if x % p == 0:
+                    e = 0
+                    while x % p == 0:
+                        x //= p
+                        e += 1
+                    if p in column and e % 3:
+                        row.append((column[p], e % 3))
+            if x > limit:
+                x = 1
+        while x > 1:
+            p, e = spf[x], 0
+            while x % p == 0:
+                x //= p
+                e += 1
+            if p in column and e % 3:
+                row.append((column[p], e % 3))
+        row.sort()
+        rows.append(tuple(row))
+    return rows
 
 
 def end_to_end_lower_bound(
@@ -658,44 +733,43 @@ def end_to_end_lower_bound(
     except ValueError as exc:
         raise PipelineError("marks", str(exc)) from exc
     p1, p2 = marks.large_primes, marks.small_primes
-    primes = list(p1) + list(p2)
+    column = {p: j for j, p in enumerate(p1 + p2)}
     n1, n2 = len(p1), len(p2)
     n = n1 + n2
 
-    shift = (2 * _valuation_columns([g], primes)[0]) % 3  # halving is doubling mod 3
-    bprime_mat = _valuation_columns(basis, primes)
-    bprime_mat += 3 - shift  # in place: at large M the matrix is |B| * n bytes
-    bprime_mat %= 3
-    bprime = sorted({TernaryVector(bprime_mat[i].tobytes()) for i in range(len(basis))})
+    rows = _valuation_rows(basis, table, column)
+    (g_row,) = _valuation_rows([g], table, column)
+    if g_row:
+        # B' = rho(b) - rho(g)/2, and -1/2 = 1 mod 3
+        rows = [_sparse_add(row, g_row) for row in rows]
+    bprime = sorted(set(rows), key=_dense_order)
 
     m1_idx = sorted(marks.single_prime_marks.indices)
-    term_vecs = _valuation_columns([u + m for m in m1_idx], primes)
-    targets = []
-    for row_idx, m in enumerate(m1_idx):
-        t = TernaryVector(term_vecs[row_idx].tobytes())
-        head = t.coords[:n1]
-        if n1 - head.count(0) != 1 or any(t.coords[n1:]):
+    targets = _valuation_rows([u + m for m in m1_idx], table, column)
+    for m, t in zip(m1_idx, targets):
+        if len(t) != 1 or t[0][0] >= n1:
             raise PipelineError(
                 "targets", f"mark {m} does not give a single first-block coordinate"
             )
-        targets.append(t)
-    try:
-        graph = build_pairing_graph(bprime, targets, n)
-    except ValueError as exc:
-        raise PipelineError("pairing", str(exc)) from exc
-    if len(graph.edges) != len(m1_idx):
+    tlist = sorted(set(targets), key=_dense_order)
+    edges = []
+    for t, hit in zip(tlist, _join_weight_one_pairs(bprime, tlist)):
+        if hit is None:
+            raise PipelineError("pairing", _not_a_sum(_dense(t, n)))
+        edges.append((*hit, t))
+    if len(edges) != len(m1_idx):
         raise PipelineError("pairing", "edge count differs from single-prime mark count")
 
+    proj = _projections(bprime, (n1, n2))
     try:
-        analysis = component_analysis(graph.edges, (n1, n2))
+        analysis = _analyze_components(bprime, proj, edges, (n1, n2))
     except ValueError as exc:
         raise PipelineError("components", str(exc)) from exc
 
-    p2_range = range(n1, n)
-    in_graph = {v for e in graph.edges for v in (e[0], e[1])}
-    rest = [v for v in bprime if v not in in_graph]
-    proj_v = {v.project(p2_range) for v in in_graph}
-    proj_rest = {v.project(p2_range) for v in rest}
+    in_graph = {k for e in edges for k in (e[0], e[1])}
+    rest = [k for k in range(len(bprime)) if k not in in_graph]
+    proj_v = {proj[k] for k in in_graph}
+    proj_rest = {proj[k] for k in rest}
     sphere_set = sorted(proj_v | proj_rest)
 
     sphere_reports: tuple[InequalityReport, ...] = ()
@@ -712,17 +786,17 @@ def end_to_end_lower_bound(
     chain = [
         InequalityReport.of("embedding_collapse", len(bprime), len(basis)),
         InequalityReport.of("vertex_partition", len(in_graph) + len(rest), len(bprime)),
-        InequalityReport.of("edges_equal_marks", len(graph.edges), len(m1_idx)),
+        InequalityReport.of("edges_equal_marks", len(edges), len(m1_idx)),
         *analysis.reports,
         InequalityReport.of(
             "chain_tree_link",
-            len(graph.edges) + analysis.tree_count + len(proj_rest),
+            len(edges) + analysis.tree_count + len(proj_rest),
             len(in_graph) + len(rest),
         ),
         InequalityReport.of(
             "chain_half_link",
             bound,
-            len(graph.edges) + analysis.tree_count + len(proj_rest),
+            len(edges) + analysis.tree_count + len(proj_rest),
         ),
     ]
     if sphere_bound is not None:

@@ -321,8 +321,8 @@ def _cmd_min_basis(config: RunConfig) -> tuple[list, list, int]:
 
 def _cmd_interval_basis(config: RunConfig) -> tuple[list, list, int]:
     M = config.parameters["m"]
-    sol = construct_interval_basis(M)
     table = sieve(max(M, 4))
+    sol = construct_interval_basis(M, table)
     two_thirds = icbrt(M * M)
     if two_thirds**3 < M * M:
         two_thirds += 1
@@ -585,13 +585,15 @@ def _cmd_pipeline_bound(config: RunConfig) -> tuple[list, list, int]:
     if u < 0:
         raise ValueError(f"--u must be nonnegative, got {u}")
     g = _count(p, "g")
+    table = None  # a given basis is embedded on the pipeline's own table
     if p.get("basis_file"):
         with open(p["basis_file"], "r", encoding="utf-8") as fh:
             basis = [int(line) for line in fh if line.strip()]
     else:
         # the progression g*(u+m), m in [1..M], lies inside [1..g*(u+M)]
-        basis = construct_interval_basis(g * (u + M)).basis
-    res = end_to_end_lower_bound(M, basis, u=u, g=g)
+        table = sieve(max(g * (u + M), 4))
+        basis = construct_interval_basis(g * (u + M), table).basis
+    res = end_to_end_lower_bound(M, basis, u=u, g=g, table=table)
     checks = list(res.chain) + list(res.sphere_reports)
     row = {
         "M": res.M,

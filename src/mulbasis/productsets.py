@@ -13,7 +13,6 @@ lexicographically smallest factor pair (b, b'), ordered b <= b'.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -428,30 +427,25 @@ def construct_interval_basis(M: int, table: PrimeTable | None = None) -> BasisSo
     t23 = icbrt(M * M)
     basis: set[int] = {1}
     basis.update(range(2, t23 + 1))
-    big_primes = [int(p) for p in table.primes if p <= M and p * p * p > M]
-    basis.update(big_primes)
+    primes = table.primes_in(2, M)
+    basis.update(p for p in primes if p**3 > M)
 
-    # largest prime factor for every a <= M, by ascending overwrite
+    # largest prime factor, and largest divisor <= t23, of every a <= M,
+    # each by ascending overwrite
     lpf = np.zeros(M + 1, dtype=np.int64)
-    for p in table.primes:
-        p = int(p)
-        if p > M:
-            break
+    for p in primes:
         lpf[p::p] = p
-
-    witness: dict[int, tuple[int, int]] = {1: (1, 1)}
-    for a in range(2, M + 1):
-        p = int(lpf[a])
-        if p * p * p > M:
-            c = a // p
-            witness[a] = (c, p) if c <= p else (p, c)
-        else:
-            divs = divisors(a)
-            d = divs[bisect_right(divs, t23) - 1]
-            c = a // d
-            if c > t23:  # pragma: no cover - smooth split bound
-                raise AssertionError(f"smooth split failed for {a}: {d} * {c}")
-            witness[a] = (d, c) if d <= c else (c, d)
+    low_div = np.zeros(M + 1, dtype=np.int64)
+    for d in range(1, t23 + 1):
+        low_div[d::d] = d
+    smooth = lpf[1:] <= icbrt(M)  # a = 1 has lpf 0 and counts as smooth
+    split = np.where(smooth, low_div[1:], lpf[1:])
+    cofactor = np.arange(1, M + 1, dtype=np.int64) // split
+    if (cofactor[smooth] > t23).any():  # pragma: no cover - smooth split bound
+        raise AssertionError("smooth split failed")
+    low = np.minimum(split, cofactor).tolist()
+    high = np.maximum(split, cofactor).tolist()
+    witness: dict[int, tuple[int, int]] = dict(zip(range(1, M + 1), zip(low, high)))
     return BasisSolution(
         basis=tuple(sorted(basis)), witness=witness, optimal=False, nodes_explored=0
     )

@@ -7,9 +7,11 @@ instead of column elimination, plain tuple arithmetic instead of numpy.
 The overlap kernels keep their first numpy form: full-width sums and
 whole-row byte hashing, the exact search keeps its first
 lexicographic pass, which recomputes its state at every node, the
-sphere cover check subtracts one coordinate at a time, and the factorial
-check walks the multiples of each prime on its own.  Slow and obviously
-correct beats fast.
+sphere cover check edits each -b at the target's support, the factorial
+check walks the multiples of each prime on its own, the interval
+witnesses come from trial-division divisors, and the end-to-end
+pipeline keeps its first dense vectors.  Slow and obviously correct
+beats fast.
 """
 
 from __future__ import annotations
@@ -90,6 +92,29 @@ def smallest_witness_pair(target: int, basis) -> tuple | None:
             if best is None or pair < best:
                 best = pair
     return best
+
+
+def interval_witness_reference(M: int) -> dict:
+    """Witnesses of ``construct_interval_basis`` by the first rule.
+
+    A target whose largest prime factor p has p**3 > M splits as
+    (p, a/p); a smooth target splits at its largest divisor
+    <= floor(M^(2/3)), found among all its divisors by trial division.
+    """
+    t23 = 0
+    while (t23 + 1) ** 3 <= M * M:
+        t23 += 1
+    lpf = [0] * (M + 1)  # largest prime factor, by ascending overwrite
+    for p in primes_segmented(M):
+        for q in range(p, M + 1, p):
+            lpf[q] = p
+    witness = {1: (1, 1)}
+    for a in range(2, M + 1):
+        d = lpf[a]
+        if d**3 <= M:
+            d = max(x for x in _divisors(a) if x <= t23)
+        witness[a] = (min(d, a // d), max(d, a // d))
+    return witness
 
 
 def _divisors(x: int) -> set:
@@ -458,12 +483,16 @@ def sphere_min_brute(n: int) -> tuple:
 
 # ------------------------------------------------------ sphere covers
 
+# negation mod 3, one byte per coordinate
+_NEGATE = bytes.maketrans(b"\x01\x02", b"\x02\x01")
+
 
 def sphere_cover_verify_bytes(B, n: int, k: int = 3):
-    """``sphere_cover_verify`` by per-coordinate byte arithmetic.
+    """``sphere_cover_verify`` by byte edits.
 
-    Per target in support order, walk the sorted basis and test whether
-    t - b, built one coordinate at a time, is a basis row.
+    -b is made once per sorted basis row with a byte table.  Per target
+    in support order, walk the basis and test whether t - b, which is
+    -b raised by one at the target's k support coordinates, is a row.
     """
     from mulbasis.spherelab import SphereCoverCheck, TernaryVector, enumerate_sphere
 
@@ -476,11 +505,16 @@ def sphere_cover_verify_bytes(B, n: int, k: int = 3):
     if any(v.n != n for v in basis):
         raise ValueError("basis vector dimension mismatch")
     bset = {v.coords for v in basis}
+    negated = [v.coords.translate(_NEGATE) for v in basis]
     witness = {}
     for t in targets:
+        support = [i for i, x in enumerate(t.coords) if x]
         hit = None
-        for b in basis:
-            d = bytes((x - y) % 3 for x, y in zip(t.coords, b.coords))
+        for b, neg in zip(basis, negated):
+            d = bytearray(neg)
+            for i in support:
+                d[i] = (d[i] + 1) % 3
+            d = bytes(d)
             if d in bset:
                 hit = (b, TernaryVector(d))
                 break
@@ -538,3 +572,245 @@ def random_near_sphere_int16(rng, count: int, n: int, shifts):
     s[np.arange(count), cols[:, 1]] = 1
     x = shifts[np.arange(count) % len(shifts)].astype(np.int16)
     return ((s - x) % 3).astype(np.uint8)
+
+
+# ------------------------------------------------------ pipeline
+
+
+def component_analysis_dense(m1_edges, split):
+    """``certificates.component_analysis`` as first written, on dense vectors."""
+    from collections import defaultdict
+
+    from mulbasis.certificates import ComponentAnalysis, ComponentSummary, InequalityReport
+    from mulbasis.reduction import InvariantViolationError
+    from mulbasis.spherelab import TernaryVector
+
+    n1, n2 = split
+    n = n1 + n2
+    p2_range = range(n1, n)
+    edges = []
+    for v1, v2, t in m1_edges:
+        if v1.n != n or v2.n != n or t.n != n:
+            raise ValueError("edge vector dimension does not match the split")
+        if (v1 + v2) != t:
+            raise ValueError(f"edge endpoints do not sum to the target {tuple(t.coords)}")
+        head = t.coords[:n1]
+        if n1 - head.count(0) != 1 or any(t.coords[n1:]):
+            raise ValueError(
+                f"target {tuple(t.coords)} is not supported on one first-block coordinate"
+            )
+        edges.append((v1, v2, t))
+    verts = sorted({v for e in edges for v in (e[0], e[1])})
+    index = {v: i for i, v in enumerate(verts)}
+    parent = list(range(len(verts)))
+    parity = [0] * len(verts)
+    cycle_closed = [False] * len(verts)
+    odd_cycle = [False] * len(verts)
+
+    def find_with_parity(x):
+        p = 0
+        while parent[x] != x:
+            p ^= parity[x]
+            x = parent[x]
+        return x, p
+
+    edge_count_at = Counter()
+    for v1, v2, _ in edges:
+        ra, pa = find_with_parity(index[v1])
+        rb, pb = find_with_parity(index[v2])
+        if ra == rb:
+            if pa ^ pb == 1:
+                raise InvariantViolationError(
+                    "even cycle: dependent single-prime targets in one component"
+                )
+            if cycle_closed[ra]:
+                raise InvariantViolationError(
+                    "second independent cycle in a component: dependent targets"
+                )
+            cycle_closed[ra] = odd_cycle[ra] = True
+            edge_count_at[ra] += 1
+        else:
+            parent[rb] = ra
+            parity[rb] = pa ^ pb ^ 1
+            cycle_closed[ra] = cycle_closed[ra] or cycle_closed[rb]
+            odd_cycle[ra] = odd_cycle[ra] or odd_cycle[rb]
+            edge_count_at[ra] += edge_count_at.pop(rb, 0) + 1
+    groups = defaultdict(list)
+    for v in verts:
+        groups[find_with_parity(index[v])[0]].append(v)
+    summaries = []
+    tree_count = 0
+    total_edges = 0
+    for ident, root in enumerate(sorted(groups, key=lambda r: verts[r])):
+        members = groups[root]
+        ec, vc = edge_count_at[root], len(members)
+        total_edges += ec
+        projections = frozenset(v.project(p2_range) for v in members)
+        if len(projections) > 2:
+            raise InvariantViolationError(
+                f"component carries {len(projections)} distinct second-block projections"
+            )
+        if not all(-p in projections for p in projections):
+            raise InvariantViolationError("component projections are not negation-closed")
+        is_tree = not odd_cycle[root] and ec == vc - 1
+        if odd_cycle[root] and projections != {TernaryVector.zero(n2)}:
+            raise InvariantViolationError("odd-cycle component with nonzero projection")
+        if ec > vc:
+            raise InvariantViolationError(
+                f"component has {ec} edges on {vc} vertices; targets cannot be independent"
+            )
+        tree_count += is_tree
+        summaries.append(
+            ComponentSummary(
+                ident=ident,
+                vertex_count=vc,
+                edge_count=ec,
+                is_tree=is_tree,
+                has_odd_cycle=odd_cycle[root],
+                p2_projections=projections,
+            )
+        )
+    all_projections = {v.project(p2_range) for v in verts}
+    return ComponentAnalysis(
+        components=tuple(summaries),
+        tree_count=tree_count,
+        reports=(
+            InequalityReport.of("projection_tree_bound", len(all_projections), 2 * tree_count + 1),
+            InequalityReport.of("component_edge_bound", total_edges + tree_count, len(verts)),
+        ),
+        vertex_count=len(verts),
+        distinct_projections=len(all_projections),
+    )
+
+
+def end_to_end_lower_bound_dense(M, B, u=0, g=1, table=None):
+    """``certificates.end_to_end_lower_bound`` on dense vectors, as first written.
+
+    Every vector is a full n-coordinate ``TernaryVector``: valuations come
+    from ``valuation_loop`` per (value, prime), pairs from the
+    ``lex_least_pairs`` scan and components from union-find over the
+    vectors themselves.  The package must return an equal
+    ``PipelineResult`` and raise ``PipelineError``s of the same stage.
+    """
+    from mulbasis.certificates import (
+        InequalityReport,
+        PipelineError,
+        PipelineResult,
+        _sphere_report_full,
+    )
+    from mulbasis.numtheory import sieve
+    from mulbasis.productsets import verify_cover
+    from mulbasis.reduction import InvariantViolationError, build_marking_sets
+    from mulbasis.spherelab import TernaryVector, lex_least_pairs
+
+    if M < 1:
+        raise PipelineError("input", f"M must be positive, got {M}")
+    basis = sorted(set(int(b) for b in B))
+    if not basis:
+        raise PipelineError("input", "empty basis")
+    top = max(basis[-1], g * (u + M))
+    if top >= 1 << 63:
+        raise PipelineError(
+            "input", f"value {top} exceeds 2^63 - 1, the int64 range of the valuation embedding"
+        )
+    if table is None:
+        table = sieve(max(M, 4))
+    cover = verify_cover([g * (u + m) for m in range(1, M + 1)], basis)
+    if not cover.covered:
+        raise PipelineError("cover", f"element {cover.first_uncovered} is not covered")
+    try:
+        marks = build_marking_sets(M, u, table)
+    except ValueError as exc:
+        raise PipelineError("marks", str(exc)) from exc
+    primes = list(marks.large_primes) + list(marks.small_primes)
+    n1, n2 = len(marks.large_primes), len(marks.small_primes)
+    n = n1 + n2
+
+    def rho(x):
+        return [valuation_loop(p, x) % 3 for p in primes]
+
+    shift = [2 * c % 3 for c in rho(g)]  # halving is doubling mod 3
+    bprime = sorted(
+        {TernaryVector(bytes((c - s) % 3 for c, s in zip(rho(b), shift))) for b in basis}
+    )
+    m1_idx = sorted(marks.single_prime_marks.indices)
+    targets = []
+    for m in m1_idx:
+        t = TernaryVector(bytes(rho(u + m)))
+        if n1 - t.coords[:n1].count(0) != 1 or any(t.coords[n1:]):
+            raise PipelineError(
+                "targets", f"mark {m} does not give a single first-block coordinate"
+            )
+        targets.append(t)
+    tlist = sorted(set(targets))
+    edges = []
+    for t, hit in zip(tlist, lex_least_pairs(bprime, tlist, n)):
+        if hit is None:
+            raise PipelineError(
+                "pairing", f"target {tuple(t.coords)} is not a sum of two basis vectors"
+            )
+        edges.append((*hit, t))
+    if len(edges) != len(m1_idx):
+        raise PipelineError("pairing", "edge count differs from single-prime mark count")
+    try:
+        analysis = component_analysis_dense(edges, (n1, n2))
+    except ValueError as exc:
+        raise PipelineError("components", str(exc)) from exc
+
+    p2_range = range(n1, n)
+    in_graph = {v for e in edges for v in (e[0], e[1])}
+    rest = [v for v in bprime if v not in in_graph]
+    proj_v = {v.project(p2_range) for v in in_graph}
+    proj_rest = {v.project(p2_range) for v in rest}
+    sphere_set = sorted(proj_v | proj_rest)
+    sphere_reports = ()
+    sphere_bound = None
+    if n2 >= 3:
+        try:
+            s_reports, extras = _sphere_report_full(sphere_set, n2)
+        except ValueError as exc:
+            raise PipelineError("sphere", str(exc)) from exc
+        sphere_reports = tuple(s_reports)
+        sphere_bound = extras["implied_bound"]
+
+    bound = len(m1_idx) + (len(proj_v) + len(proj_rest)) / 2.0 - 1
+    links = len(edges) + analysis.tree_count + len(proj_rest)
+    chain = [
+        InequalityReport.of("embedding_collapse", len(bprime), len(basis)),
+        InequalityReport.of("vertex_partition", len(in_graph) + len(rest), len(bprime)),
+        InequalityReport.of("edges_equal_marks", len(edges), len(m1_idx)),
+        *analysis.reports,
+        InequalityReport.of("chain_tree_link", links, len(in_graph) + len(rest)),
+        InequalityReport.of("chain_half_link", bound, links),
+    ]
+    if sphere_bound is not None:
+        chain.append(
+            InequalityReport.of("projection_union", len(sphere_set), len(proj_v) + len(proj_rest))
+        )
+        chain.append(InequalityReport.of("sphere_block_bound", sphere_bound, len(sphere_set)))
+    chain.append(InequalityReport.of("bound_soundness", bound, len(basis)))
+    if bound > len(basis):
+        raise InvariantViolationError(
+            f"final bound {bound} exceeds the actual basis size {len(basis)}"
+        )
+    return PipelineResult(
+        M=M,
+        u=u,
+        g=g,
+        basis_size=len(basis),
+        bound=bound,
+        m1_size=len(m1_idx),
+        m2_size=len(marks.triple_product_marks),
+        p1_size=n1,
+        p2_size=n2,
+        bprime_size=len(bprime),
+        graph_vertices=len(in_graph),
+        tree_count=analysis.tree_count,
+        proj_vertices=len(proj_v),
+        proj_rest=len(proj_rest),
+        sphere_size=len(sphere_set),
+        sphere_ran=n2 >= 3,
+        chain=tuple(chain),
+        sphere_reports=sphere_reports,
+        components=analysis.components,
+    )

@@ -11,8 +11,10 @@ from mulbasis.certificates import (
     PairingGraph,
     PipelineError,
     _as_sorted_vectors,
+    _dense_order,
     _join_weight_one_pairs,
-    _valuation_columns,
+    _sparse,
+    _valuation_rows,
     build_integer_pairing_graph,
     build_pairing_graph,
     case2_routing_ok,
@@ -22,6 +24,7 @@ from mulbasis.certificates import (
     prune_heavy,
     sphere_cover_report,
 )
+from mulbasis.numtheory import sieve
 from mulbasis.productsets import construct_interval_basis
 from mulbasis.reduction import InvariantViolationError
 from mulbasis.spherelab import (
@@ -32,7 +35,7 @@ from mulbasis.spherelab import (
     sphere_basis_construct,
     sphere_cover_verify,
 )
-from oracles import primes_segmented, valuation_loop
+from oracles import end_to_end_lower_bound_dense, primes_segmented, valuation_loop
 
 V = TernaryVector.from_coords
 
@@ -157,7 +160,9 @@ def test_join_matches_scan_on_weight_one_targets(instance):
     n, basis, targets = instance
     vecs = _as_sorted_vectors(basis, n)
     tlist = sorted(set(targets))
-    assert _join_weight_one_pairs(vecs, tlist) == list(lex_least_pairs(vecs, tlist, n))
+    joined = _join_weight_one_pairs([_sparse(v) for v in vecs], [_sparse(t) for t in tlist])
+    pairs = [None if k is None else (vecs[k[0]], vecs[k[1]]) for k in joined]
+    assert pairs == list(lex_least_pairs(vecs, tlist, n))
 
 
 @pytest.mark.parametrize(
@@ -383,8 +388,69 @@ def test_two_components_counted_separately():
 @settings(max_examples=100, deadline=None)
 @example([2**40, 3**25 * 7, 97**5 * 1_000_003, 1], [97, 2, 3, 7])  # high powers, large cofactor
 def test_valuation_columns_match_valuation_loop(values, primes):
-    want = [[valuation_loop(p, x) % 3 for p in primes] for x in values]
-    assert _valuation_columns(values, primes).tolist() == want
+    # a table far below most values, so both the walk and trial division run
+    column = {p: j for j, p in enumerate(primes)}
+    want = [
+        tuple(sorted((j, valuation_loop(p, x) % 3) for p, j in column.items() if valuation_loop(p, x) % 3))
+        for x in values
+    ]
+    assert _valuation_rows(values, sieve(200), column) == want
+
+
+@given(
+    st.lists(
+        st.dictionaries(st.integers(0, 7), st.integers(1, 2), max_size=5).map(
+            lambda d: tuple(sorted(d.items()))
+        ),
+        max_size=30,
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_dense_order_sorts_rows_as_their_bytes(rows):
+    n = 8
+    by_key = sorted(rows, key=_dense_order)
+    by_bytes = sorted(rows, key=lambda r: TernaryVector.from_coords(dict(r).get(i, 0) for i in range(n)))
+    assert by_key == by_bytes
+
+
+@st.composite
+def pipeline_instances(draw):
+    """Interval bases of g*(u+M) with junk values, sometimes with a gap."""
+    M = draw(st.integers(1, 300))
+    u = draw(st.integers(0, M))
+    g = draw(st.integers(1, 6))
+    top = g * (u + M)
+    basis = set(construct_interval_basis(top).basis)
+    junk = st.one_of(
+        st.integers(1, 10**9),  # mostly past the table
+        st.integers(0, 40).map(lambda k: 2**k),
+        st.sampled_from(primes_segmented(1000)).map(lambda p: p**3),  # all residues 0
+    )
+    basis |= set(draw(st.lists(junk, max_size=8)))
+    if draw(st.booleans()):
+        basis.discard(draw(st.sampled_from(sorted(basis))))
+    table = sieve(max(top, 4)) if draw(st.booleans()) else None
+    return M, sorted(basis), u, g, table
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except PipelineError as exc:
+        return ("PipelineError", exc.stage, exc.message)
+    except (InvariantViolationError, ValueError) as exc:
+        return (type(exc).__name__, str(exc))
+
+
+@given(pipeline_instances())
+@settings(max_examples=150, deadline=None)
+@example((1, [1], 0, 1, None))  # no columns at all: the vacuous bound -0.5
+@example((100, list(construct_interval_basis(300).basis) + [2**70], 0, 3, None))  # past int64
+def test_pipeline_matches_dense_oracle(instance):
+    M, basis, u, g, table = instance
+    got = _outcome(end_to_end_lower_bound, M, basis, u=u, g=g, table=table)
+    want = _outcome(end_to_end_lower_bound_dense, M, basis, u=u, g=g, table=table)
+    assert got == want
 
 
 def test_pipeline_narrow_small_prime_block():

@@ -365,6 +365,23 @@ def test_pipeline_bound_matches_golden_payload(m, fmt, capsys):
     assert out == (GOLDEN / f"pipeline-bound_m{m}.{fmt}").read_text(encoding="utf-8")
 
 
+def test_pipeline_bound_m1_is_vacuous(capsys):
+    # no column survives at M = 1: bound = 0 marks + 1/2 projection - 1
+    code = main(["pipeline-bound", "--m", "1", "--format", "csv"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert lines[1] == "1,0,1,1,-0.5,0,0,0,0,1,0,1,false,true"
+
+
+# recorded before construct_interval_basis took its witnesses from the sieve table
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_interval_basis_matches_golden_payload(fmt, capsys):
+    code = main(["interval-basis", "--m", "1000", "--format", fmt])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out == (GOLDEN / f"interval-basis_m1000.{fmt}").read_text(encoding="utf-8")
+
+
 # recorded before the lexicographic pass of exact_min_basis went incremental;
 # min-basis payloads carry the node count of both search passes
 EXACT_SEARCH_GOLDEN = {

@@ -18,6 +18,7 @@ from mulbasis.productsets import (
 )
 from oracles import (
     exact_min_basis_reference,
+    interval_witness_reference,
     mbp_exhaustive,
     min_basis_exhaustive,
     product_set_brute,
@@ -304,6 +305,12 @@ def test_interval_basis_witnesses_are_internal():
             # every witness member is either small or a large prime
             for b in (b1, b2):
                 assert b <= t23 or b in sol.basis
+
+
+@pytest.mark.parametrize("Ms", [range(1, 601), [20000]], ids=["M<=600", "M=20000"])
+def test_interval_witnesses_match_trial_division_rule(Ms):
+    for M in Ms:
+        assert construct_interval_basis(M).witness == interval_witness_reference(M)
 
 
 @given(st.integers(min_value=1, max_value=3000))
