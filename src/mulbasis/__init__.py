@@ -1,7 +1,7 @@
 """Multiplicative bases of order two: exact searches, reductions, and certified bounds.
 
 Modules:
-  numtheory    prime tables, valuations, valuation vectors mod q
+  numtheory    prime tables, valuations, valuation rows mod q, rank over F_q
   productsets  cover verification, exact and constructed interval bases
   reduction    normal-form reduction, marking sets, factorial divisibility
   spherelab    weight-3 vectors over F_3: censuses, covers, overlap trials
@@ -24,15 +24,10 @@ from .certificates import (
     sphere_cover_report,
 )
 from .numtheory import (
-    Factorization,
-    IncompleteTableError,
     PrimeTable,
     ResourceLimitError,
-    ValuationVector,
-    factorize,
     is_prime,
     rank_mod_q,
-    rho_vector,
     shift_into_interval,
     sieve,
     valuation,
@@ -41,10 +36,8 @@ from .productsets import (
     APSpec,
     BasisSolution,
     CoverCheck,
-    MbpSearchResult,
     construct_interval_basis,
     exact_min_basis,
-    mbp_empirical,
     product_set,
     verify_cover,
     witness_covers,
@@ -88,15 +81,12 @@ __all__ = [
     "CoverCheck",
     "DifferenceCase",
     "DifferenceCensus",
-    "Factorization",
     "FactorialCheck",
-    "IncompleteTableError",
     "InequalityReport",
     "InvariantViolationError",
     "LowerBoundCertificate",
     "MarkingSet",
     "MarkingSets",
-    "MbpSearchResult",
     "OverlapCheck",
     "OverlapRefinedCheck",
     "PairingGraph",
@@ -107,7 +97,6 @@ __all__ = [
     "ResourceLimitError",
     "SphereBasisSolution",
     "TernaryVector",
-    "ValuationVector",
     "build_marking_sets",
     "build_pairing_graph",
     "certify_lower_bound",
@@ -121,14 +110,11 @@ __all__ = [
     "enumerate_sphere",
     "exact_min_basis",
     "factorial_divisibility_check",
-    "factorize",
     "is_prime",
-    "mbp_empirical",
     "product_set",
     "prune_heavy",
     "rank_mod_q",
     "reduce_pair",
-    "rho_vector",
     "shift_into_interval",
     "sieve",
     "sphere_basis_construct",

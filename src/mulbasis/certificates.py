@@ -17,12 +17,11 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .numtheory import PrimeTable, sieve
+from .numtheory import PrimeTable, add_rows, sieve, valuation_rows
 from .productsets import verify_cover
 from .reduction import InvariantViolationError, build_marking_sets
 from .spherelab import (
@@ -43,11 +42,9 @@ __all__ = [
     "ComponentAnalysis",
     "PipelineResult",
     "build_pairing_graph",
-    "build_integer_pairing_graph",
     "decompose_by_coordinate",
     "prune_heavy",
     "sphere_cover_report",
-    "case2_routing_ok",
     "component_analysis",
     "end_to_end_lower_bound",
     "DEGREE_PRUNE_FACTOR",
@@ -102,13 +99,10 @@ class InequalityReport:
 class PairingGraph:
     """Bipartite pairing: two indexed copies of B, one edge per target.
 
-    Vector mode pairs additively (left + right = target); integer mode
-    multiplicatively (left * right = target).  Each edge is the
-    lexicographically (numerically, in integer mode) smallest
-    representing pair, stored with left <= right.
+    Each edge (left, right, target) is the lexicographically smallest
+    pair with left + right = target, stored with left <= right.
     """
 
-    mode: str  # "vector" | "integer"
     left: tuple
     right: tuple
     edges: tuple  # (left vertex, right vertex, target)
@@ -141,8 +135,7 @@ def _as_sorted_vectors(B, n: int) -> list[TernaryVector]:
     return sorted(out)
 
 
-# A sparse row is a vector over F_3 held as the tuple of its nonzero
-# (column, residue) pairs, ascending by column.
+# Vectors over F_3 as sparse rows (see numtheory.valuation_rows) and back.
 
 
 def _sparse(v: TernaryVector) -> tuple:
@@ -166,17 +159,6 @@ def _dense_order(row: tuple) -> tuple:
     smaller -column.  A row that ends first is a prefix of the other key.
     """
     return tuple((-i, c) for i, c in row)
-
-
-def _sparse_add(a: tuple, b: tuple) -> tuple:
-    out = dict(a)
-    for i, c in b:
-        s = (out.get(i, 0) + c) % 3
-        if s:
-            out[i] = s
-        else:
-            del out[i]
-    return tuple(sorted(out.items()))
 
 
 def _join_weight_one_pairs(rows: list[tuple], tlist: list[tuple]) -> list:
@@ -217,11 +199,7 @@ def _join_weight_one_pairs(rows: list[tuple], tlist: list[tuple]) -> list:
 
 
 def build_pairing_graph(B, targets, n: int) -> PairingGraph:
-    """One edge per target: the lex-smallest (b1, b2) in B*B summing to it.
-
-    Weight-one targets (the pipeline's single-prime marks) go through a
-    hash join on sparse rows; any other target set is scanned.
-    """
+    """One edge per target: the lex-smallest (b1, b2) in B*B summing to it."""
     vecs = _as_sorted_vectors(B, n)
     if not vecs:
         raise ValueError("empty vertex set")
@@ -231,34 +209,17 @@ def build_pairing_graph(B, targets, n: int) -> PairingGraph:
     for t in tlist:
         if t.n != n:
             raise ValueError(f"target of dimension {t.n}, expected {n}")
-    if all(t.weight() == 1 for t in tlist):
-        joined = _join_weight_one_pairs([_sparse(v) for v in vecs], [_sparse(t) for t in tlist])
-        pairs = [None if k is None else (vecs[k[0]], vecs[k[1]]) for k in joined]
-    else:
-        pairs = lex_least_pairs(vecs, tlist, n)
     edges = []
-    for t, hit in zip(tlist, pairs):
+    for t, hit in zip(tlist, lex_least_pairs(vecs, tlist, n)):
         if hit is None:
             raise ValueError(_not_a_sum(t))
         edges.append((*hit, t))
     verts = tuple(vecs)
-    return PairingGraph(mode="vector", left=verts, right=verts, edges=tuple(edges))
+    return PairingGraph(left=verts, right=verts, edges=tuple(edges))
 
 
 def _not_a_sum(t: TernaryVector) -> str:
     return f"target {tuple(t.coords)} is not a sum of two basis vectors"
-
-
-def build_integer_pairing_graph(B: Iterable[int], targets: Iterable[int]) -> PairingGraph:
-    """Multiplicative variant: smallest factor pair from B per integer target."""
-    basis = sorted(set(B))
-    tlist = sorted(set(targets))
-    check = verify_cover(tlist, basis)
-    if not check.covered:
-        raise ValueError(f"target {check.first_uncovered} is not a product of two basis elements")
-    edges = tuple((check.witness[t][0], check.witness[t][1], t) for t in tlist)
-    verts = tuple(basis)
-    return PairingGraph(mode="integer", left=verts, right=verts, edges=edges)
 
 
 def decompose_by_coordinate(G: PairingGraph, n: int) -> list[PairingGraph]:
@@ -272,7 +233,7 @@ def decompose_by_coordinate(G: PairingGraph, n: int) -> list[PairingGraph]:
     out = []
     for i in range(n):
         sub = tuple(e for e in G.edges if e[2].coords[i] == 1)
-        out.append(PairingGraph(mode=G.mode, left=G.left, right=G.right, edges=sub))
+        out.append(PairingGraph(left=G.left, right=G.right, edges=sub))
     return out
 
 
@@ -292,7 +253,7 @@ def prune_heavy(H: PairingGraph, n: int, threshold: int | None = None) -> PruneR
     kept = tuple(e for e in H.edges if e[1] not in heavy)
     removed = len(H.edges) - len(kept)
     return PruneResult(
-        pruned=PairingGraph(mode=H.mode, left=H.left, right=H.right, edges=kept),
+        pruned=PairingGraph(left=H.left, right=H.right, edges=kept),
         removed_edges=removed,
         heavy=tuple(sorted(heavy)),
     )
@@ -361,7 +322,7 @@ def _sphere_report_full(B, n: int) -> tuple[list[InequalityReport], dict]:
             if e[1] in heavy:
                 dead.add(e[2])
     kept_edges = tuple(e for e in graph.edges if e[2] not in dead)
-    pruned_graph = PairingGraph(mode="vector", left=graph.left, right=graph.right, edges=kept_edges)
+    pruned_graph = PairingGraph(left=graph.left, right=graph.right, edges=kept_edges)
 
     # (e) squared degrees per pruned slice against the slice's full size
     worst = None
@@ -414,28 +375,6 @@ def sphere_cover_report(B, n: int) -> list[InequalityReport]:
     """
     reports, _ = _sphere_report_full(B, n)
     return reports
-
-
-def case2_routing_ok(B, n: int) -> bool:
-    """Pairs with a four-coordinate difference meeting at w share a slice.
-
-    For edges v1-w and v2-w of the pruned graph whose targets exist, the
-    two weight-3 targets must both have coordinate 1 on some common
-    index, placing both edges in that coordinate's subgraph.
-    """
-    _, extras = _sphere_report_full(B, n)
-    by_right: dict = defaultdict(list)
-    for b1, b2, t in extras["pruned"].edges:
-        by_right[b2].append((b1, t))
-    for w, pairs in by_right.items():
-        for (v1, t1), (v2, t2) in combinations(pairs, 2):
-            if classify_difference(v1 - v2) is DifferenceCase.CASE2:
-                shared = any(
-                    a == 1 and b == 1 for a, b in zip(t1.coords, t2.coords)
-                )
-                if not shared:
-                    return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -504,7 +443,7 @@ def _analyze_components(
     """
     n1, n2 = split
     for k1, k2, t in edges:
-        if _sparse_add(rows[k1], rows[k2]) != t:
+        if add_rows(rows[k1], rows[k2], 3) != t:
             raise ValueError(
                 f"edge endpoints do not sum to the target {tuple(_dense(t, n1 + n2).coords)}"
             )
@@ -658,48 +597,6 @@ class PipelineResult:
         }
 
 
-def _valuation_rows(values: Sequence[int], table: PrimeTable, column: dict) -> list[tuple]:
-    """Sparse rows of v_p(x) mod 3, over the primes p that ``column`` maps to a column.
-
-    A value within the table walks down its smallest-prime-factor chain.
-    A larger one is first trial-divided by the table's primes while
-    p^2 <= rest, until the rest is back within the table (and walked) or
-    is 1, one prime or a product of primes past the table, none of them
-    a column.
-    """
-    limit = table.limit
-    spf = table.spf[: min(max(values, default=1), limit) + 1].tolist()
-    trial = None  # the table's primes, read only when a value exceeds it
-    rows = []
-    for x in values:
-        row = []
-        if x > limit:
-            if trial is None:
-                trial = table.primes.tolist()
-            for p in trial:
-                if p * p > x or x <= limit:
-                    break
-                if x % p == 0:
-                    e = 0
-                    while x % p == 0:
-                        x //= p
-                        e += 1
-                    if p in column and e % 3:
-                        row.append((column[p], e % 3))
-            if x > limit:
-                x = 1
-        while x > 1:
-            p, e = spf[x], 0
-            while x % p == 0:
-                x //= p
-                e += 1
-            if p in column and e % 3:
-                row.append((column[p], e % 3))
-        row.sort()
-        rows.append(tuple(row))
-    return rows
-
-
 def end_to_end_lower_bound(
     M: int, B: Iterable[int], u: int = 0, g: int = 1, table: PrimeTable | None = None
 ) -> PipelineResult:
@@ -732,20 +629,19 @@ def end_to_end_lower_bound(
         marks = build_marking_sets(M, u, table)
     except ValueError as exc:
         raise PipelineError("marks", str(exc)) from exc
-    p1, p2 = marks.large_primes, marks.small_primes
-    column = {p: j for j, p in enumerate(p1 + p2)}
-    n1, n2 = len(p1), len(p2)
+    primes = marks.large_primes + marks.small_primes
+    n1, n2 = len(marks.large_primes), len(marks.small_primes)
     n = n1 + n2
 
-    rows = _valuation_rows(basis, table, column)
-    (g_row,) = _valuation_rows([g], table, column)
+    rows = valuation_rows(basis, table, primes, 3)
+    (g_row,) = valuation_rows([g], table, primes, 3)
     if g_row:
         # B' = rho(b) - rho(g)/2, and -1/2 = 1 mod 3
-        rows = [_sparse_add(row, g_row) for row in rows]
+        rows = [add_rows(row, g_row, 3) for row in rows]
     bprime = sorted(set(rows), key=_dense_order)
 
     m1_idx = sorted(marks.single_prime_marks.indices)
-    targets = _valuation_rows([u + m for m in m1_idx], table, column)
+    targets = valuation_rows([u + m for m in m1_idx], table, primes, 3)
     for m, t in zip(m1_idx, targets):
         if len(t) != 1 or t[0][0] >= n1:
             raise PipelineError(

@@ -486,7 +486,7 @@ def _cmd_sphere_construct(config: RunConfig) -> tuple[list, list, int]:
 
 def _cmd_sphere_overlap(config: RunConfig) -> tuple[list, list, int]:
     p = config.parameters
-    n, x_size, y_size = p["n"], p["x_size"], p["y_size"]
+    n, x_size, y_size = p["n"], _at_least(p, "x_size", 0), _at_least(p, "y_size", 0)
     trials = _count(p, "trials")
     if SMALL_SET_DIVISOR * x_size > n:
         raise ValueError(
@@ -522,7 +522,7 @@ def _cmd_sphere_overlap(config: RunConfig) -> tuple[list, list, int]:
 
 def _cmd_sphere_overlap_general(config: RunConfig) -> tuple[list, list, int]:
     p = config.parameters
-    n, a_size, b_size = p["n"], p["a_size"], p["b_size"]
+    n, a_size, b_size = p["n"], _at_least(p, "a_size", 0), _at_least(p, "b_size", 0)
     trials = _count(p, "trials")
     if SMALL_SET_DIVISOR * a_size > n:
         raise ValueError(
@@ -552,12 +552,14 @@ def _cmd_sphere_overlap_general(config: RunConfig) -> tuple[list, list, int]:
 def _read_vector_file(path: str, n: int):
     out = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for k, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             if len(line) != n:
                 raise ValueError(f"vector {line!r} does not have {n} coordinates")
+            if not set(line) <= set("012"):
+                raise ValueError(f"line {k}: vector {line!r} has a coordinate outside 0, 1, 2")
             out.append([int(ch) for ch in line])
     return out
 

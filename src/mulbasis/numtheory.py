@@ -1,4 +1,4 @@
-"""Prime tables, valuations, and residue vectors.
+"""Prime tables, valuations, and valuation rows mod q.
 
 Everything downstream leans on this module: sieving with a
 smallest-prime-factor array, p-adic valuations v_p(x), the reduction map
@@ -8,6 +8,10 @@ smallest-prime-factor array, p-adic valuations v_p(x), the reduction map
 into F_q^n for a fixed list of primes, doubling shifts of an integer into
 a window [a+1, a+M], and Gaussian-elimination rank over F_q.
 
+A vector rho(x) is held as a sparse row: the tuple of its nonzero
+(column, residue) pairs, ascending by column.  ``valuation_rows`` is the
+one map from integers to rows, and ``add_rows`` adds two rows mod q.
+
 Products that can exceed machine words (factorial divisibility checks)
 go through ``big_product``, which stays in arbitrary-precision integers.
 """
@@ -16,24 +20,20 @@ from __future__ import annotations
 
 import math
 import os
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 __all__ = [
-    "IncompleteTableError",
     "ResourceLimitError",
     "PrimeTable",
-    "Factorization",
-    "ValuationVector",
     "sieve",
     "is_prime",
     "valuation",
     "divisors",
-    "factorize",
-    "rho_vector",
+    "valuation_rows",
+    "add_rows",
     "shift_into_interval",
     "rank_mod_q",
     "big_product",
@@ -48,28 +48,6 @@ _DEFAULT_SIEVE_CAP = 100_000_000
 
 class ResourceLimitError(Exception):
     """Requested table exceeds the configured memory budget."""
-
-
-class IncompleteTableError(ValueError):
-    """A factorization ran past the prime table.
-
-    ``cofactor`` is the remaining part of the input whose prime factors
-    all exceed the table limit.
-    """
-
-    def __init__(self, value: int, cofactor: int, limit: int):
-        self.value = value
-        self.cofactor = cofactor
-        self.limit = limit
-        super().__init__(
-            f"cannot factor {value}: residual cofactor {cofactor} has no "
-            f"prime factor <= table limit {limit}"
-        )
-
-    def __reduce__(self):
-        # rebuilt from the constructor's arguments, so it crosses a pickle
-        # round trip (a worker process raising it) with every field intact
-        return type(self), (self.value, self.cofactor, self.limit)
 
 
 def _sieve_cap() -> int:
@@ -203,139 +181,69 @@ def divisors(x: int) -> list[int]:
     return small + large[::-1]
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """value = prod p**e over ``factors``; keys ascending."""
+def valuation_rows(
+    values: Sequence[int], table: PrimeTable, primes: Sequence[int], q: int
+) -> list[tuple]:
+    """The sparse row of rho(x) = (v_p(x) mod q) over ``primes``, one per value.
 
-    value: int
-    factors: tuple[tuple[int, int], ...]
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.factors)
-
-    def largest_prime(self) -> int:
-        """Largest prime factor; 1 for value 1."""
-        return self.factors[-1][0] if self.factors else 1
-
-
-def factorize(x: int, table: PrimeTable) -> Factorization:
-    """Full factorization of x using the table.
-
-    Below the table limit this walks the smallest-prime-factor array;
-    above it, trial division by the listed primes.  If a cofactor with
-    no listed prime factor survives, raises IncompleteTableError naming
-    it (the caller's table was too small).
-    """
-    if x < 1:
-        raise ValueError(f"factorize needs x >= 1, got {x}")
-    factors: dict[int, int] = {}
-    rem = x
-    if rem <= table.limit:
-        spf = table.spf
-        while rem > 1:
-            p = int(spf[rem])
-            factors[p] = factors.get(p, 0) + 1
-            rem //= p
-        return Factorization(value=x, factors=tuple(sorted(factors.items())))
-    for p in table.primes:
-        p = int(p)
-        if p * p > rem:
-            break
-        while rem % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            rem //= p
-        if rem <= table.limit:
-            break
-    if rem > 1:
-        if rem <= table.limit:
-            spf = table.spf
-            while rem > 1:
-                p = int(spf[rem])
-                factors[p] = factors.get(p, 0) + 1
-                rem //= p
-        else:
-            # every prime factor of rem exceeds the table limit
-            raise IncompleteTableError(value=x, cofactor=rem, limit=table.limit)
-    return Factorization(value=x, factors=tuple(sorted(factors.items())))
-
-
-@dataclass(frozen=True)
-class ValuationVector:
-    """Residue vector (v_{p_i}(x) mod q)_i over a fixed prime list."""
-
-    primes: tuple[int, ...]
-    q: int
-    coords: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.primes) != len(self.coords):
-            raise ValueError("coordinate count must match prime list length")
-
-    def _check_compat(self, other: "ValuationVector") -> None:
-        if self.primes != other.primes or self.q != other.q:
-            raise ValueError("vectors over different prime lists or moduli")
-
-    def __add__(self, other: "ValuationVector") -> "ValuationVector":
-        self._check_compat(other)
-        q = self.q
-        return ValuationVector(
-            self.primes, q, tuple((a + b) % q for a, b in zip(self.coords, other.coords))
-        )
-
-    def __sub__(self, other: "ValuationVector") -> "ValuationVector":
-        self._check_compat(other)
-        q = self.q
-        return ValuationVector(
-            self.primes, q, tuple((a - b) % q for a, b in zip(self.coords, other.coords))
-        )
-
-    def __neg__(self) -> "ValuationVector":
-        q = self.q
-        return ValuationVector(self.primes, q, tuple((-a) % q for a in self.coords))
-
-    def scale(self, c: int) -> "ValuationVector":
-        q = self.q
-        return ValuationVector(self.primes, q, tuple((c * a) % q for a in self.coords))
-
-    def halve(self) -> "ValuationVector":
-        """Multiply by the inverse of 2 mod q (q odd)."""
-        return self.scale(pow(2, -1, self.q))
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
-
-    def support(self) -> tuple[int, ...]:
-        return tuple(i for i, c in enumerate(self.coords) if c != 0)
-
-    @classmethod
-    def zero(cls, primes: Sequence[int], q: int) -> "ValuationVector":
-        return cls(tuple(primes), q, (0,) * len(primes))
-
-
-def rho_vector(x: int, primes: Sequence[int], q: int) -> ValuationVector:
-    """rho(x): valuations of x at the listed primes, reduced mod q.
-
-    q must be an odd prime so that halving (division by 2 in F_q) is
-    defined.  Prime factors of x outside the list are ignored.
+    Column j is ``primes[j]``; other primes are ignored.  q must be an
+    odd prime, and every listed prime must lie within the table, which
+    keeps the walk exact past it.  A value within the table walks down
+    its smallest-prime-factor chain.  A larger one is first trial-divided
+    by the table's primes while p^2 <= rest, until the rest is back
+    within the table (and walked) or is 1, one prime or a product of
+    primes past the table, none of them listed.
     """
     if q == 2 or not is_prime(q):
         raise ValueError(f"q must be an odd prime, got {q}")
-    plist = tuple(primes)
-    if len(set(plist)) != len(plist):
+    column = {p: j for j, p in enumerate(primes)}
+    if len(column) != len(primes):
         raise ValueError("prime list contains duplicates")
-    if x < 1:
-        raise ValueError(f"rho_vector needs x >= 1, got {x}")
-    coords = []
-    for p in plist:
-        if not is_prime(p):
-            raise ValueError(f"prime list entry {p} is not prime")
-        e = 0
-        y = x
-        while y % p == 0:
-            y //= p
-            e += 1
-        coords.append(e % q)
-    return ValuationVector(plist, q, tuple(coords))
+    limit = table.limit
+    if column and max(column) > limit:
+        raise ValueError(f"listed prime {max(column)} beyond table limit {limit}")
+    spf = table.spf[: min(max(values, default=1), limit) + 1].tolist()
+    trial = None  # the table's primes, read only when a value exceeds it
+    rows = []
+    for x in values:
+        row = []
+        if x > limit:
+            if trial is None:
+                trial = table.primes.tolist()
+            for p in trial:
+                if p * p > x or x <= limit:
+                    break
+                if x % p == 0:
+                    e = 0
+                    while x % p == 0:
+                        x //= p
+                        e += 1
+                    if p in column and e % q:
+                        row.append((column[p], e % q))
+            if x > limit:
+                x = 1
+        while x > 1:
+            p, e = spf[x], 0
+            while x % p == 0:
+                x //= p
+                e += 1
+            if p in column and e % q:
+                row.append((column[p], e % q))
+        row.sort()
+        rows.append(tuple(row))
+    return rows
+
+
+def add_rows(a: tuple, b: tuple, q: int) -> tuple:
+    """The sparse row of a + b over F_q."""
+    out = dict(a)
+    for i, c in b:
+        s = (out.get(i, 0) + c) % q
+        if s:
+            out[i] = s
+        else:
+            del out[i]
+    return tuple(sorted(out.items()))
 
 
 def shift_into_interval(x: int, a: int, M: int) -> int:
@@ -358,18 +266,14 @@ def shift_into_interval(x: int, a: int, M: int) -> int:
     return k
 
 
-def rank_mod_q(vectors: Iterable, q: int) -> int:
-    """Rank over F_q of a list of vectors, by Gaussian elimination.
+def rank_mod_q(vectors: Iterable[Sequence[int]], q: int) -> int:
+    """Rank over F_q of integer rows, by Gaussian elimination.
 
-    Accepts ValuationVector, any object with integer ``coords``, or raw
-    integer sequences.  All rows must have the same length.
+    All rows must have the same length.
     """
     if not is_prime(q):
         raise ValueError(f"modulus {q} is not prime")
-    rows: list[list[int]] = []
-    for v in vectors:
-        coords = getattr(v, "coords", v)
-        rows.append([int(c) % q for c in coords])
+    rows = [[int(c) % q for c in v] for v in vectors]
     if not rows:
         return 0
     width = len(rows[0])

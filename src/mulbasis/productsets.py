@@ -3,8 +3,7 @@
 A set B is a multiplicative basis of order two for A when every a in A
 splits as a = b * b' with b, b' in B.  This module verifies covers,
 searches for exact minimum bases (branch and bound over factor pairs),
-builds the standard three-block basis for the interval [1..M], and scans
-short arithmetic progressions for the smallest basis size they admit.
+and builds the standard three-block basis for the interval [1..M].
 
 Cover witnesses are canonical: for each target we record the
 lexicographically smallest factor pair (b, b'), ordered b <= b'.
@@ -24,13 +23,11 @@ __all__ = [
     "APSpec",
     "CoverCheck",
     "BasisSolution",
-    "MbpSearchResult",
     "product_set",
     "verify_cover",
     "witness_covers",
     "exact_min_basis",
     "construct_interval_basis",
-    "mbp_empirical",
     "icbrt",
 ]
 
@@ -448,78 +445,4 @@ def construct_interval_basis(M: int, table: PrimeTable | None = None) -> BasisSo
     witness: dict[int, tuple[int, int]] = dict(zip(range(1, M + 1), zip(low, high)))
     return BasisSolution(
         basis=tuple(sorted(basis)), witness=witness, optimal=False, nodes_explored=0
-    )
-
-
-@dataclass(frozen=True)
-class MbpSearchResult:
-    """Smallest basis size found over a rectangle of progressions.
-
-    This is an upper bound for the progression-minimum at length M: the
-    scan is over 1 <= a <= a_max, 1 <= d <= d_max only.
-    """
-
-    M: int
-    a_max: int
-    d_max: int
-    best_a: int
-    best_d: int
-    best: BasisSolution
-    all_optimal: bool
-    per_ap: tuple[tuple[int, int, int, bool], ...]  # (a, d, size, optimal)
-
-    @property
-    def upper_bound(self) -> int:
-        return self.best.size
-
-    def to_record(self) -> dict:
-        return {
-            "M": self.M,
-            "a_max": self.a_max,
-            "d_max": self.d_max,
-            "best_a": self.best_a,
-            "best_d": self.best_d,
-            "upper_bound": self.upper_bound,
-            "all_optimal": self.all_optimal,
-            "solution": self.best.to_record(M=self.M),
-            "per_ap": [list(row) for row in self.per_ap],
-        }
-
-
-def mbp_empirical(
-    M: int, a_max: int, d_max: int, budget: int = 2_000_000
-) -> MbpSearchResult:
-    """Scan progressions {a + m*d : m <= M} for the smallest exact basis.
-
-    The offset ranges over 0 <= a <= a_max so the grid always contains
-    the plain interval (a=0, d=1 gives [1..M] scaled by d).  Reports the
-    best (size, a, d) in lexicographic order.  Budget applies per
-    progression; any budget exhaustion clears ``all_optimal``.
-    """
-    if M < 1 or a_max < 1 or d_max < 1:
-        raise ValueError("M, a_max, d_max must all be >= 1")
-    best_key: tuple[int, int, int] | None = None
-    best_sol: BasisSolution | None = None
-    rows: list[tuple[int, int, int, bool]] = []
-    all_opt = True
-    for a in range(0, a_max + 1):
-        for d in range(1, d_max + 1):
-            ap = [a + m * d for m in range(1, M + 1)]
-            sol = exact_min_basis(ap, budget=budget)
-            rows.append((a, d, sol.size, sol.optimal))
-            all_opt &= sol.optimal
-            key = (sol.size, a, d)
-            if best_key is None or key < best_key:
-                best_key = key
-                best_sol = sol
-    assert best_key is not None and best_sol is not None
-    return MbpSearchResult(
-        M=M,
-        a_max=a_max,
-        d_max=d_max,
-        best_a=best_key[1],
-        best_d=best_key[2],
-        best=best_sol,
-        all_optimal=all_opt,
-        per_ap=tuple(rows),
     )

@@ -26,13 +26,15 @@ import numpy as np
 
 from .numtheory import (
     PrimeTable,
+    add_rows,
     big_product,
     divisors,
     is_prime,
     rank_mod_q,
-    rho_vector,
     shift_into_interval,
+    sieve,
     valuation,
+    valuation_rows,
 )
 from .productsets import APSpec, icbrt, verify_cover
 
@@ -87,11 +89,29 @@ class ReducedPair:
         }
 
     @classmethod
-    def from_record(cls, rec: dict) -> "ReducedPair":
-        ap = rec["ap"]
+    def from_record(cls, rec) -> "ReducedPair":
+        """Inverse of ``to_record``; a missing or ill-typed field raises ValueError naming it."""
+
+        def field_of(obj: dict, key: str, kind: type, prefix: str = ""):
+            if key not in obj:
+                raise ValueError(f"pair record has no field '{prefix}{key}'")
+            value = obj[key]
+            if not isinstance(value, kind) or isinstance(value, bool):
+                what = {dict: "an object", list: "a list", int: "an integer"}[kind]
+                raise ValueError(f"pair record field '{prefix}{key}' must be {what}")
+            return value
+
+        if not isinstance(rec, dict):
+            raise ValueError(f"pair record must be an object, got {type(rec).__name__}")
+        ap = field_of(rec, "ap", dict)
+        basis = field_of(rec, "basis", list)
+        try:
+            basis = frozenset(int(b) for b in basis)
+        except (TypeError, ValueError):
+            raise ValueError("pair record field 'basis' must list integers") from None
         return cls(
-            ap=APSpec(g=ap["g"], u=ap["u"], v=ap["v"], M=ap["M"]),
-            basis=frozenset(int(b) for b in rec["basis"]),
+            ap=APSpec(**{k: field_of(ap, k, int, "ap.") for k in ("g", "u", "v", "M")}),
+            basis=basis,
             reduced=bool(rec.get("reduced", False)),
         )
 
@@ -202,6 +222,8 @@ def certify_lower_bound(pair: ReducedPair, marks: MarkingSet) -> LowerBoundCerti
     vector supported on its own coordinate; those land in the sumset of
     the shifted basis image, so the target rank |marks| forces at least
     that many basis elements.  Every link is checked computationally.
+    The rows come from a sieve up to the largest mark prime, which must
+    therefore fit the sieve budget.
     """
     ap = pair.ap
     u, v, g = ap.u, ap.v, ap.g
@@ -218,18 +240,22 @@ def certify_lower_bound(pair: ReducedPair, marks: MarkingSet) -> LowerBoundCerti
     cover = pair.verify()
     if not cover.covered:
         raise ValueError(f"pair is not a cover; first failure at {cover.first_uncovered}")
-    shift = rho_vector(g, primes, q).halve()
-    image = {b: rho_vector(b, primes, q) - shift for b in pair.basis}
+    table = sieve(max(primes))  # holds every mark prime: rows are exact past it
+    (g_row,) = valuation_rows([g], table, primes, q)
+    half = (q - 1) // 2  # -1/2 mod q
+    shift = tuple((i, c * half % q) for i, c in g_row)
+    basis = sorted(pair.basis)
+    image = {
+        b: add_rows(row, shift, q) for b, row in zip(basis, valuation_rows(basis, table, primes, q))
+    }
     all_ok = True
-    targets = []
-    for pos, m in enumerate(idx):
-        t = rho_vector(u + v * m, primes, q)
-        targets.append(t)
-        single = all((c != 0) == (i == pos) for i, c in enumerate(t.coords))
+    targets = valuation_rows([u + v * m for m in idx], table, primes, q)
+    for pos, (m, t) in enumerate(zip(idx, targets)):
+        single = len(t) == 1 and t[0][0] == pos
         b1, b2 = cover.witness[g * (u + v * m)]
-        in_sumset = (image[b1] + image[b2]) == t
+        in_sumset = add_rows(image[b1], image[b2], q) == t
         all_ok = all_ok and single and in_sumset
-    rank = rank_mod_q(targets, q)
+    rank = rank_mod_q([[dict(t).get(j, 0) for j in range(n_marks)] for t in targets], q)
     all_ok = all_ok and rank == n_marks
     return LowerBoundCertificate(
         q=q,

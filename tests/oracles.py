@@ -8,7 +8,8 @@ The overlap kernels keep their first numpy form: full-width sums and
 whole-row byte hashing, the exact search keeps its first
 lexicographic pass, which recomputes its state at every node, the
 sphere cover check edits each -b at the target's support, the factorial
-check walks the multiples of each prime on its own, the interval
+check walks the multiples of each prime on its own, the span
+certificate keeps its first dense valuation vectors, the interval
 witnesses come from trial-division divisors, and the end-to-end
 pipeline keeps its first dense vectors.  Slow and obviously correct
 beats fast.
@@ -69,6 +70,16 @@ def valuation_loop(p: int, x: int) -> int:
         x //= p
         f += 1
     return f
+
+
+def largest_prime_factor_trial(x: int) -> int:
+    """The largest prime factor of x >= 1 by trial division; 1 for x = 1."""
+    largest, d = 1, 2
+    while d * d <= x:
+        while x % d == 0:
+            largest, x = d, x // d
+        d += 1
+    return x if x > 1 else largest
 
 
 # ------------------------------------------------------ product sets
@@ -308,11 +319,11 @@ def factorial_divisibility_check_reference(u: int, v: int, M: int, table):
     """``reduction.factorial_divisibility_check`` as first written.
 
     The package must return an equal ``FactorialCheck`` and raise the
-    same ``ValueError``s.  Here every term is factorized on its own for
-    its largest prime, and each prime p < M re-walks its multiples with
-    ``valuation`` to find its maximizer.
+    same ``ValueError``s.  Here every term is trial-divided on its own
+    for its largest prime, and each prime p < M re-walks its multiples
+    with ``valuation`` to find its maximizer.
     """
-    from mulbasis.numtheory import factorize, valuation
+    from mulbasis.numtheory import valuation
     from mulbasis.reduction import FactorialCheck
 
     if M < 1:
@@ -326,7 +337,7 @@ def factorial_divisibility_check_reference(u: int, v: int, M: int, table):
         raise ValueError(f"prime table limit {table.limit} below largest term {top}")
     terms = {m: u + m * v for m in range(1, M + 1)}
     marked = frozenset(
-        m for m, t in terms.items() if factorize(t, table).largest_prime() >= M
+        m for m, t in terms.items() if largest_prime_factor_trial(t) >= M
     )
     exceptional: dict[int, int] = {}
     for p in (int(x) for x in table.primes_in(2, M - 1)) if M > 2 else ():
@@ -354,6 +365,62 @@ def factorial_divisibility_check_reference(u: int, v: int, M: int, table):
         exceptional=exceptional,
         surviving=surviving,
         divides=divides,
+    )
+
+
+# ------------------------------------------------------ span certificate
+
+
+def certify_lower_bound_reference(pair, marks):
+    """``reduction.certify_lower_bound`` as first written, on dense vectors.
+
+    rho(x) is the tuple of ``valuation_loop`` residues mod q over the mark
+    primes, the shift halves rho(g) with the inverse of 2 mod q, and the
+    rank comes from ``rank_rowreduce``.  The package must return an equal
+    ``LowerBoundCertificate`` and raise the same ``ValueError``s.
+    """
+    from mulbasis.numtheory import is_prime, valuation
+    from mulbasis.reduction import LowerBoundCertificate
+
+    ap = pair.ap
+    u, v, g = ap.u, ap.v, ap.g
+    marks.validate(u, v)
+    idx = sorted(marks.indices)
+    n_marks = len(idx)
+    if n_marks == 0:
+        return LowerBoundCertificate(q=3, bound=0, verified=True, rank=0, basis_size=len(pair.basis))
+    primes = tuple(marks.prime_of[m] for m in idx)
+    max_val = max(valuation(marks.prime_of[m], u + v * m) for m in idx)
+    q = 3
+    while q <= max_val or not is_prime(q):
+        q += 2
+    cover = pair.verify()
+    if not cover.covered:
+        raise ValueError(f"pair is not a cover; first failure at {cover.first_uncovered}")
+
+    def rho(x):
+        return tuple(valuation_loop(p, x) % q for p in primes)
+
+    inv2 = pow(2, -1, q)
+    shift = tuple(c * inv2 % q for c in rho(g))
+    image = {b: tuple((c - s) % q for c, s in zip(rho(b), shift)) for b in pair.basis}
+    all_ok = True
+    targets = []
+    for pos, m in enumerate(idx):
+        t = rho(u + v * m)
+        targets.append(t)
+        single = all((c != 0) == (i == pos) for i, c in enumerate(t))
+        b1, b2 = cover.witness[g * (u + v * m)]
+        in_sumset = tuple((x + y) % q for x, y in zip(image[b1], image[b2])) == t
+        all_ok = all_ok and single and in_sumset
+    rank = rank_rowreduce(targets, q)
+    all_ok = all_ok and rank == n_marks
+    return LowerBoundCertificate(
+        q=q,
+        bound=n_marks,
+        verified=all_ok and len(pair.basis) >= n_marks,
+        rank=rank,
+        basis_size=len(pair.basis),
     )
 
 

@@ -1,6 +1,8 @@
 import json
 import pickle
-from itertools import product
+from collections import defaultdict
+from math import comb
+from itertools import combinations, product
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,23 +15,23 @@ from mulbasis.certificates import (
     _as_sorted_vectors,
     _dense_order,
     _join_weight_one_pairs,
+    _sphere_report_full,
     _sparse,
-    _valuation_rows,
-    build_integer_pairing_graph,
     build_pairing_graph,
-    case2_routing_ok,
     component_analysis,
     decompose_by_coordinate,
     end_to_end_lower_bound,
     prune_heavy,
     sphere_cover_report,
 )
-from mulbasis.numtheory import sieve
+from mulbasis.numtheory import sieve, valuation_rows
 from mulbasis.productsets import construct_interval_basis
 from mulbasis.reduction import InvariantViolationError
 from mulbasis.spherelab import (
+    DifferenceCase,
     TernaryVector,
     as_matrix,
+    classify_difference,
     enumerate_sphere,
     lex_least_pairs,
     sphere_basis_construct,
@@ -88,7 +90,6 @@ def test_report_holds_matches_comparison(lhs, rhs):
 
 def test_self_pair_edge():
     g = build_pairing_graph([V((2, 2, 2))], [V((1, 1, 1))], 3)
-    assert g.mode == "vector"
     assert g.edges == ((V((2, 2, 2)), V((2, 2, 2)), V((1, 1, 1))),)
     assert g.right_degrees()[V((2, 2, 2))] == 1
 
@@ -187,12 +188,15 @@ def test_pairing_graph_agrees_with_cover_witness(basis, n):
 def test_weight_one_targets_pair_through_the_join():
     e0, e1 = unit(3, 0, 1), unit(3, 1, 1)
     basis = [V((2, 0, 0)), V((0, 1, 2)), V((0, 0, 1)), V((0, 2, 2))]
-    g = build_pairing_graph(basis, [e1, -e1, e0], 3)
+    g = build_pairing_graph(basis, [e1, -e1, e0], 3)  # the scan
     assert g.edges == (
         (V((0, 0, 1)), V((0, 1, 2)), e1),  # partner zero at p, lex-least b1 is (0, 0, 1)
         (V((0, 0, 1)), V((0, 2, 2)), -e1),
         (V((2, 0, 0)), V((2, 0, 0)), e0),  # self-pair
     )
+    vecs = sorted(basis)
+    joined = _join_weight_one_pairs([_sparse(v) for v in vecs], [_sparse(e[2]) for e in g.edges])
+    assert [(vecs[k1], vecs[k2]) for k1, k2 in joined] == [e[:2] for e in g.edges]
     with pytest.raises(ValueError, match=r"target \(0, 0, 2\) is not a sum"):
         build_pairing_graph([V((0, 1, 1)), V((0, 2, 2))], [unit(3, 2, 2)], 3)
     with pytest.raises(ValueError, match="target of dimension 2, expected 3"):
@@ -202,20 +206,6 @@ def test_weight_one_targets_pair_through_the_join():
 def test_empty_target_list_gives_empty_graph():
     g = build_pairing_graph([V((0, 0, 1))], [], 3)
     assert g.edges == ()
-
-
-def test_integer_graph_uses_smallest_factor_pairs():
-    g = build_integer_pairing_graph([1, 2, 3, 4, 5, 7], range(1, 9))
-    assert g.mode == "integer"
-    assert g.edge_count == 8
-    assert g.edges[-1] == (2, 4, 8)
-    for b1, b2, t in g.edges:
-        assert b1 * b2 == t and b1 <= b2
-
-
-def test_integer_graph_rejects_uncovered_target():
-    with pytest.raises(ValueError, match="11 is not a product"):
-        build_integer_pairing_graph([1, 2, 3], [1, 2, 3, 11])
 
 
 # ---------------------------------------------------------- decomposition and pruning
@@ -258,7 +248,7 @@ def test_prune_light_graph_is_identity():
 def test_prune_star_above_threshold():
     w = TernaryVector.zero(3)
     edges = tuple((V(t), w, V(t)) for t in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
-    star = PairingGraph(mode="vector", left=(w,), right=(w,), edges=edges)
+    star = PairingGraph(left=(w,), right=(w,), edges=edges)
     res = prune_heavy(star, 3, threshold=2)
     assert res.removed_edges == 3
     assert res.heavy == (w,)
@@ -314,9 +304,36 @@ def test_report_suite_rejects_non_cover():
         sphere_cover_report(enumerate_sphere(5, 1), 5)
 
 
+def case2_pairs_at_one_right_vertex(B, n: int) -> int:
+    """Pairs of pruned edges v1-w, v2-w whose v1 - v2 has two 1s and two 2s.
+
+    Asserts that the two targets of each such pair share a coordinate 1:
+    t1 - t2 = v1 - v2, so weight-3 0-1 targets differing in four
+    coordinates share exactly one 1, and both edges meet in its slice.
+    """
+    _, extras = _sphere_report_full(B, n)
+    by_right = defaultdict(list)
+    for b1, b2, t in extras["pruned"].edges:
+        by_right[b2].append((b1, t))
+    count = 0
+    for pairs in by_right.values():
+        for (v1, t1), (v2, t2) in combinations(pairs, 2):
+            if classify_difference(v1 - v2) is DifferenceCase.CASE2:
+                assert any(a == b == 1 for a, b in zip(t1.coords, t2.coords))
+                count += 1
+    return count
+
+
 @pytest.mark.parametrize("n", [6, 12])
 def test_case2_routing_on_small_sphere_cover(n):
-    assert case2_routing_ok(small_spheres(n), n)
+    # S_1 + S_2 pairs t = e_i + e_j + e_k (i < j < k) as e_k + (e_i + e_j), so
+    # two edges at one w share two coordinates and no pair is of case 2
+    assert case2_pairs_at_one_right_vertex(small_spheres(n), n) == 0
+    # the star cover {e_0} + {t - e_0} meets e_0 once per target through 0:
+    # every two of them sharing only coordinate 0 are a case-2 pair
+    e0 = unit(n, 0, 1)
+    star = [e0] + [t - e0 for t in enumerate_sphere(n, 3)]
+    assert case2_pairs_at_one_right_vertex(star, n) == comb(n - 1, 2) * comb(n - 3, 2) // 2
 
 
 # ---------------------------------------------------------- component analysis
@@ -384,17 +401,18 @@ def test_two_components_counted_separately():
 @given(
     st.lists(st.integers(1, 10**12), min_size=1, max_size=40),
     st.lists(st.sampled_from(primes_segmented(200)), unique=True, max_size=16),
+    st.sampled_from([3, 5, 7]),
 )
 @settings(max_examples=100, deadline=None)
-@example([2**40, 3**25 * 7, 97**5 * 1_000_003, 1], [97, 2, 3, 7])  # high powers, large cofactor
-def test_valuation_columns_match_valuation_loop(values, primes):
+@example([2**40, 3**25 * 7, 97**5 * 1_000_003, 1], [97, 2, 3, 7], 3)  # high powers, large cofactor
+@example([2**40, 3**25 * 7, 97**5 * 1_000_003, 1], [97, 2, 3, 7], 7)
+def test_valuation_columns_match_valuation_loop(values, primes, q):
     # a table far below most values, so both the walk and trial division run
-    column = {p: j for j, p in enumerate(primes)}
     want = [
-        tuple(sorted((j, valuation_loop(p, x) % 3) for p, j in column.items() if valuation_loop(p, x) % 3))
+        tuple((j, valuation_loop(p, x) % q) for j, p in enumerate(primes) if valuation_loop(p, x) % q)
         for x in values
     ]
-    assert _valuation_rows(values, sieve(200), column) == want
+    assert valuation_rows(values, sieve(200), primes, q) == want
 
 
 @given(

@@ -213,6 +213,55 @@ def test_missing_json_file_exits_2(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "record,message",
+    [
+        ({}, "pair record has no field 'ap'"),
+        ({"ap": {"g": 1, "u": 0, "v": 1}, "basis": [1, 2]}, "pair record has no field 'ap.M'"),
+        ([1, 2], "pair record must be an object, got list"),
+    ],
+    ids=["empty", "no-ap-M", "list"],
+)
+def test_reduce_malformed_record_exits_2_with_one_line(record, message, tmp_path, capsys):
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(record))
+    code = main(["reduce", "--json-file", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
+def test_sphere_certificate_rejects_digits_outside_f3(tmp_path, capsys):
+    # 4000 would otherwise be read as 1000, mod 3, and certified
+    path = tmp_path / "basis.txt"
+    path.write_text("# one vector\n4000\n")
+    code = main(["sphere-certificate", "--n", "4", "--basis-file", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: line 2: vector '4000' has a coordinate outside 0, 1, 2\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "command,flag",
+    [
+        ("sphere-overlap", "--x-size"),
+        ("sphere-overlap", "--y-size"),
+        ("sphere-overlap-general", "--a-size"),
+        ("sphere-overlap-general", "--b-size"),
+    ],
+)
+def test_overlap_sizes_below_zero_rejected(command, flag, capsys):
+    argv = list(SMOKE_ARGS[command])
+    argv[argv.index(flag) + 1] = "-1"
+    code = main([command, *argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"error: {flag} must be at least 0, got -1\n"
+    assert captured.out == ""
+
+
 def test_pipeline_stage_rejection_exits_2_with_one_line(tmp_path, capsys):
     empty = tmp_path / "basis.txt"
     empty.write_text("")
@@ -442,6 +491,31 @@ def test_batch_commands_match_golden_payload(name, fmt, jobs, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out == (GOLDEN / f"{name}.{fmt}").read_text(encoding="utf-8")
+
+
+# recorded before the valuation embedding moved into numtheory; the two
+# overlap commands gave the same bytes at --jobs 1 and --jobs 2
+LISTING_GOLDEN = {
+    "primes_limit1000": ["primes", "--limit", "1000"],
+    "sphere-enumerate_n6_k3": ["sphere-enumerate", "--n", "6", "--k", "3"],
+    "sphere-cases_n9": ["sphere-cases", "--n", "9"],
+    "sphere-overlap_n2048": [
+        "sphere-overlap", "--n", "2048", "--x-size", "2", "--y-size", "4096", "--trials", "3"
+    ],
+    "sphere-overlap-general_n1100": [
+        "sphere-overlap-general", "--n", "1100", "--a-size", "1", "--b-size", "50", "--trials", "3"
+    ],
+}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("name", sorted(LISTING_GOLDEN))
+def test_listing_and_overlap_commands_match_golden_payload(name, jobs, capsys):
+    for fmt in ("json", "csv"):
+        code = main([*LISTING_GOLDEN[name], "--jobs", str(jobs), "--format", fmt])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert out == (GOLDEN / f"{name}.{fmt}").read_text(encoding="utf-8")
 
 
 # ---------------------------------------------------------- seeded commands

@@ -1,5 +1,4 @@
 import math
-import pickle
 
 import numpy as np
 import pytest
@@ -7,19 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mulbasis.numtheory import (
-    Factorization,
-    IncompleteTableError,
     ResourceLimitError,
-    ValuationVector,
+    add_rows,
     big_product,
     divisors,
-    factorize,
     is_prime,
     rank_mod_q,
-    rho_vector,
     shift_into_interval,
     sieve,
     valuation,
+    valuation_rows,
 )
 from oracles import is_prime_trial, primes_segmented, rank_rowreduce, valuation_loop
 
@@ -162,85 +158,72 @@ def test_valuation_matches_loop_oracle(p, x):
     assert valuation(p, x) == valuation_loop(p, x)
 
 
-# ------------------------------------------------------ factorization
+# ----------------------------------------------- factorization by rows
+# With q above every exponent, the row of x over a prime list is its
+# factorization restricted to that list.
 
 
 def test_factorize_360():
-    f = factorize(360, TABLE)
-    assert f.as_dict() == {2: 3, 3: 2, 5: 1}
-    assert f.value == 360
+    assert valuation_rows([360], TABLE, [2, 3, 5], 7) == [((0, 3), (1, 2), (2, 1))]
 
 
 def test_factorize_one_is_empty_product():
-    f = factorize(1, TABLE)
-    assert f.as_dict() == {}
-    assert f.largest_prime() == 1
+    assert valuation_rows([1], TABLE, [2, 3, 5], 7) == [()]
 
 
 def test_factorize_prime_detected_by_oracle():
     assert is_prime_trial(9973)
-    assert factorize(9973, TABLE).as_dict() == {9973: 1}
+    assert valuation_rows([9973], TABLE, [9973], 3) == [((0, 1),)]
 
 
 def test_factorize_beyond_table_uses_trial_division():
     small = sieve(100)
     value = 89 * 97 * 4
     assert value > small.limit
-    assert factorize(value, small).as_dict() == {2: 2, 89: 1, 97: 1}
+    assert valuation_rows([value], small, [2, 89, 97], 5) == [((0, 2), (1, 1), (2, 1))]
 
 
 def test_factorize_incomplete_table_names_cofactor():
-    small = sieve(50)
-    big = 10_007 * 10_009
-    with pytest.raises(IncompleteTableError) as exc:
-        factorize(7 * big, small)
-    assert exc.value.cofactor == big
-    assert exc.value.value == 7 * big
-
-
-def test_incomplete_table_error_survives_a_pickle_round_trip():
-    err = IncompleteTableError(7 * 10_007, 10_007, 50)
-    back = pickle.loads(pickle.dumps(err))
-    assert type(back) is IncompleteTableError
-    assert str(back) == str(err)
-    assert (back.value, back.cofactor, back.limit) == (7 * 10_007, 10_007, 50)
+    # past the table the walk cannot see 10007: refused, naming it, not guessed
+    with pytest.raises(ValueError, match="listed prime 10007 beyond table limit 50"):
+        valuation_rows([7 * 10_007], sieve(50), [7, 10_007], 3)
 
 
 @given(st.integers(min_value=1, max_value=99_999))
 @settings(max_examples=200)
 def test_factorization_reconstructs_value(x):
-    f = factorize(x, TABLE)
-    assert math.prod(p**e for p, e in f.factors) == x
-    assert all(is_prime_trial(p) for p, _ in f.factors)
-    assert list(f.factors) == sorted(f.factors)
+    primes = TABLE.primes_in(2, x)
+    (row,) = valuation_rows([x], TABLE, primes, 17)  # 2^17 > x: no exponent reaches 17
+    assert math.prod(primes[j] ** e for j, e in row) == x
+    assert all(is_prime_trial(primes[j]) for j, _ in row)
+    assert list(row) == sorted(row)
 
 
 # -------------------------------------------------------- rho vectors
 
 
 def test_rho_vector_360():
-    v = rho_vector(360, [3, 5, 7], 3)
-    assert v.coords == (2, 1, 0)
-    assert v.primes == (3, 5, 7)
-    assert v.q == 3
+    assert valuation_rows([360], TABLE, [3, 5, 7], 3) == [((0, 2), (1, 1))]
 
 
 def test_rho_vector_of_one_is_zero():
-    assert rho_vector(1, [3, 5, 7], 3).coords == (0, 0, 0)
+    assert valuation_rows([1], TABLE, [3, 5, 7], 3) == [()]
 
 
 def test_rho_vector_ignores_unlisted_primes():
-    assert rho_vector(2**5, [3, 5], 3).coords == (0, 0)
+    assert valuation_rows([2**5], TABLE, [3, 5], 3) == [()]
 
 
 def test_rho_vector_rejects_modulus_two():
-    with pytest.raises(ValueError):
-        rho_vector(6, [2, 3], 2)
+    with pytest.raises(ValueError, match="q must be an odd prime, got 2"):
+        valuation_rows([6], TABLE, [2, 3], 2)
+    with pytest.raises(ValueError, match="q must be an odd prime, got 9"):
+        valuation_rows([6], TABLE, [2, 3], 9)
 
 
 def test_rho_vector_rejects_duplicate_primes():
-    with pytest.raises(ValueError):
-        rho_vector(6, [3, 3], 5)
+    with pytest.raises(ValueError, match="duplicates"):
+        valuation_rows([6], TABLE, [3, 3], 5)
 
 
 @given(
@@ -250,30 +233,18 @@ def test_rho_vector_rejects_duplicate_primes():
 )
 @settings(max_examples=150)
 def test_rho_vector_is_multiplicative(x, y, q):
+    # x * y reaches past TABLE, so this also checks the trial-division path
     primes = (2, 3, 5, 7)
-    assert rho_vector(x * y, primes, q) == rho_vector(x, primes, q) + rho_vector(y, primes, q)
+    rx, ry, rxy = valuation_rows([x, y, x * y], TABLE, primes, q)
+    assert rxy == add_rows(rx, ry, q)
 
 
 def test_valuation_vector_arithmetic():
-    a = ValuationVector((3, 5), 7, (2, 6))
-    b = ValuationVector((3, 5), 7, (6, 3))
-    assert (a + b).coords == (1, 2)
-    assert (a - b).coords == (3, 3)
-    assert (-a).coords == (5, 1)
-    assert a.scale(3).coords == (6, 4)
-    assert a.halve().scale(2) == a
-    assert ValuationVector.zero((3, 5), 7).is_zero()
-    assert a.support() == (0, 1)
-
-
-def test_valuation_vector_rejects_mixed_contexts():
-    a = ValuationVector((3, 5), 7, (1, 2))
-    with pytest.raises(ValueError):
-        a + ValuationVector((3, 7), 7, (1, 2))
-    with pytest.raises(ValueError):
-        a + ValuationVector((3, 5), 5, (1, 2))
-    with pytest.raises(ValueError):
-        ValuationVector((3, 5), 7, (1, 2, 3))
+    a, b = ((0, 2), (1, 6)), ((0, 6), (1, 3))
+    assert add_rows(a, b, 7) == ((0, 1), (1, 2))
+    assert add_rows(a, ((0, 5), (1, 1)), 7) == ()
+    assert add_rows(a, (), 7) == add_rows((), a, 7) == a
+    assert add_rows(((3, 1),), ((0, 2),), 3) == ((0, 2), (3, 1))
 
 
 # ------------------------------------------------------ window shifts
@@ -335,8 +306,12 @@ def test_rank_matches_row_reduction_oracle():
 
 
 def test_rank_accepts_valuation_vectors():
-    vecs = [ValuationVector((3, 5, 7), 3, (1, 0, 0)), ValuationVector((3, 5, 7), 3, (1, 2, 0))]
-    assert rank_mod_q(vecs, 3) == 2
+    # the dense form of valuation rows, as the rank certificate passes them
+    rows = valuation_rows([3, 3 * 25, 5 * 49], TABLE, [3, 5, 7], 3)
+    dense = [[dict(r).get(j, 0) for j in range(3)] for r in rows]
+    assert dense == [[1, 0, 0], [1, 2, 0], [0, 1, 2]]
+    assert rank_mod_q(dense, 3) == 3
+    assert rank_mod_q(dense[:2] + [[2, 1, 0]], 3) == 2  # 2 * (1, 2, 0) = (2, 1, 0)
 
 
 def test_rank_rejects_mixed_lengths():
@@ -374,7 +349,3 @@ def test_big_product_exceeds_word_size():
     assert big_product(vals) == math.factorial(59)
     assert big_product([]) == 1
 
-
-def test_factorization_largest_prime():
-    assert factorize(2 * 3 * 97, TABLE).largest_prime() == 97
-    assert Factorization(value=1, factors=()).largest_prime() == 1

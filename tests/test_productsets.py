@@ -1,3 +1,5 @@
+import io
+import json
 import math
 import re
 
@@ -6,12 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mulbasis.cli import RunConfig, run
 from mulbasis.productsets import (
     APSpec,
     construct_interval_basis,
     exact_min_basis,
     icbrt,
-    mbp_empirical,
     product_set,
     verify_cover,
     witness_covers,
@@ -323,41 +325,51 @@ def test_interval_basis_covers_property(M):
 # --------------------------------------------------- progression scan
 
 
+def mbp_search(m: int, a_max: int, d_max: int) -> tuple[str, int]:
+    """The JSON payload and exit code of ``mbp-search`` over the grid."""
+    buf = io.StringIO()
+    code = run(RunConfig("mbp-search", {"m": m, "a_max": a_max, "d_max": d_max}), out=buf)
+    return buf.getvalue(), code
+
+
+def mbp_best(payload: str) -> dict:
+    (best,) = [r for r in json.loads(payload)["results"] if r["is_best"]]
+    return best
+
+
 def test_mbp_length_one():
-    res = mbp_empirical(1, 3, 3)
-    assert res.upper_bound == 1
-    assert res.best.size == 1
+    payload, code = mbp_search(1, 3, 3)
+    assert code == 0
+    assert mbp_best(payload)["size"] == 1
 
 
 def test_mbp_interval_in_range_bounds_value():
-    res = mbp_empirical(4, 8, 8)
-    assert res.upper_bound <= exact_min_basis(range(1, 5)).size == 3
-    assert res.all_optimal
+    payload, code = mbp_search(4, 8, 8)
+    assert code == 0  # every grid point proved optimal
+    assert mbp_best(payload)["size"] <= exact_min_basis(range(1, 5)).size == 3
 
 
 def test_mbp_matches_exhaustive_oracle():
-    res = mbp_empirical(6, 12, 12)
-    assert res.all_optimal
-    assert res.upper_bound == mbp_exhaustive(6, 12, 12) == 4
+    payload, code = mbp_search(6, 12, 12)
+    assert code == 0
+    assert mbp_best(payload)["size"] == mbp_exhaustive(6, 12, 12) == 4
 
 
 def test_mbp_best_is_lexicographically_first():
-    res = mbp_empirical(5, 3, 3)
-    best = min(res.per_ap, key=lambda r: (r[2], r[0], r[1]))
-    assert (res.best_a, res.best_d) == (best[0], best[1])
+    payload, _ = mbp_search(5, 3, 3)
+    rows = json.loads(payload)["results"]
+    assert [(r["a"], r["d"]) for r in rows] == [(a, d) for a in range(4) for d in range(1, 4)]
+    assert mbp_best(payload) == min(rows, key=lambda r: (r["size"], r["a"], r["d"]))
 
 
 def test_mbp_rejects_bad_bounds():
-    with pytest.raises(ValueError):
-        mbp_empirical(0, 1, 1)
+    with pytest.raises(ValueError, match="--m must be at least 1, got 0"):
+        mbp_search(0, 1, 1)
 
 
 def test_mbp_record_round_trips_to_json():
-    import json
-
-    res = mbp_empirical(3, 2, 2)
-    payload = json.dumps(res.to_record(), sort_keys=True)
-    assert json.loads(payload)["upper_bound"] == res.upper_bound
+    payload, _ = mbp_search(3, 2, 2)
+    assert json.dumps(json.loads(payload), sort_keys=True, indent=2) + "\n" == payload
 
 
 # -------------------------------------------------------- the sandwich

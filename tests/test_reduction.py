@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mulbasis.numtheory import sieve, valuation
@@ -19,7 +19,11 @@ from mulbasis.reduction import (
     reduce_pair,
 )
 
-from oracles import factorial_divisibility_check_reference
+from oracles import (
+    certify_lower_bound_reference,
+    factorial_divisibility_check_reference,
+    largest_prime_factor_trial,
+)
 
 TABLE = sieve(20_000)
 SMALL_TABLE = sieve(500)
@@ -158,6 +162,70 @@ def test_certify_marking_set_from_pipeline():
     assert cert.bound == len(marks) == 164
     assert cert.verified
     assert cert.basis_size == 243
+
+
+def _certify_outcome(certify, pair, marks):
+    try:
+        return certify(pair, marks)
+    except ValueError as exc:
+        return ValueError, str(exc)
+
+
+def _prime_factors(x: int) -> list[int]:
+    out = []
+    while x > 1:
+        out.append(largest_prime_factor_trial(x))
+        x //= out[-1]
+    return sorted(set(out))
+
+
+@st.composite
+def certify_instances(draw):
+    """Covered progressions with marks, some invalid, some with a gap in the cover."""
+    M = draw(st.integers(1, 130))
+    g = draw(st.integers(1, 6))  # g > 1 shifts the basis image by -rho(g)/2
+    if draw(st.booleans()):
+        # the pipeline's single-prime marks on the step-1 window [u+1, u+M]
+        u, v = draw(st.integers(0, M)), 1
+        marks = build_marking_sets(M, u, sieve(max(M, 2))).single_prime_marks
+    else:
+        # by hand: a prime factor of each chosen term; on [1..M] the terms
+        # include powers such as 2^7 = 128 and 3^4 = 81, so q climbs past 3
+        u, v = (0, 1) if draw(st.booleans()) else (draw(st.integers(0, 30)), draw(st.integers(1, 6)))
+        index = st.integers(1, M)
+        powers = [m for m in (8, 16, 27, 32, 64, 81, 125, 128) if m <= M]
+        if u == 0 and v == 1 and powers:
+            index = index | st.sampled_from(powers)
+        prime_of = {}
+        for m in draw(st.lists(index, unique=True, min_size=1, max_size=6)):
+            if u + v * m > 1:
+                prime_of[m] = draw(st.sampled_from(_prime_factors(u + v * m)))
+        marks = MarkingSet(indices=frozenset(prime_of), prime_of=prime_of)
+    basis = set(construct_interval_basis(g * (u + v * M)).basis)
+    basis |= set(draw(st.lists(st.integers(1, 10**6), max_size=4)))
+    if draw(st.integers(0, 3)) == 0:
+        basis.discard(draw(st.sampled_from(sorted(basis))))
+    return ReducedPair.of(APSpec(g=g, u=u, v=v, M=M), basis), marks
+
+
+@given(certify_instances())
+@settings(max_examples=250, deadline=None)
+@example(
+    (
+        ReducedPair.of(APSpec(g=1, u=0, v=1, M=130), construct_interval_basis(130).basis),
+        MarkingSet(indices=frozenset({128, 125, 81}), prime_of={128: 2, 125: 5, 81: 3}),
+    )
+)  # v_2(128) = 7, so q = 11
+@example(
+    (
+        ReducedPair.of(APSpec(g=6, u=0, v=1, M=30), construct_interval_basis(180).basis),
+        MarkingSet(indices=frozenset({27, 25}), prime_of={27: 3, 25: 5}),
+    )
+)  # q = 5 and v_3(g) = 1: the shift -rho(g)/2 is 2 at the column of 3
+def test_certify_matches_dense_reference(instance):
+    pair, marks = instance
+    got = _certify_outcome(certify_lower_bound, pair, marks)
+    assert got == _certify_outcome(certify_lower_bound_reference, pair, marks)
 
 
 def test_marking_set_record_round_trip():
