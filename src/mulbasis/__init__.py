@@ -38,6 +38,7 @@ from .productsets import (
     CoverCheck,
     construct_interval_basis,
     exact_min_basis,
+    first_uncovered,
     product_set,
     verify_cover,
     witness_covers,
@@ -110,6 +111,7 @@ __all__ = [
     "enumerate_sphere",
     "exact_min_basis",
     "factorial_divisibility_check",
+    "first_uncovered",
     "is_prime",
     "product_set",
     "prune_heavy",

@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .numtheory import PrimeTable, add_rows, sieve, valuation_rows
-from .productsets import verify_cover
+from .productsets import first_uncovered
 from .reduction import InvariantViolationError, build_marking_sets
 from .spherelab import (
     DifferenceCase,
@@ -622,9 +622,9 @@ def end_to_end_lower_bound(
     if table is None:
         table = sieve(max(M, 4))
     elements = [g * (u + m) for m in range(1, M + 1)]
-    cover = verify_cover(elements, basis)
-    if not cover.covered:
-        raise PipelineError("cover", f"element {cover.first_uncovered} is not covered")
+    gap = first_uncovered(elements, basis)
+    if gap is not None:
+        raise PipelineError("cover", f"element {gap} is not covered")
     try:
         marks = build_marking_sets(M, u, table)
     except ValueError as exc:

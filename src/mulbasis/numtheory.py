@@ -121,12 +121,34 @@ def sieve(limit: int) -> PrimeTable:
     return PrimeTable(limit=limit, primes=primes, spf=spf)
 
 
-# Deterministic Miller-Rabin witness set, valid far past desk scale.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Deterministic Miller-Rabin: the first k prime bases decide every
+# n < psi_k, the least strong pseudoprime to all of them (OEIS A014233;
+# Jaeschke 1993, Sorenson and Webster 2015).  Each entry is (psi_k, k).
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LADDER = (
+    (2047, 1),
+    (1373653, 2),
+    (25326001, 3),
+    (3215031751, 4),
+    (2152302898747, 5),
+    (3474749660383, 6),
+    (341550071728321, 7),
+    (3825123056546413051, 9),
+    (318665857834031151167461, 12),
+    (3317044064679887385961981, 13),
+)
+_MR_PROVEN = _MR_LADDER[-1][0]
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin (exact for n < 3.3e24)."""
+    """Deterministic Miller-Rabin, exact for n < psi_13 = 3317044064679887385961981.
+
+    Runs only the shortest prefix of the witness bases proven exact for
+    n, so a prime below 25326001 costs three modular powers.  Raises
+    ValueError at or above psi_13, where no witness set here is proven.
+    """
+    if n >= _MR_PROVEN:
+        raise ValueError(f"is_prime is proven only below {_MR_PROVEN}, got {n}")
     if n < 2:
         return False
     for p in _MR_WITNESSES:
@@ -137,7 +159,10 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _MR_WITNESSES:
+    for bound, k in _MR_LADDER:
+        if n < bound:
+            break
+    for a in _MR_WITNESSES[:k]:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -25,13 +25,14 @@ __all__ = [
     "BasisSolution",
     "product_set",
     "verify_cover",
+    "first_uncovered",
     "witness_covers",
     "exact_min_basis",
     "construct_interval_basis",
     "icbrt",
 ]
 
-# verify_cover switches to an array sweep when targets are dense; above
+# Cover checks switch to an array sweep when targets are dense; above
 # this many candidate products the per-element divisor scan wins.
 _DENSE_MAX = 1 << 23
 _DENSE_MIN_COUNT = 512
@@ -119,29 +120,31 @@ def product_set(B: Iterable[int]) -> list[int]:
     return sorted(out)
 
 
-def _cover_sparse(targets: list[int], bset: set[int]) -> CoverCheck:
-    witness: dict[int, tuple[int, int]] = {}
+def _sparse_pairs(targets: list[int], bset: set[int]) -> Iterator[tuple[int, tuple[int, int] | None]]:
+    """Each target with its smallest factor pair in B, or None, by divisor scan."""
     for a in targets:
-        found = None
+        pair = None
         for d in range(1, math.isqrt(a) + 1):
             if a % d == 0 and d in bset and a // d in bset:
-                found = (d, a // d)
+                pair = (d, a // d)
                 break
-        if found is None:
-            return CoverCheck(False, witness, first_uncovered=a)
-        witness[a] = found
-    return CoverCheck(True, witness)
+        yield a, pair
 
 
-def _cover_dense(targets: list[int], B: Sequence[int]) -> CoverCheck:
+def _dense_sweep(targets: list[int], bset: set[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Arrays w1, w2 with w1[a] * w2[a] = a the smallest pair of each covered target.
+
+    Uncovered targets keep w1[a] = 0.  Each b <= sqrt(max) is swept
+    against the sorted basis in ascending order; the first write wins,
+    which is exactly the lexicographic-minimum rule.
+    """
     amax = targets[-1]
-    barr = np.array(sorted(b for b in set(B) if 1 <= b <= amax), dtype=np.int64)
+    barr = np.array(sorted(b for b in bset if b <= amax), dtype=np.int64)
     is_t = np.zeros(amax + 1, dtype=bool)
     is_t[targets] = True
     w1 = np.zeros(amax + 1, dtype=np.int64)
     w2 = np.zeros(amax + 1, dtype=np.int64)
-    for b in barr:
-        b = int(b)
+    for b in barr.tolist():
         hi = amax // b
         if hi < b:
             break
@@ -153,12 +156,21 @@ def _cover_dense(targets: list[int], B: Sequence[int]) -> CoverCheck:
         sel = prod[mask]
         w1[sel] = b
         w2[sel] = part[mask]
-    witness: dict[int, tuple[int, int]] = {}
-    for a in targets:
-        if w1[a] == 0:
-            return CoverCheck(False, witness, first_uncovered=a)
-        witness[a] = (int(w1[a]), int(w2[a]))
-    return CoverCheck(True, witness)
+    return w1, w2
+
+
+def _cover_inputs(A: Iterable[int], B: Iterable[int]) -> tuple[list[int], set[int], bool]:
+    """Sorted targets, the basis as a set, and whether the dense sweep applies."""
+    targets = sorted(set(A))
+    bset = set(int(b) for b in B)
+    if not bset:
+        raise ValueError("basis must be nonempty")
+    if min(bset) < 1:
+        raise ValueError("basis elements must be positive")
+    if targets and targets[0] < 1:
+        raise ValueError("targets must be positive")
+    dense = bool(targets) and targets[-1] <= _DENSE_MAX and len(targets) >= _DENSE_MIN_COUNT
+    return targets, bset, dense
 
 
 def verify_cover(A: Iterable[int], B: Iterable[int]) -> CoverCheck:
@@ -168,19 +180,33 @@ def verify_cover(A: Iterable[int], B: Iterable[int]) -> CoverCheck:
     write wins, which is exactly the lexicographic-minimum rule); sparse
     sets get a per-element divisor scan.  Both yield identical pairs.
     """
-    targets = sorted(set(A))
-    bset = set(int(b) for b in B)
-    if not bset:
-        raise ValueError("basis must be nonempty")
-    if min(bset) < 1:
-        raise ValueError("basis elements must be positive")
-    if not targets:
-        return CoverCheck(True, {})
-    if targets[0] < 1:
-        raise ValueError("targets must be positive")
-    if targets[-1] <= _DENSE_MAX and len(targets) >= _DENSE_MIN_COUNT:
-        return _cover_dense(targets, list(bset))
-    return _cover_sparse(targets, bset)
+    targets, bset, dense = _cover_inputs(A, B)
+    if dense:
+        w1, w2 = _dense_sweep(targets, bset)
+        low, high = w1[targets].tolist(), w2[targets].tolist()
+        pairs = zip(targets, ((b, c) if b else None for b, c in zip(low, high)))
+    else:
+        pairs = _sparse_pairs(targets, bset)
+    witness: dict[int, tuple[int, int]] = {}
+    for a, pair in pairs:
+        if pair is None:
+            return CoverCheck(False, witness, first_uncovered=a)
+        witness[a] = pair
+    return CoverCheck(True, witness)
+
+
+def first_uncovered(A: Iterable[int], B: Iterable[int]) -> int | None:
+    """The smallest target of A outside B*B, or None when B*B covers A.
+
+    Equal to ``verify_cover(A, B).first_uncovered`` and checked by the
+    same sweep or scan, without building the witness map.
+    """
+    targets, bset, dense = _cover_inputs(A, B)
+    if dense:
+        w1, _ = _dense_sweep(targets, bset)
+        gaps = np.flatnonzero(w1[targets] == 0)
+        return targets[int(gaps[0])] if len(gaps) else None
+    return next((a for a, pair in _sparse_pairs(targets, bset) if pair is None), None)
 
 
 def witness_covers(A: Iterable[int], B: Iterable[int], witness: Mapping[int, tuple[int, int]]) -> bool:

@@ -698,10 +698,13 @@ def _random_near_sphere(rng: np.random.Generator, count: int, n: int, shifts: np
 
 
 def _mixed_rows(rng: np.random.Generator, size: int, n: int, shifts: np.ndarray) -> np.ndarray:
-    """``size - size // 2`` uniform rows, then ``size // 2`` near-sphere rows if ``shifts`` is nonempty."""
-    uniform = size - size // 2
+    """``size - size // 2`` uniform rows, then ``size // 2`` near-sphere rows.
+
+    With no shifts to build near-sphere rows from, all ``size`` rows are uniform.
+    """
     near = size // 2 if len(shifts) else 0
-    rows = np.empty((uniform + near, n), dtype=np.uint8)
+    uniform = size - near
+    rows = np.empty((size, n), dtype=np.uint8)
     rows[:uniform] = rng.integers(0, 3, size=(uniform, n), dtype=np.uint8)
     if near:
         rows[uniform:] = _random_near_sphere(rng, near, n, shifts)

@@ -64,6 +64,25 @@ def is_prime_trial(x: int) -> bool:
     return True
 
 
+def is_strong_probable_prime(n: int, bases) -> bool:
+    """n > max(bases) passes the strong Fermat test to every base."""
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def valuation_loop(p: int, x: int) -> int:
     f = 0
     while x % p == 0:

@@ -12,6 +12,7 @@ import pytest
 from mulbasis import cli
 from mulbasis.cli import RunConfig, main, rng_stream, run
 from mulbasis.certificates import PipelineError
+from mulbasis.productsets import construct_interval_basis, verify_cover
 from mulbasis.reduction import InvariantViolationError, random_injected_pair
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -262,6 +263,19 @@ def test_overlap_sizes_below_zero_rejected(command, flag, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "command,argv,field,size",
+    [
+        ("sphere-overlap", ["--n", "2048", "--x-size", "0", "--y-size", "4"], "y_size", 4),
+        ("sphere-overlap-general", ["--n", "1100", "--a-size", "0", "--b-size", "50"], "b_size", 50),
+    ],
+)
+def test_overlap_with_empty_small_set_keeps_the_large_set_size(command, argv, field, size, capsys):
+    # with no X (or A) to shift by, every row of Y (or B) is drawn uniform
+    payload = run_json([command, *argv], capsys)
+    assert [r[field] for r in payload["results"]] == [size]
+
+
 def test_pipeline_stage_rejection_exits_2_with_one_line(tmp_path, capsys):
     empty = tmp_path / "basis.txt"
     empty.write_text("")
@@ -269,6 +283,19 @@ def test_pipeline_stage_rejection_exits_2_with_one_line(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err == "error: [input] empty basis\n"
+    assert captured.out == ""
+
+
+def test_pipeline_cover_stage_names_the_first_uncovered_element(tmp_path, capsys):
+    basis = [b for b in construct_interval_basis(2000).basis if b != 4]
+    gap = verify_cover(range(1, 2001), basis).first_uncovered
+    assert gap is not None and gap != 4
+    path = tmp_path / "basis.txt"
+    path.write_text("".join(f"{b}\n" for b in basis))
+    code = main(["pipeline-bound", "--m", "2000", "--basis-file", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"error: [cover] element {gap} is not covered\n"
     assert captured.out == ""
 
 

@@ -17,7 +17,13 @@ from mulbasis.numtheory import (
     valuation,
     valuation_rows,
 )
-from oracles import is_prime_trial, primes_segmented, rank_rowreduce, valuation_loop
+from oracles import (
+    is_prime_trial,
+    is_strong_probable_prime,
+    primes_segmented,
+    rank_rowreduce,
+    valuation_loop,
+)
 
 TABLE = sieve(100_000)
 
@@ -97,9 +103,53 @@ def test_sieve_budget_env_must_be_positive_integer(monkeypatch):
 def test_miller_rabin_matches_trial_division():
     for x in range(0, 2000):
         assert is_prime(x) == is_prime_trial(x)
+    table = sieve(1 << 17)
+    assert [is_prime(x) for x in range(table.limit + 1)] == [
+        table.is_prime(x) for x in range(table.limit + 1)
+    ]
     assert is_prime(9973)
     assert not is_prime(9973 * 9967)
     assert is_prime(2**31 - 1)
+
+
+# psi_k, the least strong pseudoprime to the first k prime bases (OEIS A014233)
+PSI = {
+    1: 2047,
+    2: 1373653,
+    3: 25326001,
+    4: 3215031751,
+    5: 2152302898747,
+    6: 3474749660383,
+    7: 341550071728321,
+    9: 3825123056546413051,
+    12: 318665857834031151167461,
+    13: 3317044064679887385961981,
+}
+FIRST_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+@pytest.mark.parametrize("k", sorted(PSI))
+def test_miller_rabin_rejects_each_psi(k):
+    psi = PSI[k]
+    # psi_k fools the first k bases, so is_prime must run more of them
+    assert is_strong_probable_prime(psi, FIRST_PRIMES[:k])
+    if k == 12:  # composite by its factors, independent of the table above
+        assert psi == 399165290221 * 798330580441
+    if k == 13:
+        with pytest.raises(ValueError, match="proven only below 3317044064679887385961981"):
+            is_prime(psi)
+    else:
+        assert not is_prime(psi)
+
+
+@pytest.mark.parametrize("k", sorted(PSI))
+def test_miller_rabin_agrees_just_below_each_rung(k):
+    # oracle: strong tests to the 20 primes past the witness set
+    oracle_bases = [p for p in primes_segmented(131) if p > 41]
+    window = range(PSI[k] - 300, PSI[k])
+    verdicts = [is_prime(n) for n in window]
+    assert verdicts == [is_strong_probable_prime(n, oracle_bases) for n in window]
+    assert True in verdicts
 
 
 # --------------------------------------------------------- valuations

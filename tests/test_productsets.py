@@ -13,6 +13,7 @@ from mulbasis.productsets import (
     APSpec,
     construct_interval_basis,
     exact_min_basis,
+    first_uncovered,
     icbrt,
     product_set,
     verify_cover,
@@ -145,6 +146,45 @@ def test_witness_pairs_are_minimal(data):
     for a in set(sample):
         assert check.witness[a] == smallest_witness_pair(a, basis)
         assert witness_covers([a], basis, check.witness)
+
+
+def _check_first_uncovered(targets, basis):
+    check = verify_cover(targets, basis)
+    oracle = {a: smallest_witness_pair(a, basis) for a in sorted(set(targets))}
+    gap = next((a for a, pair in oracle.items() if pair is None), None)
+    assert first_uncovered(targets, basis) == check.first_uncovered == gap
+    assert check.covered == (gap is None)
+    assert check.witness == {a: pair for a, pair in oracle.items() if gap is None or a < gap}
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_first_uncovered_matches_verify_cover_dense(data):
+    # >= 512 targets, all <= 2^23: the array sweep
+    M = data.draw(st.integers(min_value=512, max_value=2500))
+    basis = set(construct_interval_basis(M).basis)
+    dropped = data.draw(st.sets(st.sampled_from(sorted(basis)), max_size=3))
+    basis = (basis - dropped) or {M + 1}
+    basis |= data.draw(st.sets(st.integers(min_value=M + 1, max_value=4 * M), max_size=3))
+    lo = data.draw(st.integers(min_value=1, max_value=M - 511))
+    targets = list(range(lo, data.draw(st.integers(min_value=lo + 511, max_value=M)) + 1))
+    _check_first_uncovered(targets, basis)
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_first_uncovered_matches_verify_cover_sparse(data):
+    # fewer than 512 targets, or one past 2^23: the divisor scan
+    large = data.draw(st.booleans())
+    hi = (1 << 23) + 10**5 if large else 3000
+    basis = data.draw(st.sets(st.integers(min_value=1, max_value=3000), min_size=1, max_size=40))
+    values = st.integers(min_value=1, max_value=hi)
+    products = st.builds(lambda b, c: b * c, st.sampled_from(sorted(basis)), st.sampled_from(sorted(basis)))
+    size = 600 if large else 511
+    targets = data.draw(st.lists(st.one_of(values, products), min_size=0, max_size=size))
+    if large:
+        targets.append((1 << 23) + 1)
+    _check_first_uncovered(targets, basis)
 
 
 def test_witness_covers_rejects_bad_maps():

@@ -576,9 +576,9 @@ def test_overlap_trial_matches_reference_pipeline(x_size, y_size):
     n = 2048
     rng = _philox(23, x_size)
     xmat = rng.integers(0, 3, size=(x_size, n), dtype=np.uint8)
-    half = y_size // 2
+    half = y_size // 2 if x_size else 0  # no X to shift by: every row uniform
     yrand = rng.integers(0, 3, size=(y_size - half, n), dtype=np.uint8)
-    if half and x_size:
+    if half:
         yrand = np.concatenate([yrand, random_near_sphere_int16(rng, half, n, xmat)])
     xref, yref = dedupe_rows_bytes(xmat), dedupe_rows_bytes(yrand)
     lhs = two_sphere_hits_full(xref, yref, n) if x_size else 0
