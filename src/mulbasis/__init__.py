@@ -36,9 +36,11 @@ from .productsets import (
     APSpec,
     BasisSolution,
     CoverCheck,
+    SizeSearch,
     construct_interval_basis,
     exact_min_basis,
     first_uncovered,
+    min_size_search,
     product_set,
     verify_cover,
     witness_covers,
@@ -96,6 +98,7 @@ __all__ = [
     "PrimeTable",
     "ReducedPair",
     "ResourceLimitError",
+    "SizeSearch",
     "SphereBasisSolution",
     "TernaryVector",
     "build_marking_sets",
@@ -113,6 +116,7 @@ __all__ = [
     "factorial_divisibility_check",
     "first_uncovered",
     "is_prime",
+    "min_size_search",
     "product_set",
     "prune_heavy",
     "rank_mod_q",

@@ -43,6 +43,7 @@ from .productsets import (
     exact_min_basis,
     first_uncovered,
     icbrt,
+    min_size_search,
 )
 from .reduction import (
     InvariantViolationError,
@@ -345,7 +346,7 @@ def _cmd_mbp_search(config: RunConfig) -> tuple[list, list, int]:
     def work(_, ad):
         a, d = ad
         elements = [a + m * d for m in range(1, M + 1)]
-        sol = exact_min_basis(elements, budget=budget)
+        sol = min_size_search(elements, budget=budget)
         return {"a": a, "d": d, "size": sol.size, "optimal": sol.optimal}
 
     rows = _process_map(work, grid, config.jobs)

@@ -26,6 +26,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 __all__ = [
+    "InvariantViolationError",
     "ResourceLimitError",
     "PrimeTable",
     "sieve",
@@ -48,6 +49,10 @@ _DEFAULT_SIEVE_CAP = 100_000_000
 
 class ResourceLimitError(Exception):
     """Requested table exceeds the configured memory budget."""
+
+
+class InvariantViolationError(AssertionError):
+    """A step broke a property the construction guarantees; a bug, not bad input."""
 
 
 def _sieve_cap() -> int:

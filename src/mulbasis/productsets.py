@@ -12,12 +12,14 @@ lexicographically smallest factor pair (b, b'), ordered b <= b'.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .numtheory import PrimeTable, divisors, sieve
+from .numtheory import InvariantViolationError, PrimeTable, divisors, sieve
 
 __all__ = [
     "APSpec",
@@ -27,6 +29,8 @@ __all__ = [
     "verify_cover",
     "first_uncovered",
     "witness_covers",
+    "SizeSearch",
+    "min_size_search",
     "exact_min_basis",
     "construct_interval_basis",
     "icbrt",
@@ -121,11 +125,16 @@ def product_set(B: Iterable[int]) -> list[int]:
 
 
 def _sparse_pairs(targets: list[int], bset: set[int]) -> Iterator[tuple[int, tuple[int, int] | None]]:
-    """Each target with its smallest factor pair in B, or None, by divisor scan."""
+    """Each target with its smallest factor pair in B, or None, by a scan of B.
+
+    Target a tries the members d <= isqrt(a) in ascending order, so the
+    first d with a // d in B gives the smallest pair.
+    """
+    ordered = sorted(bset)
     for a in targets:
         pair = None
-        for d in range(1, math.isqrt(a) + 1):
-            if a % d == 0 and d in bset and a // d in bset:
+        for d in islice(ordered, bisect_right(ordered, math.isqrt(a))):
+            if a % d == 0 and a // d in bset:
                 pair = (d, a // d)
                 break
         yield a, pair
@@ -178,7 +187,7 @@ def verify_cover(A: Iterable[int], B: Iterable[int]) -> CoverCheck:
 
     Dense target sets go through a product sweep over sorted B (first
     write wins, which is exactly the lexicographic-minimum rule); sparse
-    sets get a per-element divisor scan.  Both yield identical pairs.
+    sets get a per-element scan of the basis.  Both yield identical pairs.
     """
     targets, bset, dense = _cover_inputs(A, B)
     if dense:
@@ -268,33 +277,43 @@ def _min_additions(s: int, r: int) -> int:
     return t
 
 
-def exact_min_basis(
+@dataclass(frozen=True)
+class SizeSearch:
+    """The first pass of the exact search: the least basis size it reached.
+
+    ``optimal`` means the pass proved no strictly smaller basis exists;
+    one that ran out of node budget first returns its incumbent with
+    optimal False.  ``basis`` is the first basis of that size the pass
+    found, not the lexicographically smallest.  ``pool`` (ascending) and
+    ``pairs`` (each target's factor pairs inside the pool, ascending) are
+    what a later pass over the same targets needs.
+    """
+
+    targets: tuple[int, ...]
+    pool: tuple[int, ...]
+    pairs: dict[int, list[tuple[int, int]]] = field(repr=False)
+    basis: tuple[int, ...]
+    optimal: bool
+    nodes_explored: int
+
+    @property
+    def size(self) -> int:
+        return len(self.basis)
+
+
+def min_size_search(
     A: Iterable[int],
     pool: Iterable[int] | None = None,
     budget: int = 2_000_000,
-) -> BasisSolution:
-    """Exact minimum multiplicative basis of order two for A.
+) -> SizeSearch:
+    """Least size of a multiplicative basis of order two for A.
 
     Branch and bound: always branch on the uncovered target with the
-    fewest factor pairs, prune with the pair-counting bound.  Once the
-    optimum size is proved, a second lexicographic pass extracts the
-    smallest basis of that size.  ``pool`` defaults to all divisors of
+    fewest factor pairs, prune with the pair-counting bound, and stop
+    after ``budget`` nodes.  ``pool`` defaults to all divisors of
     targets, which loses no minimum basis (every element of one divides
-    some target).
-
-    The lexicographic pass decides pool elements in ascending order: at
-    depth i each of the first i is either chosen or excluded.  A factor
-    pair is alive while neither member is excluded, and every target
-    keeps a count of its alive pairs, lowered when a member is excluded
-    and restored on backtrack.  ``dead`` counts targets with no alive
-    pair, and a node is feasible exactly when it is zero.  A covered
-    target has a pair inside the chosen set, and chosen elements are
-    never excluded, so only an uncovered target can become dead.  Each
-    element is mapped once to its (target, partner) incidences, a pair
-    (x, x) once; choosing x covers the targets whose partner is x or
-    already chosen.  The pass prunes exactly where a recount from scratch
-    at every node would, so its nodes, their order and ``nodes_explored``
-    do not depend on this bookkeeping.
+    some target).  The incumbent is checked to cover A before it is
+    returned.
     """
     targets = sorted(set(A))
     if not targets:
@@ -309,7 +328,6 @@ def exact_min_basis(
         pool_set = set(int(b) for b in pool)
         if pool_set and min(pool_set) < 1:
             raise ValueError("pool elements must be positive")
-    pool_sorted = sorted(pool_set)
 
     pairs: dict[int, list[tuple[int, int]]] = {}
     for a in targets:
@@ -361,7 +379,51 @@ def exact_min_basis(
                 return
 
     dfs(set())
-    proven = not exhausted
+    gap = first_uncovered(targets, best)
+    if gap is not None:
+        raise InvariantViolationError(f"search produced a non-cover, uncovered {gap}")
+    return SizeSearch(
+        targets=tuple(targets),
+        pool=tuple(sorted(pool_set)),
+        pairs=pairs,
+        basis=best,
+        optimal=not exhausted,
+        nodes_explored=nodes,
+    )
+
+
+def exact_min_basis(
+    A: Iterable[int],
+    pool: Iterable[int] | None = None,
+    budget: int = 2_000_000,
+) -> BasisSolution:
+    """Exact minimum multiplicative basis of order two for A.
+
+    Two passes share one node budget.  The first, ``min_size_search``,
+    proves the optimum size.  Once it has, a second, lexicographic pass
+    extracts the smallest basis of that size; a budget that runs out
+    there returns the first pass's basis, still optimal.  ``pool``
+    defaults to all divisors of targets.
+
+    The lexicographic pass decides pool elements in ascending order: at
+    depth i each of the first i is either chosen or excluded.  A factor
+    pair is alive while neither member is excluded, and every target
+    keeps a count of its alive pairs, lowered when a member is excluded
+    and restored on backtrack.  ``dead`` counts targets with no alive
+    pair, and a node is feasible exactly when it is zero.  A covered
+    target has a pair inside the chosen set, and chosen elements are
+    never excluded, so only an uncovered target can become dead.  Each
+    element is mapped once to its (target, partner) incidences, a pair
+    (x, x) once; choosing x covers the targets whose partner is x or
+    already chosen.  The pass prunes exactly where a recount from scratch
+    at every node would, so its nodes, their order and ``nodes_explored``
+    do not depend on this bookkeeping.
+    """
+    first = min_size_search(A, pool, budget)
+    targets, pool_sorted, pairs = first.targets, first.pool, first.pairs
+    best, best_size, proven = first.basis, first.size, first.optimal
+    nodes = first.nodes_explored
+    exhausted = False
 
     if proven:
         # lexicographically smallest basis of the proved optimum size
@@ -431,7 +493,7 @@ def exact_min_basis(
 
     check = verify_cover(targets, best)
     if not check.covered:  # pragma: no cover - would be a solver bug
-        raise AssertionError(f"search produced a non-cover, uncovered {check.first_uncovered}")
+        raise InvariantViolationError(f"search produced a non-cover, uncovered {check.first_uncovered}")
     return BasisSolution(basis=best, witness=check.witness, optimal=proven, nodes_explored=nodes)
 
 
@@ -465,7 +527,7 @@ def construct_interval_basis(M: int, table: PrimeTable | None = None) -> BasisSo
     split = np.where(smooth, low_div[1:], lpf[1:])
     cofactor = np.arange(1, M + 1, dtype=np.int64) // split
     if (cofactor[smooth] > t23).any():  # pragma: no cover - smooth split bound
-        raise AssertionError("smooth split failed")
+        raise InvariantViolationError("smooth split failed")
     low = np.minimum(split, cofactor).tolist()
     high = np.maximum(split, cofactor).tolist()
     witness: dict[int, tuple[int, int]] = dict(zip(range(1, M + 1), zip(low, high)))

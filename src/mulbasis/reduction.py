@@ -25,6 +25,7 @@ from itertools import combinations
 import numpy as np
 
 from .numtheory import (
+    InvariantViolationError,
     PrimeTable,
     add_rows,
     big_product,
@@ -52,10 +53,6 @@ __all__ = [
     "random_injected_pair",
     "random_divisibility_instance",
 ]
-
-
-class InvariantViolationError(AssertionError):
-    """A step broke a property the construction guarantees; a bug, not bad input."""
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .numtheory import InvariantViolationError
+
 __all__ = [
     "DifferenceCase",
     "TernaryVector",
@@ -515,7 +517,7 @@ def sphere_min_basis(
     )
     check = sphere_cover_verify(basis, n)
     if not check.covered:  # pragma: no cover - would be a search bug
-        raise AssertionError("exact search returned a non-cover")
+        raise InvariantViolationError("exact search returned a non-cover")
     return SphereBasisSolution(
         basis=basis, witness=check.witness, optimal=True, nodes_explored=nodes
     )

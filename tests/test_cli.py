@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from mulbasis import cli
+from mulbasis import cli, productsets
 from mulbasis.cli import RunConfig, main, rng_stream, run
 from mulbasis.certificates import PipelineError
 from mulbasis.productsets import construct_interval_basis, verify_cover
@@ -314,6 +314,26 @@ def test_invariant_violation_exits_3(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert code == 3
     assert err == "error: invariant violated: final bound 9 exceeds the actual basis size 8\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["min-basis", "--interval", "6"],
+        ["mbp-search", "--m", "3", "--a-max", "2", "--d-max", "2", "--jobs", "1"],
+        ["mbp-search", "--m", "3", "--a-max", "2", "--d-max", "2", "--jobs", "2"],
+    ],
+    ids=["min-basis", "mbp-search-jobs1", "mbp-search-jobs2"],
+)
+def test_search_non_cover_exits_3(argv, monkeypatch, capsys):
+    # a cover check that reports a gap in the incumbent stands for a solver bug;
+    # forked workers inherit the patch and send the error back by pickle
+    monkeypatch.setattr(productsets, "first_uncovered", lambda A, B: min(A))
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == "error: invariant violated: search produced a non-cover, uncovered 1\n"
 
 
 @pytest.mark.parametrize(

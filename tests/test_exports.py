@@ -19,3 +19,11 @@ def test_every_exported_name_resolves(name):
     module = importlib.import_module(name)
     missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
     assert missing == []
+
+
+def test_invariant_violation_is_one_class():
+    import mulbasis
+    from mulbasis import numtheory, reduction
+
+    assert mulbasis.InvariantViolationError is numtheory.InvariantViolationError
+    assert reduction.InvariantViolationError is numtheory.InvariantViolationError

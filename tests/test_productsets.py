@@ -15,6 +15,7 @@ from mulbasis.productsets import (
     exact_min_basis,
     first_uncovered,
     icbrt,
+    min_size_search,
     product_set,
     verify_cover,
     witness_covers,
@@ -171,18 +172,29 @@ def test_first_uncovered_matches_verify_cover_dense(data):
     _check_first_uncovered(targets, basis)
 
 
+# regime: (largest basis element, largest random target, most targets)
+SPARSE_REGIMES = {
+    "small": (3000, 3000, 511),
+    "past-dense": (3000, (1 << 23) + 10**5, 600),
+    "huge": (10**6, 10**12, 300),
+}
+
+
 @given(st.data())
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=120, deadline=None)
 def test_first_uncovered_matches_verify_cover_sparse(data):
-    # fewer than 512 targets, or one past 2^23: the divisor scan
-    large = data.draw(st.booleans())
-    hi = (1 << 23) + 10**5 if large else 3000
-    basis = data.draw(st.sets(st.integers(min_value=1, max_value=3000), min_size=1, max_size=40))
+    # fewer than 512 targets, or one past 2^23: the scan of the basis;
+    # "huge" targets reach 10^12, whose square roots pass every basis element
+    regime = data.draw(st.sampled_from(sorted(SPARSE_REGIMES)))
+    bmax, hi, size = SPARSE_REGIMES[regime]
+    basis = data.draw(st.sets(st.integers(min_value=1, max_value=bmax), min_size=1, max_size=40))
+    if regime == "huge":
+        # draws lean small: make sure some pairs sit far past 10^5
+        basis |= data.draw(st.sets(st.integers(min_value=bmax // 2, max_value=bmax), max_size=10))
     values = st.integers(min_value=1, max_value=hi)
     products = st.builds(lambda b, c: b * c, st.sampled_from(sorted(basis)), st.sampled_from(sorted(basis)))
-    size = 600 if large else 511
     targets = data.draw(st.lists(st.one_of(values, products), min_size=0, max_size=size))
-    if large:
+    if regime == "past-dense":
         targets.append((1 << 23) + 1)
     _check_first_uncovered(targets, basis)
 
@@ -312,6 +324,47 @@ def test_exact_min_basis_matches_reference_at_every_budget(targets):
     total = exact_min_basis_reference(targets).nodes_explored
     for budget in range(1, total + 2):
         _assert_matches_reference(targets, budget=budget)
+
+
+# ------------------------------------ size-only pass vs the full search
+
+
+def _size_outcome(sol):
+    return sol.size, sol.optimal
+
+
+def test_min_size_search_matches_exact_min_basis_on_mbp_grid():
+    # every grid point of mbp-search --m 6 --a-max 12 --d-max 12
+    for a in range(13):
+        for d in range(1, 13):
+            elements = [a + m * d for m in range(1, 7)]
+            first = min_size_search(elements)
+            assert _size_outcome(first) == _size_outcome(exact_min_basis(elements)), (a, d)
+            assert first.optimal and verify_cover(elements, first.basis).covered
+
+
+@given(st.sets(st.integers(min_value=1, max_value=60), min_size=1, max_size=8))
+@settings(max_examples=100, deadline=None)
+def test_min_size_search_matches_exact_min_basis_on_random_sets(targets):
+    first = min_size_search(targets)
+    full = exact_min_basis(targets)
+    assert _size_outcome(first) == _size_outcome(full)
+    assert first.nodes_explored <= full.nodes_explored
+    assert verify_cover(targets, first.basis).covered
+
+
+@pytest.mark.parametrize("a,d", [(2, 2), (0, 6), (2, 6)])
+def test_min_size_search_matches_exact_min_basis_at_every_budget(a, d):
+    # budgets past the first pass's node count run out inside the
+    # lexicographic pass, which keeps the proved size and optimal True
+    elements = [a + m * d for m in range(1, 7)]
+    first_nodes = min_size_search(elements).nodes_explored
+    total = exact_min_basis(elements).nodes_explored
+    assert first_nodes < total
+    for budget in range(1, total + 2):
+        first = min_size_search(elements, budget=budget)
+        assert _size_outcome(first) == _size_outcome(exact_min_basis(elements, budget=budget)), budget
+        assert first.optimal == (budget >= first_nodes)
 
 
 # ------------------------------------------------- interval construction
