@@ -323,17 +323,17 @@ def _cmd_min_basis(config: RunConfig) -> tuple[list, list, int]:
 def _cmd_interval_basis(config: RunConfig) -> tuple[list, list, int]:
     M = config.parameters["m"]
     table = sieve(max(M, 4))
-    sol = construct_interval_basis(M, table)
+    basis = construct_interval_basis(M, table)
     two_thirds = icbrt(M * M)
     if two_thirds**3 < M * M:
         two_thirds += 1
     size_bound = two_thirds + table.prime_count(M) + 1
-    covered = first_uncovered(range(1, M + 1), sol.basis) is None
+    covered = first_uncovered(range(1, M + 1), basis) is None
     checks = [
-        InequalityReport.of("interval_basis_size", sol.size, size_bound),
+        InequalityReport.of("interval_basis_size", len(basis), size_bound),
         InequalityReport.of("interval_cover_complete", 1 if covered else 2, 1),
     ]
-    row = {"M": M, "size": sol.size, "size_bound": size_bound, "covered": covered}
+    row = {"M": M, "size": len(basis), "size_bound": size_bound, "covered": covered}
     return [row], checks, _exit_code(checks)
 
 
@@ -595,7 +595,7 @@ def _cmd_pipeline_bound(config: RunConfig) -> tuple[list, list, int]:
     else:
         # the progression g*(u+m), m in [1..M], lies inside [1..g*(u+M)]
         table = sieve(max(g * (u + M), 4))
-        basis = construct_interval_basis(g * (u + M), table).basis
+        basis = construct_interval_basis(g * (u + M), table)
     res = end_to_end_lower_bound(M, basis, u=u, g=g, table=table)
     checks = list(res.chain) + list(res.sphere_reports)
     row = {

@@ -15,7 +15,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Iterable, Iterator, Mapping
+from typing import AbstractSet, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -238,10 +238,10 @@ class BasisSolution:
     ``optimal`` means the search proved no strictly smaller basis exists
     (ties broken toward the lexicographically smallest basis).  A search
     that ran out of node budget before proving the size returns its
-    incumbent with optimal False.  One that ran out inside the
-    lexicographic pass keeps optimal True, since the size is proved, but
-    returns the first pass's incumbent, which need not be the
-    lexicographically smallest basis of that size.
+    incumbent with optimal False.  One that ran out while fixing the
+    lexicographically smallest basis keeps optimal True, since the size
+    is proved, but returns the first pass's basis, which need not be the
+    lexicographically smallest of that size.
     """
 
     basis: tuple[int, ...]
@@ -275,6 +275,59 @@ def _min_additions(s: int, r: int) -> int:
         t += 1
         cap += s + t
     return t
+
+
+def _least_cover(
+    targets: Sequence[int],
+    pairs: dict[int, list[tuple[int, int]]],
+    bound: int,
+    budget: int,
+    nodes: int,
+    forced: Iterable[int] = (),
+    excluded: AbstractSet[int] = frozenset(),
+    first_only: bool = False,
+) -> tuple[tuple[int, ...] | None, int]:
+    """Branch and bound for a cover of ``targets`` smaller than ``bound``.
+
+    Covers hold every element of ``forced`` and none of ``excluded``.
+    Each node branches on the uncovered target with the fewest usable
+    factor pairs and is pruned by the pair-counting bound; a cover found
+    lowers the bound, unless ``first_only`` stops the search there.
+    ``nodes`` counts on from earlier searches, and the search stops once
+    it passes ``budget``.  Returns the smallest cover found, or None, and
+    the node count.
+    """
+    if excluded:
+        pairs = {
+            a: [(b, c) for b, c in ps if b not in excluded and c not in excluded]
+            for a, ps in pairs.items()
+        }
+    best: tuple[int, ...] | None = None
+
+    def dfs(basis: set[int]) -> None:
+        nonlocal best, bound, nodes
+        nodes += 1
+        if nodes > budget:
+            return
+        unc = [a for a in targets if not any(b in basis and c in basis for b, c in pairs[a])]
+        if not unc:
+            if len(basis) < bound:
+                bound = len(basis)
+                best = tuple(sorted(basis))
+            return
+        if len(basis) + _min_additions(len(basis), len(unc)) >= bound:
+            return
+        branch = min(unc, key=lambda a: (len(pairs[a]), a))
+        for b, c in pairs[branch]:
+            new = {b, c} - basis
+            basis |= new
+            dfs(basis)
+            basis -= new
+            if nodes > budget or (first_only and best is not None):
+                return
+
+    dfs(set(forced))
+    return best, nodes
 
 
 @dataclass(frozen=True)
@@ -320,65 +373,27 @@ def min_size_search(
         raise ValueError("exact_min_basis needs a nonempty target set")
     if targets[0] < 1:
         raise ValueError("targets must be positive")
+    divs = [divisors(a) for a in targets]
     if pool is None:
-        pool_set: set[int] = set()
-        for a in targets:
-            pool_set.update(divisors(a))
+        pool_set: set[int] = set().union(*divs)
     else:
         pool_set = set(int(b) for b in pool)
         if pool_set and min(pool_set) < 1:
             raise ValueError("pool elements must be positive")
 
     pairs: dict[int, list[tuple[int, int]]] = {}
-    for a in targets:
-        opts = [
-            (d, a // d)
-            for d in range(1, math.isqrt(a) + 1)
-            if a % d == 0 and d in pool_set and a // d in pool_set
-        ]
+    for a, ds in zip(targets, divs):
+        opts = [(d, a // d) for d in ds if d * d <= a and d in pool_set and a // d in pool_set]
         if not opts:
             raise ValueError(f"target {a} has no factor pair inside the pool")
         pairs[a] = opts
-
-    def covered(a: int, basis: set[int]) -> bool:
-        return any(b in basis and c in basis for b, c in pairs[a])
 
     # incumbent: first pair of every target
     inc: set[int] = set()
     for a in targets:
         inc.update(pairs[a][0])
-    best = tuple(sorted(inc))
-    best_size = len(best)
-
-    nodes = 0
-    exhausted = False
-
-    def dfs(basis: set[int]) -> None:
-        nonlocal best, best_size, nodes, exhausted
-        if exhausted:
-            return
-        nodes += 1
-        if nodes > budget:
-            exhausted = True
-            return
-        unc = [a for a in targets if not covered(a, basis)]
-        if not unc:
-            if len(basis) < best_size:
-                best_size = len(basis)
-                best = tuple(sorted(basis))
-            return
-        if len(basis) + _min_additions(len(basis), len(unc)) >= best_size:
-            return
-        branch = min(unc, key=lambda a: (len(pairs[a]), a))
-        for b, c in pairs[branch]:
-            new = {b, c} - basis
-            basis |= new
-            dfs(basis)
-            basis -= new
-            if exhausted:
-                return
-
-    dfs(set())
+    found, nodes = _least_cover(targets, pairs, len(inc), budget, 0)
+    best = found or tuple(sorted(inc))
     gap = first_uncovered(targets, best)
     if gap is not None:
         raise InvariantViolationError(f"search produced a non-cover, uncovered {gap}")
@@ -387,7 +402,7 @@ def min_size_search(
         pool=tuple(sorted(pool_set)),
         pairs=pairs,
         basis=best,
-        optimal=not exhausted,
+        optimal=nodes <= budget,
         nodes_explored=nodes,
     )
 
@@ -399,138 +414,55 @@ def exact_min_basis(
 ) -> BasisSolution:
     """Exact minimum multiplicative basis of order two for A.
 
-    Two passes share one node budget.  The first, ``min_size_search``,
-    proves the optimum size.  Once it has, a second, lexicographic pass
-    extracts the smallest basis of that size; a budget that runs out
-    there returns the first pass's basis, still optimal.  ``pool``
-    defaults to all divisors of targets.
-
-    The lexicographic pass decides pool elements in ascending order: at
-    depth i each of the first i is either chosen or excluded.  A factor
-    pair is alive while neither member is excluded, and every target
-    keeps a count of its alive pairs, lowered when a member is excluded
-    and restored on backtrack.  ``dead`` counts targets with no alive
-    pair, and a node is feasible exactly when it is zero.  A covered
-    target has a pair inside the chosen set, and chosen elements are
-    never excluded, so only an uncovered target can become dead.  Each
-    element is mapped once to its (target, partner) incidences, a pair
-    (x, x) once; choosing x covers the targets whose partner is x or
-    already chosen.  The pass prunes exactly where a recount from scratch
-    at every node would, so its nodes, their order and ``nodes_explored``
-    do not depend on this bookkeeping.
+    ``min_size_search`` proves the least size k.  The same branch and
+    bound then fixes the lexicographically smallest basis of size k one
+    pool element at a time, in ascending order: x is kept when a cover of
+    size k still holds every kept element and x and no skipped element,
+    and skipped otherwise.  No cover is smaller than k, so each of these
+    searches stops at its first cover.  Both passes share one node
+    budget; one that runs out while fixing returns the first pass's
+    basis, still optimal.  ``pool`` defaults to all divisors of targets.
     """
     first = min_size_search(A, pool, budget)
-    targets, pool_sorted, pairs = first.targets, first.pool, first.pairs
-    best, best_size, proven = first.basis, first.size, first.optimal
-    nodes = first.nodes_explored
-    exhausted = False
-
-    if proven:
-        # lexicographically smallest basis of the proved optimum size
-        index = {x: k for k, x in enumerate(pool_sorted)}
-        incidences: list[list[tuple[int, int]]] = [[] for _ in pool_sorted]
-        alive: list[int] = []
-        for t, a in enumerate(targets):
-            alive.append(len(pairs[a]))
-            for b, c in pairs[a]:
-                ib, ic = index[b], index[c]
-                incidences[ib].append((t, ic))
-                if ic != ib:
-                    incidences[ic].append((t, ib))
-        n_pool = len(pool_sorted)
-        is_chosen = [False] * n_pool
-        is_covered = [False] * len(targets)
-        chosen: list[int] = []
-        uncovered = len(targets)
-        dead = 0
-        found: tuple[int, ...] | None = None
-
-        def dfs_lex(i: int) -> None:
-            nonlocal nodes, exhausted, found, uncovered, dead
-            nodes += 1
+    targets, pairs, k = first.targets, first.pairs, first.size
+    best, nodes = first.basis, first.nodes_explored
+    if first.optimal:
+        kept: list[int] = []
+        skipped: set[int] = set()
+        for x in first.pool:
+            if len(kept) == k:
+                break
+            found, nodes = _least_cover(
+                targets, pairs, k + 1, budget, nodes, kept + [x], skipped, first_only=True
+            )
             if nodes > budget:
-                exhausted = True
-                return
-            if not uncovered:
-                found = tuple(chosen)
-                return
-            r = best_size - len(chosen)
-            if r <= 0 or _min_additions(len(chosen), uncovered) > r or i >= n_pool or dead:
-                return
-            inc_i = incidences[i]
-            newly = []
-            for t, c in inc_i:
-                if not is_covered[t] and (c == i or is_chosen[c]):
-                    is_covered[t] = True
-                    newly.append(t)
-            chosen.append(pool_sorted[i])
-            is_chosen[i] = True
-            uncovered -= len(newly)
-            dfs_lex(i + 1)
-            uncovered += len(newly)
-            is_chosen[i] = False
-            chosen.pop()
-            for t in newly:
-                is_covered[t] = False
-            if found is None and not exhausted:
-                # pool[i] is excluded: its pairs die unless the partner died first
-                killed = []
-                for t, c in inc_i:
-                    if c >= i or is_chosen[c]:
-                        alive[t] -= 1
-                        if not alive[t]:
-                            dead += 1
-                        killed.append(t)
-                dfs_lex(i + 1)
-                for t in killed:
-                    if not alive[t]:
-                        dead -= 1
-                    alive[t] += 1
-
-        dfs_lex(0)
-        if found is not None:
-            best = found
+                break
+            if found is None:
+                skipped.add(x)
+            else:
+                kept.append(x)
+        if nodes <= budget:
+            best = tuple(kept)
 
     check = verify_cover(targets, best)
     if not check.covered:  # pragma: no cover - would be a solver bug
         raise InvariantViolationError(f"search produced a non-cover, uncovered {check.first_uncovered}")
-    return BasisSolution(basis=best, witness=check.witness, optimal=proven, nodes_explored=nodes)
+    return BasisSolution(basis=best, witness=check.witness, optimal=first.optimal, nodes_explored=nodes)
 
 
-def construct_interval_basis(M: int, table: PrimeTable | None = None) -> BasisSolution:
-    """Three-block basis of [1..M]: {1}, all of [2..M^(2/3)], primes above M^(1/3).
+def construct_interval_basis(M: int, table: PrimeTable | None = None) -> tuple[int, ...]:
+    """Three-block basis of [1..M], sorted: {1}, all of [2..M^(2/3)], primes above M^(1/3).
 
-    Witness rule: a target with a prime factor p, p**3 > M, splits as
-    (p, a/p); otherwise a is M^(1/3)-smooth and splits at its largest
-    divisor d <= floor(M^(2/3)), whose cofactor also lands under that
-    bound.  Size is at most pi(M) + M^(2/3) + 1.
+    A target with a prime factor p, p**3 > M, splits as (p, a/p);
+    otherwise a is M^(1/3)-smooth and splits at its largest divisor
+    d <= floor(M^(2/3)), whose cofactor also lands under that bound.
+    Every prime above M^(1/3) and up to M^(2/3) is already in the middle
+    block, so the size is at most pi(M) + M^(2/3) + 1.  ``verify_cover``
+    gives the witnesses.
     """
     if M < 1:
         raise ValueError(f"interval bound must be >= 1, got {M}")
     if table is None or table.limit < M:
         table = sieve(max(M, 2))
     t23 = icbrt(M * M)
-    basis: set[int] = {1}
-    basis.update(range(2, t23 + 1))
-    primes = table.primes_in(2, M)
-    basis.update(p for p in primes if p**3 > M)
-
-    # largest prime factor, and largest divisor <= t23, of every a <= M,
-    # each by ascending overwrite
-    lpf = np.zeros(M + 1, dtype=np.int64)
-    for p in primes:
-        lpf[p::p] = p
-    low_div = np.zeros(M + 1, dtype=np.int64)
-    for d in range(1, t23 + 1):
-        low_div[d::d] = d
-    smooth = lpf[1:] <= icbrt(M)  # a = 1 has lpf 0 and counts as smooth
-    split = np.where(smooth, low_div[1:], lpf[1:])
-    cofactor = np.arange(1, M + 1, dtype=np.int64) // split
-    if (cofactor[smooth] > t23).any():  # pragma: no cover - smooth split bound
-        raise InvariantViolationError("smooth split failed")
-    low = np.minimum(split, cofactor).tolist()
-    high = np.maximum(split, cofactor).tolist()
-    witness: dict[int, tuple[int, int]] = dict(zip(range(1, M + 1), zip(low, high)))
-    return BasisSolution(
-        basis=tuple(sorted(basis)), witness=witness, optimal=False, nodes_explored=0
-    )
+    return tuple(range(1, t23 + 1)) + tuple(table.primes_in(t23 + 1, M))

@@ -124,29 +124,6 @@ def smallest_witness_pair(target: int, basis) -> tuple | None:
     return best
 
 
-def interval_witness_reference(M: int) -> dict:
-    """Witnesses of ``construct_interval_basis`` by the first rule.
-
-    A target whose largest prime factor p has p**3 > M splits as
-    (p, a/p); a smooth target splits at its largest divisor
-    <= floor(M^(2/3)), found among all its divisors by trial division.
-    """
-    t23 = 0
-    while (t23 + 1) ** 3 <= M * M:
-        t23 += 1
-    lpf = [0] * (M + 1)  # largest prime factor, by ascending overwrite
-    for p in primes_segmented(M):
-        for q in range(p, M + 1, p):
-            lpf[q] = p
-    witness = {1: (1, 1)}
-    for a in range(2, M + 1):
-        d = lpf[a]
-        if d**3 <= M:
-            d = max(x for x in _divisors(a) if x <= t23)
-        witness[a] = (min(d, a // d), max(d, a // d))
-    return witness
-
-
 def _divisors(x: int) -> set:
     out = set()
     d = 1
@@ -165,6 +142,9 @@ def min_basis_exhaustive(targets, size_cap: int = 16) -> tuple:
     complete candidate pool.  A target with a single factor pair forces
     both members of that pair into every cover; the exhaustive scan then
     runs over subsets of the residual pool only, smallest size first.
+
+    Combinations come in lexicographic order, so the basis is the
+    lexicographically least one of the least size.
 
     Returns (size, basis-frozenset).
     """
@@ -217,9 +197,12 @@ def _min_additions(s: int, r: int) -> int:
 def exact_min_basis_reference(A, pool=None, budget: int = 2_000_000):
     """``productsets.exact_min_basis`` as first written.
 
-    The package must return the same basis, witness, optimality flag and
-    node count.  Here the second (lexicographic) pass rebuilds the chosen
-    set, the feasibility test and the uncovered list at every node.
+    Its second pass is a depth-first search over the ascending pool,
+    including each element before excluding it, that rebuilds the chosen
+    set, the feasibility test and the uncovered list at every node.  The
+    package must return the same size and optimality flag, and without a
+    budget the same basis and witness; it fixes that basis by other
+    searches, so its node count differs.
     """
     from mulbasis.productsets import BasisSolution, verify_cover
 

@@ -438,7 +438,7 @@ def pipeline_instances(draw):
     u = draw(st.integers(0, M))
     g = draw(st.integers(1, 6))
     top = g * (u + M)
-    basis = set(construct_interval_basis(top).basis)
+    basis = set(construct_interval_basis(top))
     junk = st.one_of(
         st.integers(1, 10**9),  # mostly past the table
         st.integers(0, 40).map(lambda k: 2**k),
@@ -463,7 +463,7 @@ def _outcome(fn, *args, **kwargs):
 @given(pipeline_instances())
 @settings(max_examples=150, deadline=None)
 @example((1, [1], 0, 1, None))  # no columns at all: the vacuous bound -0.5
-@example((100, list(construct_interval_basis(300).basis) + [2**70], 0, 3, None))  # past int64
+@example((100, list(construct_interval_basis(300)) + [2**70], 0, 3, None))  # past int64
 def test_pipeline_matches_dense_oracle(instance):
     M, basis, u, g, table = instance
     got = _outcome(end_to_end_lower_bound, M, basis, u=u, g=g, table=table)
@@ -473,7 +473,7 @@ def test_pipeline_matches_dense_oracle(instance):
 
 def test_pipeline_narrow_small_prime_block():
     M = 100
-    res = end_to_end_lower_bound(M, construct_interval_basis(M).basis)
+    res = end_to_end_lower_bound(M, construct_interval_basis(M))
     assert not res.sphere_ran
     assert res.sphere_reports == ()
     assert res.p2_size == 1
@@ -495,7 +495,7 @@ def test_pipeline_narrow_small_prime_block():
 
 def test_pipeline_with_sphere_stage():
     M = 1000
-    res = end_to_end_lower_bound(M, construct_interval_basis(M).basis)
+    res = end_to_end_lower_bound(M, construct_interval_basis(M))
     assert res.sphere_ran
     assert res.p2_size == 3
     assert res.m1_size == 164
@@ -510,7 +510,7 @@ def test_pipeline_with_sphere_stage():
 
 
 def test_pipeline_bound_is_sound_and_anchored():
-    res = end_to_end_lower_bound(300, construct_interval_basis(300).basis)
+    res = end_to_end_lower_bound(300, construct_interval_basis(300))
     assert res.m1_size - 1 <= res.bound <= res.basis_size
 
 
@@ -530,7 +530,7 @@ def test_pipeline_rejects_bad_input():
 
 
 def test_pipeline_record_is_json_serializable():
-    res = end_to_end_lower_bound(100, construct_interval_basis(100).basis)
+    res = end_to_end_lower_bound(100, construct_interval_basis(100))
     rec = json.loads(json.dumps(res.to_record()))
     assert rec["M"] == 100
     assert rec["bound"] == res.bound

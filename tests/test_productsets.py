@@ -22,9 +22,9 @@ from mulbasis.productsets import (
 )
 from oracles import (
     exact_min_basis_reference,
-    interval_witness_reference,
     mbp_exhaustive,
     min_basis_exhaustive,
+    primes_segmented,
     product_set_brute,
     smallest_witness_pair,
 )
@@ -130,7 +130,7 @@ def test_dense_and_sparse_paths_agree():
     # the dense sweep kicks in at >= 512 targets; pairs must match the
     # per-target divisor scan exactly
     targets = list(range(1, 600))
-    B = construct_interval_basis(599).basis
+    B = construct_interval_basis(599)
     dense = verify_cover(targets, B)
     assert dense.covered
     assert dense.witness == {a: smallest_witness_pair(a, B) for a in targets}
@@ -163,7 +163,7 @@ def _check_first_uncovered(targets, basis):
 def test_first_uncovered_matches_verify_cover_dense(data):
     # >= 512 targets, all <= 2^23: the array sweep
     M = data.draw(st.integers(min_value=512, max_value=2500))
-    basis = set(construct_interval_basis(M).basis)
+    basis = set(construct_interval_basis(M))
     dropped = data.draw(st.sets(st.sampled_from(sorted(basis)), max_size=3))
     basis = (basis - dropped) or {M + 1}
     basis |= data.draw(st.sets(st.integers(min_value=M + 1, max_value=4 * M), max_size=3))
@@ -225,19 +225,21 @@ def test_exact_min_basis_singletons():
 
 def test_exact_min_basis_matches_exhaustive_oracle_on_intervals():
     for M in range(1, 15):
-        expected, _ = min_basis_exhaustive(range(1, M + 1))
+        expected, lex_least = min_basis_exhaustive(range(1, M + 1))
         got = exact_min_basis(range(1, M + 1))
         assert got.optimal
         assert got.size == expected, f"M={M}"
+        assert got.basis == tuple(sorted(lex_least)), f"M={M}"
 
 
 @given(st.sets(st.integers(min_value=1, max_value=60), min_size=1, max_size=7))
 @settings(max_examples=60, deadline=None)
 def test_exact_min_basis_matches_exhaustive_oracle_on_random_sets(targets):
-    expected, _ = min_basis_exhaustive(targets)
+    expected, lex_least = min_basis_exhaustive(targets)
     sol = exact_min_basis(targets)
     assert sol.optimal
     assert sol.size == expected
+    assert sol.basis == tuple(sorted(lex_least))
     assert verify_cover(targets, sol.basis).covered
     assert witness_covers(targets, sol.basis, sol.witness)
 
@@ -266,11 +268,11 @@ def test_exact_min_basis_custom_pool():
     assert set(sol.basis) == {2, 4}
 
 
-# ------------------------------------ lexicographic pass vs the reference
+# ------------------------------------------- exact search vs the reference
 
 
 def _search_outcome(sol):
-    return sol.basis, sol.witness, sol.optimal, sol.nodes_explored
+    return sol.basis, sol.witness, sol.optimal
 
 
 def _assert_matches_reference(targets, **kwargs):
@@ -321,9 +323,21 @@ def test_exact_min_basis_matches_reference_on_custom_pools(case):
     ids=["interval20", "semiprimes-and-36", "smooth"],
 )
 def test_exact_min_basis_matches_reference_at_every_budget(targets):
-    total = exact_min_basis_reference(targets).nodes_explored
+    # both passes share the budget: one that runs out leaves the first
+    # pass's incumbent, one that covers the whole search the lex-least basis
+    _assert_matches_reference(targets)
+    full = exact_min_basis(targets)
+    total = max(full.nodes_explored, exact_min_basis_reference(targets).nodes_explored)
     for budget in range(1, total + 2):
-        _assert_matches_reference(targets, budget=budget)
+        sol = exact_min_basis(targets, budget=budget)
+        expected = exact_min_basis_reference(targets, budget=budget)
+        assert (sol.size, sol.optimal) == (expected.size, expected.optimal), budget
+        assert sol.nodes_explored == min(budget + 1, full.nodes_explored), budget
+        if budget >= full.nodes_explored:
+            assert sol.basis == full.basis, budget
+        else:
+            assert sol.basis == min_size_search(targets, budget=budget).basis, budget
+        assert sol.witness == verify_cover(targets, sol.basis).witness
 
 
 # ------------------------------------ size-only pass vs the full search
@@ -355,8 +369,8 @@ def test_min_size_search_matches_exact_min_basis_on_random_sets(targets):
 
 @pytest.mark.parametrize("a,d", [(2, 2), (0, 6), (2, 6)])
 def test_min_size_search_matches_exact_min_basis_at_every_budget(a, d):
-    # budgets past the first pass's node count run out inside the
-    # lexicographic pass, which keeps the proved size and optimal True
+    # budgets past the first pass's node count run out while the basis
+    # is fixed, which keeps the proved size and optimal True
     elements = [a + m * d for m in range(1, 7)]
     first_nodes = min_size_search(elements).nodes_explored
     total = exact_min_basis(elements).nodes_explored
@@ -371,48 +385,38 @@ def test_min_size_search_matches_exact_min_basis_at_every_budget(a, d):
 
 
 def test_interval_basis_m8():
-    sol = construct_interval_basis(8)
-    assert set(sol.basis) == {1, 2, 3, 4, 5, 7}
-    assert verify_cover(range(1, 9), sol.basis).covered
-    assert sol.witness[8] == (2, 4)
+    basis = construct_interval_basis(8)
+    assert basis == (1, 2, 3, 4, 5, 7)
+    assert verify_cover(range(1, 9), basis).witness[8] == (2, 4)
 
 
 def test_interval_basis_m1():
-    sol = construct_interval_basis(1)
-    assert set(sol.basis) == {1}
+    assert construct_interval_basis(1) == (1,)
 
 
 def test_interval_basis_m1000_size_bound():
-    sol = construct_interval_basis(1000)
-    check = verify_cover(range(1, 1001), sol.basis)
+    basis = construct_interval_basis(1000)
+    check = verify_cover(range(1, 1001), basis)
     assert check.covered
     pi = 168
-    assert sol.size <= pi + 1000 ** (2 / 3) + 1
-
-
-def test_interval_basis_witnesses_are_internal():
-    for M in (10, 50, 200):
-        sol = construct_interval_basis(M)
-        assert witness_covers(range(1, M + 1), sol.basis, sol.witness)
-        t23 = icbrt(M * M)
-        for a, (b1, b2) in sol.witness.items():
-            assert b1 * b2 == a
-            # every witness member is either small or a large prime
-            for b in (b1, b2):
-                assert b <= t23 or b in sol.basis
+    assert len(basis) <= pi + 1000 ** (2 / 3) + 1
 
 
 @pytest.mark.parametrize("Ms", [range(1, 601), [20000]], ids=["M<=600", "M=20000"])
-def test_interval_witnesses_match_trial_division_rule(Ms):
+def test_interval_basis_matches_three_block_rule(Ms):
+    # {1}, all of [2..floor(M^(2/3))], and every prime p <= M with p^3 > M
     for M in Ms:
-        assert construct_interval_basis(M).witness == interval_witness_reference(M)
+        t23 = 0
+        while (t23 + 1) ** 3 <= M * M:
+            t23 += 1
+        expected = set(range(1, t23 + 1)) | {p for p in primes_segmented(M) if p**3 > M}
+        assert construct_interval_basis(M) == tuple(sorted(expected)), M
 
 
 @given(st.integers(min_value=1, max_value=3000))
 @settings(max_examples=40, deadline=None)
 def test_interval_basis_covers_property(M):
-    sol = construct_interval_basis(M)
-    assert verify_cover(range(1, M + 1), sol.basis).covered
+    assert verify_cover(range(1, M + 1), construct_interval_basis(M)).covered
 
 
 # --------------------------------------------------- progression scan
@@ -476,5 +480,5 @@ def test_interval_sandwich_up_to_24():
         exact = exact_min_basis(range(1, M + 1))
         assert exact.optimal
         lower = table.prime_count(M) + 1
-        upper = construct_interval_basis(M).size
+        upper = len(construct_interval_basis(M))
         assert lower <= exact.size <= upper, f"M={M}"

@@ -122,7 +122,7 @@ def test_certify_two_marks_on_interval():
 def test_certify_chooses_odd_prime_above_valuations():
     # marked term 27 = 3^3 has valuation 3, so q must be at least 5
     ap = APSpec(g=1, u=0, v=1, M=30)
-    basis = set(construct_interval_basis(30).basis)
+    basis = set(construct_interval_basis(30))
     marks = MarkingSet(indices=frozenset({27, 25}), prime_of={27: 3, 25: 5})
     cert = certify_lower_bound(ReducedPair.of(ap, basis), marks)
     assert cert.q == 5
@@ -157,7 +157,7 @@ def test_certify_never_verifies_bound_above_basis():
 def test_certify_marking_set_from_pipeline():
     M = 1000
     marks = build_marking_sets(M, 0, sieve(M)).single_prime_marks
-    pair = ReducedPair.of(APSpec(g=1, u=0, v=1, M=M), construct_interval_basis(M).basis)
+    pair = ReducedPair.of(APSpec(g=1, u=0, v=1, M=M), construct_interval_basis(M))
     cert = certify_lower_bound(pair, marks)
     assert cert.bound == len(marks) == 164
     assert cert.verified
@@ -201,7 +201,7 @@ def certify_instances(draw):
             if u + v * m > 1:
                 prime_of[m] = draw(st.sampled_from(_prime_factors(u + v * m)))
         marks = MarkingSet(indices=frozenset(prime_of), prime_of=prime_of)
-    basis = set(construct_interval_basis(g * (u + v * M)).basis)
+    basis = set(construct_interval_basis(g * (u + v * M)))
     basis |= set(draw(st.lists(st.integers(1, 10**6), max_size=4)))
     if draw(st.integers(0, 3)) == 0:
         basis.discard(draw(st.sampled_from(sorted(basis))))
@@ -212,13 +212,13 @@ def certify_instances(draw):
 @settings(max_examples=250, deadline=None)
 @example(
     (
-        ReducedPair.of(APSpec(g=1, u=0, v=1, M=130), construct_interval_basis(130).basis),
+        ReducedPair.of(APSpec(g=1, u=0, v=1, M=130), construct_interval_basis(130)),
         MarkingSet(indices=frozenset({128, 125, 81}), prime_of={128: 2, 125: 5, 81: 3}),
     )
 )  # v_2(128) = 7, so q = 11
 @example(
     (
-        ReducedPair.of(APSpec(g=6, u=0, v=1, M=30), construct_interval_basis(180).basis),
+        ReducedPair.of(APSpec(g=6, u=0, v=1, M=30), construct_interval_basis(180)),
         MarkingSet(indices=frozenset({27, 25}), prime_of={27: 3, 25: 5}),
     )
 )  # q = 5 and v_3(g) = 1: the shift -rho(g)/2 is 2 at the column of 3
