@@ -568,6 +568,36 @@ def test_listing_and_overlap_commands_match_golden_payload(name, jobs, capsys):
         assert out == (GOLDEN / f"{name}.{fmt}").read_text(encoding="utf-8")
 
 
+# recorded before the subcommands were declared in one command table: the
+# help texts pin each flag's order, requiredness, choices and exclusive
+# groups; the text payloads pin the order of each row's keys; the config
+# blocks pin the defaults every JSON payload carries
+def test_help_matches_golden(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "100")
+    parts = []
+    for argv in [[], *([command] for command in SMOKE_ARGS)]:
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--help"])
+        assert exc.value.code == 0
+        parts.append(f"$ mulbasis {' '.join([*argv, '--help'])}\n{capsys.readouterr().out}")
+    assert "".join(parts) == (GOLDEN / "help.txt").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("command", sorted(SMOKE_ARGS))
+def test_text_payload_matches_golden(command, capsys):
+    code = main([command, *SMOKE_ARGS[command], "--format", "text"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out == json.loads((GOLDEN / "smoke_text.json").read_text(encoding="utf-8"))[command]
+
+
+@pytest.mark.parametrize("command", sorted(SMOKE_ARGS))
+def test_json_config_matches_golden(command, capsys):
+    config = run_json([command, *SMOKE_ARGS[command]], capsys)["config"]
+    golden = json.loads((GOLDEN / "smoke_config.json").read_text(encoding="utf-8"))[command]
+    assert json.dumps(config, sort_keys=True) == json.dumps(golden, sort_keys=True)
+
+
 # ---------------------------------------------------------- seeded commands
 
 
