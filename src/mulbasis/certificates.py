@@ -576,26 +576,6 @@ class PipelineResult:
         applicable = [r for r in self.chain + self.sphere_reports if r.hypotheses_ok]
         return all(r.holds for r in applicable)
 
-    def to_record(self) -> dict:
-        return {
-            "M": self.M,
-            "u": self.u,
-            "g": self.g,
-            "basis_size": self.basis_size,
-            "bound": self.bound,
-            "m1_size": self.m1_size,
-            "m2_size": self.m2_size,
-            "p1_size": self.p1_size,
-            "p2_size": self.p2_size,
-            "bprime_size": self.bprime_size,
-            "graph_vertices": self.graph_vertices,
-            "tree_count": self.tree_count,
-            "sphere_size": self.sphere_size,
-            "sphere_ran": self.sphere_ran,
-            "chain": [r.to_record() for r in self.chain],
-            "sphere_reports": [r.to_record() for r in self.sphere_reports],
-        }
-
 
 def end_to_end_lower_bound(
     M: int, B: Iterable[int], u: int = 0, g: int = 1, table: PrimeTable | None = None

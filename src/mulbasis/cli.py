@@ -25,8 +25,9 @@ import json
 import math
 import os
 import sys
+from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,49 +69,6 @@ from .spherelab import (
 __all__ = ["RunConfig", "run", "main", "main_entry", "rng_stream"]
 
 _MASK64 = (1 << 64) - 1
-
-_COLUMNS = {
-    "primes": ["limit", "lo", "hi", "count", "primes"],
-    "min-basis": ["M", "size", "optimal", "nodes", "basis"],
-    "interval-basis": ["M", "size", "size_bound", "covered"],
-    "mbp-search": ["a", "d", "size", "optimal", "is_best"],
-    "reduce": [
-        "M",
-        "in_offset",
-        "in_step",
-        "out_g",
-        "out_u",
-        "out_v",
-        "basis_size_in",
-        "basis_size_out",
-        "covered",
-        "product_decreased",
-    ],
-    "factorial-check": ["u", "v", "M", "marked_count", "exceptional_count", "surviving_count", "divides"],
-    "sphere-enumerate": ["n", "k", "index", "vector"],
-    "sphere-cases": ["n", "case", "formula_count", "enumerated_count", "bound", "holds"],
-    "sphere-min-basis": ["n", "size", "optimal", "nodes", "basis"],
-    "sphere-construct": ["n", "size", "covered"],
-    "sphere-overlap": ["trial", "n", "x_size", "y_size", "lhs", "bound", "holds", "hypotheses_ok", "n_large_enough"],
-    "sphere-overlap-general": ["trial", "n", "a_size", "b_size", "lhs", "pair_bound", "linear_bound", "holds"],
-    "sphere-certificate": ["name", "lhs", "rhs", "hypotheses_ok", "holds"],
-    "pipeline-bound": [
-        "M",
-        "u",
-        "g",
-        "basis_size",
-        "bound",
-        "m1_size",
-        "m2_size",
-        "p1_size",
-        "p2_size",
-        "bprime_size",
-        "tree_count",
-        "sphere_size",
-        "sphere_ran",
-        "all_hold",
-    ],
-}
 
 
 @dataclass(frozen=True)
@@ -238,12 +196,10 @@ def _render(config: RunConfig, results: list[dict], checks: list[InequalityRepor
         }
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if config.output_format == "csv":
-        if config.command in ("sphere-certificate",):
-            columns = _COLUMNS["sphere-certificate"]
+        columns = _COMMANDS[config.command].columns
+        rows = results
+        if config.command == "sphere-certificate":  # its table is its checks
             rows = [c.to_record() for c in checks]
-        else:
-            columns = _COLUMNS[config.command]
-            rows = results
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(columns)
@@ -261,12 +217,8 @@ def _render(config: RunConfig, results: list[dict], checks: list[InequalityRepor
     return "\n".join(lines) + "\n"
 
 
-def _exit_code(checks: list[InequalityReport], proven: bool = True) -> int:
-    if not proven:
-        return 1
-    if any(c.hypotheses_ok and not c.holds for c in checks):
-        return 1
-    return 0
+def _exit_code(checks: list[InequalityReport]) -> int:
+    return 1 if any(c.hypotheses_ok and not c.holds for c in checks) else 0
 
 
 def _at_least(p: dict, key: str, least: int = 1) -> int:
@@ -287,9 +239,42 @@ def _vector_str(v) -> str:
     return "".join(str(c) for c in v.coords)
 
 
+# ---------------------------------------------------------------- command table
+
+
+_Command = namedtuple("_Command", "help columns flags either runner")
+_COMMANDS: dict[str, _Command] = {}  # subcommand name -> declaration, in parser order
+
+
+def _command(name: str, help: str, columns: str, *flags, either: tuple = ()):
+    """Declare the decorated runner as subcommand ``name`` with its frozen CSV columns.
+
+    A flag is ``"--name"`` (optional int), ``"--name!"`` (required int) or
+    ``("--name", argparse keywords)``, an int unless the keywords give a
+    type.  Exactly one of the two flags in ``either`` must be given.
+    """
+
+    def register(runner):
+        _COMMANDS[name] = _Command(help, tuple(columns.split()), flags, either, runner)
+        return runner
+
+    return register
+
+
+def _row(config: RunConfig, result, **cells) -> dict:
+    """The row of the command's columns: each from ``cells``, else ``result``'s attribute."""
+    columns = _COMMANDS[config.command].columns
+    return {c: cells[c] if c in cells else getattr(result, c) for c in columns}
+
+
 # ---------------------------------------------------------------- commands
 
 
+@_command(
+    "primes", "list primes up to a limit",
+    "limit lo hi count primes",
+    "--limit!", "--lo", "--hi",
+)
 def _cmd_primes(config: RunConfig) -> tuple[list, list, int]:
     p = config.parameters
     limit = p["limit"]
@@ -297,10 +282,19 @@ def _cmd_primes(config: RunConfig) -> tuple[list, list, int]:
     hi = limit if p.get("hi") is None else p["hi"]
     table = sieve(limit)
     primes = [int(x) for x in table.primes_in(lo, hi)]
-    row = {"limit": limit, "lo": lo, "hi": hi, "count": len(primes), "primes": primes}
+    row = _row(config, None, limit=limit, lo=lo, hi=hi, count=len(primes), primes=primes)
     return [row], [], 0
 
 
+@_command(
+    "min-basis", "exact smallest multiplicative basis",
+    "M size optimal nodes basis",
+    "--budget-nodes",
+    either=(
+        ("--interval", {"help": "target set [1..M]"}),
+        ("--elements", {"type": str, "help": "comma-separated targets"}),
+    ),
+)
 def _cmd_min_basis(config: RunConfig) -> tuple[list, list, int]:
     p = config.parameters
     if p.get("interval") is not None:
@@ -310,16 +304,10 @@ def _cmd_min_basis(config: RunConfig) -> tuple[list, list, int]:
         elements = sorted(set(p["elements"]))
         M = None
     sol = exact_min_basis(elements, budget=_count(p, "budget_nodes", 2_000_000))
-    row = {
-        "M": M,
-        "size": sol.size,
-        "optimal": sol.optimal,
-        "nodes": sol.nodes_explored,
-        "basis": list(sol.basis),
-    }
-    return [row], [], 0 if sol.optimal else 1
+    return [_row(config, sol, M=M, nodes=sol.nodes_explored)], [], 0 if sol.optimal else 1
 
 
+@_command("interval-basis", "explicit small basis for [1..M]", "M size size_bound covered", "--m!")
 def _cmd_interval_basis(config: RunConfig) -> tuple[list, list, int]:
     M = config.parameters["m"]
     table = sieve(max(M, 4))
@@ -333,10 +321,15 @@ def _cmd_interval_basis(config: RunConfig) -> tuple[list, list, int]:
         InequalityReport.of("interval_basis_size", len(basis), size_bound),
         InequalityReport.of("interval_cover_complete", 1 if covered else 2, 1),
     ]
-    row = {"M": M, "size": len(basis), "size_bound": size_bound, "covered": covered}
+    row = _row(config, None, M=M, size=len(basis), size_bound=size_bound, covered=covered)
     return [row], checks, _exit_code(checks)
 
 
+@_command(
+    "mbp-search", "exact minima over a grid of progressions",
+    "a d size optimal is_best",
+    "--m!", "--a-max!", "--d-max!", "--budget-nodes",
+)
 def _cmd_mbp_search(config: RunConfig) -> tuple[list, list, int]:
     p = config.parameters
     M, a_max, d_max = _at_least(p, "m"), _at_least(p, "a_max", 0), _at_least(p, "d_max")
@@ -346,17 +339,22 @@ def _cmd_mbp_search(config: RunConfig) -> tuple[list, list, int]:
     def work(_, ad):
         a, d = ad
         elements = [a + m * d for m in range(1, M + 1)]
-        sol = min_size_search(elements, budget=budget)
-        return {"a": a, "d": d, "size": sol.size, "optimal": sol.optimal}
+        return _row(config, min_size_search(elements, budget=budget), a=a, d=d, is_best=False)
 
     rows = _process_map(work, grid, config.jobs)
-    best = min(rows, key=lambda r: (r["size"], r["a"], r["d"]))
-    for r in rows:
-        r["is_best"] = r is best
+    min(rows, key=lambda r: (r["size"], r["a"], r["d"]))["is_best"] = True
     proven = all(r["optimal"] for r in rows)
     return rows, [], 0 if proven else 1
 
 
+@_command(
+    "reduce", "normal-form reduction of covered progressions",
+    "M in_offset in_step out_g out_u out_v basis_size_in basis_size_out covered product_decreased",
+    either=(
+        ("--json-file", {"type": str, "help": "pair record to reduce"}),
+        ("--random", {"help": "number of seeded instances"}),
+    ),
+)
 def _cmd_reduce(config: RunConfig) -> tuple[list, list, int]:
     p = config.parameters
     given = None
@@ -368,21 +366,14 @@ def _cmd_reduce(config: RunConfig) -> tuple[list, list, int]:
     def work(i, _):
         # a random instance is drawn by index inside the worker that reduces it
         pair = given if given is not None else random_injected_pair(rng_stream(config.seed, i))
-        before = math.prod(pair.basis)
         out = reduce_pair(pair)
-        after = math.prod(out.basis)
-        return {
-            "M": pair.ap.M,
-            "in_offset": pair.ap.offset,
-            "in_step": pair.ap.step,
-            "out_g": out.ap.g,
-            "out_u": out.ap.u,
-            "out_v": out.ap.v,
-            "basis_size_in": len(pair.basis),
-            "basis_size_out": len(out.basis),
-            "covered": out.verify().covered,
-            "product_decreased": after <= before,
-        }
+        return _row(
+            config, None, M=pair.ap.M, in_offset=pair.ap.offset, in_step=pair.ap.step,
+            out_g=out.ap.g, out_u=out.ap.u, out_v=out.ap.v,
+            basis_size_in=len(pair.basis), basis_size_out=len(out.basis),
+            covered=out.verify().covered,
+            product_decreased=math.prod(out.basis) <= math.prod(pair.basis),
+        )
 
     rows = _process_map(work, range(count), config.jobs)
     ok = all(r["covered"] and r["product_decreased"] for r in rows)
@@ -392,6 +383,11 @@ def _cmd_reduce(config: RunConfig) -> tuple[list, list, int]:
     return rows, checks, 0 if ok else 1
 
 
+@_command(
+    "factorial-check", "surviving-term product divides (M-1)!",
+    "u v M marked_count exceptional_count surviving_count divides",
+    "--u", "--v", "--m", ("--random", {"help": "number of seeded instances"}),
+)
 def _cmd_factorial_check(config: RunConfig) -> tuple[list, list, int]:
     p = config.parameters
     if p.get("random") is not None:
@@ -403,17 +399,11 @@ def _cmd_factorial_check(config: RunConfig) -> tuple[list, list, int]:
     table = sieve(max(top, 4))
 
     def work(_, inst):
-        u, v, M = inst
-        res = factorial_divisibility_check(u, v, M, table)
-        return {
-            "u": u,
-            "v": v,
-            "M": M,
-            "marked_count": len(res.marked_large),
-            "exceptional_count": len(res.exceptional),
-            "surviving_count": len(res.surviving),
-            "divides": res.divides,
-        }
+        res = factorial_divisibility_check(*inst, table)
+        return _row(
+            config, res, marked_count=len(res.marked_large),
+            exceptional_count=len(res.exceptional), surviving_count=len(res.surviving),
+        )
 
     rows = _process_map(work, instances, config.jobs)
     failed = sum(1 for r in rows if not r["divides"])
@@ -421,35 +411,35 @@ def _cmd_factorial_check(config: RunConfig) -> tuple[list, list, int]:
     return rows, checks, _exit_code(checks)
 
 
+@_command(
+    "sphere-enumerate", "weight-k 0-1 vectors in support order",
+    "n k index vector",
+    "--n!", ("--k", {"default": 3}),
+)
 def _cmd_sphere_enumerate(config: RunConfig) -> tuple[list, list, int]:
     p = config.parameters
     n, k = p["n"], p.get("k", 3)
     rows = [
-        {"n": n, "k": k, "index": i, "vector": _vector_str(v)}
+        _row(config, None, n=n, k=k, index=i, vector=_vector_str(v))
         for i, v in enumerate(enumerate_sphere(n, k))
     ]
     return rows, [], 0
 
 
+@_command(
+    "sphere-cases", "difference census against the closed formulas",
+    "n case formula_count enumerated_count bound holds",
+    "--n!", ("--case", {"choices": [1, 2, 3]}),
+)
 def _cmd_sphere_cases(config: RunConfig) -> tuple[list, list, int]:
     p = config.parameters
     census = difference_census(p["n"])
     wanted = p.get("case")
-    rows = []
-    for r in census.rows:
-        label = r.case.value
-        if wanted is not None and label != f"case{wanted}":
-            continue
-        rows.append(
-            {
-                "n": r.n,
-                "case": label,
-                "formula_count": r.formula_count,
-                "enumerated_count": r.enumerated_count,
-                "bound": r.bound,
-                "holds": r.holds,
-            }
-        )
+    rows = [
+        _row(config, r, case=r.case.value)
+        for r in census.rows
+        if wanted is None or r.case.value == f"case{wanted}"
+    ]
     checks = [
         InequalityReport.of("census_total_pairs", census.total_pairs, math.comb(p["n"], 3) ** 2),
         InequalityReport.of("census_unknown_cases", census.other_seen, 0),
@@ -460,19 +450,20 @@ def _cmd_sphere_cases(config: RunConfig) -> tuple[list, list, int]:
     return rows, checks, _exit_code(checks)
 
 
+@_command(
+    "sphere-min-basis", "exact smallest additive cover of the 3-sphere",
+    "n size optimal nodes basis",
+    "--n!", "--budget-nodes",
+)
 def _cmd_sphere_min_basis(config: RunConfig) -> tuple[list, list, int]:
     p = config.parameters
     sol = sphere_min_basis(p["n"], budget=_count(p, "budget_nodes", 5_000_000))
-    row = {
-        "n": p["n"],
-        "size": sol.size,
-        "optimal": sol.optimal,
-        "nodes": sol.nodes_explored,
-        "basis": [_vector_str(v) for v in sorted(sol.basis)],
-    }
+    basis = [_vector_str(v) for v in sorted(sol.basis)]
+    row = _row(config, sol, n=p["n"], nodes=sol.nodes_explored, basis=basis)
     return [row], [], 0 if sol.optimal else 1
 
 
+@_command("sphere-construct", "weight-1 plus weight-2 cover", "n size covered", "--n!")
 def _cmd_sphere_construct(config: RunConfig) -> tuple[list, list, int]:
     n = config.parameters["n"]
     sol = sphere_basis_construct(n)
@@ -481,10 +472,14 @@ def _cmd_sphere_construct(config: RunConfig) -> tuple[list, list, int]:
         InequalityReport.of("construct_size", sol.size, n * (n + 1) // 2),
         InequalityReport.of("construct_cover", 1 if check.covered else 2, 1),
     ]
-    row = {"n": n, "size": sol.size, "covered": check.covered}
-    return [row], checks, _exit_code(checks)
+    return [_row(config, sol, n=n, covered=check.covered)], checks, _exit_code(checks)
 
 
+@_command(
+    "sphere-overlap", "seeded fixed-fraction overlap trials",
+    "trial n x_size y_size lhs bound holds hypotheses_ok n_large_enough",
+    "--n!", "--x-size!", "--y-size!", ("--trials", {"default": 1}),
+)
 def _cmd_sphere_overlap(config: RunConfig) -> tuple[list, list, int]:
     p = config.parameters
     n, x_size, y_size = p["n"], _at_least(p, "x_size", 0), _at_least(p, "y_size", 0)
@@ -497,18 +492,7 @@ def _cmd_sphere_overlap(config: RunConfig) -> tuple[list, list, int]:
         raise ValueError(f"y-size {y_size} cannot satisfy |Y| <= n^2/100 at n={n}")
 
     def work(i, _):
-        res = overlap_trial(n, x_size, y_size, rng_stream(config.seed, i))
-        return {
-            "trial": i,
-            "n": res.n,
-            "x_size": res.x_size,
-            "y_size": res.y_size,
-            "lhs": res.lhs,
-            "bound": res.bound,
-            "holds": res.holds,
-            "hypotheses_ok": res.hypotheses_ok,
-            "n_large_enough": res.n_large_enough,
-        }
+        return _row(config, overlap_trial(n, x_size, y_size, rng_stream(config.seed, i)), trial=i)
 
     rows = _indexed_map(work, range(trials), config.jobs)
     worst = max(r["lhs"] for r in rows)
@@ -521,6 +505,11 @@ def _cmd_sphere_overlap(config: RunConfig) -> tuple[list, list, int]:
     return rows, checks, code
 
 
+@_command(
+    "sphere-overlap-general", "seeded pair-count overlap trials",
+    "trial n a_size b_size lhs pair_bound linear_bound holds",
+    "--n!", "--a-size!", "--b-size!", ("--trials", {"default": 1}),
+)
 def _cmd_sphere_overlap_general(config: RunConfig) -> tuple[list, list, int]:
     p = config.parameters
     n, a_size, b_size = p["n"], _at_least(p, "a_size", 0), _at_least(p, "b_size", 0)
@@ -532,16 +521,7 @@ def _cmd_sphere_overlap_general(config: RunConfig) -> tuple[list, list, int]:
 
     def work(i, _):
         res = overlap_refined_trial(n, a_size, b_size, rng_stream(config.seed, i))
-        return {
-            "trial": i,
-            "n": res.n,
-            "a_size": res.a_size,
-            "b_size": res.b_size,
-            "lhs": res.lhs,
-            "pair_bound": res.pair_bound,
-            "linear_bound": res.linear_bound,
-            "holds": res.holds,
-        }
+        return _row(config, res, trial=i)
 
     rows = _indexed_map(work, range(trials), config.jobs)
     worst = max((r["lhs"] - r["pair_bound"] for r in rows), default=0)
@@ -550,29 +530,43 @@ def _cmd_sphere_overlap_general(config: RunConfig) -> tuple[list, list, int]:
     return rows, checks, code
 
 
-def _read_vector_file(path: str, n: int):
+def _read_lines(path: str, parse, comments: bool = False) -> list:
+    """``parse`` of each non-blank line, ``#`` lines skipped if ``comments``; errors name the line."""
     out = []
     with open(path, "r", encoding="utf-8") as fh:
         for k, line in enumerate(fh, 1):
             line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if len(line) != n:
-                raise ValueError(f"vector {line!r} does not have {n} coordinates")
-            if not set(line) <= set("012"):
-                raise ValueError(f"line {k}: vector {line!r} has a coordinate outside 0, 1, 2")
-            out.append([int(ch) for ch in line])
+            if line and not (comments and line.startswith("#")):
+                try:
+                    out.append(parse(line))
+                except ValueError as exc:
+                    raise ValueError(f"line {k}: {exc}") from None
     return out
 
 
+def _ternary(line: str, n: int) -> TernaryVector:
+    if len(line) != n:
+        raise ValueError(f"vector {line!r} does not have {n} coordinates")
+    if not set(line) <= set("012"):
+        raise ValueError(f"vector {line!r} has a coordinate outside 0, 1, 2")
+    return TernaryVector.from_coords([int(ch) for ch in line])
+
+
+@_command(
+    "sphere-certificate", "degree-counting inequality reports",
+    "name lhs rhs hypotheses_ok holds",
+    "--n!", ("--basis-file", {"type": str, "help": "one 0/1/2 string per line"}),
+)
 def _cmd_sphere_certificate(config: RunConfig) -> tuple[list, list, int]:
     p = config.parameters
     n = p["n"]
     if p.get("basis_file"):
-        basis = [TernaryVector.from_coords(r) for r in _read_vector_file(p["basis_file"], n)]
+        basis = _read_lines(p["basis_file"], lambda line: _ternary(line, n), comments=True)
     else:
         basis = sorted(sphere_basis_construct(n).basis)
     checks = sphere_cover_report(basis, n)
+    # the CSV table of this command is its checks (see _render), so its
+    # one JSON row is built here rather than projected onto the columns
     row = {
         "n": n,
         "basis_size": len(set(basis)),
@@ -581,6 +575,13 @@ def _cmd_sphere_certificate(config: RunConfig) -> tuple[list, list, int]:
     return [row], checks, _exit_code(checks)
 
 
+@_command(
+    "pipeline-bound", "end-to-end certified lower bound",
+    "M u g basis_size bound m1_size m2_size p1_size p2_size bprime_size tree_count "
+    "sphere_size sphere_ran all_hold",
+    "--m!", ("--u", {"default": 0}), ("--g", {"default": 1}),
+    ("--basis-file", {"type": str, "help": "one integer per line"}),
+)
 def _cmd_pipeline_bound(config: RunConfig) -> tuple[list, list, int]:
     p = config.parameters
     M = _at_least(p, "m")
@@ -590,58 +591,30 @@ def _cmd_pipeline_bound(config: RunConfig) -> tuple[list, list, int]:
     g = _count(p, "g")
     table = None  # a given basis is embedded on the pipeline's own table
     if p.get("basis_file"):
-        with open(p["basis_file"], "r", encoding="utf-8") as fh:
-            basis = [int(line) for line in fh if line.strip()]
+        basis = _read_lines(p["basis_file"], int)
     else:
         # the progression g*(u+m), m in [1..M], lies inside [1..g*(u+M)]
         table = sieve(max(g * (u + M), 4))
         basis = construct_interval_basis(g * (u + M), table)
     res = end_to_end_lower_bound(M, basis, u=u, g=g, table=table)
     checks = list(res.chain) + list(res.sphere_reports)
-    row = {
-        "M": res.M,
-        "u": res.u,
-        "g": res.g,
-        "basis_size": res.basis_size,
-        "bound": res.bound,
-        "m1_size": res.m1_size,
-        "m2_size": res.m2_size,
-        "p1_size": res.p1_size,
-        "p2_size": res.p2_size,
-        "bprime_size": res.bprime_size,
-        "tree_count": res.tree_count,
-        "sphere_size": res.sphere_size,
-        "sphere_ran": res.sphere_ran,
-        "all_hold": res.all_hold,
-    }
-    return [row], checks, _exit_code(checks)
-
-
-_DISPATCH = {
-    "primes": _cmd_primes,
-    "min-basis": _cmd_min_basis,
-    "interval-basis": _cmd_interval_basis,
-    "mbp-search": _cmd_mbp_search,
-    "reduce": _cmd_reduce,
-    "factorial-check": _cmd_factorial_check,
-    "sphere-enumerate": _cmd_sphere_enumerate,
-    "sphere-cases": _cmd_sphere_cases,
-    "sphere-min-basis": _cmd_sphere_min_basis,
-    "sphere-construct": _cmd_sphere_construct,
-    "sphere-overlap": _cmd_sphere_overlap,
-    "sphere-overlap-general": _cmd_sphere_overlap_general,
-    "sphere-certificate": _cmd_sphere_certificate,
-    "pipeline-bound": _cmd_pipeline_bound,
-}
+    return [_row(config, res)], checks, _exit_code(checks)
 
 
 def run(config: RunConfig, out=None) -> int:
     """Execute one configured command, write its report, return the exit code."""
-    if config.command not in _DISPATCH:
+    if config.command not in _COMMANDS:
         raise ValueError(f"unknown command {config.command!r}")
-    results, checks, code = _DISPATCH[config.command](config)
+    results, checks, code = _COMMANDS[config.command].runner(config)
     (out or sys.stdout).write(_render(config, results, checks))
     return code
+
+
+def _add_flag(parser, spec) -> None:
+    name, keywords = (spec, {}) if isinstance(spec, str) else spec
+    if name.endswith("!"):
+        name, keywords = name[:-1], {"required": True}
+    parser.add_argument(name, **{"type": int, **keywords})
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -651,95 +624,18 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp):
+    for name, command in _COMMANDS.items():
+        sp = sub.add_parser(name, help=command.help)
+        if command.either:
+            group = sp.add_mutually_exclusive_group(required=True)
+            for spec in command.either:
+                _add_flag(group, spec)
+        for spec in command.flags:
+            _add_flag(sp, spec)
         sp.add_argument("--seed", type=int, default=0, help="seed for all randomized draws")
         sp.add_argument("--jobs", type=int, default=1, help="worker pool size")
         sp.add_argument("--format", choices=["json", "csv", "text"], default="json")
         sp.add_argument("--out", type=str, default=None, help="also write the report to FILE")
-
-    sp = sub.add_parser("primes", help="list primes up to a limit")
-    sp.add_argument("--limit", type=int, required=True)
-    sp.add_argument("--lo", type=int, default=None)
-    sp.add_argument("--hi", type=int, default=None)
-    common(sp)
-
-    sp = sub.add_parser("min-basis", help="exact smallest multiplicative basis")
-    group = sp.add_mutually_exclusive_group(required=True)
-    group.add_argument("--interval", type=int, help="target set [1..M]")
-    group.add_argument("--elements", type=str, help="comma-separated targets")
-    sp.add_argument("--budget-nodes", type=int, default=None)
-    common(sp)
-
-    sp = sub.add_parser("interval-basis", help="explicit small basis for [1..M]")
-    sp.add_argument("--m", type=int, required=True)
-    common(sp)
-
-    sp = sub.add_parser("mbp-search", help="exact minima over a grid of progressions")
-    sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--a-max", type=int, required=True)
-    sp.add_argument("--d-max", type=int, required=True)
-    sp.add_argument("--budget-nodes", type=int, default=None)
-    common(sp)
-
-    sp = sub.add_parser("reduce", help="normal-form reduction of covered progressions")
-    group = sp.add_mutually_exclusive_group(required=True)
-    group.add_argument("--json-file", type=str, help="pair record to reduce")
-    group.add_argument("--random", type=int, help="number of seeded instances")
-    common(sp)
-
-    sp = sub.add_parser("factorial-check", help="surviving-term product divides (M-1)!")
-    sp.add_argument("--u", type=int)
-    sp.add_argument("--v", type=int)
-    sp.add_argument("--m", type=int)
-    sp.add_argument("--random", type=int, help="number of seeded instances")
-    common(sp)
-
-    sp = sub.add_parser("sphere-enumerate", help="weight-k 0-1 vectors in support order")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--k", type=int, default=3)
-    common(sp)
-
-    sp = sub.add_parser("sphere-cases", help="difference census against the closed formulas")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--case", type=int, choices=[1, 2, 3], default=None)
-    common(sp)
-
-    sp = sub.add_parser("sphere-min-basis", help="exact smallest additive cover of the 3-sphere")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--budget-nodes", type=int, default=None)
-    common(sp)
-
-    sp = sub.add_parser("sphere-construct", help="weight-1 plus weight-2 cover")
-    sp.add_argument("--n", type=int, required=True)
-    common(sp)
-
-    sp = sub.add_parser("sphere-overlap", help="seeded fixed-fraction overlap trials")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--x-size", type=int, required=True)
-    sp.add_argument("--y-size", type=int, required=True)
-    sp.add_argument("--trials", type=int, default=1)
-    common(sp)
-
-    sp = sub.add_parser("sphere-overlap-general", help="seeded pair-count overlap trials")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--a-size", type=int, required=True)
-    sp.add_argument("--b-size", type=int, required=True)
-    sp.add_argument("--trials", type=int, default=1)
-    common(sp)
-
-    sp = sub.add_parser("sphere-certificate", help="degree-counting inequality reports")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--basis-file", type=str, default=None, help="one 0/1/2 string per line")
-    common(sp)
-
-    sp = sub.add_parser("pipeline-bound", help="end-to-end certified lower bound")
-    sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--u", type=int, default=0)
-    sp.add_argument("--g", type=int, default=1)
-    sp.add_argument("--basis-file", type=str, default=None, help="one integer per line")
-    common(sp)
-
     return parser
 
 
@@ -761,8 +657,10 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     if args.command == "factorial-check":
-        have_explicit = args.u is not None and args.v is not None and args.m is not None
-        if not have_explicit and args.random is None:
+        explicit = (args.u, args.v, args.m)
+        if args.random is not None and explicit != (None, None, None):
+            parser.error("factorial-check takes either --u/--v/--m or --random, not both")
+        if args.random is None and None in explicit:
             parser.error("factorial-check needs either --u/--v/--m or --random")
     try:
         config = _config_from_args(args)

@@ -253,18 +253,6 @@ class BasisSolution:
     def size(self) -> int:
         return len(self.basis)
 
-    def to_record(self, M: int | None = None) -> dict:
-        rec = {
-            "basis": list(self.basis),
-            "size": self.size,
-            "witness": [[a, b, c] for a, (b, c) in sorted(self.witness.items())],
-            "optimal": self.optimal,
-            "nodes_explored": self.nodes_explored,
-        }
-        if M is not None:
-            rec["M"] = M
-        return rec
-
 
 def _min_additions(s: int, r: int) -> int:
     # adding the i-th new element to a basis of size s covers at most

@@ -140,14 +140,6 @@ class MarkingSet:
                 if m2 != m and (u + v * m2) % p == 0:
                     raise ValueError(f"mark invariant fails: (m={m}, m'={m2}, p={p}) divides both terms")
 
-    def to_record(self) -> dict:
-        return {"prime_of": {str(m): p for m, p in sorted(self.prime_of.items())}}
-
-    @classmethod
-    def from_record(cls, rec: dict) -> "MarkingSet":
-        prime_of = {int(m): int(p) for m, p in rec["prime_of"].items()}
-        return cls(indices=frozenset(prime_of), prime_of=prime_of)
-
 
 def reduce_pair(pair: ReducedPair) -> ReducedPair:
     """Strip primes over-dividing the step until gcd(v, g) = 1.

@@ -175,13 +175,22 @@ def min_basis_exhaustive(targets, size_cap: int = 16) -> tuple:
 
 
 def mbp_exhaustive(M: int, a_max: int, d_max: int) -> int:
-    """Minimum exhaustive-search basis size over the progression grid."""
+    """Minimum exhaustive-search basis size over the progression grid.
+
+    Once a size is known, each later progression is scanned only up to
+    one below it: a scan that passes that cap cannot lower the minimum.
+    """
     best = None
     for a in range(0, a_max + 1):
         for d in range(1, d_max + 1):
-            size, _ = min_basis_exhaustive([a + m * d for m in range(1, M + 1)])
-            if best is None or size < best:
-                best = size
+            targets = [a + m * d for m in range(1, M + 1)]
+            if best is None:
+                best, _ = min_basis_exhaustive(targets)
+                continue
+            try:
+                best, _ = min_basis_exhaustive(targets, size_cap=best - 1)
+            except RuntimeError:  # no cover smaller than best
+                pass
     return best
 
 

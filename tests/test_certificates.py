@@ -529,15 +529,6 @@ def test_pipeline_rejects_bad_input():
     assert exc.value.stage == "input"
 
 
-def test_pipeline_record_is_json_serializable():
-    res = end_to_end_lower_bound(100, construct_interval_basis(100))
-    rec = json.loads(json.dumps(res.to_record()))
-    assert rec["M"] == 100
-    assert rec["bound"] == res.bound
-    assert len(rec["chain"]) == len(res.chain)
-    assert rec["sphere_ran"] is False
-
-
 def test_pipeline_error_survives_a_pickle_round_trip():
     # a worker process raising it reaches the caller through pickle
     err = pickle.loads(pickle.dumps(PipelineError("input", "bad value 7")))

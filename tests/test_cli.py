@@ -180,6 +180,26 @@ def test_factorial_check_requires_instance_or_random():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["factorial-check", "--u", "1", "--v", "1", "--m", "6", "--random", "2"],
+        ["factorial-check", "--u", "1", "--random", "2"],
+    ],
+    ids=["full-instance", "partial-instance"],
+)
+def test_factorial_check_rejects_instance_with_random(argv, capsys):
+    # neither form may be silently dropped for the other
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.err.splitlines()[-1] == (
+        "mulbasis: error: factorial-check takes either --u/--v/--m or --random, not both"
+    )
+    assert captured.out == ""
+
+
 def test_version_flag_exits_0():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
@@ -274,6 +294,26 @@ def test_overlap_with_empty_small_set_keeps_the_large_set_size(command, argv, fi
     # with no X (or A) to shift by, every row of Y (or B) is drawn uniform
     payload = run_json([command, *argv], capsys)
     assert [r[field] for r in payload["results"]] == [size]
+
+
+def test_sphere_certificate_short_vector_names_its_line(tmp_path, capsys):
+    path = tmp_path / "basis.txt"
+    path.write_text("111\n\n1\n")
+    code = main(["sphere-certificate", "--n", "3", "--basis-file", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: line 3: vector '1' does not have 3 coordinates\n"
+    assert captured.out == ""
+
+
+def test_pipeline_basis_file_names_the_line_that_is_not_an_integer(tmp_path, capsys):
+    path = tmp_path / "basis.txt"
+    path.write_text("1\n2\nabc\n")
+    code = main(["pipeline-bound", "--m", "10", "--basis-file", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: line 3: invalid literal for int() with base 10: 'abc'\n"
+    assert captured.out == ""
 
 
 def test_pipeline_stage_rejection_exits_2_with_one_line(tmp_path, capsys):

@@ -228,11 +228,6 @@ def test_certify_matches_dense_reference(instance):
     assert got == _certify_outcome(certify_lower_bound_reference, pair, marks)
 
 
-def test_marking_set_record_round_trip():
-    marks = MarkingSet(indices=frozenset({5, 7}), prime_of={5: 5, 7: 7})
-    assert MarkingSet.from_record(marks.to_record()) == marks
-
-
 def test_marking_set_rejects_inconsistent_fields():
     with pytest.raises(ValueError):
         MarkingSet(indices=frozenset({1, 2}), prime_of={1: 3})
