@@ -457,9 +457,10 @@ def _cmd_sphere_cases(config: RunConfig) -> tuple[list, list, int]:
 )
 def _cmd_sphere_min_basis(config: RunConfig) -> tuple[list, list, int]:
     p = config.parameters
-    sol = sphere_min_basis(p["n"], budget=_count(p, "budget_nodes", 5_000_000))
+    n = _at_least(p, "n", 3)
+    sol = sphere_min_basis(n, budget=_count(p, "budget_nodes", 5_000_000))
     basis = [_vector_str(v) for v in sorted(sol.basis)]
-    row = _row(config, sol, n=p["n"], nodes=sol.nodes_explored, basis=basis)
+    row = _row(config, sol, n=n, nodes=sol.nodes_explored, basis=basis)
     return [row], [], 0 if sol.optimal else 1
 
 

@@ -17,7 +17,8 @@ three kinds of question about S_3:
   than twice on a short leading block of columns is no hit.
 
 Scalar vectors are immutable byte strings (one coordinate per byte);
-bulk checks at n ~ 2048 run on numpy matrices instead.
+bulk checks at n ~ 2048 run on numpy matrices instead, and the large
+side of an overlap check is read as a list of row blocks, never joined.
 """
 
 from __future__ import annotations
@@ -75,7 +76,8 @@ _ONE_MINUS = np.array([1, 0, 2], dtype=np.uint8)
 # rejects nearly every row before a full-width compare
 _LEAD = 16
 
-# rows per full-width compare in _two_sphere_hits, to bound temporaries
+# rows of one Y block per full-width compare in _two_sphere_hits, to bound
+# temporaries at about _HIT_CHUNK * n bytes whatever the block's size
 _HIT_CHUNK = 2048
 
 # byte tables for TernaryVector: the coordinate alphabet, negation mod 3,
@@ -539,18 +541,37 @@ def _row_fingerprints(mat: np.ndarray) -> np.ndarray:
     return fp
 
 
-def _first_occurrences(mat: np.ndarray) -> np.ndarray:
-    """Mask of the rows that repeat no earlier row.
+def _row_blocks(rows, n: int) -> list[np.ndarray]:
+    """A list or tuple of 2-D arrays as its row blocks; any other collection as one block."""
+    if isinstance(rows, (list, tuple)) and rows and all(np.ndim(b) == 2 for b in rows):
+        return [as_matrix(b, n) for b in rows]
+    return [as_matrix(rows, n)]
+
+
+def _gather(blocks: list[np.ndarray], idx: np.ndarray) -> np.ndarray:
+    """Rows ``idx`` of the blocks' concatenation, copied out of their blocks."""
+    starts = np.cumsum([0] + [len(b) for b in blocks[:-1]])
+    which = np.searchsorted(starts, idx, side="right") - 1
+    out = np.empty((len(idx), blocks[0].shape[1]), dtype=np.uint8)
+    for b, block in enumerate(blocks):
+        sel = which == b
+        out[sel] = block[idx[sel] - starts[b]]
+    return out
+
+
+def _first_occurrences(blocks: list[np.ndarray]) -> np.ndarray:
+    """Mask of the rows of the blocks' concatenation that repeat no earlier row.
 
     Rows are grouped by fingerprint; a row whose group head (its earliest
     row) has equal bytes is a repeat.  Groups holding distinct rows with
-    one fingerprint are settled by bytes.
+    one fingerprint are settled by bytes.  Only the fingerprints are
+    concatenated: the rows compared are gathered from their blocks.
     """
-    m = mat.shape[0]
+    m = sum(len(b) for b in blocks)
     keep = np.ones(m, dtype=bool)
     if m <= 1:
         return keep
-    fp = _row_fingerprints(mat)
+    fp = np.concatenate([_row_fingerprints(b) for b in blocks])
     order = np.argsort(fp, kind="stable")
     sorted_fp = fp[order]
     head = np.empty(m, dtype=bool)
@@ -560,12 +581,12 @@ def _first_occurrences(mat: np.ndarray) -> np.ndarray:
         return keep
     first = order[np.maximum.accumulate(np.where(head, np.arange(m), 0))]
     later = order[~head]
-    same = (mat[later] == mat[first[~head]]).all(axis=1)
+    same = (_gather(blocks, later) == _gather(blocks, first[~head])).all(axis=1)
     keep[later[same]] = False
     if not same.all():
         seen: set[bytes] = set()
-        for i in np.flatnonzero(np.isin(fp, sorted_fp[~head][~same])):
-            row = mat[i].tobytes()
+        clash = np.flatnonzero(np.isin(fp, sorted_fp[~head][~same]))
+        for i, row in zip(clash, map(bytes, _gather(blocks, clash))):
             keep[i] = row not in seen
             seen.add(row)
     return keep
@@ -573,35 +594,37 @@ def _first_occurrences(mat: np.ndarray) -> np.ndarray:
 
 def _dedupe_rows(mat: np.ndarray) -> np.ndarray:
     """Distinct rows, first occurrence first."""
-    keep = _first_occurrences(mat)
+    keep = _first_occurrences([mat])
     return mat if keep.all() else mat[keep]
 
 
-def _distinct_count(mat: np.ndarray) -> int:
+def _distinct_count(blocks: list[np.ndarray]) -> int:
     # repeated rows add no sums, so the large side is counted, not copied
-    return int(np.count_nonzero(_first_occurrences(mat)))
+    return int(np.count_nonzero(_first_occurrences(blocks)))
 
 
-def _two_sphere_hits(xmat: np.ndarray, ymat: np.ndarray, n: int) -> int:
-    """|(X + Y) & S_2|: distinct sums that are 0-1 of weight 2.
+def _two_sphere_hits(xmat: np.ndarray, yblocks: list[np.ndarray], n: int) -> int:
+    """|(X + Y) & S_2|: distinct sums that are 0-1 of weight 2, Y read block by block.
 
     Each hit x + y = e_i + e_j is keyed by its support pair (i, j): the
     two coordinates where y mismatches -x, both with y = 1 - x there.
+    One np.unique over the keys of every block counts each pair once.
     """
     lead = min(_LEAD, n)
-    ylead = np.ascontiguousarray(ymat[:, :lead])
     keys = []
-    for x in xmat:
-        neg, one_minus = _NEG3[x], _ONE_MINUS[x]
-        near = np.flatnonzero(np.count_nonzero(ylead != neg[:lead], axis=1) <= 2)
-        for lo in range(0, len(near), _HIT_CHUNK):
-            block = ymat[near[lo : lo + _HIT_CHUNK]]
-            flat = np.flatnonzero(block != neg)
-            row, col = np.divmod(flat, n)
-            pair = np.bincount(row, minlength=len(block))[row] == 2
-            ones = (block.ravel()[flat] == one_minus[col])[pair].reshape(-1, 2).all(axis=1)
-            cols = col[pair].reshape(-1, 2)[ones]
-            keys.append(cols[:, 0] * n + cols[:, 1])
+    for ymat in yblocks:
+        ylead = np.ascontiguousarray(ymat[:, :lead])
+        for x in xmat:
+            neg, one_minus = _NEG3[x], _ONE_MINUS[x]
+            near = np.flatnonzero(np.count_nonzero(ylead != neg[:lead], axis=1) <= 2)
+            for lo in range(0, len(near), _HIT_CHUNK):
+                block = ymat[near[lo : lo + _HIT_CHUNK]]
+                flat = np.flatnonzero(block != neg)
+                row, col = np.divmod(flat, n)
+                pair = np.bincount(row, minlength=len(block))[row] == 2
+                ones = (block.ravel()[flat] == one_minus[col])[pair].reshape(-1, 2).all(axis=1)
+                cols = col[pair].reshape(-1, 2)[ones]
+                keys.append(cols[:, 0] * n + cols[:, 1])
     return len(np.unique(np.concatenate(keys))) if keys else 0
 
 
@@ -625,10 +648,11 @@ class OverlapCheck:
 
 
 def check_sphere_overlap(X, Y, n: int) -> OverlapCheck:
+    """The fixed-fraction check; Y may be a list or tuple of 2-D row blocks, read joined."""
     xmat = _dedupe_rows(as_matrix(X, n))
-    ymat = as_matrix(Y, n)
-    y_size = _distinct_count(ymat)
-    lhs = _two_sphere_hits(xmat, ymat, n) if len(xmat) and y_size else 0
+    yblocks = _row_blocks(Y, n)
+    y_size = _distinct_count(yblocks)
+    lhs = _two_sphere_hits(xmat, yblocks, n) if len(xmat) and y_size else 0
     hyp = (SMALL_SET_DIVISOR * len(xmat) <= n) and (100 * y_size <= n * n)
     return OverlapCheck(
         n=n,
@@ -660,14 +684,15 @@ class OverlapRefinedCheck:
 
 
 def check_sphere_overlap_general(A, B, n: int) -> OverlapRefinedCheck:
+    """The pair-count check; B may be a list or tuple of 2-D row blocks, read joined."""
     amat = _dedupe_rows(as_matrix(A, n))
-    bmat = as_matrix(B, n)
+    bblocks = _row_blocks(B, n)
     if SMALL_SET_DIVISOR * len(amat) > n:
         raise ValueError(
             f"|A| = {len(amat)} exceeds n/{SMALL_SET_DIVISOR} = {n / SMALL_SET_DIVISOR}"
         )
-    b = _distinct_count(bmat)
-    lhs = _two_sphere_hits(amat, bmat, n) if len(amat) and b else 0
+    b = _distinct_count(bblocks)
+    lhs = _two_sphere_hits(amat, bblocks, n) if len(amat) and b else 0
     a = len(amat)
     pair_bound = math.comb(n, 2) - math.comb(n - a, 2) + b
     linear_bound = n * a + b
@@ -699,27 +724,26 @@ def _random_near_sphere(rng: np.random.Generator, count: int, n: int, shifts: np
     return rows
 
 
-def _mixed_rows(rng: np.random.Generator, size: int, n: int, shifts: np.ndarray) -> np.ndarray:
-    """``size - size // 2`` uniform rows, then ``size // 2`` near-sphere rows.
+def _mixed_blocks(rng: np.random.Generator, size: int, n: int, shifts: np.ndarray) -> list:
+    """``size - size // 2`` uniform rows, then ``size // 2`` near-sphere rows, as two blocks.
 
     With no shifts to build near-sphere rows from, all ``size`` rows are uniform.
+    The blocks are never concatenated, so a trial holds Y once.
     """
     near = size // 2 if len(shifts) else 0
-    uniform = size - near
-    rows = np.empty((size, n), dtype=np.uint8)
-    rows[:uniform] = rng.integers(0, 3, size=(uniform, n), dtype=np.uint8)
+    blocks = [rng.integers(0, 3, size=(size - near, n), dtype=np.uint8)]
     if near:
-        rows[uniform:] = _random_near_sphere(rng, near, n, shifts)
-    return rows
+        blocks.append(_random_near_sphere(rng, near, n, shifts))
+    return blocks
 
 
 def overlap_trial(n: int, x_size: int, y_size: int, rng: np.random.Generator) -> OverlapCheck:
-    """One seeded fixed-fraction check: random X, mixed random/near-sphere Y."""
+    """One seeded fixed-fraction check: random X, Y as a uniform and a near-sphere block."""
     xmat = rng.integers(0, 3, size=(x_size, n), dtype=np.uint8)
-    return check_sphere_overlap(xmat, _mixed_rows(rng, y_size, n, xmat), n)
+    return check_sphere_overlap(xmat, _mixed_blocks(rng, y_size, n, xmat), n)
 
 
 def overlap_refined_trial(n: int, a_size: int, b_size: int, rng: np.random.Generator) -> OverlapRefinedCheck:
-    """One seeded pair-count check: random A, mixed random/near-sphere B."""
+    """One seeded pair-count check: random A, B as a uniform and a near-sphere block."""
     amat = rng.integers(0, 3, size=(a_size, n), dtype=np.uint8)
-    return check_sphere_overlap_general(amat, _mixed_rows(rng, b_size, n, amat), n)
+    return check_sphere_overlap_general(amat, _mixed_blocks(rng, b_size, n, amat), n)

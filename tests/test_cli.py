@@ -443,6 +443,16 @@ def test_node_budget_below_one_rejected(argv, budget, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("n", ["0", "1", "2"])
+def test_sphere_min_basis_rejects_dimension_below_3(n, capsys):
+    # S_3 is empty below n = 3; the other sphere commands reject these n too
+    code = main(["sphere-min-basis", "--n", n])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"error: --n must be at least 3, got {n}\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize(
     "flag,value,least",
     [("--m", "0", 1), ("--a-max", "-1", 0), ("--d-max", "0", 1)],

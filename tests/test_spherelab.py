@@ -1,5 +1,7 @@
+import contextlib
 import itertools
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -8,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mulbasis import spherelab
+from mulbasis.cli import rng_stream
 from mulbasis.spherelab import (
     OVERLAP_MIN_N,
     SMALL_SET_DIVISOR,
@@ -479,6 +482,22 @@ def test_overlap_trial_determinism():
     assert r1 == r2
 
 
+def test_overlap_trial_holds_y_once():
+    # the criterion-3 trial: Y, |Y| * n bytes, is two blocks never concatenated
+    n, y_size = OVERLAP_MIN_N, 41943
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        overlap_trial(n, 2, y_size, rng_stream(0, 0))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak <= 1.25 * y_size * n
+
+
 def _philox(*key):
     return np.random.Generator(np.random.Philox(key=list(key)))
 
@@ -519,22 +538,54 @@ def test_overlap_kernels_match_reference(case):
     assert np.array_equal(spherelab._dedupe_rows(xmat), xref)
     assert np.array_equal(spherelab._dedupe_rows(ymat), yref)
     expected = two_sphere_hits_full(xref, yref, n)
-    assert spherelab._two_sphere_hits(xref, yref, n) == expected
-    assert spherelab._two_sphere_hits(xmat, ymat, n) == expected  # duplicates add no sums
+    assert spherelab._two_sphere_hits(xref, [yref], n) == expected
+    assert spherelab._two_sphere_hits(xmat, [ymat], n) == expected  # duplicates add no sums
     with mock.patch.object(spherelab, "_HIT_CHUNK", 2):
-        assert spherelab._two_sphere_hits(xref, yref, n) == expected
+        assert spherelab._two_sphere_hits(xref, [yref], n) == expected
     res = check_sphere_overlap(xmat, ymat, n)
     assert (res.x_size, res.y_size, res.lhs) == (len(xref), len(yref), expected)
+
+
+def _parity(mat):
+    return (mat.sum(axis=1) % 2).astype(np.uint64)  # a fingerprint distinct rows share
 
 
 @given(overlap_rows())
 @settings(max_examples=100, deadline=None)
 def test_dedupe_settles_fingerprint_collisions_by_bytes(case):
     _, _, ymat = case
-    parity = lambda mat: (mat.sum(axis=1) % 2).astype(np.uint64)  # distinct rows share it
-    with mock.patch.object(spherelab, "_row_fingerprints", parity):
+    with mock.patch.object(spherelab, "_row_fingerprints", _parity):
         assert np.array_equal(spherelab._dedupe_rows(ymat), dedupe_rows_bytes(ymat))
-        assert spherelab._distinct_count(ymat) == len(dedupe_rows_bytes(ymat))
+        assert spherelab._distinct_count([ymat]) == len(dedupe_rows_bytes(ymat))
+
+
+@st.composite
+def split_overlap_rows(draw):
+    """overlap_rows() with Y cut at random points into 1-4 blocks, empty ones included."""
+    n, xmat, ymat = draw(overlap_rows())
+    cuts = draw(st.lists(st.integers(min_value=0, max_value=len(ymat)), max_size=3))
+    return n, xmat, ymat, np.split(ymat, sorted(cuts))
+
+
+@given(split_overlap_rows())
+@settings(max_examples=200, deadline=None)
+def test_overlap_kernels_read_y_blocks_as_their_concatenation(case):
+    n, xmat, ymat, blocks = case
+    xref, yref = dedupe_rows_bytes(xmat), dedupe_rows_bytes(ymat)
+    expected = two_sphere_hits_full(xref, yref, n)
+    for patch in (
+        contextlib.nullcontext(),
+        mock.patch.object(spherelab, "_row_fingerprints", _parity),  # clashes across blocks
+        mock.patch.object(spherelab, "_HIT_CHUNK", 2),
+    ):
+        with patch:
+            assert np.array_equal(ymat[spherelab._first_occurrences(blocks)], yref)
+            assert spherelab._distinct_count(blocks) == len(yref)
+            assert spherelab._two_sphere_hits(xref, blocks, n) == expected
+            assert spherelab._two_sphere_hits(xmat, blocks, n) == expected
+            for y in (blocks, tuple(blocks)):
+                res = check_sphere_overlap(xmat, y, n)
+                assert (res.x_size, res.y_size, res.lhs) == (len(xref), len(yref), expected)
 
 
 def test_two_sphere_hits_counts_a_sum_from_two_x_once():
@@ -552,7 +603,8 @@ def test_two_sphere_hits_counts_a_sum_from_two_x_once():
     )
     x = np.array([x1, x2])
     assert two_sphere_hits_full(x, y, n) == 2
-    assert spherelab._two_sphere_hits(x, y, n) == 2
+    assert spherelab._two_sphere_hits(x, [y], n) == 2
+    assert spherelab._two_sphere_hits(x, [y[:1], y[1:]], n) == 2  # the pair from two blocks
 
 
 @given(
