@@ -30,7 +30,7 @@ from .spherelab import (
     as_matrix,
     classify_difference,
     enumerate_sphere,
-    lex_least_pairs,
+    least_pairs,
 )
 
 __all__ = [
@@ -100,7 +100,8 @@ class PairingGraph:
     """Bipartite pairing: two indexed copies of B, one edge per target.
 
     Each edge (left, right, target) is the lexicographically smallest
-    pair with left + right = target, stored with left <= right.
+    pair with left + right = target, stored with left <= right, as
+    ``spherelab.least_pairs`` finds it.
     """
 
     left: tuple
@@ -113,12 +114,6 @@ class PairingGraph:
 
     def right_degrees(self) -> Counter:
         return Counter(e[1] for e in self.edges)
-
-    def left_neighbors(self) -> dict:
-        out: dict = defaultdict(set)
-        for b1, b2, _ in self.edges:
-            out[b1].add(b2)
-        return dict(out)
 
 
 def _as_sorted_vectors(B, n: int) -> list[TernaryVector]:
@@ -162,7 +157,7 @@ def _dense_order(row: tuple) -> tuple:
 
 
 def _join_weight_one_pairs(rows: list[tuple], tlist: list[tuple]) -> list:
-    """The pairs of ``lex_least_pairs`` for targets c * e_p, by a hash join.
+    """The pairs of ``spherelab.least_pairs`` for targets c * e_p, by a hash join.
 
     ``rows`` are sparse rows in dense order and ``tlist`` the sparse rows
     ((p, c),) of the targets.  b1 + b2 = c * e_p forces p into supp b1 or
@@ -199,7 +194,7 @@ def _join_weight_one_pairs(rows: list[tuple], tlist: list[tuple]) -> list:
 
 
 def build_pairing_graph(B, targets, n: int) -> PairingGraph:
-    """One edge per target: the lex-smallest (b1, b2) in B*B summing to it."""
+    """One edge per target of any kind: the lex-smallest (b1, b2) in B*B summing to it."""
     vecs = _as_sorted_vectors(B, n)
     if not vecs:
         raise ValueError("empty vertex set")
@@ -210,10 +205,10 @@ def build_pairing_graph(B, targets, n: int) -> PairingGraph:
         if t.n != n:
             raise ValueError(f"target of dimension {t.n}, expected {n}")
     edges = []
-    for t, hit in zip(tlist, lex_least_pairs(vecs, tlist, n)):
-        if hit is None:
+    for t, (i, j) in zip(tlist, least_pairs(as_matrix(vecs, n), as_matrix(tlist, n)).tolist()):
+        if i < 0:
             raise ValueError(_not_a_sum(t))
-        edges.append((*hit, t))
+        edges.append((vecs[i], vecs[j], t))
     verts = tuple(vecs)
     return PairingGraph(left=verts, right=verts, edges=tuple(edges))
 
@@ -265,18 +260,6 @@ def _sphere_report_full(B, n: int) -> tuple[list[InequalityReport], dict]:
     targets = enumerate_sphere(n, 3)
     graph = build_pairing_graph(vecs, targets, n)
 
-    # (a) common-neighbour identity, both sides from different walks of the data
-    neighbors = graph.left_neighbors()
-    lefts = sorted(neighbors)
-    lhs_identity = 0
-    for v1 in lefts:
-        n1 = neighbors[v1]
-        for v2 in lefts:
-            lhs_identity += len(n1 & neighbors[v2])
-    deg_full = graph.right_degrees()
-    rhs_identity = sum(d * d for d in deg_full.values())
-    reports = [InequalityReport.of("degree_square_identity", lhs_identity, rhs_identity)]
-
     # sparse common-neighbour counts: only pairs sharing a right vertex matter
     by_right: dict = defaultdict(list)
     for b1, b2, t in graph.edges:
@@ -286,6 +269,11 @@ def _sphere_report_full(B, n: int) -> tuple[list[InequalityReport], dict]:
         for v1 in vs:
             for v2 in vs:
                 common[(v1, v2)] += 1
+
+    # (a) common-neighbour identity: the counter's total against the right degrees
+    lhs_identity = sum(common.values())
+    rhs_identity = sum(d * d for d in graph.right_degrees().values())
+    reports = [InequalityReport.of("degree_square_identity", lhs_identity, rhs_identity)]
     case1_total = 0
     case3_by_diff: Counter = Counter()
     case3_total = 0

@@ -47,7 +47,7 @@ __all__ = [
     "classify_difference",
     "count_difference_solutions",
     "difference_census",
-    "lex_least_pairs",
+    "least_pairs",
     "sphere_cover_verify",
     "sphere_basis_construct",
     "sphere_min_basis",
@@ -79,6 +79,9 @@ _LEAD = 16
 # rows of one Y block per full-width compare in _two_sphere_hits, to bound
 # temporaries at about _HIT_CHUNK * n bytes whatever the block's size
 _HIT_CHUNK = 2048
+
+# bytes of sums per block of basis rows in least_pairs (one row at least)
+_PAIR_BLOCK = 1 << 20
 
 # byte tables for TernaryVector: the coordinate alphabet, negation mod 3,
 # and the residue of a coordinate sum in [0, 4]
@@ -343,50 +346,58 @@ def _pack_pow(n: int) -> np.ndarray:
     return 3 ** np.arange(n - 1, -1, -1, dtype=np.int64)
 
 
-def lex_least_pairs(vecs: Sequence[TernaryVector], targets: Iterable[TernaryVector], n: int):
-    """Yield, per target t in the order given, the pair (b1, t - b1) with
-    b1 the lex-least element of ``vecs`` whose partner is in ``vecs`` too,
-    or None when no pair sums to t.
+def least_pairs(bmat: np.ndarray, tmat: np.ndarray) -> np.ndarray:
+    """Per target row, the indices (i, j), i <= j, of its lex-least pair of basis rows.
 
-    ``vecs`` must be lex-sorted.  Each target subtracts the basis rows in
-    chunks of 256 and looks the differences up by their bytes, stopping at
-    the first hit; the cost is O(|B| * n) per target at worst.
+    ``bmat`` holds the distinct basis rows in lex order, ``tmat`` distinct
+    target rows of any kind.  Gives int64 (|T|, 2), (-1, -1) where no pair
+    sums to the target.  For a block of rows i from lo, the sums
+    B[i] + B[lo:] mod 3 are looked up among the sorted targets by their
+    own bytes.  The first i to reach a target wins, and its j >= i: a
+    partner sorting before the lex-least b1 would be a valid b1 itself.
+    Cost: |B|^2 * n / 2 byte additions whatever the targets, in blocks of
+    about _PAIR_BLOCK bytes, stopping once every target has its pair.
     """
-    vset = {v.coords for v in vecs}
-    bmat = as_matrix(vecs, n).astype(np.int16)
-    chunk = 256
-    for t in targets:
-        trow = np.frombuffer(t.coords, dtype=np.uint8).astype(np.int16)
-        hit = None
-        for lo in range(0, len(vecs), chunk):
-            diff = ((trow - bmat[lo : lo + chunk]) % 3).astype(np.uint8)
-            buf = diff.tobytes()
-            for i in range(diff.shape[0]):
-                partner = buf[i * n : (i + 1) * n]
-                if partner in vset:
-                    hit = (vecs[lo + i], TernaryVector(partner))
-                    break
-            if hit is not None:
-                break
-        yield hit
+    m, n = bmat.shape
+    if not n:
+        raise ValueError("least_pairs needs rows of at least one coordinate")
+    out = np.full((len(tmat), 2), -1, dtype=np.int64)
+    tkeys = np.ascontiguousarray(tmat).view(np.dtype((np.void, n))).ravel()
+    order = np.argsort(tkeys)
+    tkeys = tkeys[order]
+    lo = 0
+    while lo < m and (out[:, 0] < 0).any():
+        width = m - lo
+        hi = min(m, lo + max(1, _PAIR_BLOCK // (width * n)))
+        sums = bmat[lo:hi, None, :] + bmat[None, lo:, :]
+        # a sum s in [0, 4] is s mod 3 = min(s, s - 3), as s - 3 wraps past 250 below 3
+        np.minimum(sums, sums - np.uint8(3), out=sums)
+        keys = sums.reshape(-1, n).view(tkeys.dtype).ravel()
+        pos = np.minimum(np.searchsorted(tkeys, keys), len(tkeys) - 1)
+        hits = np.flatnonzero(tkeys[pos] == keys)
+        # hits run row-major, so a target's first hit has its least i
+        tid, first = np.unique(order[pos[hits]], return_index=True)
+        fresh = out[tid, 0] < 0
+        out[tid[fresh]] = np.stack(np.divmod(hits[first[fresh]], width), axis=1) + lo
+        lo = hi
+    return out
 
 
-def sphere_cover_verify(B: Iterable[TernaryVector], n: int, k: int = 3) -> SphereCoverCheck:
-    """Check S_k(n) subset of B + B.
+def sphere_cover_verify(B: Iterable[TernaryVector], n: int) -> SphereCoverCheck:
+    """Check S_3(n) subset of B + B.
 
     For each target the witness is the pair (b1, b2), b1 lexicographically
-    least over all valid pairs; targets are scanned in support order and
-    the first failure is reported.
+    least over all valid pairs, found by ``least_pairs``; targets are
+    walked in support order and the first failure is reported.
     """
     basis = sorted(set(B))
-    targets = enumerate_sphere(n, k)
-    if any(v.n != n for v in basis):
-        raise ValueError("basis vector dimension mismatch")
+    targets = enumerate_sphere(n, 3)
+    pairs = least_pairs(as_matrix(basis, n), as_matrix(targets, n))  # as_matrix checks dimensions
     witness: dict[TernaryVector, tuple[TernaryVector, TernaryVector]] = {}
-    for t, hit in zip(targets, lex_least_pairs(basis, targets, n)):
-        if hit is None:
+    for t, (i, j) in zip(targets, pairs.tolist()):
+        if i < 0:
             return SphereCoverCheck(False, witness, first_uncovered=t)
-        witness[t] = hit
+        witness[t] = (basis[i], basis[j])
     return SphereCoverCheck(True, witness)
 
 
@@ -409,13 +420,13 @@ def sphere_basis_construct(n: int) -> SphereBasisSolution:
     """
     if n < 3:
         raise ValueError(f"construction needs n >= 3, got {n}")
-    basis = frozenset(enumerate_sphere(n, 1)) | frozenset(enumerate_sphere(n, 2))
+    singles = enumerate_sphere(n, 1)
+    doubles = dict(zip(itertools.combinations(range(n), 2), enumerate_sphere(n, 2)))
+    basis = frozenset(singles) | frozenset(doubles.values())
     witness = {}
-    for t in enumerate_sphere(n, 3):
-        i, j, k = t.support()
-        single = TernaryVector.from_support(n, (i,))
-        double = TernaryVector.from_support(n, (j, k))
-        witness[t] = (double, single) if double < single else (single, double)
+    for (i, j, k), t in zip(itertools.combinations(range(n), 3), enumerate_sphere(n, 3)):
+        # e_jk is 0 where e_i has its leading 1, so e_jk sorts first
+        witness[t] = (doubles[(j, k)], singles[i])
     return SphereBasisSolution(basis=basis, witness=witness, optimal=False)
 
 

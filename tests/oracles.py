@@ -7,7 +7,8 @@ instead of column elimination, plain tuple arithmetic instead of numpy.
 The overlap kernels keep their first numpy form: full-width sums and
 whole-row byte hashing, the exact search keeps its first
 lexicographic pass, which recomputes its state at every node, the
-sphere cover check edits each -b at the target's support, the factorial
+lex-least pair of each target keeps its per-target scan, the sphere
+cover check edits each -b at the target's support, the factorial
 check walks the multiples of each prime on its own, the span
 certificate keeps its first dense valuation vectors, the interval
 witnesses come from trial-division divisors, and the end-to-end
@@ -565,6 +566,36 @@ def sphere_min_brute(n: int) -> tuple:
 _NEGATE = bytes.maketrans(b"\x01\x02", b"\x02\x01")
 
 
+def lex_least_pairs(vecs, targets, n: int):
+    """Yield, per target t in the order given, the pair (b1, t - b1) with
+    b1 the lex-least element of ``vecs`` whose partner is in ``vecs`` too,
+    or None when no pair sums to t.
+
+    ``vecs`` must be lex-sorted.  Each target subtracts the basis rows in
+    chunks of 256 and looks the differences up by their bytes, stopping at
+    the first hit; the cost is O(|B| * n) per target at worst.
+    """
+    from mulbasis.spherelab import TernaryVector, as_matrix
+
+    vset = {v.coords for v in vecs}
+    bmat = as_matrix(vecs, n).astype(np.int16)
+    chunk = 256
+    for t in targets:
+        trow = np.frombuffer(t.coords, dtype=np.uint8).astype(np.int16)
+        hit = None
+        for lo in range(0, len(vecs), chunk):
+            diff = ((trow - bmat[lo : lo + chunk]) % 3).astype(np.uint8)
+            buf = diff.tobytes()
+            for i in range(diff.shape[0]):
+                partner = buf[i * n : (i + 1) * n]
+                if partner in vset:
+                    hit = (vecs[lo + i], TernaryVector(partner))
+                    break
+            if hit is not None:
+                break
+        yield hit
+
+
 def sphere_cover_verify_bytes(B, n: int, k: int = 3):
     """``sphere_cover_verify`` by byte edits.
 
@@ -779,7 +810,7 @@ def end_to_end_lower_bound_dense(M, B, u=0, g=1, table=None):
     from mulbasis.numtheory import sieve
     from mulbasis.productsets import verify_cover
     from mulbasis.reduction import InvariantViolationError, build_marking_sets
-    from mulbasis.spherelab import TernaryVector, lex_least_pairs
+    from mulbasis.spherelab import TernaryVector
 
     if M < 1:
         raise PipelineError("input", f"M must be positive, got {M}")

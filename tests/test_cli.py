@@ -556,9 +556,15 @@ def test_exact_search_matches_golden_payload(name, jobs, fmt, capsys):
 
 
 # recorded before sphere_cover_verify and the pairing graph shared one pair
-# scan; n = 33 is past the 32 coordinates of its packed base-3 branch
+# scan; n = 33 is past the 32 coordinates of its packed base-3 branch.  The
+# n = 6 basis file (read from tests/golden) adds 111002 to S_1 | S_2, so a
+# pair other than the split is lex-least for 111000; recorded on the
+# per-target scan, before the all-pairs kernel
 SPHERE_GOLDEN = {
     "sphere-certificate_n16": ["sphere-certificate", "--n", "16"],
+    "sphere-certificate_n6_basis": [
+        "sphere-certificate", "--n", "6", "--basis-file", "basis_n6_s1s2_111002.txt"
+    ],
     "sphere-construct_n33": ["sphere-construct", "--n", "33"],
     "sphere-min-basis_n4": ["sphere-min-basis", "--n", "4"],
 }
@@ -568,6 +574,7 @@ SPHERE_GOLDEN = {
 def test_sphere_commands_match_golden_payload(name, monkeypatch, capsys):
     # both formats render one exact search, which takes seconds at n = 4
     monkeypatch.setattr(cli, "sphere_min_basis", functools.cache(cli.sphere_min_basis))
+    monkeypatch.chdir(GOLDEN)  # a basis file's name, not its path, lands in config
     for fmt in ("json", "csv"):
         code = main([*SPHERE_GOLDEN[name], "--format", fmt])
         out = capsys.readouterr().out

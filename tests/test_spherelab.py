@@ -23,7 +23,7 @@ from mulbasis.spherelab import (
     count_difference_solutions,
     difference_census,
     enumerate_sphere,
-    lex_least_pairs,
+    least_pairs,
     overlap_refined_trial,
     overlap_trial,
     sphere_basis_construct,
@@ -35,6 +35,7 @@ from oracles import (
     census_brute,
     count_diff_brute,
     dedupe_rows_bytes,
+    lex_least_pairs,
     random_near_sphere_int16,
     sphere_cover_verify_bytes,
     sphere_min_brute,
@@ -319,15 +320,55 @@ def test_cover_verify_matches_byte_reference_on_a_late_gap():
     assert _cover_fields(check) == _cover_fields(sphere_cover_verify_bytes(basis, n))
 
 
-def test_lex_least_pairs_yields_none_per_uncovered_target():
+def test_least_pairs_gives_minus_one_per_uncovered_target():
     basis = sorted({V([1, 0, 0]), V([0, 1, 1]), V([2, 2, 2])})
     targets = [V([1, 1, 1]), V([0, 0, 1]), V([2, 2, 2])]
-    assert list(lex_least_pairs(basis, targets, 3)) == [
-        (V([0, 1, 1]), V([1, 0, 0])),
-        None,
-        None,
-    ]
-    assert list(lex_least_pairs([], targets, 3)) == [None, None, None]
+    pairs = least_pairs(as_matrix(basis, 3), as_matrix(targets, 3))
+    assert pairs.dtype == np.int64
+    assert basis[:2] == [V([0, 1, 1]), V([1, 0, 0])]
+    assert pairs.tolist() == [[0, 1], [-1, -1], [-1, -1]]
+    assert least_pairs(as_matrix([], 3), as_matrix(targets, 3)).tolist() == [[-1, -1]] * 3
+    assert least_pairs(as_matrix(basis, 3), as_matrix([], 3)).shape == (0, 2)
+
+
+@st.composite
+def pair_instances(draw):
+    """A small sorted basis over F_3^n and distinct targets of any kind.
+
+    Targets mix arbitrary vectors (mostly uncovered, most not 0-1) with
+    sums of two drawn basis vectors, self-pairs b + b among them.
+    """
+    n = draw(st.integers(1, 8))
+    vec = st.lists(st.integers(0, 2), min_size=n, max_size=n).map(V)
+    basis = sorted(set(draw(st.lists(vec, max_size=12))))
+    targets = draw(st.lists(vec, max_size=8))
+    if basis:
+        index = st.integers(0, len(basis) - 1)
+        for i, j in draw(st.lists(st.tuples(index, index), max_size=8)):
+            targets.append(basis[i] + basis[j])
+    return n, basis, list(dict.fromkeys(draw(st.permutations(targets))))
+
+
+@given(pair_instances(), st.sampled_from([1, 40, 1 << 20]))
+@settings(max_examples=200, deadline=None)
+@example((3, [], [V([1, 1, 1])]), 1 << 20)  # empty basis
+@example((3, [V([1, 0, 0])], []), 1 << 20)  # empty target list
+@example((3, [V([2, 2, 2])], [V([1, 1, 1])]), 1 << 20)  # self-pair
+@example((2, [V([0, 1]), V([1, 0]), V([1, 1])], [V([1, 2]), V([2, 2])]), 1 << 20)  # 01 + 11, 11 + 01
+def test_least_pairs_matches_per_target_scan(instance, block):
+    # block sizes of 1 byte (one basis row per block) and 40 bytes split the
+    # sums of a basis over several blocks
+    n, basis, targets = instance
+    with mock.patch.object(spherelab, "_PAIR_BLOCK", block):
+        pairs = least_pairs(as_matrix(basis, n), as_matrix(targets, n))
+    got = [None if i < 0 else (basis[i], basis[j]) for i, j in pairs.tolist()]
+    assert got == list(lex_least_pairs(basis, targets, n))
+    assert all(i <= j for i, j in pairs.tolist())
+
+
+def test_least_pairs_rejects_rows_without_coordinates():
+    with pytest.raises(ValueError, match="at least one coordinate"):
+        least_pairs(np.zeros((1, 0), dtype=np.uint8), np.zeros((1, 0), dtype=np.uint8))
 
 
 # ------------------------------------------------------- construction
@@ -345,6 +386,15 @@ def test_construct_n10():
     assert sphere_cover_verify(sol.basis, 10).covered
     for target, (b1, b2) in sol.witness.items():
         assert b1 + b2 == target
+
+
+def test_construct_witness_is_the_split_in_support_order():
+    n = 7
+    sol = sphere_basis_construct(n)
+    assert list(sol.witness) == enumerate_sphere(n, 3)
+    for target, pair in sol.witness.items():
+        i, j, k = target.support()
+        assert pair == (TernaryVector.from_support(n, (j, k)), TernaryVector.from_support(n, (i,)))
 
 
 def test_construct_rejects_tiny_dimension():
