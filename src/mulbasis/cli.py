@@ -483,7 +483,7 @@ def _cmd_sphere_construct(config: RunConfig) -> tuple[list, list, int]:
 )
 def _cmd_sphere_overlap(config: RunConfig) -> tuple[list, list, int]:
     p = config.parameters
-    n, x_size, y_size = p["n"], _at_least(p, "x_size", 0), _at_least(p, "y_size", 0)
+    n, x_size, y_size = _at_least(p, "n", 0), _at_least(p, "x_size", 0), _at_least(p, "y_size", 0)
     trials = _count(p, "trials")
     if SMALL_SET_DIVISOR * x_size > n:
         raise ValueError(
@@ -513,7 +513,7 @@ def _cmd_sphere_overlap(config: RunConfig) -> tuple[list, list, int]:
 )
 def _cmd_sphere_overlap_general(config: RunConfig) -> tuple[list, list, int]:
     p = config.parameters
-    n, a_size, b_size = p["n"], _at_least(p, "a_size", 0), _at_least(p, "b_size", 0)
+    n, a_size, b_size = _at_least(p, "n", 0), _at_least(p, "a_size", 0), _at_least(p, "b_size", 0)
     trials = _count(p, "trials")
     if SMALL_SET_DIVISOR * a_size > n:
         raise ValueError(

@@ -106,10 +106,13 @@ class ReducedPair:
             basis = frozenset(int(b) for b in basis)
         except (TypeError, ValueError):
             raise ValueError("pair record field 'basis' must list integers") from None
+        reduced = rec.get("reduced", False)
+        if not isinstance(reduced, bool):
+            raise ValueError("pair record field 'reduced' must be a boolean")
         return cls(
             ap=APSpec(**{k: field_of(ap, k, int, "ap.") for k in ("g", "u", "v", "M")}),
             basis=basis,
-            reduced=bool(rec.get("reduced", False)),
+            reduced=reduced,
         )
 
 

@@ -19,6 +19,8 @@ three kinds of question about S_3:
 Scalar vectors are immutable byte strings (one coordinate per byte);
 bulk checks at n ~ 2048 run on numpy matrices instead, and the large
 side of an overlap check is read as a list of row blocks, never joined.
+A trial's near-sphere block holds only its shifts and column draws and
+builds its rows on demand, a chunk at a time, as the kernels read them.
 """
 
 from __future__ import annotations
@@ -76,9 +78,10 @@ _ONE_MINUS = np.array([1, 0, 2], dtype=np.uint8)
 # rejects nearly every row before a full-width compare
 _LEAD = 16
 
-# rows of one Y block per full-width compare in _two_sphere_hits, to bound
-# temporaries at about _HIT_CHUNK * n bytes whatever the block's size
-_HIT_CHUNK = 2048
+# rows of one Y block per fingerprint pass, lead-column copy and full-width
+# compare, to bound temporaries at about _HIT_CHUNK * n bytes whatever the
+# block's size; a near-sphere block builds its rows a chunk at a time
+_HIT_CHUNK = 1024
 
 # bytes of sums per block of basis rows in least_pairs (one row at least)
 _PAIR_BLOCK = 1 << 20
@@ -536,30 +539,73 @@ def sphere_min_basis(
     )
 
 
-def _row_fingerprints(mat: np.ndarray) -> np.ndarray:
-    """A 64-bit hash per row: its 8-byte words dotted with random odd weights.
+def _fingerprint_weights(n: int) -> np.ndarray:
+    """Random odd 64-bit weights for rows of n bytes: one per 8-byte word, one per trailing byte."""
+    gen = np.random.Generator(np.random.Philox(key=[0x5EED, n]))
+    return gen.integers(0, 1 << 63, size=n // 8 + n % 8, dtype=np.uint64) * np.uint64(2) + np.uint64(1)
+
+
+def _row_fingerprints(mat: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """A 64-bit hash per row: its 8-byte words dotted with ``_fingerprint_weights``.
 
     A byte high in its word meets its weight shifted left, so rows that
     differ only there collide more often than 2^-64; callers compare bytes.
     """
     m, n = mat.shape
     words = n // 8
-    gen = np.random.Generator(np.random.Philox(key=[0x5EED, n]))
-    weights = gen.integers(0, 1 << 63, size=words + n % 8, dtype=np.uint64) * np.uint64(2) + np.uint64(1)
     fp = mat[:, : 8 * words].view(np.uint64) @ weights[:words] if words else np.zeros(m, dtype=np.uint64)
     if n % 8:
         fp += mat[:, 8 * words :].astype(np.uint64) @ weights[words:]
     return fp
 
 
-def _row_blocks(rows, n: int) -> list[np.ndarray]:
-    """A list or tuple of 2-D arrays as its row blocks; any other collection as one block."""
-    if isinstance(rows, (list, tuple)) and rows and all(np.ndim(b) == 2 for b in rows):
-        return [as_matrix(b, n) for b in rows]
+class _NearSphereRows:
+    """The rows of ``_random_near_sphere``, built on demand for a row slice or an index array.
+
+    Row i is -x, x = shifts[i % k], with 1 - x at its two drawn columns.
+    Only the k rows -x and the draws are held, about 18 bytes a row
+    against n, so the overlap kernels read it a chunk of rows at a time
+    through ``len``, row slices and index gathers, as they read arrays.
+    """
+
+    def __init__(self, neg: np.ndarray, cols: np.ndarray, ones: np.ndarray):
+        self._neg = neg  # (k, n): -x per shift
+        self._cols = cols  # (count, 2): the two columns moved in each row
+        self._ones = ones  # (count, 2): 1 - x at those columns
+        self.shape = (len(cols), neg.shape[1])
+
+    def __len__(self) -> int:
+        return len(self._cols)
+
+    def __getitem__(self, key) -> np.ndarray:
+        idx = np.arange(len(self))[key]
+        rows = self._neg[idx % len(self._neg)]
+        rows[np.arange(len(idx))[:, None], self._cols[idx]] = self._ones[idx]
+        return rows
+
+
+def _as_block(block, n: int):
+    """A 2-D array through ``as_matrix``; a near-sphere block as it is, once its width is checked."""
+    if not isinstance(block, _NearSphereRows):
+        return as_matrix(block, n)
+    if block.shape[1] != n:
+        raise ValueError(f"expected shape (*, {n}), got {block.shape}")
+    return block
+
+
+def _row_blocks(rows, n: int) -> list:
+    """A list or tuple of row blocks as its blocks; any other collection as one block.
+
+    A block is a 2-D array or a near-sphere block from ``_random_near_sphere``.
+    """
+    if isinstance(rows, (list, tuple)) and rows and all(
+        isinstance(b, _NearSphereRows) or np.ndim(b) == 2 for b in rows
+    ):
+        return [_as_block(b, n) for b in rows]
     return [as_matrix(rows, n)]
 
 
-def _gather(blocks: list[np.ndarray], idx: np.ndarray) -> np.ndarray:
+def _gather(blocks: list, idx: np.ndarray) -> np.ndarray:
     """Rows ``idx`` of the blocks' concatenation, copied out of their blocks."""
     starts = np.cumsum([0] + [len(b) for b in blocks[:-1]])
     which = np.searchsorted(starts, idx, side="right") - 1
@@ -570,19 +616,25 @@ def _gather(blocks: list[np.ndarray], idx: np.ndarray) -> np.ndarray:
     return out
 
 
-def _first_occurrences(blocks: list[np.ndarray]) -> np.ndarray:
+def _first_occurrences(blocks: list) -> np.ndarray:
     """Mask of the rows of the blocks' concatenation that repeat no earlier row.
 
     Rows are grouped by fingerprint; a row whose group head (its earliest
     row) has equal bytes is a repeat.  Groups holding distinct rows with
-    one fingerprint are settled by bytes.  Only the fingerprints are
-    concatenated: the rows compared are gathered from their blocks.
+    one fingerprint are settled by bytes.  Each block is fingerprinted a
+    chunk of rows at a time and only the fingerprints are concatenated:
+    the rows compared are gathered from their blocks.
     """
     m = sum(len(b) for b in blocks)
     keep = np.ones(m, dtype=bool)
     if m <= 1:
         return keep
-    fp = np.concatenate([_row_fingerprints(b) for b in blocks])
+    weights = _fingerprint_weights(blocks[0].shape[1])
+    fp = np.concatenate([
+        _row_fingerprints(b[lo : lo + _HIT_CHUNK], weights)
+        for b in blocks
+        for lo in range(0, len(b), _HIT_CHUNK)
+    ])
     order = np.argsort(fp, kind="stable")
     sorted_fp = fp[order]
     head = np.empty(m, dtype=bool)
@@ -609,22 +661,26 @@ def _dedupe_rows(mat: np.ndarray) -> np.ndarray:
     return mat if keep.all() else mat[keep]
 
 
-def _distinct_count(blocks: list[np.ndarray]) -> int:
+def _distinct_count(blocks: list) -> int:
     # repeated rows add no sums, so the large side is counted, not copied
     return int(np.count_nonzero(_first_occurrences(blocks)))
 
 
-def _two_sphere_hits(xmat: np.ndarray, yblocks: list[np.ndarray], n: int) -> int:
+def _two_sphere_hits(xmat: np.ndarray, yblocks: list, n: int) -> int:
     """|(X + Y) & S_2|: distinct sums that are 0-1 of weight 2, Y read block by block.
 
     Each hit x + y = e_i + e_j is keyed by its support pair (i, j): the
     two coordinates where y mismatches -x, both with y = 1 - x there.
     One np.unique over the keys of every block counts each pair once.
+    A block's first _LEAD columns are copied out a chunk of rows at a
+    time, and only the rows they leave in play are gathered in full.
     """
     lead = min(_LEAD, n)
     keys = []
     for ymat in yblocks:
-        ylead = np.ascontiguousarray(ymat[:, :lead])
+        ylead = np.empty((len(ymat), lead), dtype=np.uint8)
+        for lo in range(0, len(ymat), _HIT_CHUNK):
+            ylead[lo : lo + _HIT_CHUNK] = ymat[lo : lo + _HIT_CHUNK][:, :lead]
         for x in xmat:
             neg, one_minus = _NEG3[x], _ONE_MINUS[x]
             near = np.flatnonzero(np.count_nonzero(ylead != neg[:lead], axis=1) <= 2)
@@ -659,7 +715,11 @@ class OverlapCheck:
 
 
 def check_sphere_overlap(X, Y, n: int) -> OverlapCheck:
-    """The fixed-fraction check; Y may be a list or tuple of 2-D row blocks, read joined."""
+    """The fixed-fraction check; Y may be a list or tuple of row blocks, read joined.
+
+    A block is a 2-D array or the near-sphere block of ``overlap_trial``,
+    whose rows are built on demand; the rows of Y are never joined.
+    """
     xmat = _dedupe_rows(as_matrix(X, n))
     yblocks = _row_blocks(Y, n)
     y_size = _distinct_count(yblocks)
@@ -695,7 +755,7 @@ class OverlapRefinedCheck:
 
 
 def check_sphere_overlap_general(A, B, n: int) -> OverlapRefinedCheck:
-    """The pair-count check; B may be a list or tuple of 2-D row blocks, read joined."""
+    """The pair-count check; B may be a list or tuple of row blocks, read as in ``check_sphere_overlap``."""
     amat = _dedupe_rows(as_matrix(A, n))
     bblocks = _row_blocks(B, n)
     if SMALL_SET_DIVISOR * len(amat) > n:
@@ -718,8 +778,8 @@ def check_sphere_overlap_general(A, B, n: int) -> OverlapRefinedCheck:
     )
 
 
-def _random_near_sphere(rng: np.random.Generator, count: int, n: int, shifts: np.ndarray) -> np.ndarray:
-    """Rows of the form s - x: s random in S_2, x cycling over ``shifts``.
+def _random_near_sphere(rng: np.random.Generator, count: int, n: int, shifts: np.ndarray) -> _NearSphereRows:
+    """Rows of the form s - x: s random in S_2, x cycling over ``shifts``, built on demand.
 
     Sums with the matching shift land back in S_2, so overlap checks on
     these sets exercise the nontrivial region instead of counting zeros.
@@ -730,16 +790,16 @@ def _random_near_sphere(rng: np.random.Generator, count: int, n: int, shifts: np
         cols[resample, 1] = rng.integers(0, n, size=int(resample.sum()))
         resample = cols[:, 0] == cols[:, 1]
     which = np.arange(count) % len(shifts)
-    rows = _NEG3[shifts][which]
-    rows[np.arange(count)[:, None], cols] = _ONE_MINUS[shifts[which[:, None], cols]]
-    return rows
+    return _NearSphereRows(_NEG3[shifts], cols, _ONE_MINUS[shifts[which[:, None], cols]])
 
 
 def _mixed_blocks(rng: np.random.Generator, size: int, n: int, shifts: np.ndarray) -> list:
     """``size - size // 2`` uniform rows, then ``size // 2`` near-sphere rows, as two blocks.
 
     With no shifts to build near-sphere rows from, all ``size`` rows are uniform.
-    The blocks are never concatenated, so a trial holds Y once.
+    The blocks are never concatenated, and the near-sphere block builds
+    its rows a chunk at a time as the kernels read them, so a trial holds
+    only the uniform half of Y in full.
     """
     near = size // 2 if len(shifts) else 0
     blocks = [rng.integers(0, 3, size=(size - near, n), dtype=np.uint8)]

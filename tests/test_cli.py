@@ -240,8 +240,13 @@ def test_missing_json_file_exits_2(capsys):
         ({}, "pair record has no field 'ap'"),
         ({"ap": {"g": 1, "u": 0, "v": 1}, "basis": [1, 2]}, "pair record has no field 'ap.M'"),
         ([1, 2], "pair record must be an object, got list"),
+        # bool("false") is True, which once failed later as a coprimality error
+        (
+            {"ap": {"g": 2, "u": 1, "v": 2, "M": 3}, "basis": [1, 2, 3], "reduced": "false"},
+            "pair record field 'reduced' must be a boolean",
+        ),
     ],
-    ids=["empty", "no-ap-M", "list"],
+    ids=["empty", "no-ap-M", "list", "reduced-string"],
 )
 def test_reduce_malformed_record_exits_2_with_one_line(record, message, tmp_path, capsys):
     path = tmp_path / "pair.json"
@@ -280,6 +285,21 @@ def test_overlap_sizes_below_zero_rejected(command, flag, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err == f"error: {flag} must be at least 0, got -1\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "command,argv",
+    [
+        ("sphere-overlap", ["--n", "-5", "--x-size", "0", "--y-size", "0"]),
+        ("sphere-overlap-general", ["--n", "-5", "--a-size", "0", "--b-size", "0"]),
+    ],
+)
+def test_overlap_dimension_below_zero_names_n(command, argv, capsys):
+    code = main([command, *argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: --n must be at least 0, got -5\n"
     assert captured.out == ""
 
 

@@ -98,6 +98,14 @@ def test_reduced_pair_record_round_trip():
     assert ReducedPair.from_record(rec) == pair
 
 
+@pytest.mark.parametrize("flag", ["false", "true", 0, 1, None])
+def test_reduced_pair_record_wants_a_boolean_flag(flag):
+    rec = ReducedPair.of(APSpec(g=2, u=1, v=2, M=3), {1, 2, 3}).to_record()
+    assert ReducedPair.from_record({**rec, "reduced": False}).reduced is False
+    with pytest.raises(ValueError, match="pair record field 'reduced' must be a boolean"):
+        ReducedPair.from_record({**rec, "reduced": flag})
+
+
 # --------------------------------------------------------- certifying
 
 

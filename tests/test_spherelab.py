@@ -532,20 +532,30 @@ def test_overlap_trial_determinism():
     assert r1 == r2
 
 
-def test_overlap_trial_holds_y_once():
-    # the criterion-3 trial: Y, |Y| * n bytes, is two blocks never concatenated
-    n, y_size = OVERLAP_MIN_N, 41943
+def _traced_peak(run) -> int:
+    """Bytes ``run()`` allocates at its peak beyond what was traced before it."""
     tracing = tracemalloc.is_tracing()
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        overlap_trial(n, 2, y_size, rng_stream(0, 0))
-        peak = tracemalloc.get_traced_memory()[1] - base
+        run()
+        return tracemalloc.get_traced_memory()[1] - base
     finally:
         if not tracing:
             tracemalloc.stop()
-    assert peak <= 1.25 * y_size * n
+
+
+def test_overlap_trial_holds_y_once():
+    # the criterion-3 trial: of Y, |Y| * n bytes, only the uniform half is held in full
+    n, y_size = OVERLAP_MIN_N, 41943
+    assert _traced_peak(lambda: overlap_trial(n, 2, y_size, rng_stream(0, 0))) <= 0.75 * y_size * n
+
+
+def test_overlap_refined_trial_holds_b_once():
+    # the dimension of the sphere-overlap-general golden, with |B| = n^2 / 100 as in criterion 3
+    n, b_size = 1100, 12100
+    assert _traced_peak(lambda: overlap_refined_trial(n, 1, b_size, rng_stream(0, 0))) <= 0.75 * b_size * n
 
 
 def _philox(*key):
@@ -596,7 +606,7 @@ def test_overlap_kernels_match_reference(case):
     assert (res.x_size, res.y_size, res.lhs) == (len(xref), len(yref), expected)
 
 
-def _parity(mat):
+def _parity(mat, _weights):
     return (mat.sum(axis=1) % 2).astype(np.uint64)  # a fingerprint distinct rows share
 
 
@@ -662,15 +672,64 @@ def test_two_sphere_hits_counts_a_sum_from_two_x_once():
     st.integers(min_value=0, max_value=30),
     st.integers(min_value=1, max_value=3),
     st.integers(min_value=0, max_value=2**32),
+    st.data(),
 )
 @settings(max_examples=100, deadline=None)
-def test_random_near_sphere_matches_reference(n, count, k, seed):
+def test_random_near_sphere_matches_reference(n, count, k, seed, data):
     shifts = _philox(seed, 0).integers(0, 3, size=(k, n), dtype=np.uint8)
     new_rng, ref_rng = _philox(seed, 1), _philox(seed, 1)
-    got = spherelab._random_near_sphere(new_rng, count, n, shifts)
-    assert got.dtype == np.uint8
-    assert np.array_equal(got, random_near_sphere_int16(ref_rng, count, n, shifts))
+    block = spherelab._random_near_sphere(new_rng, count, n, shifts)
+    ref = random_near_sphere_int16(ref_rng, count, n, shifts)
     assert new_rng.integers(1 << 62) == ref_rng.integers(1 << 62)  # both consumed the same draws
+    assert len(block) == count and block.shape == ref.shape
+    # the rows are built on demand: the full slice, empty and random slices, and index arrays
+    bound = st.integers(min_value=-count - 2, max_value=count + 2) | st.none()
+    step = st.sampled_from([None, 1, 2, -1, -3])
+    keys = [slice(None), slice(0, 0), slice(count, None), np.zeros(0, dtype=np.int64)]
+    keys += [slice(data.draw(bound), data.draw(bound), data.draw(step)) for _ in range(3)]
+    if count:
+        rows = st.lists(st.integers(min_value=0, max_value=count - 1), max_size=2 * count)
+        keys += [np.array(data.draw(rows), dtype=np.int64) for _ in range(3)]
+    for key in keys:
+        got = block[key]
+        assert got.dtype == np.uint8
+        assert np.array_equal(got, ref[key]), key
+
+
+@given(
+    split_overlap_rows(),
+    st.integers(min_value=0, max_value=12),
+    st.integers(min_value=0, max_value=2**32),
+)
+@settings(max_examples=100, deadline=None)
+def test_overlap_kernels_read_a_near_sphere_block_as_its_rows(case, count, seed):
+    n, xmat, ymat, _ = case
+    if n < 2:
+        return  # a near-sphere row moves two distinct columns
+    lazy = spherelab._random_near_sphere(_philox(seed, 2), count, n, xmat)
+    rows = lazy[:]
+    # U also repeats some near-sphere rows, so first occurrences cross the blocks
+    u = np.concatenate([ymat, rows[: count // 2]])
+    for patch in (
+        contextlib.nullcontext(),
+        mock.patch.object(spherelab, "_row_fingerprints", _parity),  # clashes across blocks
+        mock.patch.object(spherelab, "_HIT_CHUNK", 2),
+    ):
+        with patch:
+            assert np.array_equal(
+                spherelab._first_occurrences([u, lazy]), spherelab._first_occurrences([u, rows])
+            )
+            assert spherelab._distinct_count([u, lazy]) == spherelab._distinct_count([u, rows])
+            hits = spherelab._two_sphere_hits(xmat, [u, rows], n)
+            assert spherelab._two_sphere_hits(xmat, [u, lazy], n) == hits
+            assert check_sphere_overlap(xmat, [u, lazy], n) == check_sphere_overlap(xmat, [u, rows], n)
+            assert check_sphere_overlap(xmat, (lazy,), n) == check_sphere_overlap(xmat, rows, n)
+
+
+def test_row_blocks_rejects_a_near_sphere_block_of_another_width():
+    lazy = spherelab._random_near_sphere(_philox(0, 0), 4, 10, np.zeros((1, 10), dtype=np.uint8))
+    with pytest.raises(ValueError, match="expected shape"):
+        check_sphere_overlap(np.zeros((1, 12), dtype=np.uint8), [lazy], 12)
 
 
 @pytest.mark.parametrize("x_size,y_size", [(2, 3001), (1, 2), (0, 40)])
