@@ -19,8 +19,9 @@ three kinds of question about S_3:
 Scalar vectors are immutable byte strings (one coordinate per byte);
 bulk checks at n ~ 2048 run on numpy matrices instead, and the large
 side of an overlap check is read as a list of row blocks, never joined.
-A trial's near-sphere block holds only its shifts and column draws and
-builds its rows on demand, a chunk at a time, as the kernels read them.
+A trial's near-sphere block holds only its shifts and column draws: the
+hit kernel keys its hits from those, and the dedupe pass builds its
+rows a chunk at a time.
 """
 
 from __future__ import annotations
@@ -80,8 +81,13 @@ _LEAD = 16
 
 # rows of one Y block per fingerprint pass, lead-column copy and full-width
 # compare, to bound temporaries at about _HIT_CHUNK * n bytes whatever the
-# block's size; a near-sphere block builds its rows a chunk at a time
+# block's size; the dedupe pass builds a near-sphere block's rows a chunk
+# at a time, and the hit kernel never builds them
 _HIT_CHUNK = 1024
+
+# 64-bit generator words per draw of uniform ternary rows (256 KiB); with
+# two trials on two threads, 64 KiB draws made rounds about 10% slower
+_RAW_WORDS = 1 << 15
 
 # bytes of sums per block of basis rows in least_pairs (one row at least)
 _PAIR_BLOCK = 1 << 20
@@ -550,29 +556,32 @@ def _row_fingerprints(mat: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
     A byte high in its word meets its weight shifted left, so rows that
     differ only there collide more often than 2^-64; callers compare bytes.
+    The sums wrap mod 2^64, so any order of summation gives the same bits.
+    ``einsum`` reads the word view, row-strided and unaligned when n % 8
+    is not 0, through a small buffer, where a matmul would copy ``mat``.
     """
-    m, n = mat.shape
-    words = n // 8
-    fp = mat[:, : 8 * words].view(np.uint64) @ weights[:words] if words else np.zeros(m, dtype=np.uint64)
-    if n % 8:
-        fp += mat[:, 8 * words :].astype(np.uint64) @ weights[words:]
+    words = mat.shape[1] // 8
+    fp = np.einsum("ij,j->i", mat[:, : 8 * words].view(np.uint64), weights[:words])
+    fp += np.einsum("ij,j->i", mat[:, 8 * words :], weights[words:])
     return fp
 
 
 class _NearSphereRows:
     """The rows of ``_random_near_sphere``, built on demand for a row slice or an index array.
 
-    Row i is -x, x = shifts[i % k], with 1 - x at its two drawn columns.
+    Row i is -x, x = shifts[i % k], with 1 - x at its two drawn columns ``cols[i]``.
     Only the k rows -x and the draws are held, about 18 bytes a row
-    against n, so the overlap kernels read it a chunk of rows at a time
-    through ``len``, row slices and index gathers, as they read arrays.
+    against n.  The dedupe pass reads it a chunk of rows at a time
+    through ``len``, row slices and index gathers, as it reads arrays;
+    the hit kernel asks it for its hit keys, and no row is built.
     """
 
-    def __init__(self, neg: np.ndarray, cols: np.ndarray, ones: np.ndarray):
-        self._neg = neg  # (k, n): -x per shift
+    def __init__(self, shifts: np.ndarray, cols: np.ndarray):
+        which = np.arange(len(cols)) % len(shifts)
+        self._neg = _NEG3[shifts]  # (k, n): -x per shift
         self._cols = cols  # (count, 2): the two columns moved in each row
-        self._ones = ones  # (count, 2): 1 - x at those columns
-        self.shape = (len(cols), neg.shape[1])
+        self._ones = _ONE_MINUS[shifts[which[:, None], cols]]  # (count, 2): 1 - x at those columns
+        self.shape = (len(cols), shifts.shape[1])
 
     def __len__(self) -> int:
         return len(self._cols)
@@ -582,6 +591,34 @@ class _NearSphereRows:
         rows = self._neg[idx % len(self._neg)]
         rows[np.arange(len(idx))[:, None], self._cols[idx]] = self._ones[idx]
         return rows
+
+    def hit_keys(self, x: np.ndarray) -> np.ndarray:
+        """Keys i * n + j, i < j, of the rows y with x + y = e_i + e_j, as in ``_two_sphere_hits``.
+
+        A row of shift s mismatches -x outside its two drawn columns
+        exactly where -x_s does, so a shift whose -x_s differs from -x in
+        more than 4 columns gives no hit.  For the others, a row's
+        mismatches lie among those columns and its two drawn ones: each
+        such row is read as at most 6 (column, value) entries, a drawn
+        column's entry replacing the entry of -x_s there.
+        """
+        k, n = self._neg.shape
+        neg, one_minus = _NEG3[x], _ONE_MINUS[x]
+        differs = self._neg != neg
+        keys = [np.zeros(0, dtype=np.int64)]
+        for s in np.flatnonzero(np.count_nonzero(differs, axis=1) <= 4):
+            diff = np.flatnonzero(differs[s])
+            drawn = self._cols[s::k]
+            cols = np.concatenate([np.broadcast_to(diff, (len(drawn), len(diff))), drawn], axis=1)
+            vals = np.concatenate(
+                [np.broadcast_to(self._neg[s, diff], (len(drawn), len(diff))), self._ones[s::k]], axis=1
+            )
+            miss = vals != neg[cols]
+            miss[:, : len(diff)] &= (diff != drawn[:, :1]) & (diff != drawn[:, 1:])
+            hit = (miss.sum(axis=1) == 2) & ((vals == one_minus[cols]) | ~miss).all(axis=1)
+            pair = cols[hit][miss[hit]].reshape(-1, 2)
+            keys.append(pair.min(axis=1) * n + pair.max(axis=1))
+        return np.concatenate(keys)
 
 
 def _as_block(block, n: int):
@@ -672,12 +709,16 @@ def _two_sphere_hits(xmat: np.ndarray, yblocks: list, n: int) -> int:
     Each hit x + y = e_i + e_j is keyed by its support pair (i, j): the
     two coordinates where y mismatches -x, both with y = 1 - x there.
     One np.unique over the keys of every block counts each pair once.
-    A block's first _LEAD columns are copied out a chunk of rows at a
-    time, and only the rows they leave in play are gathered in full.
+    A near-sphere block gives its keys from its shifts and draws.  Of an
+    array block, the first _LEAD columns are copied out a chunk of rows
+    at a time, and only the rows they leave in play are gathered in full.
     """
     lead = min(_LEAD, n)
     keys = []
     for ymat in yblocks:
+        if isinstance(ymat, _NearSphereRows):
+            keys += [ymat.hit_keys(x) for x in xmat]
+            continue
         ylead = np.empty((len(ymat), lead), dtype=np.uint8)
         for lo in range(0, len(ymat), _HIT_CHUNK):
             ylead[lo : lo + _HIT_CHUNK] = ymat[lo : lo + _HIT_CHUNK][:, :lead]
@@ -789,32 +830,80 @@ def _random_near_sphere(rng: np.random.Generator, count: int, n: int, shifts: np
     while resample.any():
         cols[resample, 1] = rng.integers(0, n, size=int(resample.sum()))
         resample = cols[:, 0] == cols[:, 1]
-    which = np.arange(count) % len(shifts)
-    return _NearSphereRows(_NEG3[shifts], cols, _ONE_MINUS[shifts[which[:, None], cols]])
+    return _NearSphereRows(shifts, cols)
+
+
+def _ternary_rows(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
+    """``rng.integers(0, 3, size=(m, n), dtype=np.uint8)``, bit for bit, from raw generator words.
+
+    NumPy draws each value from the next byte b of its 32-bit outputs,
+    low byte first, as (3b) >> 8 = (b > 85) + (b > 170), rejecting b = 0;
+    a 64-bit generator gives the low half of a word first and buffers
+    the high half (``has_uint32``, ``uinteger``).  The same bytes are read
+    here from ``random_raw``, _RAW_WORDS words at a time and never more
+    words than the values still owed could use, so the generator is
+    left as NumPy leaves it.  MT19937, which has no such buffer, is refused.
+    """
+    bitgen = rng.bit_generator
+    state = bitgen.state
+    if "has_uint32" not in state:
+        raise ValueError(f"uniform rows need a 64-bit bit generator, got {state['bit_generator']}")
+    out = np.empty((m, n), dtype=np.uint8)
+    flat = out.reshape(-1)
+    if not flat.size:
+        return out
+
+    def fill(b: np.ndarray, filled: int) -> int:
+        take = b[b != 0][: flat.size - filled]
+        np.add(take > 85, take > 170, out=flat[filled : filled + len(take)], dtype=np.uint8)
+        return filled + len(take)
+
+    filled = 0
+    if state["has_uint32"]:
+        filled = fill(np.array([state["uinteger"]], dtype="<u4").view(np.uint8), filled)
+        state["has_uint32"] = 0
+        bitgen.state = state
+    while filled < flat.size:
+        need = flat.size - filled
+        words = bitgen.random_raw(min(_RAW_WORDS, -(-need // 8)))
+        b = words.astype("<u8", copy=False).view(np.uint8)
+        filled = fill(b, filled)
+        # the last value comes from the last word; from its low half, NumPy buffers the high half
+        if filled == flat.size and np.count_nonzero(b[:-4]) >= need:
+            state = bitgen.state
+            state["has_uint32"], state["uinteger"] = 1, int(words[-1]) >> 32
+            bitgen.state = state
+    return out
 
 
 def _mixed_blocks(rng: np.random.Generator, size: int, n: int, shifts: np.ndarray) -> list:
     """``size - size // 2`` uniform rows, then ``size // 2`` near-sphere rows, as two blocks.
 
-    With no shifts to build near-sphere rows from, all ``size`` rows are uniform.
-    The blocks are never concatenated, and the near-sphere block builds
-    its rows a chunk at a time as the kernels read them, so a trial holds
-    only the uniform half of Y in full.
+    With no shifts to build near-sphere rows from, all ``size`` rows are
+    uniform, drawn by ``_ternary_rows``.  The blocks are never concatenated,
+    and the near-sphere block holds only its shifts and draws, so a trial
+    holds only the uniform half of Y in full.
     """
     near = size // 2 if len(shifts) else 0
-    blocks = [rng.integers(0, 3, size=(size - near, n), dtype=np.uint8)]
+    blocks = [_ternary_rows(rng, size - near, n)]
     if near:
         blocks.append(_random_near_sphere(rng, near, n, shifts))
     return blocks
 
 
 def overlap_trial(n: int, x_size: int, y_size: int, rng: np.random.Generator) -> OverlapCheck:
-    """One seeded fixed-fraction check: random X, Y as a uniform and a near-sphere block."""
+    """One seeded fixed-fraction check: random X, Y as a uniform and a near-sphere block.
+
+    ``rng`` needs a 64-bit bit generator, as ``_ternary_rows`` draws Y's uniform rows.
+    """
     xmat = rng.integers(0, 3, size=(x_size, n), dtype=np.uint8)
     return check_sphere_overlap(xmat, _mixed_blocks(rng, y_size, n, xmat), n)
 
 
 def overlap_refined_trial(n: int, a_size: int, b_size: int, rng: np.random.Generator) -> OverlapRefinedCheck:
-    """One seeded pair-count check: random A, B as a uniform and a near-sphere block."""
+    """One seeded pair-count check: random A, B as a uniform and a near-sphere block.
+
+    ``rng`` needs a 64-bit bit generator, as in ``overlap_trial``.
+    """
     amat = rng.integers(0, 3, size=(a_size, n), dtype=np.uint8)
     return check_sphere_overlap_general(amat, _mixed_blocks(rng, b_size, n, amat), n)

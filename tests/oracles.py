@@ -669,6 +669,24 @@ def two_sphere_hits_full(xmat, ymat, n: int) -> int:
     return len(seen)
 
 
+def row_fingerprints_matmul(mat, weights):
+    """``spherelab._row_fingerprints`` as first written: a matmul of the 8-byte word view."""
+    m, n = mat.shape
+    words = n // 8
+    fp = mat[:, : 8 * words].view(np.uint64) @ weights[:words] if words else np.zeros(m, dtype=np.uint64)
+    if n % 8:
+        fp += mat[:, 8 * words :].astype(np.uint64) @ weights[words:]
+    return fp
+
+
+def sphere_hit_keys_full(x, ymat, n: int):
+    """Sorted keys i * n + j, i < j, one per row y of ``ymat`` with x + y = e_i + e_j."""
+    s = _MOD3[ymat + x]
+    good = ~(s == 2).any(axis=1) & ((s == 1).sum(axis=1) == 2)
+    cols = np.nonzero(s[good])[1].reshape(-1, 2)
+    return np.sort(cols[:, 0] * n + cols[:, 1])
+
+
 def random_near_sphere_int16(rng, count: int, n: int, shifts):
     """Rows s - x mod 3 in int16: s random in S_2, x cycling over ``shifts``."""
     cols = rng.integers(0, n, size=(count, 2))

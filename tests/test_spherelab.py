@@ -37,7 +37,9 @@ from oracles import (
     dedupe_rows_bytes,
     lex_least_pairs,
     random_near_sphere_int16,
+    row_fingerprints_matmul,
     sphere_cover_verify_bytes,
+    sphere_hit_keys_full,
     sphere_min_brute,
     sphere_tuples,
     two_sphere_hits_full,
@@ -724,6 +726,123 @@ def test_overlap_kernels_read_a_near_sphere_block_as_its_rows(case, count, seed)
             assert spherelab._two_sphere_hits(xmat, [u, lazy], n) == hits
             assert check_sphere_overlap(xmat, [u, lazy], n) == check_sphere_overlap(xmat, [u, rows], n)
             assert check_sphere_overlap(xmat, (lazy,), n) == check_sphere_overlap(xmat, rows, n)
+
+
+@st.composite
+def near_blocks(draw):
+    """(n, x, shifts, lazy): a near-sphere block whose shifts lie at Hamming distance 0-5 from x.
+
+    Hits come from shifts 0, 2 or 4 columns from x, the last two only
+    when a row's drawn columns lie where its shift differs from x, so
+    about half the rows draw both columns there.
+    """
+    n = draw(st.integers(min_value=2, max_value=12))
+    x = np.array(draw(st.lists(st.integers(min_value=0, max_value=2), min_size=n, max_size=n)), dtype=np.uint8)
+    shifts, diffs = [], []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        d = draw(st.integers(min_value=0, max_value=min(5, n)))
+        cols = draw(st.lists(st.integers(min_value=0, max_value=n - 1), min_size=d, max_size=d, unique=True))
+        steps = draw(st.lists(st.integers(min_value=1, max_value=2), min_size=d, max_size=d))
+        shift = x.copy()
+        shift[cols] = (x[cols] + np.array(steps, dtype=np.uint8)) % 3
+        shifts.append(shift)
+        diffs.append(cols)
+    drawn = []
+    for i in range(draw(st.integers(min_value=0, max_value=30))):
+        diff = diffs[i % len(shifts)]
+        col = st.sampled_from(diff) if len(diff) >= 2 and draw(st.booleans()) else st.integers(min_value=0, max_value=n - 1)
+        drawn.append(draw(st.lists(col, min_size=2, max_size=2, unique=True)))
+    drawn = np.array(drawn, dtype=np.int64).reshape(-1, 2)
+    shifts = np.array(shifts)
+    return n, x, shifts, spherelab._NearSphereRows(shifts, drawn)
+
+
+@given(near_blocks())
+@settings(max_examples=300, deadline=None)
+def test_near_block_hits_match_its_rows(case):
+    n, x, shifts, lazy = case
+    rows = lazy[:]
+    assert np.array_equal(np.sort(lazy.hit_keys(x)), sphere_hit_keys_full(x, rows, n))
+    xmat = np.concatenate([x[None], shifts[:1]])  # x, and a shift itself
+    expected = two_sphere_hits_full(xmat, rows, n)
+    assert spherelab._two_sphere_hits(xmat, [lazy], n) == expected
+    assert spherelab._two_sphere_hits(xmat, [rows], n) == expected
+
+
+def test_near_block_keys_hits_of_a_shift_four_columns_from_x():
+    n = 8
+    x = np.zeros(n, dtype=np.uint8)
+    far = np.array([1, 1, 2, 2, 0, 0, 0, 0], dtype=np.uint8)  # drawn at 0 and 1, leaves e_2 + e_3
+    farther = np.array([1, 1, 2, 2, 1, 0, 0, 0], dtype=np.uint8)  # a fifth difference: no hit
+    cols = np.array([[0, 1], [0, 1], [1, 0], [5, 6], [2, 3], [2, 3]], dtype=np.int64)
+    lazy = spherelab._NearSphereRows(np.array([far, farther]), cols)
+    assert lazy.hit_keys(x).tolist() == [2 * n + 3, 2 * n + 3]
+    assert np.array_equal(np.sort(lazy.hit_keys(x)), sphere_hit_keys_full(x, lazy[:], n))
+    assert spherelab._two_sphere_hits(x[None], [lazy], n) == 1
+
+
+_BIT_GENERATORS = (np.random.Philox, np.random.PCG64, np.random.PCG64DXSM, np.random.SFC64)
+
+
+def _assert_draws_as_integers(bit_generator, seed, m, n, half_word):
+    """``_ternary_rows`` gives ``rng.integers``' bytes and leaves the generator as it does."""
+    ours, ref = (np.random.Generator(bit_generator(seed)) for _ in range(2))
+    if half_word:  # a uint32 draw leaves the high half of a word buffered
+        assert ours.integers(1 << 32, dtype=np.uint32) == ref.integers(1 << 32, dtype=np.uint32)
+    got = spherelab._ternary_rows(ours, m, n)
+    want = ref.integers(0, 3, size=(m, n), dtype=np.uint8)
+    assert got.dtype == np.uint8 and got.shape == (m, n)
+    assert np.array_equal(got, want)
+    assert ours.integers(1 << 62) == ref.integers(1 << 62)
+    assert ours.integers(1 << 32, dtype=np.uint32) == ref.integers(1 << 32, dtype=np.uint32)
+
+
+@given(
+    st.sampled_from(_BIT_GENERATORS),
+    st.integers(min_value=0, max_value=2**32),
+    st.integers(min_value=0, max_value=12),
+    st.integers(min_value=0, max_value=40),
+    st.booleans(),
+    st.integers(min_value=1, max_value=4),
+)
+@example(np.random.Philox, 0, 0, 7, True, 1)  # nothing drawn after a buffered half word
+@example(np.random.Philox, 0, 1, 3, True, 1)  # all drawn from the buffered half word
+@settings(max_examples=300, deadline=None)
+def test_ternary_rows_match_integers(bit_generator, seed, m, n, half_word, raw_words):
+    # a few words a draw, so the values cross many draws
+    with mock.patch.object(spherelab, "_RAW_WORDS", raw_words):
+        _assert_draws_as_integers(bit_generator, seed, m, n, half_word)
+
+
+@pytest.mark.parametrize("bit_generator", _BIT_GENERATORS)
+@pytest.mark.parametrize("extra", [-5, -4, 0, 1, 4])
+@pytest.mark.parametrize("half_word", [False, True])
+def test_ternary_rows_match_integers_across_a_draw(bit_generator, extra, half_word):
+    # two full draws of the module's size and a few values more or less
+    _assert_draws_as_integers(bit_generator, 17, 2, 8 * spherelab._RAW_WORDS + extra, half_word)
+
+
+@pytest.mark.parametrize("m,n", [(2, 3), (0, 3)])
+def test_ternary_rows_refuse_mt19937(m, n):
+    with pytest.raises(ValueError, match="MT19937"):
+        spherelab._ternary_rows(np.random.Generator(np.random.MT19937(0)), m, n)
+
+
+@given(st.integers(min_value=0, max_value=6), st.integers(min_value=0, max_value=40), st.integers(min_value=0, max_value=2**32))
+@settings(max_examples=100, deadline=None)
+def test_row_fingerprints_match_the_matmul(m, n, seed):
+    mat = _philox(seed, 3).integers(0, 3, size=(m, n), dtype=np.uint8)
+    weights = spherelab._fingerprint_weights(n)
+    got = spherelab._row_fingerprints(mat, weights)
+    assert got.dtype == np.uint64 and np.array_equal(got, row_fingerprints_matmul(mat, weights))
+
+
+def test_row_fingerprints_copy_no_chunk():
+    # at n % 8 != 0 the 8-byte word view is row-strided and unaligned
+    n = 1100
+    chunk = _philox(0, 4).integers(0, 3, size=(spherelab._HIT_CHUNK, n), dtype=np.uint8)
+    weights = spherelab._fingerprint_weights(n)
+    assert _traced_peak(lambda: spherelab._row_fingerprints(chunk, weights)) < 0.1 * chunk.nbytes
 
 
 def test_row_blocks_rejects_a_near_sphere_block_of_another_width():
