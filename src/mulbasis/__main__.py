@@ -1,0 +1,6 @@
+"""``python -m mulbasis``: the command line driver."""
+
+from .cli import main_entry
+
+if __name__ == "__main__":
+    main_entry()

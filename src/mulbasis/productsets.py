@@ -2,8 +2,12 @@
 
 A set B is a multiplicative basis of order two for A when every a in A
 splits as a = b * b' with b, b' in B.  This module verifies covers,
-searches for exact minimum bases (branch and bound over factor pairs),
-and builds the standard three-block basis for the interval [1..M].
+searches for exact minimum bases, and builds the standard three-block
+basis for the interval [1..M].
+
+The exact search runs on any cover problem coded in integers, targets
+with the pairs (b, c) that cover them: factor pairs here, the pairs
+(b, t - b) of base-3 coded vectors in ``spherelab.sphere_min_basis``.
 
 Cover witnesses are canonical: for each target we record the
 lexicographically smallest factor pair (b, b'), ordered b <= b'.
@@ -13,6 +17,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import AbstractSet, Iterable, Iterator, Mapping, Sequence
@@ -30,6 +35,8 @@ __all__ = [
     "first_uncovered",
     "witness_covers",
     "SizeSearch",
+    "size_search",
+    "fix_least_cover",
     "min_size_search",
     "exact_min_basis",
     "construct_interval_basis",
@@ -267,7 +274,7 @@ def _min_additions(s: int, r: int) -> int:
 
 def _least_cover(
     targets: Sequence[int],
-    pairs: dict[int, list[tuple[int, int]]],
+    pairs: Mapping[int, Sequence[tuple[int, int]]],
     bound: int,
     budget: int,
     nodes: int,
@@ -279,55 +286,83 @@ def _least_cover(
 
     Covers hold every element of ``forced`` and none of ``excluded``.
     Each node branches on the uncovered target with the fewest usable
-    factor pairs and is pruned by the pair-counting bound; a cover found
-    lowers the bound, unless ``first_only`` stops the search there.
-    ``nodes`` counts on from earlier searches, and the search stops once
-    it passes ``budget``.  Returns the smallest cover found, or None, and
-    the node count.
+    pairs, then the least, and is pruned by the pair-counting bound; a
+    cover found lowers the bound, unless ``first_only`` stops the search
+    there.  ``nodes`` counts on from earlier searches, and the search
+    stops once it passes ``budget``.  Returns the smallest cover found,
+    or None, and the node count.  Each target slot, in branching order,
+    counts its pairs inside the basis; an index from each element to its
+    (slot, partner) entries keeps the counts as elements come and go.
     """
-    if excluded:
-        pairs = {
-            a: [(b, c) for b, c in ps if b not in excluded and c not in excluded]
-            for a, ps in pairs.items()
-        }
+    usable = [[(b, c) for b, c in pairs[a] if b not in excluded and c not in excluded] for a in targets]
+    # targets ascend, so a stable sort on pair count breaks ties toward the smaller target
+    slots = sorted(usable, key=len)
+    index: dict[int, list[tuple[int, int]]] = defaultdict(list)
+    for s, ps in enumerate(slots):
+        for b, c in ps:
+            index[b].append((s, c))
+            if c != b:
+                index[c].append((s, b))
+    inside = [0] * len(slots)
+    basis: set[int] = set()
+    uncovered = len(slots)
     best: tuple[int, ...] | None = None
 
-    def dfs(basis: set[int]) -> None:
+    def add(x: int) -> None:
+        nonlocal uncovered
+        basis.add(x)
+        for s, y in index[x]:
+            if y in basis:
+                if not inside[s]:
+                    uncovered -= 1
+                inside[s] += 1
+
+    def remove(x: int) -> None:
+        nonlocal uncovered
+        for s, y in index[x]:
+            if y in basis:
+                inside[s] -= 1
+                if not inside[s]:
+                    uncovered += 1
+        basis.remove(x)
+
+    def dfs() -> None:
         nonlocal best, bound, nodes
         nodes += 1
         if nodes > budget:
             return
-        unc = [a for a in targets if not any(b in basis and c in basis for b, c in pairs[a])]
-        if not unc:
-            if len(basis) < bound:
-                bound = len(basis)
+        size = len(basis)
+        if not uncovered:
+            if size < bound:
+                bound = size
                 best = tuple(sorted(basis))
             return
-        if len(basis) + _min_additions(len(basis), len(unc)) >= bound:
+        if size + _min_additions(size, uncovered) >= bound:
             return
-        branch = min(unc, key=lambda a: (len(pairs[a]), a))
-        for b, c in pairs[branch]:
-            new = {b, c} - basis
-            basis |= new
-            dfs(basis)
-            basis -= new
+        for b, c in slots[inside.index(0)]:
+            new = [x for x in {b, c} if x not in basis]
+            for x in new:
+                add(x)
+            dfs()
+            for x in reversed(new):
+                remove(x)
             if nodes > budget or (first_only and best is not None):
                 return
 
-    dfs(set(forced))
+    for x in forced:
+        add(x)
+    dfs()
     return best, nodes
 
 
 @dataclass(frozen=True)
 class SizeSearch:
-    """The first pass of the exact search: the least basis size it reached.
+    """The first pass of the exact search: the least cover size it reached.
 
-    ``optimal`` means the pass proved no strictly smaller basis exists;
-    one that ran out of node budget first returns its incumbent with
-    optimal False.  ``basis`` is the first basis of that size the pass
-    found, not the lexicographically smallest.  ``pool`` (ascending) and
-    ``pairs`` (each target's factor pairs inside the pool, ascending) are
-    what a later pass over the same targets needs.
+    ``optimal`` means the pass proved no strictly smaller cover exists;
+    one that ran out of node budget first returns its best cover so far
+    with optimal False.  ``basis`` is the first cover of that size the
+    pass found, not the lexicographically smallest.
     """
 
     targets: tuple[int, ...]
@@ -342,6 +377,62 @@ class SizeSearch:
         return len(self.basis)
 
 
+def size_search(
+    targets: Sequence[int],
+    pairs: dict[int, list[tuple[int, int]]],
+    pool: Iterable[int],
+    budget: int,
+) -> SizeSearch:
+    """The first pass for any cover problem coded in integers.
+
+    ``targets`` ascend, each with its pairs (b, c), b <= c, ascending in
+    b, whose two members cover it together.  Branch and bound looks for
+    a cover smaller than the first pair of every target, and stops after
+    ``budget`` nodes.
+    """
+    inc = tuple(sorted({x for a in targets for x in pairs[a][0]}))
+    found, nodes = _least_cover(targets, pairs, len(inc), budget, 0)
+    return SizeSearch(
+        targets=tuple(targets),
+        pool=tuple(sorted(pool)),
+        pairs=pairs,
+        basis=found or inc,
+        optimal=nodes <= budget,
+        nodes_explored=nodes,
+    )
+
+
+def fix_least_cover(first: SizeSearch, budget: int) -> tuple[tuple[int, ...], int]:
+    """The lex-least cover of the size k ``first`` proved, and both passes' nodes.
+
+    One pool element at a time, in ascending order, x is kept when a
+    cover of size k still holds every kept element and x and no skipped
+    element, and skipped otherwise; each search stops at its first cover.
+    Both passes share one node budget; a first pass that did not prove
+    its size, or a fixing pass that runs out, leaves the first pass's
+    cover.
+    """
+    best, nodes = first.basis, first.nodes_explored
+    if not first.optimal:
+        return best, nodes
+    k = first.size
+    kept: list[int] = []
+    skipped: set[int] = set()
+    for x in first.pool:
+        if len(kept) == k:
+            break
+        found, nodes = _least_cover(
+            first.targets, first.pairs, k + 1, budget, nodes, kept + [x], skipped, first_only=True
+        )
+        if nodes > budget:
+            return best, nodes
+        if found is None:
+            skipped.add(x)
+        else:
+            kept.append(x)
+    return tuple(kept), nodes
+
+
 def min_size_search(
     A: Iterable[int],
     pool: Iterable[int] | None = None,
@@ -349,12 +440,10 @@ def min_size_search(
 ) -> SizeSearch:
     """Least size of a multiplicative basis of order two for A.
 
-    Branch and bound: always branch on the uncovered target with the
-    fewest factor pairs, prune with the pair-counting bound, and stop
-    after ``budget`` nodes.  ``pool`` defaults to all divisors of
-    targets, which loses no minimum basis (every element of one divides
-    some target).  The incumbent is checked to cover A before it is
-    returned.
+    ``size_search`` over each target's factor pairs (d, a/d), d <= a/d.
+    ``pool`` defaults to all divisors of targets, which loses no minimum
+    basis (every element of one divides some target).  The result is
+    checked to cover A before it is returned.
     """
     targets = sorted(set(A))
     if not targets:
@@ -376,23 +465,11 @@ def min_size_search(
             raise ValueError(f"target {a} has no factor pair inside the pool")
         pairs[a] = opts
 
-    # incumbent: first pair of every target
-    inc: set[int] = set()
-    for a in targets:
-        inc.update(pairs[a][0])
-    found, nodes = _least_cover(targets, pairs, len(inc), budget, 0)
-    best = found or tuple(sorted(inc))
-    gap = first_uncovered(targets, best)
+    first = size_search(targets, pairs, pool_set, budget)
+    gap = first_uncovered(targets, first.basis)
     if gap is not None:
         raise InvariantViolationError(f"search produced a non-cover, uncovered {gap}")
-    return SizeSearch(
-        targets=tuple(targets),
-        pool=tuple(sorted(pool_set)),
-        pairs=pairs,
-        basis=best,
-        optimal=nodes <= budget,
-        nodes_explored=nodes,
-    )
+    return first
 
 
 def exact_min_basis(
@@ -402,37 +479,15 @@ def exact_min_basis(
 ) -> BasisSolution:
     """Exact minimum multiplicative basis of order two for A.
 
-    ``min_size_search`` proves the least size k.  The same branch and
-    bound then fixes the lexicographically smallest basis of size k one
-    pool element at a time, in ascending order: x is kept when a cover of
-    size k still holds every kept element and x and no skipped element,
-    and skipped otherwise.  No cover is smaller than k, so each of these
-    searches stops at its first cover.  Both passes share one node
-    budget; one that runs out while fixing returns the first pass's
-    basis, still optimal.  ``pool`` defaults to all divisors of targets.
+    ``min_size_search`` proves the least size k and ``fix_least_cover``
+    fixes the lexicographically smallest basis of that size, both within
+    one node budget.  One that runs out while fixing returns the first
+    pass's basis, still optimal.  ``pool`` defaults to all divisors of
+    targets.
     """
     first = min_size_search(A, pool, budget)
-    targets, pairs, k = first.targets, first.pairs, first.size
-    best, nodes = first.basis, first.nodes_explored
-    if first.optimal:
-        kept: list[int] = []
-        skipped: set[int] = set()
-        for x in first.pool:
-            if len(kept) == k:
-                break
-            found, nodes = _least_cover(
-                targets, pairs, k + 1, budget, nodes, kept + [x], skipped, first_only=True
-            )
-            if nodes > budget:
-                break
-            if found is None:
-                skipped.add(x)
-            else:
-                kept.append(x)
-        if nodes <= budget:
-            best = tuple(kept)
-
-    check = verify_cover(targets, best)
+    best, nodes = fix_least_cover(first, budget)
+    check = verify_cover(first.targets, best)
     if not check.covered:  # pragma: no cover - would be a solver bug
         raise InvariantViolationError(f"search produced a non-cover, uncovered {check.first_uncovered}")
     return BasisSolution(basis=best, witness=check.witness, optimal=first.optimal, nodes_explored=nodes)

@@ -7,8 +7,8 @@ three kinds of question about S_3:
   (a, a') in S_3 x S_3 have a - a' = d?  The count depends only on the
   pattern of 1s and 2s in d (the difference case), with closed formulas.
 * covering: is S_3 contained in B + B, and what is the smallest such B?
-  The union S_1 | S_2 always works (size n(n+1)/2); tiny dimensions
-  admit an exact search with coordinate-permutation symmetry reduction.
+  The union S_1 | S_2 always works (size n(n+1)/2); for n <= 6 the
+  exact cover search of ``productsets`` runs on base-3 coded vectors.
 * overlap: how much of S_2 can a structured sumset X + Y capture?
   The kernel rests on one fact: x + y = e_i + e_j exactly when
   y_l = -x_l at every coordinate l outside {i, j} and y_l = 1 - x_l at
@@ -29,13 +29,14 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .numtheory import InvariantViolationError
+from .productsets import fix_least_cover, size_search
 
 __all__ = [
     "DifferenceCase",
@@ -61,11 +62,18 @@ __all__ = [
     "as_matrix",
     "OVERLAP_MIN_N",
     "SMALL_SET_DIVISOR",
+    "SPHERE_EXACT_MAX_N",
 ]
 
 # The fixed-fraction overlap bound is a statement about large n; below
 # this dimension it is reported but not claimed.
 OVERLAP_MIN_N = 2048
+
+# Largest dimension the exact sphere-cover search accepts.  At n = 6 the
+# first pass already runs past the default 5M-node budget (about 40 s) and
+# falls back; each dimension above triples the pool and adds targets (35
+# at n = 7 against 20), so no practical budget proves a minimum there.
+SPHERE_EXACT_MAX_N = 6
 
 # "Small" sets in the overlap checks: at most n / 2**10 elements.
 SMALL_SET_DIVISOR = 1 << 10
@@ -350,11 +358,6 @@ class SphereCoverCheck:
     first_uncovered: TernaryVector | None = None
 
 
-def _pack_pow(n: int) -> np.ndarray:
-    # big-endian base-3 so numeric order equals lex order on coords
-    return 3 ** np.arange(n - 1, -1, -1, dtype=np.int64)
-
-
 def least_pairs(bmat: np.ndarray, tmat: np.ndarray) -> np.ndarray:
     """Per target row, the indices (i, j), i <= j, of its lex-least pair of basis rows.
 
@@ -439,110 +442,45 @@ def sphere_basis_construct(n: int) -> SphereBasisSolution:
     return SphereBasisSolution(basis=basis, witness=witness, optimal=False)
 
 
-def _digit_matrix(n: int) -> np.ndarray:
-    ids = np.arange(3**n, dtype=np.int64)
-    digits = np.empty((3**n, n), dtype=np.int64)
-    for i in range(n - 1, -1, -1):
-        digits[:, i] = ids % 3
-        ids = ids // 3
-    return digits
+def sphere_min_basis(n: int, budget: int = 5_000_000) -> SphereBasisSolution:
+    """Exact minimum B subset of F_3^n with S_3 subset B + B, for n <= SPHERE_EXACT_MAX_N.
 
-
-def sphere_min_basis(
-    n: int, budget: int = 5_000_000, exact_limit: int = 4
-) -> SphereBasisSolution:
-    """Exact minimum B subset of F_3^n with S_3 subset B + B.
-
-    Depth-first search over lex-sorted subsets with two prunes: the
-    pair-counting bound |B|(|B|+1)/2 >= C(n, 3), and minimum-image
-    canonicity under coordinate permutations (a prefix that is not the
-    lex-least member of its orbit is skipped; prefixes of canonical sets
-    are canonical, so no optimum is lost).  The first basis found is the
-    lexicographically smallest optimum.  Exhausting the node budget falls
-    back to the S_1 | S_2 construction with optimal unset.
+    Each vector is coded as a base-3 integer, first coordinate the top
+    digit, so integer order is lex order.  A target t has the pairs
+    (b, t - b), b <= t - b, over all 3^n vectors.  The exact cover search
+    of ``productsets`` runs on them, as on factor pairs: ``size_search``
+    starts from the first pair of every target, {0} | S_3, and proves the
+    least size; ``fix_least_cover`` fixes the lexicographically smallest
+    basis of that size.  No symmetry prune is used.  Both passes share
+    the node budget, and ``nodes_explored`` counts the nodes of both.  A
+    first pass that runs out of budget falls back to the S_1 | S_2
+    construction with optimal unset; a fixing pass that runs out keeps
+    the first pass's basis, still optimal.  Below n = 3 the empty basis
+    covers the empty S_3.
     """
     if n < 0:
         raise ValueError("dimension must be nonnegative")
-    if n > exact_limit:
-        raise ValueError(
-            f"exact search limited to n <= {exact_limit} (3^n subsets); got n={n}"
-        )
+    if n > SPHERE_EXACT_MAX_N:
+        raise ValueError(f"exact sphere search is limited to n <= {SPHERE_EXACT_MAX_N}; got n={n}")
     if n < 3:
-        # S_3 is empty below dimension 3; the empty basis covers it.
         return SphereBasisSolution(basis=frozenset(), witness={}, optimal=True)
-    target_vecs = enumerate_sphere(n, 3)
-    pw = _pack_pow(n)
-    digits = _digit_matrix(n)
-    targets = frozenset(int(x) for x in as_matrix(target_vecs, n).astype(np.int64) @ pw)
-    add_table = ((digits[:, None, :] + digits[None, :, :]) % 3) @ pw  # 3^n x 3^n
-
-    perm_maps = []
-    for perm in itertools.permutations(range(n)):
-        perm_maps.append(digits[:, list(perm)] @ pw)
-
-    space = 3**n
-    nodes = 0
-    exhausted = False
-    found: tuple[int, ...] | None = None
-
-    def canonical(chosen: tuple[int, ...]) -> bool:
-        for pm in perm_maps:
-            img = sorted(int(pm[c]) for c in chosen)
-            if tuple(img) < chosen:
-                return False
-        return True
-
-    def dfs(start: int, chosen: tuple[int, ...], covered: frozenset[int], size: int) -> None:
-        nonlocal nodes, exhausted, found
-        if exhausted or found is not None:
-            return
-        nodes += 1
-        if nodes > budget:
-            exhausted = True
-            return
-        if targets <= covered:
-            found = chosen
-            return
-        rem = size - len(chosen)
-        if rem <= 0:
-            return
-        missing = len(targets - covered)
-        cap = rem * len(chosen) + rem * (rem + 1) // 2
-        if cap < missing:
-            return
-        for cand in range(start, space):
-            nxt = chosen + (cand,)
-            if not canonical(nxt):
-                continue
-            row = add_table[cand]
-            new_cov = {int(row[c]) for c in nxt}
-            dfs(cand + 1, nxt, covered | (new_cov & targets), size)
-            if exhausted or found is not None:
-                return
-
-    lower = 1
-    while lower * (lower + 1) // 2 < len(targets):
-        lower += 1
-    upper = n * (n + 1) // 2
-    for size in range(lower, upper + 1):
-        dfs(0, (), frozenset(), size)
-        if found is not None or exhausted:
-            break
-
-    if found is None:
-        fallback = sphere_basis_construct(n)
-        return SphereBasisSolution(
-            basis=fallback.basis, witness=fallback.witness, optimal=False, nodes_explored=nodes
-        )
-    basis = frozenset(
-        TernaryVector(bytes(int(d) for d in digits[c])) for c in found
-    )
+    space = np.array(list(itertools.product(range(3), repeat=n)), dtype=np.uint8)  # code order
+    pw = 3 ** np.arange(n - 1, -1, -1)
+    own = np.arange(len(space))
+    pairs = {}
+    for t in as_matrix(enumerate_sphere(n, 3), n):
+        partner = ((t + 3 - space) % 3) @ pw
+        keep = partner >= own
+        pairs[int(t @ pw)] = list(zip(own[keep].tolist(), partner[keep].tolist()))
+    first = size_search(sorted(pairs), pairs, range(len(space)), budget)
+    if not first.optimal:
+        return replace(sphere_basis_construct(n), nodes_explored=first.nodes_explored)
+    found, nodes = fix_least_cover(first, budget)
+    basis = frozenset(TernaryVector(space[c].tobytes()) for c in found)
     check = sphere_cover_verify(basis, n)
     if not check.covered:  # pragma: no cover - would be a search bug
         raise InvariantViolationError("exact search returned a non-cover")
-    return SphereBasisSolution(
-        basis=basis, witness=check.witness, optimal=True, nodes_explored=nodes
-    )
+    return SphereBasisSolution(basis=basis, witness=check.witness, optimal=True, nodes_explored=nodes)
 
 
 def _fingerprint_weights(n: int) -> np.ndarray:

@@ -204,6 +204,51 @@ def _min_additions(s: int, r: int) -> int:
     return t
 
 
+def least_cover_reference(targets, pairs, bound: int, budget: int = 2_000_000):
+    """The first pass of ``exact_min_basis_reference``: a cover smaller than ``bound``.
+
+    ``pairs`` maps each target to the pairs (b, c) that cover it.  Every
+    node rebuilds the uncovered list from every target's pairs, branches
+    on the uncovered target with the fewest pairs and prunes by the
+    pair-counting bound.  Returns the smallest cover found, or None, and
+    the node count, which passes ``budget`` when the search ran out.
+    """
+    best = None
+    nodes = 0
+    exhausted = False
+
+    def covered(a, basis):
+        return any(b in basis and c in basis for b, c in pairs[a])
+
+    def dfs(basis):
+        nonlocal best, bound, nodes, exhausted
+        if exhausted:
+            return
+        nodes += 1
+        if nodes > budget:
+            exhausted = True
+            return
+        unc = [a for a in targets if not covered(a, basis)]
+        if not unc:
+            if len(basis) < bound:
+                bound = len(basis)
+                best = tuple(sorted(basis))
+            return
+        if len(basis) + _min_additions(len(basis), len(unc)) >= bound:
+            return
+        branch = min(unc, key=lambda a: (len(pairs[a]), a))
+        for b, c in pairs[branch]:
+            new = {b, c} - basis
+            basis |= new
+            dfs(basis)
+            basis -= new
+            if exhausted:
+                return
+
+    dfs(set())
+    return best, nodes
+
+
 def exact_min_basis_reference(A, pool=None, budget: int = 2_000_000):
     """``productsets.exact_min_basis`` as first written.
 
@@ -248,39 +293,11 @@ def exact_min_basis_reference(A, pool=None, budget: int = 2_000_000):
     inc = set()
     for a in targets:
         inc.update(pairs[a][0])
-    best = tuple(sorted(inc))
+    found, nodes = least_cover_reference(targets, pairs, len(inc), budget)
+    best = found or tuple(sorted(inc))
     best_size = len(best)
-
-    nodes = 0
-    exhausted = False
-
-    def dfs(basis):
-        nonlocal best, best_size, nodes, exhausted
-        if exhausted:
-            return
-        nodes += 1
-        if nodes > budget:
-            exhausted = True
-            return
-        unc = [a for a in targets if not covered(a, basis)]
-        if not unc:
-            if len(basis) < best_size:
-                best_size = len(basis)
-                best = tuple(sorted(basis))
-            return
-        if len(basis) + _min_additions(len(basis), len(unc)) >= best_size:
-            return
-        branch = min(unc, key=lambda a: (len(pairs[a]), a))
-        for b, c in pairs[branch]:
-            new = {b, c} - basis
-            basis |= new
-            dfs(basis)
-            basis -= new
-            if exhausted:
-                return
-
-    dfs(set())
-    proven = not exhausted
+    proven = nodes <= budget
+    exhausted = not proven
 
     if proven:
         found = None

@@ -3,17 +3,20 @@ import io
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
 import threading
 import time
 from pathlib import Path
 
 import pytest
 
-from mulbasis import cli, productsets
+from mulbasis import __version__, cli, productsets
 from mulbasis.cli import RunConfig, main, rng_stream, run
 from mulbasis.certificates import PipelineError
 from mulbasis.productsets import construct_interval_basis, verify_cover
 from mulbasis.reduction import InvariantViolationError, random_injected_pair
+from mulbasis.spherelab import SPHERE_EXACT_MAX_N
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -204,6 +207,16 @@ def test_version_flag_exits_0():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "mulbasis", "--version"],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, f"{__version__}\n", "")
 
 
 def test_budget_exhaustion_exits_1(capsys):
@@ -473,6 +486,15 @@ def test_sphere_min_basis_rejects_dimension_below_3(n, capsys):
     assert captured.out == ""
 
 
+def test_sphere_min_basis_rejects_dimension_above_cap(capsys):
+    n = SPHERE_EXACT_MAX_N + 1
+    code = main(["sphere-min-basis", "--n", str(n)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"error: exact sphere search is limited to n <= {SPHERE_EXACT_MAX_N}; got n={n}\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize(
     "flag,value,least",
     [("--m", "0", 1), ("--a-max", "-1", 0), ("--d-max", "0", 1)],
@@ -579,7 +601,10 @@ def test_exact_search_matches_golden_payload(name, jobs, fmt, capsys):
 # scan; n = 33 is past the 32 coordinates of its packed base-3 branch.  The
 # n = 6 basis file (read from tests/golden) adds 111002 to S_1 | S_2, so a
 # pair other than the split is lex-least for 111000; recorded on the
-# per-target scan, before the all-pairs kernel
+# per-target scan, before the all-pairs kernel.  The sphere-min-basis
+# goldens come from the shared cover search: n = 4's nodes cell was
+# re-recorded when it replaced the subset search, and n = 5 is frozen
+# as that search first proved it
 SPHERE_GOLDEN = {
     "sphere-certificate_n16": ["sphere-certificate", "--n", "16"],
     "sphere-certificate_n6_basis": [
@@ -587,12 +612,13 @@ SPHERE_GOLDEN = {
     ],
     "sphere-construct_n33": ["sphere-construct", "--n", "33"],
     "sphere-min-basis_n4": ["sphere-min-basis", "--n", "4"],
+    "sphere-min-basis_n5": ["sphere-min-basis", "--n", "5"],
 }
 
 
 @pytest.mark.parametrize("name", sorted(SPHERE_GOLDEN))
 def test_sphere_commands_match_golden_payload(name, monkeypatch, capsys):
-    # both formats render one exact search, which takes seconds at n = 4
+    # both formats render one exact search, which takes seconds at n = 5
     monkeypatch.setattr(cli, "sphere_min_basis", functools.cache(cli.sphere_min_basis))
     monkeypatch.chdir(GOLDEN)  # a basis file's name, not its path, lands in config
     for fmt in ("json", "csv"):

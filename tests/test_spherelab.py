@@ -14,6 +14,7 @@ from mulbasis.cli import rng_stream
 from mulbasis.spherelab import (
     OVERLAP_MIN_N,
     SMALL_SET_DIVISOR,
+    SPHERE_EXACT_MAX_N,
     DifferenceCase,
     TernaryVector,
     as_matrix,
@@ -35,6 +36,7 @@ from oracles import (
     census_brute,
     count_diff_brute,
     dedupe_rows_bytes,
+    least_cover_reference,
     lex_least_pairs,
     random_near_sphere_int16,
     row_fingerprints_matmul,
@@ -417,6 +419,7 @@ def test_min_basis_dimension_three():
     assert sol.size == 1
     assert sol.optimal
     assert sol.basis == frozenset({V([2, 2, 2])})
+    assert sphere_min_brute(3) == (1, ((2, 2, 2),))
 
 
 def test_min_basis_degenerate_dimensions():
@@ -427,13 +430,17 @@ def test_min_basis_degenerate_dimensions():
 
 
 def test_min_basis_dimension_four_matches_oracle():
-    expected, _ = sphere_min_brute(4)
+    expected, brute_basis = sphere_min_brute(4)
     sol = sphere_min_basis(4)
     assert sol.optimal
     assert sol.size == expected == 4
     assert sol.size >= 3  # counting bound: C(4,3) targets need k(k+1)/2 >= 4
     got = {tuple(v.coords) for v in sol.basis}
     assert got == {(0, 0, 1, 2), (0, 0, 2, 1), (0, 2, 2, 2), (1, 1, 2, 2)}
+    # the brute force's first hit is the lex-least optimum: that set's least
+    # element is least in its permutation orbit, or a permuted copy of the
+    # set would sort first
+    assert got == set(brute_basis)
     check = sphere_cover_verify(sol.basis, 4)
     assert check.covered
 
@@ -446,10 +453,37 @@ def test_min_basis_budget_exhaustion_falls_back():
 
 
 def test_min_basis_rejects_large_dimension():
-    with pytest.raises(ValueError):
-        sphere_min_basis(5)
-    sol = sphere_min_basis(5, exact_limit=5, budget=10)  # fallback still works
+    with pytest.raises(ValueError, match=f"n <= {SPHERE_EXACT_MAX_N}; got n={SPHERE_EXACT_MAX_N + 1}"):
+        sphere_min_basis(SPHERE_EXACT_MAX_N + 1)
+    sol = sphere_min_basis(5, budget=10)  # fallback still works
     assert not sol.optimal
+    assert sol.size == 15
+
+
+def _sphere_pairs(n):
+    """Each weight-3 target's pairs (i, j), i <= j, of lex indices of F_3^n with v_i + v_j = t."""
+    vectors = list(itertools.product(range(3), repeat=n))
+    index = {v: i for i, v in enumerate(vectors)}
+    pairs = {}
+    for t in sphere_tuples(n, 3):
+        partners = [index[tuple((x - y) % 3 for x, y in zip(t, v))] for v in vectors]
+        pairs[index[t]] = [(i, j) for i, j in enumerate(partners) if i <= j]
+    return pairs
+
+
+def test_min_basis_dimension_five_is_two_j_plus_two_e_i():
+    sol = sphere_min_basis(5)
+    assert sol.optimal
+    # b_i = 2J + 2e_i: b_i + b_j = J - e_i - e_j, of weight 3 at n = 5
+    expected = {tuple(2 if l != i else 1 for l in range(5)) for i in range(5)}
+    assert {tuple(v.coords) for v in sol.basis} == expected
+    assert sphere_cover_verify(sol.basis, 5).covered
+    # no cover of size 4: the reference search, which rebuilds its state
+    # at every node, finishes inside its budget without one
+    pairs = _sphere_pairs(5)
+    found, nodes = least_cover_reference(sorted(pairs), pairs, 5)
+    assert found is None
+    assert nodes <= 2_000_000
 
 
 # ------------------------------------------------------------ overlap
