@@ -16,7 +16,7 @@ never silently absorbed.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -24,14 +24,7 @@ import numpy as np
 from .numtheory import PrimeTable, add_rows, sieve, valuation_rows
 from .productsets import first_uncovered
 from .reduction import InvariantViolationError, build_marking_sets
-from .spherelab import (
-    DifferenceCase,
-    TernaryVector,
-    as_matrix,
-    classify_difference,
-    enumerate_sphere,
-    least_pairs,
-)
+from .spherelab import TernaryVector, as_matrix, least_pairs, sphere_rows
 
 __all__ = [
     "PipelineError",
@@ -52,6 +45,12 @@ __all__ = [
 
 # degree cutoff multiplier for heavy right-class vertices
 DEGREE_PRUNE_FACTOR = 1 << 10
+
+# left-end pairs per block when the sphere report walks shared right vertices
+_SHARED_BLOCK = 1 << 14
+
+# set bits of each byte value, for counting the places in a row's bit sets
+_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
 
 # the pipeline takes integer inputs below 2^63 only
 _INT64_MAX = (1 << 63) - 1
@@ -95,39 +94,34 @@ class InequalityReport:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PairingGraph:
-    """Bipartite pairing: two indexed copies of B, one edge per target.
+    """Bipartite pairing on vertex indices: two copies of B, one edge per target.
 
-    Each edge (left, right, target) is the lexicographically smallest
-    pair with left + right = target, stored with left <= right, as
-    ``spherelab.least_pairs`` finds it.
+    ``vertices`` and ``targets`` hold distinct uint8 rows in lex order.  An
+    edge is an int64 row (left, right, target) of indices into them: the
+    lex-smallest pair left + right = target, left <= right, by ``least_pairs``.
     """
 
-    left: tuple
-    right: tuple
-    edges: tuple  # (left vertex, right vertex, target)
+    vertices: np.ndarray
+    targets: np.ndarray
+    edges: np.ndarray
 
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
-
-    def right_degrees(self) -> Counter:
-        return Counter(e[1] for e in self.edges)
+    def right_degrees(self) -> np.ndarray:
+        """Edges at each vertex as the right endpoint, indexed like ``vertices``."""
+        return np.bincount(self.edges[:, 1], minlength=len(self.vertices))
 
 
-def _as_sorted_vectors(B, n: int) -> list[TernaryVector]:
-    if isinstance(B, np.ndarray):
-        mat = as_matrix(B, n)
-        return sorted({TernaryVector(mat[i].tobytes()) for i in range(mat.shape[0])})
-    out = set()
-    for v in B:
-        if not isinstance(v, TernaryVector):
-            v = TernaryVector.from_coords(v)
-        if v.n != n:
-            raise ValueError(f"vector of dimension {v.n}, expected {n}")
-        out.add(v)
-    return sorted(out)
+def _sorted_rows(vectors, n: int, kind: str) -> np.ndarray:
+    """The distinct rows of a matrix, or of vectors or coordinate tuples, in lex order."""
+    if not isinstance(vectors, np.ndarray):
+        vectors = [v if isinstance(v, TernaryVector) else TernaryVector.from_coords(v) for v in vectors]
+        for v in vectors:
+            if v.n != n:
+                raise ValueError(f"{kind} of dimension {v.n}, expected {n}")
+    keys = np.sort(as_matrix(vectors, n).view(np.dtype((np.void, n))).ravel())
+    keys = np.concatenate([keys[:1], keys[1:][keys[1:] != keys[:-1]]])
+    return keys.view(np.uint8).reshape(len(keys), n)
 
 
 # Vectors over F_3 as sparse rows (see numtheory.valuation_rows) and back.
@@ -195,26 +189,20 @@ def _join_weight_one_pairs(rows: list[tuple], tlist: list[tuple]) -> list:
 
 def build_pairing_graph(B, targets, n: int) -> PairingGraph:
     """One edge per target of any kind: the lex-smallest (b1, b2) in B*B summing to it."""
-    vecs = _as_sorted_vectors(B, n)
-    if not vecs:
+    vertices = _sorted_rows(B, n, "vector")
+    tmat = _sorted_rows(targets, n, "target")
+    pairs = least_pairs(vertices, tmat)  # rejects n = 0, where rows have no bytes to sort
+    if not len(vertices):
         raise ValueError("empty vertex set")
-    tlist = sorted(
-        t if isinstance(t, TernaryVector) else TernaryVector.from_coords(t) for t in set(targets)
-    )
-    for t in tlist:
-        if t.n != n:
-            raise ValueError(f"target of dimension {t.n}, expected {n}")
-    edges = []
-    for t, (i, j) in zip(tlist, least_pairs(as_matrix(vecs, n), as_matrix(tlist, n)).tolist()):
-        if i < 0:
-            raise ValueError(_not_a_sum(t))
-        edges.append((vecs[i], vecs[j], t))
-    verts = tuple(vecs)
-    return PairingGraph(left=verts, right=verts, edges=tuple(edges))
+    missing = np.flatnonzero(pairs[:, 0] < 0)
+    if len(missing):
+        raise ValueError(_not_a_sum(tmat[missing[0]].tobytes()))
+    edges = np.column_stack([pairs, np.arange(len(tmat), dtype=np.int64)])
+    return PairingGraph(vertices=vertices, targets=tmat, edges=edges)
 
 
-def _not_a_sum(t: TernaryVector) -> str:
-    return f"target {tuple(t.coords)} is not a sum of two basis vectors"
+def _not_a_sum(coords: bytes) -> str:
+    return f"target {tuple(coords)} is not a sum of two basis vectors"
 
 
 def decompose_by_coordinate(G: PairingGraph, n: int) -> list[PairingGraph]:
@@ -222,76 +210,93 @@ def decompose_by_coordinate(G: PairingGraph, n: int) -> list[PairingGraph]:
 
     Every weight-3 target lands in exactly three subgraphs.
     """
-    for _, _, t in G.edges:
-        if not t.in_sphere(3):
-            raise ValueError(f"target {tuple(t.coords)} is not a weight-3 0-1 vector")
-    out = []
-    for i in range(n):
-        sub = tuple(e for e in G.edges if e[2].coords[i] == 1)
-        out.append(PairingGraph(left=G.left, right=G.right, edges=sub))
-    return out
+    tcols = G.targets[G.edges[:, 2]]
+    bad = np.flatnonzero((tcols > 1).any(axis=1) | (tcols.sum(axis=1) != 3))
+    if len(bad):
+        raise ValueError(f"target {tuple(tcols[bad[0]].tolist())} is not a weight-3 0-1 vector")
+    return [replace(G, edges=G.edges[tcols[:, i] == 1]) for i in range(n)]
 
 
 @dataclass(frozen=True)
 class PruneResult:
     pruned: PairingGraph
     removed_edges: int
-    heavy: tuple
+    heavy: tuple  # vertex indices
 
 
 def prune_heavy(H: PairingGraph, n: int, threshold: int | None = None) -> PruneResult:
     """Drop every edge at a right-class vertex of degree above the threshold."""
     if threshold is None:
         threshold = DEGREE_PRUNE_FACTOR * n
-    deg = H.right_degrees()
-    heavy = {w for w, d in deg.items() if d > threshold}
-    kept = tuple(e for e in H.edges if e[1] not in heavy)
-    removed = len(H.edges) - len(kept)
+    heavy = H.right_degrees() > threshold
+    kept = ~heavy[H.edges[:, 1]]
     return PruneResult(
-        pruned=PairingGraph(left=H.left, right=H.right, edges=kept),
-        removed_edges=removed,
-        heavy=tuple(sorted(heavy)),
+        pruned=replace(H, edges=H.edges[kept]),
+        removed_edges=len(kept) - int(kept.sum()),
+        heavy=tuple(np.flatnonzero(heavy).tolist()),
     )
 
 
+def _shared_right_pairs(edges: np.ndarray):
+    """The left ends (v1, v2) of every two edges at one right vertex, in blocks.
+
+    Sorted by right vertex, the edges at one vertex form a run; pairing each
+    edge with the one k places on, k = 1, 2, ..., meets every pair in a run once.
+    """
+    by_right = edges[np.argsort(edges[:, 1])]
+    left, right = by_right[:, 0], by_right[:, 1]
+    for k in range(1, len(by_right)):
+        at = np.flatnonzero(right[k:] == right[:-k])
+        if not len(at):
+            return
+        for lo in range(0, len(at), _SHARED_BLOCK):
+            block = at[lo : lo + _SHARED_BLOCK]
+            yield left[block], left[block + k]
+
+
+def _single_bit(bits: np.ndarray) -> np.ndarray:
+    """The place of the one set bit in each row of little-endian bit sets."""
+    at = (bits != 0).argmax(axis=1)
+    return 8 * at + _POPCOUNT[bits[np.arange(len(bits)), at] - 1]
+
+
 def _sphere_report_full(B, n: int) -> tuple[list[InequalityReport], dict]:
-    vecs = _as_sorted_vectors(B, n)
-    size = len(vecs)
-    targets = enumerate_sphere(n, 3)
-    graph = build_pairing_graph(vecs, targets, n)
+    graph = build_pairing_graph(B, sphere_rows(n, 3), n)
+    size = len(graph.vertices)
 
-    # sparse common-neighbour counts: only pairs sharing a right vertex matter
-    by_right: dict = defaultdict(list)
-    for b1, b2, t in graph.edges:
-        by_right[b2].append(b1)
-    common: Counter = Counter()
-    for w, vs in by_right.items():
-        for v1 in vs:
-            for v2 in vs:
-                common[(v1, v2)] += 1
+    # common right neighbours, pair by pair: the left ends at one right vertex
+    # are distinct, each meets itself once and every other in both orders.
+    # On bit sets of each row's 1s and 2s, v1 - v2 is of case 1 with three 1s
+    # and three 2s, and of case 3 with one 1 and one 2, keyed by their places.
+    one, two = (np.packbits(graph.vertices == c, axis=1, bitorder="little") for c in (1, 2))
+    common = len(graph.edges)
+    case1_pairs = [np.zeros(0, dtype=np.int64)]
+    case3_by_diff = np.zeros(n * n, dtype=np.int64)
+    for v1, v2 in _shared_right_pairs(graph.edges):
+        common += 2 * len(v1)
+        one1, two1, one2, two2 = one[v1], two[v1], one[v2], two[v2]
+        zero1, zero2 = ~(one1 | two1), ~(one2 | two2)
+        up = (one1 & zero2) | (two1 & one2) | (zero1 & two2)  # v1 - v2 = 1
+        down = (zero1 & one2) | (one1 & two2) | (two1 & zero2)  # v1 - v2 = 2
+        ups, downs = _POPCOUNT[up].sum(axis=1), _POPCOUNT[down].sum(axis=1)
+        case1 = (ups == 3) & (downs == 3)
+        case1_pairs.append(np.minimum(v1, v2)[case1] * size + np.maximum(v1, v2)[case1])
+        case3 = (ups == 1) & (downs == 1)
+        one_at, two_at = _single_bit(up[case3]), _single_bit(down[case3])
+        case3_by_diff += np.bincount(one_at * n + two_at, minlength=n * n)
+        case3_by_diff += np.bincount(two_at * n + one_at, minlength=n * n)
 
-    # (a) common-neighbour identity: the counter's total against the right degrees
-    lhs_identity = sum(common.values())
-    rhs_identity = sum(d * d for d in graph.right_degrees().values())
-    reports = [InequalityReport.of("degree_square_identity", lhs_identity, rhs_identity)]
-    case1_total = 0
-    case3_by_diff: Counter = Counter()
-    case3_total = 0
-    for (v1, v2), c in common.items():
-        case = classify_difference(v1 - v2)
-        if case is DifferenceCase.CASE1:
-            if c > 1:
-                raise InvariantViolationError(
-                    f"six-coordinate difference pair with {c} common neighbours"
-                )
-            case1_total += c
-        elif case is DifferenceCase.CASE3:
-            case3_by_diff[(v1 - v2).coords] += c
-            case3_total += c
-    reports.append(InequalityReport.of("case1_total", case1_total, size * size))
-    worst_case3 = max(case3_by_diff.values(), default=0)
-    reports.append(InequalityReport.of("case3_per_difference", worst_case3, n * n))
-    reports.append(InequalityReport.of("case3_total", case3_total, n**4))
+    # (a) common-neighbour identity: the pair count against the right degrees
+    degrees = graph.right_degrees()
+    reports = [InequalityReport.of("degree_square_identity", common, int(degrees @ degrees))]
+    _, case1_common = np.unique(np.concatenate(case1_pairs), return_counts=True)
+    if case1_common.size and case1_common.max() > 1:
+        raise InvariantViolationError(
+            f"six-coordinate difference pair with {case1_common.max()} common neighbours"
+        )
+    reports.append(InequalityReport.of("case1_total", 2 * len(case1_common), size * size))
+    reports.append(InequalityReport.of("case3_per_difference", int(case3_by_diff.max()), n * n))
+    reports.append(InequalityReport.of("case3_total", int(case3_by_diff.sum()), n**4))
 
     # (d) per-coordinate pruning losses, worst instance folded into one row
     subs = decompose_by_coordinate(graph, n)
@@ -303,37 +308,26 @@ def _sphere_report_full(B, n: int) -> tuple[list[InequalityReport], dict]:
     )
 
     # global pruned graph: an edge dies if any coordinate slice pruned it
-    dead = set()
+    dead = np.zeros(len(graph.targets), dtype=bool)
     for H, p in zip(subs, prunes):
-        heavy = set(p.heavy)
-        for e in H.edges:
-            if e[1] in heavy:
-                dead.add(e[2])
-    kept_edges = tuple(e for e in graph.edges if e[2] not in dead)
-    pruned_graph = PairingGraph(left=graph.left, right=graph.right, edges=kept_edges)
+        dead[H.edges[np.isin(H.edges[:, 1], p.heavy), 2]] = True
+    pruned_graph = replace(graph, edges=graph.edges[~dead[graph.edges[:, 2]]])
 
     # (e) squared degrees per pruned slice against the slice's full size
-    worst = None
-    for i, (H, p) in enumerate(zip(subs, prunes)):
-        deg_i = Counter(e[1] for e in H.edges if e[2] not in dead)
-        lhs_i = sum(d * d for d in deg_i.values())
-        rhs_i = DEGREE_PRUNE_FACTOR * n * len(H.edges)
-        if worst is None or lhs_i - rhs_i > worst[0] - worst[1]:
-            worst = (lhs_i, rhs_i)
-    lhs_e, rhs_e = worst if worst is not None else (0, 0)
+    slices = []
+    for H in subs:
+        live = np.bincount(H.edges[~dead[H.edges[:, 2]], 1])
+        slices.append((int(live @ live), DEGREE_PRUNE_FACTOR * n * len(H.edges)))
+    lhs_e, rhs_e = max(slices, key=lambda s: s[0] - s[1], default=(0, 0))
     reports.append(InequalityReport.of("case2_degree_square", lhs_e, rhs_e))
 
     # (f) retention of edges after pruning
-    reports.append(
-        InequalityReport.of(
-            "edge_retention", len(graph.edges) - n**3 / 50.0, len(pruned_graph.edges)
-        )
-    )
+    sum_d = len(pruned_graph.edges)
+    reports.append(InequalityReport.of("edge_retention", len(graph.edges) - n**3 / 50.0, sum_d))
 
     # (g) Cauchy-Schwarz on the pruned graph, then the bound it implies
     deg_pruned = pruned_graph.right_degrees()
-    sum_d = sum(deg_pruned.values())
-    sum_d2 = sum(d * d for d in deg_pruned.values())
+    sum_d2 = int(deg_pruned @ deg_pruned)
     reports.append(InequalityReport.of("cauchy_schwarz", sum_d * sum_d, size * sum_d2))
     implied = (sum_d * sum_d / sum_d2) if sum_d2 else 0.0
     reports.append(InequalityReport.of("implied_basis_lower_bound", implied, size))
@@ -341,15 +335,7 @@ def _sphere_report_full(B, n: int) -> tuple[list[InequalityReport], dict]:
         raise InvariantViolationError(
             f"implied lower bound {implied} exceeds actual size {size}"
         )
-    extras = {
-        "graph": graph,
-        "pruned": pruned_graph,
-        "implied_bound": implied,
-        "edges_full": len(graph.edges),
-        "edges_pruned": len(pruned_graph.edges),
-        "sum_d2_pruned": sum_d2,
-    }
-    return reports, extras
+    return reports, {"pruned": pruned_graph, "implied_bound": implied}
 
 
 def sphere_cover_report(B, n: int) -> list[InequalityReport]:
@@ -619,7 +605,7 @@ def end_to_end_lower_bound(
     edges = []
     for t, hit in zip(tlist, _join_weight_one_pairs(bprime, tlist)):
         if hit is None:
-            raise PipelineError("pairing", _not_a_sum(_dense(t, n)))
+            raise PipelineError("pairing", _not_a_sum(_dense(t, n).coords))
         edges.append((*hit, t))
     if len(edges) != len(m1_idx):
         raise PipelineError("pairing", "edge count differs from single-prime mark count")

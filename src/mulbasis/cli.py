@@ -55,6 +55,7 @@ from .reduction import (
     reduce_pair,
 )
 from .spherelab import (
+    OVERLAP_MIN_N,
     SMALL_SET_DIVISOR,
     TernaryVector,
     difference_census,
@@ -499,7 +500,7 @@ def _cmd_sphere_overlap(config: RunConfig) -> tuple[list, list, int]:
     worst = max(r["lhs"] for r in rows)
     checks = [
         InequalityReport.of(
-            "overlap_worst_trial", worst, n * n / 50.0, hypotheses_ok=n >= 2048
+            "overlap_worst_trial", worst, n * n / 50.0, hypotheses_ok=n >= OVERLAP_MIN_N
         )
     ]
     code = 1 if any(not r["holds"] for r in rows) else 0

@@ -29,7 +29,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Sequence
 
@@ -48,6 +48,7 @@ __all__ = [
     "CensusRow",
     "DifferenceCensus",
     "enumerate_sphere",
+    "sphere_rows",
     "classify_difference",
     "count_difference_solutions",
     "difference_census",
@@ -71,7 +72,7 @@ OVERLAP_MIN_N = 2048
 
 # Largest dimension the exact sphere-cover search accepts.  At n = 6 the
 # first pass already runs past the default 5M-node budget (about 40 s) and
-# falls back; each dimension above triples the pool and adds targets (35
+# keeps its best cover; each dimension above triples the pool and adds targets (35
 # at n = 7 against 20), so no practical budget proves a minimum there.
 SPHERE_EXACT_MAX_N = 6
 
@@ -180,14 +181,8 @@ class TernaryVector:
     def is_zero_one(self) -> bool:
         return 2 not in self.coords
 
-    def in_sphere(self, k: int) -> bool:
-        return self.is_zero_one() and self.weight() == k
-
     def project(self, indices: Sequence[int]) -> "TernaryVector":
         return TernaryVector(bytes(self.coords[i] for i in indices))
-
-    def to_numpy(self) -> np.ndarray:
-        return np.frombuffer(self.coords, dtype=np.uint8).copy()
 
 
 def as_matrix(vectors, n: int) -> np.ndarray:
@@ -210,13 +205,23 @@ def as_matrix(vectors, n: int) -> np.ndarray:
     return np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(len(rows), n).copy()
 
 
-def enumerate_sphere(n: int, k: int) -> list[TernaryVector]:
-    """All 0-1 vectors of weight k, in lexicographic order of support."""
+def sphere_rows(n: int, k: int) -> np.ndarray:
+    """All 0-1 vectors of weight k as uint8 rows, in lexicographic order of support."""
     if n < 0 or k < 0:
         raise ValueError("n and k must be nonnegative")
     if k > n:
         raise ValueError(f"weight {k} exceeds dimension {n}")
-    return [TernaryVector.from_support(n, c) for c in itertools.combinations(range(n), k)]
+    count = math.comb(n, k)
+    support = itertools.chain.from_iterable(itertools.combinations(range(n), k))
+    support = np.fromiter(support, dtype=np.int64, count=count * k).reshape(count, k)
+    rows = np.zeros((count, n), dtype=np.uint8)
+    np.put_along_axis(rows, support, 1, axis=1)
+    return rows
+
+
+def enumerate_sphere(n: int, k: int) -> list[TernaryVector]:
+    """All 0-1 vectors of weight k, in lexicographic order of support."""
+    return [TernaryVector(row.tobytes()) for row in sphere_rows(n, k)]
 
 
 def classify_difference(d: TernaryVector) -> DifferenceCase:
@@ -293,9 +298,8 @@ def difference_census(n: int) -> DifferenceCensus:
     closed formula; case2 counts stay strictly below n and case3 strictly
     below n^2.  The per-difference counts must add back up to |S_3|^2.
     """
-    sphere = enumerate_sphere(n, 3)
-    mat = as_matrix(sphere, n).astype(np.int16)
-    m = len(sphere)
+    mat = sphere_rows(n, 3).astype(np.int16)
+    m = len(mat)
     counts: Counter[bytes] = Counter()
     for i in range(m):
         diff = ((mat[i] - mat) % 3).astype(np.uint8)
@@ -303,6 +307,7 @@ def difference_census(n: int) -> DifferenceCensus:
         for j in range(m):
             counts[buf[j * n : (j + 1) * n]] += 1
     per_case: dict[DifferenceCase, list[int]] = {}
+    formula: dict[DifferenceCase, int] = {}  # one closed form per case
     other_seen = 0
     mismatch: set[DifferenceCase] = set()
     for raw, c in counts.items():
@@ -311,7 +316,8 @@ def difference_census(n: int) -> DifferenceCensus:
         if case is DifferenceCase.OTHER:
             other_seen += c
             continue
-        if count_difference_solutions(d) != c:
+        formula[case] = count_difference_solutions(d)
+        if formula[case] != c:
             mismatch.add(case)
         per_case.setdefault(case, []).append(c)
     rows = []
@@ -319,12 +325,6 @@ def difference_census(n: int) -> DifferenceCensus:
         if case not in per_case:
             continue  # not realizable at this dimension
         got = per_case[case]
-        formula = {
-            DifferenceCase.ZERO: math.comb(n, 3),
-            DifferenceCase.CASE1: 1,
-            DifferenceCase.CASE2: max(n - 4, 0),
-            DifferenceCase.CASE3: math.comb(n - 2, 2),
-        }[case]
         bound = _case_bound(case, n)
         if case in (DifferenceCase.CASE2, DifferenceCase.CASE3):
             within = all(c < bound for c in got)
@@ -335,7 +335,7 @@ def difference_census(n: int) -> DifferenceCensus:
             CensusRow(
                 n=n,
                 case=case,
-                formula_count=formula,
+                formula_count=formula[case],
                 enumerated_count=got[0],
                 bound=bound,
                 holds=holds,
@@ -364,31 +364,39 @@ def least_pairs(bmat: np.ndarray, tmat: np.ndarray) -> np.ndarray:
     ``bmat`` holds the distinct basis rows in lex order, ``tmat`` distinct
     target rows of any kind.  Gives int64 (|T|, 2), (-1, -1) where no pair
     sums to the target.  For a block of rows i from lo, the sums
-    B[i] + B[lo:] mod 3 are looked up among the sorted targets by their
-    own bytes.  The first i to reach a target wins, and its j >= i: a
-    partner sorting before the lex-least b1 would be a valid b1 itself.
-    Cost: |B|^2 * n / 2 byte additions whatever the targets, in blocks of
-    about _PAIR_BLOCK bytes, stopping once every target has its pair.
+    B[i] + B[lo:] mod 3 whose fingerprint's top bits mark a target in a
+    table of about 8|T| slots are looked up by their own bytes in the
+    targets' sort order.  The first i to reach a target wins, and its
+    j >= i: a partner sorting before the lex-least b1 would be a valid b1
+    itself.  Cost: |B|^2 * n / 2 byte additions whatever the targets, in
+    blocks of about _PAIR_BLOCK bytes, stopping once every target has its
+    pair.
     """
     m, n = bmat.shape
     if not n:
         raise ValueError("least_pairs needs rows of at least one coordinate")
     out = np.full((len(tmat), 2), -1, dtype=np.int64)
-    tkeys = np.ascontiguousarray(tmat).view(np.dtype((np.void, n))).ravel()
+    tmat = np.ascontiguousarray(tmat)
+    tkeys = tmat.view(np.dtype((np.void, n))).ravel()
     order = np.argsort(tkeys)
-    tkeys = tkeys[order]
+    weights = _fingerprint_weights(n)
+    shift = np.uint64(64 - (8 * len(tmat) + 8).bit_length())
+    slots = np.zeros(1 << (64 - int(shift)), dtype=bool)
+    slots[_row_fingerprints(tmat, weights) >> shift] = True
     lo = 0
     while lo < m and (out[:, 0] < 0).any():
         width = m - lo
         hi = min(m, lo + max(1, _PAIR_BLOCK // (width * n)))
-        sums = bmat[lo:hi, None, :] + bmat[None, lo:, :]
+        sums = (bmat[lo:hi, None, :] + bmat[None, lo:, :]).reshape(-1, n)
         # a sum s in [0, 4] is s mod 3 = min(s, s - 3), as s - 3 wraps past 250 below 3
         np.minimum(sums, sums - np.uint8(3), out=sums)
-        keys = sums.reshape(-1, n).view(tkeys.dtype).ravel()
-        pos = np.minimum(np.searchsorted(tkeys, keys), len(tkeys) - 1)
-        hits = np.flatnonzero(tkeys[pos] == keys)
+        maybe = np.flatnonzero(slots[_row_fingerprints(sums, weights) >> shift])
+        keys = sums[maybe].view(tkeys.dtype).ravel()
+        tid = order[np.minimum(np.searchsorted(tkeys, keys, sorter=order), len(tkeys) - 1)]
+        found = tkeys[tid] == keys
+        hits = maybe[found]
         # hits run row-major, so a target's first hit has its least i
-        tid, first = np.unique(order[pos[hits]], return_index=True)
+        tid, first = np.unique(tid[found], return_index=True)
         fresh = out[tid, 0] < 0
         out[tid[fresh]] = np.stack(np.divmod(hits[first[fresh]], width), axis=1) + lo
         lo = hi
@@ -453,10 +461,10 @@ def sphere_min_basis(n: int, budget: int = 5_000_000) -> SphereBasisSolution:
     least size; ``fix_least_cover`` fixes the lexicographically smallest
     basis of that size.  No symmetry prune is used.  Both passes share
     the node budget, and ``nodes_explored`` counts the nodes of both.  A
-    first pass that runs out of budget falls back to the S_1 | S_2
-    construction with optimal unset; a fixing pass that runs out keeps
-    the first pass's basis, still optimal.  Below n = 3 the empty basis
-    covers the empty S_3.
+    first pass that runs out of budget returns the best cover it reached,
+    at most {0} | S_3, with optimal unset; a fixing pass that runs out
+    keeps the first pass's basis, still optimal.  Below n = 3 the empty
+    basis covers the empty S_3.
     """
     if n < 0:
         raise ValueError("dimension must be nonnegative")
@@ -468,25 +476,28 @@ def sphere_min_basis(n: int, budget: int = 5_000_000) -> SphereBasisSolution:
     pw = 3 ** np.arange(n - 1, -1, -1)
     own = np.arange(len(space))
     pairs = {}
-    for t in as_matrix(enumerate_sphere(n, 3), n):
+    for t in sphere_rows(n, 3):
         partner = ((t + 3 - space) % 3) @ pw
         keep = partner >= own
         pairs[int(t @ pw)] = list(zip(own[keep].tolist(), partner[keep].tolist()))
     first = size_search(sorted(pairs), pairs, range(len(space)), budget)
-    if not first.optimal:
-        return replace(sphere_basis_construct(n), nodes_explored=first.nodes_explored)
     found, nodes = fix_least_cover(first, budget)
     basis = frozenset(TernaryVector(space[c].tobytes()) for c in found)
     check = sphere_cover_verify(basis, n)
     if not check.covered:  # pragma: no cover - would be a search bug
         raise InvariantViolationError("exact search returned a non-cover")
-    return SphereBasisSolution(basis=basis, witness=check.witness, optimal=True, nodes_explored=nodes)
+    return SphereBasisSolution(basis, check.witness, first.optimal, nodes)
 
 
 def _fingerprint_weights(n: int) -> np.ndarray:
-    """Random odd 64-bit weights for rows of n bytes: one per 8-byte word, one per trailing byte."""
-    gen = np.random.Generator(np.random.Philox(key=[0x5EED, n]))
-    return gen.integers(0, 1 << 63, size=n // 8 + n % 8, dtype=np.uint64) * np.uint64(2) + np.uint64(1)
+    """Odd 64-bit weights for rows of n bytes: one per 8-byte word, one per trailing byte.
+
+    Weight k is splitmix64 of k, so hashing loads no random generator.
+    """
+    z = np.arange(1, n // 8 + n % 8 + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31)) | np.uint64(1)
 
 
 def _row_fingerprints(mat: np.ndarray, weights: np.ndarray) -> np.ndarray:

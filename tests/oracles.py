@@ -11,8 +11,9 @@ lex-least pair of each target keeps its per-target scan, the sphere
 cover check edits each -b at the target's support, the factorial
 check walks the multiples of each prime on its own, the span
 certificate keeps its first dense valuation vectors, the interval
-witnesses come from trial-division divisors, and the end-to-end
-pipeline keeps its first dense vectors.  Slow and obviously correct
+witnesses come from trial-division divisors, the sphere report keeps
+its first vector-keyed counters, and the end-to-end pipeline keeps its
+first dense vectors.  Slow and obviously correct
 beats fast.
 """
 
@@ -718,6 +719,183 @@ def random_near_sphere_int16(rng, count: int, n: int, shifts):
     return ((s - x) % 3).astype(np.uint8)
 
 
+# ------------------------------------------------------ sphere reports
+
+
+class VectorPairingGraph:
+    """``certificates.PairingGraph`` as first written: edges are vector triples."""
+
+    def __init__(self, left, right, edges):
+        self.left, self.right, self.edges = left, right, edges
+
+    def right_degrees(self) -> Counter:
+        return Counter(e[1] for e in self.edges)
+
+
+def _as_sorted_vectors(B, n: int):
+    from mulbasis.spherelab import TernaryVector, as_matrix
+
+    if isinstance(B, np.ndarray):
+        mat = as_matrix(B, n)
+        return sorted({TernaryVector(mat[i].tobytes()) for i in range(mat.shape[0])})
+    out = set()
+    for v in B:
+        if not isinstance(v, TernaryVector):
+            v = TernaryVector.from_coords(v)
+        if v.n != n:
+            raise ValueError(f"vector of dimension {v.n}, expected {n}")
+        out.add(v)
+    return sorted(out)
+
+
+def _vector_pairing_graph(vecs, targets, n: int) -> VectorPairingGraph:
+    """One edge per target, its pair found by the ``lex_least_pairs`` scan."""
+    if not vecs:
+        raise ValueError("empty vertex set")
+    tlist = sorted(set(targets))
+    edges = []
+    for t, hit in zip(tlist, lex_least_pairs(vecs, tlist, n)):
+        if hit is None:
+            raise ValueError(f"target {tuple(t.coords)} is not a sum of two basis vectors")
+        edges.append((*hit, t))
+    verts = tuple(vecs)
+    return VectorPairingGraph(left=verts, right=verts, edges=tuple(edges))
+
+
+def _vector_decompose(G: VectorPairingGraph, n: int) -> list:
+    for _, _, t in G.edges:
+        if not (t.is_zero_one() and t.weight() == 3):
+            raise ValueError(f"target {tuple(t.coords)} is not a weight-3 0-1 vector")
+    return [
+        VectorPairingGraph(G.left, G.right, tuple(e for e in G.edges if e[2].coords[i] == 1))
+        for i in range(n)
+    ]
+
+
+def _vector_prune(H: VectorPairingGraph, n: int):
+    from types import SimpleNamespace
+
+    from mulbasis.certificates import DEGREE_PRUNE_FACTOR
+
+    heavy = {w for w, d in H.right_degrees().items() if d > DEGREE_PRUNE_FACTOR * n}
+    kept = tuple(e for e in H.edges if e[1] not in heavy)
+    return SimpleNamespace(
+        pruned=VectorPairingGraph(H.left, H.right, kept),
+        removed_edges=len(H.edges) - len(kept),
+        heavy=tuple(sorted(heavy)),
+    )
+
+
+def sphere_report_vectors(B, n: int):
+    """``certificates._sphere_report_full`` as first written, keyed by vectors.
+
+    The common-neighbour counter is keyed by pairs of ``TernaryVector``s,
+    each difference is classified by ``classify_difference``, and the
+    graph, its coordinate slices and its pruning hold vector triples.
+    """
+    from collections import defaultdict
+
+    from mulbasis.certificates import DEGREE_PRUNE_FACTOR, InequalityReport
+    from mulbasis.reduction import InvariantViolationError
+    from mulbasis.spherelab import DifferenceCase, classify_difference, enumerate_sphere
+
+    vecs = _as_sorted_vectors(B, n)
+    size = len(vecs)
+    targets = enumerate_sphere(n, 3)
+    graph = _vector_pairing_graph(vecs, targets, n)
+
+    # sparse common-neighbour counts: only pairs sharing a right vertex matter
+    by_right: dict = defaultdict(list)
+    for b1, b2, t in graph.edges:
+        by_right[b2].append(b1)
+    common: Counter = Counter()
+    for w, vs in by_right.items():
+        for v1 in vs:
+            for v2 in vs:
+                common[(v1, v2)] += 1
+
+    # (a) common-neighbour identity: the counter's total against the right degrees
+    lhs_identity = sum(common.values())
+    rhs_identity = sum(d * d for d in graph.right_degrees().values())
+    reports = [InequalityReport.of("degree_square_identity", lhs_identity, rhs_identity)]
+    case1_total = 0
+    case3_by_diff: Counter = Counter()
+    case3_total = 0
+    for (v1, v2), c in common.items():
+        case = classify_difference(v1 - v2)
+        if case is DifferenceCase.CASE1:
+            if c > 1:
+                raise InvariantViolationError(
+                    f"six-coordinate difference pair with {c} common neighbours"
+                )
+            case1_total += c
+        elif case is DifferenceCase.CASE3:
+            case3_by_diff[(v1 - v2).coords] += c
+            case3_total += c
+    reports.append(InequalityReport.of("case1_total", case1_total, size * size))
+    worst_case3 = max(case3_by_diff.values(), default=0)
+    reports.append(InequalityReport.of("case3_per_difference", worst_case3, n * n))
+    reports.append(InequalityReport.of("case3_total", case3_total, n**4))
+
+    # (d) per-coordinate pruning losses, worst instance folded into one row
+    subs = _vector_decompose(graph, n)
+    prunes = [_vector_prune(H, n) for H in subs]
+    worst_loss = max((p.removed_edges for p in prunes), default=0)
+    small_left = 100 * size < n * n
+    reports.append(
+        InequalityReport.of("pruning_loss", worst_loss, n * n / 50.0, hypotheses_ok=small_left)
+    )
+
+    # global pruned graph: an edge dies if any coordinate slice pruned it
+    dead = set()
+    for H, p in zip(subs, prunes):
+        heavy = set(p.heavy)
+        for e in H.edges:
+            if e[1] in heavy:
+                dead.add(e[2])
+    kept_edges = tuple(e for e in graph.edges if e[2] not in dead)
+    pruned_graph = VectorPairingGraph(left=graph.left, right=graph.right, edges=kept_edges)
+
+    # (e) squared degrees per pruned slice against the slice's full size
+    worst = None
+    for i, (H, p) in enumerate(zip(subs, prunes)):
+        deg_i = Counter(e[1] for e in H.edges if e[2] not in dead)
+        lhs_i = sum(d * d for d in deg_i.values())
+        rhs_i = DEGREE_PRUNE_FACTOR * n * len(H.edges)
+        if worst is None or lhs_i - rhs_i > worst[0] - worst[1]:
+            worst = (lhs_i, rhs_i)
+    lhs_e, rhs_e = worst if worst is not None else (0, 0)
+    reports.append(InequalityReport.of("case2_degree_square", lhs_e, rhs_e))
+
+    # (f) retention of edges after pruning
+    reports.append(
+        InequalityReport.of(
+            "edge_retention", len(graph.edges) - n**3 / 50.0, len(pruned_graph.edges)
+        )
+    )
+
+    # (g) Cauchy-Schwarz on the pruned graph, then the bound it implies
+    deg_pruned = pruned_graph.right_degrees()
+    sum_d = sum(deg_pruned.values())
+    sum_d2 = sum(d * d for d in deg_pruned.values())
+    reports.append(InequalityReport.of("cauchy_schwarz", sum_d * sum_d, size * sum_d2))
+    implied = (sum_d * sum_d / sum_d2) if sum_d2 else 0.0
+    reports.append(InequalityReport.of("implied_basis_lower_bound", implied, size))
+    if implied > size:
+        raise InvariantViolationError(
+            f"implied lower bound {implied} exceeds actual size {size}"
+        )
+    extras = {
+        "graph": graph,
+        "pruned": pruned_graph,
+        "implied_bound": implied,
+        "edges_full": len(graph.edges),
+        "edges_pruned": len(pruned_graph.edges),
+        "sum_d2_pruned": sum_d2,
+    }
+    return reports, extras
+
+
 # ------------------------------------------------------ pipeline
 
 
@@ -836,12 +1014,7 @@ def end_to_end_lower_bound_dense(M, B, u=0, g=1, table=None):
     vectors themselves.  The package must return an equal
     ``PipelineResult`` and raise ``PipelineError``s of the same stage.
     """
-    from mulbasis.certificates import (
-        InequalityReport,
-        PipelineError,
-        PipelineResult,
-        _sphere_report_full,
-    )
+    from mulbasis.certificates import InequalityReport, PipelineError, PipelineResult
     from mulbasis.numtheory import sieve
     from mulbasis.productsets import verify_cover
     from mulbasis.reduction import InvariantViolationError, build_marking_sets
@@ -911,7 +1084,7 @@ def end_to_end_lower_bound_dense(M, B, u=0, g=1, table=None):
     sphere_bound = None
     if n2 >= 3:
         try:
-            s_reports, extras = _sphere_report_full(sphere_set, n2)
+            s_reports, extras = sphere_report_vectors(sphere_set, n2)
         except ValueError as exc:
             raise PipelineError("sphere", str(exc)) from exc
         sphere_reports = tuple(s_reports)

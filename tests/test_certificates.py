@@ -3,16 +3,20 @@ import pickle
 from collections import defaultdict
 from math import comb
 from itertools import combinations, product
+from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mulbasis import certificates
 from mulbasis.certificates import (
+    DEGREE_PRUNE_FACTOR,
     InequalityReport,
     PairingGraph,
     PipelineError,
-    _as_sorted_vectors,
     _dense_order,
     _join_weight_one_pairs,
     _sphere_report_full,
@@ -40,10 +44,12 @@ from oracles import (
     end_to_end_lower_bound_dense,
     lex_least_pairs,
     primes_segmented,
+    sphere_report_vectors,
     valuation_loop,
 )
 
 V = TernaryVector.from_coords
+GOLDEN = Path(__file__).parent / "golden"
 
 REPORT_NAMES = [
     "degree_square_identity",
@@ -92,28 +98,38 @@ def test_report_holds_matches_comparison(lhs, rhs):
 # ---------------------------------------------------------- pairing graphs
 
 
+def edge_vectors(g: PairingGraph) -> list:
+    """The edges of ``g`` as (left, right, target) vector triples."""
+    return [(V(g.vertices[i]), V(g.vertices[j]), V(g.targets[t])) for i, j, t in g.edges.tolist()]
+
+
 def test_self_pair_edge():
     g = build_pairing_graph([V((2, 2, 2))], [V((1, 1, 1))], 3)
-    assert g.edges == ((V((2, 2, 2)), V((2, 2, 2)), V((1, 1, 1))),)
-    assert g.right_degrees()[V((2, 2, 2))] == 1
+    assert g.vertices.tolist() == [[2, 2, 2]]
+    assert g.targets.tolist() == [[1, 1, 1]]
+    assert g.edges.dtype == np.int64 and g.edges.tolist() == [[0, 0, 0]]
+    assert g.right_degrees().tolist() == [1]
 
 
 def test_small_sphere_graph_shape():
     n = 5
     B = small_spheres(n)
     g = build_pairing_graph(B, enumerate_sphere(n, 3), n)
-    assert g.edge_count == 10
-    for b1, b2, t in g.edges:
-        assert b1 + b2 == t
-        assert b1 <= b2
-        assert b1.weight() == 1 and b2.weight() == 2
+    assert len(g.edges) == 10
+    assert g.vertices.tolist() == as_matrix(sorted(B), n).tolist()
+    assert g.targets.tolist() == as_matrix(sorted(enumerate_sphere(n, 3)), n).tolist()
+    assert g.edges[:, 2].tolist() == list(range(10))
+    for i, j, t in g.edges.tolist():
+        assert i <= j
+        assert ((g.vertices[i] + g.vertices[j]) % 3).tolist() == g.targets[t].tolist()
+        assert g.vertices[i].sum() == 1 and g.vertices[j].sum() == 2
 
 
 def test_edges_are_lex_smallest_pairs():
     n = 5
     B = small_spheres(n)
     g = build_pairing_graph(B, enumerate_sphere(n, 3), n)
-    for b1, b2, t in g.edges:
+    for b1, b2, t in edge_vectors(g):
         pairs = sorted((x, y) for x in B for y in B if x + y == t)
         assert (b1, b2) == pairs[0]
 
@@ -122,8 +138,9 @@ def test_graph_accepts_matrix_input_and_dedupes():
     n = 4
     B = small_spheres(n) + small_spheres(n)  # duplicates collapse
     g = build_pairing_graph(as_matrix(B, n), enumerate_sphere(n, 3) * 2, n)
-    assert len(g.left) == 10
-    assert g.edge_count == 4
+    assert len(g.vertices) == 10
+    assert len(g.targets) == 4
+    assert len(g.edges) == 4
 
 
 def test_graph_rejections():
@@ -133,6 +150,9 @@ def test_graph_rejections():
         build_pairing_graph([V((0, 0, 1))], [V((1, 1, 1))], 3)
     with pytest.raises(ValueError, match="dimension"):
         build_pairing_graph([V((0, 1))], [V((1, 1, 1))], 3)
+    # zero-width rows have no bytes to sort by; the kernel rejects them
+    with pytest.raises(ValueError, match="at least one coordinate"):
+        build_pairing_graph([TernaryVector(b"")], [TernaryVector(b"")], 0)
 
 
 def unit(n: int, p: int, c: int) -> TernaryVector:
@@ -162,7 +182,7 @@ def weight_one_instances(draw):
 @example((3, [V((0, 1, 2)), V((1, 2, 1))], [unit(3, 0, 1), unit(3, 2, 2)]))  # uncovered
 def test_join_matches_scan_on_weight_one_targets(instance):
     n, basis, targets = instance
-    vecs = _as_sorted_vectors(basis, n)
+    vecs = sorted(set(basis))
     tlist = sorted(set(targets))
     joined = _join_weight_one_pairs([_sparse(v) for v in vecs], [_sparse(t) for t in tlist])
     pairs = [None if k is None else (vecs[k[0]], vecs[k[1]]) for k in joined]
@@ -184,22 +204,28 @@ def test_join_matches_scan_on_weight_one_targets(instance):
 def test_pairing_graph_agrees_with_cover_witness(basis, n):
     check = sphere_cover_verify(basis, n)
     assert check.covered
-    edges = build_pairing_graph(basis, enumerate_sphere(n, 3), n).edges
-    assert {t: (b1, b2) for b1, b2, t in edges} == check.witness
+    g = build_pairing_graph(basis, enumerate_sphere(n, 3), n)
+    assert {t: (b1, b2) for b1, b2, t in edge_vectors(g)} == check.witness
+    index = {v: k for k, v in enumerate(sorted(basis))}
+    sphere = sorted(enumerate_sphere(n, 3))
+    assert g.edges.tolist() == [
+        [index[b1], index[b2], sphere.index(t)] for t, (b1, b2) in sorted(check.witness.items())
+    ]
 
 
 def test_weight_one_targets_pair_through_the_join():
     e0, e1 = unit(3, 0, 1), unit(3, 1, 1)
     basis = [V((2, 0, 0)), V((0, 1, 2)), V((0, 0, 1)), V((0, 2, 2))]
     g = build_pairing_graph(basis, [e1, -e1, e0], 3)  # the scan
-    assert g.edges == (
-        (V((0, 0, 1)), V((0, 1, 2)), e1),  # partner zero at p, lex-least b1 is (0, 0, 1)
-        (V((0, 0, 1)), V((0, 2, 2)), -e1),
-        (V((2, 0, 0)), V((2, 0, 0)), e0),  # self-pair
-    )
-    vecs = sorted(basis)
-    joined = _join_weight_one_pairs([_sparse(v) for v in vecs], [_sparse(e[2]) for e in g.edges])
-    assert [(vecs[k1], vecs[k2]) for k1, k2 in joined] == [e[:2] for e in g.edges]
+    vecs = sorted(basis)  # 001, 012, 022, 200
+    assert g.targets.tolist() == [[0, 1, 0], [0, 2, 0], [1, 0, 0]]
+    assert g.edges.tolist() == [
+        [0, 1, 0],  # partner zero at p, lex-least b1 is (0, 0, 1)
+        [0, 2, 1],
+        [3, 3, 2],  # self-pair
+    ]
+    joined = _join_weight_one_pairs([_sparse(v) for v in vecs], [_sparse(e[2]) for e in edge_vectors(g)])
+    assert [list(k) for k in joined] == g.edges[:, :2].tolist()
     with pytest.raises(ValueError, match=r"target \(0, 0, 2\) is not a sum"):
         build_pairing_graph([V((0, 1, 1)), V((0, 2, 2))], [unit(3, 2, 2)], 3)
     with pytest.raises(ValueError, match="target of dimension 2, expected 3"):
@@ -208,7 +234,9 @@ def test_weight_one_targets_pair_through_the_join():
 
 def test_empty_target_list_gives_empty_graph():
     g = build_pairing_graph([V((0, 0, 1))], [], 3)
-    assert g.edges == ()
+    assert g.edges.shape == (0, 3)
+    assert g.targets.shape == (0, 3)
+    assert g.right_degrees().tolist() == [0]
 
 
 # ---------------------------------------------------------- decomposition and pruning
@@ -219,9 +247,10 @@ def test_decompose_counts_per_coordinate():
     g = build_pairing_graph(small_spheres(n), enumerate_sphere(n, 3), n)
     subs = decompose_by_coordinate(g, n)
     assert len(subs) == 4
-    assert [h.edge_count for h in subs] == [3, 3, 3, 3]
-    t = V((1, 1, 1, 0))
-    membership = [any(e[2] == t for e in h.edges) for h in subs]
+    assert [len(h.edges) for h in subs] == [3, 3, 3, 3]
+    assert all(h.vertices is g.vertices and h.targets is g.targets for h in subs)
+    t = g.targets.tolist().index([1, 1, 1, 0])
+    membership = [t in h.edges[:, 2] for h in subs]
     assert membership == [True, True, True, False]
 
 
@@ -229,12 +258,14 @@ def test_decompose_total_is_three_per_target():
     n = 10
     g = build_pairing_graph(small_spheres(n), enumerate_sphere(n, 3), n)
     subs = decompose_by_coordinate(g, n)
-    assert sum(h.edge_count for h in subs) == 3 * g.edge_count == 360
+    assert sum(len(h.edges) for h in subs) == 3 * len(g.edges) == 360
+    slices_per_target = np.bincount(np.concatenate([h.edges[:, 2] for h in subs]))
+    assert slices_per_target.tolist() == [3] * 120
 
 
 def test_decompose_rejects_non_sphere_targets():
     g = build_pairing_graph([V((1, 1, 1))], [V((2, 2, 2))], 3)
-    with pytest.raises(ValueError, match="not a weight-3 0-1 vector"):
+    with pytest.raises(ValueError, match=r"target \(2, 2, 2\) is not a weight-3 0-1 vector"):
         decompose_by_coordinate(g, 3)
 
 
@@ -245,17 +276,18 @@ def test_prune_light_graph_is_identity():
         res = prune_heavy(h, n)
         assert res.removed_edges == 0
         assert res.heavy == ()
-        assert res.pruned.edges == h.edges
+        assert res.pruned.edges.tolist() == h.edges.tolist()
 
 
 def test_prune_star_above_threshold():
-    w = TernaryVector.zero(3)
-    edges = tuple((V(t), w, V(t)) for t in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
-    star = PairingGraph(left=(w,), right=(w,), edges=edges)
+    # vertices 000, 001, 010, 100; each e_i pairs with the zero vector
+    vertices = as_matrix([V((0, 0, 0)), V((0, 0, 1)), V((0, 1, 0)), V((1, 0, 0))], 3)
+    edges = np.array([[1, 0, 0], [2, 0, 1], [3, 0, 2]], dtype=np.int64)
+    star = PairingGraph(vertices=vertices, targets=vertices[1:], edges=edges)
     res = prune_heavy(star, 3, threshold=2)
     assert res.removed_edges == 3
-    assert res.heavy == (w,)
-    assert res.pruned.edge_count == 0
+    assert res.heavy == (0,)
+    assert len(res.pruned.edges) == 0
     assert prune_heavy(star, 3).removed_edges == 0  # default threshold is 3072
 
 
@@ -265,10 +297,11 @@ def test_prune_bookkeeping_consistent(threshold):
     n = 5
     g = build_pairing_graph(small_spheres(n), enumerate_sphere(n, 3), n)
     res = prune_heavy(g, n, threshold=threshold)
-    assert res.removed_edges == g.edge_count - res.pruned.edge_count
+    assert res.removed_edges == len(g.edges) - len(res.pruned.edges)
     before = g.right_degrees()
     assert all(before[w] > threshold for w in res.heavy)
-    assert all(d <= threshold for d in res.pruned.right_degrees().values())
+    assert res.pruned.right_degrees().max() <= threshold
+    assert not set(res.pruned.edges[:, 1].tolist()) & set(res.heavy)
 
 
 # ---------------------------------------------------------- sphere cover reports
@@ -307,6 +340,60 @@ def test_report_suite_rejects_non_cover():
         sphere_cover_report(enumerate_sphere(5, 1), 5)
 
 
+def star_cover(n: int) -> list[TernaryVector]:
+    """{e_0} with t - e_0 for every t in S_3: e_0 is the right end of every target through 0."""
+    e0 = unit(n, 0, 1)
+    return [e0] + [t - e0 for t in enumerate_sphere(n, 3)]
+
+
+BASIS_N6 = [
+    V(int(ch) for ch in line)
+    for line in (GOLDEN / "basis_n6_s1s2_111002.txt").read_text().splitlines()
+    if line and not line.startswith("#")
+]
+
+
+def shifted_sphere(n: int) -> list[TernaryVector]:
+    """{2J} with t + J for every t in S_3: every edge meets the right vertex 2J.
+
+    Two disjoint targets there give a case-1 pair, which no cover of
+    S_1 | S_2 or star shape has.
+    """
+    J = V([1] * n)
+    return [J + J] + [t + J for t in enumerate_sphere(n, 3)]
+
+
+@st.composite
+def report_instances(draw):
+    """A cover of S_3 (S_1 | S_2, the star or the shifted sphere) with extra vectors that hold a 2."""
+    n = draw(st.integers(3, 9))
+    cover = draw(st.sampled_from([small_spheres, star_cover, shifted_sphere]))(n)
+    extra = st.lists(st.integers(0, 2), min_size=n, max_size=n).filter(lambda c: 2 in c).map(V)
+    return n, cover + draw(st.lists(extra, max_size=12))
+
+
+def _rows(reports) -> str:
+    # JSON keeps the types: an integer read as a float, or a numpy scalar, differs
+    return json.dumps([r.to_record() for r in reports])
+
+
+@given(report_instances(), st.sampled_from([0, 1, DEGREE_PRUNE_FACTOR]))
+@settings(max_examples=80, deadline=None)
+@example((6, BASIS_N6), DEGREE_PRUNE_FACTOR)
+@example((9, star_cover(9)), DEGREE_PRUNE_FACTOR)
+@example((7, shifted_sphere(7)), 1)
+def test_report_matches_vector_keyed_oracle(instance, factor):
+    n, basis = instance
+    # no cover this small has a right degree above the default 1024 * n,
+    # so the factors 0 and 1 are what make the coordinate slices prune
+    with mock.patch.object(certificates, "DEGREE_PRUNE_FACTOR", factor):
+        reports, extras = _sphere_report_full(basis, n)
+        want, want_extras = sphere_report_vectors(basis, n)
+    assert _rows(reports) == _rows(want)
+    assert extras["implied_bound"] == want_extras["implied_bound"]
+    assert edge_vectors(extras["pruned"]) == list(want_extras["pruned"].edges)
+
+
 def case2_pairs_at_one_right_vertex(B, n: int) -> int:
     """Pairs of pruned edges v1-w, v2-w whose v1 - v2 has two 1s and two 2s.
 
@@ -315,14 +402,15 @@ def case2_pairs_at_one_right_vertex(B, n: int) -> int:
     coordinates share exactly one 1, and both edges meet in its slice.
     """
     _, extras = _sphere_report_full(B, n)
+    g = extras["pruned"]
     by_right = defaultdict(list)
-    for b1, b2, t in extras["pruned"].edges:
-        by_right[b2].append((b1, t))
+    for v, w, t in g.edges.tolist():
+        by_right[w].append((v, t))
     count = 0
     for pairs in by_right.values():
         for (v1, t1), (v2, t2) in combinations(pairs, 2):
-            if classify_difference(v1 - v2) is DifferenceCase.CASE2:
-                assert any(a == b == 1 for a, b in zip(t1.coords, t2.coords))
+            if classify_difference(V(g.vertices[v1]) - V(g.vertices[v2])) is DifferenceCase.CASE2:
+                assert (g.targets[t1] & g.targets[t2]).sum() == 1
                 count += 1
     return count
 
@@ -334,9 +422,7 @@ def test_case2_routing_on_small_sphere_cover(n):
     assert case2_pairs_at_one_right_vertex(small_spheres(n), n) == 0
     # the star cover {e_0} + {t - e_0} meets e_0 once per target through 0:
     # every two of them sharing only coordinate 0 are a case-2 pair
-    e0 = unit(n, 0, 1)
-    star = [e0] + [t - e0 for t in enumerate_sphere(n, 3)]
-    assert case2_pairs_at_one_right_vertex(star, n) == comb(n - 1, 2) * comb(n - 3, 2) // 2
+    assert case2_pairs_at_one_right_vertex(star_cover(n), n) == comb(n - 1, 2) * comb(n - 3, 2) // 2
 
 
 # ---------------------------------------------------------- component analysis

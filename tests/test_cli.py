@@ -231,7 +231,7 @@ def test_sphere_search_fallback_exits_1(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert code == 1
     assert payload["results"][0]["optimal"] is False
-    assert payload["results"][0]["size"] == 10  # weight-1 plus weight-2 fallback
+    assert payload["results"][0]["size"] == 5  # the first pass's cover {0} | S_3
 
 
 def test_sphere_overlap_general_hypothesis_enforced(capsys):

@@ -62,7 +62,6 @@ def test_vector_construction_and_accessors():
     assert v.support() == (0, 2, 3)
     assert not v.is_zero_one()
     assert V([1, 1, 0]).is_zero_one()
-    assert V([1, 1, 1]).in_sphere(3)
     assert TernaryVector.zero(3).weight() == 0
     assert TernaryVector.from_support(5, (1, 3)).coords == bytes([0, 1, 0, 1, 0])
 
@@ -130,7 +129,7 @@ def test_enumerate_sphere_examples():
     ten_three = enumerate_sphere(10, 3)
     assert len(ten_three) == 120
     assert len(set(ten_three)) == 120
-    assert all(v.in_sphere(3) for v in ten_three)
+    assert all(v.is_zero_one() and v.weight() == 3 for v in ten_three)
 
 
 def test_enumerate_sphere_is_support_ordered():
@@ -448,7 +447,8 @@ def test_min_basis_dimension_four_matches_oracle():
 def test_min_basis_budget_exhaustion_falls_back():
     sol = sphere_min_basis(4, budget=10)
     assert not sol.optimal
-    assert sol.size == 10  # S1 | S2 fallback
+    assert sol.size == 5  # the first pass's incumbent {0} | S_3, below |S1 | S2| = 10
+    assert TernaryVector.zero(4) in sol.basis
     assert sphere_cover_verify(sol.basis, 4).covered
 
 
@@ -457,7 +457,8 @@ def test_min_basis_rejects_large_dimension():
         sphere_min_basis(SPHERE_EXACT_MAX_N + 1)
     sol = sphere_min_basis(5, budget=10)  # fallback still works
     assert not sol.optimal
-    assert sol.size == 15
+    assert sol.size == 11  # {0} | S_3, below |S1 | S2| = 15
+    assert sphere_cover_verify(sol.basis, 5).covered
 
 
 def _sphere_pairs(n):
@@ -472,12 +473,11 @@ def _sphere_pairs(n):
 
 
 def test_min_basis_dimension_five_is_two_j_plus_two_e_i():
-    sol = sphere_min_basis(5)
-    assert sol.optimal
+    # the search itself is pinned byte for byte by the sphere-min-basis_n5
+    # golden; here the basis it finds is checked on its own.
     # b_i = 2J + 2e_i: b_i + b_j = J - e_i - e_j, of weight 3 at n = 5
-    expected = {tuple(2 if l != i else 1 for l in range(5)) for i in range(5)}
-    assert {tuple(v.coords) for v in sol.basis} == expected
-    assert sphere_cover_verify(sol.basis, 5).covered
+    basis = {V([2 if l != i else 1 for l in range(5)]) for i in range(5)}
+    assert sphere_cover_verify(basis, 5).covered
     # no cover of size 4: the reference search, which rebuilds its state
     # at every node, finishes inside its budget without one
     pairs = _sphere_pairs(5)
