@@ -19,8 +19,11 @@ three kinds of question about S_3:
 Scalar vectors are immutable byte strings (one coordinate per byte);
 bulk checks at n ~ 2048 run on numpy matrices instead, and the large
 side of an overlap check is read as a list of row blocks, never joined.
-A trial's near-sphere block holds only its shifts and column draws: the
-hit kernel keys its hits from those, and the dedupe pass builds its
+A trial holds no row of its Y.  The uniform block keeps each row's
+fingerprint and lead columns, read by the dedupe pass and the hit
+kernel, and rebuilds the few rows they leave in play by replaying its
+draws.  The near-sphere block holds only its shifts and column draws:
+the hit kernel keys its hits from those, and the dedupe pass builds its
 rows a chunk at a time.
 """
 
@@ -90,12 +93,18 @@ _LEAD = 16
 
 # rows of one Y block per fingerprint pass, lead-column copy and full-width
 # compare, to bound temporaries at about _HIT_CHUNK * n bytes whatever the
-# block's size; the dedupe pass builds a near-sphere block's rows a chunk
-# at a time, and the hit kernel never builds them
+# block's size.  A uniform block is drawn a chunk at a time, the dedupe
+# pass builds a near-sphere block's rows a chunk at a time, and the hit
+# kernel builds neither block's rows.  In rounds of four criterion-3 trials (sphere-overlap --n 2048
+# --x-size 2 --y-size 41943 --trials 4), 256 and 4096 rows moved the median
+# by less than the quartile spread of 1024 at --jobs 1 and at --jobs 2;
+# 4096 rows would hold four times the chunk
 _HIT_CHUNK = 1024
 
-# 64-bit generator words per draw of uniform ternary rows (256 KiB); with
-# two trials on two threads, 64 KiB draws made rounds about 10% slower
+# 64-bit generator words per raw draw of a uniform block (256 KiB).  In the
+# same rounds, 128 KiB draws lost 18 of 20 pairs at --jobs 2, and 512 KiB
+# draws won 13 of 20 by 1%; at --jobs 1 neither size won or lost (11 and 8
+# of 20 pairs), so draws stay at 256 KiB
 _RAW_WORDS = 1 << 15
 
 # bytes of sums per block of basis rows in least_pairs (one row at least)
@@ -570,9 +579,140 @@ class _NearSphereRows:
         return np.concatenate(keys)
 
 
+def _nonzero_draws(bitgen, start: int, stop: int, snapshots: list | None = None):
+    """The nonzero bytes of ``bitgen.random_raw`` words that give values ``start`` to ``stop``, a draw at a time.
+
+    NumPy draws each value of ``integers(0, 3, dtype=np.uint8)`` from the
+    next byte b of its 32-bit outputs, low byte first, as
+    (3b) >> 8 = (b > 85) + (b > 170), rejecting b = 0; a 64-bit generator
+    gives the low half of a word first and buffers the high half
+    (``has_uint32``, ``uinteger``).  A draw is _RAW_WORDS words, never more
+    than the values still owed could use, and if the last value comes from
+    a word's low half, the high half is left buffered, so the generator is
+    left as NumPy leaves it.  ``snapshots`` gets (value offset, state)
+    before each draw.
+    """
+    while start < stop:
+        if snapshots is not None:
+            snapshots.append((start, bitgen.state))
+        owed = stop - start
+        words = bitgen.random_raw(min(_RAW_WORDS, -(-owed // 8)))
+        b = words.astype("<u8", copy=False).view(np.uint8)
+        high = np.count_nonzero(b[-4:])
+        b = b[b != 0]
+        if len(b) - high >= owed:
+            state = bitgen.state
+            state["has_uint32"], state["uinteger"] = 1, int(words[-1]) >> 32
+            bitgen.state = state
+        start += len(b)
+        yield b
+
+
+class _Values:
+    """The ternary values of a stream of nonzero generator bytes, read off in order."""
+
+    def __init__(self, draws):
+        self._draws = draws
+        self._left = np.zeros(0, dtype=np.uint8)  # bytes of the current draw not yet read
+
+    def read(self, out: np.ndarray | None, count: int) -> None:
+        """Map the next ``count`` values into the flat array ``out``, or skip them if it is None."""
+        at = 0
+        while at < count:
+            if not len(self._left):
+                self._left = next(self._draws)
+            b, self._left = self._left[: count - at], self._left[count - at :]
+            if out is not None:
+                np.add(b > 85, b > 170, out=out[at : at + len(b)], dtype=np.uint8)
+            at += len(b)
+
+
+class _UniformRows:
+    """The rows of ``rng.integers(0, 3, size=(m, n), dtype=np.uint8)``, drawn once and rebuilt on demand.
+
+    The rows are drawn from raw generator words by ``_nonzero_draws``,
+    _HIT_CHUNK rows at a time, and ``rng`` is left as ``integers`` leaves
+    it.  Only each row's fingerprint and first _LEAD columns are kept,
+    with the generator's state and value offset at each draw, about 24
+    bytes a row against n.  A row slice or index array is rebuilt by
+    replaying draws from those states on a bit generator of the block's
+    own.  MT19937, which has no buffered half word, is refused.
+    """
+
+    def __init__(self, rng: np.random.Generator, m: int, n: int):
+        bitgen = rng.bit_generator
+        state = bitgen.state
+        if "has_uint32" not in state:
+            raise ValueError(f"uniform rows need a 64-bit bit generator, got {state['bit_generator']}")
+        self.shape = (m, n)
+        self.fingerprints = np.zeros(m, dtype=np.uint64)  # rows of no columns hash to 0
+        self.lead = np.empty((m, min(_LEAD, n)), dtype=np.uint8)
+        self._kind = type(bitgen)
+        self._head = np.zeros(0, dtype=np.uint8)  # nonzero bytes of a buffered half word
+        snapshots = []
+        if m * n:
+            if state["has_uint32"]:  # NumPy reads the buffered half word first
+                b = np.array([state["uinteger"]], dtype="<u4").view(np.uint8)
+                self._head = b[b != 0]
+                snapshots.append((0, None))
+                state["has_uint32"] = 0
+                bitgen.state = state
+            values = _Values(itertools.chain([self._head], _nonzero_draws(bitgen, len(self._head), m * n, snapshots)))
+            weights = _fingerprint_weights(n)
+            chunk = np.empty((min(m, _HIT_CHUNK), n), dtype=np.uint8)
+            for lo in range(0, m, len(chunk)):
+                rows = chunk[: m - lo]
+                values.read(rows.reshape(-1), rows.size)
+                self.fingerprints[lo : lo + len(rows)] = _row_fingerprints(rows, weights)
+                self.lead[lo : lo + len(rows)] = rows[:, : self.lead.shape[1]]
+        self._offsets = np.array([offset for offset, _ in snapshots], dtype=np.int64)
+        self._states = [s for _, s in snapshots]
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def __getitem__(self, key) -> np.ndarray:
+        rows, inverse = np.unique(np.arange(len(self))[key], return_inverse=True)
+        return self._build(rows)[inverse]
+
+    def _draws_from(self, s: int):
+        """The nonzero bytes from draw ``s`` on; draw 0 may be the buffered half word."""
+        if self._states[s] is None:
+            yield self._head
+            s += 1
+        if s < len(self._states):
+            bitgen = self._kind(0)
+            bitgen.state = self._states[s]
+            yield from _nonzero_draws(bitgen, int(self._offsets[s]), self.shape[0] * self.shape[1])
+
+    def _build(self, rows: np.ndarray) -> np.ndarray:
+        """Rows ``rows``, ascending and distinct, replayed from the draws they start in.
+
+        A replay reads on through every row that starts in the draw it has
+        reached; a row that starts in a later draw starts a new replay there.
+        """
+        n = self.shape[1]
+        out = np.empty((len(rows), n), dtype=np.uint8)
+        if not out.size:
+            return out
+        starts = rows * n
+        draws = np.searchsorted(self._offsets, starts, side="right") - 1
+        values, at = None, 0
+        for k, (start, s) in enumerate(zip(starts.tolist(), draws.tolist())):
+            if values is None or s > np.searchsorted(self._offsets, at, side="right") - 1:
+                values, at = _Values(self._draws_from(s)), int(self._offsets[s])
+            values.read(None, start - at)
+            values.read(out[k], n)
+            at = start + n
+        return out
+
+
+_LAZY_BLOCKS = (_NearSphereRows, _UniformRows)
+
+
 def _as_block(block, n: int):
-    """A 2-D array through ``as_matrix``; a near-sphere block as it is, once its width is checked."""
-    if not isinstance(block, _NearSphereRows):
+    """A 2-D array through ``as_matrix``; a lazy block as it is, once its width is checked."""
+    if not isinstance(block, _LAZY_BLOCKS):
         return as_matrix(block, n)
     if block.shape[1] != n:
         raise ValueError(f"expected shape (*, {n}), got {block.shape}")
@@ -582,10 +722,11 @@ def _as_block(block, n: int):
 def _row_blocks(rows, n: int) -> list:
     """A list or tuple of row blocks as its blocks; any other collection as one block.
 
-    A block is a 2-D array or a near-sphere block from ``_random_near_sphere``.
+    A block is a 2-D array, a near-sphere block from ``_random_near_sphere``
+    or a uniform block.
     """
     if isinstance(rows, (list, tuple)) and rows and all(
-        isinstance(b, _NearSphereRows) or np.ndim(b) == 2 for b in rows
+        isinstance(b, _LAZY_BLOCKS) or np.ndim(b) == 2 for b in rows
     ):
         return [_as_block(b, n) for b in rows]
     return [as_matrix(rows, n)]
@@ -607,20 +748,23 @@ def _first_occurrences(blocks: list) -> np.ndarray:
 
     Rows are grouped by fingerprint; a row whose group head (its earliest
     row) has equal bytes is a repeat.  Groups holding distinct rows with
-    one fingerprint are settled by bytes.  Each block is fingerprinted a
-    chunk of rows at a time and only the fingerprints are concatenated:
-    the rows compared are gathered from their blocks.
+    one fingerprint are settled by bytes.  A uniform block gives the
+    fingerprints it stored when drawn; any other block is fingerprinted a
+    chunk of rows at a time.  Only the fingerprints are concatenated: the
+    rows compared are gathered from their blocks.
     """
     m = sum(len(b) for b in blocks)
     keep = np.ones(m, dtype=bool)
     if m <= 1:
         return keep
     weights = _fingerprint_weights(blocks[0].shape[1])
-    fp = np.concatenate([
-        _row_fingerprints(b[lo : lo + _HIT_CHUNK], weights)
-        for b in blocks
-        for lo in range(0, len(b), _HIT_CHUNK)
-    ])
+    fp = []
+    for b in blocks:
+        if isinstance(b, _UniformRows):
+            fp.append(b.fingerprints)
+        else:
+            fp += [_row_fingerprints(b[lo : lo + _HIT_CHUNK], weights) for lo in range(0, len(b), _HIT_CHUNK)]
+    fp = np.concatenate(fp)
     order = np.argsort(fp, kind="stable")
     sorted_fp = fp[order]
     head = np.empty(m, dtype=bool)
@@ -658,9 +802,10 @@ def _two_sphere_hits(xmat: np.ndarray, yblocks: list, n: int) -> int:
     Each hit x + y = e_i + e_j is keyed by its support pair (i, j): the
     two coordinates where y mismatches -x, both with y = 1 - x there.
     One np.unique over the keys of every block counts each pair once.
-    A near-sphere block gives its keys from its shifts and draws.  Of an
-    array block, the first _LEAD columns are copied out a chunk of rows
-    at a time, and only the rows they leave in play are gathered in full.
+    A near-sphere block gives its keys from its shifts and draws.  A
+    uniform block gives the first _LEAD columns it stored when drawn; of
+    an array block they are copied out a chunk of rows at a time.  Only
+    the rows they leave in play are gathered in full.
     """
     lead = min(_LEAD, n)
     keys = []
@@ -668,9 +813,12 @@ def _two_sphere_hits(xmat: np.ndarray, yblocks: list, n: int) -> int:
         if isinstance(ymat, _NearSphereRows):
             keys += [ymat.hit_keys(x) for x in xmat]
             continue
-        ylead = np.empty((len(ymat), lead), dtype=np.uint8)
-        for lo in range(0, len(ymat), _HIT_CHUNK):
-            ylead[lo : lo + _HIT_CHUNK] = ymat[lo : lo + _HIT_CHUNK][:, :lead]
+        if isinstance(ymat, _UniformRows):
+            ylead = ymat.lead
+        else:
+            ylead = np.empty((len(ymat), lead), dtype=np.uint8)
+            for lo in range(0, len(ymat), _HIT_CHUNK):
+                ylead[lo : lo + _HIT_CHUNK] = ymat[lo : lo + _HIT_CHUNK][:, :lead]
         for x in xmat:
             neg, one_minus = _NEG3[x], _ONE_MINUS[x]
             near = np.flatnonzero(np.count_nonzero(ylead != neg[:lead], axis=1) <= 2)
@@ -707,8 +855,9 @@ class OverlapCheck:
 def check_sphere_overlap(X, Y, n: int) -> OverlapCheck:
     """The fixed-fraction check; Y may be a list or tuple of row blocks, read joined.
 
-    A block is a 2-D array or the near-sphere block of ``overlap_trial``,
-    whose rows are built on demand; the rows of Y are never joined.
+    A block is a 2-D array or one of the uniform and near-sphere blocks of
+    ``overlap_trial``, whose rows are built on demand; the rows of Y are
+    never joined.
     """
     xmat = _dedupe_rows(as_matrix(X, n))
     yblocks = _row_blocks(Y, n)
@@ -782,59 +931,15 @@ def _random_near_sphere(rng: np.random.Generator, count: int, n: int, shifts: np
     return _NearSphereRows(shifts, cols)
 
 
-def _ternary_rows(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
-    """``rng.integers(0, 3, size=(m, n), dtype=np.uint8)``, bit for bit, from raw generator words.
-
-    NumPy draws each value from the next byte b of its 32-bit outputs,
-    low byte first, as (3b) >> 8 = (b > 85) + (b > 170), rejecting b = 0;
-    a 64-bit generator gives the low half of a word first and buffers
-    the high half (``has_uint32``, ``uinteger``).  The same bytes are read
-    here from ``random_raw``, _RAW_WORDS words at a time and never more
-    words than the values still owed could use, so the generator is
-    left as NumPy leaves it.  MT19937, which has no such buffer, is refused.
-    """
-    bitgen = rng.bit_generator
-    state = bitgen.state
-    if "has_uint32" not in state:
-        raise ValueError(f"uniform rows need a 64-bit bit generator, got {state['bit_generator']}")
-    out = np.empty((m, n), dtype=np.uint8)
-    flat = out.reshape(-1)
-    if not flat.size:
-        return out
-
-    def fill(b: np.ndarray, filled: int) -> int:
-        take = b[b != 0][: flat.size - filled]
-        np.add(take > 85, take > 170, out=flat[filled : filled + len(take)], dtype=np.uint8)
-        return filled + len(take)
-
-    filled = 0
-    if state["has_uint32"]:
-        filled = fill(np.array([state["uinteger"]], dtype="<u4").view(np.uint8), filled)
-        state["has_uint32"] = 0
-        bitgen.state = state
-    while filled < flat.size:
-        need = flat.size - filled
-        words = bitgen.random_raw(min(_RAW_WORDS, -(-need // 8)))
-        b = words.astype("<u8", copy=False).view(np.uint8)
-        filled = fill(b, filled)
-        # the last value comes from the last word; from its low half, NumPy buffers the high half
-        if filled == flat.size and np.count_nonzero(b[:-4]) >= need:
-            state = bitgen.state
-            state["has_uint32"], state["uinteger"] = 1, int(words[-1]) >> 32
-            bitgen.state = state
-    return out
-
-
 def _mixed_blocks(rng: np.random.Generator, size: int, n: int, shifts: np.ndarray) -> list:
-    """``size - size // 2`` uniform rows, then ``size // 2`` near-sphere rows, as two blocks.
+    """``size - size // 2`` uniform rows, then ``size // 2`` near-sphere rows, as two lazy blocks.
 
     With no shifts to build near-sphere rows from, all ``size`` rows are
-    uniform, drawn by ``_ternary_rows``.  The blocks are never concatenated,
-    and the near-sphere block holds only its shifts and draws, so a trial
-    holds only the uniform half of Y in full.
+    uniform.  The uniform block keeps fingerprints and lead columns, the
+    near-sphere block its shifts and draws, so a trial holds no row of Y.
     """
     near = size // 2 if len(shifts) else 0
-    blocks = [_ternary_rows(rng, size - near, n)]
+    blocks = [_UniformRows(rng, size - near, n)]
     if near:
         blocks.append(_random_near_sphere(rng, near, n, shifts))
     return blocks
@@ -843,7 +948,7 @@ def _mixed_blocks(rng: np.random.Generator, size: int, n: int, shifts: np.ndarra
 def overlap_trial(n: int, x_size: int, y_size: int, rng: np.random.Generator) -> OverlapCheck:
     """One seeded fixed-fraction check: random X, Y as a uniform and a near-sphere block.
 
-    ``rng`` needs a 64-bit bit generator, as ``_ternary_rows`` draws Y's uniform rows.
+    ``rng`` needs a 64-bit bit generator, as ``_UniformRows`` draws Y's uniform rows.
     """
     xmat = rng.integers(0, 3, size=(x_size, n), dtype=np.uint8)
     return check_sphere_overlap(xmat, _mixed_blocks(rng, y_size, n, xmat), n)

@@ -583,15 +583,15 @@ def _traced_peak(run) -> int:
 
 
 def test_overlap_trial_holds_y_once():
-    # the criterion-3 trial: of Y, |Y| * n bytes, only the uniform half is held in full
+    # the criterion-3 trial: of Y, |Y| * n bytes, no row is held, only chunks of rows
     n, y_size = OVERLAP_MIN_N, 41943
-    assert _traced_peak(lambda: overlap_trial(n, 2, y_size, rng_stream(0, 0))) <= 0.75 * y_size * n
+    assert _traced_peak(lambda: overlap_trial(n, 2, y_size, rng_stream(0, 0))) <= 0.15 * y_size * n
 
 
 def test_overlap_refined_trial_holds_b_once():
     # the dimension of the sphere-overlap-general golden, with |B| = n^2 / 100 as in criterion 3
     n, b_size = 1100, 12100
-    assert _traced_peak(lambda: overlap_refined_trial(n, 1, b_size, rng_stream(0, 0))) <= 0.75 * b_size * n
+    assert _traced_peak(lambda: overlap_refined_trial(n, 1, b_size, rng_stream(0, 0))) <= 0.35 * b_size * n
 
 
 def _philox(*key):
@@ -819,11 +819,13 @@ _BIT_GENERATORS = (np.random.Philox, np.random.PCG64, np.random.PCG64DXSM, np.ra
 
 
 def _assert_draws_as_integers(bit_generator, seed, m, n, half_word):
-    """``_ternary_rows`` gives ``rng.integers``' bytes and leaves the generator as it does."""
+    """A uniform block's rows are ``rng.integers``' bytes, and it leaves the generator as that does."""
     ours, ref = (np.random.Generator(bit_generator(seed)) for _ in range(2))
     if half_word:  # a uint32 draw leaves the high half of a word buffered
         assert ours.integers(1 << 32, dtype=np.uint32) == ref.integers(1 << 32, dtype=np.uint32)
-    got = spherelab._ternary_rows(ours, m, n)
+    block = spherelab._UniformRows(ours, m, n)
+    assert block.shape == (m, n) and len(block) == m
+    got = block[:]  # rebuilt from the block's own replays, after ``ours`` has moved on
     want = ref.integers(0, 3, size=(m, n), dtype=np.uint8)
     assert got.dtype == np.uint8 and got.shape == (m, n)
     assert np.array_equal(got, want)
@@ -859,7 +861,119 @@ def test_ternary_rows_match_integers_across_a_draw(bit_generator, extra, half_wo
 @pytest.mark.parametrize("m,n", [(2, 3), (0, 3)])
 def test_ternary_rows_refuse_mt19937(m, n):
     with pytest.raises(ValueError, match="MT19937"):
-        spherelab._ternary_rows(np.random.Generator(np.random.MT19937(0)), m, n)
+        spherelab._UniformRows(np.random.Generator(np.random.MT19937(0)), m, n)
+
+
+@given(
+    st.sampled_from(_BIT_GENERATORS),
+    st.integers(min_value=0, max_value=2**32),
+    st.integers(min_value=0, max_value=12),
+    st.integers(min_value=0, max_value=40),
+    st.booleans(),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=1, max_value=5),
+    st.data(),
+)
+@settings(max_examples=300, deadline=None)
+def test_uniform_block_rebuilds_rows_as_drawn(bit_generator, seed, m, n, half_word, raw_words, chunk_rows, data):
+    # a few words a draw and a few rows a chunk, so rows cross draws and chunks end inside draws
+    with (
+        mock.patch.object(spherelab, "_RAW_WORDS", raw_words),
+        mock.patch.object(spherelab, "_HIT_CHUNK", chunk_rows),
+    ):
+        ours, ref = (np.random.Generator(bit_generator(seed)) for _ in range(2))
+        if half_word:
+            assert ours.integers(1 << 32, dtype=np.uint32) == ref.integers(1 << 32, dtype=np.uint32)
+        block = spherelab._UniformRows(ours, m, n)
+        want = ref.integers(0, 3, size=(m, n), dtype=np.uint8)
+        assert ours.integers(1 << 62) == ref.integers(1 << 62)
+        assert np.array_equal(block.fingerprints, spherelab._row_fingerprints(want, spherelab._fingerprint_weights(n)))
+        assert np.array_equal(block.lead, want[:, : spherelab._LEAD])
+        bound = st.integers(min_value=-m - 2, max_value=m + 2) | st.none()
+        step = st.sampled_from([None, 1, 2, -1, -3])
+        keys = [slice(None), slice(0, 0), np.zeros(0, dtype=np.int64)]
+        keys += [slice(data.draw(bound), data.draw(bound), data.draw(step)) for _ in range(3)]
+        if m:
+            rows = st.lists(st.integers(min_value=0, max_value=m - 1), max_size=2 * m)
+            keys += [np.array(data.draw(rows), dtype=np.int64) for _ in range(3)]
+        for key in keys:
+            got = block[key]
+            assert got.dtype == np.uint8
+            assert np.array_equal(got, want[key]), key
+        # the rebuilds replayed on generators of their own
+        assert ours.integers(1 << 32, dtype=np.uint32) == ref.integers(1 << 32, dtype=np.uint32)
+
+
+@pytest.mark.parametrize("bit_generator", _BIT_GENERATORS)
+@pytest.mark.parametrize("half_word", [False, True])
+def test_uniform_block_rebuilds_rows_across_draws_and_chunks(bit_generator, half_word):
+    # 33-byte rows from 8-byte draws, 5 rows a chunk: rows and chunks start inside draws
+    with (
+        mock.patch.object(spherelab, "_RAW_WORDS", 1),
+        mock.patch.object(spherelab, "_HIT_CHUNK", 5),
+    ):
+        ours, ref = (np.random.Generator(bit_generator(29)) for _ in range(2))
+        if half_word:
+            assert ours.integers(1 << 32, dtype=np.uint32) == ref.integers(1 << 32, dtype=np.uint32)
+        block = spherelab._UniformRows(ours, 12, 33)
+        want = ref.integers(0, 3, size=(12, 33), dtype=np.uint8)
+        for key in (slice(None), slice(4, 6), slice(9, 10), np.array([11, 0, 5, 5, 4])):
+            assert np.array_equal(block[key], want[key]), key
+        assert ours.integers(1 << 62) == ref.integers(1 << 62)
+
+
+@given(split_overlap_rows(), st.integers(min_value=0, max_value=12), st.integers(min_value=0, max_value=2**32))
+@settings(max_examples=100, deadline=None)
+def test_overlap_kernels_read_a_uniform_block_as_its_rows(case, count, seed):
+    n, xmat, ymat, _ = case
+    for patch in (
+        contextlib.nullcontext(),
+        mock.patch.object(spherelab, "_row_fingerprints", _parity),  # clashes rebuild uniform rows
+        mock.patch.object(spherelab, "_HIT_CHUNK", 2),
+    ):
+        with patch:
+            lazy = spherelab._UniformRows(_philox(seed, 5), count, n)  # fingerprinted under the patch
+            rows = lazy[:]
+            # the array block repeats some uniform rows, so first occurrences cross the blocks
+            u = np.concatenate([ymat, rows[: count // 2]])
+            mask = spherelab._first_occurrences([lazy, u])
+            assert np.array_equal(mask, spherelab._first_occurrences([np.concatenate([rows, u])]))
+            assert np.array_equal(mask, spherelab._first_occurrences([rows, u]))
+            assert spherelab._distinct_count([lazy, u]) == len(dedupe_rows_bytes(np.concatenate([rows, u])))
+            hits = spherelab._two_sphere_hits(xmat, [rows, u], n)
+            assert spherelab._two_sphere_hits(xmat, [lazy, u], n) == hits
+            assert check_sphere_overlap(xmat, [lazy, u], n) == check_sphere_overlap(xmat, [rows, u], n)
+            assert check_sphere_overlap(xmat, (lazy,), n) == check_sphere_overlap(xmat, rows, n)
+
+
+class _CountingPhilox(np.random.Philox):
+    """Philox counting the words ``random_raw`` hands out, over all its instances."""
+
+    words = 0
+
+    def random_raw(self, size=None, output=True):
+        _CountingPhilox.words += size
+        return super().random_raw(size, output)
+
+
+def test_overlap_trial_draws_its_uniform_rows_once():
+    # the criterion-3 trial, at a key whose uniform half holds a row near -x for each x
+    n, y_size, key = OVERLAP_MIN_N, 41943, [2, 0]
+    rng = np.random.Generator(_CountingPhilox(key=key))
+    xmat = rng.integers(0, 3, size=(2, n), dtype=np.uint8)
+    _CountingPhilox.words = 0
+    block = spherelab._UniformRows(rng, y_size - y_size // 2, n)
+    one_pass = _CountingPhilox.words
+    neg = spherelab._NEG3[xmat[:, : spherelab._LEAD]]
+    near = sum(int(np.count_nonzero((block.lead != row).sum(axis=1) <= 2)) for row in neg)
+    assert near >= 2
+    _CountingPhilox.words = 0
+    block[:]  # one replay reads on through every row
+    assert _CountingPhilox.words == one_pass
+    _CountingPhilox.words = 0
+    overlap_trial(n, 2, y_size, np.random.Generator(_CountingPhilox(key=key)))
+    # a near row is replayed from the draw it starts in, through at most two draws
+    assert one_pass <= _CountingPhilox.words <= one_pass + 2 * near * spherelab._RAW_WORDS
 
 
 @given(st.integers(min_value=0, max_value=6), st.integers(min_value=0, max_value=40), st.integers(min_value=0, max_value=2**32))
