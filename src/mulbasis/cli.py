@@ -62,9 +62,9 @@ from .spherelab import (
     enumerate_sphere,
     overlap_refined_trial,
     overlap_trial,
+    sphere_construction_basis,
     sphere_cover_verify,
     sphere_min_basis,
-    sphere_rows,
 )
 
 __all__ = ["RunConfig", "run", "main", "main_entry", "rng_stream"]
@@ -465,17 +465,10 @@ def _cmd_sphere_min_basis(config: RunConfig) -> tuple[list, list, int]:
     return [row], [], 0 if sol.optimal else 1
 
 
-def _construction(n: int) -> list[TernaryVector]:
-    """S_1 | S_2 in lex order: the basis of ``sphere_basis_construct(n)``, without its witness map."""
-    if n < 3:
-        raise ValueError(f"construction needs n >= 3, got {n}")
-    return sorted(TernaryVector(row.tobytes()) for row in np.concatenate([sphere_rows(n, 1), sphere_rows(n, 2)]))
-
-
 @_command("sphere-construct", "weight-1 plus weight-2 cover", "n size covered", "--n!")
 def _cmd_sphere_construct(config: RunConfig) -> tuple[list, list, int]:
     n = config.parameters["n"]
-    basis = _construction(n)
+    basis = sorted(sphere_construction_basis(n))
     check = sphere_cover_verify(basis, n)
     checks = [
         InequalityReport.of("construct_size", len(basis), n * (n + 1) // 2),
@@ -572,7 +565,7 @@ def _cmd_sphere_certificate(config: RunConfig) -> tuple[list, list, int]:
     if p.get("basis_file"):
         basis = _read_lines(p["basis_file"], lambda line: _ternary(line, n), comments=True)
     else:
-        basis = _construction(n)
+        basis = sorted(sphere_construction_basis(n))
     checks = sphere_cover_report(basis, n)
     # the CSV table of this command is its checks (see _render), so its
     # one JSON row is built here rather than projected onto the columns

@@ -57,6 +57,7 @@ __all__ = [
     "difference_census",
     "least_pairs",
     "sphere_cover_verify",
+    "sphere_construction_basis",
     "sphere_basis_construct",
     "sphere_min_basis",
     "check_sphere_overlap",
@@ -442,21 +443,27 @@ class SphereBasisSolution:
         return len(self.basis)
 
 
+def sphere_construction_basis(n: int) -> list[TernaryVector]:
+    """S_1 then S_2, each in lex order of support: the basis of
+    ``sphere_basis_construct(n)``, without its witness map."""
+    if n < 3:
+        raise ValueError(f"construction needs n >= 3, got {n}")
+    return enumerate_sphere(n, 1) + enumerate_sphere(n, 2)
+
+
 def sphere_basis_construct(n: int) -> SphereBasisSolution:
     """S_1 union S_2 covers S_3: split {i, j, k} as e_i + e_{jk}, i least.
 
     Size n(n+1)/2; optimality is not claimed.
     """
-    if n < 3:
-        raise ValueError(f"construction needs n >= 3, got {n}")
-    singles = enumerate_sphere(n, 1)
-    doubles = dict(zip(itertools.combinations(range(n), 2), enumerate_sphere(n, 2)))
-    basis = frozenset(singles) | frozenset(doubles.values())
+    basis = sphere_construction_basis(n)
+    singles = basis[:n]
+    doubles = dict(zip(itertools.combinations(range(n), 2), basis[n:]))
     witness = {}
     for (i, j, k), t in zip(itertools.combinations(range(n), 3), enumerate_sphere(n, 3)):
         # e_jk is 0 where e_i has its leading 1, so e_jk sorts first
         witness[t] = (doubles[(j, k)], singles[i])
-    return SphereBasisSolution(basis=basis, witness=witness, optimal=False)
+    return SphereBasisSolution(basis=frozenset(basis), witness=witness, optimal=False)
 
 
 def sphere_min_basis(n: int, budget: int = 5_000_000) -> SphereBasisSolution:

@@ -28,6 +28,7 @@ from mulbasis.spherelab import (
     overlap_refined_trial,
     overlap_trial,
     sphere_basis_construct,
+    sphere_construction_basis,
     sphere_cover_verify,
     sphere_min_basis,
 )
@@ -401,8 +402,16 @@ def test_construct_witness_is_the_split_in_support_order():
 
 
 def test_construct_rejects_tiny_dimension():
-    with pytest.raises(ValueError):
-        sphere_basis_construct(2)
+    for build in (sphere_basis_construct, sphere_construction_basis):
+        with pytest.raises(ValueError, match="construction needs n >= 3, got 2"):
+            build(2)
+
+
+def test_construction_basis_is_the_constructed_basis():
+    for n in (3, 7, 33):
+        basis = sphere_construction_basis(n)
+        assert basis == enumerate_sphere(n, 1) + enumerate_sphere(n, 2)
+        assert frozenset(basis) == sphere_basis_construct(n).basis
 
 
 def test_construct_size_formula():
