@@ -58,13 +58,15 @@ from .spherelab import (
     OVERLAP_MIN_N,
     SMALL_SET_DIVISOR,
     TernaryVector,
+    as_matrix,
     difference_census,
     enumerate_sphere,
+    least_pairs,
     overlap_refined_trial,
     overlap_trial,
     sphere_construction_basis,
-    sphere_cover_verify,
     sphere_min_basis,
+    sphere_rows,
 )
 
 __all__ = ["RunConfig", "run", "main", "main_entry", "rng_stream"]
@@ -469,12 +471,13 @@ def _cmd_sphere_min_basis(config: RunConfig) -> tuple[list, list, int]:
 def _cmd_sphere_construct(config: RunConfig) -> tuple[list, list, int]:
     n = config.parameters["n"]
     basis = sorted(sphere_construction_basis(n))
-    check = sphere_cover_verify(basis, n)
+    # every target of S_3 has a pair in B + B; no witness map is built
+    covered = bool((least_pairs(as_matrix(basis, n), sphere_rows(n, 3))[:, 0] >= 0).all())
     checks = [
         InequalityReport.of("construct_size", len(basis), n * (n + 1) // 2),
-        InequalityReport.of("construct_cover", 1 if check.covered else 2, 1),
+        InequalityReport.of("construct_cover", 1 if covered else 2, 1),
     ]
-    return [_row(config, None, n=n, size=len(basis), covered=check.covered)], checks, _exit_code(checks)
+    return [_row(config, None, n=n, size=len(basis), covered=covered)], checks, _exit_code(checks)
 
 
 @_command(

@@ -19,12 +19,13 @@ three kinds of question about S_3:
 Scalar vectors are immutable byte strings (one coordinate per byte);
 bulk checks at n ~ 2048 run on numpy matrices instead, and the large
 side of an overlap check is read as a list of row blocks, never joined.
-A trial holds no row of its Y.  The uniform block keeps each row's
-fingerprint and lead columns, read by the dedupe pass and the hit
-kernel, and rebuilds the few rows they leave in play by replaying its
-draws.  The near-sphere block holds only its shifts and column draws:
-the hit kernel keys its hits from those, and the dedupe pass builds its
-rows a chunk at a time.
+A trial holds no row of its Y.  The dedupe pass first groups rows by a
+lead key, their first 32 columns in base 3, and fingerprints only rows
+whose key another row shares.  The uniform block locates and keeps only
+each row's lead columns and key, read by the hit kernel and the dedupe
+pass, and rebuilds the few rows they leave in play by replaying its
+draws.  The near-sphere block holds only its shifts and column draws,
+and gives its hit keys, lead keys and fingerprints from those.
 """
 
 from __future__ import annotations
@@ -92,21 +93,21 @@ _ONE_MINUS = np.array([1, 0, 2], dtype=np.uint8)
 # rejects nearly every row before a full-width compare
 _LEAD = 16
 
-# rows of one Y block per fingerprint pass, lead-column copy and full-width
-# compare, to bound temporaries at about _HIT_CHUNK * n bytes whatever the
-# block's size.  A uniform block is drawn a chunk at a time, the dedupe
-# pass builds a near-sphere block's rows a chunk at a time, and the hit
-# kernel builds neither block's rows.  In rounds of four criterion-3 trials (sphere-overlap --n 2048
-# --x-size 2 --y-size 41943 --trials 4), 256 and 4096 rows moved the median
-# by less than the quartile spread of 1024 at --jobs 1 and at --jobs 2;
-# 4096 rows would hold four times the chunk
+# columns of a row's lead key, read as a base-3 integer (3^32 < 2^63).  The
+# dedupe pass fingerprints only rows whose key another row shares
+_KEY_COLS = 32
+
+# rows of one array or uniform block per fingerprint pass, lead-column copy
+# and full-width compare, to bound temporaries at about _HIT_CHUNK * n
+# bytes.  A criterion-3 trial builds too few rows to fill one chunk
 _HIT_CHUNK = 1024
 
-# 64-bit generator words per raw draw of a uniform block (256 KiB).  In the
-# same rounds, 128 KiB draws lost 18 of 20 pairs at --jobs 2, and 512 KiB
-# draws won 13 of 20 by 1%; at --jobs 1 neither size won or lost (11 and 8
-# of 20 pairs), so draws stay at 256 KiB
-_RAW_WORDS = 1 << 15
+# 64-bit generator words per raw draw of a uniform block (512 KiB); each draw
+# costs a state snapshot and a dozen small numpy calls under the GIL.  In
+# alternated rounds of four criterion-3 trials (sphere-overlap --n 2048
+# --x-size 2 --y-size 41943 --trials 4, 2-core VM), 512 KiB beat 256 KiB in
+# 18 of 20 pairs at --jobs 2 (0.321 -> 0.287 s) and 11 of 20 at --jobs 1
+_RAW_WORDS = 1 << 16
 
 # bytes of sums per block of basis rows in least_pairs (one row at least)
 _PAIR_BLOCK = 1 << 20
@@ -531,14 +532,26 @@ def _row_fingerprints(mat: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return fp
 
 
+def _key_places(n: int) -> np.ndarray:
+    """Base-3 place values of the first _KEY_COLS of n columns, 0 past them."""
+    places = np.zeros(n, dtype=np.int64)
+    places[:_KEY_COLS] = 3 ** np.arange(min(_KEY_COLS, n), dtype=np.int64)
+    return places
+
+
+def _lead_keys(mat: np.ndarray) -> np.ndarray:
+    """Each row's first _KEY_COLS columns as a base-3 int64: rows with distinct keys are distinct."""
+    return np.einsum("ij,j->i", mat[:, :_KEY_COLS], _key_places(mat.shape[1])[:_KEY_COLS])
+
+
 class _NearSphereRows:
     """The rows of ``_random_near_sphere``, built on demand for a row slice or an index array.
 
     Row i is -x, x = shifts[i % k], with 1 - x at its two drawn columns ``cols[i]``.
     Only the k rows -x and the draws are held, about 18 bytes a row
-    against n.  The dedupe pass reads it a chunk of rows at a time
-    through ``len``, row slices and index gathers, as it reads arrays;
-    the hit kernel asks it for its hit keys, and no row is built.
+    against n.  The dedupe pass asks it for its rows' lead keys and
+    fingerprints and the hit kernel for its hit keys, and neither builds
+    a row; the dedupe pass gathers the few rows it compares by bytes.
     """
 
     def __init__(self, shifts: np.ndarray, cols: np.ndarray):
@@ -556,6 +569,27 @@ class _NearSphereRows:
         rows = self._neg[idx % len(self._neg)]
         rows[np.arange(len(idx))[:, None], self._cols[idx]] = self._ones[idx]
         return rows
+
+    def _column_sums(self, idx: np.ndarray, totals: np.ndarray, places: np.ndarray) -> np.ndarray:
+        """Per row in ``idx``, the sum of places[c] * row[c] over columns c, in places' dtype (uint64 wraps).
+
+        It is the sum of its -x_s, from ``totals``, plus the change at its two drawn columns.
+        """
+        which, cols = idx % len(self._neg), self._cols[idx]
+        change = self._ones[idx].astype(np.int64) - self._neg[which[:, None], cols]
+        return totals[which] + (change.astype(places.dtype) * places[cols]).sum(axis=1, dtype=places.dtype)
+
+    @property
+    def keys(self) -> np.ndarray:
+        """``_lead_keys`` of every row, computed on each read."""
+        return self._column_sums(np.arange(len(self)), _lead_keys(self._neg), _key_places(self.shape[1]))
+
+    def fingerprints(self, idx: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """``_row_fingerprints`` of rows ``idx``: a byte v adds v times its word's weight at the byte's place."""
+        words = self.shape[1] // 8
+        place = np.eye(8, dtype=np.uint8).view(np.uint64).ravel()  # a byte's place, as the word view reads it
+        places = np.concatenate([(weights[:words, None] * place).ravel(), weights[words:]])
+        return self._column_sums(idx, _row_fingerprints(self._neg, weights), places)
 
     def hit_keys(self, x: np.ndarray) -> np.ndarray:
         """Keys i * n + j, i < j, of the rows y with x + y = e_i + e_j, as in ``_two_sphere_hits``.
@@ -586,8 +620,17 @@ class _NearSphereRows:
         return np.concatenate(keys)
 
 
-def _nonzero_draws(bitgen, start: int, stop: int, snapshots: list | None = None):
-    """The nonzero bytes of ``bitgen.random_raw`` words that give values ``start`` to ``stop``, a draw at a time.
+def _zero_ranks(b: np.ndarray) -> np.ndarray:
+    """Per zero byte of ``b``, the nonzero bytes before it.
+
+    The nonzero byte of rank v is byte v + searchsorted(ranks, v, "right").
+    """
+    zeros = np.flatnonzero(b == 0)
+    return zeros - np.arange(len(zeros))
+
+
+def _raw_draws(bitgen, start: int, stop: int, snapshots: list | None = None):
+    """``bitgen.random_raw`` words that give values ``start`` to ``stop``, a draw at a time.
 
     NumPy draws each value of ``integers(0, 3, dtype=np.uint8)`` from the
     next byte b of its 32-bit outputs, low byte first, as
@@ -596,8 +639,9 @@ def _nonzero_draws(bitgen, start: int, stop: int, snapshots: list | None = None)
     (``has_uint32``, ``uinteger``).  A draw is _RAW_WORDS words, never more
     than the values still owed could use, and if the last value comes from
     a word's low half, the high half is left buffered, so the generator is
-    left as NumPy leaves it.  ``snapshots`` gets (value offset, state)
-    before each draw.
+    left as NumPy leaves it.  A draw is yielded uncompacted, as (value
+    offset, bytes, ``_zero_ranks``).  ``snapshots`` gets (value offset,
+    state) before each draw.
     """
     while start < stop:
         if snapshots is not None:
@@ -605,45 +649,26 @@ def _nonzero_draws(bitgen, start: int, stop: int, snapshots: list | None = None)
         owed = stop - start
         words = bitgen.random_raw(min(_RAW_WORDS, -(-owed // 8)))
         b = words.astype("<u8", copy=False).view(np.uint8)
-        high = np.count_nonzero(b[-4:])
-        b = b[b != 0]
-        if len(b) - high >= owed:
+        ranks = _zero_ranks(b)
+        if len(b) - len(ranks) - np.count_nonzero(b[-4:]) >= owed:
             state = bitgen.state
             state["has_uint32"], state["uinteger"] = 1, int(words[-1]) >> 32
             bitgen.state = state
-        start += len(b)
-        yield b
-
-
-class _Values:
-    """The ternary values of a stream of nonzero generator bytes, read off in order."""
-
-    def __init__(self, draws):
-        self._draws = draws
-        self._left = np.zeros(0, dtype=np.uint8)  # bytes of the current draw not yet read
-
-    def read(self, out: np.ndarray | None, count: int) -> None:
-        """Map the next ``count`` values into the flat array ``out``, or skip them if it is None."""
-        at = 0
-        while at < count:
-            if not len(self._left):
-                self._left = next(self._draws)
-            b, self._left = self._left[: count - at], self._left[count - at :]
-            if out is not None:
-                np.add(b > 85, b > 170, out=out[at : at + len(b)], dtype=np.uint8)
-            at += len(b)
+        yield start, b, ranks
+        start += len(b) - len(ranks)
 
 
 class _UniformRows:
     """The rows of ``rng.integers(0, 3, size=(m, n), dtype=np.uint8)``, drawn once and rebuilt on demand.
 
-    The rows are drawn from raw generator words by ``_nonzero_draws``,
-    _HIT_CHUNK rows at a time, and ``rng`` is left as ``integers`` leaves
-    it.  Only each row's fingerprint and first _LEAD columns are kept,
-    with the generator's state and value offset at each draw, about 24
-    bytes a row against n.  A row slice or index array is rebuilt by
-    replaying draws from those states on a bit generator of the block's
-    own.  MT19937, which has no buffered half word, is refused.
+    The rows are drawn from raw generator words by ``_raw_draws``, and
+    ``rng`` is left as ``integers`` leaves it.  Only the values of each
+    row's first max(_LEAD, _KEY_COLS) columns are located and mapped, and
+    its first _LEAD columns (``lead``) and ``_lead_keys`` (``keys``) kept,
+    with the generator's state and value offset at each draw: about 24
+    bytes a row against n.  Rows are rebuilt by replaying their draws from
+    those states on a bit generator of the block's own.  MT19937, which
+    has no buffered half word, is refused.
     """
 
     def __init__(self, rng: np.random.Generator, m: int, n: int):
@@ -652,26 +677,22 @@ class _UniformRows:
         if "has_uint32" not in state:
             raise ValueError(f"uniform rows need a 64-bit bit generator, got {state['bit_generator']}")
         self.shape = (m, n)
-        self.fingerprints = np.zeros(m, dtype=np.uint64)  # rows of no columns hash to 0
-        self.lead = np.empty((m, min(_LEAD, n)), dtype=np.uint8)
         self._kind = type(bitgen)
-        self._head = np.zeros(0, dtype=np.uint8)  # nonzero bytes of a buffered half word
+        b = np.zeros(0, dtype=np.uint8)
         snapshots = []
-        if m * n:
-            if state["has_uint32"]:  # NumPy reads the buffered half word first
-                b = np.array([state["uinteger"]], dtype="<u4").view(np.uint8)
-                self._head = b[b != 0]
-                snapshots.append((0, None))
-                state["has_uint32"] = 0
-                bitgen.state = state
-            values = _Values(itertools.chain([self._head], _nonzero_draws(bitgen, len(self._head), m * n, snapshots)))
-            weights = _fingerprint_weights(n)
-            chunk = np.empty((min(m, _HIT_CHUNK), n), dtype=np.uint8)
-            for lo in range(0, m, len(chunk)):
-                rows = chunk[: m - lo]
-                values.read(rows.reshape(-1), rows.size)
-                self.fingerprints[lo : lo + len(rows)] = _row_fingerprints(rows, weights)
-                self.lead[lo : lo + len(rows)] = rows[:, : self.lead.shape[1]]
+        if m * n and state["has_uint32"]:  # NumPy reads the buffered half word first
+            b = np.array([state["uinteger"]], dtype="<u4").view(np.uint8)
+            snapshots.append((0, None))
+            state["has_uint32"] = 0
+            bitgen.state = state
+        self._head = (0, b, _zero_ranks(b))  # draw 0 when its state is None, else no values
+        lead = np.empty((m, min(n, max(_LEAD, _KEY_COLS))), dtype=np.uint8)
+        starts, cols = np.arange(m) * n, np.arange(lead.shape[1])
+        for draw in itertools.chain([self._head], _raw_draws(bitgen, len(b) - len(self._head[2]), m * n, snapshots)):
+            self._fill(draw, starts, cols, lead)
+        lead = np.add(lead > 85, lead > 170, dtype=np.uint8)  # (3b) >> 8
+        self.lead = np.ascontiguousarray(lead[:, :_LEAD])
+        self.keys = _lead_keys(lead)
         self._offsets = np.array([offset for offset, _ in snapshots], dtype=np.int64)
         self._states = [s for _, s in snapshots]
 
@@ -682,36 +703,39 @@ class _UniformRows:
         rows, inverse = np.unique(np.arange(len(self))[key], return_inverse=True)
         return self._build(rows)[inverse]
 
-    def _draws_from(self, s: int):
-        """The nonzero bytes from draw ``s`` on; draw 0 may be the buffered half word."""
+    @staticmethod
+    def _fill(draw, starts: np.ndarray, cols: np.ndarray, out: np.ndarray) -> None:
+        """Copy into ``out`` the bytes of ``draw`` giving columns ``cols`` (0, 1, ...) of each row.
+
+        Row k starts at value offset ``starts[k]``, ascending; values in other draws are left as they are.
+        """
+        start, b, ranks = draw
+        stop = start + len(b) - len(ranks)
+        lo, hi = np.searchsorted(starts, [start - len(cols), stop - 1], side="right")
+        at = (starts[lo:hi, None] + cols).ravel()
+        i, j = np.searchsorted(at, [start, stop])
+        at = at[i:j] - start
+        out[lo:hi].reshape(-1)[i:j] = b[at + np.searchsorted(ranks, at, side="right")]
+
+    def _draw(self, s: int):
+        """Draw ``s`` again, from the state kept before it."""
         if self._states[s] is None:
-            yield self._head
-            s += 1
-        if s < len(self._states):
-            bitgen = self._kind(0)
-            bitgen.state = self._states[s]
-            yield from _nonzero_draws(bitgen, int(self._offsets[s]), self.shape[0] * self.shape[1])
+            return self._head
+        bitgen = self._kind(0)
+        bitgen.state = self._states[s]
+        return next(_raw_draws(bitgen, int(self._offsets[s]), self.shape[0] * self.shape[1]))
 
     def _build(self, rows: np.ndarray) -> np.ndarray:
-        """Rows ``rows``, ascending and distinct, replayed from the draws they start in.
-
-        A replay reads on through every row that starts in the draw it has
-        reached; a row that starts in a later draw starts a new replay there.
-        """
+        """Rows ``rows``, ascending and distinct, replaying once each draw that holds their values."""
         n = self.shape[1]
         out = np.empty((len(rows), n), dtype=np.uint8)
-        if not out.size:
-            return out
-        starts = rows * n
-        draws = np.searchsorted(self._offsets, starts, side="right") - 1
-        values, at = None, 0
-        for k, (start, s) in enumerate(zip(starts.tolist(), draws.tolist())):
-            if values is None or s > np.searchsorted(self._offsets, at, side="right") - 1:
-                values, at = _Values(self._draws_from(s)), int(self._offsets[s])
-            values.read(None, start - at)
-            values.read(out[k], n)
-            at = start + n
-        return out
+        starts, at, done = rows * n, 0, 0
+        while done < len(rows) and n:  # rows before ``done`` are complete, values before ``at`` read
+            start, b, ranks = draw = self._draw(np.searchsorted(self._offsets, max(at, starts[done]), side="right") - 1)
+            self._fill(draw, starts[done:], np.arange(n), out[done:])
+            at = start + len(b) - len(ranks)
+            done += int(np.searchsorted(starts[done:], at - n, side="right"))
+        return np.add(out > 85, out > 170, dtype=np.uint8)
 
 
 _LAZY_BLOCKS = (_NearSphereRows, _UniformRows)
@@ -750,42 +774,54 @@ def _gather(blocks: list, idx: np.ndarray) -> np.ndarray:
     return out
 
 
+def _runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The stable sort order of ``values`` and, in that order, a mask of each run's first entry."""
+    order = np.argsort(values, kind="stable")
+    head = np.ones(len(values), dtype=bool)
+    np.not_equal(values[order[1:]], values[order[:-1]], out=head[1:])
+    return order, head
+
+
 def _first_occurrences(blocks: list) -> np.ndarray:
     """Mask of the rows of the blocks' concatenation that repeat no earlier row.
 
-    Rows are grouped by fingerprint; a row whose group head (its earliest
-    row) has equal bytes is a repeat.  Groups holding distinct rows with
-    one fingerprint are settled by bytes.  A uniform block gives the
-    fingerprints it stored when drawn; any other block is fingerprinted a
-    chunk of rows at a time.  Only the fingerprints are concatenated: the
-    rows compared are gathered from their blocks.
+    A row whose ``_lead_keys`` no other row has repeats none.  Rows of
+    shared keys are grouped by fingerprint; a row whose group head (its
+    earliest row) has equal bytes is a repeat, and groups holding distinct
+    rows with one fingerprint are settled by bytes.  Lazy blocks give
+    their keys, and a near-sphere block its fingerprints, without building
+    a row; other rows of shared keys are fingerprinted a chunk at a time.
+    Only keys and fingerprints are concatenated: the rows compared are
+    gathered from their blocks.
     """
     m = sum(len(b) for b in blocks)
     keep = np.ones(m, dtype=bool)
     if m <= 1:
         return keep
+    order, head = _runs(np.concatenate([b.keys if isinstance(b, _LAZY_BLOCKS) else _lead_keys(b) for b in blocks]))
+    rows = np.sort(order[~(head & np.append(head[1:], True))])  # rows of shared keys, in order
+    if not len(rows):
+        return keep
     weights = _fingerprint_weights(blocks[0].shape[1])
+    starts = np.cumsum([0] + [len(b) for b in blocks])
     fp = []
-    for b in blocks:
-        if isinstance(b, _UniformRows):
-            fp.append(b.fingerprints)
+    for b, lo, hi in zip(blocks, starts, starts[1:]):
+        idx = rows[np.searchsorted(rows, lo) : np.searchsorted(rows, hi)] - lo
+        if isinstance(b, _NearSphereRows):
+            fp.append(b.fingerprints(idx, weights))
         else:
-            fp += [_row_fingerprints(b[lo : lo + _HIT_CHUNK], weights) for lo in range(0, len(b), _HIT_CHUNK)]
+            fp += [_row_fingerprints(b[idx[i : i + _HIT_CHUNK]], weights) for i in range(0, len(idx), _HIT_CHUNK)]
     fp = np.concatenate(fp)
-    order = np.argsort(fp, kind="stable")
-    sorted_fp = fp[order]
-    head = np.empty(m, dtype=bool)
-    head[0] = True
-    np.not_equal(sorted_fp[1:], sorted_fp[:-1], out=head[1:])
+    order, head = _runs(fp)
     if head.all():
         return keep
-    first = order[np.maximum.accumulate(np.where(head, np.arange(m), 0))]
-    later = order[~head]
+    first = rows[order[np.maximum.accumulate(np.where(head, np.arange(len(fp)), 0))]]
+    later = rows[order[~head]]
     same = (_gather(blocks, later) == _gather(blocks, first[~head])).all(axis=1)
     keep[later[same]] = False
     if not same.all():
         seen: set[bytes] = set()
-        clash = np.flatnonzero(np.isin(fp, sorted_fp[~head][~same]))
+        clash = rows[np.isin(fp, fp[order[~head]][~same])]
         for i, row in zip(clash, map(bytes, _gather(blocks, clash))):
             keep[i] = row not in seen
             seen.add(row)
@@ -942,7 +978,7 @@ def _mixed_blocks(rng: np.random.Generator, size: int, n: int, shifts: np.ndarra
     """``size - size // 2`` uniform rows, then ``size // 2`` near-sphere rows, as two lazy blocks.
 
     With no shifts to build near-sphere rows from, all ``size`` rows are
-    uniform.  The uniform block keeps fingerprints and lead columns, the
+    uniform.  The uniform block keeps lead keys and lead columns, the
     near-sphere block its shifts and draws, so a trial holds no row of Y.
     """
     near = size // 2 if len(shifts) else 0

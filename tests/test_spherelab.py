@@ -619,7 +619,7 @@ def _near(x, cols, sums):
 @st.composite
 def overlap_rows(draw):
     """(n, X, Y) with duplicate rows and many rows one or two moves from -x."""
-    n = draw(st.integers(min_value=1, max_value=40))  # across the 16-column lead block
+    n = draw(st.integers(min_value=1, max_value=72))  # across the 16-column lead block and the 32-column key
     row = st.lists(st.integers(min_value=0, max_value=2), min_size=n, max_size=n)
     xs = draw(st.lists(row, min_size=1, max_size=4))
     xs += draw(st.lists(st.sampled_from(xs), max_size=2))
@@ -651,15 +651,24 @@ def test_overlap_kernels_match_reference(case):
     assert (res.x_size, res.y_size, res.lhs) == (len(xref), len(yref), expected)
 
 
-def _parity(mat, _weights):
-    return (mat.sum(axis=1) % 2).astype(np.uint64)  # a fingerprint distinct rows share
+def _parity(n):
+    # fingerprint weights that keep one bit, the parity of the bytes that start a word and of the
+    # trailing bytes, so distinct rows often share a fingerprint; a near-sphere block's follow them
+    return np.full(n // 8 + n % 8, 1 << 63, dtype=np.uint64)
+
+
+@contextlib.contextmanager
+def _clashes():
+    """Every row reaches the fingerprint level, one lead key for all, where distinct rows often clash."""
+    with mock.patch.object(spherelab, "_KEY_COLS", 0), mock.patch.object(spherelab, "_fingerprint_weights", _parity):
+        yield
 
 
 @given(overlap_rows())
 @settings(max_examples=100, deadline=None)
 def test_dedupe_settles_fingerprint_collisions_by_bytes(case):
     _, _, ymat = case
-    with mock.patch.object(spherelab, "_row_fingerprints", _parity):
+    with _clashes():
         assert np.array_equal(spherelab._dedupe_rows(ymat), dedupe_rows_bytes(ymat))
         assert spherelab._distinct_count([ymat]) == len(dedupe_rows_bytes(ymat))
 
@@ -680,7 +689,7 @@ def test_overlap_kernels_read_y_blocks_as_their_concatenation(case):
     expected = two_sphere_hits_full(xref, yref, n)
     for patch in (
         contextlib.nullcontext(),
-        mock.patch.object(spherelab, "_row_fingerprints", _parity),  # clashes across blocks
+        _clashes(),  # clashes across blocks
         mock.patch.object(spherelab, "_HIT_CHUNK", 2),
     ):
         with patch:
@@ -757,7 +766,7 @@ def test_overlap_kernels_read_a_near_sphere_block_as_its_rows(case, count, seed)
     u = np.concatenate([ymat, rows[: count // 2]])
     for patch in (
         contextlib.nullcontext(),
-        mock.patch.object(spherelab, "_row_fingerprints", _parity),  # clashes across blocks
+        _clashes(),  # clashes across blocks
         mock.patch.object(spherelab, "_HIT_CHUNK", 2),
     ):
         with patch:
@@ -769,6 +778,24 @@ def test_overlap_kernels_read_a_near_sphere_block_as_its_rows(case, count, seed)
             assert spherelab._two_sphere_hits(xmat, [u, lazy], n) == hits
             assert check_sphere_overlap(xmat, [u, lazy], n) == check_sphere_overlap(xmat, [u, rows], n)
             assert check_sphere_overlap(xmat, (lazy,), n) == check_sphere_overlap(xmat, rows, n)
+
+
+@given(
+    st.integers(min_value=2, max_value=80),  # across 8-byte words, with and without trailing bytes, past the key
+    st.integers(min_value=0, max_value=30),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=0, max_value=2**32),
+)
+@settings(max_examples=100, deadline=None)
+def test_near_block_keys_and_fingerprints_match_its_rows(n, count, k, seed):
+    shifts = _philox(seed, 0).integers(0, 3, size=(k, n), dtype=np.uint8)
+    block = spherelab._random_near_sphere(_philox(seed, 1), count, n, shifts)
+    rows = block[:]
+    assert np.array_equal(block.keys, spherelab._lead_keys(rows))
+    weights = spherelab._fingerprint_weights(n)
+    idx = _philox(seed, 2).integers(0, max(count, 1), size=count)  # an index array with repeats
+    assert np.array_equal(block.fingerprints(idx, weights), spherelab._row_fingerprints(rows[idx], weights))
+    assert block.fingerprints(idx, weights).dtype == np.uint64
 
 
 @st.composite
@@ -880,15 +907,15 @@ def test_ternary_rows_refuse_mt19937(m, n):
     st.integers(min_value=0, max_value=40),
     st.booleans(),
     st.integers(min_value=1, max_value=4),
-    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=0, max_value=40),
     st.data(),
 )
 @settings(max_examples=300, deadline=None)
-def test_uniform_block_rebuilds_rows_as_drawn(bit_generator, seed, m, n, half_word, raw_words, chunk_rows, data):
-    # a few words a draw and a few rows a chunk, so rows cross draws and chunks end inside draws
+def test_uniform_block_rebuilds_rows_as_drawn(bit_generator, seed, m, n, half_word, raw_words, key_cols, data):
+    # a few words a draw and keys of 0-40 columns, so rows and their located lead columns end inside draws
     with (
         mock.patch.object(spherelab, "_RAW_WORDS", raw_words),
-        mock.patch.object(spherelab, "_HIT_CHUNK", chunk_rows),
+        mock.patch.object(spherelab, "_KEY_COLS", key_cols),
     ):
         ours, ref = (np.random.Generator(bit_generator(seed)) for _ in range(2))
         if half_word:
@@ -896,7 +923,7 @@ def test_uniform_block_rebuilds_rows_as_drawn(bit_generator, seed, m, n, half_wo
         block = spherelab._UniformRows(ours, m, n)
         want = ref.integers(0, 3, size=(m, n), dtype=np.uint8)
         assert ours.integers(1 << 62) == ref.integers(1 << 62)
-        assert np.array_equal(block.fingerprints, spherelab._row_fingerprints(want, spherelab._fingerprint_weights(n)))
+        assert np.array_equal(block.keys, spherelab._lead_keys(want))
         assert np.array_equal(block.lead, want[:, : spherelab._LEAD])
         bound = st.integers(min_value=-m - 2, max_value=m + 2) | st.none()
         step = st.sampled_from([None, 1, 2, -1, -3])
@@ -916,16 +943,14 @@ def test_uniform_block_rebuilds_rows_as_drawn(bit_generator, seed, m, n, half_wo
 @pytest.mark.parametrize("bit_generator", _BIT_GENERATORS)
 @pytest.mark.parametrize("half_word", [False, True])
 def test_uniform_block_rebuilds_rows_across_draws_and_chunks(bit_generator, half_word):
-    # 33-byte rows from 8-byte draws, 5 rows a chunk: rows and chunks start inside draws
-    with (
-        mock.patch.object(spherelab, "_RAW_WORDS", 1),
-        mock.patch.object(spherelab, "_HIT_CHUNK", 5),
-    ):
+    # 33-byte rows from 8-byte draws: rows and their 32 located lead columns start inside draws
+    with mock.patch.object(spherelab, "_RAW_WORDS", 1):
         ours, ref = (np.random.Generator(bit_generator(29)) for _ in range(2))
         if half_word:
             assert ours.integers(1 << 32, dtype=np.uint32) == ref.integers(1 << 32, dtype=np.uint32)
         block = spherelab._UniformRows(ours, 12, 33)
         want = ref.integers(0, 3, size=(12, 33), dtype=np.uint8)
+        assert np.array_equal(block.keys, spherelab._lead_keys(want))
         for key in (slice(None), slice(4, 6), slice(9, 10), np.array([11, 0, 5, 5, 4])):
             assert np.array_equal(block[key], want[key]), key
         assert ours.integers(1 << 62) == ref.integers(1 << 62)
@@ -937,11 +962,11 @@ def test_overlap_kernels_read_a_uniform_block_as_its_rows(case, count, seed):
     n, xmat, ymat, _ = case
     for patch in (
         contextlib.nullcontext(),
-        mock.patch.object(spherelab, "_row_fingerprints", _parity),  # clashes rebuild uniform rows
+        _clashes(),  # clashes rebuild uniform rows
         mock.patch.object(spherelab, "_HIT_CHUNK", 2),
     ):
         with patch:
-            lazy = spherelab._UniformRows(_philox(seed, 5), count, n)  # fingerprinted under the patch
+            lazy = spherelab._UniformRows(_philox(seed, 5), count, n)  # keyed under the patch
             rows = lazy[:]
             # the array block repeats some uniform rows, so first occurrences cross the blocks
             u = np.concatenate([ymat, rows[: count // 2]])
