@@ -43,7 +43,6 @@ from .productsets import (
     min_size_search,
     product_set,
     verify_cover,
-    witness_covers,
 )
 from .reduction import (
     FactorialCheck,
@@ -68,8 +67,8 @@ from .spherelab import (
     check_sphere_overlap_general,
     difference_census,
     enumerate_sphere,
-    sphere_basis_construct,
-    sphere_cover_verify,
+    sphere_construction_basis,
+    sphere_first_uncovered,
     sphere_min_basis,
 )
 
@@ -123,11 +122,10 @@ __all__ = [
     "reduce_pair",
     "shift_into_interval",
     "sieve",
-    "sphere_basis_construct",
+    "sphere_construction_basis",
     "sphere_cover_report",
-    "sphere_cover_verify",
+    "sphere_first_uncovered",
     "sphere_min_basis",
     "valuation",
     "verify_cover",
-    "witness_covers",
 ]

@@ -113,12 +113,13 @@ class PairingGraph:
 
 
 def _sorted_rows(vectors, n: int, kind: str) -> np.ndarray:
-    """The distinct rows of a matrix, or of vectors or coordinate tuples, in lex order."""
+    """The distinct rows of a matrix, or of vectors or coordinate tuples, in lex order, checked by ``as_matrix``."""
     if not isinstance(vectors, np.ndarray):
-        vectors = [v if isinstance(v, TernaryVector) else TernaryVector.from_coords(v) for v in vectors]
+        vectors = list(vectors)
         for v in vectors:
-            if v.n != n:
-                raise ValueError(f"{kind} of dimension {v.n}, expected {n}")
+            dim = v.n if isinstance(v, TernaryVector) else len(v)
+            if dim != n:
+                raise ValueError(f"{kind} of dimension {dim}, expected {n}")
     keys = np.sort(as_matrix(vectors, n).view(np.dtype((np.void, n))).ravel())
     keys = np.concatenate([keys[:1], keys[1:][keys[1:] != keys[:-1]]])
     return keys.view(np.uint8).reshape(len(keys), n)

@@ -9,8 +9,9 @@ The exact search runs on any cover problem coded in integers, targets
 with the pairs (b, c) that cover them: factor pairs here, the pairs
 (b, t - b) of base-3 coded vectors in ``spherelab.sphere_min_basis``.
 
-Cover witnesses are canonical: for each target we record the
-lexicographically smallest factor pair (b, b'), ordered b <= b'.
+Covers are checked by ``first_uncovered``, which builds no witness.
+Only ``verify_cover`` keeps witnesses, for ``reduction.certify_lower_bound``:
+for each target, the lexicographically smallest factor pair (b, b').
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ __all__ = [
     "product_set",
     "verify_cover",
     "first_uncovered",
-    "witness_covers",
     "SizeSearch",
     "size_search",
     "fix_least_cover",
@@ -225,22 +225,9 @@ def first_uncovered(A: Iterable[int], B: Iterable[int]) -> int | None:
     return next((a for a, pair in _sparse_pairs(targets, bset) if pair is None), None)
 
 
-def witness_covers(A: Iterable[int], B: Iterable[int], witness: Mapping[int, tuple[int, int]]) -> bool:
-    """Validate a witness: every target paired, pairs multiply, members in B."""
-    bset = set(B)
-    for a in set(A):
-        pair = witness.get(a)
-        if pair is None:
-            return False
-        b, c = pair
-        if b * c != a or b not in bset or c not in bset:
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class BasisSolution:
-    """A basis with its cover witness.
+    """A basis found by the exact search.
 
     ``optimal`` means the search proved no strictly smaller basis exists
     (ties broken toward the lexicographically smallest basis).  A search
@@ -252,7 +239,6 @@ class BasisSolution:
     """
 
     basis: tuple[int, ...]
-    witness: dict[int, tuple[int, int]] = field(repr=False)
     optimal: bool
     nodes_explored: int = 0
 
@@ -487,10 +473,10 @@ def exact_min_basis(
     """
     first = min_size_search(A, pool, budget)
     best, nodes = fix_least_cover(first, budget)
-    check = verify_cover(first.targets, best)
-    if not check.covered:  # pragma: no cover - would be a solver bug
-        raise InvariantViolationError(f"search produced a non-cover, uncovered {check.first_uncovered}")
-    return BasisSolution(basis=best, witness=check.witness, optimal=first.optimal, nodes_explored=nodes)
+    gap = first_uncovered(first.targets, best)
+    if gap is not None:  # pragma: no cover - would be a solver bug
+        raise InvariantViolationError(f"search produced a non-cover, uncovered {gap}")
+    return BasisSolution(basis=best, optimal=first.optimal, nodes_explored=nodes)
 
 
 def construct_interval_basis(M: int, table: PrimeTable | None = None) -> tuple[int, ...]:
@@ -500,8 +486,7 @@ def construct_interval_basis(M: int, table: PrimeTable | None = None) -> tuple[i
     otherwise a is M^(1/3)-smooth and splits at its largest divisor
     d <= floor(M^(2/3)), whose cofactor also lands under that bound.
     Every prime above M^(1/3) and up to M^(2/3) is already in the middle
-    block, so the size is at most pi(M) + M^(2/3) + 1.  ``verify_cover``
-    gives the witnesses.
+    block, so the size is at most pi(M) + M^(2/3) + 1.
     """
     if M < 1:
         raise ValueError(f"interval bound must be >= 1, got {M}")

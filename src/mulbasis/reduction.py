@@ -37,7 +37,7 @@ from .numtheory import (
     valuation,
     valuation_rows,
 )
-from .productsets import APSpec, icbrt, verify_cover
+from .productsets import APSpec, first_uncovered, icbrt, verify_cover
 
 __all__ = [
     "InvariantViolationError",
@@ -74,9 +74,6 @@ class ReducedPair:
     @classmethod
     def of(cls, ap: APSpec, basis) -> "ReducedPair":
         return cls(ap=ap, basis=frozenset(basis), reduced=math.gcd(ap.v, ap.g) == 1)
-
-    def verify(self):
-        return verify_cover(self.ap.elements(), self.basis)
 
     def to_record(self) -> dict:
         return {
@@ -154,9 +151,9 @@ def reduce_pair(pair: ReducedPair) -> ReducedPair:
     {b/p**2 : v_p(b) >= f}.  The cover survives every pass and the
     product of the basis strictly shrinks, which bounds the loop.
     """
-    check = pair.verify()
-    if not check.covered:
-        raise ValueError(f"input pair is not a cover; first failure at {check.first_uncovered}")
+    gap = first_uncovered(pair.ap.elements(), pair.basis)
+    if gap is not None:
+        raise ValueError(f"input pair is not a cover; first failure at {gap}")
     ap = pair.ap
     basis = set(pair.basis)
     if math.gcd(ap.v, ap.g) == 1:
@@ -185,11 +182,9 @@ def reduce_pair(pair: ReducedPair) -> ReducedPair:
                 | {b // p**2 for b, w in vals.items() if w >= f}
             )
             ap = APSpec.from_offset_step(a // p**2, d // p**2, ap.M)
-        step_check = verify_cover(ap.elements(), basis)
-        if not step_check.covered:
-            raise InvariantViolationError(
-                f"reduction at p={p} lost the cover at {step_check.first_uncovered}"
-            )
+        gap = first_uncovered(ap.elements(), basis)
+        if gap is not None:
+            raise InvariantViolationError(f"reduction at p={p} lost the cover at {gap}")
         new_product = big_product(basis)
         if new_product >= product:
             raise InvariantViolationError(f"basis product did not decrease at p={p}")
@@ -229,7 +224,7 @@ def certify_lower_bound(pair: ReducedPair, marks: MarkingSet) -> LowerBoundCerti
     q = 3
     while q <= max_val or not is_prime(q):
         q += 2
-    cover = pair.verify()
+    cover = verify_cover(ap.elements(), pair.basis)
     if not cover.covered:
         raise ValueError(f"pair is not a cover; first failure at {cover.first_uncovered}")
     table = sieve(max(primes))  # holds every mark prime: rows are exact past it

@@ -33,7 +33,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
@@ -45,7 +45,6 @@ from .productsets import fix_least_cover, size_search
 __all__ = [
     "DifferenceCase",
     "TernaryVector",
-    "SphereCoverCheck",
     "SphereBasisSolution",
     "OverlapCheck",
     "OverlapRefinedCheck",
@@ -57,9 +56,8 @@ __all__ = [
     "count_difference_solutions",
     "difference_census",
     "least_pairs",
-    "sphere_cover_verify",
+    "sphere_first_uncovered",
     "sphere_construction_basis",
-    "sphere_basis_construct",
     "sphere_min_basis",
     "check_sphere_overlap",
     "check_sphere_overlap_general",
@@ -197,23 +195,25 @@ class TernaryVector:
 
 
 def as_matrix(vectors, n: int) -> np.ndarray:
-    """Normalize a vector collection to a (m, n) uint8 matrix."""
+    """Vectors, coordinate tuples or a 2-D array as a (m, n) uint8 matrix; entries must lie in {0, 1, 2}."""
     if isinstance(vectors, np.ndarray):
         mat = np.ascontiguousarray(vectors, dtype=np.uint8)
         if mat.ndim != 2 or mat.shape[1] != n:
             raise ValueError(f"expected shape (*, {n}), got {mat.shape}")
-        if mat.size and mat.max() > 2:
-            raise ValueError("matrix entries must lie in {0, 1, 2}")
-        return mat
-    rows = []
-    for v in vectors:
-        buf = v.coords if isinstance(v, TernaryVector) else bytes(v)
-        if len(buf) != n:
-            raise ValueError(f"vector of dimension {len(buf)}, expected {n}")
-        rows.append(buf)
-    if not rows:
-        return np.zeros((0, n), dtype=np.uint8)
-    return np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(len(rows), n).copy()
+    else:
+        rows = []
+        for v in vectors:
+            try:
+                buf = v.coords if isinstance(v, TernaryVector) else bytes(v)
+            except ValueError:  # an entry outside range(256)
+                raise ValueError("matrix entries must lie in {0, 1, 2}") from None
+            if len(buf) != n:
+                raise ValueError(f"vector of dimension {len(buf)}, expected {n}")
+            rows.append(buf)
+        mat = np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(len(rows), n).copy()
+    if mat.size and mat.max() > 2:
+        raise ValueError("matrix entries must lie in {0, 1, 2}")
+    return mat
 
 
 def sphere_rows(n: int, k: int) -> np.ndarray:
@@ -362,13 +362,6 @@ def difference_census(n: int) -> DifferenceCensus:
     )
 
 
-@dataclass(frozen=True)
-class SphereCoverCheck:
-    covered: bool
-    witness: dict[TernaryVector, tuple[TernaryVector, TernaryVector]]
-    first_uncovered: TernaryVector | None = None
-
-
 def least_pairs(bmat: np.ndarray, tmat: np.ndarray) -> np.ndarray:
     """Per target row, the indices (i, j), i <= j, of its lex-least pair of basis rows.
 
@@ -414,28 +407,21 @@ def least_pairs(bmat: np.ndarray, tmat: np.ndarray) -> np.ndarray:
     return out
 
 
-def sphere_cover_verify(B: Iterable[TernaryVector], n: int) -> SphereCoverCheck:
-    """Check S_3(n) subset of B + B.
+def sphere_first_uncovered(B, n: int) -> TernaryVector | None:
+    """The first target of S_3(n), in support order, outside B + B; None when B covers S_3.
 
-    For each target the witness is the pair (b1, b2), b1 lexicographically
-    least over all valid pairs, found by ``least_pairs``; targets are
-    walked in support order and the first failure is reported.
+    ``B`` is anything ``as_matrix`` takes, in any order and with repeats:
+    only whether a target has a pair is read.  The gap is the first
+    target whose ``least_pairs`` row is (-1, -1); no witness map is built.
     """
-    basis = sorted(set(B))
-    targets = enumerate_sphere(n, 3)
-    pairs = least_pairs(as_matrix(basis, n), as_matrix(targets, n))  # as_matrix checks dimensions
-    witness: dict[TernaryVector, tuple[TernaryVector, TernaryVector]] = {}
-    for t, (i, j) in zip(targets, pairs.tolist()):
-        if i < 0:
-            return SphereCoverCheck(False, witness, first_uncovered=t)
-        witness[t] = (basis[i], basis[j])
-    return SphereCoverCheck(True, witness)
+    targets = sphere_rows(n, 3)
+    gaps = np.flatnonzero(least_pairs(as_matrix(B, n), targets)[:, 0] < 0)
+    return TernaryVector(targets[gaps[0]].tobytes()) if len(gaps) else None
 
 
 @dataclass(frozen=True)
 class SphereBasisSolution:
     basis: frozenset[TernaryVector]
-    witness: dict[TernaryVector, tuple[TernaryVector, TernaryVector]] = field(repr=False)
     optimal: bool
     nodes_explored: int = 0
 
@@ -445,26 +431,15 @@ class SphereBasisSolution:
 
 
 def sphere_construction_basis(n: int) -> list[TernaryVector]:
-    """S_1 then S_2, each in lex order of support: the basis of
-    ``sphere_basis_construct(n)``, without its witness map."""
+    """S_1 then S_2, each in lex order of support: a cover of S_3 of size n(n+1)/2.
+
+    Every target e_i + e_j + e_k, i < j < k, splits as e_i + e_jk with
+    e_i in S_1 and e_jk in S_2, so S_3 lies in B + B.  Optimality is not
+    claimed.
+    """
     if n < 3:
         raise ValueError(f"construction needs n >= 3, got {n}")
     return enumerate_sphere(n, 1) + enumerate_sphere(n, 2)
-
-
-def sphere_basis_construct(n: int) -> SphereBasisSolution:
-    """S_1 union S_2 covers S_3: split {i, j, k} as e_i + e_{jk}, i least.
-
-    Size n(n+1)/2; optimality is not claimed.
-    """
-    basis = sphere_construction_basis(n)
-    singles = basis[:n]
-    doubles = dict(zip(itertools.combinations(range(n), 2), basis[n:]))
-    witness = {}
-    for (i, j, k), t in zip(itertools.combinations(range(n), 3), enumerate_sphere(n, 3)):
-        # e_jk is 0 where e_i has its leading 1, so e_jk sorts first
-        witness[t] = (doubles[(j, k)], singles[i])
-    return SphereBasisSolution(basis=frozenset(basis), witness=witness, optimal=False)
 
 
 def sphere_min_basis(n: int, budget: int = 5_000_000) -> SphereBasisSolution:
@@ -488,7 +463,7 @@ def sphere_min_basis(n: int, budget: int = 5_000_000) -> SphereBasisSolution:
     if n > SPHERE_EXACT_MAX_N:
         raise ValueError(f"exact sphere search is limited to n <= {SPHERE_EXACT_MAX_N}; got n={n}")
     if n < 3:
-        return SphereBasisSolution(basis=frozenset(), witness={}, optimal=True)
+        return SphereBasisSolution(basis=frozenset(), optimal=True)
     space = np.array(list(itertools.product(range(3), repeat=n)), dtype=np.uint8)  # code order
     pw = 3 ** np.arange(n - 1, -1, -1)
     own = np.arange(len(space))
@@ -499,11 +474,10 @@ def sphere_min_basis(n: int, budget: int = 5_000_000) -> SphereBasisSolution:
         pairs[int(t @ pw)] = list(zip(own[keep].tolist(), partner[keep].tolist()))
     first = size_search(sorted(pairs), pairs, range(len(space)), budget)
     found, nodes = fix_least_cover(first, budget)
-    basis = frozenset(TernaryVector(space[c].tobytes()) for c in found)
-    check = sphere_cover_verify(basis, n)
-    if not check.covered:  # pragma: no cover - would be a search bug
+    rows = space[list(found)]
+    if sphere_first_uncovered(rows, n) is not None:  # pragma: no cover - would be a search bug
         raise InvariantViolationError("exact search returned a non-cover")
-    return SphereBasisSolution(basis, check.witness, first.optimal, nodes)
+    return SphereBasisSolution(frozenset(TernaryVector(row.tobytes()) for row in rows), first.optimal, nodes)
 
 
 def _fingerprint_weights(n: int) -> np.ndarray:

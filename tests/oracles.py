@@ -257,10 +257,10 @@ def exact_min_basis_reference(A, pool=None, budget: int = 2_000_000):
     including each element before excluding it, that rebuilds the chosen
     set, the feasibility test and the uncovered list at every node.  The
     package must return the same size and optimality flag, and without a
-    budget the same basis and witness; it fixes that basis by other
-    searches, so its node count differs.
+    budget the same basis; it fixes that basis by other searches, so its
+    node count differs.
     """
-    from mulbasis.productsets import BasisSolution, verify_cover
+    from mulbasis.productsets import BasisSolution, first_uncovered
 
     targets = sorted(set(A))
     if not targets:
@@ -336,10 +336,10 @@ def exact_min_basis_reference(A, pool=None, budget: int = 2_000_000):
         if found is not None:
             best = found
 
-    check = verify_cover(targets, best)
-    if not check.covered:
-        raise AssertionError(f"search produced a non-cover, uncovered {check.first_uncovered}")
-    return BasisSolution(basis=best, witness=check.witness, optimal=proven, nodes_explored=nodes)
+    gap = first_uncovered(targets, best)
+    if gap is not None:
+        raise AssertionError(f"search produced a non-cover, uncovered {gap}")
+    return BasisSolution(basis=best, optimal=proven, nodes_explored=nodes)
 
 
 # ------------------------------------------------------ divisibility
@@ -410,6 +410,7 @@ def certify_lower_bound_reference(pair, marks):
     ``LowerBoundCertificate`` and raise the same ``ValueError``s.
     """
     from mulbasis.numtheory import is_prime, valuation
+    from mulbasis.productsets import verify_cover
     from mulbasis.reduction import LowerBoundCertificate
 
     ap = pair.ap
@@ -424,7 +425,7 @@ def certify_lower_bound_reference(pair, marks):
     q = 3
     while q <= max_val or not is_prime(q):
         q += 2
-    cover = pair.verify()
+    cover = verify_cover(pair.ap.elements(), pair.basis)
     if not cover.covered:
         raise ValueError(f"pair is not a cover; first failure at {cover.first_uncovered}")
 
@@ -615,20 +616,22 @@ def lex_least_pairs(vecs, targets, n: int):
 
 
 def sphere_cover_verify_bytes(B, n: int, k: int = 3):
-    """``sphere_cover_verify`` by byte edits.
+    """(covered, witness, first uncovered target) of S_k(n) in B + B, by byte edits.
 
-    -b is made once per sorted basis row with a byte table.  Per target
-    in support order, walk the basis and test whether t - b, which is
-    -b raised by one at the target's k support coordinates, is a row.
+    The witness maps each target before the first gap, in support order,
+    to its lex-least pair (b, t - b).  -b is made once per sorted basis
+    row with a byte table.  Per target, walk the basis and test whether
+    t - b, which is -b raised by one at the target's k support
+    coordinates, is a row.
     """
-    from mulbasis.spherelab import SphereCoverCheck, TernaryVector, enumerate_sphere
+    from mulbasis.spherelab import TernaryVector, enumerate_sphere
 
     basis = sorted(set(B))
     targets = enumerate_sphere(n, k)
     if not targets:
-        return SphereCoverCheck(True, {})
+        return True, {}, None
     if not basis:
-        return SphereCoverCheck(False, {}, first_uncovered=targets[0])
+        return False, {}, targets[0]
     if any(v.n != n for v in basis):
         raise ValueError("basis vector dimension mismatch")
     bset = {v.coords for v in basis}
@@ -646,9 +649,9 @@ def sphere_cover_verify_bytes(B, n: int, k: int = 3):
                 hit = (b, TernaryVector(d))
                 break
         if hit is None:
-            return SphereCoverCheck(False, witness, first_uncovered=t)
+            return False, witness, t
         witness[t] = hit
-    return SphereCoverCheck(True, witness)
+    return True, witness, None
 
 
 # ------------------------------------------------------ overlap kernels

@@ -9,7 +9,7 @@ import pytest
 from mulbasis.certificates import end_to_end_lower_bound, sphere_cover_report
 from mulbasis.cli import RunConfig, rng_stream, run
 from mulbasis.numtheory import sieve
-from mulbasis.productsets import construct_interval_basis, exact_min_basis, verify_cover
+from mulbasis.productsets import construct_interval_basis, exact_min_basis, first_uncovered, verify_cover
 from mulbasis.reduction import (
     factorial_divisibility_check,
     random_divisibility_instance,
@@ -21,8 +21,8 @@ from mulbasis.spherelab import (
     enumerate_sphere,
     overlap_refined_trial,
     overlap_trial,
-    sphere_basis_construct,
-    sphere_cover_verify,
+    sphere_construction_basis,
+    sphere_first_uncovered,
     sphere_min_basis,
 )
 from oracles import min_basis_exhaustive, sphere_min_brute
@@ -63,9 +63,9 @@ def test_criterion_2_sphere_basis_sandwich():
     assert exact.size >= 3  # counting bound: 4 targets need k(k+1)/2 >= 4
 
     for n in range(3, 33):
-        sol = sphere_basis_construct(n)
-        assert sol.size == n * (n + 1) // 2
-        assert sphere_cover_verify(sol.basis, n).covered
+        basis = sphere_construction_basis(n)
+        assert len(basis) == n * (n + 1) // 2
+        assert sphere_first_uncovered(basis, n) is None
     assert time.monotonic() - t0 < 600.0
 
 
@@ -119,7 +119,7 @@ def test_criterion_6_reduction_invariants():
         before = math.prod(pair.basis)
         out = reduce_pair(pair)
         assert math.gcd(out.ap.v, out.ap.g) == 1
-        assert out.verify().covered
+        assert first_uncovered(out.ap.elements(), out.basis) is None
         assert out.ap.M == pair.ap.M
         assert math.prod(out.basis) < before  # every injected pair reduces
         assert reduce_pair(out) == out  # idempotent on reduced pairs

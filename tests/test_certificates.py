@@ -37,8 +37,7 @@ from mulbasis.spherelab import (
     as_matrix,
     classify_difference,
     enumerate_sphere,
-    sphere_basis_construct,
-    sphere_cover_verify,
+    sphere_construction_basis,
 )
 from oracles import (
     end_to_end_lower_bound_dense,
@@ -192,24 +191,25 @@ def test_join_matches_scan_on_weight_one_targets(instance):
 @pytest.mark.parametrize(
     "basis,n",
     [
-        (sphere_basis_construct(5).basis, 5),
-        (sphere_basis_construct(9).basis, 9),
+        (set(sphere_construction_basis(5)), 5),
+        (set(sphere_construction_basis(9)), 9),
         ({V((2, 2, 2))}, 3),
         ({V((0, 0, 1, 2)), V((0, 0, 2, 1)), V((0, 2, 2, 2)), V((1, 1, 2, 2))}, 4),  # a minimum
         # e_5 + (1, 1, 1, 0, 0, 2) undercuts the split e_2 + e_01 of (1, 1, 1, 0, 0, 0)
-        (sphere_basis_construct(6).basis | {V((1, 1, 1, 0, 0, 2))}, 6),
+        (set(sphere_construction_basis(6)) | {V((1, 1, 1, 0, 0, 2))}, 6),
     ],
     ids=["construct5", "construct9", "min3", "min4", "construct6_extras"],
 )
 def test_pairing_graph_agrees_with_cover_witness(basis, n):
-    check = sphere_cover_verify(basis, n)
-    assert check.covered
-    g = build_pairing_graph(basis, enumerate_sphere(n, 3), n)
-    assert {t: (b1, b2) for b1, b2, t in edge_vectors(g)} == check.witness
+    targets = enumerate_sphere(n, 3)
+    witness = dict(zip(targets, lex_least_pairs(sorted(basis), targets, n)))
+    assert None not in witness.values()
+    g = build_pairing_graph(basis, targets, n)
+    assert {t: (b1, b2) for b1, b2, t in edge_vectors(g)} == witness
     index = {v: k for k, v in enumerate(sorted(basis))}
-    sphere = sorted(enumerate_sphere(n, 3))
+    sphere = sorted(targets)
     assert g.edges.tolist() == [
-        [index[b1], index[b2], sphere.index(t)] for t, (b1, b2) in sorted(check.witness.items())
+        [index[b1], index[b2], sphere.index(t)] for t, (b1, b2) in sorted(witness.items())
     ]
 
 
@@ -230,6 +230,13 @@ def test_weight_one_targets_pair_through_the_join():
         build_pairing_graph([V((0, 1, 1)), V((0, 2, 2))], [unit(3, 2, 2)], 3)
     with pytest.raises(ValueError, match="target of dimension 2, expected 3"):
         build_pairing_graph(basis, [unit(2, 0, 1)], 3)
+    # coordinate tuples are checked as a matrix is, never folded mod 3
+    with pytest.raises(ValueError, match="target of dimension 2, expected 3"):
+        build_pairing_graph(basis, [(0, 1)], 3)
+    for rows in ([(2, 2, 5)], np.array([[2, 2, 5]])):
+        with pytest.raises(ValueError, match=r"matrix entries must lie in \{0, 1, 2\}"):
+            build_pairing_graph(rows, [(1, 1, 1)], 3)
+    assert build_pairing_graph([(2, 2, 2)], [(1, 1, 1)], 3).edges.tolist() == [[0, 0, 0]]
 
 
 def test_empty_target_list_gives_empty_graph():

@@ -18,7 +18,6 @@ from mulbasis.productsets import (
     min_size_search,
     product_set,
     verify_cover,
-    witness_covers,
 )
 from oracles import (
     exact_min_basis_reference,
@@ -146,7 +145,6 @@ def test_witness_pairs_are_minimal(data):
     assert check.covered
     for a in set(sample):
         assert check.witness[a] == smallest_witness_pair(a, basis)
-        assert witness_covers([a], basis, check.witness)
 
 
 def _check_first_uncovered(targets, basis):
@@ -199,13 +197,6 @@ def test_first_uncovered_matches_verify_cover_sparse(data):
     _check_first_uncovered(targets, basis)
 
 
-def test_witness_covers_rejects_bad_maps():
-    assert not witness_covers([4], {2}, {})
-    assert not witness_covers([4], {2}, {4: (2, 3)})
-    assert not witness_covers([4], {2}, {4: (1, 4)})
-    assert witness_covers([4], {2}, {4: (2, 2)})
-
-
 # ------------------------------------------------------ exact minimum
 
 
@@ -240,8 +231,7 @@ def test_exact_min_basis_matches_exhaustive_oracle_on_random_sets(targets):
     assert sol.optimal
     assert sol.size == expected
     assert sol.basis == tuple(sorted(lex_least))
-    assert verify_cover(targets, sol.basis).covered
-    assert witness_covers(targets, sol.basis, sol.witness)
+    assert first_uncovered(targets, sol.basis) is None
 
 
 @given(st.sets(st.integers(min_value=1, max_value=50), min_size=1, max_size=10))
@@ -272,7 +262,7 @@ def test_exact_min_basis_custom_pool():
 
 
 def _search_outcome(sol):
-    return sol.basis, sol.witness, sol.optimal
+    return sol.basis, sol.optimal
 
 
 def _assert_matches_reference(targets, **kwargs):
@@ -337,7 +327,7 @@ def test_exact_min_basis_matches_reference_at_every_budget(targets):
             assert sol.basis == full.basis, budget
         else:
             assert sol.basis == min_size_search(targets, budget=budget).basis, budget
-        assert sol.witness == verify_cover(targets, sol.basis).witness
+        assert first_uncovered(targets, sol.basis) is None, budget
 
 
 # ------------------------------------ size-only pass vs the full search

@@ -27,10 +27,10 @@ from mulbasis.spherelab import (
     least_pairs,
     overlap_refined_trial,
     overlap_trial,
-    sphere_basis_construct,
     sphere_construction_basis,
-    sphere_cover_verify,
+    sphere_first_uncovered,
     sphere_min_basis,
+    sphere_rows,
 )
 from oracles import (
     case_of,
@@ -119,6 +119,13 @@ def test_as_matrix_round_trips():
     assert as_matrix([], 5).shape == (0, 5)
     with pytest.raises(ValueError):
         as_matrix(vecs, 4)
+    # coordinate tuples are checked as matrices are, never folded mod 3
+    assert as_matrix([(0, 2, 1)], 3).tolist() == [[0, 2, 1]]
+    for rows in ([(0, 3, 1)], [(0, -1, 1)], np.array([[0, 3, 1]])):
+        with pytest.raises(ValueError, match=r"matrix entries must lie in \{0, 1, 2\}"):
+            as_matrix(rows, 3)
+    with pytest.raises(ValueError, match=r"matrix entries must lie in \{0, 1, 2\}"):
+        check_sphere_overlap([(0, 0, 0, 0)], [(1, 1, 0, 3)], 4)
 
 
 # -------------------------------------------------------- enumeration
@@ -216,32 +223,36 @@ def test_census_strict_bounds():
 # ------------------------------------------------------------- covers
 
 
+def _witness(basis, n):
+    """Each target of S_3(n) in support order with its ``least_pairs`` pair, or None."""
+    vecs = sorted(set(basis))
+    pairs = least_pairs(as_matrix(vecs, n), sphere_rows(n, 3))
+    targets = enumerate_sphere(n, 3)
+    return {t: None if i < 0 else (vecs[i], vecs[j]) for t, (i, j) in zip(targets, pairs.tolist())}
+
+
 def test_cover_verify_single_double():
-    check = sphere_cover_verify({V([2, 2, 2])}, 3)
-    assert check.covered
-    assert check.witness == {V([1, 1, 1]): (V([2, 2, 2]), V([2, 2, 2]))}
+    assert sphere_first_uncovered({V([2, 2, 2])}, 3) is None
+    assert _witness({V([2, 2, 2])}, 3) == {V([1, 1, 1]): (V([2, 2, 2]), V([2, 2, 2]))}
 
 
 def test_cover_verify_empty_basis():
-    check = sphere_cover_verify(set(), 4)
-    assert not check.covered
-    assert check.first_uncovered == enumerate_sphere(4, 3)[0]
+    assert sphere_first_uncovered(set(), 4) == enumerate_sphere(4, 3)[0]
+    assert sphere_first_uncovered(np.zeros((0, 4), dtype=np.uint8), 4) == enumerate_sphere(4, 3)[0]
 
 
 def test_cover_verify_construction_witnesses():
-    sol = sphere_basis_construct(4)
-    check = sphere_cover_verify(sol.basis, 4)
-    assert check.covered
-    for target, (b1, b2) in check.witness.items():
+    basis = sphere_construction_basis(4)
+    assert sphere_first_uncovered(basis, 4) is None
+    for target, (b1, b2) in _witness(basis, 4).items():
         assert b1 + b2 == target
         assert b1 <= b2
 
 
 def test_cover_verify_picks_lexicographically_smallest_pair():
     basis = set(enumerate_sphere(6, 1)) | set(enumerate_sphere(6, 2))
-    check = sphere_cover_verify(basis, 6)
     blist = sorted(basis)
-    for target, (b1, b2) in check.witness.items():
+    for target, (b1, b2) in _witness(basis, 6).items():
         for c1 in blist:
             if c1 == b1:
                 break
@@ -254,26 +265,32 @@ def test_cover_verify_reports_first_gap_in_order():
     first = enumerate_sphere(5, 3)[0]
     basis -= {V([1, 0, 0, 0, 0]), V([0, 1, 1, 0, 0])}
     # (1,1,1,0,0) may still be covered by other pairs; check consistency instead
-    check = sphere_cover_verify(basis, 5)
-    if not check.covered:
-        assert check.first_uncovered is not None
-    else:
-        assert check.witness[first][0] + check.witness[first][1] == first
+    witness = _witness(basis, 5)
+    gap = sphere_first_uncovered(basis, 5)
+    assert gap == next((t for t, pair in witness.items() if pair is None), None)
+    if witness[first] is not None:
+        assert witness[first][0] + witness[first][1] == first
 
 
 def test_cover_verify_construction_at_n33():
     # past 32 coordinates; the lex-least split of {i, j, k}, i < j < k, is
     # e_k + e_ij, since e_k has the latest leading coordinate of the six parts
-    sol = sphere_basis_construct(33)
-    check = sphere_cover_verify(sol.basis, 33)
-    assert check.covered
-    for target, pair in check.witness.items():
+    basis = sphere_construction_basis(33)
+    assert sphere_first_uncovered(basis, 33) is None
+    for target, pair in _witness(basis, 33).items():
         i, j, k = target.support()
         assert pair == (TernaryVector.from_support(33, (k,)), TernaryVector.from_support(33, (i, j)))
 
 
-def _cover_fields(check):
-    return check.covered, check.witness, check.first_uncovered
+def _cover_fields(basis, n):
+    """(covered, witness, first gap) as the byte reference gives them: pairs up to the gap."""
+    gap = sphere_first_uncovered(basis, n)
+    witness = {}
+    for t, pair in _witness(basis, n).items():
+        if t == gap:
+            break
+        witness[t] = pair
+    return gap is None, witness, gap
 
 
 @st.composite
@@ -287,7 +304,7 @@ def perturbed_covers(draw):
     # past 32 coordinates the byte reference walks ~1.5M (target, b) pairs
     # per cover, so those widths are drawn rarely
     n = draw(st.sampled_from([*range(3, 13)] * 3 + [33, 34]))
-    basis = set(sphere_basis_construct(n).basis)
+    basis = set(sphere_construction_basis(n))
     support = st.lists(st.integers(0, n - 1), min_size=3, max_size=3, unique=True)
     for gap in draw(st.lists(support, max_size=2)):
         basis -= {TernaryVector.from_support(n, (i,)) for i in gap}
@@ -308,20 +325,35 @@ def perturbed_covers(draw):
 @example((3, {V([1, 0, 0]), V([0, 1, 1]), V([2, 2, 2])}))
 def test_cover_verify_matches_byte_reference(instance):
     n, basis = instance
-    assert _cover_fields(sphere_cover_verify(basis, n)) == _cover_fields(
-        sphere_cover_verify_bytes(basis, n)
-    )
+    assert _cover_fields(basis, n) == sphere_cover_verify_bytes(basis, n)
 
 
 def test_cover_verify_matches_byte_reference_on_a_late_gap():
     n = 33
     last = enumerate_sphere(n, 3)[-1]
-    basis = set(sphere_basis_construct(n).basis) - {
+    basis = set(sphere_construction_basis(n)) - {
         TernaryVector.from_support(n, (i,)) for i in last.support()
     }
-    check = sphere_cover_verify(basis, n)
-    assert check.first_uncovered == last
-    assert _cover_fields(check) == _cover_fields(sphere_cover_verify_bytes(basis, n))
+    assert sphere_first_uncovered(basis, n) == last
+    assert _cover_fields(basis, n) == sphere_cover_verify_bytes(basis, n)
+
+
+def test_first_uncovered_takes_what_as_matrix_takes():
+    n = 5
+    # without e_1, e_2 and e_3 only the target e_1 + e_2 + e_3 loses every split
+    singles = {TernaryVector.from_support(n, (i,)) for i in (1, 2, 3)}
+    basis = sorted(set(sphere_construction_basis(n)) - singles)
+    gap = sphere_first_uncovered(basis, n)
+    assert gap == TernaryVector.from_support(n, (1, 2, 3)) == sphere_cover_verify_bytes(basis, n)[2]
+    for form in (set(basis), [tuple(v.coords) for v in basis], as_matrix(basis, n), as_matrix(basis[::-1], n)):
+        assert sphere_first_uncovered(form, n) == gap
+    assert sphere_first_uncovered(basis + basis, n) == gap  # repeated rows change nothing
+    with pytest.raises(ValueError, match="weight 3 exceeds dimension 2"):
+        sphere_first_uncovered([], 2)
+    with pytest.raises(ValueError, match="vector of dimension 5, expected 4"):
+        sphere_first_uncovered(basis, 4)
+    with pytest.raises(ValueError, match=r"matrix entries must lie in \{0, 1, 2\}"):
+        sphere_first_uncovered([(0, 0, 0, 0, 3)], n)
 
 
 def test_least_pairs_gives_minus_one_per_uncovered_target():
@@ -379,44 +411,46 @@ def test_least_pairs_rejects_rows_without_coordinates():
 
 
 def test_construct_n3():
-    sol = sphere_basis_construct(3)
-    assert sol.size == 6
-    assert sphere_cover_verify(sol.basis, 3).covered
+    basis = sphere_construction_basis(3)
+    assert len(basis) == 6
+    assert sphere_first_uncovered(basis, 3) is None
 
 
 def test_construct_n10():
-    sol = sphere_basis_construct(10)
-    assert sol.size == 55
-    assert sphere_cover_verify(sol.basis, 10).covered
-    for target, (b1, b2) in sol.witness.items():
+    basis = sphere_construction_basis(10)
+    assert len(basis) == 55
+    assert sphere_first_uncovered(basis, 10) is None
+    assert sphere_first_uncovered(as_matrix(basis, 10), 10) is None
+    for target, (b1, b2) in _witness(basis, 10).items():
         assert b1 + b2 == target
 
 
-def test_construct_witness_is_the_split_in_support_order():
+def test_construction_basis_splits_each_target():
+    # the cover proof of the docstring: e_i + e_j + e_k = e_i + e_jk, i < j < k
     n = 7
-    sol = sphere_basis_construct(n)
-    assert list(sol.witness) == enumerate_sphere(n, 3)
-    for target, pair in sol.witness.items():
+    basis = set(sphere_construction_basis(n))
+    for target in enumerate_sphere(n, 3):
         i, j, k = target.support()
-        assert pair == (TernaryVector.from_support(n, (j, k)), TernaryVector.from_support(n, (i,)))
+        single, double = TernaryVector.from_support(n, (i,)), TernaryVector.from_support(n, (j, k))
+        assert single in basis and double in basis
+        assert single + double == target
 
 
 def test_construct_rejects_tiny_dimension():
-    for build in (sphere_basis_construct, sphere_construction_basis):
-        with pytest.raises(ValueError, match="construction needs n >= 3, got 2"):
-            build(2)
+    with pytest.raises(ValueError, match="construction needs n >= 3, got 2"):
+        sphere_construction_basis(2)
 
 
 def test_construction_basis_is_the_constructed_basis():
     for n in (3, 7, 33):
         basis = sphere_construction_basis(n)
         assert basis == enumerate_sphere(n, 1) + enumerate_sphere(n, 2)
-        assert frozenset(basis) == sphere_basis_construct(n).basis
+        assert len(set(basis)) == len(basis)
 
 
 def test_construct_size_formula():
     for n in (3, 8, 17, 32):
-        assert sphere_basis_construct(n).size == n * (n + 1) // 2
+        assert len(sphere_construction_basis(n)) == n * (n + 1) // 2
 
 
 # ------------------------------------------------------ exact minimum
@@ -449,8 +483,7 @@ def test_min_basis_dimension_four_matches_oracle():
     # element is least in its permutation orbit, or a permuted copy of the
     # set would sort first
     assert got == set(brute_basis)
-    check = sphere_cover_verify(sol.basis, 4)
-    assert check.covered
+    assert sphere_first_uncovered(sol.basis, 4) is None
 
 
 def test_min_basis_budget_exhaustion_falls_back():
@@ -458,7 +491,7 @@ def test_min_basis_budget_exhaustion_falls_back():
     assert not sol.optimal
     assert sol.size == 5  # the first pass's incumbent {0} | S_3, below |S1 | S2| = 10
     assert TernaryVector.zero(4) in sol.basis
-    assert sphere_cover_verify(sol.basis, 4).covered
+    assert sphere_first_uncovered(sol.basis, 4) is None
 
 
 def test_min_basis_rejects_large_dimension():
@@ -467,7 +500,7 @@ def test_min_basis_rejects_large_dimension():
     sol = sphere_min_basis(5, budget=10)  # fallback still works
     assert not sol.optimal
     assert sol.size == 11  # {0} | S_3, below |S1 | S2| = 15
-    assert sphere_cover_verify(sol.basis, 5).covered
+    assert sphere_first_uncovered(sol.basis, 5) is None
 
 
 def _sphere_pairs(n):
@@ -486,7 +519,7 @@ def test_min_basis_dimension_five_is_two_j_plus_two_e_i():
     # golden; here the basis it finds is checked on its own.
     # b_i = 2J + 2e_i: b_i + b_j = J - e_i - e_j, of weight 3 at n = 5
     basis = {V([2 if l != i else 1 for l in range(5)]) for i in range(5)}
-    assert sphere_cover_verify(basis, 5).covered
+    assert sphere_first_uncovered(basis, 5) is None
     # no cover of size 4: the reference search, which rebuilds its state
     # at every node, finishes inside its budget without one
     pairs = _sphere_pairs(5)
