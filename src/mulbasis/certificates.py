@@ -156,35 +156,29 @@ def _join_weight_one_pairs(rows: list[tuple], tlist: list[tuple]) -> list:
 
     ``rows`` are sparse rows in dense order and ``tlist`` the sparse rows
     ((p, c),) of the targets.  b1 + b2 = c * e_p forces p into supp b1 or
-    supp b2, and b2 = -b1 away from p.  So index every (b, p in supp b)
-    once under p and the rest of b, then from each b1 and p in supp b1
-    look up the negated rest (partners nonzero at p) and the whole row
-    -b1 with coordinate p zeroed (partners zero at p).  The lex-least b1
-    of a target is the least index over its pairs.  Gives per target the
-    index pair (k1, k2), k1 <= k2, or None.  Work grows with
-    sum |supp b|^2 over B, not with |B| * n.
+    supp b2, so every pair is found from a b1 with p in its support.  From
+    each such b1 and each target c * e_p at one of its columns, the
+    partner is fixed, b2 = c * e_p - b1: -b1 away from p and c - b1_p at
+    p, and one lookup of b2 among the rows finds it.  The lex-least b1 of
+    a target is the least index over its pairs.  Gives per target the
+    index pair (k1, k2), k1 <= k2, or None.  Work grows with the entries
+    of B at target columns times their rows' supports, not with |B| * n.
     """
     whole = {s: k for k, s in enumerate(rows)}
-    by_rest: dict = defaultdict(list)  # (p, supp b without p) -> [(b_p, index of b)]
-    for k, s in enumerate(rows):
-        for j, (p, c) in enumerate(s):
-            by_rest[(p, s[:j] + s[j + 1 :])].append((c, k))
+    values: dict = defaultdict(list)  # p -> c of each target c * e_p
+    for ((p, c),) in tlist:
+        values[p].append(c)
     best: dict = {}  # (p, c) -> (index of b1, index of b2)
-
-    def offer(key, k1, k2):
-        pair = (k1, k2) if k1 <= k2 else (k2, k1)
-        if key not in best or pair[0] < best[key][0]:
-            best[key] = pair
-
     for k1, s in enumerate(rows):
+        neg = tuple((i, 3 - c) for i, c in s)
         for j, (p, c1) in enumerate(s):
-            neg_rest = tuple((i, 3 - c) for i, c in s[:j] + s[j + 1 :])
-            for c2, k2 in by_rest.get((p, neg_rest), ()):
-                if (c1 + c2) % 3:
-                    offer((p, (c1 + c2) % 3), k1, k2)
-            k2 = whole.get(neg_rest)
-            if k2 is not None:
-                offer((p, c1), k1, k2)
+            for c in values.get(p, ()):
+                at_p = ((p, (c - c1) % 3),) if c != c1 else ()
+                k2 = whole.get(neg[:j] + at_p + neg[j + 1 :])
+                if k2 is not None:
+                    pair = (k1, k2) if k1 <= k2 else (k2, k1)
+                    if (p, c) not in best or pair < best[(p, c)]:
+                        best[(p, c)] = pair
     return [best.get(t[0]) for t in tlist]
 
 
@@ -566,6 +560,8 @@ def end_to_end_lower_bound(
     """
     if M < 1:
         raise PipelineError("input", f"M must be positive, got {M}")
+    if g < 1:
+        raise PipelineError("input", f"g must be positive, got {g}")
     basis = sorted(set(int(b) for b in B))
     if not basis:
         raise PipelineError("input", "empty basis")
@@ -576,8 +572,7 @@ def end_to_end_lower_bound(
         )
     if table is None:
         table = sieve(max(M, 4))
-    elements = [g * (u + m) for m in range(1, M + 1)]
-    gap = first_uncovered(elements, basis)
+    gap = first_uncovered(range(g * (u + 1), g * (u + M) + 1, g), basis)
     if gap is not None:
         raise PipelineError("cover", f"element {gap} is not covered")
     try:

@@ -131,7 +131,7 @@ def product_set(B: Iterable[int]) -> list[int]:
     return sorted(out)
 
 
-def _sparse_pairs(targets: list[int], bset: set[int]) -> Iterator[tuple[int, tuple[int, int] | None]]:
+def _sparse_pairs(targets: Iterable[int], bset: set[int]) -> Iterator[tuple[int, tuple[int, int] | None]]:
     """Each target with its smallest factor pair in B, or None, by a scan of B.
 
     Target a tries the members d <= isqrt(a) in ascending order, so the
@@ -147,7 +147,12 @@ def _sparse_pairs(targets: list[int], bset: set[int]) -> Iterator[tuple[int, tup
         yield a, pair
 
 
-def _dense_sweep(targets: list[int], bset: set[int]) -> tuple[np.ndarray, np.ndarray]:
+def _at(targets: Sequence[int]):
+    """An index of ``targets`` into an array: a range as its slice, a list as itself."""
+    return slice(targets.start, targets.stop, targets.step) if isinstance(targets, range) else targets
+
+
+def _dense_sweep(targets: Sequence[int], bset: set[int]) -> tuple[np.ndarray, np.ndarray]:
     """Arrays w1, w2 with w1[a] * w2[a] = a the smallest pair of each covered target.
 
     Uncovered targets keep w1[a] = 0.  Each b <= sqrt(max) is swept
@@ -157,7 +162,7 @@ def _dense_sweep(targets: list[int], bset: set[int]) -> tuple[np.ndarray, np.nda
     amax = targets[-1]
     barr = np.array(sorted(b for b in bset if b <= amax), dtype=np.int64)
     is_t = np.zeros(amax + 1, dtype=bool)
-    is_t[targets] = True
+    is_t[_at(targets)] = True
     w1 = np.zeros(amax + 1, dtype=np.int64)
     w2 = np.zeros(amax + 1, dtype=np.int64)
     for b in barr.tolist():
@@ -175,9 +180,13 @@ def _dense_sweep(targets: list[int], bset: set[int]) -> tuple[np.ndarray, np.nda
     return w1, w2
 
 
-def _cover_inputs(A: Iterable[int], B: Iterable[int]) -> tuple[list[int], set[int], bool]:
-    """Sorted targets, the basis as a set, and whether the dense sweep applies."""
-    targets = sorted(set(A))
+def _cover_inputs(A: Iterable[int], B: Iterable[int]) -> tuple[Sequence[int], set[int], bool]:
+    """Sorted distinct targets, the basis as a set, and whether the dense sweep applies.
+
+    A range with positive step is sorted and distinct already, and is
+    kept as it is.
+    """
+    targets = A if isinstance(A, range) and A.step > 0 else sorted(set(A))
     bset = set(int(b) for b in B)
     if not bset:
         raise ValueError("basis must be nonempty")
@@ -195,11 +204,13 @@ def verify_cover(A: Iterable[int], B: Iterable[int]) -> CoverCheck:
     Dense target sets go through a product sweep over sorted B (first
     write wins, which is exactly the lexicographic-minimum rule); sparse
     sets get a per-element scan of the basis.  Both yield identical pairs.
+    A range with positive step is read as its own targets, with no copy
+    into a sorted list.
     """
     targets, bset, dense = _cover_inputs(A, B)
     if dense:
         w1, w2 = _dense_sweep(targets, bset)
-        low, high = w1[targets].tolist(), w2[targets].tolist()
+        low, high = w1[_at(targets)].tolist(), w2[_at(targets)].tolist()
         pairs = zip(targets, ((b, c) if b else None for b, c in zip(low, high)))
     else:
         pairs = _sparse_pairs(targets, bset)
@@ -215,12 +226,14 @@ def first_uncovered(A: Iterable[int], B: Iterable[int]) -> int | None:
     """The smallest target of A outside B*B, or None when B*B covers A.
 
     Equal to ``verify_cover(A, B).first_uncovered`` and checked by the
-    same sweep or scan, without building the witness map.
+    same sweep or scan, without building the witness map.  A range with
+    positive step is read as its own targets, with no copy into a set or
+    a sorted list.
     """
     targets, bset, dense = _cover_inputs(A, B)
     if dense:
         w1, _ = _dense_sweep(targets, bset)
-        gaps = np.flatnonzero(w1[targets] == 0)
+        gaps = np.flatnonzero(w1[_at(targets)] == 0)
         return targets[int(gaps[0])] if len(gaps) else None
     return next((a for a, pair in _sparse_pairs(targets, bset) if pair is None), None)
 

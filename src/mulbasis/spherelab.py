@@ -204,9 +204,13 @@ def as_matrix(vectors, n: int) -> np.ndarray:
         rows = []
         for v in vectors:
             try:
-                buf = v.coords if isinstance(v, TernaryVector) else bytes(v)
+                # iter: rows read by entry value, where bytes() reads an int as
+                # that many zeros and an array as its raw buffer
+                buf = v.coords if isinstance(v, TernaryVector) else bytes(iter(v))
             except ValueError:  # an entry outside range(256)
                 raise ValueError("matrix entries must lie in {0, 1, 2}") from None
+            except TypeError:  # no row, or an entry that is no integer
+                raise ValueError(f"row {v!r} is not a sequence of integer entries") from None
             if len(buf) != n:
                 raise ValueError(f"vector of dimension {len(buf)}, expected {n}")
             rows.append(buf)
@@ -700,15 +704,25 @@ class _UniformRows:
         return next(_raw_draws(bitgen, int(self._offsets[s]), self.shape[0] * self.shape[1]))
 
     def _build(self, rows: np.ndarray) -> np.ndarray:
-        """Rows ``rows``, ascending and distinct, replaying once each draw that holds their values."""
+        """Rows ``rows``, ascending and distinct, replaying once each draw that holds their values.
+
+        Each row's values in a draw are one run of its bytes, found by two
+        lookups in the draw's zero ranks, and compacted as a slice.
+        """
         n = self.shape[1]
         out = np.empty((len(rows), n), dtype=np.uint8)
         starts, at, done = rows * n, 0, 0
         while done < len(rows) and n:  # rows before ``done`` are complete, values before ``at`` read
-            start, b, ranks = draw = self._draw(np.searchsorted(self._offsets, max(at, starts[done]), side="right") - 1)
-            self._fill(draw, starts[done:], np.arange(n), out[done:])
+            start, b, ranks = self._draw(np.searchsorted(self._offsets, max(at, starts[done]), side="right") - 1)
             at = start + len(b) - len(ranks)
-            done += int(np.searchsorted(starts[done:], at - n, side="right"))
+            stop = int(np.searchsorted(starts, at))
+            begin = starts[done:stop, None]
+            vals = np.clip(begin + [0, n], start, at) - start  # each row's values in this draw, [lo, hi)
+            cut = vals + np.searchsorted(ranks, vals - [0, 1], side="right")  # and their bytes
+            for k, (lo, hi), (i, j) in zip(range(done, stop), (vals + start - begin).tolist(), cut.tolist()):
+                run = b[i:j]
+                out[k, lo:hi] = run[run != 0]
+            done = int(np.searchsorted(starts, at - n, side="right"))
         return np.add(out > 85, out > 170, dtype=np.uint8)
 
 

@@ -14,16 +14,35 @@ certificate keeps its first dense valuation vectors, the interval
 witnesses come from trial-division divisors, the sphere report keeps
 its first vector-keyed counters, and the end-to-end pipeline keeps its
 first dense vectors.  Slow and obviously correct
-beats fast.
+beats fast.  ``traced_peak`` measures what a run allocates, for the
+tests that bound it.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
+
+
+# ------------------------------------------------------------ memory
+
+
+def traced_peak(run) -> int:
+    """Bytes ``run()`` allocates at its peak beyond what was traced before it."""
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        run()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
 
 
 # ------------------------------------------------------------ primes

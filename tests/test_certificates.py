@@ -44,6 +44,7 @@ from oracles import (
     lex_least_pairs,
     primes_segmented,
     sphere_report_vectors,
+    traced_peak,
     valuation_loop,
 )
 
@@ -179,6 +180,8 @@ def weight_one_instances(draw):
 @example((2, [unit(2, 0, 1)], [unit(2, 0, 2)]))  # self-pair reaching value 2
 @example((2, [V((1, 1)), V((2, 2)), unit(2, 1, 1)], [unit(2, 0, 1)]))  # b + (-b) = 0 only
 @example((3, [V((0, 1, 2)), V((1, 2, 1))], [unit(3, 0, 1), unit(3, 2, 2)]))  # uncovered
+@example((2, [V((1, 1)), V((0, 2)), V((1, 0))], [unit(2, 0, 1), unit(2, 0, 2)]))  # both values at one column
+@example((3, [V((1, 2, 0)), V((0, 1, 0)), V((2, 0, 1))], [unit(3, 0, 1)]))  # entries at a column with no target
 def test_join_matches_scan_on_weight_one_targets(instance):
     n, basis, targets = instance
     vecs = sorted(set(basis))
@@ -623,6 +626,17 @@ def test_pipeline_rejects_bad_input():
     with pytest.raises(PipelineError) as exc:
         end_to_end_lower_bound(5, [])
     assert exc.value.stage == "input"
+    for g in (0, -2):  # a progression needs a positive step
+        with pytest.raises(PipelineError, match="g must be positive") as exc:
+            end_to_end_lower_bound(5, [1, 2, 3], g=g)
+        assert exc.value.stage == "input"
+
+
+def test_pipeline_holds_no_copy_of_its_progression():
+    # the cover check reads g*(u+m) as a range and the pairing join keeps no
+    # index of row rests; a list copy of the one and the index push it past 3.3 MiB
+    basis = construct_interval_basis(20000)
+    assert traced_peak(lambda: end_to_end_lower_bound(20000, basis)) <= 2.5 * 2**20
 
 
 def test_pipeline_error_survives_a_pickle_round_trip():

@@ -8,8 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mulbasis import productsets
 from mulbasis.cli import RunConfig, run
 from mulbasis.productsets import (
+    _DENSE_MAX,
+    _DENSE_MIN_COUNT,
     APSpec,
     construct_interval_basis,
     exact_min_basis,
@@ -195,6 +198,51 @@ def test_first_uncovered_matches_verify_cover_sparse(data):
     if regime == "past-dense":
         targets.append((1 << 23) + 1)
     _check_first_uncovered(targets, basis)
+
+
+# regime: (least count, most count, least start, most start) of a range
+RANGE_REGIMES = {
+    "dense": (_DENSE_MIN_COUNT, 3 * _DENSE_MIN_COUNT, 1, 3000),
+    "few": (0, _DENSE_MIN_COUNT - 1, 1, 3000),
+    "past-dense": (_DENSE_MIN_COUNT, _DENSE_MIN_COUNT + 100, _DENSE_MAX - 100, _DENSE_MAX + 100),
+}
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_range_targets_match_their_list(data):
+    # a range with step >= 1 is read as its own targets; the checks must
+    # equal the same calls on its list, in the sweep and in the scan
+    regime = data.draw(st.sampled_from(sorted(RANGE_REGIMES)))
+    lo_count, hi_count, lo_start, hi_start = RANGE_REGIMES[regime]
+    step = data.draw(st.integers(min_value=1, max_value=6))
+    count = data.draw(st.integers(min_value=lo_count, max_value=hi_count))
+    start = data.draw(st.integers(min_value=lo_start, max_value=hi_start))
+    targets = range(start, start + step * count, step)
+    # {1..k}, k >= sqrt of the last target, with a few drops and additions:
+    # covers most targets, and misses each prime past k
+    k = math.isqrt(targets[-1] if targets else 1) + 1
+    basis = set(range(1, k + data.draw(st.integers(min_value=0, max_value=k)) + 1))
+    basis -= data.draw(st.sets(st.integers(min_value=1, max_value=k), max_size=3))
+    basis |= data.draw(st.sets(st.integers(min_value=1, max_value=2 * start + 2 * k), max_size=5))
+    basis = basis or {1}
+    assert productsets._cover_inputs(targets, basis)[2] == (regime == "dense")
+    assert first_uncovered(targets, basis) == first_uncovered(list(targets), basis)
+    assert verify_cover(targets, basis) == verify_cover(list(targets), basis)
+
+
+def test_range_targets_edge_cases():
+    basis = {1, 2, 3, 5}
+    empty = (range(5, 5), range(7, 3), range(1, 10, -1))
+    negative_step = (range(12, 3, -1), range(1200, 0, -2))  # sorted as any other iterable
+    for targets in empty + negative_step:
+        assert first_uncovered(targets, basis) == first_uncovered(list(targets), basis)
+        assert verify_cover(targets, basis) == verify_cover(list(targets), basis)
+    for targets in (range(0, 5), range(-3, 2000, 2)):  # the scan and the sweep
+        for check in (first_uncovered, verify_cover):
+            for form in (targets, list(targets)):
+                with pytest.raises(ValueError, match="targets must be positive"):
+                    check(form, basis)
 
 
 # ------------------------------------------------------ exact minimum

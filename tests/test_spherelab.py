@@ -1,7 +1,6 @@
 import contextlib
 import itertools
 import math
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -45,6 +44,7 @@ from oracles import (
     sphere_hit_keys_full,
     sphere_min_brute,
     sphere_tuples,
+    traced_peak,
     two_sphere_hits_full,
 )
 
@@ -124,6 +124,13 @@ def test_as_matrix_round_trips():
     for rows in ([(0, 3, 1)], [(0, -1, 1)], np.array([[0, 3, 1]])):
         with pytest.raises(ValueError, match=r"matrix entries must lie in \{0, 1, 2\}"):
             as_matrix(rows, 3)
+    # rows are read by entry value: an integer array row as its values, not its
+    # buffer, and a bare int as no row, not as that many zero bytes
+    assert as_matrix([np.array([1, 0, 2]), np.array([2, 2, 0], dtype=np.uint8)], 3).tolist() == [[1, 0, 2], [2, 2, 0]]
+    with pytest.raises(ValueError, match="not a sequence of integer entries"):
+        as_matrix([3], 3)
+    with pytest.raises(ValueError, match=r"matrix entries must lie in \{0, 1, 2\}"):
+        as_matrix([np.array([1, 0, 3])], 3)
     with pytest.raises(ValueError, match=r"matrix entries must lie in \{0, 1, 2\}"):
         check_sphere_overlap([(0, 0, 0, 0)], [(1, 1, 0, 3)], 4)
 
@@ -610,30 +617,16 @@ def test_overlap_trial_determinism():
     assert r1 == r2
 
 
-def _traced_peak(run) -> int:
-    """Bytes ``run()`` allocates at its peak beyond what was traced before it."""
-    tracing = tracemalloc.is_tracing()
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        run()
-        return tracemalloc.get_traced_memory()[1] - base
-    finally:
-        if not tracing:
-            tracemalloc.stop()
-
-
 def test_overlap_trial_holds_y_once():
     # the criterion-3 trial: of Y, |Y| * n bytes, no row is held, only chunks of rows
     n, y_size = OVERLAP_MIN_N, 41943
-    assert _traced_peak(lambda: overlap_trial(n, 2, y_size, rng_stream(0, 0))) <= 0.15 * y_size * n
+    assert traced_peak(lambda: overlap_trial(n, 2, y_size, rng_stream(0, 0))) <= 0.15 * y_size * n
 
 
 def test_overlap_refined_trial_holds_b_once():
     # the dimension of the sphere-overlap-general golden, with |B| = n^2 / 100 as in criterion 3
     n, b_size = 1100, 12100
-    assert _traced_peak(lambda: overlap_refined_trial(n, 1, b_size, rng_stream(0, 0))) <= 0.35 * b_size * n
+    assert traced_peak(lambda: overlap_refined_trial(n, 1, b_size, rng_stream(0, 0))) <= 0.35 * b_size * n
 
 
 def _philox(*key):
@@ -1057,7 +1050,7 @@ def test_row_fingerprints_copy_no_chunk():
     n = 1100
     chunk = _philox(0, 4).integers(0, 3, size=(spherelab._HIT_CHUNK, n), dtype=np.uint8)
     weights = spherelab._fingerprint_weights(n)
-    assert _traced_peak(lambda: spherelab._row_fingerprints(chunk, weights)) < 0.1 * chunk.nbytes
+    assert traced_peak(lambda: spherelab._row_fingerprints(chunk, weights)) < 0.1 * chunk.nbytes
 
 
 def test_row_blocks_rejects_a_near_sphere_block_of_another_width():
