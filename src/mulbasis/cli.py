@@ -8,6 +8,14 @@ streams keyed by (seed, trial index), worker pools merge results by
 index, and nothing timestamped enters the output, so equal configs give
 byte-identical reports at any --jobs value.
 
+Two constructors give the stream of (seed, index), keyed alike:
+``rng_stream`` is NumPy's Philox generator, for the overlap trials,
+which take its vector draws; ``ScalarStream`` computes the same
+Philox4x64-10 words in Python and draws scalar ``integers`` exactly as
+the generator does, for the instances of ``reduce`` and
+``factorial-check``, which so never load ``numpy.random``.  A seed must
+lie in [0, 2**64).
+
 Exit codes: 0 all checks hold (and searches proved optimality), 1 a
 checked inequality failed or a search exhausted its budget, 2 bad
 arguments, a table past its size budget, or input a pipeline stage
@@ -67,8 +75,9 @@ from .spherelab import (
     sphere_min_basis,
 )
 
-__all__ = ["RunConfig", "run", "main", "main_entry", "rng_stream"]
+__all__ = ["RunConfig", "ScalarStream", "run", "main", "main_entry", "rng_stream"]
 
+_MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
 
 
@@ -85,6 +94,8 @@ class RunConfig:
             raise ValueError(f"unknown format {self.output_format!r}")
         if self.jobs < 1:
             raise ValueError("jobs must be positive")
+        if not 0 <= self.seed <= _MASK64:
+            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
 
     def to_record(self) -> dict:
         # jobs is execution plumbing and cannot influence results, so it is
@@ -100,7 +111,67 @@ class RunConfig:
 
 def rng_stream(seed: int, stream: int) -> np.random.Generator:
     """Independent deterministic generator for one trial of one run."""
-    return np.random.Generator(np.random.Philox(key=[seed & _MASK64, stream & _MASK64]))
+    # a uint64 array: as a list, a word of 2**63 or more would become a float
+    key = np.array([seed & _MASK64, stream & _MASK64], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+def _round_keys(k0: int, k1: int) -> list[tuple[int, int]]:
+    """The ten round keys of Philox4x64-10 under key (k0, k1): each round bumps the last."""
+    return [
+        ((k0 + r * 0x9E3779B97F4A7C15) & _MASK64, (k1 + r * 0xBB67AE8584CAA73B) & _MASK64)
+        for r in range(10)
+    ]
+
+
+def _philox_block(counter: int, keys: list[tuple[int, int]]) -> tuple[int, int, int, int]:
+    """The four words of Philox4x64-10 at a 256-bit counter (word 0 lowest) under ``_round_keys``."""
+    c0, c1, c2, c3 = ((counter >> s) & _MASK64 for s in (0, 64, 128, 192))
+    for k0, k1 in keys:
+        p0 = 0xD2E7470EE14C6C93 * c0
+        p1 = 0xCA5A826395121157 * c2
+        c0, c1, c2, c3 = (p1 >> 64) ^ c1 ^ k0, p1 & _MASK64, (p0 >> 64) ^ c3 ^ k1, p0 & _MASK64
+    return c0, c1, c2, c3
+
+
+class ScalarStream:
+    """The scalar draws of ``rng_stream(seed, stream)``, computed in Python.
+
+    ``integers(low, high)`` returns what the NumPy generator's does, call
+    after call, for 1 <= high - low <= 2**32.  The counter starts at 0 and
+    is incremented before each block; a 32-bit draw is a word's low half,
+    then its high half, as NumPy buffers it.  The draw is NumPy's Lemire
+    rejection: n = high - low, m = u32 * n, redrawn while m mod 2**32 <
+    (2**32 - n) mod n.
+    """
+
+    __slots__ = ("_keys", "_counter", "_halves")
+
+    def __init__(self, seed: int, stream: int):
+        self._keys = _round_keys(seed & _MASK64, stream & _MASK64)
+        self._counter = 0
+        self._halves: list[int] = []  # the block's undrawn half words, next last
+
+    def _refill(self) -> None:
+        self._counter = (self._counter + 1) & ((1 << 256) - 1)
+        c0, c1, c2, c3 = _philox_block(self._counter, self._keys)
+        self._halves = [
+            c3 >> 32, c3 & _MASK32, c2 >> 32, c2 & _MASK32, c1 >> 32, c1 & _MASK32, c0 >> 32, c0 & _MASK32
+        ]
+
+    def integers(self, low: int, high: int) -> int:
+        n = high - low
+        if n == 1:
+            return low
+        if not 2 <= n <= 1 << 32:  # NumPy draws 64-bit words past 2**32
+            raise ValueError(f"integers needs 1 <= high - low <= 2**32, got {n}")
+        threshold = ((1 << 32) - n) % n
+        while True:
+            if not self._halves:
+                self._refill()
+            m = self._halves.pop() * n
+            if m & _MASK32 >= threshold:
+                return low + (m >> 32)
 
 
 def _pool_width(jobs: int, count: int) -> int:
@@ -366,7 +437,7 @@ def _cmd_reduce(config: RunConfig) -> tuple[list, list, int]:
 
     def work(i, _):
         # a random instance is drawn by index inside the worker that reduces it
-        pair = given if given is not None else random_injected_pair(rng_stream(config.seed, i))
+        pair = given if given is not None else random_injected_pair(ScalarStream(config.seed, i))
         out = reduce_pair(pair)
         return _row(
             config, None, M=pair.ap.M, in_offset=pair.ap.offset, in_step=pair.ap.step,
@@ -393,7 +464,7 @@ def _cmd_factorial_check(config: RunConfig) -> tuple[list, list, int]:
     p = config.parameters
     if p.get("random") is not None:
         count = _count(p, "random")
-        instances = [random_divisibility_instance(rng_stream(config.seed, i)) for i in range(count)]
+        instances = [random_divisibility_instance(ScalarStream(config.seed, i)) for i in range(count)]
     else:
         instances = [(p["u"], p["v"], p["m"])]
     top = max(u + M * v for u, v, M in instances)

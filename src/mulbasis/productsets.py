@@ -152,8 +152,8 @@ def _at(targets: Sequence[int]):
     return slice(targets.start, targets.stop, targets.step) if isinstance(targets, range) else targets
 
 
-def _dense_sweep(targets: Sequence[int], bset: set[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Arrays w1, w2 with w1[a] * w2[a] = a the smallest pair of each covered target.
+def _dense_sweep(targets: Sequence[int], bset: set[int]) -> np.ndarray:
+    """Array w1 with (w1[a], a // w1[a]) the smallest pair of each covered target.
 
     Uncovered targets keep w1[a] = 0.  Each b <= sqrt(max) is swept
     against the sorted basis in ascending order; the first write wins,
@@ -164,20 +164,16 @@ def _dense_sweep(targets: Sequence[int], bset: set[int]) -> tuple[np.ndarray, np
     is_t = np.zeros(amax + 1, dtype=bool)
     is_t[_at(targets)] = True
     w1 = np.zeros(amax + 1, dtype=np.int64)
-    w2 = np.zeros(amax + 1, dtype=np.int64)
     for b in barr.tolist():
         hi = amax // b
         if hi < b:
             break
         j = int(np.searchsorted(barr, b, side="left"))
         k = int(np.searchsorted(barr, hi, side="right"))
-        part = barr[j:k]
-        prod = b * part
+        prod = b * barr[j:k]
         mask = is_t[prod] & (w1[prod] == 0)
-        sel = prod[mask]
-        w1[sel] = b
-        w2[sel] = part[mask]
-    return w1, w2
+        w1[prod[mask]] = b
+    return w1
 
 
 def _cover_inputs(A: Iterable[int], B: Iterable[int]) -> tuple[Sequence[int], set[int], bool]:
@@ -209,9 +205,8 @@ def verify_cover(A: Iterable[int], B: Iterable[int]) -> CoverCheck:
     """
     targets, bset, dense = _cover_inputs(A, B)
     if dense:
-        w1, w2 = _dense_sweep(targets, bset)
-        low, high = w1[_at(targets)].tolist(), w2[_at(targets)].tolist()
-        pairs = zip(targets, ((b, c) if b else None for b, c in zip(low, high)))
+        low = _dense_sweep(targets, bset)[_at(targets)].tolist()
+        pairs = zip(targets, ((b, a // b) if b else None for a, b in zip(targets, low)))
     else:
         pairs = _sparse_pairs(targets, bset)
     witness: dict[int, tuple[int, int]] = {}
@@ -232,8 +227,7 @@ def first_uncovered(A: Iterable[int], B: Iterable[int]) -> int | None:
     """
     targets, bset, dense = _cover_inputs(A, B)
     if dense:
-        w1, _ = _dense_sweep(targets, bset)
-        gaps = np.flatnonzero(w1[_at(targets)] == 0)
+        gaps = np.flatnonzero(_dense_sweep(targets, bset)[_at(targets)] == 0)
         return targets[int(gaps[0])] if len(gaps) else None
     return next((a for a, pair in _sparse_pairs(targets, bset) if pair is None), None)
 

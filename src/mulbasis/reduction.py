@@ -22,8 +22,6 @@ import math
 from dataclasses import dataclass, field, replace
 from itertools import combinations
 
-import numpy as np
-
 from .numtheory import (
     InvariantViolationError,
     PrimeTable,
@@ -373,7 +371,7 @@ def _coprime_pool(primes: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(x for x in range(1, 61) if all(x % p for p in primes))
 
 
-def random_injected_pair(rng: np.random.Generator) -> ReducedPair:
+def random_injected_pair(rng) -> ReducedPair:
     """Seeded unreduced instance with a known-good cover.
 
     A base progression coprime to the chosen primes is multiplied
@@ -381,11 +379,23 @@ def random_injected_pair(rng: np.random.Generator) -> ReducedPair:
     then factors as (injected power) * c_m with the injected exponents
     split arbitrarily across a random divisor pair of c_m.  Junk basis
     elements are thrown in to exercise the discard branches.
+
+    ``rng`` needs only a scalar ``integers(low, high)``: a NumPy
+    ``Generator`` and a ``cli.ScalarStream`` on the same key give the
+    same instance.  The primes are drawn by Floyd's sampling and then
+    shuffled, the draw sequence of NumPy's ``choice(5, count, replace=False)``.
     """
     M = int(rng.integers(3, 9))
     count = int(rng.integers(1, 3))
-    picks = rng.choice(len(_INJECT_PRIMES), size=count, replace=False)
-    primes = [_INJECT_PRIMES[int(i)] for i in picks]
+    n = len(_INJECT_PRIMES)
+    picks: list[int] = []
+    for j in range(n - count, n):
+        k = int(rng.integers(0, j + 1))
+        picks.append(j if k in picks else k)
+    for i in range(count - 1, 0, -1):
+        k = int(rng.integers(0, i + 1))
+        picks[i], picks[k] = picks[k], picks[i]
+    primes = [_INJECT_PRIMES[i] for i in picks]
     pool = _coprime_pool(tuple(sorted(primes)))
     a0 = int(pool[int(rng.integers(0, len(pool)))])
     d0 = int(pool[int(rng.integers(0, len(pool)))])
@@ -414,8 +424,13 @@ def random_injected_pair(rng: np.random.Generator) -> ReducedPair:
     )
 
 
-def random_divisibility_instance(rng: np.random.Generator, max_m: int = 200) -> tuple[int, int, int]:
-    """Seeded (u, v, M) with gcd(u, v) = 1 and M <= max_m."""
+def random_divisibility_instance(rng, max_m: int = 200) -> tuple[int, int, int]:
+    """Seeded (u, v, M) with gcd(u, v) = 1 and M <= max_m.
+
+    ``rng`` needs only a scalar ``integers(low, high)``: a NumPy
+    ``Generator`` and a ``cli.ScalarStream`` on the same key give the
+    same instance.
+    """
     while True:
         u = int(rng.integers(1, 51))
         v = int(rng.integers(1, 13))

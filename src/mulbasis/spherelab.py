@@ -197,6 +197,11 @@ class TernaryVector:
 def as_matrix(vectors, n: int) -> np.ndarray:
     """Vectors, coordinate tuples or a 2-D array as a (m, n) uint8 matrix; entries must lie in {0, 1, 2}."""
     if isinstance(vectors, np.ndarray):
+        if vectors.dtype != np.uint8:  # checked before the cast, which would wrap or truncate
+            if not np.issubdtype(vectors.dtype, np.integer):
+                raise ValueError(f"rows of a {vectors.dtype} array are not sequences of integer entries")
+            if vectors.size and not 0 <= vectors.min() <= vectors.max() <= 2:
+                raise ValueError("matrix entries must lie in {0, 1, 2}")
         mat = np.ascontiguousarray(vectors, dtype=np.uint8)
         if mat.ndim != 2 or mat.shape[1] != n:
             raise ValueError(f"expected shape (*, {n}), got {mat.shape}")

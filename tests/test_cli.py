@@ -9,13 +9,20 @@ import threading
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mulbasis import __version__, cli, productsets
-from mulbasis.cli import RunConfig, main, rng_stream, run
+from mulbasis.cli import RunConfig, ScalarStream, main, rng_stream, run
 from mulbasis.certificates import PipelineError
 from mulbasis.productsets import construct_interval_basis, verify_cover
-from mulbasis.reduction import InvariantViolationError, random_injected_pair
+from mulbasis.reduction import (
+    InvariantViolationError,
+    random_divisibility_instance,
+    random_injected_pair,
+)
 from mulbasis.spherelab import SPHERE_EXACT_MAX_N
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -734,6 +741,93 @@ def test_seed_changes_random_draws(capsys):
     main(["reduce", "--random", "3", "--seed", "1"])
     second = capsys.readouterr().out
     assert first != second
+
+
+# ---------------------------------------------------------- scalar stream
+
+_WORD = st.integers(0, 2**64 - 1)
+# span 1 draws nothing; about half the draws of span 2**31 + 1 are rejected;
+# span 2**32 is a bare half word
+_SPANS = [1, 2, 3, 2**31 + 1, 2**32 - 1, 2**32]
+_BOUNDS = st.tuples(st.integers(-(2**40), 2**40), st.sampled_from(_SPANS) | st.integers(1, 2**32)).map(
+    lambda low_span: (low_span[0], low_span[0] + low_span[1])
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=_WORD, stream=_WORD, bounds=st.lists(_BOUNDS, max_size=40))
+@example(seed=2**63, stream=0, bounds=[(0, n) for n in _SPANS] + [(-5, -3), (7, 8), (10, 2**31 + 11)])
+@example(seed=2**64 - 1, stream=2**64 - 1, bounds=[(3, 3 + 2**31 + 1)] * 12)
+def test_scalar_stream_draws_what_numpy_draws(seed, stream, bounds):
+    ours, ref = ScalarStream(seed, stream), rng_stream(seed, stream)
+    assert [ours.integers(lo, hi) for lo, hi in bounds] == [int(ref.integers(lo, hi)) for lo, hi in bounds]
+    # the full 32-bit draws that follow read the buffered half word alike
+    assert [ours.integers(0, 2**32) for _ in range(10)] == [int(ref.integers(0, 2**32)) for _ in range(10)]
+
+
+@pytest.mark.parametrize("counter", [0, 5, 2**64 - 2, 2**64 - 1, 2**128 - 1, 2**192 - 1, 2**256 - 2, 2**256 - 1])
+@pytest.mark.parametrize("key", [(0, 0), (2**63, 1), (2**64 - 1, 2**64 - 1)])
+def test_philox_block_matches_numpy_next_to_a_carry(counter, key):
+    ref = np.random.Philox(counter=counter, key=np.array(key, dtype=np.uint64)).random_raw(4)
+    # NumPy increments the counter before its first block, with carry out of 2**256 - 1
+    assert list(cli._philox_block((counter + 1) % 2**256, cli._round_keys(*key))) == [int(w) for w in ref]
+
+
+@pytest.mark.parametrize("low,high", [(0, 0), (5, 4), (0, -3), (0, 2**32 + 1), (-(2**40), 2**40)])
+def test_scalar_stream_rejects_empty_and_wide_spans(low, high):
+    with pytest.raises(ValueError, match="high - low"):
+        ScalarStream(0, 0).integers(low, high)
+
+
+def test_instance_generators_agree_on_both_streams():
+    for seed in (0, 1, 7, 2**63 + 3):
+        for i in range(500):
+            assert random_injected_pair(ScalarStream(seed, i)) == random_injected_pair(rng_stream(seed, i))
+            assert random_divisibility_instance(ScalarStream(seed, i)) == random_divisibility_instance(
+                rng_stream(seed, i)
+            )
+
+
+_HIGH_SEEDS = [2**63, 2**63 + 1, 2**64 - 2, 2**64 - 1]
+
+
+def test_seeds_past_2_63_key_distinct_streams(recwarn):
+    payloads = []
+    for seed in _HIGH_SEEDS:
+        buf = io.StringIO()
+        assert run(RunConfig(command="reduce", parameters={"random": 3}, seed=seed), out=buf) == 0
+        payloads.append(json.loads(buf.getvalue())["results"])
+        ours, ref = ScalarStream(seed, 1), rng_stream(seed, 1)
+        assert [ours.integers(0, 2**32) for _ in range(4)] == [int(ref.integers(0, 2**32)) for _ in range(4)]
+    assert len({json.dumps(p) for p in payloads}) == len(_HIGH_SEEDS)
+    assert len(recwarn) == 0
+
+
+@pytest.mark.parametrize("seed", ["-1", "-2", str(2**64)])
+def test_seed_outside_64_bits_exits_2(seed, capsys):
+    assert main(["reduce", "--random", "2", "--seed", seed]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: seed must lie in [0, 2**64), got {seed}\n"
+
+
+def test_batch_commands_do_not_load_numpy_random():
+    # a fresh interpreter: the scalar commands draw through ScalarStream only
+    script = (
+        "import io, sys\n"
+        "from mulbasis.cli import RunConfig, run\n"
+        "for command, params in [('reduce', {'random': 5}), ('factorial-check', {'random': 5}),\n"
+        "                        ('mbp-search', {'m': 4, 'a_max': 2, 'd_max': 2})]:\n"
+        "    assert run(RunConfig(command=command, parameters=params), out=io.StringIO()) == 0\n"
+        "assert 'numpy.random' not in sys.modules\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert (done.returncode, done.stderr) == (0, "")
 
 
 def test_same_seed_repeats_exactly(capsys):

@@ -29,6 +29,7 @@ from oracles import (
     primes_segmented,
     product_set_brute,
     smallest_witness_pair,
+    traced_peak,
 )
 
 
@@ -243,6 +244,14 @@ def test_range_targets_edge_cases():
             for form in (targets, list(targets)):
                 with pytest.raises(ValueError, match="targets must be positive"):
                     check(form, basis)
+
+
+def test_first_uncovered_keeps_one_array_per_value():
+    # the sweep's one int64 array up to the largest target is 1.5 MiB here;
+    # a second one for the partners took the peak to 6.7 MiB
+    M = 200_000
+    basis = construct_interval_basis(M)
+    assert traced_peak(lambda: first_uncovered(range(1, M + 1), basis)) <= 6 * 2**20
 
 
 # ------------------------------------------------------ exact minimum

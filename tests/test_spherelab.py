@@ -121,9 +121,14 @@ def test_as_matrix_round_trips():
         as_matrix(vecs, 4)
     # coordinate tuples are checked as matrices are, never folded mod 3
     assert as_matrix([(0, 2, 1)], 3).tolist() == [[0, 2, 1]]
-    for rows in ([(0, 3, 1)], [(0, -1, 1)], np.array([[0, 3, 1]])):
+    # an array is checked before its cast to uint8, which would wrap 257 and -255
+    # to 1 and truncate 1.7 to 1
+    for rows in ([(0, 3, 1)], [(0, -1, 1)], np.array([[0, 3, 1]]), np.array([[0, 257, 1]]), np.array([[0, -255, 1]])):
         with pytest.raises(ValueError, match=r"matrix entries must lie in \{0, 1, 2\}"):
             as_matrix(rows, 3)
+    with pytest.raises(ValueError, match="not sequences of integer entries"):
+        as_matrix(np.array([[0, 1.7, 1]]), 3)
+    assert as_matrix(np.array([[0, 2, 1]], dtype=np.int64), 3).tolist() == [[0, 2, 1]]
     # rows are read by entry value: an integer array row as its values, not its
     # buffer, and a bare int as no row, not as that many zero bytes
     assert as_matrix([np.array([1, 0, 2]), np.array([2, 2, 0], dtype=np.uint8)], 3).tolist() == [[1, 0, 2], [2, 2, 0]]
