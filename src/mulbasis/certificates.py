@@ -6,7 +6,7 @@ covered target; reports then evaluate both sides of each inequality in
 the degree-counting argument (common-neighbour identity, per-case
 contribution bounds, pruning losses, edge retention, Cauchy-Schwarz).
 The end-to-end pipeline embeds an integer basis into F_3 valuation
-vectors, held as sparse rows, pairs off the single-prime marks,
+vectors, held as arrays of key rows, pairs off the single-prime marks,
 analyzes the resulting components, runs the sphere reports on the
 small-prime block, and assembles a numeric lower bound on |B| that is
 asserted sound on every run.  A failed report localizes a hypothesis violation or a bug; it is
@@ -15,13 +15,12 @@ never silently absorbed.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .numtheory import PrimeTable, add_rows, sieve, valuation_rows
+from .numtheory import PrimeTable, csr_rows, sieve, valuation_csr
 from .productsets import first_uncovered
 from .reduction import InvariantViolationError, build_marking_sets
 from .spherelab import TernaryVector, as_matrix, least_pairs, sphere_rows
@@ -48,6 +47,10 @@ DEGREE_PRUNE_FACTOR = 1 << 10
 
 # left-end pairs per block when the sphere report walks shared right vertices
 _SHARED_BLOCK = 1 << 14
+
+# edges per block when the component pass checks their sums and walks
+# them as Python ints
+_EDGE_BLOCK = 1 << 14
 
 # set bits of each byte value, for counting the places in a row's bit sets
 _POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
@@ -120,66 +123,88 @@ def _sorted_rows(vectors, n: int, kind: str) -> np.ndarray:
             dim = v.n if isinstance(v, TernaryVector) else len(v)
             if dim != n:
                 raise ValueError(f"{kind} of dimension {dim}, expected {n}")
-    keys = np.sort(as_matrix(vectors, n).view(np.dtype((np.void, n))).ravel())
-    keys = np.concatenate([keys[:1], keys[1:][keys[1:] != keys[:-1]]])
+    keys = np.unique(_void(as_matrix(vectors, n)))
     return keys.view(np.uint8).reshape(len(keys), n)
 
 
-# Vectors over F_3 as sparse rows (see numtheory.valuation_rows) and back.
+# Vectors over F_3 as key rows.  Entry (i, c) of a sparse row in n
+# coordinates keys as (n - i) * 3 + c; a row's keys descend, padded with 0.
 
 
-def _sparse(v: TernaryVector) -> tuple:
-    """The sparse row of ``v``."""
-    return tuple((i, v.coords[i]) for i in v.support())
+def _keys(offsets: np.ndarray, cols: np.ndarray, res: np.ndarray, n: int) -> np.ndarray:
+    """Key rows, big-endian uint32, of sparse rows held as ``numtheory.csr_rows`` arrays.
 
-
-def _dense(row: tuple, n: int) -> TernaryVector:
-    """The n-coordinate vector of a sparse row."""
-    buf = bytearray(n)
-    for i, c in row:
-        buf[i] = c
-    return TernaryVector(bytes(buf))
-
-
-def _dense_order(row: tuple) -> tuple:
-    """Sort key that puts sparse rows in the byte order of their dense vectors.
-
-    At the first column where two rows differ, a row with no entry there
-    is zero there, and its next entry, if any, sits at a later column: a
-    smaller -column.  A row that ends first is a prefix of the other key.
+    The bytes of two key rows order as the dense vectors they stand
+    for: at the first column where the vectors differ, a row with no
+    entry there is zero there, and its next entry, if any, sits at a
+    later column, a smaller key; a row that ends first pads with 0.
     """
-    return tuple((-i, c) for i, c in row)
+    lens = np.diff(offsets)
+    rows = np.repeat(np.arange(len(lens)), lens)
+    keys = np.zeros((len(lens), max(int(lens.max(initial=0)), 1)), dtype=">u4")
+    keys[rows, np.arange(len(rows)) - offsets[rows]] = (n - cols) * 3 + res
+    return keys
 
 
-def _join_weight_one_pairs(rows: list[tuple], tlist: list[tuple]) -> list:
-    """The pairs of ``spherelab.least_pairs`` for targets c * e_p, by a hash join.
+def _void(mat: np.ndarray) -> np.ndarray:
+    """Each row of a matrix as one value that sorts and compares as the row's bytes."""
+    mat = np.ascontiguousarray(mat)
+    return mat.view(np.dtype((np.void, mat.shape[1] * mat.itemsize))).ravel()
 
-    ``rows`` are sparse rows in dense order and ``tlist`` the sparse rows
-    ((p, c),) of the targets.  b1 + b2 = c * e_p forces p into supp b1 or
-    supp b2, so every pair is found from a b1 with p in its support.  From
-    each such b1 and each target c * e_p at one of its columns, the
-    partner is fixed, b2 = c * e_p - b1: -b1 away from p and c - b1_p at
-    p, and one lookup of b2 among the rows finds it.  The lex-least b1 of
-    a target is the least index over its pairs.  Gives per target the
-    index pair (k1, k2), k1 <= k2, or None.  Work grows with the entries
-    of B at target columns times their rows' supports, not with |B| * n.
+
+def _entries(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(row, n - column, residue) of every entry of key rows."""
+    rows, at = np.nonzero(keys)
+    key = keys[rows, at].astype(np.int64)
+    return rows, key // 3, key % 3
+
+
+def _coords(keys: np.ndarray, n: int) -> tuple:
+    """The dense coordinates of one key row."""
+    coords = np.zeros(n, dtype=np.int64)
+    coords[n - keys[keys > 0] // 3] = keys[keys > 0] % 3
+    return tuple(coords.tolist())
+
+
+def _join_weight_one_pairs(bkeys: np.ndarray, tkeys: np.ndarray) -> np.ndarray:
+    """The pairs of ``spherelab.least_pairs`` for targets c * e_p, by a sort-and-search join.
+
+    ``bkeys`` are the distinct key rows of B in byte order, as ``_void``
+    values, and ``tkeys`` the ascending keys of the targets.  b1 + b2 =
+    c * e_p forces p into supp b1 or supp b2, so every pair is found from
+    a b1 with p in its support.  From each entry (p, c1) of each b1 and
+    each target c * e_p at its column, the partner is fixed, b2 = c * e_p
+    - b1: -b1 away from p and c - c1 at p; one binary search of B finds
+    all partners.  The lex-least pair of a target is the least index
+    pair over its hits.  Gives per target the pair (k1, k2), k1 <= k2,
+    or (-1, -1).  Work grows with the entries of B at target columns,
+    not with |B| * n.
     """
-    whole = {s: k for k, s in enumerate(rows)}
-    values: dict = defaultdict(list)  # p -> c of each target c * e_p
-    for ((p, c),) in tlist:
-        values[p].append(c)
-    best: dict = {}  # (p, c) -> (index of b1, index of b2)
-    for k1, s in enumerate(rows):
-        neg = tuple((i, 3 - c) for i, c in s)
-        for j, (p, c1) in enumerate(s):
-            for c in values.get(p, ()):
-                at_p = ((p, (c - c1) % 3),) if c != c1 else ()
-                k2 = whole.get(neg[:j] + at_p + neg[j + 1 :])
-                if k2 is not None:
-                    pair = (k1, k2) if k1 <= k2 else (k2, k1)
-                    if (p, c) not in best or pair < best[(p, c)]:
-                        best[(p, c)] = pair
-    return [best.get(t[0]) for t in tlist]
+    best = np.full((len(tkeys), 2), -1, dtype=np.int64)
+    if not len(tkeys):
+        return best
+    rows = bkeys.view(">u4").reshape(len(bkeys), -1).astype(np.uint32)
+    k1, at = np.nonzero(rows)
+    key = rows[k1, at].astype(np.int64)
+    hits = []
+    for c in (1, 2):
+        want = key - key % 3 + c
+        t = np.minimum(np.searchsorted(tkeys, want), len(tkeys) - 1)
+        on = np.flatnonzero(tkeys[t] == want)
+        rest = (c - key[on]) % 3
+        partner = rows[k1[on]]
+        partner = np.where(partner > 0, partner + 3 - 2 * (partner % 3), 0)  # -b1
+        partner[np.arange(len(on)), at[on]] = np.where(rest, want[on] - c + rest, 0)
+        partner = _void(np.sort(partner, axis=1)[:, ::-1].astype(">u4"))  # a dropped entry pads
+        k2 = np.minimum(np.searchsorted(bkeys, partner), len(bkeys) - 1)
+        ok = bkeys[k2] == partner
+        hits.append((t[on][ok], k1[on][ok], k2[ok]))
+    t, a, b = (np.concatenate(h) for h in zip(*hits))
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    order = np.lexsort((hi, lo, t))
+    first = order[np.diff(t[order], prepend=-1) != 0]
+    best[t[first], 0], best[t[first], 1] = lo[first], hi[first]
+    return best
 
 
 def build_pairing_graph(B, targets, n: int) -> PairingGraph:
@@ -191,13 +216,13 @@ def build_pairing_graph(B, targets, n: int) -> PairingGraph:
         raise ValueError("empty vertex set")
     missing = np.flatnonzero(pairs[:, 0] < 0)
     if len(missing):
-        raise ValueError(_not_a_sum(tmat[missing[0]].tobytes()))
+        raise ValueError(_not_a_sum(tuple(tmat[missing[0]].tolist())))
     edges = np.column_stack([pairs, np.arange(len(tmat), dtype=np.int64)])
     return PairingGraph(vertices=vertices, targets=tmat, edges=edges)
 
 
-def _not_a_sum(coords: bytes) -> str:
-    return f"target {tuple(coords)} is not a sum of two basis vectors"
+def _not_a_sum(coords: tuple) -> str:
+    return f"target {coords} is not a sum of two basis vectors"
 
 
 def decompose_by_coordinate(G: PairingGraph, n: int) -> list[PairingGraph]:
@@ -382,139 +407,147 @@ def component_analysis(m1_edges: Sequence, split: tuple[int, int]) -> ComponentA
             raise ValueError("edge vector dimension does not match the split")
     verts = sorted({v for e in m1_edges for v in (e[0], e[1])})
     index = {v: k for k, v in enumerate(verts)}
-    rows = [_sparse(v) for v in verts]
-    edges = [(index[v1], index[v2], _sparse(t)) for v1, v2, t in m1_edges]
-    return _analyze_components(rows, _projections(rows, split), edges, split)
+    vkeys, tkeys = (_matrix_keys([v.coords for v in vs], n) for vs in (verts, [e[2] for e in m1_edges]))
+    edges = np.array([(index[v1], index[v2]) for v1, v2, _ in m1_edges], dtype=np.int64).reshape(-1, 2)
+    return _analyze_components(vkeys, _projections(vkeys, split), edges, tkeys, split)
 
 
-def _projections(rows: list[tuple], split: tuple[int, int]) -> list[TernaryVector]:
-    """The small-prime block of each sparse row, one vector per distinct block."""
+def _matrix_keys(rows: list[bytes], n: int) -> np.ndarray:
+    """Key rows of dense vectors given by their coordinate bytes."""
+    mat = np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(len(rows), n)
+    at, cols = np.nonzero(mat)
+    return _keys(np.searchsorted(at, np.arange(len(rows) + 1)), cols, mat[at, cols], n)
+
+
+def _projections(vkeys: np.ndarray, split: tuple[int, int]) -> tuple:
+    """The small-prime block of each key row.
+
+    Gives each row's index among the distinct blocks, then the distinct
+    blocks as uint8 rows in byte order, each with one more zero byte,
+    then each block as one vector.
+    """
     n1, n2 = split
-    seen: dict = {}
-    out = []
-    for row in rows:
-        tail = tuple((i - n1, c) for i, c in row if i >= n1)
-        vec = seen.get(tail)
-        if vec is None:
-            vec = seen[tail] = _dense(tail, n2)
-        out.append(vec)
-    return out
+    rows, at, res = _entries(vkeys)
+    small = at <= n2
+    rows, at, res = rows[small], at[small], res[small]
+    some = np.unique(rows)  # the rows with a nonzero block; the last block row stays zero
+    block = np.zeros((len(some) + 1, n2 + 1), dtype=np.uint8)  # a last zero byte keeps rows nonempty
+    block[np.searchsorted(some, rows), n2 - at] = res
+    distinct, inverse = np.unique(_void(block), return_inverse=True)
+    ids = np.full(len(vkeys), inverse[-1])
+    ids[some] = inverse[:-1]
+    blocks = distinct.view(np.uint8).reshape(len(distinct), n2 + 1)
+    return ids, blocks, [TernaryVector(b[:n2].tobytes()) for b in blocks]
+
+
+def _off_sum(vkeys: np.ndarray, edges: np.ndarray, tkeys: np.ndarray) -> np.ndarray:
+    """Whether the ends of each edge fail to sum to its target."""
+    ends = [_entries(vkeys[edges[:, 0]]), _entries(vkeys[edges[:, 1]]), _entries(tkeys)]
+    rows, cols, res = (np.concatenate(x) for x in zip(*ends))
+    res[len(rows) - len(ends[2][0]) :] *= 2  # minus the target: -c = 2c mod 3
+    offsets, _, _ = csr_rows(len(edges), rows, cols, res, 3)
+    return np.diff(offsets) > 0
 
 
 def _analyze_components(
-    rows: list[tuple], proj: list[TernaryVector], edges: list, split: tuple[int, int]
+    vkeys: np.ndarray, proj: tuple, edges: np.ndarray, tkeys: np.ndarray, split: tuple[int, int]
 ) -> ComponentAnalysis:
-    """``component_analysis`` on vertex ids: ``edges`` are (id, id, target row).
+    """``component_analysis`` on vertex ids: ``edges`` are (id, id) rows, ``tkeys`` their targets.
 
-    ``rows[k]`` is the sparse row of vertex k and ``proj[k]`` its
-    second-block projection.  Ids must follow the dense order of the rows,
-    which fixes the order of the components.
+    ``vkeys[k]`` is the key row of vertex k and ``proj`` its projections,
+    as ``_projections`` gives them.  Ids must follow the dense order of
+    the rows, which fixes the order of the components.
     """
     n1, n2 = split
-    for k1, k2, t in edges:
-        if add_rows(rows[k1], rows[k2], 3) != t:
-            raise ValueError(
-                f"edge endpoints do not sum to the target {tuple(_dense(t, n1 + n2).coords)}"
-            )
-        if len(t) != 1 or t[0][0] >= n1:
-            raise ValueError(
-                f"target {tuple(_dense(t, n1 + n2).coords)} is not supported on one "
-                "first-block coordinate"
-            )
-    verts = sorted({k for e in edges for k in (e[0], e[1])})
-    parent = list(range(len(rows)))
-    parity = [0] * len(rows)  # parity of the path to the current parent
-    cycle_closed = [False] * len(rows)
-    odd_cycle = [False] * len(rows)
+    ids, _, vectors = proj
+    blocks_at = range(0, len(edges), _EDGE_BLOCK)
+    off_sum = np.concatenate(
+        [np.zeros(0, dtype=bool)]
+        + [_off_sum(vkeys, edges[lo : lo + _EDGE_BLOCK], tkeys[lo : lo + _EDGE_BLOCK]) for lo in blocks_at]
+    )
+    bad = np.flatnonzero(off_sum | ((tkeys > 0).sum(axis=1) != 1) | (tkeys[:, 0] // 3 <= n2))
+    if len(bad):
+        coords = _coords(tkeys[bad[0]], n1 + n2)
+        if off_sum[bad[0]]:
+            raise ValueError(f"edge endpoints do not sum to the target {coords}")
+        raise ValueError(f"target {coords} is not supported on one first-block coordinate")
+    parent = list(range(len(vkeys)))
+    parity = [0] * len(vkeys)  # parity of the path to the current parent
+    odd_cycle = [False] * len(vkeys)
 
     def find_with_parity(x: int) -> tuple[int, int]:
-        root = x
+        path = []
+        while parent[x] != x:
+            path.append(x)
+            x = parent[x]
         p = 0
-        while parent[root] != root:
-            p ^= parity[root]
-            root = parent[root]
-        # path compression, re-pointing everything at the root
-        cur, cp = x, p
-        while parent[cur] != root:
-            nxt, np_ = parent[cur], parity[cur]
-            parent[cur], parity[cur] = root, cp
-            cur, cp = nxt, cp ^ np_
-        return root, p
+        for y in reversed(path):  # path compression, re-pointing everything at the root
+            p ^= parity[y]
+            parent[y], parity[y] = x, p
+        return x, p
 
-    edge_count_at: Counter = Counter()
-    for a, b, _ in edges:
-        ra, pa = find_with_parity(a)
-        rb, pb = find_with_parity(b)
-        if ra == rb:
-            rel = pa ^ pb
-            if rel == 1:
-                raise InvariantViolationError(
-                    "even cycle: dependent single-prime targets in one component"
-                )
-            if cycle_closed[ra]:
-                raise InvariantViolationError(
-                    "second independent cycle in a component: dependent targets"
-                )
-            cycle_closed[ra] = True
-            odd_cycle[ra] = True
-            edge_count_at[ra] += 1
-        else:
-            # attach rb under ra; parity so that endpoints get opposite classes
-            parent[rb] = ra
-            parity[rb] = pa ^ pb ^ 1
-            cycle_closed[ra] = cycle_closed[ra] or cycle_closed[rb]
-            odd_cycle[ra] = odd_cycle[ra] or odd_cycle[rb]
-            edge_count_at[ra] += edge_count_at.pop(rb, 0) + 1
-    groups: dict = defaultdict(list)
-    for k in verts:
-        r, _ = find_with_parity(k)
-        groups[r].append(k)
+    for lo in blocks_at:
+        for a, b in edges[lo : lo + _EDGE_BLOCK].tolist():
+            ra, pa = find_with_parity(a)
+            rb, pb = find_with_parity(b)
+            if ra == rb:
+                if pa ^ pb:
+                    raise InvariantViolationError(
+                        "even cycle: dependent single-prime targets in one component"
+                    )
+                if odd_cycle[ra]:
+                    raise InvariantViolationError(
+                        "second independent cycle in a component: dependent targets"
+                    )
+                odd_cycle[ra] = True
+            else:
+                # attach rb under ra; parity so that endpoints get opposite classes
+                parent[rb] = ra
+                parity[rb] = pa ^ pb ^ 1
+                odd_cycle[ra] = odd_cycle[ra] or odd_cycle[rb]
+    root = np.array(parent, dtype=np.int64)
+    while (root[root] != root).any():
+        root = root[root]
+    verts = np.unique(edges)
+    roots, comp = np.unique(root[verts], return_inverse=True)
+    vcs = np.bincount(comp, minlength=len(roots)).tolist()
+    ecs = np.bincount(np.searchsorted(roots, root[edges[:, 0]]), minlength=len(roots)).tolist()
+    # the distinct projection ids of each component, in order, as comp * width + id
+    width = len(vectors)
+    held = np.unique(comp * width + ids[verts])
+    starts = np.searchsorted(held, np.arange(len(roots) + 1) * width).tolist()
+    held = (held % width).tolist()
     summaries = []
     tree_count = 0
-    total_edges = 0
     zero_tail = TernaryVector.zero(n2)
-    for ident, root in enumerate(sorted(groups)):
-        members = groups[root]
-        ec = edge_count_at[root]
-        vc = len(members)
-        total_edges += ec
-        projections = frozenset(proj[k] for k in members)
+    for ident, (r, vc, ec) in enumerate(zip(roots.tolist(), vcs, ecs)):
+        projections = frozenset(vectors[k] for k in held[starts[ident] : starts[ident + 1]])
         if len(projections) > 2:
             raise InvariantViolationError(
                 f"component carries {len(projections)} distinct second-block projections"
             )
         if not all(-p in projections for p in projections):
             raise InvariantViolationError("component projections are not negation-closed")
-        is_tree = not odd_cycle[root] and ec == vc - 1
-        if odd_cycle[root] and projections != {zero_tail}:
+        is_tree = not odd_cycle[r] and ec == vc - 1
+        if odd_cycle[r] and projections != {zero_tail}:
             raise InvariantViolationError("odd-cycle component with nonzero projection")
         if ec > vc:
             raise InvariantViolationError(
                 f"component has {ec} edges on {vc} vertices; targets cannot be independent"
             )
-        if is_tree:
-            tree_count += 1
-        summaries.append(
-            ComponentSummary(
-                ident=ident,
-                vertex_count=vc,
-                edge_count=ec,
-                is_tree=is_tree,
-                has_odd_cycle=odd_cycle[root],
-                p2_projections=projections,
-            )
-        )
-    all_projections = {proj[k] for k in verts}
+        tree_count += is_tree
+        summaries.append(ComponentSummary(ident, vc, ec, is_tree, odd_cycle[r], projections))
+    distinct_projections = len(np.unique(ids[verts]))
     reports = (
-        InequalityReport.of("projection_tree_bound", len(all_projections), 2 * tree_count + 1),
-        InequalityReport.of("component_edge_bound", total_edges + tree_count, len(verts)),
+        InequalityReport.of("projection_tree_bound", distinct_projections, 2 * tree_count + 1),
+        InequalityReport.of("component_edge_bound", len(edges) + tree_count, len(verts)),
     )
     return ComponentAnalysis(
         components=tuple(summaries),
         tree_count=tree_count,
         reports=reports,
         vertex_count=len(verts),
-        distinct_projections=len(all_projections),
+        distinct_projections=distinct_projections,
     )
 
 
@@ -582,41 +615,48 @@ def end_to_end_lower_bound(
     primes = marks.large_primes + marks.small_primes
     n1, n2 = len(marks.large_primes), len(marks.small_primes)
     n = n1 + n2
-
-    rows = valuation_rows(basis, table, primes, 3)
-    (g_row,) = valuation_rows([g], table, primes, 3)
-    if g_row:
-        # B' = rho(b) - rho(g)/2, and -1/2 = 1 mod 3
-        rows = [add_rows(row, g_row, 3) for row in rows]
-    bprime = sorted(set(rows), key=_dense_order)
-
     m1_idx = sorted(marks.single_prime_marks.indices)
-    targets = valuation_rows([u + m for m in m1_idx], table, primes, 3)
-    for m, t in zip(m1_idx, targets):
-        if len(t) != 1 or t[0][0] >= n1:
-            raise PipelineError(
-                "targets", f"mark {m} does not give a single first-block coordinate"
-            )
-    tlist = sorted(set(targets), key=_dense_order)
-    edges = []
-    for t, hit in zip(tlist, _join_weight_one_pairs(bprime, tlist)):
-        if hit is None:
-            raise PipelineError("pairing", _not_a_sum(_dense(t, n).coords))
-        edges.append((*hit, t))
+    m2_size = len(marks.triple_product_marks)
+    del marks  # its maps are the largest objects here; only these counts are read on
+
+    offsets, cols, res = valuation_csr(basis, table, primes, 3)
+    _, g_cols, g_res = valuation_csr([g], table, primes, 3)
+    if len(g_cols):
+        # B' = rho(b) - rho(g)/2, and -1/2 = 1 mod 3: rho(g)'s entries join every row
+        k = len(basis)
+        rows = np.concatenate([np.repeat(np.arange(k), np.diff(offsets)), np.repeat(np.arange(k), len(g_cols))])
+        cols, res = np.concatenate([cols, np.tile(g_cols, k)]), np.concatenate([res, np.tile(g_res, k)])
+        offsets, cols, res = csr_rows(k, rows, cols, res, 3)
+    bkeys = np.unique(_void(_keys(offsets, cols, res, n)))
+    vkeys = bkeys.view(">u4").reshape(len(bkeys), -1)
+
+    offsets, cols, res = valuation_csr([u + m for m in m1_idx], table, primes, 3)
+    single = np.diff(offsets) == 1
+    single[single] = cols[offsets[:-1][single]] < n1
+    if not single.all():
+        m = m1_idx[int(np.flatnonzero(~single)[0])]
+        raise PipelineError("targets", f"mark {m} does not give a single first-block coordinate")
+    tkeys = np.unique((n - cols) * 3 + res)
+    edges = _join_weight_one_pairs(bkeys, tkeys)
+    missing = np.flatnonzero(edges[:, 0] < 0)
+    if len(missing):
+        raise PipelineError("pairing", _not_a_sum(_coords(tkeys[missing[:1]], n)))
     if len(edges) != len(m1_idx):
         raise PipelineError("pairing", "edge count differs from single-prime mark count")
 
-    proj = _projections(bprime, (n1, n2))
+    proj = _projections(vkeys, (n1, n2))
     try:
-        analysis = _analyze_components(bprime, proj, edges, (n1, n2))
+        analysis = _analyze_components(vkeys, proj, edges, tkeys[:, None], (n1, n2))
     except ValueError as exc:
         raise PipelineError("components", str(exc)) from exc
 
-    in_graph = {k for e in edges for k in (e[0], e[1])}
-    rest = [k for k in range(len(bprime)) if k not in in_graph]
-    proj_v = {proj[k] for k in in_graph}
-    proj_rest = {proj[k] for k in rest}
-    sphere_set = sorted(proj_v | proj_rest)
+    ids, blocks, _ = proj
+    in_graph = np.zeros(len(vkeys), dtype=bool)
+    in_graph[edges] = True
+    graph_vertices = int(in_graph.sum())
+    rest = len(vkeys) - graph_vertices
+    proj_v, proj_rest = len(np.unique(ids[in_graph])), len(np.unique(ids[~in_graph]))
+    sphere_set = blocks[np.unique(ids), :n2]
 
     sphere_reports: tuple[InequalityReport, ...] = ()
     sphere_bound = None
@@ -628,26 +668,26 @@ def end_to_end_lower_bound(
         sphere_reports = tuple(s_reports)
         sphere_bound = extras["implied_bound"]
 
-    bound = len(m1_idx) + (len(proj_v) + len(proj_rest)) / 2.0 - 1
+    bound = len(m1_idx) + (proj_v + proj_rest) / 2.0 - 1
     chain = [
-        InequalityReport.of("embedding_collapse", len(bprime), len(basis)),
-        InequalityReport.of("vertex_partition", len(in_graph) + len(rest), len(bprime)),
+        InequalityReport.of("embedding_collapse", len(vkeys), len(basis)),
+        InequalityReport.of("vertex_partition", graph_vertices + rest, len(vkeys)),
         InequalityReport.of("edges_equal_marks", len(edges), len(m1_idx)),
         *analysis.reports,
         InequalityReport.of(
             "chain_tree_link",
-            len(edges) + analysis.tree_count + len(proj_rest),
-            len(in_graph) + len(rest),
+            len(edges) + analysis.tree_count + proj_rest,
+            graph_vertices + rest,
         ),
         InequalityReport.of(
             "chain_half_link",
             bound,
-            len(edges) + analysis.tree_count + len(proj_rest),
+            len(edges) + analysis.tree_count + proj_rest,
         ),
     ]
     if sphere_bound is not None:
         chain.append(
-            InequalityReport.of("projection_union", len(sphere_set), len(proj_v) + len(proj_rest))
+            InequalityReport.of("projection_union", len(sphere_set), proj_v + proj_rest)
         )
         chain.append(InequalityReport.of("sphere_block_bound", sphere_bound, len(sphere_set)))
     chain.append(InequalityReport.of("bound_soundness", bound, len(basis)))
@@ -662,14 +702,14 @@ def end_to_end_lower_bound(
         basis_size=len(basis),
         bound=bound,
         m1_size=len(m1_idx),
-        m2_size=len(marks.triple_product_marks),
+        m2_size=m2_size,
         p1_size=n1,
         p2_size=n2,
-        bprime_size=len(bprime),
-        graph_vertices=len(in_graph),
+        bprime_size=len(vkeys),
+        graph_vertices=graph_vertices,
         tree_count=analysis.tree_count,
-        proj_vertices=len(proj_v),
-        proj_rest=len(proj_rest),
+        proj_vertices=proj_v,
+        proj_rest=proj_rest,
         sphere_size=len(sphere_set),
         sphere_ran=n2 >= 3,
         chain=tuple(chain),

@@ -13,15 +13,19 @@ Two constructors give the stream of (seed, index), keyed alike:
 which take its vector draws; ``ScalarStream`` computes the same
 Philox4x64-10 words in Python and draws scalar ``integers`` exactly as
 the generator does, for the instances of ``reduce`` and
-``factorial-check``, which so never load ``numpy.random``.  A seed must
-lie in [0, 2**64).
+``factorial-check``, which so never load ``numpy.random``.  A seed and
+a stream index must lie in [0, 2**64); both constructors reject any
+other, as ``RunConfig`` rejects such a seed.
 
 Exit codes: 0 all checks hold (and searches proved optimality), 1 a
 checked inequality failed or a search exhausted its budget, 2 bad
 arguments, a table past its size budget, or input a pipeline stage
 rejected (one line on stderr,
 ``error: [stage] message`` for a stage), 3 a broken invariant, which
-is a bug rather than bad input.
+is a bug rather than bad input.  A ``min-basis`` run whose budget ran
+out while fixing the lexicographically smallest basis exits as proved
+(the size is) and says on stderr, in one ``note:`` line, that the basis
+is the first pass's.
 """
 
 from __future__ import annotations
@@ -94,8 +98,7 @@ class RunConfig:
             raise ValueError(f"unknown format {self.output_format!r}")
         if self.jobs < 1:
             raise ValueError("jobs must be positive")
-        if not 0 <= self.seed <= _MASK64:
-            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
+        _word("seed", self.seed)
 
     def to_record(self) -> dict:
         # jobs is execution plumbing and cannot influence results, so it is
@@ -109,10 +112,17 @@ class RunConfig:
         }
 
 
+def _word(name: str, value: int) -> int:
+    """``value``, checked to be a 64-bit key word: folding it mod 2**64 would share streams."""
+    if not 0 <= value <= _MASK64:
+        raise ValueError(f"{name} must lie in [0, 2**64), got {value}")
+    return value
+
+
 def rng_stream(seed: int, stream: int) -> np.random.Generator:
     """Independent deterministic generator for one trial of one run."""
     # a uint64 array: as a list, a word of 2**63 or more would become a float
-    key = np.array([seed & _MASK64, stream & _MASK64], dtype=np.uint64)
+    key = np.array([_word("seed", seed), _word("stream", stream)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -148,7 +158,7 @@ class ScalarStream:
     __slots__ = ("_keys", "_counter", "_halves")
 
     def __init__(self, seed: int, stream: int):
-        self._keys = _round_keys(seed & _MASK64, stream & _MASK64)
+        self._keys = _round_keys(_word("seed", seed), _word("stream", stream))
         self._counter = 0
         self._halves: list[int] = []  # the block's undrawn half words, next last
 
@@ -375,7 +385,11 @@ def _cmd_min_basis(config: RunConfig) -> tuple[list, list, int]:
     else:
         elements = sorted(set(p["elements"]))
         M = None
-    sol = exact_min_basis(elements, budget=_count(p, "budget_nodes", 2_000_000))
+    budget = _count(p, "budget_nodes", 2_000_000)
+    sol = exact_min_basis(elements, budget=budget)
+    if sol.optimal and sol.nodes_explored > budget:
+        print("note: the size is proved, but the budget ran out before the lex-least basis: "
+              "this basis is the first pass's", file=sys.stderr)
     return [_row(config, sol, M=M, nodes=sol.nodes_explored)], [], 0 if sol.optimal else 1
 
 

@@ -8,9 +8,11 @@ smallest-prime-factor array, p-adic valuations v_p(x), the reduction map
 into F_q^n for a fixed list of primes, doubling shifts of an integer into
 a window [a+1, a+M], and Gaussian-elimination rank over F_q.
 
-A vector rho(x) is held as a sparse row: the tuple of its nonzero
-(column, residue) pairs, ascending by column.  ``valuation_rows`` is the
-one map from integers to rows, and ``add_rows`` adds two rows mod q.
+A vector rho(x) is held as a sparse row: its nonzero (column, residue)
+pairs, ascending by column.  ``valuation_csr`` is the one map from
+integers to rows, held together as CSR arrays (offsets, columns,
+residues) built by ``csr_rows``; ``valuation_rows`` gives them as tuples,
+and ``add_rows`` adds two such tuples mod q.
 
 Products that can exceed machine words (factorial divisibility checks)
 go through ``big_product``, which stays in arbitrary-precision integers.
@@ -34,6 +36,8 @@ __all__ = [
     "valuation",
     "divisors",
     "valuation_rows",
+    "valuation_csr",
+    "csr_rows",
     "add_rows",
     "shift_into_interval",
     "rank_mod_q",
@@ -93,6 +97,13 @@ class PrimeTable:
         if x > self.limit:
             raise ValueError(f"is_prime({x}) beyond table limit {self.limit}")
         return x >= 2 and int(self.spf[x]) == x
+
+    def non_primes(self, values: Sequence[int]) -> list[int]:
+        """The values that are not prime, in order, by one lookup in ``spf``."""
+        x = np.array(values, dtype=np.int64)
+        if len(x) and x.max() > self.limit:
+            raise ValueError(f"value {x.max()} beyond table limit {self.limit}")
+        return x[(x < 2) | (self.spf[np.maximum(x, 0)] != x)].tolist()
 
     def primes_in(self, lo: int, hi: int) -> list[int]:
         """Primes p with lo <= p <= hi, ascending."""
@@ -211,57 +222,78 @@ def divisors(x: int) -> list[int]:
     return small + large[::-1]
 
 
-def valuation_rows(
-    values: Sequence[int], table: PrimeTable, primes: Sequence[int], q: int
-) -> list[tuple]:
-    """The sparse row of rho(x) = (v_p(x) mod q) over ``primes``, one per value.
+def csr_rows(count: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray, q: int) -> tuple:
+    """``count`` sparse rows mod q from entries (row, column, value), as CSR arrays.
+
+    Returns (offsets, columns, residues): row r holds the columns
+    ``columns[offsets[r]:offsets[r + 1]]``, ascending, each with its
+    nonzero residue.  Values at one (row, column) are summed mod q.
+    """
+    width = int(cols.max()) + 1 if len(cols) else 1
+    key, at = np.unique(rows.astype(np.int64) * width + cols, return_inverse=True)
+    res = np.bincount(at, weights=values, minlength=len(key)).astype(np.int64) % q
+    key, res = key[res != 0], res[res != 0]
+    offsets = np.zeros(count + 1, dtype=np.int64)
+    np.cumsum(np.bincount(key // width, minlength=count), out=offsets[1:])
+    return offsets, key % width, res
+
+
+def valuation_csr(values: Sequence[int], table: PrimeTable, primes: Sequence[int], q: int) -> tuple:
+    """The rows of rho(x) = (v_p(x) mod q) over ``primes``, one per value, as ``csr_rows`` arrays.
 
     Column j is ``primes[j]``; other primes are ignored.  q must be an
     odd prime, and every listed prime must lie within the table, which
-    keeps the walk exact past it.  A value within the table walks down
-    its smallest-prime-factor chain.  A larger one is first trial-divided
-    by the table's primes while p^2 <= rest, until the rest is back
-    within the table (and walked) or is 1, one prime or a product of
-    primes past the table, none of them listed.
+    keeps the walk exact past it.  Values within the table walk down
+    their smallest-prime-factor chains together, one prime factor a
+    step.  A larger one is first trial-divided by the table's primes
+    while p^2 <= rest, until the rest is back within the table (and
+    walked) or is 1, one prime or a product of primes past the table,
+    none of them listed.
     """
     if q == 2 or not is_prime(q):
         raise ValueError(f"q must be an odd prime, got {q}")
-    column = {p: j for j, p in enumerate(primes)}
-    if len(column) != len(primes):
+    listed = np.array(primes, dtype=np.int64)
+    order = np.argsort(listed)
+    listed = listed[order]
+    if np.any(listed[1:] == listed[:-1]):
         raise ValueError("prime list contains duplicates")
     limit = table.limit
-    if column and max(column) > limit:
-        raise ValueError(f"listed prime {max(column)} beyond table limit {limit}")
-    spf = table.spf[: min(max(values, default=1), limit) + 1].tolist()
-    trial = None  # the table's primes, read only when a value exceeds it
-    rows = []
-    for x in values:
-        row = []
-        if x > limit:
-            if trial is None:
-                trial = table.primes.tolist()
-            for p in trial:
-                if p * p > x or x <= limit:
-                    break
-                if x % p == 0:
-                    e = 0
-                    while x % p == 0:
-                        x //= p
-                        e += 1
-                    if p in column and e % q:
-                        row.append((column[p], e % q))
-            if x > limit:
-                x = 1
-        while x > 1:
-            p, e = spf[x], 0
-            while x % p == 0:
-                x //= p
-                e += 1
-            if p in column and e % q:
-                row.append((column[p], e % q))
-        row.sort()
-        rows.append(tuple(row))
-    return rows
+    if len(listed) and listed[-1] > limit:
+        raise ValueError(f"listed prime {listed[-1]} beyond table limit {limit}")
+    big = [r for r, v in enumerate(values) if v > limit]
+    x = np.array([1 if v > limit else v for v in values] if big else values, dtype=np.int64)
+    trial = table.primes.tolist() if big else []
+    found = []  # (row, prime) for each prime factor a trial division takes out
+    for r in big:
+        v = values[r]
+        for p in trial:
+            if p * p > v or v <= limit:
+                break
+            while v % p == 0:
+                v //= p
+                found.append((r, p))
+        x[r] = v if v <= limit else 1
+    rows, factors = ([a] for a in np.array(found, dtype=np.int64).reshape(-1, 2).T)
+    at = np.flatnonzero(x > 1)
+    walk = x[at]
+    while len(walk):  # one prime factor of each value a step
+        p = table.spf[walk].astype(np.int64)
+        rows.append(at)
+        factors.append(p)
+        walk //= p
+        at, walk = at[walk > 1], walk[walk > 1]
+    rows, factors = np.concatenate(rows), np.concatenate(factors)
+    pos = np.searchsorted(listed, factors)
+    keep = pos < len(listed)
+    keep[keep] = listed[pos[keep]] == factors[keep]
+    return csr_rows(len(x), rows[keep], order[pos[keep]], np.ones(int(keep.sum()), dtype=np.int64), q)
+
+
+def valuation_rows(values: Sequence[int], table: PrimeTable, primes: Sequence[int], q: int) -> list[tuple]:
+    """``valuation_csr``'s rows as tuples of (column, residue) pairs."""
+    offsets, cols, res = valuation_csr(values, table, primes, q)
+    entries = list(zip(cols.tolist(), res.tolist()))
+    return [tuple(entries[a:b]) for a, b in zip(offsets[:-1].tolist(), offsets[1:].tolist())]
 
 
 def add_rows(a: tuple, b: tuple, q: int) -> tuple:

@@ -43,10 +43,12 @@ __all__ = [
     "icbrt",
 ]
 
-# Cover checks switch to an array sweep when targets are dense; above
-# this many candidate products the per-element divisor scan wins.
+# Cover checks sweep targets in windows of at most _DENSE_MAX values; a
+# window holding fewer than _DENSE_MIN_COUNT targets is scanned target by
+# target instead.
 _DENSE_MAX = 1 << 23
 _DENSE_MIN_COUNT = 512
+_INT64_MAX = (1 << 63) - 1
 
 
 def icbrt(n: int) -> int:
@@ -131,53 +133,83 @@ def product_set(B: Iterable[int]) -> list[int]:
     return sorted(out)
 
 
-def _sparse_pairs(targets: Iterable[int], bset: set[int]) -> Iterator[tuple[int, tuple[int, int] | None]]:
-    """Each target with its smallest factor pair in B, or None, by a scan of B.
+def _scan(targets: Iterable[int], ordered: list[int], bset: set[int]) -> list[int]:
+    """The least b of each target's least pair (b, a // b) in B, or 0, by a scan of B.
 
     Target a tries the members d <= isqrt(a) in ascending order, so the
-    first d with a // d in B gives the smallest pair.
+    first d with a // d in B gives the smallest pair.  Stops after the
+    first 0.
     """
-    ordered = sorted(bset)
+    low = []
     for a in targets:
-        pair = None
+        pair = 0
         for d in islice(ordered, bisect_right(ordered, math.isqrt(a))):
             if a % d == 0 and a // d in bset:
-                pair = (d, a // d)
+                pair = d
                 break
-        yield a, pair
-
-
-def _at(targets: Sequence[int]):
-    """An index of ``targets`` into an array: a range as its slice, a list as itself."""
-    return slice(targets.start, targets.stop, targets.step) if isinstance(targets, range) else targets
-
-
-def _dense_sweep(targets: Sequence[int], bset: set[int]) -> np.ndarray:
-    """Array w1 with (w1[a], a // w1[a]) the smallest pair of each covered target.
-
-    Uncovered targets keep w1[a] = 0.  Each b <= sqrt(max) is swept
-    against the sorted basis in ascending order; the first write wins,
-    which is exactly the lexicographic-minimum rule.
-    """
-    amax = targets[-1]
-    barr = np.array(sorted(b for b in bset if b <= amax), dtype=np.int64)
-    is_t = np.zeros(amax + 1, dtype=bool)
-    is_t[_at(targets)] = True
-    w1 = np.zeros(amax + 1, dtype=np.int64)
-    for b in barr.tolist():
-        hi = amax // b
-        if hi < b:
+        low.append(pair)
+        if not pair:
             break
-        j = int(np.searchsorted(barr, b, side="left"))
-        k = int(np.searchsorted(barr, hi, side="right"))
-        prod = b * barr[j:k]
-        mask = is_t[prod] & (w1[prod] == 0)
-        w1[prod[mask]] = b
-    return w1
+    return low
 
 
-def _cover_inputs(A: Iterable[int], B: Iterable[int]) -> tuple[Sequence[int], set[int], bool]:
-    """Sorted distinct targets, the basis as a set, and whether the dense sweep applies.
+def _sweep(targets: Sequence[int], barr: np.ndarray) -> np.ndarray:
+    """``_scan`` of every target at once, by writing b * c for b, c in B over the window.
+
+    The window holds targets[0] <= a <= targets[-1] < 2^63.  Each b with
+    b * b <= hi is swept in ascending order against the c in B with
+    b <= c and lo <= b * c <= hi; the first write wins, which is exactly
+    the lexicographic-minimum rule.
+    """
+    lo, hi = targets[0], targets[-1]
+    if isinstance(targets, range):  # read as its own slice, with no copy
+        index = slice(targets.start - lo, targets.stop - lo, targets.step)
+    else:
+        index = np.array(targets) - lo
+    is_t = np.zeros(hi - lo + 1, dtype=bool)
+    is_t[index] = True
+    w1 = np.zeros(hi - lo + 1, dtype=np.uint32)  # b <= isqrt(hi) < 2^32
+    bs = barr[: np.searchsorted(barr, math.isqrt(hi), side="right")]
+    js = np.searchsorted(barr, np.maximum(bs, -(-lo // bs)), side="left")
+    ks = np.searchsorted(barr, hi // bs, side="right")
+    for b, j, k in zip(bs.tolist(), js.tolist(), ks.tolist()):
+        if j < k:
+            at = b * barr[j:k] - lo
+            at = at[is_t[at] & (w1[at] == 0)]
+            w1[at] = b
+    return w1[index]
+
+
+def _least_factors(targets: Sequence[int], bset: set[int]) -> Iterator[tuple]:
+    """Runs of ``targets``, each with the least b of each target's pair and its first gap.
+
+    The runs are windows of at most ``_DENSE_MAX`` values, each starting
+    at the first target past the last.  A window holding at least
+    ``_DENSE_MIN_COUNT`` targets, all below 2^63, is swept, and gives an
+    array; any other is scanned, and gives a list that stops after its
+    first 0.  The gap is the index of the window's first 0, or None.
+    """
+    ordered = sorted(bset)
+    barr = None
+    i = 0
+    while i < len(targets):
+        j = bisect_right(targets, targets[i] + _DENSE_MAX - 1, i)
+        chunk = targets[i:j]
+        if j - i >= _DENSE_MIN_COUNT and chunk[-1] <= _INT64_MAX:
+            if barr is None:
+                barr = np.array(ordered[: bisect_right(ordered, _INT64_MAX)], dtype=np.int64)
+            low = _sweep(chunk, barr)
+            gaps = np.flatnonzero(low == 0)
+            gap = int(gaps[0]) if len(gaps) else None
+        else:
+            low = _scan(chunk, ordered, bset)
+            gap = None if low[-1] else len(low) - 1
+        yield chunk, low, gap
+        i = j
+
+
+def _cover_inputs(A: Iterable[int], B: Iterable[int]) -> tuple[Sequence[int], set[int]]:
+    """Sorted distinct targets and the basis as a set.
 
     A range with positive step is sorted and distinct already, and is
     kept as it is.
@@ -190,30 +222,23 @@ def _cover_inputs(A: Iterable[int], B: Iterable[int]) -> tuple[Sequence[int], se
         raise ValueError("basis elements must be positive")
     if targets and targets[0] < 1:
         raise ValueError("targets must be positive")
-    dense = bool(targets) and targets[-1] <= _DENSE_MAX and len(targets) >= _DENSE_MIN_COUNT
-    return targets, bset, dense
+    return targets, bset
 
 
 def verify_cover(A: Iterable[int], B: Iterable[int]) -> CoverCheck:
     """Check A subset of B*B, producing canonical witnesses.
 
-    Dense target sets go through a product sweep over sorted B (first
-    write wins, which is exactly the lexicographic-minimum rule); sparse
-    sets get a per-element scan of the basis.  Both yield identical pairs.
-    A range with positive step is read as its own targets, with no copy
-    into a sorted list.
+    Windows dense in targets go through a product sweep over sorted B
+    (first write wins, which is exactly the lexicographic-minimum rule);
+    sparse ones get a per-element scan of the basis.  Both yield
+    identical pairs.  A range with positive step is read as its own
+    targets, with no copy into a sorted list.
     """
-    targets, bset, dense = _cover_inputs(A, B)
-    if dense:
-        low = _dense_sweep(targets, bset)[_at(targets)].tolist()
-        pairs = zip(targets, ((b, a // b) if b else None for a, b in zip(targets, low)))
-    else:
-        pairs = _sparse_pairs(targets, bset)
     witness: dict[int, tuple[int, int]] = {}
-    for a, pair in pairs:
-        if pair is None:
-            return CoverCheck(False, witness, first_uncovered=a)
-        witness[a] = pair
+    for chunk, low, gap in _least_factors(*_cover_inputs(A, B)):
+        witness.update((a, (b, a // b)) for a, b in zip(chunk, np.asarray(low)[:gap].tolist()))
+        if gap is not None:
+            return CoverCheck(False, witness, first_uncovered=chunk[gap])
     return CoverCheck(True, witness)
 
 
@@ -225,11 +250,10 @@ def first_uncovered(A: Iterable[int], B: Iterable[int]) -> int | None:
     positive step is read as its own targets, with no copy into a set or
     a sorted list.
     """
-    targets, bset, dense = _cover_inputs(A, B)
-    if dense:
-        gaps = np.flatnonzero(_dense_sweep(targets, bset)[_at(targets)] == 0)
-        return targets[int(gaps[0])] if len(gaps) else None
-    return next((a for a, pair in _sparse_pairs(targets, bset) if pair is None), None)
+    for chunk, _, gap in _least_factors(*_cover_inputs(A, B)):
+        if gap is not None:
+            return chunk[gap]
+    return None
 
 
 @dataclass(frozen=True)

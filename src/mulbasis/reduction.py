@@ -113,15 +113,20 @@ class ReducedPair:
 
 @dataclass(frozen=True, eq=True)
 class MarkingSet:
-    """Indices m, each owning a prime that divides its term and no other's."""
+    """Indices m, each owning a prime that divides its term and no other's.
+
+    Primes are checked in the ``table`` the marks came from, if given.
+    """
 
     indices: frozenset[int]
     prime_of: dict[int, int] = field(compare=True)
+    table: PrimeTable | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.indices != frozenset(self.prime_of):
             raise ValueError("indices and prime_of keys disagree")
-        bad = [p for p in self.prime_of.values() if not is_prime(p)]
+        primes = list(self.prime_of.values())
+        bad = self.table.non_primes(primes) if self.table else [p for p in primes if not is_prime(p)]
         if bad:
             raise ValueError(f"non-prime marks: {sorted(set(bad))}")
 
@@ -355,7 +360,7 @@ def build_marking_sets(M: int, u: int, table: PrimeTable) -> MarkingSets:
         k = shift_into_interval(x, u, M)
         triple[(x << k) - u] = x
     return MarkingSets(
-        single_prime_marks=MarkingSet(indices=frozenset(prime_of), prime_of=prime_of),
+        single_prime_marks=MarkingSet(indices=frozenset(prime_of), prime_of=prime_of, table=table),
         triple_product_marks=triple,
         large_primes=large,
         small_primes=small,

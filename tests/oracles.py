@@ -12,8 +12,8 @@ cover check edits each -b at the target's support, the factorial
 check walks the multiples of each prime on its own, the span
 certificate keeps its first dense valuation vectors, the interval
 witnesses come from trial-division divisors, the sphere report keeps
-its first vector-keyed counters, and the end-to-end pipeline keeps its
-first dense vectors.  Slow and obviously correct
+its first vector-keyed counters, the end-to-end pipeline keeps its
+first dense vectors, and its key rows and join keep their tuple forms.  Slow and obviously correct
 beats fast.  ``traced_peak`` measures what a run allocates, for the
 tests that bound it.
 """
@@ -919,6 +919,59 @@ def sphere_report_vectors(B, n: int):
 
 
 # ------------------------------------------------------ pipeline
+
+
+def sparse_row(v) -> tuple:
+    """The sparse row of a ``TernaryVector``: its (column, residue) pairs, ascending."""
+    return tuple((i, v.coords[i]) for i in v.support())
+
+
+def dense_vector(row: tuple, n: int):
+    """The n-coordinate ``TernaryVector`` of a sparse row."""
+    from mulbasis.spherelab import TernaryVector
+
+    buf = bytearray(n)
+    for i, c in row:
+        buf[i] = c
+    return TernaryVector(bytes(buf))
+
+
+def dense_order(row: tuple) -> tuple:
+    """Sort key that puts sparse rows in the byte order of their dense vectors.
+
+    At the first column where two rows differ, a row with no entry there
+    is zero there, and its next entry, if any, sits at a later column: a
+    smaller -column.  A row that ends first is a prefix of the other key.
+    """
+    return tuple((-i, c) for i, c in row)
+
+
+def join_weight_one_pairs(rows: list, tlist: list) -> list:
+    """The pipeline's weight-one join as first written, a hash join on tuple rows.
+
+    ``rows`` are sparse rows in dense order and ``tlist`` the sparse rows
+    ((p, c),) of the targets.  From each row b1 and each target c * e_p
+    at one of its columns, the partner c * e_p - b1 is looked up whole.
+    Gives per target the least index pair (k1, k2), k1 <= k2, or None.
+    """
+    from collections import defaultdict
+
+    whole = {s: k for k, s in enumerate(rows)}
+    values = defaultdict(list)  # p -> c of each target c * e_p
+    for ((p, c),) in tlist:
+        values[p].append(c)
+    best = {}  # (p, c) -> (index of b1, index of b2)
+    for k1, s in enumerate(rows):
+        neg = tuple((i, 3 - c) for i, c in s)
+        for j, (p, c1) in enumerate(s):
+            for c in values.get(p, ()):
+                at_p = ((p, (c - c1) % 3),) if c != c1 else ()
+                k2 = whole.get(neg[:j] + at_p + neg[j + 1 :])
+                if k2 is not None:
+                    pair = (k1, k2) if k1 <= k2 else (k2, k1)
+                    if (p, c) not in best or pair < best[(p, c)]:
+                        best[(p, c)] = pair
+    return [best.get(t[0]) for t in tlist]
 
 
 def component_analysis_dense(m1_edges, split):

@@ -17,10 +17,7 @@ from mulbasis.certificates import (
     InequalityReport,
     PairingGraph,
     PipelineError,
-    _dense_order,
-    _join_weight_one_pairs,
     _sphere_report_full,
-    _sparse,
     build_pairing_graph,
     component_analysis,
     decompose_by_coordinate,
@@ -39,6 +36,9 @@ from mulbasis.spherelab import (
     enumerate_sphere,
     sphere_construction_basis,
 )
+from oracles import dense_order as _dense_order
+from oracles import join_weight_one_pairs as _join_weight_one_pairs
+from oracles import sparse_row as _sparse
 from oracles import (
     end_to_end_lower_bound_dense,
     lex_least_pairs,
@@ -528,6 +528,48 @@ def test_dense_order_sorts_rows_as_their_bytes(rows):
     by_key = sorted(rows, key=_dense_order)
     by_bytes = sorted(rows, key=lambda r: TernaryVector.from_coords(dict(r).get(i, 0) for i in range(n)))
     assert by_key == by_bytes
+
+
+def _sparse_of_keys(keys, n):
+    """The sparse rows of key rows, held as ``certificates._void`` values."""
+    rows = keys.view(">u4").reshape(len(keys), keys.itemsize // 4)
+    return [tuple((n - k // 3, k % 3) for k in row if k) for row in rows.tolist()]
+
+
+SPARSE_ROWS = st.lists(
+    st.dictionaries(st.integers(0, 7), st.integers(1, 2), max_size=5).map(lambda d: tuple(sorted(d.items()))),
+    max_size=30,
+)
+
+
+@given(SPARSE_ROWS)
+@settings(max_examples=200, deadline=None)
+@example([((0, 1), (3, 2)), (), ((0, 1),), ((0, 1), (3, 2)), (), ((0, 1), (3, 2), (7, 1))])
+def test_key_rows_sort_and_dedupe_in_dense_order(rows):
+    # rows that are prefixes of one another, the empty row and repeats
+    n = 8
+    offsets = np.cumsum([0] + [len(r) for r in rows])
+    cols = np.array([i for r in rows for i, _ in r], dtype=np.int64)
+    res = np.array([c for r in rows for _, c in r], dtype=np.int64)
+    keys = np.unique(certificates._void(certificates._keys(offsets, cols, res, n)))
+    got = _sparse_of_keys(keys, n)
+    assert got == sorted(set(rows), key=_dense_order)
+
+
+@given(weight_one_instances())
+@settings(max_examples=200, deadline=None)
+@example((2, [V((0, 0)), V((0, 0)), unit(2, 0, 1), unit(2, 0, 2)], [unit(2, 0, 1), unit(2, 0, 2)]))
+@example((3, [V((1, 0, 0)), V((1, 0, 2)), V((1, 2, 2)), V((2, 0, 1))], [unit(3, 0, 2), unit(3, 2, 1)]))
+def test_array_join_matches_the_tuple_join(instance):
+    # the empty row, repeated rows, and rows that are prefixes of one another
+    n, basis, targets = instance
+    vecs, tlist = sorted(set(basis)), sorted(set(targets))
+    bkeys = np.unique(certificates._void(certificates._matrix_keys([v.coords for v in basis], n)))
+    assert _sparse_of_keys(bkeys, n) == [_sparse(v) for v in vecs]
+    tkeys = certificates._matrix_keys([t.coords for t in tlist], n)[:, 0].astype(np.int64)
+    got = certificates._join_weight_one_pairs(bkeys, tkeys).tolist()
+    want = _join_weight_one_pairs([_sparse(v) for v in vecs], [_sparse(t) for t in tlist])
+    assert [None if k1 < 0 else (k1, k2) for k1, k2 in got] == want
 
 
 @st.composite

@@ -811,6 +811,34 @@ def test_seed_outside_64_bits_exits_2(seed, capsys):
     assert err == f"error: seed must lie in [0, 2**64), got {seed}\n"
 
 
+@pytest.mark.parametrize("word", [-1, 2**64])
+def test_streams_reject_key_words_outside_64_bits(word):
+    # folded mod 2**64, -1 and 2**64 - 1 drew one stream
+    for make in (ScalarStream, rng_stream):
+        with pytest.raises(ValueError, match=rf"^seed must lie in \[0, 2\*\*64\), got {word}$"):
+            make(word, 0)
+        with pytest.raises(ValueError, match=rf"^stream must lie in \[0, 2\*\*64\), got {word}$"):
+            make(0, word)
+
+
+def test_streams_take_the_top_key_word():
+    ours, ref = ScalarStream(2**64 - 1, 2**64 - 1), rng_stream(2**64 - 1, 2**64 - 1)
+    assert [ours.integers(0, 100) for _ in range(8)] == [int(ref.integers(0, 100)) for _ in range(8)]
+
+
+def test_min_basis_notes_an_exhausted_fixing_pass(capsys):
+    # the size is proved, but the fixing pass ran out: the payload and exit
+    # code stay as recorded, and one stderr line says the basis is the first pass's
+    argv = EXACT_SEARCH_GOLDEN["min-basis_interval20_budget100"]
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert out == (GOLDEN / "min-basis_interval20_budget100.json").read_text(encoding="utf-8")
+    assert err.startswith("note: ") and err.count("\n") == 1
+    assert "first pass" in err
+    assert main(EXACT_SEARCH_GOLDEN["min-basis_interval20"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_batch_commands_do_not_load_numpy_random():
     # a fresh interpreter: the scalar commands draw through ScalarStream only
     script = (

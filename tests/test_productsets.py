@@ -2,6 +2,7 @@ import io
 import json
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -201,7 +202,8 @@ def test_first_uncovered_matches_verify_cover_sparse(data):
     _check_first_uncovered(targets, basis)
 
 
-# regime: (least count, most count, least start, most start) of a range
+# regime: (least count, most count, least start, most start) of a range;
+# a window of 2^23 values holds each range, so "past-dense" is swept too
 RANGE_REGIMES = {
     "dense": (_DENSE_MIN_COUNT, 3 * _DENSE_MIN_COUNT, 1, 3000),
     "few": (0, _DENSE_MIN_COUNT - 1, 1, 3000),
@@ -227,7 +229,8 @@ def test_range_targets_match_their_list(data):
     basis -= data.draw(st.sets(st.integers(min_value=1, max_value=k), max_size=3))
     basis |= data.draw(st.sets(st.integers(min_value=1, max_value=2 * start + 2 * k), max_size=5))
     basis = basis or {1}
-    assert productsets._cover_inputs(targets, basis)[2] == (regime == "dense")
+    windows = productsets._least_factors(*productsets._cover_inputs(targets, basis))
+    assert any(isinstance(low, np.ndarray) for _, low, _ in windows) == (regime != "few")
     assert first_uncovered(targets, basis) == first_uncovered(list(targets), basis)
     assert verify_cover(targets, basis) == verify_cover(list(targets), basis)
 
@@ -244,6 +247,74 @@ def test_range_targets_edge_cases():
             for form in (targets, list(targets)):
                 with pytest.raises(ValueError, match="targets must be positive"):
                     check(form, basis)
+
+
+WINDOW = 1 << 10
+
+
+def _cover_checks(targets, basis, **constants):
+    """first_uncovered, verify_cover and each window's sweep flag, with window constants patched."""
+    with mock.patch.multiple(productsets, **constants):
+        windows = productsets._least_factors(*productsets._cover_inputs(targets, basis))
+        swept = [isinstance(low, np.ndarray) for _, low, _ in windows]
+        return first_uncovered(targets, basis), verify_cover(targets, basis), swept
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_windowed_sweep_matches_the_scan(data):
+    # windows of 2^10 values: a range crosses several, its first gap may sit in
+    # a later one, and basis elements pass a window; every window scanned
+    # target by target must give the same gap and witnesses
+    step = data.draw(st.integers(min_value=1, max_value=4))
+    start = data.draw(st.integers(min_value=1, max_value=2 * WINDOW))
+    count = data.draw(st.integers(min_value=1, max_value=4 * WINDOW // step))
+    targets = range(start, start + step * count, step)
+    basis = set(construct_interval_basis(targets[-1]))
+    basis -= data.draw(st.sets(st.sampled_from(sorted(basis)), max_size=3))
+    basis |= data.draw(st.sets(st.integers(min_value=WINDOW, max_value=8 * WINDOW), max_size=3))
+    basis = basis or {1}
+    least = data.draw(st.sampled_from([32, _DENSE_MIN_COUNT]))
+    form = targets if data.draw(st.booleans()) else list(targets)
+    gap, check, swept = _cover_checks(form, basis, _DENSE_MAX=WINDOW, _DENSE_MIN_COUNT=least)
+    scan_gap, scan_check, scanned = _cover_checks(form, basis, _DENSE_MIN_COUNT=count + 1)
+    assert not any(scanned)
+    assert gap == check.first_uncovered == scan_gap
+    assert check == scan_check
+    assert len(swept) == -(-(targets[-1] - start + 1) // WINDOW)
+
+
+def test_windows_end_on_targets_and_find_late_gaps():
+    top = 5 * WINDOW
+    basis = set(construct_interval_basis(top))
+    assert max(basis) > WINDOW
+    # step 3 from 1 puts a target on each window's last value: 1 + 3 * 341 = 1024
+    targets = range(1, top, 3)
+    with mock.patch.multiple(productsets, _DENSE_MAX=WINDOW, _DENSE_MIN_COUNT=32):
+        chunks = [chunk for chunk, _, _ in productsets._least_factors(targets, basis)]
+    assert [(c[0], c[-1]) for c in chunks] == [(1 + k * (WINDOW + 2), 1 + k * (WINDOW + 2) + WINDOW - 1) for k in range(4)] + [(4 * (WINDOW + 2) + 1, targets[-1])]
+    gap, check, swept = _cover_checks(targets, basis, _DENSE_MAX=WINDOW, _DENSE_MIN_COUNT=32)
+    assert gap is None and swept == [True] * 5
+    assert check == verify_cover(targets, basis)
+    # the largest prime up to top is its own gap once dropped: a gap in the fifth window
+    p = max(basis)
+    gap, check, swept = _cover_checks(range(1, top + 1), basis - {p}, _DENSE_MAX=WINDOW)
+    assert gap == check.first_uncovered == p > 4 * WINDOW
+    assert swept == [True] * 5
+    assert check.witness == verify_cover(range(1, p), basis).witness
+    # a window reaching 2^63 is scanned, since its products would pass int64
+    big = range(2**63 - 100, 2**63 + 600)
+    gap, check, swept = _cover_checks(big, {1, *big[:10]}, _DENSE_MAX=WINDOW)
+    assert swept == [False] and gap == check.first_uncovered == big[10]
+
+
+def test_pipeline_bound_is_the_same_in_small_windows():
+    config = RunConfig(command="pipeline-bound", parameters={"m": 5000})
+    whole, windowed = io.StringIO(), io.StringIO()
+    assert run(config, out=whole) == 0
+    with mock.patch.object(productsets, "_DENSE_MAX", WINDOW):
+        assert run(config, out=windowed) == 0
+    assert windowed.getvalue() == whole.getvalue()
 
 
 def test_first_uncovered_keeps_one_array_per_value():

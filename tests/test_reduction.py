@@ -243,6 +243,22 @@ def test_marking_set_rejects_inconsistent_fields():
         MarkingSet(indices=frozenset({1}), prime_of={1: 6})
 
 
+def test_marking_set_checks_primes_in_its_table():
+    # the same composites are rejected, with the same message, by the table
+    # lookup as by is_prime per mark
+    table = sieve(100)
+    for prime_of in ({4: 9}, {1: 3, 2: 1, 5: 0, 6: 91}):
+        for source in (None, table):
+            with pytest.raises(ValueError, match=r"^non-prime marks: \[") as exc:
+                MarkingSet(indices=frozenset(prime_of), prime_of=prime_of, table=source)
+            assert exc.value.args[0] == f"non-prime marks: {sorted(set(prime_of.values()) - {3})}"
+    with pytest.raises(ValueError, match="beyond table limit 100"):
+        MarkingSet(indices=frozenset({1}), prime_of={1: 101}, table=table)
+    marks = build_marking_sets(1000, 0, sieve(1000)).single_prime_marks
+    assert marks.table is not None
+    assert marks == MarkingSet(indices=marks.indices, prime_of=marks.prime_of)
+
+
 # ------------------------------------------------------- divisibility
 
 
