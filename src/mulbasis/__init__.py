@@ -2,7 +2,7 @@
 
 Modules:
   numtheory    prime tables, valuations, valuation rows mod q, rank over F_q
-  productsets  cover verification, exact and constructed interval bases
+  productsets  cover checks, exact and constructed interval bases
   reduction    normal-form reduction, marking sets, factorial divisibility
   spherelab    weight-3 vectors over F_3: censuses, covers, overlap trials
   certificates pairing graphs, inequality reports, the end-to-end bound
@@ -35,14 +35,12 @@ from .numtheory import (
 from .productsets import (
     APSpec,
     BasisSolution,
-    CoverCheck,
     SizeSearch,
     construct_interval_basis,
     exact_min_basis,
     first_uncovered,
     min_size_search,
     product_set,
-    verify_cover,
 )
 from .reduction import (
     FactorialCheck,
@@ -80,7 +78,6 @@ __all__ = [
     "BasisSolution",
     "ComponentAnalysis",
     "ComponentSummary",
-    "CoverCheck",
     "DifferenceCase",
     "DifferenceCensus",
     "FactorialCheck",
@@ -127,5 +124,4 @@ __all__ = [
     "sphere_first_uncovered",
     "sphere_min_basis",
     "valuation",
-    "verify_cover",
 ]

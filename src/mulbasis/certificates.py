@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .numtheory import PrimeTable, csr_rows, sieve, valuation_csr
+from .numtheory import PrimeTable, csr_rows, halved_shift_csr, sieve, valuation_csr
 from .productsets import first_uncovered
 from .reduction import InvariantViolationError, build_marking_sets
 from .spherelab import TernaryVector, as_matrix, least_pairs, sphere_rows
@@ -619,15 +619,8 @@ def end_to_end_lower_bound(
     m2_size = len(marks.triple_product_marks)
     del marks  # its maps are the largest objects here; only these counts are read on
 
-    offsets, cols, res = valuation_csr(basis, table, primes, 3)
-    _, g_cols, g_res = valuation_csr([g], table, primes, 3)
-    if len(g_cols):
-        # B' = rho(b) - rho(g)/2, and -1/2 = 1 mod 3: rho(g)'s entries join every row
-        k = len(basis)
-        rows = np.concatenate([np.repeat(np.arange(k), np.diff(offsets)), np.repeat(np.arange(k), len(g_cols))])
-        cols, res = np.concatenate([cols, np.tile(g_cols, k)]), np.concatenate([res, np.tile(g_res, k)])
-        offsets, cols, res = csr_rows(k, rows, cols, res, 3)
-    bkeys = np.unique(_void(_keys(offsets, cols, res, n)))
+    # B' = rho(b) - rho(g)/2, one key row per distinct vector
+    bkeys = np.unique(_void(_keys(*halved_shift_csr(basis, g, table, primes, 3), n)))
     vkeys = bkeys.view(">u4").reshape(len(bkeys), -1)
 
     offsets, cols, res = valuation_csr([u + m for m in m1_idx], table, primes, 3)

@@ -11,8 +11,9 @@ a window [a+1, a+M], and Gaussian-elimination rank over F_q.
 A vector rho(x) is held as a sparse row: its nonzero (column, residue)
 pairs, ascending by column.  ``valuation_csr`` is the one map from
 integers to rows, held together as CSR arrays (offsets, columns,
-residues) built by ``csr_rows``; ``valuation_rows`` gives them as tuples,
-and ``add_rows`` adds two such tuples mod q.
+residues) built by ``csr_rows``.  ``halved_shift_csr`` gives the rows
+of the embedding rho(b) - rho(g)/2 that both the end-to-end pipeline
+(q = 3) and the rank certificate check their sums on.
 
 Products that can exceed machine words (factorial divisibility checks)
 go through ``big_product``, which stays in arbitrary-precision integers.
@@ -35,10 +36,9 @@ __all__ = [
     "is_prime",
     "valuation",
     "divisors",
-    "valuation_rows",
     "valuation_csr",
+    "halved_shift_csr",
     "csr_rows",
-    "add_rows",
     "shift_into_interval",
     "rank_mod_q",
     "big_product",
@@ -128,12 +128,9 @@ def sieve(limit: int) -> PrimeTable:
         if spf[p] == 0:
             block = spf[p * p :: p]
             block[block == 0] = p
-    # untouched entries >= 2 are prime
-    rest = np.flatnonzero(spf == 0)
-    rest = rest[rest >= 2]
-    spf[rest] = rest
-    primes = np.flatnonzero(spf == np.arange(limit + 1, dtype=np.uint32))
-    primes = primes[primes >= 2].astype(np.int64)
+    # untouched entries past 0 and 1 are exactly the primes
+    primes = np.flatnonzero(spf == 0)[2:].astype(np.int64, copy=False)
+    spf[primes] = primes
     return PrimeTable(limit=limit, primes=primes, spf=spf)
 
 
@@ -289,23 +286,24 @@ def valuation_csr(values: Sequence[int], table: PrimeTable, primes: Sequence[int
     return csr_rows(len(x), rows[keep], order[pos[keep]], np.ones(int(keep.sum()), dtype=np.int64), q)
 
 
-def valuation_rows(values: Sequence[int], table: PrimeTable, primes: Sequence[int], q: int) -> list[tuple]:
-    """``valuation_csr``'s rows as tuples of (column, residue) pairs."""
+def halved_shift_csr(
+    values: Sequence[int], g: int, table: PrimeTable, primes: Sequence[int], q: int
+) -> tuple:
+    """The rows of rho(x) - rho(g)/2 mod q, one per value, as ``csr_rows`` arrays.
+
+    rho is ``valuation_csr``'s map over ``primes``, with its conditions
+    on q and the table.  Halving is multiplication by (q + 1) / 2, so
+    -1/2 = (q - 1) / 2 mod q: rho(g)'s entries, times that, join every
+    row.
+    """
     offsets, cols, res = valuation_csr(values, table, primes, q)
-    entries = list(zip(cols.tolist(), res.tolist()))
-    return [tuple(entries[a:b]) for a, b in zip(offsets[:-1].tolist(), offsets[1:].tolist())]
-
-
-def add_rows(a: tuple, b: tuple, q: int) -> tuple:
-    """The sparse row of a + b over F_q."""
-    out = dict(a)
-    for i, c in b:
-        s = (out.get(i, 0) + c) % q
-        if s:
-            out[i] = s
-        else:
-            del out[i]
-    return tuple(sorted(out.items()))
+    _, g_cols, g_res = valuation_csr([g], table, primes, q)
+    if not len(g_cols):
+        return offsets, cols, res
+    k = len(offsets) - 1
+    rows = np.concatenate([np.repeat(np.arange(k), np.diff(offsets)), np.repeat(np.arange(k), len(g_cols))])
+    cols, res = np.concatenate([cols, np.tile(g_cols, k)]), np.concatenate([res, np.tile(g_res * ((q - 1) // 2), k)])
+    return csr_rows(k, rows, cols, res, q)
 
 
 def shift_into_interval(x: int, a: int, M: int) -> int:

@@ -9,9 +9,8 @@ The exact search runs on any cover problem coded in integers, targets
 with the pairs (b, c) that cover them: factor pairs here, the pairs
 (b, t - b) of base-3 coded vectors in ``spherelab.sphere_min_basis``.
 
-Covers are checked by ``first_uncovered``, which builds no witness.
-Only ``verify_cover`` keeps witnesses, for ``reduction.certify_lower_bound``:
-for each target, the lexicographically smallest factor pair (b, b').
+Covers are checked by ``first_uncovered``, a yes/no check that returns
+the first target outside B*B and builds no witness.
 """
 
 from __future__ import annotations
@@ -29,10 +28,8 @@ from .numtheory import InvariantViolationError, PrimeTable, divisors, sieve
 
 __all__ = [
     "APSpec",
-    "CoverCheck",
     "BasisSolution",
     "product_set",
-    "verify_cover",
     "first_uncovered",
     "SizeSearch",
     "size_search",
@@ -105,20 +102,6 @@ class APSpec:
         return cls(g=g, u=a // g, v=d // g, M=M)
 
 
-@dataclass(frozen=True)
-class CoverCheck:
-    """Outcome of a cover verification.
-
-    ``witness`` maps each target to its lexicographically smallest
-    factor pair; on failure ``first_uncovered`` is the smallest target
-    with no factor pair in B.
-    """
-
-    covered: bool
-    witness: dict[int, tuple[int, int]]
-    first_uncovered: int | None = None
-
-
 def product_set(B: Iterable[int]) -> list[int]:
     """Sorted {b * b' : b, b' in B}, unordered pairs with repetition."""
     elems = sorted(set(B))
@@ -133,84 +116,51 @@ def product_set(B: Iterable[int]) -> list[int]:
     return sorted(out)
 
 
-def _scan(targets: Iterable[int], ordered: list[int], bset: set[int]) -> list[int]:
-    """The least b of each target's least pair (b, a // b) in B, or 0, by a scan of B.
+def _scan(targets: Iterable[int], ordered: list[int], bset: set[int]) -> int | None:
+    """The first target with no pair (b, a // b) in B, by a scan of B, or None.
 
-    Target a tries the members d <= isqrt(a) in ascending order, so the
-    first d with a // d in B gives the smallest pair.  Stops after the
-    first 0.
+    Target a tries the members d <= isqrt(a) in ascending order, and
+    stops at the first d with a // d in B.
     """
-    low = []
     for a in targets:
-        pair = 0
         for d in islice(ordered, bisect_right(ordered, math.isqrt(a))):
             if a % d == 0 and a // d in bset:
-                pair = d
                 break
-        low.append(pair)
-        if not pair:
-            break
-    return low
+        else:
+            return a
+    return None
 
 
-def _sweep(targets: Sequence[int], barr: np.ndarray) -> np.ndarray:
-    """``_scan`` of every target at once, by writing b * c for b, c in B over the window.
+def _sweep(targets: Sequence[int], barr: np.ndarray) -> int | None:
+    """``_scan`` of every target at once, by marking b * c for b, c in B over the window.
 
     The window holds targets[0] <= a <= targets[-1] < 2^63.  Each b with
-    b * b <= hi is swept in ascending order against the c in B with
-    b <= c and lo <= b * c <= hi; the first write wins, which is exactly
-    the lexicographic-minimum rule.
+    b * b <= hi marks b * c for the c in B with b <= c and
+    lo <= b * c <= hi.
     """
     lo, hi = targets[0], targets[-1]
     if isinstance(targets, range):  # read as its own slice, with no copy
         index = slice(targets.start - lo, targets.stop - lo, targets.step)
     else:
         index = np.array(targets) - lo
-    is_t = np.zeros(hi - lo + 1, dtype=bool)
-    is_t[index] = True
-    w1 = np.zeros(hi - lo + 1, dtype=np.uint32)  # b <= isqrt(hi) < 2^32
+    hit = np.zeros(hi - lo + 1, dtype=bool)
     bs = barr[: np.searchsorted(barr, math.isqrt(hi), side="right")]
     js = np.searchsorted(barr, np.maximum(bs, -(-lo // bs)), side="left")
     ks = np.searchsorted(barr, hi // bs, side="right")
     for b, j, k in zip(bs.tolist(), js.tolist(), ks.tolist()):
         if j < k:
-            at = b * barr[j:k] - lo
-            at = at[is_t[at] & (w1[at] == 0)]
-            w1[at] = b
-    return w1[index]
+            hit[b * barr[j:k] - lo] = True
+    gaps = np.flatnonzero(~hit[index])
+    return targets[int(gaps[0])] if len(gaps) else None
 
 
-def _least_factors(targets: Sequence[int], bset: set[int]) -> Iterator[tuple]:
-    """Runs of ``targets``, each with the least b of each target's pair and its first gap.
+def _windows(A: Iterable[int], B: Iterable[int]) -> Iterator[tuple[Sequence[int], bool, int | None]]:
+    """Runs of the sorted distinct targets of A, each with whether it was swept and its first gap.
 
     The runs are windows of at most ``_DENSE_MAX`` values, each starting
     at the first target past the last.  A window holding at least
-    ``_DENSE_MIN_COUNT`` targets, all below 2^63, is swept, and gives an
-    array; any other is scanned, and gives a list that stops after its
-    first 0.  The gap is the index of the window's first 0, or None.
-    """
-    ordered = sorted(bset)
-    barr = None
-    i = 0
-    while i < len(targets):
-        j = bisect_right(targets, targets[i] + _DENSE_MAX - 1, i)
-        chunk = targets[i:j]
-        if j - i >= _DENSE_MIN_COUNT and chunk[-1] <= _INT64_MAX:
-            if barr is None:
-                barr = np.array(ordered[: bisect_right(ordered, _INT64_MAX)], dtype=np.int64)
-            low = _sweep(chunk, barr)
-            gaps = np.flatnonzero(low == 0)
-            gap = int(gaps[0]) if len(gaps) else None
-        else:
-            low = _scan(chunk, ordered, bset)
-            gap = None if low[-1] else len(low) - 1
-        yield chunk, low, gap
-        i = j
-
-
-def _cover_inputs(A: Iterable[int], B: Iterable[int]) -> tuple[Sequence[int], set[int]]:
-    """Sorted distinct targets and the basis as a set.
-
+    ``_DENSE_MIN_COUNT`` targets, all below 2^63, is swept; any other is
+    scanned.  The gap is the window's first target outside B*B, or None.
     A range with positive step is sorted and distinct already, and is
     kept as it is.
     """
@@ -222,37 +172,34 @@ def _cover_inputs(A: Iterable[int], B: Iterable[int]) -> tuple[Sequence[int], se
         raise ValueError("basis elements must be positive")
     if targets and targets[0] < 1:
         raise ValueError("targets must be positive")
-    return targets, bset
-
-
-def verify_cover(A: Iterable[int], B: Iterable[int]) -> CoverCheck:
-    """Check A subset of B*B, producing canonical witnesses.
-
-    Windows dense in targets go through a product sweep over sorted B
-    (first write wins, which is exactly the lexicographic-minimum rule);
-    sparse ones get a per-element scan of the basis.  Both yield
-    identical pairs.  A range with positive step is read as its own
-    targets, with no copy into a sorted list.
-    """
-    witness: dict[int, tuple[int, int]] = {}
-    for chunk, low, gap in _least_factors(*_cover_inputs(A, B)):
-        witness.update((a, (b, a // b)) for a, b in zip(chunk, np.asarray(low)[:gap].tolist()))
-        if gap is not None:
-            return CoverCheck(False, witness, first_uncovered=chunk[gap])
-    return CoverCheck(True, witness)
+    ordered = sorted(bset)
+    barr = None
+    i = 0
+    while i < len(targets):
+        j = bisect_right(targets, targets[i] + _DENSE_MAX - 1, i)
+        chunk = targets[i:j]
+        swept = j - i >= _DENSE_MIN_COUNT and chunk[-1] <= _INT64_MAX
+        if swept:
+            if barr is None:
+                barr = np.array(ordered[: bisect_right(ordered, _INT64_MAX)], dtype=np.int64)
+            gap = _sweep(chunk, barr)
+        else:
+            gap = _scan(chunk, ordered, bset)
+        yield chunk, swept, gap
+        i = j
 
 
 def first_uncovered(A: Iterable[int], B: Iterable[int]) -> int | None:
     """The smallest target of A outside B*B, or None when B*B covers A.
 
-    Equal to ``verify_cover(A, B).first_uncovered`` and checked by the
-    same sweep or scan, without building the witness map.  A range with
+    Windows dense in targets are swept over sorted B, sparse ones
+    scanned target by target; neither builds a witness.  A range with
     positive step is read as its own targets, with no copy into a set or
     a sorted list.
     """
-    for chunk, _, gap in _least_factors(*_cover_inputs(A, B)):
+    for _, _, gap in _windows(A, B):
         if gap is not None:
-            return chunk[gap]
+            return gap
     return None
 
 

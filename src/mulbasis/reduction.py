@@ -22,20 +22,23 @@ import math
 from dataclasses import dataclass, field, replace
 from itertools import combinations
 
+import numpy as np
+
 from .numtheory import (
     InvariantViolationError,
     PrimeTable,
-    add_rows,
     big_product,
+    csr_rows,
     divisors,
+    halved_shift_csr,
     is_prime,
     rank_mod_q,
     shift_into_interval,
     sieve,
     valuation,
-    valuation_rows,
+    valuation_csr,
 )
-from .productsets import APSpec, first_uncovered, icbrt, verify_cover
+from .productsets import APSpec, first_uncovered
 
 __all__ = [
     "InvariantViolationError",
@@ -211,9 +214,11 @@ def certify_lower_bound(pair: ReducedPair, marks: MarkingSet) -> LowerBoundCerti
     x -> (v_p(x) mod q) over the mark primes sends each marked term to a
     vector supported on its own coordinate; those land in the sumset of
     the shifted basis image, so the target rank |marks| forces at least
-    that many basis elements.  Every link is checked computationally.
-    The rows come from a sieve up to the largest mark prime, which must
-    therefore fit the sieve budget.
+    that many basis elements.  Every link is checked computationally:
+    the cover by ``first_uncovered``, and each marked term g*t against
+    its lex-least pair (b1, b2) in B, whose shifted images must add up
+    to rho(t).  The rows come from a sieve up to the largest mark prime,
+    which must therefore fit the sieve budget.
     """
     ap = pair.ap
     u, v, g = ap.u, ap.v, ap.g
@@ -227,26 +232,26 @@ def certify_lower_bound(pair: ReducedPair, marks: MarkingSet) -> LowerBoundCerti
     q = 3
     while q <= max_val or not is_prime(q):
         q += 2
-    cover = verify_cover(ap.elements(), pair.basis)
-    if not cover.covered:
-        raise ValueError(f"pair is not a cover; first failure at {cover.first_uncovered}")
+    gap = first_uncovered(ap.elements(), pair.basis)
+    if gap is not None:
+        raise ValueError(f"pair is not a cover; first failure at {gap}")
     table = sieve(max(primes))  # holds every mark prime: rows are exact past it
-    (g_row,) = valuation_rows([g], table, primes, q)
-    half = (q - 1) // 2  # -1/2 mod q
-    shift = tuple((i, c * half % q) for i, c in g_row)
+    t_off, t_cols, t_res = valuation_csr([u + v * m for m in idx], table, primes, q)
+    t_rows = np.repeat(np.arange(n_marks), np.diff(t_off))
+    dense = np.zeros((n_marks, n_marks), dtype=np.int64)
+    dense[t_rows, t_cols] = t_res
+    single = np.array_equal(dense != 0, np.eye(n_marks, dtype=bool))  # each on its own coordinate
+    # each marked term's lex-least pair (b1, b2): b1 is the least b in B that fits
     basis = sorted(pair.basis)
-    image = {
-        b: add_rows(row, shift, q) for b, row in zip(basis, valuation_rows(basis, table, primes, q))
-    }
-    all_ok = True
-    targets = valuation_rows([u + v * m for m in idx], table, primes, q)
-    for pos, (m, t) in enumerate(zip(idx, targets)):
-        single = len(t) == 1 and t[0][0] == pos
-        b1, b2 = cover.witness[g * (u + v * m)]
-        in_sumset = add_rows(image[b1], image[b2], q) == t
-        all_ok = all_ok and single and in_sumset
-    rank = rank_mod_q([[dict(t).get(j, 0) for j in range(n_marks)] for t in targets], q)
-    all_ok = all_ok and rank == n_marks
+    terms = [g * (u + v * m) for m in idx]
+    b1s = [next(b for b in basis if a % b == 0 and a // b in pair.basis) for a in terms]
+    i_off, i_cols, i_res = halved_shift_csr(b1s + [a // b for a, b in zip(terms, b1s)], g, table, primes, q)
+    # image(b1) + image(b2) - rho(t), one row per mark, keeps no entry when every mark is its sum
+    i_rows = np.repeat(np.arange(2 * n_marks) % n_marks, np.diff(i_off))
+    rows, cols = np.concatenate([i_rows, t_rows]), np.concatenate([i_cols, t_cols])
+    _, left, _ = csr_rows(n_marks, rows, cols, np.concatenate([i_res, q - t_res]), q)
+    rank = rank_mod_q(dense, q)
+    all_ok = single and not len(left) and rank == n_marks
     return LowerBoundCertificate(
         q=q,
         bound=n_marks,

@@ -13,7 +13,8 @@ check walks the multiples of each prime on its own, the span
 certificate keeps its first dense valuation vectors, the interval
 witnesses come from trial-division divisors, the sphere report keeps
 its first vector-keyed counters, the end-to-end pipeline keeps its
-first dense vectors, and its key rows and join keep their tuple forms.  Slow and obviously correct
+first dense vectors, its key rows and join keep their tuple forms, and
+so do the valuation rows and their sums mod q.  Slow and obviously correct
 beats fast.  ``traced_peak`` measures what a run allocates, for the
 tests that bound it.
 """
@@ -110,6 +111,31 @@ def valuation_loop(p: int, x: int) -> int:
         x //= p
         f += 1
     return f
+
+
+def csr_tuples(offsets, cols, res) -> list:
+    """Rows held as ``numtheory.csr_rows`` arrays, as tuples of (column, residue) pairs."""
+    entries = list(zip(cols.tolist(), res.tolist()))
+    return [tuple(entries[a:b]) for a, b in zip(offsets[:-1].tolist(), offsets[1:].tolist())]
+
+
+def valuation_rows(values, table, primes, q: int) -> list:
+    """``numtheory.valuation_csr``'s rows as tuples of (column, residue) pairs."""
+    from mulbasis.numtheory import valuation_csr
+
+    return csr_tuples(*valuation_csr(values, table, primes, q))
+
+
+def add_rows(a: tuple, b: tuple, q: int) -> tuple:
+    """The sparse row of a + b over F_q."""
+    out = dict(a)
+    for i, c in b:
+        s = (out.get(i, 0) + c) % q
+        if s:
+            out[i] = s
+        else:
+            del out[i]
+    return tuple(sorted(out.items()))
 
 
 def largest_prime_factor_trial(x: int) -> int:
@@ -424,12 +450,13 @@ def certify_lower_bound_reference(pair, marks):
     """``reduction.certify_lower_bound`` as first written, on dense vectors.
 
     rho(x) is the tuple of ``valuation_loop`` residues mod q over the mark
-    primes, the shift halves rho(g) with the inverse of 2 mod q, and the
+    primes, the shift halves rho(g) with the inverse of 2 mod q, each
+    marked term's pair comes from ``smallest_witness_pair``, and the
     rank comes from ``rank_rowreduce``.  The package must return an equal
     ``LowerBoundCertificate`` and raise the same ``ValueError``s.
     """
     from mulbasis.numtheory import is_prime, valuation
-    from mulbasis.productsets import verify_cover
+    from mulbasis.productsets import first_uncovered
     from mulbasis.reduction import LowerBoundCertificate
 
     ap = pair.ap
@@ -444,9 +471,9 @@ def certify_lower_bound_reference(pair, marks):
     q = 3
     while q <= max_val or not is_prime(q):
         q += 2
-    cover = verify_cover(pair.ap.elements(), pair.basis)
-    if not cover.covered:
-        raise ValueError(f"pair is not a cover; first failure at {cover.first_uncovered}")
+    gap = first_uncovered(pair.ap.elements(), pair.basis)
+    if gap is not None:
+        raise ValueError(f"pair is not a cover; first failure at {gap}")
 
     def rho(x):
         return tuple(valuation_loop(p, x) % q for p in primes)
@@ -460,7 +487,7 @@ def certify_lower_bound_reference(pair, marks):
         t = rho(u + v * m)
         targets.append(t)
         single = all((c != 0) == (i == pos) for i, c in enumerate(t))
-        b1, b2 = cover.witness[g * (u + v * m)]
+        b1, b2 = smallest_witness_pair(g * (u + v * m), pair.basis)
         in_sumset = tuple((x + y) % q for x, y in zip(image[b1], image[b2])) == t
         all_ok = all_ok and single and in_sumset
     rank = rank_rowreduce(targets, q)
@@ -1091,7 +1118,7 @@ def end_to_end_lower_bound_dense(M, B, u=0, g=1, table=None):
     """
     from mulbasis.certificates import InequalityReport, PipelineError, PipelineResult
     from mulbasis.numtheory import sieve
-    from mulbasis.productsets import verify_cover
+    from mulbasis.productsets import first_uncovered
     from mulbasis.reduction import InvariantViolationError, build_marking_sets
     from mulbasis.spherelab import TernaryVector
 
@@ -1107,9 +1134,9 @@ def end_to_end_lower_bound_dense(M, B, u=0, g=1, table=None):
         )
     if table is None:
         table = sieve(max(M, 4))
-    cover = verify_cover([g * (u + m) for m in range(1, M + 1)], basis)
-    if not cover.covered:
-        raise PipelineError("cover", f"element {cover.first_uncovered} is not covered")
+    gap = first_uncovered([g * (u + m) for m in range(1, M + 1)], basis)
+    if gap is not None:
+        raise PipelineError("cover", f"element {gap} is not covered")
     try:
         marks = build_marking_sets(M, u, table)
     except ValueError as exc:

@@ -25,7 +25,7 @@ from mulbasis.certificates import (
     prune_heavy,
     sphere_cover_report,
 )
-from mulbasis.numtheory import sieve, valuation_rows
+from mulbasis.numtheory import sieve
 from mulbasis.productsets import construct_interval_basis
 from mulbasis.reduction import InvariantViolationError
 from mulbasis.spherelab import (
@@ -46,6 +46,7 @@ from oracles import (
     sphere_report_vectors,
     traced_peak,
     valuation_loop,
+    valuation_rows,
 )
 
 V = TernaryVector.from_coords

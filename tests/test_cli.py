@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from mulbasis import __version__, cli, productsets
 from mulbasis.cli import RunConfig, ScalarStream, main, rng_stream, run
 from mulbasis.certificates import PipelineError
-from mulbasis.productsets import construct_interval_basis, verify_cover
+from mulbasis.productsets import construct_interval_basis, first_uncovered
 from mulbasis.reduction import (
     InvariantViolationError,
     random_divisibility_instance,
@@ -368,7 +368,7 @@ def test_pipeline_stage_rejection_exits_2_with_one_line(tmp_path, capsys):
 
 def test_pipeline_cover_stage_names_the_first_uncovered_element(tmp_path, capsys):
     basis = [b for b in construct_interval_basis(2000) if b != 4]
-    gap = verify_cover(range(1, 2001), basis).first_uncovered
+    gap = first_uncovered(range(1, 2001), basis)
     assert gap is not None and gap != 4
     path = tmp_path / "basis.txt"
     path.write_text("".join(f"{b}\n" for b in basis))

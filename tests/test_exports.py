@@ -1,4 +1,6 @@
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -27,3 +29,32 @@ def test_invariant_violation_is_one_class():
 
     assert mulbasis.InvariantViolationError is numtheory.InvariantViolationError
     assert reduction.InvariantViolationError is numtheory.InvariantViolationError
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Top-level imported names that the module neither references nor lists in ``__all__``."""
+    tree = ast.parse(source)
+    imported = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            imported += [(a.asname or a.name).split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names]
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            exported = set(ast.literal_eval(node.value))
+    return [name for name in imported if name not in used | exported]
+
+
+def test_src_imports_are_used():
+    import mulbasis
+
+    found = {
+        path.name: _unused_imports(path.read_text())
+        for path in sorted(Path(mulbasis.__file__).parent.glob("*.py"))
+    }
+    assert "reduction.py" in found
+    assert {name: unused for name, unused in found.items() if unused} == {}
+

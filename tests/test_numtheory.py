@@ -2,27 +2,30 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mulbasis.numtheory import (
     ResourceLimitError,
-    add_rows,
     big_product,
     divisors,
+    halved_shift_csr,
     is_prime,
     rank_mod_q,
     shift_into_interval,
     sieve,
     valuation,
-    valuation_rows,
 )
 from oracles import (
+    add_rows,
+    csr_tuples,
     is_prime_trial,
     is_strong_probable_prime,
     primes_segmented,
     rank_rowreduce,
+    traced_peak,
     valuation_loop,
+    valuation_rows,
 )
 
 TABLE = sieve(100_000)
@@ -47,8 +50,19 @@ def test_pi_of_one_million_matches_segmented_oracle():
     t = sieve(10**6)
     expected = primes_segmented(10**6)
     assert t.prime_count(10**6) == len(expected) == 78498
-    assert list(t.primes[:6]) == expected[:6]
-    assert list(t.primes[-3:]) == expected[-3:]
+    assert t.primes.dtype == np.int64 and t.primes.tolist() == expected
+
+
+def test_sieve_primes_match_segmented_oracle_up_to_200():
+    for limit in range(1, 201):
+        primes = sieve(limit).primes
+        assert primes.dtype == np.int64 and primes.tolist() == primes_segmented(limit), limit
+
+
+def test_sieve_keeps_one_pass_over_its_table():
+    # the uint32 table is 3.8 MiB at 10^6; a second pass for the primes,
+    # comparing it with an arange, took the peak to 9.2 MiB
+    assert traced_peak(lambda: sieve(10**6)) <= 6.5 * 2**20
 
 
 def test_prime_table_matches_oracle_below_10k():
@@ -289,6 +303,25 @@ def test_rho_vector_is_multiplicative(x, y, q):
     assert rxy == add_rows(rx, ry, q)
 
 
+@given(
+    st.lists(st.integers(1, 10**12), min_size=1, max_size=20),
+    st.lists(st.sampled_from(primes_segmented(200)), unique=True, max_size=12),
+    st.one_of(st.just(1), st.lists(st.sampled_from(primes_segmented(50)), max_size=6).map(math.prod)),
+    st.sampled_from([3, 5, 7]),
+)
+@settings(max_examples=150, deadline=None)
+@example([1, 360, 7**3], [2, 3, 5], 1, 5)  # g = 1: no shift
+@example([1, 360, 7**3], [2, 3, 5], 2 * 3 * 7 * 7 * 11, 7)  # 2 and 3 listed, 7 and 11 not
+@example([1, 360, 7**3], [2, 3, 5], 7 * 11, 3)  # no prime of g listed: no shift
+def test_halved_shift_matches_valuation_loop(values, primes, g, q):
+    half = pow(2, -1, q)
+    want = []
+    for x in values:
+        shifted = [(valuation_loop(p, x) - valuation_loop(p, g) * half) % q for p in primes]
+        want.append(tuple((j, c) for j, c in enumerate(shifted) if c))
+    assert csr_tuples(*halved_shift_csr(values, g, sieve(200), primes, q)) == want
+
+
 def test_valuation_vector_arithmetic():
     a, b = ((0, 2), (1, 6)), ((0, 6), (1, 3))
     assert add_rows(a, b, 7) == ((0, 1), (1, 2))
@@ -356,11 +389,11 @@ def test_rank_matches_row_reduction_oracle():
 
 
 def test_rank_accepts_valuation_vectors():
-    # the dense form of valuation rows, as the rank certificate passes them
+    # the dense form of valuation rows; the rank certificate passes them as an array
     rows = valuation_rows([3, 3 * 25, 5 * 49], TABLE, [3, 5, 7], 3)
     dense = [[dict(r).get(j, 0) for j in range(3)] for r in rows]
     assert dense == [[1, 0, 0], [1, 2, 0], [0, 1, 2]]
-    assert rank_mod_q(dense, 3) == 3
+    assert rank_mod_q(dense, 3) == rank_mod_q(np.array(dense), 3) == 3
     assert rank_mod_q(dense[:2] + [[2, 1, 0]], 3) == 2  # 2 * (1, 2, 0) = (2, 1, 0)
 
 

@@ -21,7 +21,6 @@ from mulbasis.productsets import (
     icbrt,
     min_size_search,
     product_set,
-    verify_cover,
 )
 from oracles import (
     exact_min_basis_reference,
@@ -106,64 +105,39 @@ def test_product_set_rejects_empty_and_nonpositive():
 
 
 def test_verify_cover_interval_four():
-    check = verify_cover(range(1, 5), {1, 2, 3})
-    assert check.covered
-    assert check.witness == {1: (1, 1), 2: (1, 2), 3: (1, 3), 4: (2, 2)}
+    assert first_uncovered(range(1, 5), {1, 2, 3}) is None
+    assert first_uncovered(range(1, 6), {1, 2, 3}) == 5
 
 
 def test_verify_cover_reports_first_uncovered():
-    check = verify_cover({5}, {2, 3})
-    assert not check.covered
-    assert check.first_uncovered == 5
+    assert first_uncovered({5}, {2, 3}) == 5
 
 
 def test_verify_cover_empty_targets():
-    check = verify_cover(set(), {2})
-    assert check.covered and check.witness == {}
-
-
-def test_verify_cover_picks_lexicographically_smallest_pair():
-    # 36 = 2*18 = 3*12 = 4*9 = 6*6; with all divisors available, (1, 36) wins
-    check = verify_cover({36}, {1, 2, 3, 4, 6, 9, 12, 18, 36})
-    assert check.witness[36] == (1, 36)
-    check = verify_cover({36}, {2, 3, 4, 6, 9, 12, 18})
-    assert check.witness[36] == (2, 18)
+    assert first_uncovered(set(), {2}) is None
 
 
 def test_dense_and_sparse_paths_agree():
-    # the dense sweep kicks in at >= 512 targets; pairs must match the
-    # per-target divisor scan exactly
+    # the dense sweep kicks in at >= 512 targets; its gap must match the
+    # per-target scan and the divisor oracle, covered or not
     targets = list(range(1, 600))
-    B = construct_interval_basis(599)
-    dense = verify_cover(targets, B)
-    assert dense.covered
-    assert dense.witness == {a: smallest_witness_pair(a, B) for a in targets}
-
-
-@given(st.data())
-@settings(max_examples=80)
-def test_witness_pairs_are_minimal(data):
-    basis = data.draw(st.sets(st.integers(min_value=1, max_value=40), min_size=1, max_size=12))
-    targets = sorted({b * c for b in basis for c in basis})
-    sample = data.draw(st.lists(st.sampled_from(targets), min_size=1, max_size=8))
-    check = verify_cover(sample, basis)
-    assert check.covered
-    for a in set(sample):
-        assert check.witness[a] == smallest_witness_pair(a, basis)
+    B = set(construct_interval_basis(599))
+    for basis in (B, B - {7}, B - {593}):
+        gap = next((a for a in targets if smallest_witness_pair(a, basis) is None), None)
+        with mock.patch.object(productsets, "_DENSE_MIN_COUNT", len(targets) + 1):
+            assert first_uncovered(targets, basis) == gap
+        assert first_uncovered(targets, basis) == gap
+    assert first_uncovered(targets, B) is None
 
 
 def _check_first_uncovered(targets, basis):
-    check = verify_cover(targets, basis)
-    oracle = {a: smallest_witness_pair(a, basis) for a in sorted(set(targets))}
-    gap = next((a for a, pair in oracle.items() if pair is None), None)
-    assert first_uncovered(targets, basis) == check.first_uncovered == gap
-    assert check.covered == (gap is None)
-    assert check.witness == {a: pair for a, pair in oracle.items() if gap is None or a < gap}
+    gap = next((a for a in sorted(set(targets)) if smallest_witness_pair(a, basis) is None), None)
+    assert first_uncovered(targets, basis) == gap
 
 
 @given(st.data())
 @settings(max_examples=40, deadline=None)
-def test_first_uncovered_matches_verify_cover_dense(data):
+def test_first_uncovered_matches_the_oracle_dense(data):
     # >= 512 targets, all <= 2^23: the array sweep
     M = data.draw(st.integers(min_value=512, max_value=2500))
     basis = set(construct_interval_basis(M))
@@ -185,7 +159,7 @@ SPARSE_REGIMES = {
 
 @given(st.data())
 @settings(max_examples=120, deadline=None)
-def test_first_uncovered_matches_verify_cover_sparse(data):
+def test_first_uncovered_matches_the_oracle_sparse(data):
     # fewer than 512 targets, or one past 2^23: the scan of the basis;
     # "huge" targets reach 10^12, whose square roots pass every basis element
     regime = data.draw(st.sampled_from(sorted(SPARSE_REGIMES)))
@@ -229,10 +203,9 @@ def test_range_targets_match_their_list(data):
     basis -= data.draw(st.sets(st.integers(min_value=1, max_value=k), max_size=3))
     basis |= data.draw(st.sets(st.integers(min_value=1, max_value=2 * start + 2 * k), max_size=5))
     basis = basis or {1}
-    windows = productsets._least_factors(*productsets._cover_inputs(targets, basis))
-    assert any(isinstance(low, np.ndarray) for _, low, _ in windows) == (regime != "few")
+    windows = productsets._windows(targets, basis)
+    assert any(swept for _, swept, _ in windows) == (regime != "few")
     assert first_uncovered(targets, basis) == first_uncovered(list(targets), basis)
-    assert verify_cover(targets, basis) == verify_cover(list(targets), basis)
 
 
 def test_range_targets_edge_cases():
@@ -241,23 +214,20 @@ def test_range_targets_edge_cases():
     negative_step = (range(12, 3, -1), range(1200, 0, -2))  # sorted as any other iterable
     for targets in empty + negative_step:
         assert first_uncovered(targets, basis) == first_uncovered(list(targets), basis)
-        assert verify_cover(targets, basis) == verify_cover(list(targets), basis)
     for targets in (range(0, 5), range(-3, 2000, 2)):  # the scan and the sweep
-        for check in (first_uncovered, verify_cover):
-            for form in (targets, list(targets)):
-                with pytest.raises(ValueError, match="targets must be positive"):
-                    check(form, basis)
+        for form in (targets, list(targets)):
+            with pytest.raises(ValueError, match="targets must be positive"):
+                first_uncovered(form, basis)
 
 
 WINDOW = 1 << 10
 
 
 def _cover_checks(targets, basis, **constants):
-    """first_uncovered, verify_cover and each window's sweep flag, with window constants patched."""
+    """first_uncovered and each window's sweep flag, with window constants patched."""
     with mock.patch.multiple(productsets, **constants):
-        windows = productsets._least_factors(*productsets._cover_inputs(targets, basis))
-        swept = [isinstance(low, np.ndarray) for _, low, _ in windows]
-        return first_uncovered(targets, basis), verify_cover(targets, basis), swept
+        swept = [swept for _, swept, _ in productsets._windows(targets, basis)]
+        return first_uncovered(targets, basis), swept
 
 
 @given(st.data())
@@ -265,7 +235,7 @@ def _cover_checks(targets, basis, **constants):
 def test_windowed_sweep_matches_the_scan(data):
     # windows of 2^10 values: a range crosses several, its first gap may sit in
     # a later one, and basis elements pass a window; every window scanned
-    # target by target must give the same gap and witnesses
+    # target by target must give the same gap
     step = data.draw(st.integers(min_value=1, max_value=4))
     start = data.draw(st.integers(min_value=1, max_value=2 * WINDOW))
     count = data.draw(st.integers(min_value=1, max_value=4 * WINDOW // step))
@@ -276,11 +246,10 @@ def test_windowed_sweep_matches_the_scan(data):
     basis = basis or {1}
     least = data.draw(st.sampled_from([32, _DENSE_MIN_COUNT]))
     form = targets if data.draw(st.booleans()) else list(targets)
-    gap, check, swept = _cover_checks(form, basis, _DENSE_MAX=WINDOW, _DENSE_MIN_COUNT=least)
-    scan_gap, scan_check, scanned = _cover_checks(form, basis, _DENSE_MIN_COUNT=count + 1)
+    gap, swept = _cover_checks(form, basis, _DENSE_MAX=WINDOW, _DENSE_MIN_COUNT=least)
+    scan_gap, scanned = _cover_checks(form, basis, _DENSE_MIN_COUNT=count + 1)
     assert not any(scanned)
-    assert gap == check.first_uncovered == scan_gap
-    assert check == scan_check
+    assert gap == scan_gap
     assert len(swept) == -(-(targets[-1] - start + 1) // WINDOW)
 
 
@@ -291,21 +260,19 @@ def test_windows_end_on_targets_and_find_late_gaps():
     # step 3 from 1 puts a target on each window's last value: 1 + 3 * 341 = 1024
     targets = range(1, top, 3)
     with mock.patch.multiple(productsets, _DENSE_MAX=WINDOW, _DENSE_MIN_COUNT=32):
-        chunks = [chunk for chunk, _, _ in productsets._least_factors(targets, basis)]
+        chunks = [chunk for chunk, _, _ in productsets._windows(targets, basis)]
     assert [(c[0], c[-1]) for c in chunks] == [(1 + k * (WINDOW + 2), 1 + k * (WINDOW + 2) + WINDOW - 1) for k in range(4)] + [(4 * (WINDOW + 2) + 1, targets[-1])]
-    gap, check, swept = _cover_checks(targets, basis, _DENSE_MAX=WINDOW, _DENSE_MIN_COUNT=32)
+    gap, swept = _cover_checks(targets, basis, _DENSE_MAX=WINDOW, _DENSE_MIN_COUNT=32)
     assert gap is None and swept == [True] * 5
-    assert check == verify_cover(targets, basis)
     # the largest prime up to top is its own gap once dropped: a gap in the fifth window
     p = max(basis)
-    gap, check, swept = _cover_checks(range(1, top + 1), basis - {p}, _DENSE_MAX=WINDOW)
-    assert gap == check.first_uncovered == p > 4 * WINDOW
+    gap, swept = _cover_checks(range(1, top + 1), basis - {p}, _DENSE_MAX=WINDOW)
+    assert gap == p > 4 * WINDOW
     assert swept == [True] * 5
-    assert check.witness == verify_cover(range(1, p), basis).witness
     # a window reaching 2^63 is scanned, since its products would pass int64
     big = range(2**63 - 100, 2**63 + 600)
-    gap, check, swept = _cover_checks(big, {1, *big[:10]}, _DENSE_MAX=WINDOW)
-    assert swept == [False] and gap == check.first_uncovered == big[10]
+    gap, swept = _cover_checks(big, {1, *big[:10]}, _DENSE_MAX=WINDOW)
+    assert swept == [False] and gap == big[10]
 
 
 def test_pipeline_bound_is_the_same_in_small_windows():
@@ -332,7 +299,7 @@ def test_exact_min_basis_interval_four():
     sol = exact_min_basis(range(1, 5))
     assert sol.size == 3
     assert sol.optimal
-    assert verify_cover(range(1, 5), sol.basis).covered
+    assert first_uncovered(range(1, 5), sol.basis) is None
 
 
 def test_exact_min_basis_singletons():
@@ -373,7 +340,7 @@ def test_exact_min_basis_respects_counting_bound(targets):
 def test_exact_min_basis_budget_exhaustion_is_flagged():
     sol = exact_min_basis(range(1, 25), budget=3)
     assert not sol.optimal
-    assert verify_cover(range(1, 25), sol.basis).covered
+    assert first_uncovered(range(1, 25), sol.basis) is None
 
 
 def test_exact_min_basis_lexicographic_tie_break():
@@ -472,7 +439,7 @@ def test_min_size_search_matches_exact_min_basis_on_mbp_grid():
             elements = [a + m * d for m in range(1, 7)]
             first = min_size_search(elements)
             assert _size_outcome(first) == _size_outcome(exact_min_basis(elements)), (a, d)
-            assert first.optimal and verify_cover(elements, first.basis).covered
+            assert first.optimal and first_uncovered(elements, first.basis) is None
 
 
 @given(st.sets(st.integers(min_value=1, max_value=60), min_size=1, max_size=8))
@@ -482,7 +449,7 @@ def test_min_size_search_matches_exact_min_basis_on_random_sets(targets):
     full = exact_min_basis(targets)
     assert _size_outcome(first) == _size_outcome(full)
     assert first.nodes_explored <= full.nodes_explored
-    assert verify_cover(targets, first.basis).covered
+    assert first_uncovered(targets, first.basis) is None
 
 
 @pytest.mark.parametrize("a,d", [(2, 2), (0, 6), (2, 6)])
@@ -505,7 +472,7 @@ def test_min_size_search_matches_exact_min_basis_at_every_budget(a, d):
 def test_interval_basis_m8():
     basis = construct_interval_basis(8)
     assert basis == (1, 2, 3, 4, 5, 7)
-    assert verify_cover(range(1, 9), basis).witness[8] == (2, 4)
+    assert first_uncovered(range(1, 9), basis) is None
 
 
 def test_interval_basis_m1():
@@ -514,8 +481,7 @@ def test_interval_basis_m1():
 
 def test_interval_basis_m1000_size_bound():
     basis = construct_interval_basis(1000)
-    check = verify_cover(range(1, 1001), basis)
-    assert check.covered
+    assert first_uncovered(range(1, 1001), basis) is None
     pi = 168
     assert len(basis) <= pi + 1000 ** (2 / 3) + 1
 
@@ -534,7 +500,7 @@ def test_interval_basis_matches_three_block_rule(Ms):
 @given(st.integers(min_value=1, max_value=3000))
 @settings(max_examples=40, deadline=None)
 def test_interval_basis_covers_property(M):
-    assert verify_cover(range(1, M + 1), construct_interval_basis(M)).covered
+    assert first_uncovered(range(1, M + 1), construct_interval_basis(M)) is None
 
 
 # --------------------------------------------------- progression scan

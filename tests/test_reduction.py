@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mulbasis.numtheory import sieve, valuation
+from mulbasis.numtheory import sieve
 from mulbasis.productsets import APSpec, construct_interval_basis, first_uncovered
 from mulbasis.reduction import (
     MarkingSet,
@@ -160,6 +160,24 @@ def test_certify_never_verifies_bound_above_basis():
     assert cert.bound == 3
     if cert.verified:
         assert cert.basis_size >= cert.bound
+
+
+def test_certify_computes_each_marks_sum(monkeypatch):
+    # b1 * b2 = g * t makes image(b1) + image(b2) = rho(t) whenever the rows
+    # are right, so only wrong rows can show that the sums are checked at all:
+    # unshifted images add up to rho(g * t), and g = 6 carries the mark prime 3
+    from mulbasis import numtheory, reduction
+
+    pair = ReducedPair.of(APSpec(g=6, u=0, v=1, M=30), construct_interval_basis(180))
+    marks = MarkingSet(indices=frozenset({27, 25}), prime_of={27: 3, 25: 5})
+    assert certify_lower_bound(pair, marks).verified
+
+    def unshifted(values, g, *rest):
+        return numtheory.valuation_csr(values, *rest)
+
+    monkeypatch.setattr(reduction, "halved_shift_csr", unshifted)
+    cert = certify_lower_bound(pair, marks)
+    assert cert.rank == cert.bound == 2 and not cert.verified
 
 
 def test_certify_marking_set_from_pipeline():
