@@ -28,7 +28,6 @@ from .numtheory import (
     ResourceLimitError,
     is_prime,
     rank_mod_q,
-    shift_into_interval,
     sieve,
     valuation,
 )
@@ -117,7 +116,6 @@ __all__ = [
     "prune_heavy",
     "rank_mod_q",
     "reduce_pair",
-    "shift_into_interval",
     "sieve",
     "sphere_construction_basis",
     "sphere_cover_report",

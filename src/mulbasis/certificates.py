@@ -612,22 +612,21 @@ def end_to_end_lower_bound(
         marks = build_marking_sets(M, u, table)
     except ValueError as exc:
         raise PipelineError("marks", str(exc)) from exc
-    primes = marks.large_primes + marks.small_primes
+    primes = np.concatenate([marks.large_primes, marks.small_primes])
     n1, n2 = len(marks.large_primes), len(marks.small_primes)
     n = n1 + n2
-    m1_idx = sorted(marks.single_prime_marks.indices)
-    m2_size = len(marks.triple_product_marks)
-    del marks  # its maps are the largest objects here; only these counts are read on
+    m1_idx = np.sort(marks.single_marks)
+    m2_size = len(marks.triple_marks)
 
     # B' = rho(b) - rho(g)/2, one key row per distinct vector
     bkeys = np.unique(_void(_keys(*halved_shift_csr(basis, g, table, primes, 3), n)))
     vkeys = bkeys.view(">u4").reshape(len(bkeys), -1)
 
-    offsets, cols, res = valuation_csr([u + m for m in m1_idx], table, primes, 3)
+    offsets, cols, res = valuation_csr(u + m1_idx, table, primes, 3)
     single = np.diff(offsets) == 1
     single[single] = cols[offsets[:-1][single]] < n1
     if not single.all():
-        m = m1_idx[int(np.flatnonzero(~single)[0])]
+        m = int(m1_idx[np.flatnonzero(~single)[0]])
         raise PipelineError("targets", f"mark {m} does not give a single first-block coordinate")
     tkeys = np.unique((n - cols) * 3 + res)
     edges = _join_weight_one_pairs(bkeys, tkeys)

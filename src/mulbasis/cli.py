@@ -19,8 +19,8 @@ other, as ``RunConfig`` rejects such a seed.
 
 Exit codes: 0 all checks hold (and searches proved optimality), 1 a
 checked inequality failed or a search exhausted its budget, 2 bad
-arguments, a table past its size budget, or input a pipeline stage
-rejected (one line on stderr,
+arguments, a table past its size budget, an allocation the machine
+refused, or input a pipeline stage rejected (one line on stderr,
 ``error: [stage] message`` for a stage), 3 a broken invariant, which
 is a bug rather than bad input.  A ``min-basis`` run whose budget ran
 out while fixing the lexicographically smallest basis exits as proved
@@ -761,6 +761,9 @@ def main(argv=None) -> int:
         return code
     except (ValueError, OSError, PipelineError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # an allocation the machine refused
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     except InvariantViolationError as exc:
         print(f"error: invariant violated: {exc}", file=sys.stderr)

@@ -5,8 +5,8 @@ smallest-prime-factor array, p-adic valuations v_p(x), the reduction map
 
     rho(x) = (v_{p_1}(x) mod q, ..., v_{p_n}(x) mod q)
 
-into F_q^n for a fixed list of primes, doubling shifts of an integer into
-a window [a+1, a+M], and Gaussian-elimination rank over F_q.
+into F_q^n for a fixed list of primes, and Gaussian-elimination rank
+over F_q.
 
 A vector rho(x) is held as a sparse row: its nonzero (column, residue)
 pairs, ascending by column.  ``valuation_csr`` is the one map from
@@ -39,7 +39,6 @@ __all__ = [
     "valuation_csr",
     "halved_shift_csr",
     "csr_rows",
-    "shift_into_interval",
     "rank_mod_q",
     "big_product",
 ]
@@ -238,6 +237,7 @@ def csr_rows(count: int, rows: np.ndarray, cols: np.ndarray, values: np.ndarray,
 def valuation_csr(values: Sequence[int], table: PrimeTable, primes: Sequence[int], q: int) -> tuple:
     """The rows of rho(x) = (v_p(x) mod q) over ``primes``, one per value, as ``csr_rows`` arrays.
 
+    ``values`` is a sequence of positive integers or an int64 array.
     Column j is ``primes[j]``; other primes are ignored.  q must be an
     odd prime, and every listed prime must lie within the table, which
     keeps the walk exact past it.  Values within the table walk down
@@ -257,8 +257,10 @@ def valuation_csr(values: Sequence[int], table: PrimeTable, primes: Sequence[int
     limit = table.limit
     if len(listed) and listed[-1] > limit:
         raise ValueError(f"listed prime {listed[-1]} beyond table limit {limit}")
-    big = [r for r, v in enumerate(values) if v > limit]
-    x = np.array([1 if v > limit else v for v in values] if big else values, dtype=np.int64)
+    given = np.asarray(values)  # of dtype object when a value is past int64
+    over = given > limit
+    big = np.flatnonzero(over).tolist()
+    x = np.where(over, 1, given).astype(np.int64)
     trial = table.primes.tolist() if big else []
     found = []  # (row, prime) for each prime factor a trial division takes out
     for r in big:
@@ -304,26 +306,6 @@ def halved_shift_csr(
     rows = np.concatenate([np.repeat(np.arange(k), np.diff(offsets)), np.repeat(np.arange(k), len(g_cols))])
     cols, res = np.concatenate([cols, np.tile(g_cols, k)]), np.concatenate([res, np.tile(g_res * ((q - 1) // 2), k)])
     return csr_rows(k, rows, cols, res, q)
-
-
-def shift_into_interval(x: int, a: int, M: int) -> int:
-    """Smallest k >= 0 with a+1 <= 2**k * x <= a+M.
-
-    Needs 1 <= x <= M and 0 <= a <= M; a doubling shift into the window
-    always exists then, because the window is wider than one doubling gap.
-    """
-    if not 1 <= x <= M:
-        raise ValueError(f"need 1 <= x <= M, got x={x}, M={M}")
-    if not 0 <= a <= M:
-        raise ValueError(f"need 0 <= a <= M, got a={a}, M={M}")
-    k = 0
-    y = x
-    while y <= a:
-        y *= 2
-        k += 1
-    if y > a + M:  # cannot happen under the precondition
-        raise ArithmeticError(f"no doubling of {x} lands in [{a + 1}, {a + M}]")
-    return k
 
 
 def rank_mod_q(vectors: Iterable[Sequence[int]], q: int) -> int:

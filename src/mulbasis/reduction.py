@@ -10,7 +10,7 @@ sends those terms to independent vectors inside a sumset of the mapped
 basis, so |B| is at least the number of marked indices.
 
 Also here: the factorial-divisibility check for terms with no large or
-exceptional prime content, and the two shift-into-interval marking
+exceptional prime content, and the two doubling-shift marking
 constructions (single large prime / product of three small primes) that
 feed the end-to-end pipeline.
 """
@@ -19,8 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
-from itertools import combinations
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -33,7 +32,6 @@ from .numtheory import (
     halved_shift_csr,
     is_prime,
     rank_mod_q,
-    shift_into_interval,
     sieve,
     valuation,
     valuation_csr,
@@ -114,35 +112,27 @@ class ReducedPair:
         )
 
 
-@dataclass(frozen=True, eq=True)
+@dataclass(frozen=True)
 class MarkingSet:
-    """Indices m, each owning a prime that divides its term and no other's.
+    """Indices m, each owning a prime that divides its term and no other's."""
 
-    Primes are checked in the ``table`` the marks came from, if given.
-    """
-
-    indices: frozenset[int]
-    prime_of: dict[int, int] = field(compare=True)
-    table: PrimeTable | None = field(default=None, compare=False, repr=False)
+    prime_of: dict[int, int]
 
     def __post_init__(self):
-        if self.indices != frozenset(self.prime_of):
-            raise ValueError("indices and prime_of keys disagree")
-        primes = list(self.prime_of.values())
-        bad = self.table.non_primes(primes) if self.table else [p for p in primes if not is_prime(p)]
+        bad = [p for p in self.prime_of.values() if not is_prime(p)]
         if bad:
             raise ValueError(f"non-prime marks: {sorted(set(bad))}")
 
     def __len__(self) -> int:
-        return len(self.indices)
+        return len(self.prime_of)
 
     def validate(self, u: int, v: int) -> None:
         """Divisibility and privacy of each mark; raises naming the offense."""
-        for m in sorted(self.indices):
+        for m in sorted(self.prime_of):
             p = self.prime_of[m]
             if (u + v * m) % p:
                 raise ValueError(f"mark invariant fails: (m={m}, m'={m}, p={p}) does not divide its term")
-            for m2 in sorted(self.indices):
+            for m2 in sorted(self.prime_of):
                 if m2 != m and (u + v * m2) % p == 0:
                     raise ValueError(f"mark invariant fails: (m={m}, m'={m2}, p={p}) divides both terms")
 
@@ -223,7 +213,7 @@ def certify_lower_bound(pair: ReducedPair, marks: MarkingSet) -> LowerBoundCerti
     ap = pair.ap
     u, v, g = ap.u, ap.v, ap.g
     marks.validate(u, v)
-    idx = sorted(marks.indices)
+    idx = sorted(marks.prime_of)
     n_marks = len(idx)
     if n_marks == 0:
         return LowerBoundCertificate(q=3, bound=0, verified=True, rank=0, basis_size=len(pair.basis))
@@ -327,22 +317,36 @@ def factorial_divisibility_check(u: int, v: int, M: int, table: PrimeTable) -> F
 
 @dataclass(frozen=True)
 class MarkingSets:
-    """Both shift-into-interval constructions over the window [u+1, u+M]."""
+    """Both doubling-shift constructions over the window [u+1, u+M], as aligned int64 arrays."""
 
-    single_prime_marks: MarkingSet  # m with u + m = 2^k * p, p a large prime
-    triple_product_marks: dict[int, int]  # m -> x = p1*p2*p3, small primes
-    large_primes: tuple[int, ...]
-    small_primes: tuple[int, ...]
+    large_primes: np.ndarray  # odd primes p in (M^(1/3), M]
+    single_marks: np.ndarray  # m with u + m = 2^k * large_primes[i]
+    small_primes: np.ndarray  # odd primes p in [3, M^(1/3)]
+    triple_products: np.ndarray  # x = p1*p2*p3, three distinct small primes
+    triple_marks: np.ndarray  # m with u + m = 2^k * triple_products[i]
+
+
+def _doubling_marks(x: np.ndarray, u: int, M: int) -> np.ndarray:
+    """m = 2^k * x - u for the least k with 2^k * x > u: the first doubling of x past u.
+
+    That k is the bit length of u // x, read off as a float64 exponent,
+    exact for u < 2^53.  For 1 <= x <= M and 0 <= u <= M the doubling
+    lands in [u+1, u+M], since the window is wider than one doubling gap.
+    """
+    m = (x << np.frexp(u // x)[1]) - u
+    if len(m) and m.max() > M:  # cannot happen: m is x - u, or at most 2u - u
+        raise InvariantViolationError(f"doubling mark {int(m.max())} past the window [1, {M}]")
+    return m
 
 
 def build_marking_sets(M: int, u: int, table: PrimeTable) -> MarkingSets:
     """Marks for step-1 progressions: each index m has u + m = 2^k * x.
 
-    Large primes are the odd p in (M^(1/3), M]; their marks form a
-    MarkingSet (p divides only its own shifted term, since every term is
-    a power of two times one odd prime).  Small primes are those in
-    [3, M^(1/3)]; products of three distinct ones are at most M and mark
-    indices kept as a plain map, with no privacy claim.
+    Large primes are the odd p in (M^(1/3), M], checked prime in the
+    table; their marks carry a private prime each (p divides only its
+    own shifted term, since every term is a power of two times one odd
+    prime).  Small primes are those in [3, M^(1/3)]; products of three
+    distinct ones are at most M and mark indices with no privacy claim.
     """
     if M < 1:
         raise ValueError("M must be positive")
@@ -350,25 +354,23 @@ def build_marking_sets(M: int, u: int, table: PrimeTable) -> MarkingSets:
         raise ValueError(f"u must lie in [0, {M}], got {u}")
     if table.limit < M:
         raise ValueError(f"prime table limit {table.limit} below M = {M}")
-    odd_primes = [int(p) for p in table.primes_in(3, M)]
-    large = tuple(p for p in odd_primes if p**3 > M)
-    small = tuple(p for p in odd_primes if p**3 <= M)
-    prime_of: dict[int, int] = {}
-    for p in large:
-        k = shift_into_interval(p, u, M)
-        prime_of[(p << k) - u] = p
-    triple: dict[int, int] = {}
-    for trio in combinations(small, 3):
-        x = trio[0] * trio[1] * trio[2]
-        if x > M:  # cannot happen: each factor is at most M^(1/3)
-            raise InvariantViolationError(f"triple product {x} exceeds M = {M}")
-        k = shift_into_interval(x, u, M)
-        triple[(x << k) - u] = x
+    odd = table.primes[(table.primes >= 3) & (table.primes <= M)]
+    is_small = odd * odd <= M // odd  # p^3 <= M, without overflowing int64
+    large, small = odd[~is_small], odd[is_small]
+    bad = table.non_primes(large)
+    if bad:
+        raise ValueError(f"non-prime marks: {sorted(set(bad))}")
+    a = np.arange(len(small))
+    i, j, k = np.nonzero((a[:, None, None] < a[:, None]) & (a[:, None] < a))  # i < j < k, in order
+    triple = small[i] * small[j] * small[k]
+    if len(triple) and triple.max() > M:  # cannot happen: each factor is at most M^(1/3)
+        raise InvariantViolationError(f"triple product {int(triple.max())} exceeds M = {M}")
     return MarkingSets(
-        single_prime_marks=MarkingSet(indices=frozenset(prime_of), prime_of=prime_of, table=table),
-        triple_product_marks=triple,
         large_primes=large,
+        single_marks=_doubling_marks(large, u, M),
         small_primes=small,
+        triple_products=triple,
+        triple_marks=_doubling_marks(triple, u, M),
     )
 
 

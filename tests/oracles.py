@@ -462,7 +462,7 @@ def certify_lower_bound_reference(pair, marks):
     ap = pair.ap
     u, v, g = ap.u, ap.v, ap.g
     marks.validate(u, v)
-    idx = sorted(marks.indices)
+    idx = sorted(marks.prime_of)
     n_marks = len(idx)
     if n_marks == 0:
         return LowerBoundCertificate(q=3, bound=0, verified=True, rank=0, basis_size=len(pair.basis))
@@ -1141,7 +1141,7 @@ def end_to_end_lower_bound_dense(M, B, u=0, g=1, table=None):
         marks = build_marking_sets(M, u, table)
     except ValueError as exc:
         raise PipelineError("marks", str(exc)) from exc
-    primes = list(marks.large_primes) + list(marks.small_primes)
+    primes = marks.large_primes.tolist() + marks.small_primes.tolist()
     n1, n2 = len(marks.large_primes), len(marks.small_primes)
     n = n1 + n2
 
@@ -1152,7 +1152,7 @@ def end_to_end_lower_bound_dense(M, B, u=0, g=1, table=None):
     bprime = sorted(
         {TernaryVector(bytes((c - s) % 3 for c, s in zip(rho(b), shift))) for b in basis}
     )
-    m1_idx = sorted(marks.single_prime_marks.indices)
+    m1_idx = sorted(marks.single_marks.tolist())
     targets = []
     for m in m1_idx:
         t = TernaryVector(bytes(rho(u + m)))
@@ -1219,7 +1219,7 @@ def end_to_end_lower_bound_dense(M, B, u=0, g=1, table=None):
         basis_size=len(basis),
         bound=bound,
         m1_size=len(m1_idx),
-        m2_size=len(marks.triple_product_marks),
+        m2_size=len(marks.triple_marks),
         p1_size=n1,
         p2_size=n2,
         bprime_size=len(bprime),

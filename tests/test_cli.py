@@ -248,6 +248,17 @@ def test_sphere_overlap_general_hypothesis_enforced(capsys):
     assert "a-size" in captured.err
 
 
+def test_refused_allocation_exits_2(capsys):
+    # S(n, 3) for n = 10^5 asks for 3.55 PiB, past any address space, so numpy
+    # refuses it before touching memory
+    code = main(["sphere-enumerate", "--n", "100000"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: Unable to allocate 3.55 PiB")
+    assert captured.err.count("\n") == 1
+
+
 def test_missing_json_file_exits_2(capsys):
     code = main(["reduce", "--json-file", "/nonexistent/pair.json"])
     assert code == 2

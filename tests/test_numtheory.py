@@ -12,7 +12,6 @@ from mulbasis.numtheory import (
     halved_shift_csr,
     is_prime,
     rank_mod_q,
-    shift_into_interval,
     sieve,
     valuation,
 )
@@ -328,41 +327,6 @@ def test_valuation_vector_arithmetic():
     assert add_rows(a, ((0, 5), (1, 1)), 7) == ()
     assert add_rows(a, (), 7) == add_rows((), a, 7) == a
     assert add_rows(((3, 1),), ((0, 2),), 3) == ((0, 2), (3, 1))
-
-
-# ------------------------------------------------------ window shifts
-
-
-def test_shift_examples():
-    assert shift_into_interval(7, 5, 10) == 0
-    assert shift_into_interval(3, 5, 10) == 1
-    assert shift_into_interval(1, 10, 10) == 4
-
-
-def test_shift_rejects_out_of_range_inputs():
-    with pytest.raises(ValueError):
-        shift_into_interval(11, 5, 10)
-    with pytest.raises(ValueError):
-        shift_into_interval(0, 5, 10)
-    with pytest.raises(ValueError):
-        shift_into_interval(3, 11, 10)
-    with pytest.raises(ValueError):
-        shift_into_interval(3, -1, 10)
-
-
-@given(st.integers(min_value=1, max_value=400), st.data())
-def test_shift_returns_smallest_valid_exponent(M, data):
-    x = data.draw(st.integers(min_value=1, max_value=M))
-    a = data.draw(st.integers(min_value=0, max_value=M))
-    k = shift_into_interval(x, a, M)
-    assert a + 1 <= (2**k) * x <= a + M
-    # direct scan for the least k
-    j = 0
-    while not (a + 1 <= (2**j) * x <= a + M):
-        j += 1
-    assert k == j
-    if a + 1 <= x <= a + M:
-        assert k == 0
 
 
 # --------------------------------------------------------------- rank

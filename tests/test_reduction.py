@@ -1,16 +1,18 @@
 import json
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mulbasis.numtheory import sieve
+from mulbasis.numtheory import PrimeTable, sieve
 from mulbasis.productsets import APSpec, construct_interval_basis, first_uncovered
 from mulbasis.reduction import (
     MarkingSet,
     ReducedPair,
+    _doubling_marks,
     build_marking_sets,
     certify_lower_bound,
     factorial_divisibility_check,
@@ -111,7 +113,7 @@ def test_reduced_pair_record_wants_a_boolean_flag(flag):
 
 def test_certify_empty_marks():
     pair = ReducedPair.of(APSpec.from_offset_step(1, 2, 4), {1, 3, 5, 7, 9})
-    cert = certify_lower_bound(pair, MarkingSet(indices=frozenset(), prime_of={}))
+    cert = certify_lower_bound(pair, MarkingSet(prime_of={}))
     assert cert.bound == 0
     assert cert.verified
 
@@ -119,7 +121,7 @@ def test_certify_empty_marks():
 def test_certify_two_marks_on_interval():
     ap = APSpec(g=1, u=0, v=1, M=10)
     pair = ReducedPair.of(ap, {1, 2, 3, 4, 5, 7})
-    marks = MarkingSet(indices=frozenset({5, 7}), prime_of={5: 5, 7: 7})
+    marks = MarkingSet(prime_of={5: 5, 7: 7})
     cert = certify_lower_bound(pair, marks)
     assert cert.bound == 2
     assert cert.rank == 2
@@ -131,21 +133,21 @@ def test_certify_chooses_odd_prime_above_valuations():
     # marked term 27 = 3^3 has valuation 3, so q must be at least 5
     ap = APSpec(g=1, u=0, v=1, M=30)
     basis = set(construct_interval_basis(30))
-    marks = MarkingSet(indices=frozenset({27, 25}), prime_of={27: 3, 25: 5})
+    marks = MarkingSet(prime_of={27: 3, 25: 5})
     cert = certify_lower_bound(ReducedPair.of(ap, basis), marks)
     assert cert.q == 5
     assert cert.verified
 
 
 def test_certify_rejects_shared_prime():
-    marks = MarkingSet(indices=frozenset({3, 9}), prime_of={3: 3, 9: 3})
+    marks = MarkingSet(prime_of={3: 3, 9: 3})
     pair = ReducedPair.of(APSpec(g=1, u=0, v=1, M=10), {1, 2, 3, 4, 5, 7})
     with pytest.raises(ValueError, match=r"m=3, m'=9, p=3"):
         certify_lower_bound(pair, marks)
 
 
 def test_certify_rejects_non_dividing_prime():
-    marks = MarkingSet(indices=frozenset({4}), prime_of={4: 7})
+    marks = MarkingSet(prime_of={4: 7})
     pair = ReducedPair.of(APSpec(g=1, u=0, v=1, M=10), {1, 2, 3, 4, 5, 7})
     with pytest.raises(ValueError, match="does not divide"):
         certify_lower_bound(pair, marks)
@@ -155,7 +157,7 @@ def test_certify_never_verifies_bound_above_basis():
     # three marks against a three-element basis: bound == size, still sound
     ap = APSpec(g=1, u=0, v=1, M=10)
     pair = ReducedPair.of(ap, {1, 2, 3, 4, 5, 7})
-    marks = MarkingSet(indices=frozenset({3, 5, 7}), prime_of={3: 3, 5: 5, 7: 7})
+    marks = MarkingSet(prime_of={3: 3, 5: 5, 7: 7})
     cert = certify_lower_bound(pair, marks)
     assert cert.bound == 3
     if cert.verified:
@@ -169,7 +171,7 @@ def test_certify_computes_each_marks_sum(monkeypatch):
     from mulbasis import numtheory, reduction
 
     pair = ReducedPair.of(APSpec(g=6, u=0, v=1, M=30), construct_interval_basis(180))
-    marks = MarkingSet(indices=frozenset({27, 25}), prime_of={27: 3, 25: 5})
+    marks = MarkingSet(prime_of={27: 3, 25: 5})
     assert certify_lower_bound(pair, marks).verified
 
     def unshifted(values, g, *rest):
@@ -180,9 +182,14 @@ def test_certify_computes_each_marks_sum(monkeypatch):
     assert cert.rank == cert.bound == 2 and not cert.verified
 
 
+def _single_prime_marks(M: int, u: int) -> MarkingSet:
+    out = build_marking_sets(M, u, sieve(max(M, 2)))
+    return MarkingSet(prime_of=dict(zip(out.single_marks.tolist(), out.large_primes.tolist())))
+
+
 def test_certify_marking_set_from_pipeline():
     M = 1000
-    marks = build_marking_sets(M, 0, sieve(M)).single_prime_marks
+    marks = _single_prime_marks(M, 0)
     pair = ReducedPair.of(APSpec(g=1, u=0, v=1, M=M), construct_interval_basis(M))
     cert = certify_lower_bound(pair, marks)
     assert cert.bound == len(marks) == 164
@@ -213,7 +220,7 @@ def certify_instances(draw):
     if draw(st.booleans()):
         # the pipeline's single-prime marks on the step-1 window [u+1, u+M]
         u, v = draw(st.integers(0, M)), 1
-        marks = build_marking_sets(M, u, sieve(max(M, 2))).single_prime_marks
+        marks = _single_prime_marks(M, u)
     else:
         # by hand: a prime factor of each chosen term; on [1..M] the terms
         # include powers such as 2^7 = 128 and 3^4 = 81, so q climbs past 3
@@ -226,7 +233,7 @@ def certify_instances(draw):
         for m in draw(st.lists(index, unique=True, min_size=1, max_size=6)):
             if u + v * m > 1:
                 prime_of[m] = draw(st.sampled_from(_prime_factors(u + v * m)))
-        marks = MarkingSet(indices=frozenset(prime_of), prime_of=prime_of)
+        marks = MarkingSet(prime_of=prime_of)
     basis = set(construct_interval_basis(g * (u + v * M)))
     basis |= set(draw(st.lists(st.integers(1, 10**6), max_size=4)))
     if draw(st.integers(0, 3)) == 0:
@@ -239,13 +246,13 @@ def certify_instances(draw):
 @example(
     (
         ReducedPair.of(APSpec(g=1, u=0, v=1, M=130), construct_interval_basis(130)),
-        MarkingSet(indices=frozenset({128, 125, 81}), prime_of={128: 2, 125: 5, 81: 3}),
+        MarkingSet(prime_of={128: 2, 125: 5, 81: 3}),
     )
 )  # v_2(128) = 7, so q = 11
 @example(
     (
         ReducedPair.of(APSpec(g=6, u=0, v=1, M=30), construct_interval_basis(180)),
-        MarkingSet(indices=frozenset({27, 25}), prime_of={27: 3, 25: 5}),
+        MarkingSet(prime_of={27: 3, 25: 5}),
     )
 )  # q = 5 and v_3(g) = 1: the shift -rho(g)/2 is 2 at the column of 3
 def test_certify_matches_dense_reference(instance):
@@ -255,26 +262,20 @@ def test_certify_matches_dense_reference(instance):
 
 
 def test_marking_set_rejects_inconsistent_fields():
-    with pytest.raises(ValueError):
-        MarkingSet(indices=frozenset({1, 2}), prime_of={1: 3})
-    with pytest.raises(ValueError):
-        MarkingSet(indices=frozenset({1}), prime_of={1: 6})
+    # each mark must own a prime, whatever else it holds
+    for prime_of, bad in (({1: 6, 2: 3}, [6]), ({4: 9}, [9]), ({1: 3, 2: 1, 5: 0, 6: 91}, [0, 1, 91])):
+        with pytest.raises(ValueError) as exc:
+            MarkingSet(prime_of=prime_of)
+        assert exc.value.args[0] == f"non-prime marks: {bad}"
 
 
-def test_marking_set_checks_primes_in_its_table():
-    # the same composites are rejected, with the same message, by the table
-    # lookup as by is_prime per mark
+def test_build_marking_sets_checks_large_primes_in_the_table():
+    # a hand-built table whose primes list a composite its spf array knows
     table = sieve(100)
-    for prime_of in ({4: 9}, {1: 3, 2: 1, 5: 0, 6: 91}):
-        for source in (None, table):
-            with pytest.raises(ValueError, match=r"^non-prime marks: \[") as exc:
-                MarkingSet(indices=frozenset(prime_of), prime_of=prime_of, table=source)
-            assert exc.value.args[0] == f"non-prime marks: {sorted(set(prime_of.values()) - {3})}"
-    with pytest.raises(ValueError, match="beyond table limit 100"):
-        MarkingSet(indices=frozenset({1}), prime_of={1: 101}, table=table)
-    marks = build_marking_sets(1000, 0, sieve(1000)).single_prime_marks
-    assert marks.table is not None
-    assert marks == MarkingSet(indices=marks.indices, prime_of=marks.prime_of)
+    bad = PrimeTable(limit=100, primes=np.sort(np.append(table.primes, [91, 95])), spf=table.spf)
+    with pytest.raises(ValueError) as exc:
+        build_marking_sets(100, 0, bad)
+    assert exc.value.args[0] == "non-prime marks: [91, 95]"
 
 
 # ------------------------------------------------------- divisibility
@@ -391,10 +392,10 @@ def test_factorial_check_hand_cases_match_reference(u, v, M):
 def test_marking_sets_small_window():
     table = sieve(100)
     out = build_marking_sets(100, 0, table)
-    assert len(out.single_prime_marks) == 23
-    assert out.small_primes == (3,)
-    assert out.triple_product_marks == {}
-    for m, p in out.single_prime_marks.prime_of.items():
+    assert len(out.single_marks) == len(out.large_primes) == 23
+    assert out.small_primes.tolist() == [3]
+    assert len(out.triple_products) == len(out.triple_marks) == 0
+    for m, p in zip(out.single_marks.tolist(), out.large_primes.tolist()):
         assert 1 <= m <= 100
         x = m  # u = 0
         k = 0
@@ -407,9 +408,10 @@ def test_marking_sets_small_window():
 def test_marking_sets_triple_products():
     table = sieve(10_000)
     out = build_marking_sets(10_000, 0, table)
-    assert out.small_primes == (3, 5, 7, 11, 13, 17, 19)
-    assert len(out.triple_product_marks) == 35
-    for m, x in out.triple_product_marks.items():
+    assert out.small_primes.tolist() == [3, 5, 7, 11, 13, 17, 19]
+    assert out.triple_products.tolist() == [a * b * c for a, b, c in combinations(out.small_primes.tolist(), 3)]
+    assert len(out.triple_marks) == 35
+    for m, x in zip(out.triple_marks.tolist(), out.triple_products.tolist()):
         assert 1 <= m <= 10_000
         y = m
         while y % 2 == 0:
@@ -421,18 +423,49 @@ def test_marking_sets_respect_shift_windows():
     table = sieve(500)
     for u in (0, 7, 100, 500):
         out = build_marking_sets(500, u, table)
-        for m, p in out.single_prime_marks.prime_of.items():
+        prime_of = dict(zip(out.single_marks.tolist(), out.large_primes.tolist()))
+        for m, p in prime_of.items():
             t = u + m
             assert 1 <= m <= 500
             assert t == (t & -t) * p  # power of two times the prime
-        out.single_prime_marks.validate(u, 1)
+        MarkingSet(prime_of=prime_of).validate(u, 1)
+
+
+def test_doubling_marks_examples():
+    # 7 is already past u = 5, 3 takes one doubling, 1 takes four to pass u = 10
+    assert _doubling_marks(np.array([7, 3]), 5, 10).tolist() == [7 - 5, 6 - 5]
+    assert _doubling_marks(np.array([1]), 10, 10).tolist() == [16 - 10]
+    assert _doubling_marks(np.array([1, 9]), 0, 10).tolist() == [1, 9]  # u = 0: no doubling
+
+
+def _least_doubling(x: int, u: int, M: int) -> int | None:
+    """The m = 2^j * x - u of the least j that lands 2^j * x in [u+1, u+M], by a direct scan."""
+    for j in range(M.bit_length() + 2):  # 2^j * x <= u + M <= 2M bounds j
+        if u + 1 <= 2**j * x <= u + M:
+            return 2**j * x - u
+    return None
+
+
+@given(st.integers(min_value=1, max_value=400).flatmap(lambda M: st.tuples(st.just(M), st.integers(0, M))))
+@example((10, 5))  # 3, 5, 7 take 1, 1, 0 doublings
+@example((10, 10))
+@example((1, 1))
+@example((343, 343))  # the one triple, 3 * 5 * 7, doubles twice
+def test_marks_take_the_least_doubling_into_the_window(window):
+    M, u = window
+    out = build_marking_sets(M, u, sieve(max(M, 2)))
+    assert len(out.single_marks) == len(out.large_primes)
+    assert len(out.triple_marks) == len(out.triple_products)
+    for marks, xs in ((out.single_marks, out.large_primes), (out.triple_marks, out.triple_products)):
+        assert marks.tolist() == [_least_doubling(x, u, M) for x in xs.tolist()]
 
 
 def test_marking_sets_index_sets_are_disjoint():
     table = sieve(10_000)
     out = build_marking_sets(10_000, 3, table)
-    singles = set(out.single_prime_marks.indices)
-    triples = set(out.triple_product_marks)
+    singles = set(out.single_marks.tolist())
+    triples = set(out.triple_marks.tolist())
+    assert len(singles) == len(out.single_marks)
     assert singles.isdisjoint(triples)
 
 
@@ -442,7 +475,7 @@ def test_marking_sets_large_count_lower_bound():
         out = build_marking_sets(M, 0, table)
         pi_m = table.prime_count(M)
         pi_cbrt = table.prime_count(round(M ** (1 / 3)))
-        assert len(out.single_prime_marks) >= pi_m - pi_cbrt - 1
+        assert len(out.single_marks) >= pi_m - pi_cbrt - 1
 
 
 def test_marking_sets_reject_offset_beyond_window():
