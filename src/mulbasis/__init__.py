@@ -11,7 +11,6 @@ Modules:
 
 from .certificates import (
     ComponentAnalysis,
-    ComponentSummary,
     InequalityReport,
     PairingGraph,
     PipelineError,
@@ -76,7 +75,6 @@ __all__ = [
     "APSpec",
     "BasisSolution",
     "ComponentAnalysis",
-    "ComponentSummary",
     "DifferenceCase",
     "DifferenceCensus",
     "FactorialCheck",

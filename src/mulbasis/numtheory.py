@@ -14,9 +14,6 @@ integers to rows, held together as CSR arrays (offsets, columns,
 residues) built by ``csr_rows``.  ``halved_shift_csr`` gives the rows
 of the embedding rho(b) - rho(g)/2 that both the end-to-end pipeline
 (q = 3) and the rank certificate check their sums on.
-
-Products that can exceed machine words (factorial divisibility checks)
-go through ``big_product``, which stays in arbitrary-precision integers.
 """
 
 from __future__ import annotations
@@ -40,7 +37,6 @@ __all__ = [
     "halved_shift_csr",
     "csr_rows",
     "rank_mod_q",
-    "big_product",
 ]
 
 # Hard cap on sieve size, in table entries.  Overridable via environment
@@ -341,8 +337,3 @@ def rank_mod_q(vectors: Iterable[Sequence[int]], q: int) -> int:
         if rank == len(rows):
             break
     return rank
-
-
-def big_product(values: Iterable[int]) -> int:
-    """Exact product in arbitrary precision (empty product is 1)."""
-    return math.prod(values, start=1)

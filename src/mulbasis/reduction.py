@@ -26,7 +26,6 @@ import numpy as np
 from .numtheory import (
     InvariantViolationError,
     PrimeTable,
-    big_product,
     csr_rows,
     divisors,
     halved_shift_csr,
@@ -154,7 +153,7 @@ def reduce_pair(pair: ReducedPair) -> ReducedPair:
     basis = set(pair.basis)
     if math.gcd(ap.v, ap.g) == 1:
         return pair if pair.reduced else replace(pair, reduced=True)
-    product = big_product(basis)
+    product = math.prod(basis)
     while True:
         common = math.gcd(ap.v, ap.g)
         if common == 1:
@@ -181,7 +180,7 @@ def reduce_pair(pair: ReducedPair) -> ReducedPair:
         gap = first_uncovered(ap.elements(), basis)
         if gap is not None:
             raise InvariantViolationError(f"reduction at p={p} lost the cover at {gap}")
-        new_product = big_product(basis)
+        new_product = math.prod(basis)
         if new_product >= product:
             raise InvariantViolationError(f"basis product did not decrease at p={p}")
         product = new_product

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import tracemalloc
 from collections import Counter
 
@@ -1005,7 +1006,7 @@ def component_analysis_dense(m1_edges, split):
     """``certificates.component_analysis`` as first written, on dense vectors."""
     from collections import defaultdict
 
-    from mulbasis.certificates import ComponentAnalysis, ComponentSummary, InequalityReport
+    from mulbasis.certificates import ComponentAnalysis, InequalityReport
     from mulbasis.reduction import InvariantViolationError
     from mulbasis.spherelab import TernaryVector
 
@@ -1062,10 +1063,9 @@ def component_analysis_dense(m1_edges, split):
     groups = defaultdict(list)
     for v in verts:
         groups[find_with_parity(index[v])[0]].append(v)
-    summaries = []
     tree_count = 0
     total_edges = 0
-    for ident, root in enumerate(sorted(groups, key=lambda r: verts[r])):
+    for root in sorted(groups, key=lambda r: verts[r]):
         members = groups[root]
         ec, vc = edge_count_at[root], len(members)
         total_edges += ec
@@ -1084,19 +1084,8 @@ def component_analysis_dense(m1_edges, split):
                 f"component has {ec} edges on {vc} vertices; targets cannot be independent"
             )
         tree_count += is_tree
-        summaries.append(
-            ComponentSummary(
-                ident=ident,
-                vertex_count=vc,
-                edge_count=ec,
-                is_tree=is_tree,
-                has_odd_cycle=odd_cycle[root],
-                p2_projections=projections,
-            )
-        )
     all_projections = {v.project(p2_range) for v in verts}
     return ComponentAnalysis(
-        components=tuple(summaries),
         tree_count=tree_count,
         reports=(
             InequalityReport.of("projection_tree_bound", len(all_projections), 2 * tree_count + 1),
@@ -1124,9 +1113,14 @@ def end_to_end_lower_bound_dense(M, B, u=0, g=1, table=None):
 
     if M < 1:
         raise PipelineError("input", f"M must be positive, got {M}")
-    basis = sorted(set(int(b) for b in B))
+    try:
+        basis = sorted(set(operator.index(b) for b in B))
+    except TypeError as exc:
+        raise PipelineError("input", f"basis elements must be integers: {exc}") from None
     if not basis:
         raise PipelineError("input", "empty basis")
+    if basis[0] < 1:
+        raise PipelineError("input", f"basis elements must be positive, got {basis[0]}")
     top = max(basis[-1], g * (u + M))
     if top >= 1 << 63:
         raise PipelineError(
@@ -1231,5 +1225,4 @@ def end_to_end_lower_bound_dense(M, B, u=0, g=1, table=None):
         sphere_ran=n2 >= 3,
         chain=tuple(chain),
         sphere_reports=sphere_reports,
-        components=analysis.components,
     )

@@ -2,7 +2,7 @@ import json
 import pickle
 from collections import defaultdict
 from math import comb
-from itertools import combinations, product
+from itertools import combinations, pairwise, product
 from pathlib import Path
 from unittest import mock
 
@@ -40,6 +40,7 @@ from oracles import dense_order as _dense_order
 from oracles import join_weight_one_pairs as _join_weight_one_pairs
 from oracles import sparse_row as _sparse
 from oracles import (
+    component_analysis_dense,
     end_to_end_lower_bound_dense,
     lex_least_pairs,
     primes_segmented,
@@ -447,10 +448,7 @@ def test_single_edge_component():
     res = component_analysis([(V((0, 1, 2)), V((1, 2, 1)), V((1, 0, 0)))], (1, 2))
     assert res.tree_count == 1
     assert res.vertex_count == 2
-    assert res.distinct_projections == 2
-    comp = res.components[0]
-    assert comp.is_tree and not comp.has_odd_cycle
-    assert comp.p2_projections == {V((1, 2)), V((2, 1))}
+    assert res.distinct_projections == 2  # the projections (1, 2) and (2, 1)
     assert all(r.holds for r in res.reports)
     assert [r.name for r in res.reports] == ["projection_tree_bound", "component_edge_bound"]
 
@@ -458,10 +456,8 @@ def test_single_edge_component():
 def test_odd_cycle_collapses_projections():
     res = component_analysis(TRIANGLE, (3, 2))
     assert res.tree_count == 0
-    comp = res.components[0]
-    assert comp.vertex_count == comp.edge_count == 3
-    assert comp.has_odd_cycle and not comp.is_tree
-    assert comp.p2_projections == {TernaryVector.zero(2)}
+    assert res.vertex_count == 3
+    assert res.distinct_projections == 1  # the zero projection only
     assert all(r.holds for r in res.reports)
 
 
@@ -489,10 +485,113 @@ def test_two_components_counted_separately():
     second = (V((0, 0, 0, 0, 1, 2)), V((0, 1, 0, 0, 2, 1)), V((0, 1, 0, 0, 0, 0)))
     edges = [(V((0, 0, 1, 0, 1, 2)), V((1, 0, 2, 0, 2, 1)), V((1, 0, 0, 0, 0, 0))), second]
     res = component_analysis(edges, (4, 2))
-    assert len(res.components) == 2
     assert res.tree_count == 2
     assert res.vertex_count == 4
     assert res.distinct_projections == 2  # both edges share the same projection pair
+
+
+def test_parallel_edges_exceed_the_vertex_count():
+    with pytest.raises(InvariantViolationError, match="3 edges on 2 vertices"):
+        component_analysis([(TRI_A, TRI_B, E1)] * 3, (3, 2))
+
+
+# distinct blocks in byte order: zero, (1, 1) without its negative, then (1, 2) and (2, 1)
+BLOCKS = np.array([[0, 0, 0], [1, 1, 0], [1, 2, 0], [2, 1, 0]], dtype=np.uint8)
+PATH = [(TRI_A, TRI_B, E1), (TRI_B, TRI_C, E2)]  # vertex ids C = 0, A = 1, B = 2
+
+
+@pytest.mark.parametrize(
+    "edges, ids, message",
+    [
+        (PATH, [1, 2, 3], "carries 3 distinct second-block projections"),
+        (PATH, [2, 2, 2], "not negation-closed"),
+        (PATH, [1, 1, 1], "not negation-closed"),
+        (TRIANGLE, [2, 3, 2], "odd-cycle component with nonzero projection"),
+    ],
+)
+def test_projection_checks_raise_on_projections_that_break_them(edges, ids, message):
+    # valid edges always give projections x and -x, so the projections are replaced
+    fake = lambda vkeys, split: (np.array(ids), BLOCKS)  # noqa: E731
+    with mock.patch.object(certificates, "_projections", fake):
+        with pytest.raises(InvariantViolationError, match=message):
+            component_analysis(edges, (3, 2))
+
+
+@st.composite
+def component_instances(draw):
+    """Edges v1 + v2 = c * e_p with v1 from a growing pool, now and then an invalid one."""
+    n1, n2 = draw(st.integers(1, 4)), draw(st.integers(0, 3))
+    n = n1 + n2
+    vec = st.lists(st.integers(0, 2), min_size=n, max_size=n).map(V)
+    pool = [draw(vec)]
+    edges = []
+    for _ in range(draw(st.integers(0, 8))):
+        v1 = draw(st.one_of(st.sampled_from(pool), vec))
+        t = unit(n, draw(st.integers(0, n1 - 1)), draw(st.integers(1, 2)))
+        pool += [v1, t - v1]
+        edges.append((v1, t - v1, t))
+    broken = draw(st.sampled_from([None] * 8 + ["target", "end"]))
+    if edges and broken:
+        v1, v2, t = edges[-1]
+        if broken == "target":  # a sum that may leave the first block
+            t = draw(vec)
+            v2 = t - v1
+        else:  # an end that may break the sum
+            v2 = draw(vec)
+        edges[-1] = (v1, v2, t)
+    return (n1, n2), edges
+
+
+def _component_outcome(fn, edges, split):
+    try:
+        res = fn(edges, split)
+    except InvariantViolationError:
+        return "InvariantViolationError"
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+    return res.tree_count, res.vertex_count, res.distinct_projections, _rows(res.reports)
+
+
+@given(component_instances())
+@settings(max_examples=400, deadline=None)
+@example(((3, 2), TRIANGLE))
+@example(((3, 2), TRIANGLE + [(TRI_A, TRI_C, E3)]))
+@example(((3, 2), [(TRI_A, TRI_B, E1)] * 3))
+def test_components_match_dense_oracle(instance):
+    split, edges = instance
+    got = _component_outcome(component_analysis, edges, split)
+    assert got == _component_outcome(component_analysis_dense, edges, split)
+
+
+def _least_roots(size, edges):
+    """The least node of each node's component, by a Python union-find."""
+    parent = list(range(size))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    for a, b in edges:
+        ra, rb = find(a), find(b)
+        parent[max(ra, rb)] = min(ra, rb)
+    return [find(x) for x in range(size)]
+
+
+@pytest.mark.parametrize(
+    "size, edges",
+    [
+        (1000, [(999, k) for k in range(999)]),  # a star hooked on its largest node
+        (1000, [(0, k) for k in range(1, 1000)] + [(k, k) for k in range(5)]),
+        (1000, [(k, k + 1) for k in range(999)]),  # a path in id order
+        (10**5, list(pairwise(np.random.default_rng(7).permutation(10**5).tolist()))),
+        (7, [(1, 3), (5, 6)]),  # isolated nodes stay their own roots
+        (3, []),
+    ],
+)
+def test_roots_match_union_find(size, edges):
+    a, b = (np.array([e[i] for e in edges], dtype=np.int64) for i in (0, 1))
+    assert certificates._roots(size, a, b).tolist() == _least_roots(size, edges)
 
 
 # ---------------------------------------------------------- end-to-end bound
@@ -611,6 +710,22 @@ def test_pipeline_matches_dense_oracle(instance):
     got = _outcome(end_to_end_lower_bound, M, basis, u=u, g=g, table=table)
     want = _outcome(end_to_end_lower_bound_dense, M, basis, u=u, g=g, table=table)
     assert got == want
+
+
+@pytest.mark.parametrize(
+    "basis, message",
+    [
+        ([0, 1, 2, 3], "basis elements must be positive, got 0"),
+        ([-4, 1, 2, 3], "basis elements must be positive, got -4"),
+        ([1.5, 1, 2, 3], "basis elements must be integers"),
+    ],
+)
+def test_pipeline_input_stage_rejects_basis_elements(basis, message):
+    # before the cover check, which would raise a bare ValueError or read 1.5 as 1
+    for fn in (end_to_end_lower_bound, end_to_end_lower_bound_dense):
+        with pytest.raises(PipelineError, match=message) as info:
+            fn(7, basis)
+        assert info.value.stage == "input"
 
 
 def test_pipeline_narrow_small_prime_block():

@@ -377,6 +377,16 @@ def test_pipeline_stage_rejection_exits_2_with_one_line(tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_pipeline_basis_file_with_zero_is_rejected_by_input_stage(tmp_path, capsys):
+    path = tmp_path / "basis.txt"
+    path.write_text("0\n1\n2\n3\n")
+    code = main(["pipeline-bound", "--m", "7", "--basis-file", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: [input] basis elements must be positive, got 0\n"
+    assert captured.out == ""
+
+
 def test_pipeline_cover_stage_names_the_first_uncovered_element(tmp_path, capsys):
     basis = [b for b in construct_interval_basis(2000) if b != 4]
     gap = first_uncovered(range(1, 2001), basis)

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from mulbasis.numtheory import (
     ResourceLimitError,
-    big_product,
     divisors,
     halved_shift_csr,
     is_prime,
@@ -386,13 +385,4 @@ def test_rank_invariant_under_permutation_and_scaling(data):
     assert rank_mod_q(perm, 3) == base
     scaled = [[(2 * c) % 3 for c in row] for row in rng_rows]
     assert rank_mod_q(scaled, 3) == base
-
-
-# ------------------------------------------------------- big products
-
-
-def test_big_product_exceeds_word_size():
-    vals = list(range(1, 60))
-    assert big_product(vals) == math.factorial(59)
-    assert big_product([]) == 1
 
