@@ -4,7 +4,7 @@ Modules:
   numtheory    prime tables, valuations, valuation rows mod q, rank over F_q
   productsets  cover checks, exact and constructed interval bases
   reduction    normal-form reduction, marking sets, factorial divisibility
-  spherelab    weight-3 vectors over F_3: censuses, covers, overlap trials
+  spherelab    vectors over F_3 as uint8 rows: S_3 censuses, covers, overlap trials
   certificates pairing graphs, inequality reports, the end-to-end bound
   cli          deterministic command line reports
 """
@@ -58,11 +58,9 @@ from .spherelab import (
     OverlapCheck,
     OverlapRefinedCheck,
     SphereBasisSolution,
-    TernaryVector,
     check_sphere_overlap,
     check_sphere_overlap_general,
     difference_census,
-    enumerate_sphere,
     sphere_construction_basis,
     sphere_first_uncovered,
     sphere_min_basis,
@@ -93,7 +91,6 @@ __all__ = [
     "ResourceLimitError",
     "SizeSearch",
     "SphereBasisSolution",
-    "TernaryVector",
     "build_marking_sets",
     "build_pairing_graph",
     "certify_lower_bound",
@@ -104,7 +101,6 @@ __all__ = [
     "decompose_by_coordinate",
     "difference_census",
     "end_to_end_lower_bound",
-    "enumerate_sphere",
     "exact_min_basis",
     "factorial_divisibility_check",
     "first_uncovered",

@@ -24,7 +24,7 @@ import numpy as np
 from .numtheory import PrimeTable, csr_rows, halved_shift_csr, sieve, valuation_csr
 from .productsets import first_uncovered
 from .reduction import InvariantViolationError, build_marking_sets
-from .spherelab import TernaryVector, as_matrix, least_pairs, sphere_rows
+from .spherelab import as_matrix, least_pairs, sphere_rows
 
 __all__ = [
     "PipelineError",
@@ -115,13 +115,12 @@ class PairingGraph:
 
 
 def _sorted_rows(vectors, n: int, kind: str) -> np.ndarray:
-    """The distinct rows of a matrix, or of vectors or coordinate tuples, in lex order, checked by ``as_matrix``."""
+    """The distinct rows of a matrix or of coordinate sequences, in lex order, checked by ``as_matrix``."""
     if not isinstance(vectors, np.ndarray):
         vectors = list(vectors)
         for v in vectors:
-            dim = v.n if isinstance(v, TernaryVector) else len(v)
-            if dim != n:
-                raise ValueError(f"{kind} of dimension {dim}, expected {n}")
+            if len(v) != n:
+                raise ValueError(f"{kind} of dimension {len(v)}, expected {n}")
     keys = np.unique(_void(as_matrix(vectors, n)))
     return keys.view(np.uint8).reshape(len(keys), n)
 
@@ -386,25 +385,22 @@ def component_analysis(m1_edges: Sequence, split: tuple[int, int]) -> ComponentA
     odd cycle collapses them to zero, and an even cycle (or any second
     independent cycle) contradicts the independence of the targets and
     is a hard error.  Also checks the projection count against 2T + 1
-    and edges-plus-trees against the vertex count.
+    and edges-plus-trees against the vertex count.  An edge is a triple
+    (v1, v2, target) of coordinate sequences, checked as ``as_matrix``
+    checks a row; the vertices are numbered in lex order.
     """
-    n1, n2 = split
-    n = n1 + n2
-    for e in m1_edges:
-        if any(v.n != n for v in e):
-            raise ValueError("edge vector dimension does not match the split")
-    verts = sorted({v for e in m1_edges for v in (e[0], e[1])})
-    index = {v: k for k, v in enumerate(verts)}
-    vkeys, tkeys = (_matrix_keys([v.coords for v in vs], n) for vs in (verts, [e[2] for e in m1_edges]))
-    edges = np.array([(index[v1], index[v2]) for v1, v2, _ in m1_edges], dtype=np.int64).reshape(-1, 2)
-    return _analyze_components(vkeys, _projections(vkeys, split), edges, tkeys, split)
+    n = sum(split)
+    v1, v2, tmat = (as_matrix([e[k] for e in m1_edges], n) for k in range(3))
+    verts, ids = np.unique(_void(np.concatenate([v1, v2])), return_inverse=True)
+    vkeys = _matrix_keys(verts.view(np.uint8).reshape(len(verts), n))
+    edges = ids.reshape(2, -1).T
+    return _analyze_components(vkeys, _projections(vkeys, split), edges, _matrix_keys(tmat), split)
 
 
-def _matrix_keys(rows: list[bytes], n: int) -> np.ndarray:
-    """Key rows of dense vectors given by their coordinate bytes."""
-    mat = np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(len(rows), n)
+def _matrix_keys(mat: np.ndarray) -> np.ndarray:
+    """Key rows of dense uint8 rows."""
     at, cols = np.nonzero(mat)
-    return _keys(np.searchsorted(at, np.arange(len(rows) + 1)), cols, mat[at, cols], n)
+    return _keys(np.searchsorted(at, np.arange(len(mat) + 1)), cols, mat[at, cols], mat.shape[1])
 
 
 def _distinct(values: np.ndarray) -> np.ndarray:

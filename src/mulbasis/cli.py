@@ -69,14 +69,13 @@ from .reduction import (
 from .spherelab import (
     OVERLAP_MIN_N,
     SMALL_SET_DIVISOR,
-    TernaryVector,
     difference_census,
-    enumerate_sphere,
     overlap_refined_trial,
     overlap_trial,
     sphere_construction_basis,
     sphere_first_uncovered,
     sphere_min_basis,
+    sphere_rows,
 )
 
 __all__ = ["RunConfig", "ScalarStream", "run", "main", "main_entry", "rng_stream"]
@@ -317,8 +316,8 @@ def _count(p: dict, key: str, default: int = 1) -> int:
     return default if p.get(key) is None else _at_least(p, key)
 
 
-def _vector_str(v) -> str:
-    return "".join(str(c) for c in v.coords)
+def _vector_str(row: np.ndarray) -> str:
+    return "".join(map(str, row.tolist()))
 
 
 # ---------------------------------------------------------------- command table
@@ -507,7 +506,7 @@ def _cmd_sphere_enumerate(config: RunConfig) -> tuple[list, list, int]:
     n, k = p["n"], p.get("k", 3)
     rows = [
         _row(config, None, n=n, k=k, index=i, vector=_vector_str(v))
-        for i, v in enumerate(enumerate_sphere(n, k))
+        for i, v in enumerate(sphere_rows(n, k))
     ]
     return rows, [], 0
 
@@ -545,7 +544,7 @@ def _cmd_sphere_min_basis(config: RunConfig) -> tuple[list, list, int]:
     p = config.parameters
     n = _at_least(p, "n", 3)
     sol = sphere_min_basis(n, budget=_count(p, "budget_nodes", 5_000_000))
-    basis = [_vector_str(v) for v in sorted(sol.basis)]
+    basis = [_vector_str(v) for v in sol.basis]
     row = _row(config, sol, n=n, nodes=sol.nodes_explored, basis=basis)
     return [row], [], 0 if sol.optimal else 1
 
@@ -631,12 +630,12 @@ def _read_lines(path: str, parse, comments: bool = False) -> list:
     return out
 
 
-def _ternary(line: str, n: int) -> TernaryVector:
+def _ternary(line: str, n: int) -> bytes:
     if len(line) != n:
         raise ValueError(f"vector {line!r} does not have {n} coordinates")
     if not set(line) <= set("012"):
         raise ValueError(f"vector {line!r} has a coordinate outside 0, 1, 2")
-    return TernaryVector.from_coords([int(ch) for ch in line])
+    return bytes(int(ch) for ch in line)
 
 
 @_command(
@@ -650,13 +649,13 @@ def _cmd_sphere_certificate(config: RunConfig) -> tuple[list, list, int]:
     if p.get("basis_file"):
         basis = _read_lines(p["basis_file"], lambda line: _ternary(line, n), comments=True)
     else:
-        basis = sorted(sphere_construction_basis(n))
+        basis = sphere_construction_basis(n)
     checks = sphere_cover_report(basis, n)
     # the CSV table of this command is its checks (see _render), so its
     # one JSON row is built here rather than projected onto the columns
     row = {
         "n": n,
-        "basis_size": len(set(basis)),
+        "basis_size": len(set(map(bytes, basis))),  # rows of either form, as their bytes
         "reports_hold": all(c.holds for c in checks if c.hypotheses_ok),
     }
     return [row], checks, _exit_code(checks)

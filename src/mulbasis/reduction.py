@@ -97,16 +97,14 @@ class ReducedPair:
             raise ValueError(f"pair record must be an object, got {type(rec).__name__}")
         ap = field_of(rec, "ap", dict)
         basis = field_of(rec, "basis", list)
-        try:
-            basis = frozenset(int(b) for b in basis)
-        except (TypeError, ValueError):
-            raise ValueError("pair record field 'basis' must list integers") from None
+        if not all(isinstance(b, int) and not isinstance(b, bool) for b in basis):
+            raise ValueError("pair record field 'basis' must list integers")
         reduced = rec.get("reduced", False)
         if not isinstance(reduced, bool):
             raise ValueError("pair record field 'reduced' must be a boolean")
         return cls(
             ap=APSpec(**{k: field_of(ap, k, int, "ap.") for k in ("g", "u", "v", "M")}),
-            basis=basis,
+            basis=frozenset(basis),
             reduced=reduced,
         )
 

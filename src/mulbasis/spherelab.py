@@ -16,9 +16,10 @@ three kinds of question about S_3:
   named by its support pair (i, j), and a row that mismatches -x more
   than twice on a short leading block of columns is no hit.
 
-Scalar vectors are immutable byte strings (one coordinate per byte);
-bulk checks at n ~ 2048 run on numpy matrices instead, and the large
-side of an overlap check is read as a list of row blocks, never joined.
+A vector is a uint8 row, one coordinate per byte, and a set of vectors
+a (m, n) uint8 matrix; ``as_matrix`` reads any sequence of coordinate
+sequences into one.  The large side of an overlap check is read as a
+list of row blocks, never joined.
 A trial holds no row of its Y.  The dedupe pass first groups rows by a
 lead key, their first 32 columns in base 3, and fingerprints only rows
 whose key another row shares.  The uniform block locates and keeps only
@@ -35,7 +36,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -44,13 +44,11 @@ from .productsets import fix_least_cover, size_search
 
 __all__ = [
     "DifferenceCase",
-    "TernaryVector",
     "SphereBasisSolution",
     "OverlapCheck",
     "OverlapRefinedCheck",
     "CensusRow",
     "DifferenceCensus",
-    "enumerate_sphere",
     "sphere_rows",
     "classify_difference",
     "count_difference_solutions",
@@ -110,18 +108,6 @@ _RAW_WORDS = 1 << 16
 # bytes of sums per block of basis rows in least_pairs (one row at least)
 _PAIR_BLOCK = 1 << 20
 
-# byte tables for TernaryVector: the coordinate alphabet, negation mod 3,
-# and the residue of a coordinate sum in [0, 4]
-_DIGITS = b"\x00\x01\x02"
-_NEGATE = bytes.maketrans(b"\x01\x02", b"\x02\x01")
-_FOLD_SUM = bytes.maketrans(b"\x03\x04", b"\x00\x01")
-
-
-def _add_coords(a: bytes, b: bytes) -> bytes:
-    # bytes in {0, 1, 2} sum to at most 4, so the big-integer sum never carries
-    total = int.from_bytes(a, "big") + int.from_bytes(b, "big")
-    return total.to_bytes(len(a), "big").translate(_FOLD_SUM)
-
 
 class DifferenceCase(Enum):
     ZERO = "zero"
@@ -131,71 +117,8 @@ class DifferenceCase(Enum):
     OTHER = "other"
 
 
-@dataclass(frozen=True, order=True)
-class TernaryVector:
-    """Immutable vector over F_3; one coordinate per byte, lex-ordered."""
-
-    coords: bytes
-
-    def __post_init__(self):
-        if self.coords.translate(None, _DIGITS):
-            raise ValueError("coordinates must lie in {0, 1, 2}")
-
-    @property
-    def n(self) -> int:
-        return len(self.coords)
-
-    @classmethod
-    def from_coords(cls, values: Iterable[int]) -> "TernaryVector":
-        return cls(bytes(int(v) % 3 for v in values))
-
-    @classmethod
-    def from_support(cls, n: int, support: Iterable[int]) -> "TernaryVector":
-        buf = bytearray(n)
-        for i in support:
-            buf[i] = 1
-        return cls(bytes(buf))
-
-    @classmethod
-    def zero(cls, n: int) -> "TernaryVector":
-        return cls(bytes(n))
-
-    def _check(self, other: "TernaryVector") -> None:
-        if len(self.coords) != len(other.coords):
-            raise ValueError("dimension mismatch")
-
-    def __add__(self, other: "TernaryVector") -> "TernaryVector":
-        self._check(other)
-        return TernaryVector(_add_coords(self.coords, other.coords))
-
-    def __sub__(self, other: "TernaryVector") -> "TernaryVector":
-        self._check(other)
-        return TernaryVector(_add_coords(self.coords, other.coords.translate(_NEGATE)))
-
-    def __neg__(self) -> "TernaryVector":
-        return TernaryVector(self.coords.translate(_NEGATE))
-
-    def scale(self, c: int) -> "TernaryVector":
-        c %= 3
-        if c == 0:
-            return TernaryVector.zero(self.n)
-        return self if c == 1 else -self
-
-    def weight(self) -> int:
-        return len(self.coords) - self.coords.count(0)
-
-    def support(self) -> tuple[int, ...]:
-        return tuple(np.flatnonzero(np.frombuffer(self.coords, dtype=np.uint8)).tolist())
-
-    def is_zero_one(self) -> bool:
-        return 2 not in self.coords
-
-    def project(self, indices: Sequence[int]) -> "TernaryVector":
-        return TernaryVector(bytes(self.coords[i] for i in indices))
-
-
 def as_matrix(vectors, n: int) -> np.ndarray:
-    """Vectors, coordinate tuples or a 2-D array as a (m, n) uint8 matrix; entries must lie in {0, 1, 2}."""
+    """Coordinate sequences (bytes, tuples, 1-D arrays) or a 2-D array as a (m, n) uint8 matrix; entries must lie in {0, 1, 2}."""
     if isinstance(vectors, np.ndarray):
         if vectors.dtype != np.uint8:  # checked before the cast, which would wrap or truncate
             if not np.issubdtype(vectors.dtype, np.integer):
@@ -211,7 +134,7 @@ def as_matrix(vectors, n: int) -> np.ndarray:
             try:
                 # iter: rows read by entry value, where bytes() reads an int as
                 # that many zeros and an array as its raw buffer
-                buf = v.coords if isinstance(v, TernaryVector) else bytes(iter(v))
+                buf = bytes(iter(v))
             except ValueError:  # an entry outside range(256)
                 raise ValueError("matrix entries must lie in {0, 1, 2}") from None
             except TypeError:  # no row, or an entry that is no integer
@@ -239,14 +162,15 @@ def sphere_rows(n: int, k: int) -> np.ndarray:
     return rows
 
 
-def enumerate_sphere(n: int, k: int) -> list[TernaryVector]:
-    """All 0-1 vectors of weight k, in lexicographic order of support."""
-    return [TernaryVector(row.tobytes()) for row in sphere_rows(n, k)]
+def classify_difference(d) -> DifferenceCase:
+    """The case of a difference d, a coordinate sequence checked as ``as_matrix`` checks a row."""
+    return _case_of(as_matrix([d], len(d)).tobytes())
 
 
-def classify_difference(d: TernaryVector) -> DifferenceCase:
-    ones = d.coords.count(1)
-    twos = d.coords.count(2)
+def _case_of(coords: bytes) -> DifferenceCase:
+    """The case of a difference given as its coordinate bytes."""
+    ones = coords.count(1)
+    twos = coords.count(2)
     if ones == 0 and twos == 0:
         return DifferenceCase.ZERO
     if ones == 3 and twos == 3:
@@ -258,15 +182,17 @@ def classify_difference(d: TernaryVector) -> DifferenceCase:
     return DifferenceCase.OTHER
 
 
-def count_difference_solutions(d: TernaryVector) -> int:
+def count_difference_solutions(d) -> int:
     """Number of ordered pairs (a, a') in S_3 x S_3 with a - a' = d.
 
     A coordinate of d equal to 1 forces (a_i, a'_i) = (1, 0), equal to 2
     forces (0, 1); zero coordinates are shared.  Filling the remaining
     weight of a with shared 1s gives the closed forms below.
     """
-    n = d.n
-    case = classify_difference(d)
+    return _solution_count(classify_difference(d), len(d))
+
+
+def _solution_count(case: DifferenceCase, n: int) -> int:
     if case is DifferenceCase.ZERO:
         return math.comb(n, 3)
     if case is DifferenceCase.CASE1:
@@ -330,13 +256,12 @@ def difference_census(n: int) -> DifferenceCensus:
     formula: dict[DifferenceCase, int] = {}  # one closed form per case
     other_seen = 0
     mismatch: set[DifferenceCase] = set()
-    for raw, c in counts.items():
-        d = TernaryVector(raw)
-        case = classify_difference(d)
+    for d, c in counts.items():
+        case = _case_of(d)
         if case is DifferenceCase.OTHER:
             other_seen += c
             continue
-        formula[case] = count_difference_solutions(d)
+        formula[case] = _solution_count(case, n)
         if formula[case] != c:
             mismatch.add(case)
         per_case.setdefault(case, []).append(c)
@@ -416,8 +341,8 @@ def least_pairs(bmat: np.ndarray, tmat: np.ndarray) -> np.ndarray:
     return out
 
 
-def sphere_first_uncovered(B, n: int) -> TernaryVector | None:
-    """The first target of S_3(n), in support order, outside B + B; None when B covers S_3.
+def sphere_first_uncovered(B, n: int) -> np.ndarray | None:
+    """The first target of S_3(n), in support order, outside B + B, as a uint8 row; None when B covers S_3.
 
     ``B`` is anything ``as_matrix`` takes, in any order and with repeats:
     only whether a target has a pair is read.  The gap is the first
@@ -425,12 +350,14 @@ def sphere_first_uncovered(B, n: int) -> TernaryVector | None:
     """
     targets = sphere_rows(n, 3)
     gaps = np.flatnonzero(least_pairs(as_matrix(B, n), targets)[:, 0] < 0)
-    return TernaryVector(targets[gaps[0]].tobytes()) if len(gaps) else None
+    return targets[gaps[0]] if len(gaps) else None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SphereBasisSolution:
-    basis: frozenset[TernaryVector]
+    """``basis`` holds the distinct basis rows, a (size, n) uint8 matrix in lex order."""
+
+    basis: np.ndarray
     optimal: bool
     nodes_explored: int = 0
 
@@ -439,8 +366,8 @@ class SphereBasisSolution:
         return len(self.basis)
 
 
-def sphere_construction_basis(n: int) -> list[TernaryVector]:
-    """S_1 then S_2, each in lex order of support: a cover of S_3 of size n(n+1)/2.
+def sphere_construction_basis(n: int) -> np.ndarray:
+    """S_1 then S_2 as uint8 rows, each in lex order of support: a cover of S_3 of size n(n+1)/2.
 
     Every target e_i + e_j + e_k, i < j < k, splits as e_i + e_jk with
     e_i in S_1 and e_jk in S_2, so S_3 lies in B + B.  Optimality is not
@@ -448,7 +375,7 @@ def sphere_construction_basis(n: int) -> list[TernaryVector]:
     """
     if n < 3:
         raise ValueError(f"construction needs n >= 3, got {n}")
-    return enumerate_sphere(n, 1) + enumerate_sphere(n, 2)
+    return np.concatenate([sphere_rows(n, 1), sphere_rows(n, 2)])
 
 
 def sphere_min_basis(n: int, budget: int = 5_000_000) -> SphereBasisSolution:
@@ -472,7 +399,7 @@ def sphere_min_basis(n: int, budget: int = 5_000_000) -> SphereBasisSolution:
     if n > SPHERE_EXACT_MAX_N:
         raise ValueError(f"exact sphere search is limited to n <= {SPHERE_EXACT_MAX_N}; got n={n}")
     if n < 3:
-        return SphereBasisSolution(basis=frozenset(), optimal=True)
+        return SphereBasisSolution(basis=np.zeros((0, n), dtype=np.uint8), optimal=True)
     space = np.array(list(itertools.product(range(3), repeat=n)), dtype=np.uint8)  # code order
     pw = 3 ** np.arange(n - 1, -1, -1)
     own = np.arange(len(space))
@@ -483,10 +410,10 @@ def sphere_min_basis(n: int, budget: int = 5_000_000) -> SphereBasisSolution:
         pairs[int(t @ pw)] = list(zip(own[keep].tolist(), partner[keep].tolist()))
     first = size_search(sorted(pairs), pairs, range(len(space)), budget)
     found, nodes = fix_least_cover(first, budget)
-    rows = space[list(found)]
+    rows = space[sorted(found)]  # code order is lex order
     if sphere_first_uncovered(rows, n) is not None:  # pragma: no cover - would be a search bug
         raise InvariantViolationError("exact search returned a non-cover")
-    return SphereBasisSolution(frozenset(TernaryVector(row.tobytes()) for row in rows), first.optimal, nodes)
+    return SphereBasisSolution(rows, first.optimal, nodes)
 
 
 def _fingerprint_weights(n: int) -> np.ndarray:

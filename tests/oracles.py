@@ -26,6 +26,7 @@ import math
 import operator
 import tracemalloc
 from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -524,6 +525,72 @@ def rank_rowreduce(rows, q: int) -> int:
 # ------------------------------------------------------ ternary spheres
 
 
+@dataclass(frozen=True, order=True)
+class TernaryVector:
+    """A reference vector over F_3: one coordinate per byte, lex-ordered, hashable.
+
+    The package holds vectors as uint8 rows.  Iteration and ``len`` give
+    the coordinates, so the package reads this as a coordinate sequence.
+    """
+
+    coords: bytes
+
+    def __post_init__(self):
+        if self.coords.translate(None, b"\x00\x01\x02"):
+            raise ValueError("coordinates must lie in {0, 1, 2}")
+
+    @property
+    def n(self) -> int:
+        return len(self.coords)
+
+    def __len__(self) -> int:
+        return len(self.coords)
+
+    def __iter__(self):
+        return iter(self.coords)
+
+    @classmethod
+    def from_coords(cls, values) -> "TernaryVector":
+        return cls(bytes(int(v) % 3 for v in values))
+
+    @classmethod
+    def from_support(cls, n: int, support) -> "TernaryVector":
+        buf = bytearray(n)
+        for i in support:
+            buf[i] = 1
+        return cls(bytes(buf))
+
+    @classmethod
+    def zero(cls, n: int) -> "TernaryVector":
+        return cls(bytes(n))
+
+    def __add__(self, other: "TernaryVector") -> "TernaryVector":
+        if self.n != other.n:
+            raise ValueError("dimension mismatch")
+        return TernaryVector(bytes((a + b) % 3 for a, b in zip(self.coords, other.coords)))
+
+    def __neg__(self) -> "TernaryVector":
+        return self.scale(2)
+
+    def __sub__(self, other: "TernaryVector") -> "TernaryVector":
+        return self + -other
+
+    def scale(self, c: int) -> "TernaryVector":
+        return TernaryVector(bytes(c * a % 3 for a in self.coords))
+
+    def weight(self) -> int:
+        return self.n - self.coords.count(0)
+
+    def support(self) -> tuple:
+        return tuple(i for i, c in enumerate(self.coords) if c)
+
+    def is_zero_one(self) -> bool:
+        return 2 not in self.coords
+
+    def project(self, indices) -> "TernaryVector":
+        return TernaryVector(bytes(self.coords[i] for i in indices))
+
+
 def sphere_tuples(n: int, k: int) -> list:
     out = []
     for support in itertools.combinations(range(n), k):
@@ -532,6 +599,13 @@ def sphere_tuples(n: int, k: int) -> list:
             v[i] = 1
         out.append(tuple(v))
     return out
+
+
+def sphere_vectors(n: int, k: int) -> list:
+    """All 0-1 vectors of weight k as ``TernaryVector``s, in lexicographic order of support."""
+    if k > n:
+        raise ValueError(f"weight {k} exceeds dimension {n}")
+    return [TernaryVector(bytes(t)) for t in sphere_tuples(n, k)]
 
 
 def diff_mod3(a, b) -> tuple:
@@ -641,7 +715,7 @@ def lex_least_pairs(vecs, targets, n: int):
     chunks of 256 and looks the differences up by their bytes, stopping at
     the first hit; the cost is O(|B| * n) per target at worst.
     """
-    from mulbasis.spherelab import TernaryVector, as_matrix
+    from mulbasis.spherelab import as_matrix
 
     vset = {v.coords for v in vecs}
     bmat = as_matrix(vecs, n).astype(np.int16)
@@ -671,10 +745,8 @@ def sphere_cover_verify_bytes(B, n: int, k: int = 3):
     t - b, which is -b raised by one at the target's k support
     coordinates, is a row.
     """
-    from mulbasis.spherelab import TernaryVector, enumerate_sphere
-
     basis = sorted(set(B))
-    targets = enumerate_sphere(n, k)
+    targets = sphere_vectors(n, k)
     if not targets:
         return True, {}, None
     if not basis:
@@ -783,7 +855,7 @@ class VectorPairingGraph:
 
 
 def _as_sorted_vectors(B, n: int):
-    from mulbasis.spherelab import TernaryVector, as_matrix
+    from mulbasis.spherelab import as_matrix
 
     if isinstance(B, np.ndarray):
         mat = as_matrix(B, n)
@@ -847,11 +919,11 @@ def sphere_report_vectors(B, n: int):
 
     from mulbasis.certificates import DEGREE_PRUNE_FACTOR, InequalityReport
     from mulbasis.reduction import InvariantViolationError
-    from mulbasis.spherelab import DifferenceCase, classify_difference, enumerate_sphere
+    from mulbasis.spherelab import DifferenceCase, classify_difference
 
     vecs = _as_sorted_vectors(B, n)
     size = len(vecs)
-    targets = enumerate_sphere(n, 3)
+    targets = sphere_vectors(n, 3)
     graph = _vector_pairing_graph(vecs, targets, n)
 
     # sparse common-neighbour counts: only pairs sharing a right vertex matter
@@ -956,8 +1028,6 @@ def sparse_row(v) -> tuple:
 
 def dense_vector(row: tuple, n: int):
     """The n-coordinate ``TernaryVector`` of a sparse row."""
-    from mulbasis.spherelab import TernaryVector
-
     buf = bytearray(n)
     for i, c in row:
         buf[i] = c
@@ -1008,7 +1078,6 @@ def component_analysis_dense(m1_edges, split):
 
     from mulbasis.certificates import ComponentAnalysis, InequalityReport
     from mulbasis.reduction import InvariantViolationError
-    from mulbasis.spherelab import TernaryVector
 
     n1, n2 = split
     n = n1 + n2
@@ -1109,7 +1178,6 @@ def end_to_end_lower_bound_dense(M, B, u=0, g=1, table=None):
     from mulbasis.numtheory import sieve
     from mulbasis.productsets import first_uncovered
     from mulbasis.reduction import InvariantViolationError, build_marking_sets
-    from mulbasis.spherelab import TernaryVector
 
     if M < 1:
         raise PipelineError("input", f"M must be positive, got {M}")

@@ -18,7 +18,6 @@ from mulbasis.reduction import (
 )
 from mulbasis.spherelab import (
     difference_census,
-    enumerate_sphere,
     overlap_refined_trial,
     overlap_trial,
     sphere_construction_basis,
@@ -133,7 +132,7 @@ def test_criterion_7_factorial_divisibility():
 
 def test_criterion_8_certificate_soundness():
     for n in (8, 16, 24):
-        basis = enumerate_sphere(n, 1) + enumerate_sphere(n, 2)
+        basis = sphere_construction_basis(n)
         reports = sphere_cover_report(basis, n)
         identity = reports[0]
         assert identity.name == "degree_square_identity"

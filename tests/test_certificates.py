@@ -28,23 +28,18 @@ from mulbasis.certificates import (
 from mulbasis.numtheory import sieve
 from mulbasis.productsets import construct_interval_basis
 from mulbasis.reduction import InvariantViolationError
-from mulbasis.spherelab import (
-    DifferenceCase,
-    TernaryVector,
-    as_matrix,
-    classify_difference,
-    enumerate_sphere,
-    sphere_construction_basis,
-)
+from mulbasis.spherelab import DifferenceCase, as_matrix, classify_difference
 from oracles import dense_order as _dense_order
 from oracles import join_weight_one_pairs as _join_weight_one_pairs
 from oracles import sparse_row as _sparse
 from oracles import (
+    TernaryVector,
     component_analysis_dense,
     end_to_end_lower_bound_dense,
     lex_least_pairs,
     primes_segmented,
     sphere_report_vectors,
+    sphere_vectors,
     traced_peak,
     valuation_loop,
     valuation_rows,
@@ -67,7 +62,7 @@ REPORT_NAMES = [
 
 
 def small_spheres(n: int) -> list[TernaryVector]:
-    return enumerate_sphere(n, 1) + enumerate_sphere(n, 2)
+    return sphere_vectors(n, 1) + sphere_vectors(n, 2)
 
 
 # ---------------------------------------------------------- reports
@@ -116,10 +111,10 @@ def test_self_pair_edge():
 def test_small_sphere_graph_shape():
     n = 5
     B = small_spheres(n)
-    g = build_pairing_graph(B, enumerate_sphere(n, 3), n)
+    g = build_pairing_graph(B, sphere_vectors(n, 3), n)
     assert len(g.edges) == 10
     assert g.vertices.tolist() == as_matrix(sorted(B), n).tolist()
-    assert g.targets.tolist() == as_matrix(sorted(enumerate_sphere(n, 3)), n).tolist()
+    assert g.targets.tolist() == as_matrix(sorted(sphere_vectors(n, 3)), n).tolist()
     assert g.edges[:, 2].tolist() == list(range(10))
     for i, j, t in g.edges.tolist():
         assert i <= j
@@ -130,7 +125,7 @@ def test_small_sphere_graph_shape():
 def test_edges_are_lex_smallest_pairs():
     n = 5
     B = small_spheres(n)
-    g = build_pairing_graph(B, enumerate_sphere(n, 3), n)
+    g = build_pairing_graph(B, sphere_vectors(n, 3), n)
     for b1, b2, t in edge_vectors(g):
         pairs = sorted((x, y) for x in B for y in B if x + y == t)
         assert (b1, b2) == pairs[0]
@@ -139,7 +134,7 @@ def test_edges_are_lex_smallest_pairs():
 def test_graph_accepts_matrix_input_and_dedupes():
     n = 4
     B = small_spheres(n) + small_spheres(n)  # duplicates collapse
-    g = build_pairing_graph(as_matrix(B, n), enumerate_sphere(n, 3) * 2, n)
+    g = build_pairing_graph(as_matrix(B, n), sphere_vectors(n, 3) * 2, n)
     assert len(g.vertices) == 10
     assert len(g.targets) == 4
     assert len(g.edges) == 4
@@ -196,17 +191,17 @@ def test_join_matches_scan_on_weight_one_targets(instance):
 @pytest.mark.parametrize(
     "basis,n",
     [
-        (set(sphere_construction_basis(5)), 5),
-        (set(sphere_construction_basis(9)), 9),
+        (set(small_spheres(5)), 5),
+        (set(small_spheres(9)), 9),
         ({V((2, 2, 2))}, 3),
         ({V((0, 0, 1, 2)), V((0, 0, 2, 1)), V((0, 2, 2, 2)), V((1, 1, 2, 2))}, 4),  # a minimum
         # e_5 + (1, 1, 1, 0, 0, 2) undercuts the split e_2 + e_01 of (1, 1, 1, 0, 0, 0)
-        (set(sphere_construction_basis(6)) | {V((1, 1, 1, 0, 0, 2))}, 6),
+        (set(small_spheres(6)) | {V((1, 1, 1, 0, 0, 2))}, 6),
     ],
     ids=["construct5", "construct9", "min3", "min4", "construct6_extras"],
 )
 def test_pairing_graph_agrees_with_cover_witness(basis, n):
-    targets = enumerate_sphere(n, 3)
+    targets = sphere_vectors(n, 3)
     witness = dict(zip(targets, lex_least_pairs(sorted(basis), targets, n)))
     assert None not in witness.values()
     g = build_pairing_graph(basis, targets, n)
@@ -256,7 +251,7 @@ def test_empty_target_list_gives_empty_graph():
 
 def test_decompose_counts_per_coordinate():
     n = 4
-    g = build_pairing_graph(small_spheres(n), enumerate_sphere(n, 3), n)
+    g = build_pairing_graph(small_spheres(n), sphere_vectors(n, 3), n)
     subs = decompose_by_coordinate(g, n)
     assert len(subs) == 4
     assert [len(h.edges) for h in subs] == [3, 3, 3, 3]
@@ -268,7 +263,7 @@ def test_decompose_counts_per_coordinate():
 
 def test_decompose_total_is_three_per_target():
     n = 10
-    g = build_pairing_graph(small_spheres(n), enumerate_sphere(n, 3), n)
+    g = build_pairing_graph(small_spheres(n), sphere_vectors(n, 3), n)
     subs = decompose_by_coordinate(g, n)
     assert sum(len(h.edges) for h in subs) == 3 * len(g.edges) == 360
     slices_per_target = np.bincount(np.concatenate([h.edges[:, 2] for h in subs]))
@@ -283,7 +278,7 @@ def test_decompose_rejects_non_sphere_targets():
 
 def test_prune_light_graph_is_identity():
     n = 5
-    g = build_pairing_graph(small_spheres(n), enumerate_sphere(n, 3), n)
+    g = build_pairing_graph(small_spheres(n), sphere_vectors(n, 3), n)
     for h in decompose_by_coordinate(g, n):
         res = prune_heavy(h, n)
         assert res.removed_edges == 0
@@ -307,7 +302,7 @@ def test_prune_star_above_threshold():
 @settings(max_examples=20, deadline=None)
 def test_prune_bookkeeping_consistent(threshold):
     n = 5
-    g = build_pairing_graph(small_spheres(n), enumerate_sphere(n, 3), n)
+    g = build_pairing_graph(small_spheres(n), sphere_vectors(n, 3), n)
     res = prune_heavy(g, n, threshold=threshold)
     assert res.removed_edges == len(g.edges) - len(res.pruned.edges)
     before = g.right_degrees()
@@ -349,13 +344,13 @@ def test_implied_bound_is_positive_and_sound():
 
 def test_report_suite_rejects_non_cover():
     with pytest.raises(ValueError, match="is not a sum"):
-        sphere_cover_report(enumerate_sphere(5, 1), 5)
+        sphere_cover_report(sphere_vectors(5, 1), 5)
 
 
 def star_cover(n: int) -> list[TernaryVector]:
     """{e_0} with t - e_0 for every t in S_3: e_0 is the right end of every target through 0."""
     e0 = unit(n, 0, 1)
-    return [e0] + [t - e0 for t in enumerate_sphere(n, 3)]
+    return [e0] + [t - e0 for t in sphere_vectors(n, 3)]
 
 
 BASIS_N6 = [
@@ -372,7 +367,7 @@ def shifted_sphere(n: int) -> list[TernaryVector]:
     S_1 | S_2 or star shape has.
     """
     J = V([1] * n)
-    return [J + J] + [t + J for t in enumerate_sphere(n, 3)]
+    return [J + J] + [t + J for t in sphere_vectors(n, 3)]
 
 
 @st.composite
@@ -451,6 +446,9 @@ def test_single_edge_component():
     assert res.distinct_projections == 2  # the projections (1, 2) and (2, 1)
     assert all(r.holds for r in res.reports)
     assert [r.name for r in res.reports] == ["projection_tree_bound", "component_edge_bound"]
+    # bytes, 1-D arrays and tuples are read as the vectors are
+    edge = (bytes([0, 1, 2]), np.array([1, 2, 1], dtype=np.uint8), (1, 0, 0))
+    assert component_analysis([edge], (1, 2)) == res
 
 
 def test_odd_cycle_collapses_projections():
@@ -479,6 +477,8 @@ def test_component_edge_validation():
         component_analysis([(V((1, 1, 2, 0, 0)), V((1, 1, 1, 0, 0)), V((2, 2, 0, 0, 0)))], (3, 2))
     with pytest.raises(ValueError, match="dimension"):
         component_analysis([(V((0, 1)), V((1, 2)), V((1, 0)))], (3, 2))
+    with pytest.raises(ValueError, match=r"matrix entries must lie in \{0, 1, 2\}"):
+        component_analysis([(bytes([0, 1, 3]), V((1, 2, 1)), V((1, 0, 0)))], (1, 2))
 
 
 def test_two_components_counted_separately():
@@ -664,9 +664,9 @@ def test_array_join_matches_the_tuple_join(instance):
     # the empty row, repeated rows, and rows that are prefixes of one another
     n, basis, targets = instance
     vecs, tlist = sorted(set(basis)), sorted(set(targets))
-    bkeys = np.unique(certificates._void(certificates._matrix_keys([v.coords for v in basis], n)))
+    bkeys = np.unique(certificates._void(certificates._matrix_keys(as_matrix(basis, n))))
     assert _sparse_of_keys(bkeys, n) == [_sparse(v) for v in vecs]
-    tkeys = certificates._matrix_keys([t.coords for t in tlist], n)[:, 0].astype(np.int64)
+    tkeys = certificates._matrix_keys(as_matrix(tlist, n))[:, 0].astype(np.int64)
     got = certificates._join_weight_one_pairs(bkeys, tkeys).tolist()
     want = _join_weight_one_pairs([_sparse(v) for v in vecs], [_sparse(t) for t in tlist])
     assert [None if k1 < 0 else (k1, k2) for k1, k2 in got] == want

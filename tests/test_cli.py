@@ -276,8 +276,12 @@ def test_missing_json_file_exits_2(capsys):
             {"ap": {"g": 2, "u": 1, "v": 2, "M": 3}, "basis": [1, 2, 3], "reduced": "false"},
             "pair record field 'reduced' must be a boolean",
         ),
+        # int() once read 1.9 and "1" as 1 and True as 1
+        ({"ap": {"g": 1, "u": 0, "v": 1, "M": 2}, "basis": [1.9, 2]}, "pair record field 'basis' must list integers"),
+        ({"ap": {"g": 1, "u": 0, "v": 1, "M": 2}, "basis": [True, 2]}, "pair record field 'basis' must list integers"),
+        ({"ap": {"g": 1, "u": 0, "v": 1, "M": 2}, "basis": ["1", 2]}, "pair record field 'basis' must list integers"),
     ],
-    ids=["empty", "no-ap-M", "list", "reduced-string"],
+    ids=["empty", "no-ap-M", "list", "reduced-string", "basis-float", "basis-bool", "basis-string"],
 )
 def test_reduce_malformed_record_exits_2_with_one_line(record, message, tmp_path, capsys):
     path = tmp_path / "pair.json"

@@ -15,14 +15,12 @@ from mulbasis.spherelab import (
     SMALL_SET_DIVISOR,
     SPHERE_EXACT_MAX_N,
     DifferenceCase,
-    TernaryVector,
     as_matrix,
     check_sphere_overlap,
     check_sphere_overlap_general,
     classify_difference,
     count_difference_solutions,
     difference_census,
-    enumerate_sphere,
     least_pairs,
     overlap_refined_trial,
     overlap_trial,
@@ -32,6 +30,7 @@ from mulbasis.spherelab import (
     sphere_rows,
 )
 from oracles import (
+    TernaryVector,
     case_of,
     census_brute,
     count_diff_brute,
@@ -44,6 +43,7 @@ from oracles import (
     sphere_hit_keys_full,
     sphere_min_brute,
     sphere_tuples,
+    sphere_vectors,
     traced_peak,
     two_sphere_hits_full,
 )
@@ -53,7 +53,7 @@ V = TernaryVector.from_coords
 coords_strategy = st.lists(st.integers(min_value=0, max_value=2), min_size=1, max_size=10)
 
 
-# ------------------------------------------------------------ vectors
+# ------------------------------------------------ reference vectors (oracles)
 
 
 def test_vector_construction_and_accessors():
@@ -111,11 +111,14 @@ def test_vector_dimension_mismatch_raises():
 
 
 def test_as_matrix_round_trips():
-    vecs = enumerate_sphere(5, 2)
+    vecs = sphere_vectors(5, 2)
     mat = as_matrix(vecs, 5)
     assert mat.shape == (10, 5)
     assert (as_matrix(mat, 5) == mat).all()
     assert [TernaryVector(r.tobytes()) for r in mat] == vecs
+    # bytes rows and 1-D uint8 rows read as their coordinates
+    assert (as_matrix([v.coords for v in vecs], 5) == mat).all()
+    assert (as_matrix(list(mat), 5) == mat).all()
     assert as_matrix([], 5).shape == (0, 5)
     with pytest.raises(ValueError):
         as_matrix(vecs, 4)
@@ -123,7 +126,10 @@ def test_as_matrix_round_trips():
     assert as_matrix([(0, 2, 1)], 3).tolist() == [[0, 2, 1]]
     # an array is checked before its cast to uint8, which would wrap 257 and -255
     # to 1 and truncate 1.7 to 1
-    for rows in ([(0, 3, 1)], [(0, -1, 1)], np.array([[0, 3, 1]]), np.array([[0, 257, 1]]), np.array([[0, -255, 1]])):
+    for rows in (
+        [(0, 3, 1)], [(0, -1, 1)], [b"\x00\x03\x01"],
+        np.array([[0, 3, 1]]), np.array([[0, 257, 1]]), np.array([[0, -255, 1]]),
+    ):
         with pytest.raises(ValueError, match=r"matrix entries must lie in \{0, 1, 2\}"):
             as_matrix(rows, 3)
     with pytest.raises(ValueError, match="not sequences of integer entries"):
@@ -144,23 +150,24 @@ def test_as_matrix_round_trips():
 
 
 def test_enumerate_sphere_examples():
-    assert [v.coords for v in enumerate_sphere(3, 3)] == [bytes([1, 1, 1])]
-    assert len(enumerate_sphere(5, 2)) == 10
-    ten_three = enumerate_sphere(10, 3)
-    assert len(ten_three) == 120
-    assert len(set(ten_three)) == 120
-    assert all(v.is_zero_one() and v.weight() == 3 for v in ten_three)
+    assert sphere_rows(3, 3).tolist() == [[1, 1, 1]]
+    assert sphere_rows(5, 2).shape == (10, 5)
+    ten_three = sphere_rows(10, 3)
+    assert ten_three.dtype == np.uint8 and ten_three.shape == (120, 10)
+    assert len(np.unique(ten_three, axis=0)) == 120
+    assert ten_three.max() == 1 and (ten_three.sum(axis=1) == 3).all()
+    assert [TernaryVector(r.tobytes()) for r in ten_three] == sphere_vectors(10, 3)
 
 
 def test_enumerate_sphere_is_support_ordered():
-    supports = [v.support() for v in enumerate_sphere(6, 3)]
+    supports = [tuple(np.flatnonzero(r).tolist()) for r in sphere_rows(6, 3)]
     assert supports == sorted(supports)
 
 
 def test_enumerate_sphere_rejects_heavy_weight():
-    with pytest.raises(ValueError):
-        enumerate_sphere(2, 3)
-    assert [v.coords for v in enumerate_sphere(0, 0)] == [b""]
+    with pytest.raises(ValueError, match="weight 3 exceeds dimension 2"):
+        sphere_rows(2, 3)
+    assert sphere_rows(0, 0).shape == (1, 0)
 
 
 # ----------------------------------------------------- classification
@@ -172,6 +179,13 @@ def test_classify_examples():
     assert classify_difference(V([1, 2, 0, 0, 0, 0])) is DifferenceCase.CASE3
     assert classify_difference(V([1, 0, 0, 0, 0, 0])) is DifferenceCase.OTHER
     assert classify_difference(TernaryVector.zero(6)) is DifferenceCase.ZERO
+    # bytes, tuples and 1-D arrays are read alike, and an entry 3 is rejected, not classified
+    assert classify_difference(bytes([1, 2, 0])) is DifferenceCase.CASE3
+    assert classify_difference((1, 1, 2, 2)) is DifferenceCase.CASE2
+    assert classify_difference(np.array([1, 1, 1, 2, 2, 2], dtype=np.uint8)) is DifferenceCase.CASE1
+    for d in (bytes([1, 2, 3]), (1, 2, 3), np.array([1, 2, 3])):
+        with pytest.raises(ValueError, match=r"matrix entries must lie in \{0, 1, 2\}"):
+            classify_difference(d)
 
 
 @given(coords_strategy)
@@ -235,11 +249,17 @@ def test_census_strict_bounds():
 # ------------------------------------------------------------- covers
 
 
+def _gap(basis, n):
+    """``sphere_first_uncovered`` as a reference vector, or None."""
+    gap = sphere_first_uncovered(basis, n)
+    return None if gap is None else V(gap)
+
+
 def _witness(basis, n):
     """Each target of S_3(n) in support order with its ``least_pairs`` pair, or None."""
     vecs = sorted(set(basis))
     pairs = least_pairs(as_matrix(vecs, n), sphere_rows(n, 3))
-    targets = enumerate_sphere(n, 3)
+    targets = sphere_vectors(n, 3)
     return {t: None if i < 0 else (vecs[i], vecs[j]) for t, (i, j) in zip(targets, pairs.tolist())}
 
 
@@ -249,12 +269,12 @@ def test_cover_verify_single_double():
 
 
 def test_cover_verify_empty_basis():
-    assert sphere_first_uncovered(set(), 4) == enumerate_sphere(4, 3)[0]
-    assert sphere_first_uncovered(np.zeros((0, 4), dtype=np.uint8), 4) == enumerate_sphere(4, 3)[0]
+    assert sphere_first_uncovered(set(), 4).tolist() == [1, 1, 1, 0]
+    assert sphere_first_uncovered(np.zeros((0, 4), dtype=np.uint8), 4).tolist() == [1, 1, 1, 0]
 
 
 def test_cover_verify_construction_witnesses():
-    basis = sphere_construction_basis(4)
+    basis = sphere_vectors(4, 1) + sphere_vectors(4, 2)
     assert sphere_first_uncovered(basis, 4) is None
     for target, (b1, b2) in _witness(basis, 4).items():
         assert b1 + b2 == target
@@ -262,7 +282,7 @@ def test_cover_verify_construction_witnesses():
 
 
 def test_cover_verify_picks_lexicographically_smallest_pair():
-    basis = set(enumerate_sphere(6, 1)) | set(enumerate_sphere(6, 2))
+    basis = set(sphere_vectors(6, 1)) | set(sphere_vectors(6, 2))
     blist = sorted(basis)
     for target, (b1, b2) in _witness(basis, 6).items():
         for c1 in blist:
@@ -273,13 +293,12 @@ def test_cover_verify_picks_lexicographically_smallest_pair():
 
 def test_cover_verify_reports_first_gap_in_order():
     # remove the partner of the first target from the construction
-    basis = set(enumerate_sphere(5, 1)) | set(enumerate_sphere(5, 2))
-    first = enumerate_sphere(5, 3)[0]
+    basis = set(sphere_vectors(5, 1)) | set(sphere_vectors(5, 2))
+    first = sphere_vectors(5, 3)[0]
     basis -= {V([1, 0, 0, 0, 0]), V([0, 1, 1, 0, 0])}
     # (1,1,1,0,0) may still be covered by other pairs; check consistency instead
     witness = _witness(basis, 5)
-    gap = sphere_first_uncovered(basis, 5)
-    assert gap == next((t for t, pair in witness.items() if pair is None), None)
+    assert _gap(basis, 5) == next((t for t, pair in witness.items() if pair is None), None)
     if witness[first] is not None:
         assert witness[first][0] + witness[first][1] == first
 
@@ -287,7 +306,7 @@ def test_cover_verify_reports_first_gap_in_order():
 def test_cover_verify_construction_at_n33():
     # past 32 coordinates; the lex-least split of {i, j, k}, i < j < k, is
     # e_k + e_ij, since e_k has the latest leading coordinate of the six parts
-    basis = sphere_construction_basis(33)
+    basis = sphere_vectors(33, 1) + sphere_vectors(33, 2)
     assert sphere_first_uncovered(basis, 33) is None
     for target, pair in _witness(basis, 33).items():
         i, j, k = target.support()
@@ -296,7 +315,7 @@ def test_cover_verify_construction_at_n33():
 
 def _cover_fields(basis, n):
     """(covered, witness, first gap) as the byte reference gives them: pairs up to the gap."""
-    gap = sphere_first_uncovered(basis, n)
+    gap = _gap(basis, n)
     witness = {}
     for t, pair in _witness(basis, n).items():
         if t == gap:
@@ -316,7 +335,7 @@ def perturbed_covers(draw):
     # past 32 coordinates the byte reference walks ~1.5M (target, b) pairs
     # per cover, so those widths are drawn rarely
     n = draw(st.sampled_from([*range(3, 13)] * 3 + [33, 34]))
-    basis = set(sphere_construction_basis(n))
+    basis = set(sphere_vectors(n, 1) + sphere_vectors(n, 2))
     support = st.lists(st.integers(0, n - 1), min_size=3, max_size=3, unique=True)
     for gap in draw(st.lists(support, max_size=2)):
         basis -= {TernaryVector.from_support(n, (i,)) for i in gap}
@@ -342,11 +361,11 @@ def test_cover_verify_matches_byte_reference(instance):
 
 def test_cover_verify_matches_byte_reference_on_a_late_gap():
     n = 33
-    last = enumerate_sphere(n, 3)[-1]
-    basis = set(sphere_construction_basis(n)) - {
+    last = sphere_vectors(n, 3)[-1]
+    basis = set(sphere_vectors(n, 1) + sphere_vectors(n, 2)) - {
         TernaryVector.from_support(n, (i,)) for i in last.support()
     }
-    assert sphere_first_uncovered(basis, n) == last
+    assert _gap(basis, n) == last
     assert _cover_fields(basis, n) == sphere_cover_verify_bytes(basis, n)
 
 
@@ -354,18 +373,28 @@ def test_first_uncovered_takes_what_as_matrix_takes():
     n = 5
     # without e_1, e_2 and e_3 only the target e_1 + e_2 + e_3 loses every split
     singles = {TernaryVector.from_support(n, (i,)) for i in (1, 2, 3)}
-    basis = sorted(set(sphere_construction_basis(n)) - singles)
+    basis = sorted(set(sphere_vectors(n, 1) + sphere_vectors(n, 2)) - singles)
     gap = sphere_first_uncovered(basis, n)
-    assert gap == TernaryVector.from_support(n, (1, 2, 3)) == sphere_cover_verify_bytes(basis, n)[2]
-    for form in (set(basis), [tuple(v.coords) for v in basis], as_matrix(basis, n), as_matrix(basis[::-1], n)):
-        assert sphere_first_uncovered(form, n) == gap
-    assert sphere_first_uncovered(basis + basis, n) == gap  # repeated rows change nothing
+    assert gap.dtype == np.uint8 and gap.shape == (n,)
+    assert V(gap) == TernaryVector.from_support(n, (1, 2, 3)) == sphere_cover_verify_bytes(basis, n)[2]
+    forms = (
+        set(basis),
+        [tuple(v.coords) for v in basis],
+        [v.coords for v in basis],
+        list(as_matrix(basis, n)),
+        as_matrix(basis, n),
+        as_matrix(basis[::-1], n),
+    )
+    for form in forms:
+        assert sphere_first_uncovered(form, n).tolist() == gap.tolist()
+    assert sphere_first_uncovered(basis + basis, n).tolist() == gap.tolist()  # repeated rows change nothing
     with pytest.raises(ValueError, match="weight 3 exceeds dimension 2"):
         sphere_first_uncovered([], 2)
     with pytest.raises(ValueError, match="vector of dimension 5, expected 4"):
         sphere_first_uncovered(basis, 4)
-    with pytest.raises(ValueError, match=r"matrix entries must lie in \{0, 1, 2\}"):
-        sphere_first_uncovered([(0, 0, 0, 0, 3)], n)
+    for row in ((0, 0, 0, 0, 3), bytes([0, 0, 0, 0, 3])):
+        with pytest.raises(ValueError, match=r"matrix entries must lie in \{0, 1, 2\}"):
+            sphere_first_uncovered([row], n)
 
 
 def test_least_pairs_gives_minus_one_per_uncovered_target():
@@ -430,18 +459,17 @@ def test_construct_n3():
 
 def test_construct_n10():
     basis = sphere_construction_basis(10)
-    assert len(basis) == 55
+    assert basis.dtype == np.uint8 and basis.shape == (55, 10)
     assert sphere_first_uncovered(basis, 10) is None
-    assert sphere_first_uncovered(as_matrix(basis, 10), 10) is None
-    for target, (b1, b2) in _witness(basis, 10).items():
+    for target, (b1, b2) in _witness(map(V, basis), 10).items():
         assert b1 + b2 == target
 
 
 def test_construction_basis_splits_each_target():
     # the cover proof of the docstring: e_i + e_j + e_k = e_i + e_jk, i < j < k
     n = 7
-    basis = set(sphere_construction_basis(n))
-    for target in enumerate_sphere(n, 3):
+    basis = set(map(V, sphere_construction_basis(n)))
+    for target in sphere_vectors(n, 3):
         i, j, k = target.support()
         single, double = TernaryVector.from_support(n, (i,)), TernaryVector.from_support(n, (j, k))
         assert single in basis and double in basis
@@ -455,8 +483,8 @@ def test_construct_rejects_tiny_dimension():
 
 def test_construction_basis_is_the_constructed_basis():
     for n in (3, 7, 33):
-        basis = sphere_construction_basis(n)
-        assert basis == enumerate_sphere(n, 1) + enumerate_sphere(n, 2)
+        basis = [V(row) for row in sphere_construction_basis(n)]
+        assert basis == sphere_vectors(n, 1) + sphere_vectors(n, 2)
         assert len(set(basis)) == len(basis)
 
 
@@ -472,7 +500,7 @@ def test_min_basis_dimension_three():
     sol = sphere_min_basis(3)
     assert sol.size == 1
     assert sol.optimal
-    assert sol.basis == frozenset({V([2, 2, 2])})
+    assert sol.basis.dtype == np.uint8 and sol.basis.tolist() == [[2, 2, 2]]
     assert sphere_min_brute(3) == (1, ((2, 2, 2),))
 
 
@@ -480,6 +508,7 @@ def test_min_basis_degenerate_dimensions():
     for n in (0, 1, 2):
         sol = sphere_min_basis(n)
         assert sol.size == 0
+        assert sol.basis.dtype == np.uint8 and sol.basis.shape == (0, n)
         assert sol.optimal
 
 
@@ -489,12 +518,11 @@ def test_min_basis_dimension_four_matches_oracle():
     assert sol.optimal
     assert sol.size == expected == 4
     assert sol.size >= 3  # counting bound: C(4,3) targets need k(k+1)/2 >= 4
-    got = {tuple(v.coords) for v in sol.basis}
-    assert got == {(0, 0, 1, 2), (0, 0, 2, 1), (0, 2, 2, 2), (1, 1, 2, 2)}
+    assert sol.basis.tolist() == [[0, 0, 1, 2], [0, 0, 2, 1], [0, 2, 2, 2], [1, 1, 2, 2]]  # lex-sorted
     # the brute force's first hit is the lex-least optimum: that set's least
     # element is least in its permutation orbit, or a permuted copy of the
     # set would sort first
-    assert got == set(brute_basis)
+    assert set(map(tuple, sol.basis.tolist())) == set(brute_basis)
     assert sphere_first_uncovered(sol.basis, 4) is None
 
 
@@ -502,7 +530,7 @@ def test_min_basis_budget_exhaustion_falls_back():
     sol = sphere_min_basis(4, budget=10)
     assert not sol.optimal
     assert sol.size == 5  # the first pass's incumbent {0} | S_3, below |S1 | S2| = 10
-    assert TernaryVector.zero(4) in sol.basis
+    assert sol.basis[0].tolist() == [0, 0, 0, 0]
     assert sphere_first_uncovered(sol.basis, 4) is None
 
 
@@ -551,7 +579,7 @@ def test_overlap_empty_x_is_trivial():
 
 def test_overlap_zero_shift_counts_sphere_rows():
     n = 64
-    y = as_matrix(enumerate_sphere(n, 2)[:40], n)
+    y = sphere_rows(n, 2)[:40]
     x = np.zeros((1, n), dtype=np.uint8)
     res = check_sphere_overlap(x, y, n)
     assert res.lhs == 40
@@ -582,7 +610,7 @@ def test_overlap_hypothesis_flags():
 def test_overlap_counts_distinct_sums_only():
     n = 16
     x = np.zeros((2, n), dtype=np.uint8)  # duplicate zero rows
-    y = as_matrix(enumerate_sphere(n, 2)[:5], n)
+    y = sphere_rows(n, 2)[:5]
     res = check_sphere_overlap(x, y, n)
     assert res.x_size == 1
     assert res.lhs == 5
@@ -602,7 +630,7 @@ def test_overlap_general_zero_shift():
 
 def test_overlap_general_enforces_small_a():
     n = 100
-    a = as_matrix(enumerate_sphere(n, 1)[:5], n)
+    a = sphere_rows(n, 1)[:5]
     b = np.zeros((1, n), dtype=np.uint8)
     with pytest.raises(ValueError, match="exceeds"):
         check_sphere_overlap_general(a, b, n)
