@@ -17,9 +17,7 @@ from .certificates import (
     PipelineResult,
     build_pairing_graph,
     component_analysis,
-    decompose_by_coordinate,
     end_to_end_lower_bound,
-    prune_heavy,
     sphere_cover_report,
 )
 from .numtheory import (
@@ -98,7 +96,6 @@ __all__ = [
     "check_sphere_overlap_general",
     "component_analysis",
     "construct_interval_basis",
-    "decompose_by_coordinate",
     "difference_census",
     "end_to_end_lower_bound",
     "exact_min_basis",
@@ -107,7 +104,6 @@ __all__ = [
     "is_prime",
     "min_size_search",
     "product_set",
-    "prune_heavy",
     "rank_mod_q",
     "reduce_pair",
     "sieve",

@@ -4,7 +4,8 @@ Everything here turns statements used in the lower-bound argument into
 computed checks.  A pairing graph fixes one representing pair per
 covered target; reports then evaluate both sides of each inequality in
 the degree-counting argument (common-neighbour identity, per-case
-contribution bounds, pruning losses, edge retention, Cauchy-Schwarz).
+contribution bounds, pruning losses read from one table of right degrees
+per coordinate slice, edge retention, Cauchy-Schwarz).
 The end-to-end pipeline embeds an integer basis into F_3 valuation
 vectors, held as arrays of key rows, pairs off the single-prime marks,
 analyzes the resulting components, runs the sphere reports on the
@@ -30,12 +31,9 @@ __all__ = [
     "PipelineError",
     "InequalityReport",
     "PairingGraph",
-    "PruneResult",
     "ComponentAnalysis",
     "PipelineResult",
     "build_pairing_graph",
-    "decompose_by_coordinate",
-    "prune_heavy",
     "sphere_cover_report",
     "component_analysis",
     "end_to_end_lower_bound",
@@ -223,38 +221,6 @@ def _not_a_sum(coords: tuple) -> str:
     return f"target {coords} is not a sum of two basis vectors"
 
 
-def decompose_by_coordinate(G: PairingGraph, n: int) -> list[PairingGraph]:
-    """Subgraph i keeps the edges whose target has coordinate i equal to 1.
-
-    Every weight-3 target lands in exactly three subgraphs.
-    """
-    tcols = G.targets[G.edges[:, 2]]
-    bad = np.flatnonzero((tcols > 1).any(axis=1) | (tcols.sum(axis=1) != 3))
-    if len(bad):
-        raise ValueError(f"target {tuple(tcols[bad[0]].tolist())} is not a weight-3 0-1 vector")
-    return [replace(G, edges=G.edges[tcols[:, i] == 1]) for i in range(n)]
-
-
-@dataclass(frozen=True)
-class PruneResult:
-    pruned: PairingGraph
-    removed_edges: int
-    heavy: tuple  # vertex indices
-
-
-def prune_heavy(H: PairingGraph, n: int, threshold: int | None = None) -> PruneResult:
-    """Drop every edge at a right-class vertex of degree above the threshold."""
-    if threshold is None:
-        threshold = DEGREE_PRUNE_FACTOR * n
-    heavy = H.right_degrees() > threshold
-    kept = ~heavy[H.edges[:, 1]]
-    return PruneResult(
-        pruned=replace(H, edges=H.edges[kept]),
-        removed_edges=len(kept) - int(kept.sum()),
-        heavy=tuple(np.flatnonzero(heavy).tolist()),
-    )
-
-
 def _shared_right_pairs(edges: np.ndarray):
     """The left ends (v1, v2) of every two edges at one right vertex, in blocks.
 
@@ -278,7 +244,7 @@ def _single_bit(bits: np.ndarray) -> np.ndarray:
     return 8 * at + _POPCOUNT[bits[np.arange(len(bits)), at] - 1]
 
 
-def _sphere_report_full(B, n: int) -> tuple[list[InequalityReport], dict]:
+def _sphere_report_full(B, n: int) -> tuple[list[InequalityReport], PairingGraph]:
     graph = build_pairing_graph(B, sphere_rows(n, 3), n)
     size = len(graph.vertices)
 
@@ -316,28 +282,29 @@ def _sphere_report_full(B, n: int) -> tuple[list[InequalityReport], dict]:
     reports.append(InequalityReport.of("case3_per_difference", int(case3_by_diff.max()), n * n))
     reports.append(InequalityReport.of("case3_total", int(case3_by_diff.sum()), n**4))
 
-    # (d) per-coordinate pruning losses, worst instance folded into one row
-    subs = decompose_by_coordinate(graph, n)
-    prunes = [prune_heavy(H, n) for H in subs]
-    worst_loss = max((p.removed_edges for p in prunes), default=0)
+    # (d) coordinate slices: an edge lies in the three slices where its target
+    # has a 1; an incidence at a right vertex above the cutoff in its slice is cut
+    edge, coord = np.nonzero(graph.targets[graph.edges[:, 2]])
+    slot = coord * size + graph.edges[edge, 1]
+    cut = np.bincount(slot, minlength=n * size)[slot] > DEGREE_PRUNE_FACTOR * n
+    worst_loss = int(np.bincount(coord[cut], minlength=n).max())
     small_left = 100 * size < n * n
     reports.append(
         InequalityReport.of("pruning_loss", worst_loss, n * n / 50.0, hypotheses_ok=small_left)
     )
 
-    # global pruned graph: an edge dies if any coordinate slice pruned it
-    dead = np.zeros(len(graph.targets), dtype=bool)
-    for H, p in zip(subs, prunes):
-        dead[H.edges[np.isin(H.edges[:, 1], p.heavy), 2]] = True
-    pruned_graph = replace(graph, edges=graph.edges[~dead[graph.edges[:, 2]]])
+    # global pruned graph: an edge dies if any of its slices cut it
+    dead = np.zeros(len(graph.edges), dtype=bool)
+    dead[edge[cut]] = True
+    pruned_graph = replace(graph, edges=graph.edges[~dead])
 
-    # (e) squared degrees per pruned slice against the slice's full size
-    slices = []
-    for H in subs:
-        live = np.bincount(H.edges[~dead[H.edges[:, 2]], 1])
-        slices.append((int(live @ live), DEGREE_PRUNE_FACTOR * n * len(H.edges)))
-    lhs_e, rhs_e = max(slices, key=lambda s: s[0] - s[1], default=(0, 0))
-    reports.append(InequalityReport.of("case2_degree_square", lhs_e, rhs_e))
+    # (e) squared degrees per pruned slice against the slice's full size,
+    # the first slice with the largest excess
+    live = np.bincount(slot[~dead[edge]], minlength=n * size).reshape(n, size)
+    lhs_e = (live * live).sum(axis=1)
+    rhs_e = DEGREE_PRUNE_FACTOR * n * np.bincount(coord, minlength=n)
+    worst = int(np.argmax(lhs_e - rhs_e))
+    reports.append(InequalityReport.of("case2_degree_square", int(lhs_e[worst]), int(rhs_e[worst])))
 
     # (f) retention of edges after pruning
     sum_d = len(pruned_graph.edges)
@@ -353,7 +320,7 @@ def _sphere_report_full(B, n: int) -> tuple[list[InequalityReport], dict]:
         raise InvariantViolationError(
             f"implied lower bound {implied} exceeds actual size {size}"
         )
-    return reports, {"pruned": pruned_graph, "implied_bound": implied}
+    return reports, pruned_graph
 
 
 def sphere_cover_report(B, n: int) -> list[InequalityReport]:
@@ -656,14 +623,11 @@ def end_to_end_lower_bound(
     sphere_set = blocks[held_v | held_rest, :n2]
 
     sphere_reports: tuple[InequalityReport, ...] = ()
-    sphere_bound = None
     if n2 >= 3:
         try:
-            s_reports, extras = _sphere_report_full(sphere_set, n2)
+            sphere_reports = tuple(sphere_cover_report(sphere_set, n2))
         except ValueError as exc:
             raise PipelineError("sphere", str(exc)) from exc
-        sphere_reports = tuple(s_reports)
-        sphere_bound = extras["implied_bound"]
 
     bound = len(m1_idx) + (proj_v + proj_rest) / 2.0 - 1
     chain = [
@@ -682,11 +646,13 @@ def end_to_end_lower_bound(
             len(edges) + analysis.tree_count + proj_rest,
         ),
     ]
-    if sphere_bound is not None:
+    if sphere_reports:
         chain.append(
             InequalityReport.of("projection_union", len(sphere_set), proj_v + proj_rest)
         )
-        chain.append(InequalityReport.of("sphere_block_bound", sphere_bound, len(sphere_set)))
+        chain.append(  # the bound is the last row's, implied_basis_lower_bound
+            InequalityReport.of("sphere_block_bound", sphere_reports[-1].lhs, len(sphere_set))
+        )
     chain.append(InequalityReport.of("bound_soundness", bound, len(basis)))
     if bound > len(basis):
         raise InvariantViolationError(

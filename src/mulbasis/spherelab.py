@@ -155,6 +155,10 @@ def sphere_rows(n: int, k: int) -> np.ndarray:
     if k > n:
         raise ValueError(f"weight {k} exceeds dimension {n}")
     count = math.comb(n, k)
+    if count * n > np.iinfo(np.intp).max:  # too large for numpy to size: refused as an allocation
+        raise MemoryError(
+            f"S_{k} in {n} coordinates has {count * n} entries, past an array's index range"
+        )
     support = itertools.chain.from_iterable(itertools.combinations(range(n), k))
     support = np.fromiter(support, dtype=np.int64, count=count * k).reshape(count, k)
     rows = np.zeros((count, n), dtype=np.uint8)

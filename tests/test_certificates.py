@@ -20,9 +20,7 @@ from mulbasis.certificates import (
     _sphere_report_full,
     build_pairing_graph,
     component_analysis,
-    decompose_by_coordinate,
     end_to_end_lower_bound,
-    prune_heavy,
     sphere_cover_report,
 )
 from mulbasis.numtheory import sieve
@@ -246,71 +244,6 @@ def test_empty_target_list_gives_empty_graph():
     assert g.right_degrees().tolist() == [0]
 
 
-# ---------------------------------------------------------- decomposition and pruning
-
-
-def test_decompose_counts_per_coordinate():
-    n = 4
-    g = build_pairing_graph(small_spheres(n), sphere_vectors(n, 3), n)
-    subs = decompose_by_coordinate(g, n)
-    assert len(subs) == 4
-    assert [len(h.edges) for h in subs] == [3, 3, 3, 3]
-    assert all(h.vertices is g.vertices and h.targets is g.targets for h in subs)
-    t = g.targets.tolist().index([1, 1, 1, 0])
-    membership = [t in h.edges[:, 2] for h in subs]
-    assert membership == [True, True, True, False]
-
-
-def test_decompose_total_is_three_per_target():
-    n = 10
-    g = build_pairing_graph(small_spheres(n), sphere_vectors(n, 3), n)
-    subs = decompose_by_coordinate(g, n)
-    assert sum(len(h.edges) for h in subs) == 3 * len(g.edges) == 360
-    slices_per_target = np.bincount(np.concatenate([h.edges[:, 2] for h in subs]))
-    assert slices_per_target.tolist() == [3] * 120
-
-
-def test_decompose_rejects_non_sphere_targets():
-    g = build_pairing_graph([V((1, 1, 1))], [V((2, 2, 2))], 3)
-    with pytest.raises(ValueError, match=r"target \(2, 2, 2\) is not a weight-3 0-1 vector"):
-        decompose_by_coordinate(g, 3)
-
-
-def test_prune_light_graph_is_identity():
-    n = 5
-    g = build_pairing_graph(small_spheres(n), sphere_vectors(n, 3), n)
-    for h in decompose_by_coordinate(g, n):
-        res = prune_heavy(h, n)
-        assert res.removed_edges == 0
-        assert res.heavy == ()
-        assert res.pruned.edges.tolist() == h.edges.tolist()
-
-
-def test_prune_star_above_threshold():
-    # vertices 000, 001, 010, 100; each e_i pairs with the zero vector
-    vertices = as_matrix([V((0, 0, 0)), V((0, 0, 1)), V((0, 1, 0)), V((1, 0, 0))], 3)
-    edges = np.array([[1, 0, 0], [2, 0, 1], [3, 0, 2]], dtype=np.int64)
-    star = PairingGraph(vertices=vertices, targets=vertices[1:], edges=edges)
-    res = prune_heavy(star, 3, threshold=2)
-    assert res.removed_edges == 3
-    assert res.heavy == (0,)
-    assert len(res.pruned.edges) == 0
-    assert prune_heavy(star, 3).removed_edges == 0  # default threshold is 3072
-
-
-@given(st.integers(1, 12))
-@settings(max_examples=20, deadline=None)
-def test_prune_bookkeeping_consistent(threshold):
-    n = 5
-    g = build_pairing_graph(small_spheres(n), sphere_vectors(n, 3), n)
-    res = prune_heavy(g, n, threshold=threshold)
-    assert res.removed_edges == len(g.edges) - len(res.pruned.edges)
-    before = g.right_degrees()
-    assert all(before[w] > threshold for w in res.heavy)
-    assert res.pruned.right_degrees().max() <= threshold
-    assert not set(res.pruned.edges[:, 1].tolist()) & set(res.heavy)
-
-
 # ---------------------------------------------------------- sphere cover reports
 
 
@@ -394,11 +327,84 @@ def test_report_matches_vector_keyed_oracle(instance, factor):
     # no cover this small has a right degree above the default 1024 * n,
     # so the factors 0 and 1 are what make the coordinate slices prune
     with mock.patch.object(certificates, "DEGREE_PRUNE_FACTOR", factor):
-        reports, extras = _sphere_report_full(basis, n)
+        reports, pruned = _sphere_report_full(basis, n)
         want, want_extras = sphere_report_vectors(basis, n)
     assert _rows(reports) == _rows(want)
-    assert extras["implied_bound"] == want_extras["implied_bound"]
-    assert edge_vectors(extras["pruned"]) == list(want_extras["pruned"].edges)
+    # the pipeline's sphere_block_bound reads the last row
+    assert reports[-1].name == "implied_basis_lower_bound"
+    assert reports[-1].lhs == want_extras["implied_bound"]
+    assert edge_vectors(pruned) == list(want_extras["pruned"].edges)
+
+
+# ---------------------------------------------------------- coordinate slices and pruning
+
+
+def _pruning_loss(reports) -> int:
+    return next(r.lhs for r in reports if r.name == "pruning_loss")
+
+
+def test_prune_light_graph_is_identity():
+    # no coordinate slice of S_1 | S_2 at n = 5 has a right degree above n,
+    # so the factor 1 prunes nothing, as the default does
+    n = 5
+    full = build_pairing_graph(small_spheres(n), sphere_vectors(n, 3), n)
+    for factor in (1, DEGREE_PRUNE_FACTOR):
+        with mock.patch.object(certificates, "DEGREE_PRUNE_FACTOR", factor):
+            reports, pruned = _sphere_report_full(small_spheres(n), n)
+        assert _pruning_loss(reports) == 0
+        assert pruned.edges.tolist() == full.edges.tolist()
+
+
+def test_prune_star_above_threshold():
+    # e_0 is the right end of the C(n - 1, 2) = 10 targets through 0, all in
+    # slice 0: above the cutoff 1 * n, it loses every edge
+    n = 6
+    full = build_pairing_graph(star_cover(n), sphere_vectors(n, 3), n)
+    e0 = full.vertices.tolist().index([1, 0, 0, 0, 0, 0])
+    assert full.right_degrees()[e0] == comb(n - 1, 2) == 10
+    with mock.patch.object(certificates, "DEGREE_PRUNE_FACTOR", 1):
+        reports, pruned = _sphere_report_full(star_cover(n), n)
+    assert _pruning_loss(reports) == 10
+    assert pruned.right_degrees()[e0] == 0
+    assert len(pruned.edges) == len(full.edges) - 10
+    reports, pruned = _sphere_report_full(star_cover(n), n)  # the default cutoff is 6144
+    assert _pruning_loss(reports) == 0
+    assert pruned.edges.tolist() == full.edges.tolist()
+
+
+def _slice_degrees(g: PairingGraph, n: int) -> np.ndarray:
+    """Right degrees per coordinate slice, (n, |B|): an edge counts in slice i when its target has a 1 at i."""
+    table = np.zeros((n, len(g.vertices)), dtype=np.int64)
+    for _, w, t in g.edges.tolist():
+        for i in range(n):
+            table[i, w] += int(g.targets[t, i] == 1)
+    return table
+
+
+@given(report_instances(), st.integers(0, 12))
+@settings(max_examples=20, deadline=None)
+@example((6, star_cover(6)), 1)
+@example((5, star_cover(5) + [V((1, 1, 2, 2, 1))]), 1)  # a right degree exactly at the cutoff 5, kept
+def test_prune_bookkeeping_consistent(instance, factor):
+    n, basis = instance
+    with mock.patch.object(certificates, "DEGREE_PRUNE_FACTOR", factor):
+        reports, pruned = _sphere_report_full(basis, n)
+    full = build_pairing_graph(basis, sphere_vectors(n, 3), n)
+    before, after = _slice_degrees(full, n), _slice_degrees(pruned, n)
+    cutoff = factor * n
+    assert before.sum() == 3 * len(full.edges)  # each target lies in three slices
+    # the loss is the most incidences one slice cut
+    cut = np.where(before > cutoff, before, 0)
+    assert _pruning_loss(reports) == cut.sum(axis=1).max()
+    # an edge dies exactly when its right end is above the cutoff in one of its slices
+    kept = [
+        e for e in full.edges.tolist() if not any(cut[i, e[1]] for i in range(n) if full.targets[e[2], i])
+    ]
+    assert pruned.edges.tolist() == kept
+    dead = len(full.edges) - len(kept)
+    assert dead <= cut.sum() <= 3 * dead
+    assert after.max() <= cutoff
+    assert next(r.rhs for r in reports if r.name == "edge_retention") == len(kept)
 
 
 def case2_pairs_at_one_right_vertex(B, n: int) -> int:
@@ -408,8 +414,7 @@ def case2_pairs_at_one_right_vertex(B, n: int) -> int:
     t1 - t2 = v1 - v2, so weight-3 0-1 targets differing in four
     coordinates share exactly one 1, and both edges meet in its slice.
     """
-    _, extras = _sphere_report_full(B, n)
-    g = extras["pruned"]
+    _, g = _sphere_report_full(B, n)
     by_right = defaultdict(list)
     for v, w, t in g.edges.tolist():
         by_right[w].append((v, t))

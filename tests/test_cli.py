@@ -249,14 +249,20 @@ def test_sphere_overlap_general_hypothesis_enforced(capsys):
 
 
 def test_refused_allocation_exits_2(capsys):
-    # S(n, 3) for n = 10^5 asks for 3.55 PiB, past any address space, so numpy
-    # refuses it before touching memory
-    code = main(["sphere-enumerate", "--n", "100000"])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert captured.err.startswith("error: Unable to allocate 3.55 PiB")
-    assert captured.err.count("\n") == 1
+    # S_3 in n = 10^5 coordinates has C(n, 3) * n entries, past np.intp, so
+    # sphere_rows refuses it before allocating; at n = 10^7 the support count
+    # alone once escaped numpy as an OverflowError traceback with exit 1
+    for argv, entries in [
+        (["sphere-enumerate", "--n", "100000"], 16666166670000000000),
+        (["sphere-enumerate", "--n", "10000000", "--k", "3"], 1666666166666700000000000000),
+        (["sphere-cases", "--n", "10000000"], 1666666166666700000000000000),
+    ]:
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        n = argv[argv.index("--n") + 1]
+        assert captured.err == f"error: S_3 in {n} coordinates has {entries} entries, past an array's index range\n"
 
 
 def test_missing_json_file_exits_2(capsys):
