@@ -31,7 +31,6 @@ from .numtheory import (
 from .productsets import (
     APSpec,
     BasisSolution,
-    SizeSearch,
     construct_interval_basis,
     exact_min_basis,
     first_uncovered,
@@ -55,7 +54,6 @@ from .spherelab import (
     DifferenceCensus,
     OverlapCheck,
     OverlapRefinedCheck,
-    SphereBasisSolution,
     check_sphere_overlap,
     check_sphere_overlap_general,
     difference_census,
@@ -87,8 +85,6 @@ __all__ = [
     "PrimeTable",
     "ReducedPair",
     "ResourceLimitError",
-    "SizeSearch",
-    "SphereBasisSolution",
     "build_marking_sets",
     "build_pairing_graph",
     "certify_lower_bound",

@@ -22,10 +22,10 @@ checked inequality failed or a search exhausted its budget, 2 bad
 arguments, a table past its size budget, an allocation the machine
 refused, or input a pipeline stage rejected (one line on stderr,
 ``error: [stage] message`` for a stage), 3 a broken invariant, which
-is a bug rather than bad input.  A ``min-basis`` run whose budget ran
-out while fixing the lexicographically smallest basis exits as proved
-(the size is) and says on stderr, in one ``note:`` line, that the basis
-is the first pass's.
+is a bug rather than bad input.  A ``min-basis`` or ``sphere-min-basis``
+run whose budget ran out while fixing the lexicographically smallest
+basis exits as proved (the size is) and says on stderr, in one ``note:``
+line, that the basis is the first pass's.
 """
 
 from __future__ import annotations
@@ -348,6 +348,14 @@ def _row(config: RunConfig, result, **cells) -> dict:
     return {c: cells[c] if c in cells else getattr(result, c) for c in columns}
 
 
+def _search_report(config: RunConfig, sol, budget: int, **cells) -> tuple[list, list, int]:
+    """An exact search's row and exit code, with a note when only its fixing pass ran out."""
+    if sol.optimal and sol.nodes_explored > budget:
+        print("note: the size is proved, but the budget ran out before the lex-least basis: "
+              "this basis is the first pass's", file=sys.stderr)
+    return [_row(config, sol, nodes=sol.nodes_explored, **cells)], [], 0 if sol.optimal else 1
+
+
 # ---------------------------------------------------------------- commands
 
 
@@ -385,11 +393,7 @@ def _cmd_min_basis(config: RunConfig) -> tuple[list, list, int]:
         elements = sorted(set(p["elements"]))
         M = None
     budget = _count(p, "budget_nodes", 2_000_000)
-    sol = exact_min_basis(elements, budget=budget)
-    if sol.optimal and sol.nodes_explored > budget:
-        print("note: the size is proved, but the budget ran out before the lex-least basis: "
-              "this basis is the first pass's", file=sys.stderr)
-    return [_row(config, sol, M=M, nodes=sol.nodes_explored)], [], 0 if sol.optimal else 1
+    return _search_report(config, exact_min_basis(elements, budget=budget), budget, M=M)
 
 
 @_command("interval-basis", "explicit small basis for [1..M]", "M size size_bound covered", "--m!")
@@ -543,10 +547,9 @@ def _cmd_sphere_cases(config: RunConfig) -> tuple[list, list, int]:
 def _cmd_sphere_min_basis(config: RunConfig) -> tuple[list, list, int]:
     p = config.parameters
     n = _at_least(p, "n", 3)
-    sol = sphere_min_basis(n, budget=_count(p, "budget_nodes", 5_000_000))
-    basis = [_vector_str(v) for v in sol.basis]
-    row = _row(config, sol, n=n, nodes=sol.nodes_explored, basis=basis)
-    return [row], [], 0 if sol.optimal else 1
+    budget = _count(p, "budget_nodes", 5_000_000)
+    sol = sphere_min_basis(n, budget=budget)
+    return _search_report(config, sol, budget, n=n, basis=[_vector_str(v) for v in sol.basis])
 
 
 @_command("sphere-construct", "weight-1 plus weight-2 cover", "n size covered", "--n!")

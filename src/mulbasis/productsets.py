@@ -16,9 +16,10 @@ the first target outside B*B and builds no witness.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_right
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
 from typing import AbstractSet, Iterable, Iterator, Mapping, Sequence
 
@@ -31,7 +32,6 @@ __all__ = [
     "BasisSolution",
     "product_set",
     "first_uncovered",
-    "SizeSearch",
     "size_search",
     "fix_least_cover",
     "min_size_search",
@@ -46,6 +46,8 @@ __all__ = [
 _DENSE_MAX = 1 << 23
 _DENSE_MIN_COUNT = 512
 _INT64_MAX = (1 << 63) - 1
+# a cover problem coded in integers: each target's pairs (b, c), b <= c, ascending in b
+_Pairs = dict[int, list[tuple[int, int]]]
 
 
 def icbrt(n: int) -> int:
@@ -154,6 +156,17 @@ def _sweep(targets: Sequence[int], barr: np.ndarray) -> int | None:
     return targets[int(gaps[0])] if len(gaps) else None
 
 
+def _ints(values: Iterable[int], what: str) -> set[int]:
+    """The distinct integers of ``values`` by ``operator.index``: 2.5 and "2" are refused, not read as 2."""
+    out = set()
+    for x in values:
+        try:
+            out.add(operator.index(x))
+        except TypeError:
+            raise ValueError(f"{what} must be integers, got {x!r}") from None
+    return out
+
+
 def _windows(A: Iterable[int], B: Iterable[int]) -> Iterator[tuple[Sequence[int], bool, int | None]]:
     """Runs of the sorted distinct targets of A, each with whether it was swept and its first gap.
 
@@ -164,8 +177,8 @@ def _windows(A: Iterable[int], B: Iterable[int]) -> Iterator[tuple[Sequence[int]
     A range with positive step is sorted and distinct already, and is
     kept as it is.
     """
-    targets = A if isinstance(A, range) and A.step > 0 else sorted(set(A))
-    bset = set(int(b) for b in B)
+    targets = A if isinstance(A, range) and A.step > 0 else sorted(_ints(A, "targets"))
+    bset = _ints(B, "basis elements")
     if not bset:
         raise ValueError("basis must be nonempty")
     if min(bset) < 1:
@@ -203,20 +216,21 @@ def first_uncovered(A: Iterable[int], B: Iterable[int]) -> int | None:
     return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BasisSolution:
-    """A basis found by the exact search.
+    """A basis found by the exact search, and the nodes it took.
 
-    ``optimal`` means the search proved no strictly smaller basis exists
-    (ties broken toward the lexicographically smallest basis).  A search
-    that ran out of node budget before proving the size returns its
-    incumbent with optimal False.  One that ran out while fixing the
-    lexicographically smallest basis keeps optimal True, since the size
-    is proved, but returns the first pass's basis, which need not be the
-    lexicographically smallest of that size.
+    ``basis`` holds ascending integers, or the lex-sorted uint8 rows of
+    ``spherelab.sphere_min_basis``.  ``optimal`` means the search proved
+    no strictly smaller basis exists.  A search that ran out of node
+    budget before proving the size returns its incumbent with optimal
+    False.  One that ran out while fixing the lexicographically smallest
+    basis keeps optimal True, since the size is proved, but returns the
+    first pass's basis, which need not be the lexicographically smallest
+    of that size.
     """
 
-    basis: tuple[int, ...]
+    basis: tuple[int, ...] | np.ndarray
     optimal: bool
     nodes_explored: int = 0
 
@@ -319,97 +333,57 @@ def _least_cover(
     return best, nodes
 
 
-@dataclass(frozen=True)
-class SizeSearch:
-    """The first pass of the exact search: the least cover size it reached.
-
-    ``optimal`` means the pass proved no strictly smaller cover exists;
-    one that ran out of node budget first returns its best cover so far
-    with optimal False.  ``basis`` is the first cover of that size the
-    pass found, not the lexicographically smallest.
-    """
-
-    targets: tuple[int, ...]
-    pool: tuple[int, ...]
-    pairs: dict[int, list[tuple[int, int]]] = field(repr=False)
-    basis: tuple[int, ...]
-    optimal: bool
-    nodes_explored: int
-
-    @property
-    def size(self) -> int:
-        return len(self.basis)
-
-
-def size_search(
-    targets: Sequence[int],
-    pairs: dict[int, list[tuple[int, int]]],
-    pool: Iterable[int],
-    budget: int,
-) -> SizeSearch:
-    """The first pass for any cover problem coded in integers.
+def size_search(targets: Sequence[int], pairs: _Pairs, budget: int) -> BasisSolution:
+    """The first pass for any cover problem coded in integers: the least cover size it reached.
 
     ``targets`` ascend, each with its pairs (b, c), b <= c, ascending in
     b, whose two members cover it together.  Branch and bound looks for
     a cover smaller than the first pair of every target, and stops after
-    ``budget`` nodes.
+    ``budget`` nodes.  ``basis`` is the first cover of the least size
+    the pass found, not the lexicographically smallest.
     """
     inc = tuple(sorted({x for a in targets for x in pairs[a][0]}))
     found, nodes = _least_cover(targets, pairs, len(inc), budget, 0)
-    return SizeSearch(
-        targets=tuple(targets),
-        pool=tuple(sorted(pool)),
-        pairs=pairs,
-        basis=found or inc,
-        optimal=nodes <= budget,
-        nodes_explored=nodes,
-    )
+    return BasisSolution(found or inc, nodes <= budget, nodes)
 
 
-def fix_least_cover(first: SizeSearch, budget: int) -> tuple[tuple[int, ...], int]:
-    """The lex-least cover of the size k ``first`` proved, and both passes' nodes.
+def fix_least_cover(
+    targets: Sequence[int], pairs: _Pairs, pool: Iterable[int], first: BasisSolution, budget: int
+) -> BasisSolution:
+    """The lex-least cover of the size k ``first`` proved, with both passes' nodes.
 
     One pool element at a time, in ascending order, x is kept when a
     cover of size k still holds every kept element and x and no skipped
     element, and skipped otherwise; each search stops at its first cover.
-    Both passes share one node budget; a first pass that did not prove
-    its size, or a fixing pass that runs out, leaves the first pass's
-    cover.
+    Both passes share one node budget.  A first pass that did not prove
+    its size is returned as it is; a fixing pass that runs out returns
+    the first pass's cover, still optimal.
     """
-    best, nodes = first.basis, first.nodes_explored
     if not first.optimal:
-        return best, nodes
-    k = first.size
+        return first
+    k, nodes = first.size, first.nodes_explored
     kept: list[int] = []
     skipped: set[int] = set()
-    for x in first.pool:
+    for x in sorted(pool):
         if len(kept) == k:
             break
-        found, nodes = _least_cover(
-            first.targets, first.pairs, k + 1, budget, nodes, kept + [x], skipped, first_only=True
-        )
+        found, nodes = _least_cover(targets, pairs, k + 1, budget, nodes, kept + [x], skipped, first_only=True)
         if nodes > budget:
-            return best, nodes
+            return BasisSolution(first.basis, True, nodes)
         if found is None:
             skipped.add(x)
         else:
             kept.append(x)
-    return tuple(kept), nodes
+    return BasisSolution(tuple(kept), True, nodes)
 
 
-def min_size_search(
-    A: Iterable[int],
-    pool: Iterable[int] | None = None,
-    budget: int = 2_000_000,
-) -> SizeSearch:
-    """Least size of a multiplicative basis of order two for A.
+def _factor_pairs(A: Iterable[int], pool: Iterable[int] | None) -> tuple[list[int], set[int], _Pairs]:
+    """The sorted targets of A, the pool, and each target's factor pairs (d, a/d), d <= a/d, in it.
 
-    ``size_search`` over each target's factor pairs (d, a/d), d <= a/d.
     ``pool`` defaults to all divisors of targets, which loses no minimum
-    basis (every element of one divides some target).  The result is
-    checked to cover A before it is returned.
+    basis (every element of one divides some target).
     """
-    targets = sorted(set(A))
+    targets = sorted(_ints(A, "targets"))
     if not targets:
         raise ValueError("exact_min_basis needs a nonempty target set")
     if targets[0] < 1:
@@ -418,22 +392,40 @@ def min_size_search(
     if pool is None:
         pool_set: set[int] = set().union(*divs)
     else:
-        pool_set = set(int(b) for b in pool)
+        pool_set = _ints(pool, "pool elements")
         if pool_set and min(pool_set) < 1:
             raise ValueError("pool elements must be positive")
 
-    pairs: dict[int, list[tuple[int, int]]] = {}
+    pairs: _Pairs = {}
     for a, ds in zip(targets, divs):
         opts = [(d, a // d) for d in ds if d * d <= a and d in pool_set and a // d in pool_set]
         if not opts:
             raise ValueError(f"target {a} has no factor pair inside the pool")
         pairs[a] = opts
+    return targets, pool_set, pairs
 
-    first = size_search(targets, pairs, pool_set, budget)
-    gap = first_uncovered(targets, first.basis)
-    if gap is not None:
+
+def _checked(targets: list[int], sol: BasisSolution) -> BasisSolution:
+    """``sol``, checked to cover ``targets``."""
+    gap = first_uncovered(targets, sol.basis)
+    if gap is not None:  # pragma: no cover - would be a solver bug
         raise InvariantViolationError(f"search produced a non-cover, uncovered {gap}")
-    return first
+    return sol
+
+
+def min_size_search(
+    A: Iterable[int],
+    pool: Iterable[int] | None = None,
+    budget: int = 2_000_000,
+) -> BasisSolution:
+    """Least size of a multiplicative basis of order two for A.
+
+    ``size_search`` over each target's factor pairs inside ``pool``,
+    which defaults to all divisors of targets.  The result is checked to
+    cover A before it is returned.
+    """
+    targets, _, pairs = _factor_pairs(A, pool)
+    return _checked(targets, size_search(targets, pairs, budget))
 
 
 def exact_min_basis(
@@ -443,18 +435,15 @@ def exact_min_basis(
 ) -> BasisSolution:
     """Exact minimum multiplicative basis of order two for A.
 
-    ``min_size_search`` proves the least size k and ``fix_least_cover``
-    fixes the lexicographically smallest basis of that size, both within
-    one node budget.  One that runs out while fixing returns the first
-    pass's basis, still optimal.  ``pool`` defaults to all divisors of
-    targets.
+    ``size_search`` proves the least size k over factor pairs and
+    ``fix_least_cover`` fixes the lexicographically smallest basis of
+    that size, both within one node budget.  One that runs out while
+    fixing returns the first pass's basis, still optimal.  ``pool``
+    defaults to all divisors of targets.
     """
-    first = min_size_search(A, pool, budget)
-    best, nodes = fix_least_cover(first, budget)
-    gap = first_uncovered(first.targets, best)
-    if gap is not None:  # pragma: no cover - would be a solver bug
-        raise InvariantViolationError(f"search produced a non-cover, uncovered {gap}")
-    return BasisSolution(basis=best, optimal=first.optimal, nodes_explored=nodes)
+    targets, pool_set, pairs = _factor_pairs(A, pool)
+    first = size_search(targets, pairs, budget)
+    return _checked(targets, fix_least_cover(targets, pairs, pool_set, first, budget))
 
 
 def construct_interval_basis(M: int, table: PrimeTable | None = None) -> tuple[int, ...]:

@@ -40,11 +40,10 @@ from enum import Enum
 import numpy as np
 
 from .numtheory import InvariantViolationError
-from .productsets import fix_least_cover, size_search
+from .productsets import BasisSolution, fix_least_cover, size_search
 
 __all__ = [
     "DifferenceCase",
-    "SphereBasisSolution",
     "OverlapCheck",
     "OverlapRefinedCheck",
     "CensusRow",
@@ -357,19 +356,6 @@ def sphere_first_uncovered(B, n: int) -> np.ndarray | None:
     return targets[gaps[0]] if len(gaps) else None
 
 
-@dataclass(frozen=True, eq=False)
-class SphereBasisSolution:
-    """``basis`` holds the distinct basis rows, a (size, n) uint8 matrix in lex order."""
-
-    basis: np.ndarray
-    optimal: bool
-    nodes_explored: int = 0
-
-    @property
-    def size(self) -> int:
-        return len(self.basis)
-
-
 def sphere_construction_basis(n: int) -> np.ndarray:
     """S_1 then S_2 as uint8 rows, each in lex order of support: a cover of S_3 of size n(n+1)/2.
 
@@ -382,7 +368,7 @@ def sphere_construction_basis(n: int) -> np.ndarray:
     return np.concatenate([sphere_rows(n, 1), sphere_rows(n, 2)])
 
 
-def sphere_min_basis(n: int, budget: int = 5_000_000) -> SphereBasisSolution:
+def sphere_min_basis(n: int, budget: int = 5_000_000) -> BasisSolution:
     """Exact minimum B subset of F_3^n with S_3 subset B + B, for n <= SPHERE_EXACT_MAX_N.
 
     Each vector is coded as a base-3 integer, first coordinate the top
@@ -395,15 +381,15 @@ def sphere_min_basis(n: int, budget: int = 5_000_000) -> SphereBasisSolution:
     the node budget, and ``nodes_explored`` counts the nodes of both.  A
     first pass that runs out of budget returns the best cover it reached,
     at most {0} | S_3, with optimal unset; a fixing pass that runs out
-    keeps the first pass's basis, still optimal.  Below n = 3 the empty
-    basis covers the empty S_3.
+    keeps the first pass's basis, still optimal.  The basis is a
+    (size, n) uint8 matrix in lex order, empty below n = 3.
     """
     if n < 0:
         raise ValueError("dimension must be nonnegative")
     if n > SPHERE_EXACT_MAX_N:
         raise ValueError(f"exact sphere search is limited to n <= {SPHERE_EXACT_MAX_N}; got n={n}")
     if n < 3:
-        return SphereBasisSolution(basis=np.zeros((0, n), dtype=np.uint8), optimal=True)
+        return BasisSolution(np.zeros((0, n), dtype=np.uint8), True)
     space = np.array(list(itertools.product(range(3), repeat=n)), dtype=np.uint8)  # code order
     pw = 3 ** np.arange(n - 1, -1, -1)
     own = np.arange(len(space))
@@ -412,12 +398,12 @@ def sphere_min_basis(n: int, budget: int = 5_000_000) -> SphereBasisSolution:
         partner = ((t + 3 - space) % 3) @ pw
         keep = partner >= own
         pairs[int(t @ pw)] = list(zip(own[keep].tolist(), partner[keep].tolist()))
-    first = size_search(sorted(pairs), pairs, range(len(space)), budget)
-    found, nodes = fix_least_cover(first, budget)
-    rows = space[sorted(found)]  # code order is lex order
+    targets = sorted(pairs)
+    sol = fix_least_cover(targets, pairs, range(len(space)), size_search(targets, pairs, budget), budget)
+    rows = space[sorted(sol.basis)]  # code order is lex order
     if sphere_first_uncovered(rows, n) is not None:  # pragma: no cover - would be a search bug
         raise InvariantViolationError("exact search returned a non-cover")
-    return SphereBasisSolution(rows, first.optimal, nodes)
+    return BasisSolution(rows, sol.optimal, sol.nodes_explored)
 
 
 def _fingerprint_weights(n: int) -> np.ndarray:

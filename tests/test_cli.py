@@ -868,6 +868,15 @@ def test_min_basis_notes_an_exhausted_fixing_pass(capsys):
     assert "first pass" in err
     assert main(EXACT_SEARCH_GOLDEN["min-basis_interval20"]) == 0
     assert capsys.readouterr().err == ""
+    # sphere-min-basis reports through the same path: n = 4 proves its size
+    # in 2461 nodes, and the lex-least basis takes 12212
+    assert main(["sphere-min-basis", "--n", "4", "--budget-nodes", "5000", "--format", "csv"]) == 0
+    out, sphere_err = capsys.readouterr()
+    assert out == "n,size,optimal,nodes,basis\n4,4,true,5001,0012;0102;1002;1101\n"
+    assert sphere_err == err
+    assert main(SPHERE_GOLDEN["sphere-min-basis_n4"]) == 0
+    out, err = capsys.readouterr()
+    assert (out, err) == ((GOLDEN / "sphere-min-basis_n4.json").read_text(encoding="utf-8"), "")
 
 
 def test_batch_commands_do_not_load_numpy_random():

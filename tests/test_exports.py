@@ -1,5 +1,8 @@
 import ast
+import builtins
 import importlib
+import json
+import re
 from pathlib import Path
 
 import pytest
@@ -58,3 +61,25 @@ def test_src_imports_are_used():
     assert "reduction.py" in found
     assert {name: unused for name, unused in found.items() if unused} == {}
 
+
+def test_readme_names_exist():
+    # a deleted function or class must not linger in README.md under its old name
+    from mulbasis.cli import _COMMANDS
+
+    root = Path(__file__).resolve().parents[1]
+    known = set(dir(builtins))
+    for name in MODULES:
+        for attr, value in vars(importlib.import_module(name)).items():
+            known.add(attr)
+            if isinstance(value, type):  # a class's fields and methods, such as nodes_explored
+                known.update(dir(value), getattr(value, "__dataclass_fields__", ()))
+    known.update(c for spec in _COMMANDS.values() for c in spec.columns)
+    for path in (root / "tests" / "golden").glob("*.json"):
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        if isinstance(payload, dict):
+            known.update(check["name"] for check in payload.get("checks", []))
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    snake_or_camel = r"[a-z][a-z0-9]*(?:_[a-z0-9]+)+|(?:[A-Z][a-z0-9]+){2,}"
+    names = {t for t in re.findall(r"`([^`\n]+)`", readme) if re.fullmatch(snake_or_camel, t)}
+    assert len(names) > 25  # the pattern still reads the README's names
+    assert sorted(names - known) == []

@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import math
 import re
@@ -18,9 +19,11 @@ from mulbasis.productsets import (
     construct_interval_basis,
     exact_min_basis,
     first_uncovered,
+    fix_least_cover,
     icbrt,
     min_size_search,
     product_set,
+    size_search,
 )
 from oracles import (
     exact_min_basis_reference,
@@ -218,6 +221,13 @@ def test_range_targets_edge_cases():
         for form in (targets, list(targets)):
             with pytest.raises(ValueError, match="targets must be positive"):
                 first_uncovered(form, basis)
+    # integers are read by operator.index: 2.5 and "2" are refused, not read as 2
+    for bad in (2.5, "2"):
+        with pytest.raises(ValueError, match=re.escape(f"basis elements must be integers, got {bad!r}")):
+            first_uncovered([4], [bad])
+    with pytest.raises(ValueError, match=re.escape("targets must be integers, got 4.0")):
+        first_uncovered([4.0], basis)
+    assert first_uncovered(np.array([4, 5]), np.array([1, 2])) == 5
 
 
 WINDOW = 1 << 10
@@ -351,6 +361,13 @@ def test_exact_min_basis_lexicographic_tie_break():
 def test_exact_min_basis_custom_pool():
     sol = exact_min_basis({4, 16}, pool=[2, 4])
     assert set(sol.basis) == {2, 4}
+    # a pool element or target that is not an integer is refused, not truncated
+    with pytest.raises(ValueError, match=re.escape("pool elements must be integers, got 2.7")):
+        exact_min_basis({4}, pool=[2.7])
+    for search in (exact_min_basis, min_size_search):
+        with pytest.raises(ValueError, match=re.escape("targets must be integers, got 4.0")):
+            search([4.0, 6])
+    assert exact_min_basis(np.array([4, 6])).basis == (2, 3)
 
 
 # ------------------------------------------- exact search vs the reference
@@ -423,6 +440,50 @@ def test_exact_min_basis_matches_reference_at_every_budget(targets):
         else:
             assert sol.basis == min_size_search(targets, budget=budget).basis, budget
         assert first_uncovered(targets, sol.basis) is None, budget
+
+
+# ------------------------------------------- the two search primitives
+
+
+# a cover problem that is neither factor pairs nor the sphere: a target is
+# covered when both members of one of its pairs are in the basis
+HAND_PAIRS = {
+    10: [(1, 5), (2, 6), (4, 4)],
+    11: [(1, 6), (3, 5), (4, 7)],
+    12: [(2, 3), (5, 5), (6, 7)],
+    13: [(1, 7), (3, 4), (5, 6)],
+    14: [(2, 2), (3, 6), (4, 5)],
+    15: [(1, 3), (2, 7), (6, 6)],
+    16: [(3, 3), (4, 6), (5, 7)],
+}
+
+
+def _hand_lex_least():
+    """The lex-least cover of HAND_PAIRS of least size, by brute force over the pool 1..7."""
+    for k in range(1, 8):
+        for B in itertools.combinations(range(1, 8), k):
+            if all(any(b in B and c in B for b, c in ps) for ps in HAND_PAIRS.values()):
+                return B
+
+
+def test_search_primitives_follow_their_budget_contract():
+    targets, pool = sorted(HAND_PAIRS), range(1, 8)
+    unbounded = size_search(targets, HAND_PAIRS, 10**6)
+    first_nodes = unbounded.nodes_explored
+    total = fix_least_cover(targets, HAND_PAIRS, pool, unbounded, 10**6).nodes_explored
+    lex_least = _hand_lex_least()
+    assert unbounded.size == len(lex_least) and unbounded.basis != lex_least  # the fixing pass matters
+    for budget in range(1, total + 2):
+        first = size_search(targets, HAND_PAIRS, budget)
+        assert first.optimal == (first_nodes <= budget), budget
+        assert first.nodes_explored == min(first_nodes, budget + 1), budget
+        sol = fix_least_cover(targets, HAND_PAIRS, pool, first, budget)
+        if not first.optimal:
+            assert sol is first, budget
+        elif budget >= total:
+            assert (sol.basis, sol.optimal, sol.nodes_explored) == (lex_least, True, total), budget
+        else:
+            assert (sol.basis, sol.optimal, sol.nodes_explored) == (first.basis, True, budget + 1), budget
 
 
 # ------------------------------------ size-only pass vs the full search

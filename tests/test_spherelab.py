@@ -534,6 +534,18 @@ def test_min_basis_budget_exhaustion_falls_back():
     assert sphere_first_uncovered(sol.basis, 4) is None
 
 
+def test_min_basis_budgets_follow_the_search_contract():
+    # n = 4: the first pass proves size 4 in 2461 nodes, both passes take 12212
+    first_basis = [[0, 0, 1, 2], [0, 1, 0, 2], [1, 0, 0, 2], [1, 1, 0, 1]]
+    lex_least = [[0, 0, 1, 2], [0, 0, 2, 1], [0, 2, 2, 2], [1, 1, 2, 2]]
+    for budget in (2460, 2461, 5000, 12211, 12212):
+        sol = sphere_min_basis(4, budget=budget)
+        assert sol.optimal == (budget >= 2461), budget
+        assert sol.nodes_explored == min(budget + 1, 12212), budget
+        assert sol.basis.tolist() == (lex_least if budget >= 12212 else first_basis), budget
+        assert sphere_first_uncovered(sol.basis, 4) is None, budget
+
+
 def test_min_basis_rejects_large_dimension():
     with pytest.raises(ValueError, match=f"n <= {SPHERE_EXACT_MAX_N}; got n={SPHERE_EXACT_MAX_N + 1}"):
         sphere_min_basis(SPHERE_EXACT_MAX_N + 1)
