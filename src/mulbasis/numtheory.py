@@ -254,6 +254,9 @@ def valuation_csr(values: Sequence[int], table: PrimeTable, primes: Sequence[int
     if len(listed) and listed[-1] > limit:
         raise ValueError(f"listed prime {listed[-1]} beyond table limit {limit}")
     given = np.asarray(values)  # of dtype object when a value is past int64
+    low = np.flatnonzero(given < 1)
+    if len(low):
+        raise ValueError(f"valuation needs x >= 1, got {given[low[0]]}")
     over = given > limit
     big = np.flatnonzero(over).tolist()
     x = np.where(over, 1, given).astype(np.int64)

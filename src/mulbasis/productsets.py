@@ -76,6 +76,12 @@ class APSpec:
     M: int
 
     def __post_init__(self):
+        for name in ("g", "u", "v", "M"):  # by operator.index: 1.5, "1" and True are refused
+            value = getattr(self, name)
+            if type(value) is not int:
+                if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+                    raise ValueError(f"progression field {name} must be an integer, got {value!r}")
+                object.__setattr__(self, name, operator.index(value))
         if self.g < 1 or self.v < 1 or self.u < 0 or self.M < 1:
             raise ValueError(f"bad progression parameters {self}")
 
@@ -157,10 +163,12 @@ def _sweep(targets: Sequence[int], barr: np.ndarray) -> int | None:
 
 
 def _ints(values: Iterable[int], what: str) -> set[int]:
-    """The distinct integers of ``values`` by ``operator.index``: 2.5 and "2" are refused, not read as 2."""
+    """The distinct integers of ``values`` by ``operator.index``: 2.5, "2" and True are refused, not read as integers."""
     out = set()
     for x in values:
         try:
+            if type(x) is bool:  # operator.index reads True as 1
+                raise TypeError
             out.add(operator.index(x))
         except TypeError:
             raise ValueError(f"{what} must be integers, got {x!r}") from None

@@ -35,7 +35,7 @@ from .numtheory import (
     valuation,
     valuation_csr,
 )
-from .productsets import APSpec, first_uncovered
+from .productsets import APSpec, _ints, first_uncovered
 
 __all__ = [
     "InvariantViolationError",
@@ -62,8 +62,10 @@ class ReducedPair:
     reduced: bool = False
 
     def __post_init__(self):
-        if not all(isinstance(b, int) and b >= 1 for b in self.basis):
-            raise ValueError("basis elements must be positive integers")
+        basis = _ints(self.basis, "basis elements")  # read as the cover checks read them
+        if basis and min(basis) < 1:
+            raise ValueError(f"basis elements must be positive integers, got {min(basis)}")
+        object.__setattr__(self, "basis", frozenset(basis))
         if self.reduced and math.gcd(self.ap.v, self.ap.g) != 1:
             raise ValueError(
                 f"reduced flag set but gcd(v, g) = {math.gcd(self.ap.v, self.ap.g)}"
@@ -71,7 +73,7 @@ class ReducedPair:
 
     @classmethod
     def of(cls, ap: APSpec, basis) -> "ReducedPair":
-        return cls(ap=ap, basis=frozenset(basis), reduced=math.gcd(ap.v, ap.g) == 1)
+        return cls(ap=ap, basis=basis, reduced=math.gcd(ap.v, ap.g) == 1)
 
     def to_record(self) -> dict:
         return {

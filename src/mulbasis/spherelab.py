@@ -25,8 +25,9 @@ lead key, their first 32 columns in base 3, and fingerprints only rows
 whose key another row shares.  The uniform block locates and keeps only
 each row's lead columns and key, read by the hit kernel and the dedupe
 pass, and rebuilds the few rows they leave in play by replaying its
-draws.  The near-sphere block holds only its shifts and column draws,
-and gives its hit keys, lead keys and fingerprints from those.
+draws through the extractor that located those lead columns.  The
+near-sphere block holds only its shifts and column draws, and gives its
+hit keys, lead keys and fingerprints from those.
 """
 
 from __future__ import annotations
@@ -92,9 +93,9 @@ _LEAD = 16
 # dedupe pass fingerprints only rows whose key another row shares
 _KEY_COLS = 32
 
-# rows of one array or uniform block per fingerprint pass, lead-column copy
-# and full-width compare, to bound temporaries at about _HIT_CHUNK * n
-# bytes.  A criterion-3 trial builds too few rows to fill one chunk
+# rows of one array or uniform block per fingerprint pass and full-width
+# compare, to bound temporaries at about _HIT_CHUNK * n bytes.  A
+# criterion-3 trial builds too few rows to fill one chunk
 _HIT_CHUNK = 1024
 
 # 64-bit generator words per raw draw of a uniform block (512 KiB); each draw
@@ -628,22 +629,16 @@ class _UniformRows:
     def _build(self, rows: np.ndarray) -> np.ndarray:
         """Rows ``rows``, ascending and distinct, replaying once each draw that holds their values.
 
-        Each row's values in a draw are one run of its bytes, found by two
-        lookups in the draw's zero ranks, and compacted as a slice.
+        A replayed draw gives its part of every row through ``_fill``, as
+        the first pass gives each row's lead columns.
         """
         n = self.shape[1]
         out = np.empty((len(rows), n), dtype=np.uint8)
-        starts, at, done = rows * n, 0, 0
+        starts, cols, at, done = rows * n, np.arange(n), 0, 0
         while done < len(rows) and n:  # rows before ``done`` are complete, values before ``at`` read
-            start, b, ranks = self._draw(np.searchsorted(self._offsets, max(at, starts[done]), side="right") - 1)
-            at = start + len(b) - len(ranks)
-            stop = int(np.searchsorted(starts, at))
-            begin = starts[done:stop, None]
-            vals = np.clip(begin + [0, n], start, at) - start  # each row's values in this draw, [lo, hi)
-            cut = vals + np.searchsorted(ranks, vals - [0, 1], side="right")  # and their bytes
-            for k, (lo, hi), (i, j) in zip(range(done, stop), (vals + start - begin).tolist(), cut.tolist()):
-                run = b[i:j]
-                out[k, lo:hi] = run[run != 0]
+            draw = self._draw(np.searchsorted(self._offsets, max(at, starts[done]), side="right") - 1)
+            self._fill(draw, starts, cols, out)
+            at = draw[0] + len(draw[1]) - len(draw[2])  # past the draw's last value
             done = int(np.searchsorted(starts, at - n, side="right"))
         return np.add(out > 85, out > 170, dtype=np.uint8)
 
@@ -744,6 +739,13 @@ def _dedupe_rows(mat: np.ndarray) -> np.ndarray:
     return mat if keep.all() else mat[keep]
 
 
+def _overlap_counts(xmat: np.ndarray, Y, n: int) -> tuple[int, int]:
+    """(distinct rows of Y, |(X + Y) & S_2|) for the distinct rows ``xmat`` of X, Y read by ``_row_blocks``."""
+    yblocks = _row_blocks(Y, n)
+    y_size = _distinct_count(yblocks)
+    return y_size, (_two_sphere_hits(xmat, yblocks, n) if len(xmat) and y_size else 0)
+
+
 def _distinct_count(blocks: list) -> int:
     # repeated rows add no sums, so the large side is counted, not copied
     return int(np.count_nonzero(_first_occurrences(blocks)))
@@ -756,9 +758,9 @@ def _two_sphere_hits(xmat: np.ndarray, yblocks: list, n: int) -> int:
     two coordinates where y mismatches -x, both with y = 1 - x there.
     One np.unique over the keys of every block counts each pair once.
     A near-sphere block gives its keys from its shifts and draws.  A
-    uniform block gives the first _LEAD columns it stored when drawn; of
-    an array block they are copied out a chunk of rows at a time.  Only
-    the rows they leave in play are gathered in full.
+    uniform block gives the first _LEAD columns it stored when drawn, an
+    array block a view of its own.  Only the rows they leave in play are
+    gathered in full.
     """
     lead = min(_LEAD, n)
     keys = []
@@ -766,12 +768,7 @@ def _two_sphere_hits(xmat: np.ndarray, yblocks: list, n: int) -> int:
         if isinstance(ymat, _NearSphereRows):
             keys += [ymat.hit_keys(x) for x in xmat]
             continue
-        if isinstance(ymat, _UniformRows):
-            ylead = ymat.lead
-        else:
-            ylead = np.empty((len(ymat), lead), dtype=np.uint8)
-            for lo in range(0, len(ymat), _HIT_CHUNK):
-                ylead[lo : lo + _HIT_CHUNK] = ymat[lo : lo + _HIT_CHUNK][:, :lead]
+        ylead = ymat.lead if isinstance(ymat, _UniformRows) else ymat[:, :lead]
         for x in xmat:
             neg, one_minus = _NEG3[x], _ONE_MINUS[x]
             near = np.flatnonzero(np.count_nonzero(ylead != neg[:lead], axis=1) <= 2)
@@ -813,9 +810,7 @@ def check_sphere_overlap(X, Y, n: int) -> OverlapCheck:
     never joined.
     """
     xmat = _dedupe_rows(as_matrix(X, n))
-    yblocks = _row_blocks(Y, n)
-    y_size = _distinct_count(yblocks)
-    lhs = _two_sphere_hits(xmat, yblocks, n) if len(xmat) and y_size else 0
+    y_size, lhs = _overlap_counts(xmat, Y, n)
     hyp = (SMALL_SET_DIVISOR * len(xmat) <= n) and (100 * y_size <= n * n)
     return OverlapCheck(
         n=n,
@@ -849,13 +844,11 @@ class OverlapRefinedCheck:
 def check_sphere_overlap_general(A, B, n: int) -> OverlapRefinedCheck:
     """The pair-count check; B may be a list or tuple of row blocks, read as in ``check_sphere_overlap``."""
     amat = _dedupe_rows(as_matrix(A, n))
-    bblocks = _row_blocks(B, n)
     if SMALL_SET_DIVISOR * len(amat) > n:
         raise ValueError(
             f"|A| = {len(amat)} exceeds n/{SMALL_SET_DIVISOR} = {n / SMALL_SET_DIVISOR}"
         )
-    b = _distinct_count(bblocks)
-    lhs = _two_sphere_hits(amat, bblocks, n) if len(amat) and b else 0
+    b, lhs = _overlap_counts(amat, B, n)
     a = len(amat)
     pair_bound = math.comb(n, 2) - math.comb(n - a, 2) + b
     linear_bound = n * a + b
@@ -877,25 +870,23 @@ def _random_near_sphere(rng: np.random.Generator, count: int, n: int, shifts: np
     these sets exercise the nontrivial region instead of counting zeros.
     """
     cols = rng.integers(0, n, size=(count, 2))
-    resample = cols[:, 0] == cols[:, 1]
-    while resample.any():
+    while (resample := cols[:, 0] == cols[:, 1]).any():
         cols[resample, 1] = rng.integers(0, n, size=int(resample.sum()))
-        resample = cols[:, 0] == cols[:, 1]
     return _NearSphereRows(shifts, cols)
 
 
-def _mixed_blocks(rng: np.random.Generator, size: int, n: int, shifts: np.ndarray) -> list:
-    """``size - size // 2`` uniform rows, then ``size // 2`` near-sphere rows, as two lazy blocks.
+def _trial_sets(n: int, x_size: int, y_size: int, rng: np.random.Generator) -> tuple[np.ndarray, list]:
+    """A random X, then Y as ``y_size - y_size // 2`` uniform rows and ``y_size // 2`` near-sphere rows shifted by X.
 
-    With no shifts to build near-sphere rows from, all ``size`` rows are
-    uniform.  The uniform block keeps lead keys and lead columns, the
-    near-sphere block its shifts and draws, so a trial holds no row of Y.
+    The draws run in that order.  With X empty, all ``y_size`` rows are
+    uniform.  Y is two lazy blocks, the uniform block keeping lead keys
+    and lead columns and the near-sphere block its shifts and draws, so a
+    trial holds no row of Y.
     """
-    near = size // 2 if len(shifts) else 0
-    blocks = [_UniformRows(rng, size - near, n)]
-    if near:
-        blocks.append(_random_near_sphere(rng, near, n, shifts))
-    return blocks
+    xmat = rng.integers(0, 3, size=(x_size, n), dtype=np.uint8)
+    near = y_size // 2 if x_size else 0
+    uniform = _UniformRows(rng, y_size - near, n)
+    return xmat, [uniform, _random_near_sphere(rng, near, n, xmat)] if near else [uniform]
 
 
 def overlap_trial(n: int, x_size: int, y_size: int, rng: np.random.Generator) -> OverlapCheck:
@@ -903,8 +894,7 @@ def overlap_trial(n: int, x_size: int, y_size: int, rng: np.random.Generator) ->
 
     ``rng`` needs a 64-bit bit generator, as ``_UniformRows`` draws Y's uniform rows.
     """
-    xmat = rng.integers(0, 3, size=(x_size, n), dtype=np.uint8)
-    return check_sphere_overlap(xmat, _mixed_blocks(rng, y_size, n, xmat), n)
+    return check_sphere_overlap(*_trial_sets(n, x_size, y_size, rng), n)
 
 
 def overlap_refined_trial(n: int, a_size: int, b_size: int, rng: np.random.Generator) -> OverlapRefinedCheck:
@@ -912,5 +902,4 @@ def overlap_refined_trial(n: int, a_size: int, b_size: int, rng: np.random.Gener
 
     ``rng`` needs a 64-bit bit generator, as in ``overlap_trial``.
     """
-    amat = rng.integers(0, 3, size=(a_size, n), dtype=np.uint8)
-    return check_sphere_overlap_general(amat, _mixed_blocks(rng, b_size, n, amat), n)
+    return check_sphere_overlap_general(*_trial_sets(n, a_size, b_size, rng), n)

@@ -62,6 +62,38 @@ def test_src_imports_are_used():
     assert {name: unused for name, unused in found.items() if unused} == {}
 
 
+def _private_defs_unnamed_elsewhere(sources: dict) -> list[str]:
+    """Undecorated private module-level functions and classes that no other top-level statement of ``sources`` names."""
+    defined, named = [], []
+    for path, source in sources.items():
+        for node in ast.parse(source).body:
+            owner = getattr(node, "name", None)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and owner.startswith("_") and not owner.startswith("__"):
+                if not node.decorator_list:
+                    defined.append((path, owner))
+            for sub in ast.walk(node):
+                name = getattr(sub, "id", None) or getattr(sub, "attr", None)
+                if isinstance(sub, ast.alias):
+                    name = sub.name
+                if name:
+                    named.append((path, owner, name))
+    return [
+        f"{path}:{name}"
+        for path, name in defined
+        if not any(ref == name and (where, owner) != (path, name) for where, owner, ref in named)
+    ]
+
+
+def test_src_private_definitions_are_used():
+    # a private helper left behind by a refactor is named nowhere else in src
+    import mulbasis
+
+    sources = {path.name: path.read_text() for path in sorted(Path(mulbasis.__file__).parent.glob("*.py"))}
+    assert _private_defs_unnamed_elsewhere(sources) == []
+    assert _private_defs_unnamed_elsewhere({"m.py": "def _left():\n    return _left()\n"}) == ["m.py:_left"]
+    assert _private_defs_unnamed_elsewhere({"m.py": "def _used():\n    pass\n\n\nx = _used"}) == []
+
+
 def test_readme_names_exist():
     # a deleted function or class must not linger in README.md under its old name
     from mulbasis.cli import _COMMANDS

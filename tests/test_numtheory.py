@@ -13,6 +13,7 @@ from mulbasis.numtheory import (
     rank_mod_q,
     sieve,
     valuation,
+    valuation_csr,
 )
 from oracles import (
     add_rows,
@@ -281,6 +282,19 @@ def test_rho_vector_rejects_modulus_two():
         valuation_rows([6], TABLE, [2, 3], 2)
     with pytest.raises(ValueError, match="q must be an odd prime, got 9"):
         valuation_rows([6], TABLE, [2, 3], 9)
+
+
+@pytest.mark.parametrize(
+    "values,first", [([0, -12, 12], 0), ([12, -12, 0], -12), ([10**30, -(10**30)], -(10**30))]
+)
+def test_valuation_rows_refuse_values_below_one(values, first):
+    # refused as scalar valuation refuses them, not read as empty rows
+    with pytest.raises(ValueError, match=f"valuation needs x >= 1, got {first}$"):
+        valuation_csr(values, sieve(100), [2, 3], 3)
+    with pytest.raises(ValueError, match=f"valuation needs x >= 1, got {first}$"):
+        halved_shift_csr(values, 6, sieve(100), [2, 3], 3)
+    with pytest.raises(ValueError, match="valuation needs x >= 1, got 0$"):
+        halved_shift_csr([12], 0, sieve(100), [2, 3], 3)
 
 
 def test_rho_vector_rejects_duplicate_primes():

@@ -66,6 +66,24 @@ def test_apspec_rejects_bad_parameters():
         APSpec(g=1, u=-1, v=1, M=1)
     with pytest.raises(ValueError):
         APSpec.from_offset_step(4, 0, 3)
+    # fields are read by operator.index: a float g would give float elements, a float M a TypeError from range
+    refused = [
+        ((1.5, 0, 1, 2), "g must be an integer, got 1.5"),
+        ((1, 0.0, 1, 2), "u must be an integer, got 0.0"),
+        ((1, 0, "1", 2), "v must be an integer, got '1'"),
+        ((1, 0, 1, 2.5), "M must be an integer, got 2.5"),
+        ((True, 0, 1, 2), "g must be an integer, got True"),
+    ]
+    for fields, message in refused:
+        with pytest.raises(ValueError, match=re.escape(f"progression field {message}")):
+            APSpec(*fields)
+
+
+def test_apspec_reads_numpy_integers_as_ints():
+    ap = APSpec(np.int64(2), np.int32(1), np.uint8(3), np.int64(2))
+    assert (ap.g, ap.u, ap.v, ap.M) == (2, 1, 3, 2)
+    assert all(type(x) is int for x in (ap.g, ap.u, ap.v, ap.M))
+    assert ap.elements() == [8, 14]
 
 
 @given(
@@ -221,8 +239,8 @@ def test_range_targets_edge_cases():
         for form in (targets, list(targets)):
             with pytest.raises(ValueError, match="targets must be positive"):
                 first_uncovered(form, basis)
-    # integers are read by operator.index: 2.5 and "2" are refused, not read as 2
-    for bad in (2.5, "2"):
+    # integers are read by operator.index: 2.5, "2" and True are refused, not read as 2 or 1
+    for bad in (2.5, "2", True):
         with pytest.raises(ValueError, match=re.escape(f"basis elements must be integers, got {bad!r}")):
             first_uncovered([4], [bad])
     with pytest.raises(ValueError, match=re.escape("targets must be integers, got 4.0")):

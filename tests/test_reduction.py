@@ -100,6 +100,21 @@ def test_reduced_pair_record_round_trip():
     assert ReducedPair.from_record(rec) == pair
 
 
+def test_reduced_pair_reads_numpy_basis_elements_as_ints():
+    pair = ReducedPair.of(APSpec(1, 0, 1, 3), np.arange(1, 4))
+    assert pair.basis == {1, 2, 3} and all(type(b) is int for b in pair.basis)
+    assert ReducedPair.from_record(json.loads(json.dumps(pair.to_record()))) == pair
+
+
+@pytest.mark.parametrize("basis", [[True, 2, 3], [1, 2.5], [1, "2"], [0, 1], [np.int64(-1), 1]])
+def test_reduced_pair_refuses_non_integer_basis_elements(basis):
+    # a kept True would reach to_record as JSON true, which from_record refuses
+    with pytest.raises(ValueError, match="basis elements must be (positive )?integers, got"):
+        ReducedPair.of(APSpec(1, 0, 1, 3), basis)
+    with pytest.raises(ValueError, match="basis elements must be (positive )?integers, got"):
+        ReducedPair(ap=APSpec(1, 0, 1, 3), basis=frozenset(basis))
+
+
 @pytest.mark.parametrize("flag", ["false", "true", 0, 1, None])
 def test_reduced_pair_record_wants_a_boolean_flag(flag):
     rec = ReducedPair.of(APSpec(g=2, u=1, v=2, M=3), {1, 2, 3}).to_record()

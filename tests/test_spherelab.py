@@ -1119,6 +1119,34 @@ def test_overlap_trial_matches_reference_pipeline(x_size, y_size):
     assert (res.x_size, res.y_size, res.lhs) == (len(xref), len(yref), lhs)
 
 
+@given(
+    st.integers(min_value=3, max_value=72),  # across the 16-column lead block and the 32-column key
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=0, max_value=40),
+    st.integers(min_value=0, max_value=2**32),
+)
+@settings(max_examples=100, deadline=None)
+def test_both_overlap_checks_count_a_trial_alike(n, x_size, y_size, seed):
+    xmat, blocks = spherelab._trial_sets(n, x_size, y_size, _philox(seed, 6))
+    rows = np.concatenate([b[:] for b in blocks])
+    # the draws run X, then the uniform rows, then the near-sphere columns
+    ref = _philox(seed, 6)
+    assert np.array_equal(xmat, ref.integers(0, 3, size=(x_size, n), dtype=np.uint8))
+    half = y_size // 2 if x_size else 0
+    want = ref.integers(0, 3, size=(y_size - half, n), dtype=np.uint8)
+    if half:
+        want = np.concatenate([want, random_near_sphere_int16(ref, half, n, xmat)])
+    assert np.array_equal(rows, want)
+    xref, yref = dedupe_rows_bytes(xmat), dedupe_rows_bytes(rows)
+    lhs = two_sphere_hits_full(xref, yref, n) if x_size else 0
+    with mock.patch.object(spherelab, "SMALL_SET_DIVISOR", 1):  # the pair-count check at any n
+        for y in (blocks, rows):
+            res = check_sphere_overlap(xmat, y, n)
+            general = check_sphere_overlap_general(xmat, y, n)
+            assert (res.x_size, res.y_size, res.lhs) == (len(xref), len(yref), lhs)
+            assert (general.a_size, general.b_size, general.lhs) == (len(xref), len(yref), lhs)
+
+
 @given(st.integers(min_value=1, max_value=20), st.integers(min_value=0, max_value=40))
 @settings(max_examples=40, deadline=None)
 def test_overlap_general_pair_bound_below_linear(a_size, b_size):
