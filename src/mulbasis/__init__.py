@@ -1,7 +1,7 @@
 """Multiplicative bases of order two: exact searches, reductions, and certified bounds.
 
 Modules:
-  numtheory    prime tables, valuations, valuation rows mod q, rank over F_q
+  numtheory    prime tables, valuations, valuation rows mod q
   productsets  cover checks, exact and constructed interval bases
   reduction    normal-form reduction, marking sets, factorial divisibility
   spherelab    vectors over F_3 as uint8 rows: S_3 censuses, covers, overlap trials
@@ -16,7 +16,6 @@ from .certificates import (
     PipelineError,
     PipelineResult,
     build_pairing_graph,
-    component_analysis,
     end_to_end_lower_bound,
     sphere_cover_report,
 )
@@ -24,7 +23,6 @@ from .numtheory import (
     PrimeTable,
     ResourceLimitError,
     is_prime,
-    rank_mod_q,
     sieve,
     valuation,
 )
@@ -35,17 +33,13 @@ from .productsets import (
     exact_min_basis,
     first_uncovered,
     min_size_search,
-    product_set,
 )
 from .reduction import (
     FactorialCheck,
     InvariantViolationError,
-    LowerBoundCertificate,
-    MarkingSet,
     MarkingSets,
     ReducedPair,
     build_marking_sets,
-    certify_lower_bound,
     factorial_divisibility_check,
     reduce_pair,
 )
@@ -74,8 +68,6 @@ __all__ = [
     "FactorialCheck",
     "InequalityReport",
     "InvariantViolationError",
-    "LowerBoundCertificate",
-    "MarkingSet",
     "MarkingSets",
     "OverlapCheck",
     "OverlapRefinedCheck",
@@ -87,10 +79,8 @@ __all__ = [
     "ResourceLimitError",
     "build_marking_sets",
     "build_pairing_graph",
-    "certify_lower_bound",
     "check_sphere_overlap",
     "check_sphere_overlap_general",
-    "component_analysis",
     "construct_interval_basis",
     "difference_census",
     "end_to_end_lower_bound",
@@ -99,8 +89,6 @@ __all__ = [
     "first_uncovered",
     "is_prime",
     "min_size_search",
-    "product_set",
-    "rank_mod_q",
     "reduce_pair",
     "sieve",
     "sphere_construction_basis",

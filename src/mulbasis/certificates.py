@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -35,7 +35,6 @@ __all__ = [
     "PipelineResult",
     "build_pairing_graph",
     "sphere_cover_report",
-    "component_analysis",
     "end_to_end_lower_bound",
     "DEGREE_PRUNE_FACTOR",
 ]
@@ -344,32 +343,6 @@ class ComponentAnalysis:
     distinct_projections: int
 
 
-def component_analysis(m1_edges: Sequence, split: tuple[int, int]) -> ComponentAnalysis:
-    """Connected components of the single-prime-mark edges.
-
-    Each edge joins vectors whose second-block projections are mutual
-    negatives, so a component carries at most two projection values; an
-    odd cycle collapses them to zero, and an even cycle (or any second
-    independent cycle) contradicts the independence of the targets and
-    is a hard error.  Also checks the projection count against 2T + 1
-    and edges-plus-trees against the vertex count.  An edge is a triple
-    (v1, v2, target) of coordinate sequences, checked as ``as_matrix``
-    checks a row; the vertices are numbered in lex order.
-    """
-    n = sum(split)
-    v1, v2, tmat = (as_matrix([e[k] for e in m1_edges], n) for k in range(3))
-    verts, ids = np.unique(_void(np.concatenate([v1, v2])), return_inverse=True)
-    vkeys = _matrix_keys(verts.view(np.uint8).reshape(len(verts), n))
-    edges = ids.reshape(2, -1).T
-    return _analyze_components(vkeys, _projections(vkeys, split), edges, _matrix_keys(tmat), split)
-
-
-def _matrix_keys(mat: np.ndarray) -> np.ndarray:
-    """Key rows of dense uint8 rows."""
-    at, cols = np.nonzero(mat)
-    return _keys(np.searchsorted(at, np.arange(len(mat) + 1)), cols, mat[at, cols], mat.shape[1])
-
-
 def _distinct(values: np.ndarray) -> np.ndarray:
     """The distinct values of an integer array, ascending: a sort, then repeats dropped.
 
@@ -439,10 +412,16 @@ def _roots(size: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _analyze_components(
     vkeys: np.ndarray, proj: tuple, edges: np.ndarray, tkeys: np.ndarray, split: tuple[int, int]
 ) -> ComponentAnalysis:
-    """``component_analysis`` on vertex ids: ``edges`` are (id, id) rows, ``tkeys`` their targets.
+    """Connected components of the single-prime-mark edges, given as (id, id) rows with target key rows ``tkeys``.
 
     ``vkeys[k]`` is the key row of vertex k and ``proj`` its projections,
-    as ``_projections`` gives them.  Components are found on the parity
+    as ``_projections`` gives them.  Each edge joins vectors whose
+    second-block projections are mutual negatives, so a component
+    carries at most two projection values; an odd cycle collapses them
+    to zero, and an even cycle (or any second independent cycle)
+    contradicts the independence of the targets and is a hard error.
+    Also checks the projection count against 2T + 1 and edges-plus-trees
+    against the vertex count.  Components are found on the parity
     double cover: vertex v has copies 2v and 2v + 1, and an edge (a, b)
     joins 2a to 2b + 1 and 2a + 1 to 2b.  A component has an odd cycle
     exactly when the two copies of one of its vertices share a root, and

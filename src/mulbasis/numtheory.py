@@ -5,15 +5,14 @@ smallest-prime-factor array, p-adic valuations v_p(x), the reduction map
 
     rho(x) = (v_{p_1}(x) mod q, ..., v_{p_n}(x) mod q)
 
-into F_q^n for a fixed list of primes, and Gaussian-elimination rank
-over F_q.
+into F_q^n for a fixed list of primes.
 
 A vector rho(x) is held as a sparse row: its nonzero (column, residue)
 pairs, ascending by column.  ``valuation_csr`` is the one map from
 integers to rows, held together as CSR arrays (offsets, columns,
 residues) built by ``csr_rows``.  ``halved_shift_csr`` gives the rows
-of the embedding rho(b) - rho(g)/2 that both the end-to-end pipeline
-(q = 3) and the rank certificate check their sums on.
+of the embedding rho(b) - rho(g)/2 that the end-to-end pipeline
+(q = 3) checks its sums on.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -36,7 +35,6 @@ __all__ = [
     "valuation_csr",
     "halved_shift_csr",
     "csr_rows",
-    "rank_mod_q",
 ]
 
 # Hard cap on sieve size, in table entries.  Overridable via environment
@@ -305,38 +303,3 @@ def halved_shift_csr(
     rows = np.concatenate([np.repeat(np.arange(k), np.diff(offsets)), np.repeat(np.arange(k), len(g_cols))])
     cols, res = np.concatenate([cols, np.tile(g_cols, k)]), np.concatenate([res, np.tile(g_res * ((q - 1) // 2), k)])
     return csr_rows(k, rows, cols, res, q)
-
-
-def rank_mod_q(vectors: Iterable[Sequence[int]], q: int) -> int:
-    """Rank over F_q of integer rows, by Gaussian elimination.
-
-    All rows must have the same length.
-    """
-    if not is_prime(q):
-        raise ValueError(f"modulus {q} is not prime")
-    rows = [[int(c) % q for c in v] for v in vectors]
-    if not rows:
-        return 0
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise ValueError("rank_mod_q rows have mixed lengths")
-    rank = 0
-    for col in range(width):
-        pivot = None
-        for r in range(rank, len(rows)):
-            if rows[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = pow(rows[rank][col], -1, q)
-        rows[rank] = [(inv * c) % q for c in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [(c - f * pc) % q for c, pc in zip(rows[r], rows[rank])]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank

@@ -30,7 +30,6 @@ from .numtheory import InvariantViolationError, PrimeTable, divisors, sieve
 __all__ = [
     "APSpec",
     "BasisSolution",
-    "product_set",
     "first_uncovered",
     "size_search",
     "fix_least_cover",
@@ -62,6 +61,13 @@ def icbrt(n: int) -> int:
     return x
 
 
+def _field(name: str, value) -> int:
+    """A progression field by ``operator.index``: 1.5, "1" and True are refused, numpy integers read as ints."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise ValueError(f"progression field {name} must be an integer, got {value!r}")
+    return operator.index(value)
+
+
 @dataclass(frozen=True)
 class APSpec:
     """The progression {g*(u + v*m) : 1 <= m <= M}.
@@ -76,12 +82,10 @@ class APSpec:
     M: int
 
     def __post_init__(self):
-        for name in ("g", "u", "v", "M"):  # by operator.index: 1.5, "1" and True are refused
+        for name in ("g", "u", "v", "M"):
             value = getattr(self, name)
             if type(value) is not int:
-                if isinstance(value, bool) or not hasattr(type(value), "__index__"):
-                    raise ValueError(f"progression field {name} must be an integer, got {value!r}")
-                object.__setattr__(self, name, operator.index(value))
+                object.__setattr__(self, name, _field(name, value))
         if self.g < 1 or self.v < 1 or self.u < 0 or self.M < 1:
             raise ValueError(f"bad progression parameters {self}")
 
@@ -104,24 +108,11 @@ class APSpec:
     @classmethod
     def from_offset_step(cls, a: int, d: int, M: int) -> "APSpec":
         """Normal form of {a + m*d : 1 <= m <= M}: pull out g = gcd(a, d)."""
+        a, d, M = _field("a", a), _field("d", d), _field("M", M)
         if a < 0 or d < 1 or M < 1:
             raise ValueError(f"need a >= 0, d >= 1, M >= 1, got a={a}, d={d}, M={M}")
         g = math.gcd(a, d)
         return cls(g=g, u=a // g, v=d // g, M=M)
-
-
-def product_set(B: Iterable[int]) -> list[int]:
-    """Sorted {b * b' : b, b' in B}, unordered pairs with repetition."""
-    elems = sorted(set(B))
-    if not elems:
-        raise ValueError("product_set of empty set")
-    if elems[0] < 1:
-        raise ValueError("basis elements must be positive")
-    out = set()
-    for i, b in enumerate(elems):
-        for c in elems[i:]:
-            out.add(b * c)
-    return sorted(out)
 
 
 def _scan(targets: Iterable[int], ordered: list[int], bset: set[int]) -> int | None:

@@ -1,13 +1,10 @@
-"""Normal-form reduction of covered progressions and span certificates.
+"""Normal-form reduction of covered progressions.
 
 A pair (A, B) with A an M-term progression inside B*B can be cleaned up
 so that the offset and step of A, written g*u and g*v, satisfy
 gcd(v, g) = 1: any prime dividing the step more often than the offset
 can be stripped without losing the cover, shrinking the product of B
-each time.  On a reduced pair, indices m whose term u + v*m carries a
-private prime give a rank certificate: the valuation map into F_q^r
-sends those terms to independent vectors inside a sumset of the mapped
-basis, so |B| is at least the number of marked indices.
+each time.
 
 Also here: the factorial-divisibility check for terms with no large or
 exceptional prime content, and the two doubling-shift marking
@@ -23,29 +20,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .numtheory import (
-    InvariantViolationError,
-    PrimeTable,
-    csr_rows,
-    divisors,
-    halved_shift_csr,
-    is_prime,
-    rank_mod_q,
-    sieve,
-    valuation,
-    valuation_csr,
-)
+from .numtheory import InvariantViolationError, PrimeTable, divisors, valuation
 from .productsets import APSpec, _ints, first_uncovered
 
 __all__ = [
     "InvariantViolationError",
     "ReducedPair",
-    "MarkingSet",
     "MarkingSets",
-    "LowerBoundCertificate",
     "FactorialCheck",
     "reduce_pair",
-    "certify_lower_bound",
     "factorial_divisibility_check",
     "build_marking_sets",
     "random_injected_pair",
@@ -111,31 +94,6 @@ class ReducedPair:
         )
 
 
-@dataclass(frozen=True)
-class MarkingSet:
-    """Indices m, each owning a prime that divides its term and no other's."""
-
-    prime_of: dict[int, int]
-
-    def __post_init__(self):
-        bad = [p for p in self.prime_of.values() if not is_prime(p)]
-        if bad:
-            raise ValueError(f"non-prime marks: {sorted(set(bad))}")
-
-    def __len__(self) -> int:
-        return len(self.prime_of)
-
-    def validate(self, u: int, v: int) -> None:
-        """Divisibility and privacy of each mark; raises naming the offense."""
-        for m in sorted(self.prime_of):
-            p = self.prime_of[m]
-            if (u + v * m) % p:
-                raise ValueError(f"mark invariant fails: (m={m}, m'={m}, p={p}) does not divide its term")
-            for m2 in sorted(self.prime_of):
-                if m2 != m and (u + v * m2) % p == 0:
-                    raise ValueError(f"mark invariant fails: (m={m}, m'={m2}, p={p}) divides both terms")
-
-
 def reduce_pair(pair: ReducedPair) -> ReducedPair:
     """Strip primes over-dividing the step until gcd(v, g) = 1.
 
@@ -185,69 +143,6 @@ def reduce_pair(pair: ReducedPair) -> ReducedPair:
             raise InvariantViolationError(f"basis product did not decrease at p={p}")
         product = new_product
     return ReducedPair(ap=ap, basis=frozenset(basis), reduced=True)
-
-
-@dataclass(frozen=True)
-class LowerBoundCertificate:
-    q: int
-    bound: int
-    verified: bool
-    rank: int
-    basis_size: int
-
-
-def certify_lower_bound(pair: ReducedPair, marks: MarkingSet) -> LowerBoundCertificate:
-    """Span certificate: |basis| >= |marks| on a reduced pair.
-
-    With q the smallest odd prime above every marked valuation, the map
-    x -> (v_p(x) mod q) over the mark primes sends each marked term to a
-    vector supported on its own coordinate; those land in the sumset of
-    the shifted basis image, so the target rank |marks| forces at least
-    that many basis elements.  Every link is checked computationally:
-    the cover by ``first_uncovered``, and each marked term g*t against
-    its lex-least pair (b1, b2) in B, whose shifted images must add up
-    to rho(t).  The rows come from a sieve up to the largest mark prime,
-    which must therefore fit the sieve budget.
-    """
-    ap = pair.ap
-    u, v, g = ap.u, ap.v, ap.g
-    marks.validate(u, v)
-    idx = sorted(marks.prime_of)
-    n_marks = len(idx)
-    if n_marks == 0:
-        return LowerBoundCertificate(q=3, bound=0, verified=True, rank=0, basis_size=len(pair.basis))
-    primes = tuple(marks.prime_of[m] for m in idx)
-    max_val = max(valuation(marks.prime_of[m], u + v * m) for m in idx)
-    q = 3
-    while q <= max_val or not is_prime(q):
-        q += 2
-    gap = first_uncovered(ap.elements(), pair.basis)
-    if gap is not None:
-        raise ValueError(f"pair is not a cover; first failure at {gap}")
-    table = sieve(max(primes))  # holds every mark prime: rows are exact past it
-    t_off, t_cols, t_res = valuation_csr([u + v * m for m in idx], table, primes, q)
-    t_rows = np.repeat(np.arange(n_marks), np.diff(t_off))
-    dense = np.zeros((n_marks, n_marks), dtype=np.int64)
-    dense[t_rows, t_cols] = t_res
-    single = np.array_equal(dense != 0, np.eye(n_marks, dtype=bool))  # each on its own coordinate
-    # each marked term's lex-least pair (b1, b2): b1 is the least b in B that fits
-    basis = sorted(pair.basis)
-    terms = [g * (u + v * m) for m in idx]
-    b1s = [next(b for b in basis if a % b == 0 and a // b in pair.basis) for a in terms]
-    i_off, i_cols, i_res = halved_shift_csr(b1s + [a // b for a, b in zip(terms, b1s)], g, table, primes, q)
-    # image(b1) + image(b2) - rho(t), one row per mark, keeps no entry when every mark is its sum
-    i_rows = np.repeat(np.arange(2 * n_marks) % n_marks, np.diff(i_off))
-    rows, cols = np.concatenate([i_rows, t_rows]), np.concatenate([i_cols, t_cols])
-    _, left, _ = csr_rows(n_marks, rows, cols, np.concatenate([i_res, q - t_res]), q)
-    rank = rank_mod_q(dense, q)
-    all_ok = single and not len(left) and rank == n_marks
-    return LowerBoundCertificate(
-        q=q,
-        bound=n_marks,
-        verified=all_ok and len(pair.basis) >= n_marks,
-        rank=rank,
-        basis_size=len(pair.basis),
-    )
 
 
 @dataclass(frozen=True)

@@ -50,8 +50,6 @@ __all__ = [
     "CensusRow",
     "DifferenceCensus",
     "sphere_rows",
-    "classify_difference",
-    "count_difference_solutions",
     "difference_census",
     "least_pairs",
     "sphere_first_uncovered",
@@ -166,11 +164,6 @@ def sphere_rows(n: int, k: int) -> np.ndarray:
     return rows
 
 
-def classify_difference(d) -> DifferenceCase:
-    """The case of a difference d, a coordinate sequence checked as ``as_matrix`` checks a row."""
-    return _case_of(as_matrix([d], len(d)).tobytes())
-
-
 def _case_of(coords: bytes) -> DifferenceCase:
     """The case of a difference given as its coordinate bytes."""
     ones = coords.count(1)
@@ -186,17 +179,11 @@ def _case_of(coords: bytes) -> DifferenceCase:
     return DifferenceCase.OTHER
 
 
-def count_difference_solutions(d) -> int:
-    """Number of ordered pairs (a, a') in S_3 x S_3 with a - a' = d.
-
-    A coordinate of d equal to 1 forces (a_i, a'_i) = (1, 0), equal to 2
-    forces (0, 1); zero coordinates are shared.  Filling the remaining
-    weight of a with shared 1s gives the closed forms below.
-    """
-    return _solution_count(classify_difference(d), len(d))
-
-
 def _solution_count(case: DifferenceCase, n: int) -> int:
+    """Ordered pairs (a, a') in S_3 x S_3 with a - a' = d, for d of this case in n coordinates.
+
+    A 1 in d forces (a_i, a'_i) = (1, 0), a 2 forces (0, 1), and shared 1s fill the rest of a.
+    """
     if case is DifferenceCase.ZERO:
         return math.comb(n, 3)
     if case is DifferenceCase.CASE1:

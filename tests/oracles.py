@@ -2,21 +2,22 @@
 
 Everything here is deliberately written against different algorithms
 than the package: segmented sieving instead of a flat sieve, exhaustive
-subset search instead of branch and bound, dict-based row reduction
-instead of column elimination, plain tuple arithmetic instead of numpy.
+subset search instead of branch and bound, plain tuple arithmetic
+instead of numpy.
 The overlap kernels keep their first numpy form: full-width sums and
 whole-row byte hashing, the exact search keeps its first
 lexicographic pass, which recomputes its state at every node, the
 lex-least pair of each target keeps its per-target scan, the sphere
 cover check edits each -b at the target's support, the factorial
-check walks the multiples of each prime on its own, the span
-certificate keeps its first dense valuation vectors, the interval
+check walks the multiples of each prime on its own, the interval
 witnesses come from trial-division divisors, the sphere report keeps
 its first vector-keyed counters, the end-to-end pipeline keeps its
 first dense vectors, its key rows and join keep their tuple forms, and
 so do the valuation rows and their sums mod q.  Slow and obviously correct
 beats fast.  ``traced_peak`` measures what a run allocates, for the
-tests that bound it.
+tests that bound it.  ``component_analysis`` is no reference: it reads
+edge triples into the vertex ids that ``certificates._analyze_components``
+takes.
 """
 
 from __future__ import annotations
@@ -151,14 +152,6 @@ def largest_prime_factor_trial(x: int) -> int:
 
 
 # ------------------------------------------------------ product sets
-
-
-def product_set_brute(B) -> list:
-    out = set()
-    for a in B:
-        for b in B:
-            out.add(a * b)
-    return sorted(out)
 
 
 def smallest_witness_pair(target: int, basis) -> tuple | None:
@@ -443,83 +436,6 @@ def factorial_divisibility_check_reference(u: int, v: int, M: int, table):
         surviving=surviving,
         divides=divides,
     )
-
-
-# ------------------------------------------------------ span certificate
-
-
-def certify_lower_bound_reference(pair, marks):
-    """``reduction.certify_lower_bound`` as first written, on dense vectors.
-
-    rho(x) is the tuple of ``valuation_loop`` residues mod q over the mark
-    primes, the shift halves rho(g) with the inverse of 2 mod q, each
-    marked term's pair comes from ``smallest_witness_pair``, and the
-    rank comes from ``rank_rowreduce``.  The package must return an equal
-    ``LowerBoundCertificate`` and raise the same ``ValueError``s.
-    """
-    from mulbasis.numtheory import is_prime, valuation
-    from mulbasis.productsets import first_uncovered
-    from mulbasis.reduction import LowerBoundCertificate
-
-    ap = pair.ap
-    u, v, g = ap.u, ap.v, ap.g
-    marks.validate(u, v)
-    idx = sorted(marks.prime_of)
-    n_marks = len(idx)
-    if n_marks == 0:
-        return LowerBoundCertificate(q=3, bound=0, verified=True, rank=0, basis_size=len(pair.basis))
-    primes = tuple(marks.prime_of[m] for m in idx)
-    max_val = max(valuation(marks.prime_of[m], u + v * m) for m in idx)
-    q = 3
-    while q <= max_val or not is_prime(q):
-        q += 2
-    gap = first_uncovered(pair.ap.elements(), pair.basis)
-    if gap is not None:
-        raise ValueError(f"pair is not a cover; first failure at {gap}")
-
-    def rho(x):
-        return tuple(valuation_loop(p, x) % q for p in primes)
-
-    inv2 = pow(2, -1, q)
-    shift = tuple(c * inv2 % q for c in rho(g))
-    image = {b: tuple((c - s) % q for c, s in zip(rho(b), shift)) for b in pair.basis}
-    all_ok = True
-    targets = []
-    for pos, m in enumerate(idx):
-        t = rho(u + v * m)
-        targets.append(t)
-        single = all((c != 0) == (i == pos) for i, c in enumerate(t))
-        b1, b2 = smallest_witness_pair(g * (u + v * m), pair.basis)
-        in_sumset = tuple((x + y) % q for x, y in zip(image[b1], image[b2])) == t
-        all_ok = all_ok and single and in_sumset
-    rank = rank_rowreduce(targets, q)
-    all_ok = all_ok and rank == n_marks
-    return LowerBoundCertificate(
-        q=q,
-        bound=n_marks,
-        verified=all_ok and len(pair.basis) >= n_marks,
-        rank=rank,
-        basis_size=len(pair.basis),
-    )
-
-
-# ------------------------------------------------------ linear algebra
-
-
-def rank_rowreduce(rows, q: int) -> int:
-    """Rank over F_q by echelon-by-leading-index elimination."""
-    echelon = {}
-    for row in rows:
-        row = [c % q for c in row]
-        while any(row):
-            lead = next(i for i, c in enumerate(row) if c)
-            if lead not in echelon:
-                inv = pow(row[lead], q - 2, q)
-                echelon[lead] = [c * inv % q for c in row]
-                break
-            factor = row[lead]
-            row = [(c - factor * e) % q for c, e in zip(row, echelon[lead])]
-    return len(echelon)
 
 
 # ------------------------------------------------------ ternary spheres
@@ -912,14 +828,13 @@ def sphere_report_vectors(B, n: int):
     """``certificates._sphere_report_full`` as first written, keyed by vectors.
 
     The common-neighbour counter is keyed by pairs of ``TernaryVector``s,
-    each difference is classified by ``classify_difference``, and the
+    each difference is classified by ``case_of``, and the
     graph, its coordinate slices and its pruning hold vector triples.
     """
     from collections import defaultdict
 
     from mulbasis.certificates import DEGREE_PRUNE_FACTOR, InequalityReport
     from mulbasis.reduction import InvariantViolationError
-    from mulbasis.spherelab import DifferenceCase, classify_difference
 
     vecs = _as_sorted_vectors(B, n)
     size = len(vecs)
@@ -944,14 +859,14 @@ def sphere_report_vectors(B, n: int):
     case3_by_diff: Counter = Counter()
     case3_total = 0
     for (v1, v2), c in common.items():
-        case = classify_difference(v1 - v2)
-        if case is DifferenceCase.CASE1:
+        case = case_of((v1 - v2).coords)
+        if case == "case1":
             if c > 1:
                 raise InvariantViolationError(
                     f"six-coordinate difference pair with {c} common neighbours"
                 )
             case1_total += c
-        elif case is DifferenceCase.CASE3:
+        elif case == "case3":
             case3_by_diff[(v1 - v2).coords] += c
             case3_total += c
     reports.append(InequalityReport.of("case1_total", case1_total, size * size))
@@ -1072,8 +987,29 @@ def join_weight_one_pairs(rows: list, tlist: list) -> list:
     return [best.get(t[0]) for t in tlist]
 
 
+def component_analysis(m1_edges, split):
+    """``certificates._analyze_components`` on edge triples (v1, v2, target) of coordinate sequences.
+
+    Each sequence is checked as ``as_matrix`` checks a row, and the
+    vertices are numbered in lex order.
+    """
+    from mulbasis import certificates
+    from mulbasis.spherelab import as_matrix
+
+    def keys(mat):
+        at, cols = np.nonzero(mat)
+        return certificates._keys(np.searchsorted(at, np.arange(len(mat) + 1)), cols, mat[at, cols], mat.shape[1])
+
+    n = sum(split)
+    v1, v2, tmat = (as_matrix([e[k] for e in m1_edges], n) for k in range(3))
+    verts, ids = np.unique(certificates._void(np.concatenate([v1, v2])), return_inverse=True)
+    vkeys = keys(verts.view(np.uint8).reshape(len(verts), n))
+    proj = certificates._projections(vkeys, split)
+    return certificates._analyze_components(vkeys, proj, ids.reshape(2, -1).T, keys(tmat), split)
+
+
 def component_analysis_dense(m1_edges, split):
-    """``certificates.component_analysis`` as first written, on dense vectors."""
+    """``component_analysis`` as first written in the package, on dense vectors."""
     from collections import defaultdict
 
     from mulbasis.certificates import ComponentAnalysis, InequalityReport

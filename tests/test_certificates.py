@@ -19,19 +19,20 @@ from mulbasis.certificates import (
     PipelineError,
     _sphere_report_full,
     build_pairing_graph,
-    component_analysis,
     end_to_end_lower_bound,
     sphere_cover_report,
 )
 from mulbasis.numtheory import sieve
 from mulbasis.productsets import construct_interval_basis
 from mulbasis.reduction import InvariantViolationError
-from mulbasis.spherelab import DifferenceCase, as_matrix, classify_difference
+from mulbasis.spherelab import as_matrix
 from oracles import dense_order as _dense_order
 from oracles import join_weight_one_pairs as _join_weight_one_pairs
 from oracles import sparse_row as _sparse
 from oracles import (
     TernaryVector,
+    case_of,
+    component_analysis,
     component_analysis_dense,
     end_to_end_lower_bound_dense,
     lex_least_pairs,
@@ -421,7 +422,7 @@ def case2_pairs_at_one_right_vertex(B, n: int) -> int:
     count = 0
     for pairs in by_right.values():
         for (v1, t1), (v2, t2) in combinations(pairs, 2):
-            if classify_difference(V(g.vertices[v1]) - V(g.vertices[v2])) is DifferenceCase.CASE2:
+            if case_of((V(g.vertices[v1]) - V(g.vertices[v2])).coords) == "case2":
                 assert (g.targets[t1] & g.targets[t2]).sum() == 1
                 count += 1
     return count
@@ -635,6 +636,14 @@ def test_dense_order_sorts_rows_as_their_bytes(rows):
     assert by_key == by_bytes
 
 
+def _keys_of_rows(rows, n):
+    """The key rows of sparse rows."""
+    offsets = np.cumsum([0] + [len(r) for r in rows])
+    cols = np.array([i for r in rows for i, _ in r], dtype=np.int64)
+    res = np.array([c for r in rows for _, c in r], dtype=np.int64)
+    return certificates._keys(offsets, cols, res, n)
+
+
 def _sparse_of_keys(keys, n):
     """The sparse rows of key rows, held as ``certificates._void`` values."""
     rows = keys.view(">u4").reshape(len(keys), keys.itemsize // 4)
@@ -653,10 +662,7 @@ SPARSE_ROWS = st.lists(
 def test_key_rows_sort_and_dedupe_in_dense_order(rows):
     # rows that are prefixes of one another, the empty row and repeats
     n = 8
-    offsets = np.cumsum([0] + [len(r) for r in rows])
-    cols = np.array([i for r in rows for i, _ in r], dtype=np.int64)
-    res = np.array([c for r in rows for _, c in r], dtype=np.int64)
-    keys = np.unique(certificates._void(certificates._keys(offsets, cols, res, n)))
+    keys = np.unique(certificates._void(_keys_of_rows(rows, n)))
     got = _sparse_of_keys(keys, n)
     assert got == sorted(set(rows), key=_dense_order)
 
@@ -669,9 +675,9 @@ def test_array_join_matches_the_tuple_join(instance):
     # the empty row, repeated rows, and rows that are prefixes of one another
     n, basis, targets = instance
     vecs, tlist = sorted(set(basis)), sorted(set(targets))
-    bkeys = np.unique(certificates._void(certificates._matrix_keys(as_matrix(basis, n))))
+    bkeys = np.unique(certificates._void(_keys_of_rows([_sparse(v) for v in basis], n)))
     assert _sparse_of_keys(bkeys, n) == [_sparse(v) for v in vecs]
-    tkeys = certificates._matrix_keys(as_matrix(tlist, n))[:, 0].astype(np.int64)
+    tkeys = _keys_of_rows([_sparse(t) for t in tlist], n)[:, 0].astype(np.int64)
     got = certificates._join_weight_one_pairs(bkeys, tkeys).tolist()
     want = _join_weight_one_pairs([_sparse(v) for v in vecs], [_sparse(t) for t in tlist])
     assert [None if k1 < 0 else (k1, k2) for k1, k2 in got] == want

@@ -62,14 +62,20 @@ def test_src_imports_are_used():
     assert {name: unused for name, unused in found.items() if unused} == {}
 
 
-def _private_defs_unnamed_elsewhere(sources: dict) -> list[str]:
-    """Undecorated private module-level functions and classes that no other top-level statement of ``sources`` names."""
+def _defs_unnamed_elsewhere(sources: dict, public: bool = False) -> list[str]:
+    """Module-level functions and classes that no other top-level statement of ``sources`` names.
+
+    By default these are the undecorated private ones; with ``public``
+    they are the public ones, decorated or not.
+    """
     defined, named = [], []
     for path, source in sources.items():
         for node in ast.parse(source).body:
             owner = getattr(node, "name", None)
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and owner.startswith("_") and not owner.startswith("__"):
-                if not node.decorator_list:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                if public and not owner.startswith("_"):
+                    defined.append((path, owner))
+                elif not public and owner.startswith("_") and not owner.startswith("__") and not node.decorator_list:
                     defined.append((path, owner))
             for sub in ast.walk(node):
                 name = getattr(sub, "id", None) or getattr(sub, "attr", None)
@@ -84,14 +90,28 @@ def _private_defs_unnamed_elsewhere(sources: dict) -> list[str]:
     ]
 
 
-def test_src_private_definitions_are_used():
-    # a private helper left behind by a refactor is named nowhere else in src
+def _src_sources() -> dict:
     import mulbasis
 
-    sources = {path.name: path.read_text() for path in sorted(Path(mulbasis.__file__).parent.glob("*.py"))}
-    assert _private_defs_unnamed_elsewhere(sources) == []
-    assert _private_defs_unnamed_elsewhere({"m.py": "def _left():\n    return _left()\n"}) == ["m.py:_left"]
-    assert _private_defs_unnamed_elsewhere({"m.py": "def _used():\n    pass\n\n\nx = _used"}) == []
+    return {path.name: path.read_text() for path in sorted(Path(mulbasis.__file__).parent.glob("*.py"))}
+
+
+def test_src_private_definitions_are_used():
+    # a private helper left behind by a refactor is named nowhere else in src
+    assert _defs_unnamed_elsewhere(_src_sources()) == []
+    assert _defs_unnamed_elsewhere({"m.py": "def _left():\n    return _left()\n"}) == ["m.py:_left"]
+    assert _defs_unnamed_elsewhere({"m.py": "def _used():\n    pass\n\n\nx = _used"}) == []
+
+
+def test_src_public_definitions_are_used():
+    # public code that no command reaches is named nowhere else in src; a
+    # re-export from __init__.py is no use, and pyproject.toml and __main__.py
+    # call the entry points
+    sources = {name: text for name, text in _src_sources().items() if name != "__init__.py"}
+    entry_points = {"cli.py:main", "cli.py:main_entry"}
+    assert sorted(set(_defs_unnamed_elsewhere(sources, public=True)) - entry_points) == []
+    assert _defs_unnamed_elsewhere({"m.py": "def left():\n    return left()\n"}, public=True) == ["m.py:left"]
+    assert _defs_unnamed_elsewhere({"m.py": "def _left():\n    pass\n"}, public=True) == []
 
 
 def test_readme_names_exist():

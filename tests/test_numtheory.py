@@ -10,7 +10,6 @@ from mulbasis.numtheory import (
     divisors,
     halved_shift_csr,
     is_prime,
-    rank_mod_q,
     sieve,
     valuation,
     valuation_csr,
@@ -21,7 +20,6 @@ from oracles import (
     is_prime_trial,
     is_strong_probable_prime,
     primes_segmented,
-    rank_rowreduce,
     traced_peak,
     valuation_loop,
     valuation_rows,
@@ -340,63 +338,3 @@ def test_valuation_vector_arithmetic():
     assert add_rows(a, ((0, 5), (1, 1)), 7) == ()
     assert add_rows(a, (), 7) == add_rows((), a, 7) == a
     assert add_rows(((3, 1),), ((0, 2),), 3) == ((0, 2), (3, 1))
-
-
-# --------------------------------------------------------------- rank
-
-
-def test_rank_standard_basis():
-    rows = [[1 if i == j else 0 for j in range(6)] for i in range(4)]
-    assert rank_mod_q(rows, 3) == 4
-
-
-def test_rank_zero_rows():
-    assert rank_mod_q([[0, 0, 0], [0, 0, 0]], 3) == 0
-    assert rank_mod_q([], 5) == 0
-
-
-def test_rank_matches_row_reduction_oracle():
-    rng = np.random.default_rng(20260814)
-    for _ in range(20):
-        rows = rng.integers(0, 3, size=(50, 10)).tolist()
-        assert rank_mod_q(rows, 3) == rank_rowreduce(rows, 3)
-    for _ in range(10):
-        rows = rng.integers(0, 7, size=(12, 9)).tolist()
-        assert rank_mod_q(rows, 7) == rank_rowreduce(rows, 7)
-
-
-def test_rank_accepts_valuation_vectors():
-    # the dense form of valuation rows; the rank certificate passes them as an array
-    rows = valuation_rows([3, 3 * 25, 5 * 49], TABLE, [3, 5, 7], 3)
-    dense = [[dict(r).get(j, 0) for j in range(3)] for r in rows]
-    assert dense == [[1, 0, 0], [1, 2, 0], [0, 1, 2]]
-    assert rank_mod_q(dense, 3) == rank_mod_q(np.array(dense), 3) == 3
-    assert rank_mod_q(dense[:2] + [[2, 1, 0]], 3) == 2  # 2 * (1, 2, 0) = (2, 1, 0)
-
-
-def test_rank_rejects_mixed_lengths():
-    with pytest.raises(ValueError):
-        rank_mod_q([[1, 0], [1, 0, 1]], 3)
-
-
-def test_rank_rejects_composite_modulus():
-    with pytest.raises(ValueError):
-        rank_mod_q([[1]], 6)
-
-
-@given(st.data())
-@settings(max_examples=60)
-def test_rank_invariant_under_permutation_and_scaling(data):
-    rng_rows = data.draw(
-        st.lists(
-            st.lists(st.integers(min_value=0, max_value=2), min_size=5, max_size=5),
-            min_size=1,
-            max_size=8,
-        )
-    )
-    base = rank_mod_q(rng_rows, 3)
-    perm = data.draw(st.permutations(rng_rows))
-    assert rank_mod_q(perm, 3) == base
-    scaled = [[(2 * c) % 3 for c in row] for row in rng_rows]
-    assert rank_mod_q(scaled, 3) == base
-

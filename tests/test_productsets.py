@@ -22,7 +22,6 @@ from mulbasis.productsets import (
     fix_least_cover,
     icbrt,
     min_size_search,
-    product_set,
     size_search,
 )
 from oracles import (
@@ -30,7 +29,6 @@ from oracles import (
     mbp_exhaustive,
     min_basis_exhaustive,
     primes_segmented,
-    product_set_brute,
     smallest_witness_pair,
     traced_peak,
 )
@@ -79,6 +77,22 @@ def test_apspec_rejects_bad_parameters():
             APSpec(*fields)
 
 
+def test_apspec_from_offset_step_refuses_non_integers():
+    # a float reached math.gcd as a TypeError, and True was read as 1
+    refused = [
+        ((2.5, 1, 3), "a must be an integer, got 2.5"),
+        ((4, 2.0, 3), "d must be an integer, got 2.0"),
+        ((True, 2, 3), "a must be an integer, got True"),
+        ((4, 2, True), "M must be an integer, got True"),
+    ]
+    for args, message in refused:
+        with pytest.raises(ValueError, match=re.escape(f"progression field {message}")):
+            APSpec.from_offset_step(*args)
+    ap = APSpec.from_offset_step(np.int64(4), np.int32(2), np.uint8(3))
+    assert ap == APSpec(g=2, u=2, v=1, M=3)
+    assert all(type(x) is int for x in (ap.g, ap.u, ap.v, ap.M))
+
+
 def test_apspec_reads_numpy_integers_as_ints():
     ap = APSpec(np.int64(2), np.int32(1), np.uint8(3), np.int64(2))
     assert (ap.g, ap.u, ap.v, ap.M) == (2, 1, 3, 2)
@@ -96,30 +110,6 @@ def test_apspec_round_trip(a, d, M):
     assert ap.elements() == [a + m * d for m in range(1, M + 1)]
     assert ap.normalized
     assert ap.offset == a and ap.step == d
-
-
-# ------------------------------------------------------- product sets
-
-
-def test_product_set_small():
-    assert product_set({1, 2, 3}) == [1, 2, 3, 4, 6, 9]
-
-
-def test_product_set_singleton_prime():
-    assert product_set({7}) == [49]
-
-
-def test_product_set_matches_brute_force():
-    rng = np.random.default_rng(5)
-    B = sorted(set(rng.integers(1, 500, size=50).tolist()))
-    assert product_set(B) == product_set_brute(B)
-
-
-def test_product_set_rejects_empty_and_nonpositive():
-    with pytest.raises(ValueError):
-        product_set(set())
-    with pytest.raises(ValueError):
-        product_set({0, 2})
 
 
 # ------------------------------------------------------------- covers

@@ -8,24 +8,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mulbasis.numtheory import PrimeTable, sieve
-from mulbasis.productsets import APSpec, construct_interval_basis, first_uncovered
+from mulbasis.productsets import APSpec, first_uncovered
 from mulbasis.reduction import (
-    MarkingSet,
     ReducedPair,
     _doubling_marks,
     build_marking_sets,
-    certify_lower_bound,
     factorial_divisibility_check,
     random_divisibility_instance,
     random_injected_pair,
     reduce_pair,
 )
 
-from oracles import (
-    certify_lower_bound_reference,
-    factorial_divisibility_check_reference,
-    largest_prime_factor_trial,
-)
+from oracles import factorial_divisibility_check_reference
 
 TABLE = sieve(20_000)
 SMALL_TABLE = sieve(500)
@@ -121,176 +115,6 @@ def test_reduced_pair_record_wants_a_boolean_flag(flag):
     assert ReducedPair.from_record({**rec, "reduced": False}).reduced is False
     with pytest.raises(ValueError, match="pair record field 'reduced' must be a boolean"):
         ReducedPair.from_record({**rec, "reduced": flag})
-
-
-# --------------------------------------------------------- certifying
-
-
-def test_certify_empty_marks():
-    pair = ReducedPair.of(APSpec.from_offset_step(1, 2, 4), {1, 3, 5, 7, 9})
-    cert = certify_lower_bound(pair, MarkingSet(prime_of={}))
-    assert cert.bound == 0
-    assert cert.verified
-
-
-def test_certify_two_marks_on_interval():
-    ap = APSpec(g=1, u=0, v=1, M=10)
-    pair = ReducedPair.of(ap, {1, 2, 3, 4, 5, 7})
-    marks = MarkingSet(prime_of={5: 5, 7: 7})
-    cert = certify_lower_bound(pair, marks)
-    assert cert.bound == 2
-    assert cert.rank == 2
-    assert cert.verified
-    assert cert.basis_size == 6
-
-
-def test_certify_chooses_odd_prime_above_valuations():
-    # marked term 27 = 3^3 has valuation 3, so q must be at least 5
-    ap = APSpec(g=1, u=0, v=1, M=30)
-    basis = set(construct_interval_basis(30))
-    marks = MarkingSet(prime_of={27: 3, 25: 5})
-    cert = certify_lower_bound(ReducedPair.of(ap, basis), marks)
-    assert cert.q == 5
-    assert cert.verified
-
-
-def test_certify_rejects_shared_prime():
-    marks = MarkingSet(prime_of={3: 3, 9: 3})
-    pair = ReducedPair.of(APSpec(g=1, u=0, v=1, M=10), {1, 2, 3, 4, 5, 7})
-    with pytest.raises(ValueError, match=r"m=3, m'=9, p=3"):
-        certify_lower_bound(pair, marks)
-
-
-def test_certify_rejects_non_dividing_prime():
-    marks = MarkingSet(prime_of={4: 7})
-    pair = ReducedPair.of(APSpec(g=1, u=0, v=1, M=10), {1, 2, 3, 4, 5, 7})
-    with pytest.raises(ValueError, match="does not divide"):
-        certify_lower_bound(pair, marks)
-
-
-def test_certify_never_verifies_bound_above_basis():
-    # three marks against a three-element basis: bound == size, still sound
-    ap = APSpec(g=1, u=0, v=1, M=10)
-    pair = ReducedPair.of(ap, {1, 2, 3, 4, 5, 7})
-    marks = MarkingSet(prime_of={3: 3, 5: 5, 7: 7})
-    cert = certify_lower_bound(pair, marks)
-    assert cert.bound == 3
-    if cert.verified:
-        assert cert.basis_size >= cert.bound
-
-
-def test_certify_computes_each_marks_sum(monkeypatch):
-    # b1 * b2 = g * t makes image(b1) + image(b2) = rho(t) whenever the rows
-    # are right, so only wrong rows can show that the sums are checked at all:
-    # unshifted images add up to rho(g * t), and g = 6 carries the mark prime 3
-    from mulbasis import numtheory, reduction
-
-    pair = ReducedPair.of(APSpec(g=6, u=0, v=1, M=30), construct_interval_basis(180))
-    marks = MarkingSet(prime_of={27: 3, 25: 5})
-    assert certify_lower_bound(pair, marks).verified
-
-    def unshifted(values, g, *rest):
-        return numtheory.valuation_csr(values, *rest)
-
-    monkeypatch.setattr(reduction, "halved_shift_csr", unshifted)
-    cert = certify_lower_bound(pair, marks)
-    assert cert.rank == cert.bound == 2 and not cert.verified
-
-
-def _single_prime_marks(M: int, u: int) -> MarkingSet:
-    out = build_marking_sets(M, u, sieve(max(M, 2)))
-    return MarkingSet(prime_of=dict(zip(out.single_marks.tolist(), out.large_primes.tolist())))
-
-
-def test_certify_marking_set_from_pipeline():
-    M = 1000
-    marks = _single_prime_marks(M, 0)
-    pair = ReducedPair.of(APSpec(g=1, u=0, v=1, M=M), construct_interval_basis(M))
-    cert = certify_lower_bound(pair, marks)
-    assert cert.bound == len(marks) == 164
-    assert cert.verified
-    assert cert.basis_size == 243
-
-
-def _certify_outcome(certify, pair, marks):
-    try:
-        return certify(pair, marks)
-    except ValueError as exc:
-        return ValueError, str(exc)
-
-
-def _prime_factors(x: int) -> list[int]:
-    out = []
-    while x > 1:
-        out.append(largest_prime_factor_trial(x))
-        x //= out[-1]
-    return sorted(set(out))
-
-
-@st.composite
-def certify_instances(draw):
-    """Covered progressions with marks, some invalid, some with a gap in the cover."""
-    M = draw(st.integers(1, 130))
-    g = draw(st.integers(1, 6))  # g > 1 shifts the basis image by -rho(g)/2
-    if draw(st.booleans()):
-        # the pipeline's single-prime marks on the step-1 window [u+1, u+M]
-        u, v = draw(st.integers(0, M)), 1
-        marks = _single_prime_marks(M, u)
-    else:
-        # by hand: a prime factor of each chosen term; on [1..M] the terms
-        # include powers such as 2^7 = 128 and 3^4 = 81, so q climbs past 3
-        u, v = (0, 1) if draw(st.booleans()) else (draw(st.integers(0, 30)), draw(st.integers(1, 6)))
-        index = st.integers(1, M)
-        powers = [m for m in (8, 16, 27, 32, 64, 81, 125, 128) if m <= M]
-        if u == 0 and v == 1 and powers:
-            index = index | st.sampled_from(powers)
-        prime_of = {}
-        for m in draw(st.lists(index, unique=True, min_size=1, max_size=6)):
-            if u + v * m > 1:
-                prime_of[m] = draw(st.sampled_from(_prime_factors(u + v * m)))
-        marks = MarkingSet(prime_of=prime_of)
-    basis = set(construct_interval_basis(g * (u + v * M)))
-    basis |= set(draw(st.lists(st.integers(1, 10**6), max_size=4)))
-    if draw(st.integers(0, 3)) == 0:
-        basis.discard(draw(st.sampled_from(sorted(basis))))
-    return ReducedPair.of(APSpec(g=g, u=u, v=v, M=M), basis), marks
-
-
-@given(certify_instances())
-@settings(max_examples=250, deadline=None)
-@example(
-    (
-        ReducedPair.of(APSpec(g=1, u=0, v=1, M=130), construct_interval_basis(130)),
-        MarkingSet(prime_of={128: 2, 125: 5, 81: 3}),
-    )
-)  # v_2(128) = 7, so q = 11
-@example(
-    (
-        ReducedPair.of(APSpec(g=6, u=0, v=1, M=30), construct_interval_basis(180)),
-        MarkingSet(prime_of={27: 3, 25: 5}),
-    )
-)  # q = 5 and v_3(g) = 1: the shift -rho(g)/2 is 2 at the column of 3
-def test_certify_matches_dense_reference(instance):
-    pair, marks = instance
-    got = _certify_outcome(certify_lower_bound, pair, marks)
-    assert got == _certify_outcome(certify_lower_bound_reference, pair, marks)
-
-
-def test_marking_set_rejects_inconsistent_fields():
-    # each mark must own a prime, whatever else it holds
-    for prime_of, bad in (({1: 6, 2: 3}, [6]), ({4: 9}, [9]), ({1: 3, 2: 1, 5: 0, 6: 91}, [0, 1, 91])):
-        with pytest.raises(ValueError) as exc:
-            MarkingSet(prime_of=prime_of)
-        assert exc.value.args[0] == f"non-prime marks: {bad}"
-
-
-def test_build_marking_sets_checks_large_primes_in_the_table():
-    # a hand-built table whose primes list a composite its spf array knows
-    table = sieve(100)
-    bad = PrimeTable(limit=100, primes=np.sort(np.append(table.primes, [91, 95])), spf=table.spf)
-    with pytest.raises(ValueError) as exc:
-        build_marking_sets(100, 0, bad)
-    assert exc.value.args[0] == "non-prime marks: [91, 95]"
 
 
 # ------------------------------------------------------- divisibility
@@ -443,7 +267,8 @@ def test_marking_sets_respect_shift_windows():
             t = u + m
             assert 1 <= m <= 500
             assert t == (t & -t) * p  # power of two times the prime
-        MarkingSet(prime_of=prime_of).validate(u, 1)
+            # the mark's prime divides its own term and no other marked term
+            assert [m2 for m2 in prime_of if (u + m2) % p == 0] == [m]
 
 
 def test_doubling_marks_examples():
@@ -491,6 +316,15 @@ def test_marking_sets_large_count_lower_bound():
         pi_m = table.prime_count(M)
         pi_cbrt = table.prime_count(round(M ** (1 / 3)))
         assert len(out.single_marks) >= pi_m - pi_cbrt - 1
+
+
+def test_build_marking_sets_checks_large_primes_in_the_table():
+    # a hand-built table whose primes list a composite its spf array knows
+    table = sieve(100)
+    bad = PrimeTable(limit=100, primes=np.sort(np.append(table.primes, [91, 95])), spf=table.spf)
+    with pytest.raises(ValueError) as exc:
+        build_marking_sets(100, 0, bad)
+    assert exc.value.args[0] == "non-prime marks: [91, 95]"
 
 
 def test_marking_sets_reject_offset_beyond_window():

@@ -15,11 +15,11 @@ from mulbasis.spherelab import (
     SMALL_SET_DIVISOR,
     SPHERE_EXACT_MAX_N,
     DifferenceCase,
+    _case_of,
+    _solution_count,
     as_matrix,
     check_sphere_overlap,
     check_sphere_overlap_general,
-    classify_difference,
-    count_difference_solutions,
     difference_census,
     least_pairs,
     overlap_refined_trial,
@@ -174,42 +174,41 @@ def test_enumerate_sphere_rejects_heavy_weight():
 
 
 def test_classify_examples():
-    assert classify_difference(V([1, 1, 1, 2, 2, 2])) is DifferenceCase.CASE1
-    assert classify_difference(V([1, 1, 2, 2, 0, 0])) is DifferenceCase.CASE2
-    assert classify_difference(V([1, 2, 0, 0, 0, 0])) is DifferenceCase.CASE3
-    assert classify_difference(V([1, 0, 0, 0, 0, 0])) is DifferenceCase.OTHER
-    assert classify_difference(TernaryVector.zero(6)) is DifferenceCase.ZERO
-    # bytes, tuples and 1-D arrays are read alike, and an entry 3 is rejected, not classified
-    assert classify_difference(bytes([1, 2, 0])) is DifferenceCase.CASE3
-    assert classify_difference((1, 1, 2, 2)) is DifferenceCase.CASE2
-    assert classify_difference(np.array([1, 1, 1, 2, 2, 2], dtype=np.uint8)) is DifferenceCase.CASE1
-    for d in (bytes([1, 2, 3]), (1, 2, 3), np.array([1, 2, 3])):
-        with pytest.raises(ValueError, match=r"matrix entries must lie in \{0, 1, 2\}"):
-            classify_difference(d)
+    assert _case_of(bytes([1, 1, 1, 2, 2, 2])) is DifferenceCase.CASE1
+    assert _case_of(bytes([1, 1, 2, 2, 0, 0])) is DifferenceCase.CASE2
+    assert _case_of(bytes([1, 2, 0, 0, 0, 0])) is DifferenceCase.CASE3
+    assert _case_of(bytes([1, 0, 0, 0, 0, 0])) is DifferenceCase.OTHER
+    assert _case_of(bytes(6)) is DifferenceCase.ZERO
+    assert _case_of(bytes([1, 2, 0])) is DifferenceCase.CASE3  # the case needs no particular n
 
 
 @given(coords_strategy)
 def test_classify_matches_oracle(a):
-    assert classify_difference(V(a)).value == case_of(tuple(c % 3 for c in a))
+    assert _case_of(V(a).coords).value == case_of(tuple(c % 3 for c in a))
+
+
+def _count(d) -> int:
+    """The closed-form pair count for the difference d."""
+    return _solution_count(_case_of(bytes(d)), len(d))
 
 
 def test_count_formulas_pinned_values():
-    case2 = V([1, 1, 2, 2, 0, 0, 0])
-    assert count_difference_solutions(case2) == 3
-    assert count_difference_solutions(case2) < 7
-    case3 = V([1, 2, 0, 0, 0, 0])
-    assert count_difference_solutions(case3) == 6 == math.comb(4, 2)
-    assert count_difference_solutions(case3) < 36
-    assert count_difference_solutions(V([1, 1, 1, 2, 2, 2])) == 1
-    assert count_difference_solutions(TernaryVector.zero(6)) == math.comb(6, 3)
-    assert count_difference_solutions(V([1, 0, 0, 0, 0, 0])) == 0
+    case2 = [1, 1, 2, 2, 0, 0, 0]
+    assert _count(case2) == 3
+    assert _count(case2) < 7
+    case3 = [1, 2, 0, 0, 0, 0]
+    assert _count(case3) == 6 == math.comb(4, 2)
+    assert _count(case3) < 36
+    assert _count([1, 1, 1, 2, 2, 2]) == 1
+    assert _count([0] * 6) == math.comb(6, 3)
+    assert _count([1, 0, 0, 0, 0, 0]) == 0
 
 
 @given(st.integers(min_value=3, max_value=8), st.data())
 @settings(max_examples=60, deadline=None)
 def test_count_formulas_match_brute_force(n, data):
     d = data.draw(st.lists(st.integers(min_value=0, max_value=2), min_size=n, max_size=n))
-    assert count_difference_solutions(V(d)) == count_diff_brute(d, n)
+    assert _count(d) == count_diff_brute(d, n)
 
 
 def test_census_matches_brute_oracle():
