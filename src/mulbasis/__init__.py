@@ -1,7 +1,7 @@
 """Multiplicative bases of order two: exact searches, reductions, and certified bounds.
 
 Modules:
-  numtheory    prime tables, valuations, valuation rows mod q
+  numtheory    prime tables, divisors, prime-factor entries over a list of primes
   productsets  cover checks, exact and constructed interval bases
   reduction    normal-form reduction, marking sets, factorial divisibility
   spherelab    vectors over F_3 as uint8 rows: S_3 censuses, covers, overlap trials
@@ -19,13 +19,7 @@ from .certificates import (
     end_to_end_lower_bound,
     sphere_cover_report,
 )
-from .numtheory import (
-    PrimeTable,
-    ResourceLimitError,
-    is_prime,
-    sieve,
-    valuation,
-)
+from .numtheory import PrimeTable, ResourceLimitError, sieve
 from .productsets import (
     APSpec,
     BasisSolution,
@@ -87,7 +81,6 @@ __all__ = [
     "exact_min_basis",
     "factorial_divisibility_check",
     "first_uncovered",
-    "is_prime",
     "min_size_search",
     "reduce_pair",
     "sieve",
@@ -95,5 +88,4 @@ __all__ = [
     "sphere_cover_report",
     "sphere_first_uncovered",
     "sphere_min_basis",
-    "valuation",
 ]

@@ -16,14 +16,13 @@ never silently absorbed.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, replace
 from typing import Iterable
 
 import numpy as np
 
-from .numtheory import PrimeTable, csr_rows, halved_shift_csr, sieve, valuation_csr
-from .productsets import first_uncovered
+from .numtheory import PrimeTable, prime_factor_entries, sieve
+from .productsets import _int, _ints, first_uncovered
 from .reduction import InvariantViolationError, build_marking_sets
 from .spherelab import as_matrix, least_pairs, sphere_rows
 
@@ -126,19 +125,38 @@ def _sorted_rows(vectors, n: int, kind: str) -> np.ndarray:
 # coordinates keys as (n - i) * 3 + c; a row's keys descend, padded with 0.
 
 
-def _keys(offsets: np.ndarray, cols: np.ndarray, res: np.ndarray, n: int) -> np.ndarray:
-    """Key rows, big-endian uint32, of sparse rows held as ``numtheory.csr_rows`` arrays.
+def _key_rows(count: int, rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
+    """Key rows, big-endian uint32, of ``count`` vectors that each entry (row, column) adds 1 to.
 
+    The entries at one (row, column) are counted mod 3, so the prime
+    factors of ``numtheory.prime_factor_entries`` give the rows of rho.
     The bytes of two key rows order as the dense vectors they stand
     for: at the first column where the vectors differ, a row with no
     entry there is zero there, and its next entry, if any, sits at a
     later column, a smaller key; a row that ends first pads with 0.
     """
-    lens = np.diff(offsets)
-    rows = np.repeat(np.arange(len(lens)), lens)
-    keys = np.zeros((len(lens), max(int(lens.max(initial=0)), 1)), dtype=">u4")
-    keys[rows, np.arange(len(rows)) - offsets[rows]] = (n - cols) * 3 + res
+    at, times = np.unique(rows.astype(np.int64) * n + cols, return_counts=True)
+    res = times % 3
+    at, res = at[res > 0], res[res > 0]
+    row, col = at // n, at % n  # no entries when n = 0
+    lens = np.bincount(row, minlength=count)
+    keys = np.zeros((count, max(int(lens.max(initial=0)), 1)), dtype=">u4")
+    keys[row, np.arange(len(row)) - (np.cumsum(lens) - lens)[row]] = (n - col) * 3 + res
     return keys
+
+
+def _shifted_key_rows(values, g: int, table: PrimeTable, primes) -> np.ndarray:
+    """Key rows of rho(x) - rho(g)/2 over ``primes``, one per value.
+
+    Mod 3, -1/2 = 1, so the row is rho(x) + rho(g): g's prime factors
+    join each value's.  rho(x * g) would give the same row, but x * g
+    can pass both the table and int64.
+    """
+    rows, cols = prime_factor_entries(values, table, primes)
+    _, g_cols = prime_factor_entries([g], table, primes)
+    rows = np.concatenate([rows, np.repeat(np.arange(len(values)), len(g_cols))])
+    cols = np.concatenate([cols, np.tile(g_cols, len(values))])
+    return _key_rows(len(values), rows, cols, len(primes))
 
 
 def _void(mat: np.ndarray) -> np.ndarray:
@@ -375,13 +393,13 @@ def _projections(vkeys: np.ndarray, split: tuple[int, int]) -> tuple[np.ndarray,
     return ids, distinct.view(np.uint8).reshape(len(distinct), n2 + 1)
 
 
-def _off_sum(vkeys: np.ndarray, edges: np.ndarray, tkeys: np.ndarray) -> np.ndarray:
+def _off_sum(vkeys: np.ndarray, edges: np.ndarray, tkeys: np.ndarray, n: int) -> np.ndarray:
     """Whether the ends of each edge fail to sum to its target."""
     ends = [_entries(vkeys[edges[:, 0]]), _entries(vkeys[edges[:, 1]]), _entries(tkeys)]
-    rows, cols, res = (np.concatenate(x) for x in zip(*ends))
+    rows, at, res = (np.concatenate(x) for x in zip(*ends))
     res[len(rows) - len(ends[2][0]) :] *= 2  # minus the target: -c = 2c mod 3
-    offsets, _, _ = csr_rows(len(edges), rows, cols, res, 3)
-    return np.diff(offsets) > 0
+    # residue c at column n - at counts as c entries there
+    return _key_rows(len(edges), np.repeat(rows, res), np.repeat(n - at, res), n).any(axis=1)
 
 
 def _roots(size: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -431,7 +449,7 @@ def _analyze_components(
     blocks_at = range(0, len(edges), _EDGE_BLOCK)
     off_sum = np.concatenate(
         [np.zeros(0, dtype=bool)]
-        + [_off_sum(vkeys, edges[lo : lo + _EDGE_BLOCK], tkeys[lo : lo + _EDGE_BLOCK]) for lo in blocks_at]
+        + [_off_sum(vkeys, edges[lo : lo + _EDGE_BLOCK], tkeys[lo : lo + _EDGE_BLOCK], n1 + n2) for lo in blocks_at]
     )
     bad = np.flatnonzero(off_sum | ((tkeys > 0).sum(axis=1) != 1) | (tkeys[:, 0] // 3 <= n2))
     if len(bad):
@@ -536,14 +554,17 @@ def end_to_end_lower_bound(
     enough, then chain the counts into one number.  Every link is an
     evaluated report and the final bound is asserted to be at most |B|.
     """
+    try:  # 1.5 and True are refused, not read as 1
+        M = _int(M, "M must be an integer")
+        u = _int(u, "u must be an integer")
+        g = _int(g, "g must be an integer")
+        basis = sorted(_ints(B, "basis elements"))
+    except ValueError as exc:
+        raise PipelineError("input", str(exc)) from None
     if M < 1:
         raise PipelineError("input", f"M must be positive, got {M}")
     if g < 1:
         raise PipelineError("input", f"g must be positive, got {g}")
-    try:
-        basis = sorted(set(map(operator.index, B)))  # 1.5 is refused, not read as 1
-    except TypeError as exc:
-        raise PipelineError("input", f"basis elements must be integers: {exc}") from None
     if not basis:
         raise PipelineError("input", "empty basis")
     if basis[0] < 1:
@@ -568,17 +589,16 @@ def end_to_end_lower_bound(
     m1_idx = np.sort(marks.single_marks)
     m2_size = len(marks.triple_marks)
 
-    # B' = rho(b) - rho(g)/2, one key row per distinct vector
-    bkeys = np.unique(_void(_keys(*halved_shift_csr(basis, g, table, primes, 3), n)))
+    # B', one key row per distinct vector
+    bkeys = np.unique(_void(_shifted_key_rows(basis, g, table, primes)))
     vkeys = bkeys.view(">u4").reshape(len(bkeys), -1)
 
-    offsets, cols, res = valuation_csr(u + m1_idx, table, primes, 3)
-    single = np.diff(offsets) == 1
-    single[single] = cols[offsets[:-1][single]] < n1
+    mkeys = _key_rows(len(m1_idx), *prime_factor_entries(u + m1_idx, table, primes), n)
+    single = ((mkeys > 0).sum(axis=1) == 1) & (mkeys[:, 0] // 3 > n2)  # one entry, in the first block
     if not single.all():
         m = int(m1_idx[np.flatnonzero(~single)[0]])
         raise PipelineError("targets", f"mark {m} does not give a single first-block coordinate")
-    tkeys = _distinct((n - cols) * 3 + res)
+    tkeys = _distinct(mkeys[:, 0].astype(np.int64))
     edges = _join_weight_one_pairs(bkeys, tkeys)
     missing = np.flatnonzero(edges[:, 0] < 0)
     if len(missing):

@@ -61,11 +61,17 @@ def icbrt(n: int) -> int:
     return x
 
 
-def _field(name: str, value) -> int:
-    """A progression field by ``operator.index``: 1.5, "1" and True are refused, numpy integers read as ints."""
-    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
-        raise ValueError(f"progression field {name} must be an integer, got {value!r}")
-    return operator.index(value)
+def _int(value, must: str) -> int:
+    """One integer by ``operator.index``: 1.5, "1" and True are refused, numpy integers read as ints.
+
+    A refused value raises ValueError(f"{must}, got {value!r}").
+    """
+    if not isinstance(value, bool):  # operator.index reads True as 1
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{must}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -73,7 +79,7 @@ class APSpec:
     """The progression {g*(u + v*m) : 1 <= m <= M}.
 
     g carries the common factor of offset and step, so gcd(u, v) = 1
-    exactly when the progression is in reduced form (``normalized``).
+    exactly when the progression is in reduced form.
     """
 
     g: int
@@ -85,7 +91,7 @@ class APSpec:
         for name in ("g", "u", "v", "M"):
             value = getattr(self, name)
             if type(value) is not int:
-                object.__setattr__(self, name, _field(name, value))
+                object.__setattr__(self, name, _int(value, f"progression field {name} must be an integer"))
         if self.g < 1 or self.v < 1 or self.u < 0 or self.M < 1:
             raise ValueError(f"bad progression parameters {self}")
 
@@ -97,10 +103,6 @@ class APSpec:
     def step(self) -> int:
         return self.g * self.v
 
-    @property
-    def normalized(self) -> bool:
-        return math.gcd(self.u, self.v) == 1
-
     def elements(self) -> list[int]:
         g, u, v = self.g, self.u, self.v
         return [g * (u + v * m) for m in range(1, self.M + 1)]
@@ -108,7 +110,9 @@ class APSpec:
     @classmethod
     def from_offset_step(cls, a: int, d: int, M: int) -> "APSpec":
         """Normal form of {a + m*d : 1 <= m <= M}: pull out g = gcd(a, d)."""
-        a, d, M = _field("a", a), _field("d", d), _field("M", M)
+        a = _int(a, "progression field a must be an integer")
+        d = _int(d, "progression field d must be an integer")
+        M = _int(M, "progression field M must be an integer")
         if a < 0 or d < 1 or M < 1:
             raise ValueError(f"need a >= 0, d >= 1, M >= 1, got a={a}, d={d}, M={M}")
         g = math.gcd(a, d)
@@ -154,16 +158,9 @@ def _sweep(targets: Sequence[int], barr: np.ndarray) -> int | None:
 
 
 def _ints(values: Iterable[int], what: str) -> set[int]:
-    """The distinct integers of ``values`` by ``operator.index``: 2.5, "2" and True are refused, not read as integers."""
-    out = set()
-    for x in values:
-        try:
-            if type(x) is bool:  # operator.index reads True as 1
-                raise TypeError
-            out.add(operator.index(x))
-        except TypeError:
-            raise ValueError(f"{what} must be integers, got {x!r}") from None
-    return out
+    """The distinct integers of ``values``, each read by ``_int``, plain ints as they are."""
+    must = f"{what} must be integers"
+    return {x if type(x) is int else _int(x, must) for x in values}
 
 
 def _windows(A: Iterable[int], B: Iterable[int]) -> Iterator[tuple[Sequence[int], bool, int | None]]:

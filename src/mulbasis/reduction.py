@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .numtheory import InvariantViolationError, PrimeTable, divisors, valuation
+from .numtheory import InvariantViolationError, PrimeTable, divisors
 from .productsets import APSpec, _ints, first_uncovered
 
 __all__ = [
@@ -94,6 +94,17 @@ class ReducedPair:
         )
 
 
+def _valuation(p: int, x: int) -> int:
+    """v_p(x): the exponent of p in x >= 1, for p a prime that the caller found."""
+    if x < 1:
+        raise ValueError(f"valuation needs x >= 1, got {x}")
+    e = 0
+    while x % p == 0:
+        x //= p
+        e += 1
+    return e
+
+
 def reduce_pair(pair: ReducedPair) -> ReducedPair:
     """Strip primes over-dividing the step until gcd(v, g) = 1.
 
@@ -118,17 +129,17 @@ def reduce_pair(pair: ReducedPair) -> ReducedPair:
             break
         p = divisors(common)[1]
         a, d = ap.offset, ap.step
-        f = valuation(p, a)
-        e = valuation(p, d)
+        f = _valuation(p, a)
+        e = _valuation(p, d)
         if not e > f >= 1:
             raise InvariantViolationError(f"prime {p} has v_p(step)={e}, v_p(offset)={f}")
         if f == 1:
             basis = {b for b in basis if b % p} | {
-                b // p for b in basis if valuation(p, b) == 1
+                b // p for b in basis if _valuation(p, b) == 1
             }
             ap = APSpec.from_offset_step(a // p, d // p, ap.M)
         else:
-            vals = {b: valuation(p, b) for b in basis}
+            vals = {b: _valuation(p, b) for b in basis}
             basis = (
                 {b for b, w in vals.items() if w == 0}
                 | {b // p for b, w in vals.items() if 0 < w < f}
@@ -330,8 +341,12 @@ def random_injected_pair(rng) -> ReducedPair:
     )
 
 
-def random_divisibility_instance(rng, max_m: int = 200) -> tuple[int, int, int]:
-    """Seeded (u, v, M) with gcd(u, v) = 1 and M <= max_m.
+# the largest M of a random divisibility instance
+_RANDOM_MAX_M = 200
+
+
+def random_divisibility_instance(rng) -> tuple[int, int, int]:
+    """Seeded (u, v, M) with gcd(u, v) = 1 and M <= ``_RANDOM_MAX_M``.
 
     ``rng`` needs only a scalar ``integers(low, high)``: a NumPy
     ``Generator`` and a ``cli.ScalarStream`` on the same key give the
@@ -342,4 +357,4 @@ def random_divisibility_instance(rng, max_m: int = 200) -> tuple[int, int, int]:
         v = int(rng.integers(1, 13))
         if math.gcd(u, v) == 1:
             break
-    return u, v, int(rng.integers(1, max_m + 1))
+    return u, v, int(rng.integers(1, _RANDOM_MAX_M + 1))

@@ -13,7 +13,9 @@ check walks the multiples of each prime on its own, the interval
 witnesses come from trial-division divisors, the sphere report keeps
 its first vector-keyed counters, the end-to-end pipeline keeps its
 first dense vectors, its key rows and join keep their tuple forms, and
-so do the valuation rows and their sums mod q.  Slow and obviously correct
+so do sums of rows mod q (``add_rows``).  ``valuation_rows`` and
+``rho_rows`` are no references: they read the package's prime-factor
+entries and key rows as tuples.  Slow and obviously correct
 beats fast.  ``traced_peak`` measures what a run allocates, for the
 tests that bound it.  ``component_analysis`` is no reference: it reads
 edge triples into the vertex ids that ``certificates._analyze_components``
@@ -89,25 +91,6 @@ def is_prime_trial(x: int) -> bool:
     return True
 
 
-def is_strong_probable_prime(n: int, bases) -> bool:
-    """n > max(bases) passes the strong Fermat test to every base."""
-    d, r = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in bases:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
 def valuation_loop(p: int, x: int) -> int:
     f = 0
     while x % p == 0:
@@ -116,17 +99,32 @@ def valuation_loop(p: int, x: int) -> int:
     return f
 
 
-def csr_tuples(offsets, cols, res) -> list:
-    """Rows held as ``numtheory.csr_rows`` arrays, as tuples of (column, residue) pairs."""
-    entries = list(zip(cols.tolist(), res.tolist()))
-    return [tuple(entries[a:b]) for a, b in zip(offsets[:-1].tolist(), offsets[1:].tolist())]
+def valuation_rows(values, table, primes) -> list:
+    """The exponents of ``primes`` in each value, counted off ``numtheory.prime_factor_entries``.
+
+    Each row is a tuple of (column, exponent) pairs, ascending by column,
+    with the zero exponents left out.
+    """
+    from mulbasis.numtheory import prime_factor_entries
+
+    counts = [Counter() for _ in values]
+    for r, j in zip(*(a.tolist() for a in prime_factor_entries(values, table, primes))):
+        counts[r][j] += 1
+    return [tuple(sorted(c.items())) for c in counts]
 
 
-def valuation_rows(values, table, primes, q: int) -> list:
-    """``numtheory.valuation_csr``'s rows as tuples of (column, residue) pairs."""
-    from mulbasis.numtheory import valuation_csr
+def key_tuples(keys, n: int) -> list:
+    """Key rows of ``certificates`` as tuples of (column, residue) pairs, ascending by column."""
+    return [tuple((n - k // 3, k % 3) for k in row if k) for row in keys.tolist()]
 
-    return csr_tuples(*valuation_csr(values, table, primes, q))
+
+def rho_rows(values, table, primes) -> list:
+    """rho mod 3 of each value: ``certificates._key_rows`` of its prime-factor entries, as ``key_tuples``."""
+    from mulbasis.certificates import _key_rows
+    from mulbasis.numtheory import prime_factor_entries
+
+    keys = _key_rows(len(values), *prime_factor_entries(values, table, primes), len(primes))
+    return key_tuples(keys, len(primes))
 
 
 def add_rows(a: tuple, b: tuple, q: int) -> tuple:
@@ -391,9 +389,8 @@ def factorial_divisibility_check_reference(u: int, v: int, M: int, table):
     The package must return an equal ``FactorialCheck`` and raise the
     same ``ValueError``s.  Here every term is trial-divided on its own
     for its largest prime, and each prime p < M re-walks its multiples
-    with ``valuation`` to find its maximizer.
+    with ``valuation_loop`` to find its maximizer.
     """
-    from mulbasis.numtheory import valuation
     from mulbasis.reduction import FactorialCheck
 
     if M < 1:
@@ -418,7 +415,7 @@ def factorial_divisibility_check_reference(u: int, v: int, M: int, table):
             start = p
         best_m, best_val = 0, 0
         for m in range(start, M + 1, p):
-            val = valuation(p, terms[m])
+            val = valuation_loop(p, terms[m])
             if val > best_val:
                 best_m, best_val = m, val
         if best_val >= 1:
@@ -998,7 +995,8 @@ def component_analysis(m1_edges, split):
 
     def keys(mat):
         at, cols = np.nonzero(mat)
-        return certificates._keys(np.searchsorted(at, np.arange(len(mat) + 1)), cols, mat[at, cols], mat.shape[1])
+        times = mat[at, cols]  # residue c is c entries
+        return certificates._key_rows(len(mat), np.repeat(at, times), np.repeat(cols, times), mat.shape[1])
 
     n = sum(split)
     v1, v2, tmat = (as_matrix([e[k] for e in m1_edges], n) for k in range(3))

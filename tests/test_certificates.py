@@ -1,5 +1,6 @@
 import json
 import pickle
+import re
 from collections import defaultdict
 from math import comb
 from itertools import combinations, pairwise, product
@@ -35,8 +36,10 @@ from oracles import (
     component_analysis,
     component_analysis_dense,
     end_to_end_lower_bound_dense,
+    key_tuples,
     lex_least_pairs,
     primes_segmented,
+    rho_rows,
     sphere_report_vectors,
     sphere_vectors,
     traced_peak,
@@ -606,18 +609,15 @@ def test_roots_match_union_find(size, edges):
 @given(
     st.lists(st.integers(1, 10**12), min_size=1, max_size=40),
     st.lists(st.sampled_from(primes_segmented(200)), unique=True, max_size=16),
-    st.sampled_from([3, 5, 7]),
 )
 @settings(max_examples=100, deadline=None)
-@example([2**40, 3**25 * 7, 97**5 * 1_000_003, 1], [97, 2, 3, 7], 3)  # high powers, large cofactor
-@example([2**40, 3**25 * 7, 97**5 * 1_000_003, 1], [97, 2, 3, 7], 7)
-def test_valuation_columns_match_valuation_loop(values, primes, q):
-    # a table far below most values, so both the walk and trial division run
-    want = [
-        tuple((j, valuation_loop(p, x) % q) for j, p in enumerate(primes) if valuation_loop(p, x) % q)
-        for x in values
-    ]
-    assert valuation_rows(values, sieve(200), primes, q) == want
+@example([2**40, 3**25 * 7, 97**5 * 1_000_003, 1], [97, 2, 3, 7])  # high powers, large cofactor
+def test_valuation_columns_match_valuation_loop(values, primes):
+    # a table far below most values, so both the walk and trial division run;
+    # the exponents exactly, then their key rows mod 3
+    want = [tuple((j, valuation_loop(p, x)) for j, p in enumerate(primes) if valuation_loop(p, x)) for x in values]
+    assert valuation_rows(values, sieve(200), primes) == want
+    assert rho_rows(values, sieve(200), primes) == [tuple((j, e % 3) for j, e in row if e % 3) for row in want]
 
 
 @given(
@@ -637,17 +637,14 @@ def test_dense_order_sorts_rows_as_their_bytes(rows):
 
 
 def _keys_of_rows(rows, n):
-    """The key rows of sparse rows."""
-    offsets = np.cumsum([0] + [len(r) for r in rows])
-    cols = np.array([i for r in rows for i, _ in r], dtype=np.int64)
-    res = np.array([c for r in rows for _, c in r], dtype=np.int64)
-    return certificates._keys(offsets, cols, res, n)
+    """The key rows of sparse rows, from entry (i, c) of row k given as c entries (k, i)."""
+    entries = np.array([(k, i) for k, r in enumerate(rows) for i, c in r for _ in range(c)], dtype=np.int64)
+    return certificates._key_rows(len(rows), *entries.reshape(-1, 2).T, n)
 
 
 def _sparse_of_keys(keys, n):
     """The sparse rows of key rows, held as ``certificates._void`` values."""
-    rows = keys.view(">u4").reshape(len(keys), keys.itemsize // 4)
-    return [tuple((n - k // 3, k % 3) for k in row if k) for row in rows.tolist()]
+    return key_tuples(keys.view(">u4").reshape(len(keys), keys.itemsize // 4), n)
 
 
 SPARSE_ROWS = st.lists(
@@ -737,6 +734,25 @@ def test_pipeline_input_stage_rejects_basis_elements(basis, message):
         with pytest.raises(PipelineError, match=message) as info:
             fn(7, basis)
         assert info.value.stage == "input"
+
+
+def test_pipeline_input_stage_reads_integers_only():
+    # True was read as 1, g=True came back as the result's g, 30.0 and 1.5
+    # escaped as TypeError
+    B = construct_interval_basis(30)
+    cases = [
+        ((30, [True] + [b for b in B if b != 1]), {}, "basis elements must be integers, got True"),
+        ((30, B), {"g": True}, "g must be an integer, got True"),
+        ((30.0, B), {}, "M must be an integer, got 30.0"),
+        ((30, B), {"u": 1.5}, "u must be an integer, got 1.5"),
+        ((30, B), {"u": True}, "u must be an integer, got True"),
+    ]
+    for args, kwargs, message in cases:
+        with pytest.raises(PipelineError, match=re.escape(message)) as info:
+            end_to_end_lower_bound(*args, **kwargs)
+        assert info.value.stage == "input"
+    res = end_to_end_lower_bound(np.int64(30), [np.int64(b) for b in B], u=np.int32(0), g=np.uint8(1))
+    assert (type(res.M), type(res.u), type(res.g)) == (int, int, int)
 
 
 def test_pipeline_narrow_small_prime_block():

@@ -5,21 +5,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mulbasis.numtheory import (
-    ResourceLimitError,
-    divisors,
-    halved_shift_csr,
-    is_prime,
-    sieve,
-    valuation,
-    valuation_csr,
-)
+from mulbasis.certificates import _shifted_key_rows
+from mulbasis.numtheory import ResourceLimitError, divisors, prime_factor_entries, sieve
+from mulbasis.reduction import _valuation
 from oracles import (
     add_rows,
-    csr_tuples,
     is_prime_trial,
-    is_strong_probable_prime,
+    key_tuples,
     primes_segmented,
+    rho_rows,
     traced_peak,
     valuation_loop,
     valuation_rows,
@@ -83,8 +77,7 @@ def test_primes_in_window():
 
 
 def test_table_is_prime_agrees_with_spf():
-    for x in range(2, 500):
-        assert TABLE.is_prime(x) == is_prime_trial(x)
+    assert TABLE.non_primes(range(500)) == [x for x in range(500) if not is_prime_trial(x)]
 
 
 def test_sieve_rejects_nonpositive_limit():
@@ -108,80 +101,18 @@ def test_sieve_budget_env_must_be_positive_integer(monkeypatch):
         sieve(10)
 
 
-# --------------------------------------------------------- primality
-
-
-def test_miller_rabin_matches_trial_division():
-    for x in range(0, 2000):
-        assert is_prime(x) == is_prime_trial(x)
-    table = sieve(1 << 17)
-    assert [is_prime(x) for x in range(table.limit + 1)] == [
-        table.is_prime(x) for x in range(table.limit + 1)
-    ]
-    assert is_prime(9973)
-    assert not is_prime(9973 * 9967)
-    assert is_prime(2**31 - 1)
-
-
-# psi_k, the least strong pseudoprime to the first k prime bases (OEIS A014233)
-PSI = {
-    1: 2047,
-    2: 1373653,
-    3: 25326001,
-    4: 3215031751,
-    5: 2152302898747,
-    6: 3474749660383,
-    7: 341550071728321,
-    9: 3825123056546413051,
-    12: 318665857834031151167461,
-    13: 3317044064679887385961981,
-}
-FIRST_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-
-
-@pytest.mark.parametrize("k", sorted(PSI))
-def test_miller_rabin_rejects_each_psi(k):
-    psi = PSI[k]
-    # psi_k fools the first k bases, so is_prime must run more of them
-    assert is_strong_probable_prime(psi, FIRST_PRIMES[:k])
-    if k == 12:  # composite by its factors, independent of the table above
-        assert psi == 399165290221 * 798330580441
-    if k == 13:
-        with pytest.raises(ValueError, match="proven only below 3317044064679887385961981"):
-            is_prime(psi)
-    else:
-        assert not is_prime(psi)
-
-
-@pytest.mark.parametrize("k", sorted(PSI))
-def test_miller_rabin_agrees_just_below_each_rung(k):
-    # oracle: strong tests to the 20 primes past the witness set
-    oracle_bases = [p for p in primes_segmented(131) if p > 41]
-    window = range(PSI[k] - 300, PSI[k])
-    verdicts = [is_prime(n) for n in window]
-    assert verdicts == [is_strong_probable_prime(n, oracle_bases) for n in window]
-    assert True in verdicts
-
-
 # --------------------------------------------------------- valuations
 
 
 def test_valuation_examples():
-    assert valuation(2, 12) == 2
-    assert valuation(5, 7) == 0
-    assert valuation(3, 81) == 4
-
-
-def test_valuation_rejects_composite_base():
-    with pytest.raises(ValueError):
-        valuation(4, 12)
-    with pytest.raises(ValueError):
-        valuation(1, 12)
+    assert _valuation(2, 12) == 2
+    assert _valuation(5, 7) == 0
+    assert _valuation(3, 81) == 4
 
 
 def test_valuation_rejects_nonpositive_argument():
     with pytest.raises(ValueError):
-        valuation(2, 0)
+        _valuation(2, 0)
 
 
 @given(st.integers(min_value=1, max_value=10**7))
@@ -203,7 +134,7 @@ def test_divisors_rejects_nonpositive_argument():
 def test_valuations_reconstruct_the_integer(x):
     acc = 1
     for p in (2, 3, 5, 7, 11, 13):
-        acc *= p ** valuation(p, x)
+        acc *= p ** _valuation(p, x)
     rem = x
     for p in (2, 3, 5, 7, 11, 13):
         while rem % p == 0:
@@ -216,70 +147,64 @@ def test_valuations_reconstruct_the_integer(x):
     st.integers(min_value=1, max_value=10_000),
 )
 def test_valuation_matches_loop_oracle(p, x):
-    assert valuation(p, x) == valuation_loop(p, x)
+    assert _valuation(p, x) == valuation_loop(p, x)
 
 
-# ----------------------------------------------- factorization by rows
-# With q above every exponent, the row of x over a prime list is its
+# ------------------------------------------------ prime-factor entries
+# Counted per column, the entries of x over a prime list are its
 # factorization restricted to that list.
 
 
 def test_factorize_360():
-    assert valuation_rows([360], TABLE, [2, 3, 5], 7) == [((0, 3), (1, 2), (2, 1))]
+    assert valuation_rows([360], TABLE, [2, 3, 5]) == [((0, 3), (1, 2), (2, 1))]
 
 
 def test_factorize_one_is_empty_product():
-    assert valuation_rows([1], TABLE, [2, 3, 5], 7) == [()]
+    assert valuation_rows([1], TABLE, [2, 3, 5]) == [()]
 
 
 def test_factorize_prime_detected_by_oracle():
     assert is_prime_trial(9973)
-    assert valuation_rows([9973], TABLE, [9973], 3) == [((0, 1),)]
+    assert valuation_rows([9973], TABLE, [9973]) == [((0, 1),)]
 
 
 def test_factorize_beyond_table_uses_trial_division():
     small = sieve(100)
     value = 89 * 97 * 4
     assert value > small.limit
-    assert valuation_rows([value], small, [2, 89, 97], 5) == [((0, 2), (1, 1), (2, 1))]
+    assert valuation_rows([value], small, [2, 89, 97]) == [((0, 2), (1, 1), (2, 1))]
 
 
 def test_factorize_incomplete_table_names_cofactor():
     # past the table the walk cannot see 10007: refused, naming it, not guessed
     with pytest.raises(ValueError, match="listed prime 10007 beyond table limit 50"):
-        valuation_rows([7 * 10_007], sieve(50), [7, 10_007], 3)
+        valuation_rows([7 * 10_007], sieve(50), [7, 10_007])
 
 
 @given(st.integers(min_value=1, max_value=99_999))
 @settings(max_examples=200)
 def test_factorization_reconstructs_value(x):
     primes = TABLE.primes_in(2, x)
-    (row,) = valuation_rows([x], TABLE, primes, 17)  # 2^17 > x: no exponent reaches 17
+    (row,) = valuation_rows([x], TABLE, primes)
     assert math.prod(primes[j] ** e for j, e in row) == x
     assert all(is_prime_trial(primes[j]) for j, _ in row)
     assert list(row) == sorted(row)
 
 
 # -------------------------------------------------------- rho vectors
+# rho(x) = (v_p(x) mod 3)_p: the entries counted into key rows.
 
 
 def test_rho_vector_360():
-    assert valuation_rows([360], TABLE, [3, 5, 7], 3) == [((0, 2), (1, 1))]
+    assert rho_rows([360], TABLE, [3, 5, 7]) == [((0, 2), (1, 1))]
 
 
 def test_rho_vector_of_one_is_zero():
-    assert valuation_rows([1], TABLE, [3, 5, 7], 3) == [()]
+    assert rho_rows([1], TABLE, [3, 5, 7]) == [()]
 
 
 def test_rho_vector_ignores_unlisted_primes():
-    assert valuation_rows([2**5], TABLE, [3, 5], 3) == [()]
-
-
-def test_rho_vector_rejects_modulus_two():
-    with pytest.raises(ValueError, match="q must be an odd prime, got 2"):
-        valuation_rows([6], TABLE, [2, 3], 2)
-    with pytest.raises(ValueError, match="q must be an odd prime, got 9"):
-        valuation_rows([6], TABLE, [2, 3], 9)
+    assert rho_rows([2**5], TABLE, [3, 5]) == [()]
 
 
 @pytest.mark.parametrize(
@@ -288,48 +213,46 @@ def test_rho_vector_rejects_modulus_two():
 def test_valuation_rows_refuse_values_below_one(values, first):
     # refused as scalar valuation refuses them, not read as empty rows
     with pytest.raises(ValueError, match=f"valuation needs x >= 1, got {first}$"):
-        valuation_csr(values, sieve(100), [2, 3], 3)
+        prime_factor_entries(values, sieve(100), [2, 3])
     with pytest.raises(ValueError, match=f"valuation needs x >= 1, got {first}$"):
-        halved_shift_csr(values, 6, sieve(100), [2, 3], 3)
+        _shifted_key_rows(values, 6, sieve(100), [2, 3])
     with pytest.raises(ValueError, match="valuation needs x >= 1, got 0$"):
-        halved_shift_csr([12], 0, sieve(100), [2, 3], 3)
+        _shifted_key_rows([12], 0, sieve(100), [2, 3])
 
 
 def test_rho_vector_rejects_duplicate_primes():
     with pytest.raises(ValueError, match="duplicates"):
-        valuation_rows([6], TABLE, [3, 3], 5)
+        valuation_rows([6], TABLE, [3, 3])
 
 
 @given(
     st.integers(min_value=1, max_value=5000),
     st.integers(min_value=1, max_value=5000),
-    st.sampled_from([3, 5, 7]),
 )
 @settings(max_examples=150)
-def test_rho_vector_is_multiplicative(x, y, q):
+def test_rho_vector_is_multiplicative(x, y):
     # x * y reaches past TABLE, so this also checks the trial-division path
     primes = (2, 3, 5, 7)
-    rx, ry, rxy = valuation_rows([x, y, x * y], TABLE, primes, q)
-    assert rxy == add_rows(rx, ry, q)
+    rx, ry, rxy = rho_rows([x, y, x * y], TABLE, primes)
+    assert rxy == add_rows(rx, ry, 3)
 
 
 @given(
     st.lists(st.integers(1, 10**12), min_size=1, max_size=20),
     st.lists(st.sampled_from(primes_segmented(200)), unique=True, max_size=12),
     st.one_of(st.just(1), st.lists(st.sampled_from(primes_segmented(50)), max_size=6).map(math.prod)),
-    st.sampled_from([3, 5, 7]),
 )
 @settings(max_examples=150, deadline=None)
-@example([1, 360, 7**3], [2, 3, 5], 1, 5)  # g = 1: no shift
-@example([1, 360, 7**3], [2, 3, 5], 2 * 3 * 7 * 7 * 11, 7)  # 2 and 3 listed, 7 and 11 not
-@example([1, 360, 7**3], [2, 3, 5], 7 * 11, 3)  # no prime of g listed: no shift
-def test_halved_shift_matches_valuation_loop(values, primes, g, q):
-    half = pow(2, -1, q)
+@example([1, 360, 7**3], [2, 3, 5], 1)  # g = 1: no shift
+@example([1, 360, 7**3], [2, 3, 5], 2 * 3 * 7 * 7 * 11)  # 2 and 3 listed, 7 and 11 not
+@example([1, 360, 7**3], [2, 3, 5], 7 * 11)  # no prime of g listed: no shift
+def test_halved_shift_matches_valuation_loop(values, primes, g):
+    half = pow(2, -1, 3)
     want = []
     for x in values:
-        shifted = [(valuation_loop(p, x) - valuation_loop(p, g) * half) % q for p in primes]
+        shifted = [(valuation_loop(p, x) - valuation_loop(p, g) * half) % 3 for p in primes]
         want.append(tuple((j, c) for j, c in enumerate(shifted) if c))
-    assert csr_tuples(*halved_shift_csr(values, g, sieve(200), primes, q)) == want
+    assert key_tuples(_shifted_key_rows(values, g, sieve(200), primes), len(primes)) == want
 
 
 def test_valuation_vector_arithmetic():

@@ -48,7 +48,7 @@ def test_apspec_elements():
     assert ap.elements() == [12, 20, 28]
     assert ap.offset == 4
     assert ap.step == 8
-    assert ap.normalized
+    assert math.gcd(ap.u, ap.v) == 1  # in reduced form
 
 
 def test_apspec_from_offset_step_extracts_gcd():
@@ -108,7 +108,7 @@ def test_apspec_reads_numpy_integers_as_ints():
 def test_apspec_round_trip(a, d, M):
     ap = APSpec.from_offset_step(a, d, M)
     assert ap.elements() == [a + m * d for m in range(1, M + 1)]
-    assert ap.normalized
+    assert math.gcd(ap.u, ap.v) == 1  # in reduced form
     assert ap.offset == a and ap.step == d
 
 
